@@ -693,7 +693,6 @@ def build_parser() -> _Parser:
     p = add("kernel", help="projection-kernel convolution bound")
     p.add_argument("--family", required=True)
     p.add_argument("--j", required=True, help="scale range, e.g. 0..6")
-    p.add_argument("--check-bound", action="store_true", help="(implied) verify the bound")
     p.add_argument("--fit-decay", choices=["exponential"], help="fit a decay model")
 
     p = add("rate", help="sup-norm convergence-rate regression")

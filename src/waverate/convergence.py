@@ -12,6 +12,9 @@ Conventions
   requested point, so a point on a dyadic cell boundary reads the value of
   the cell it opens (e.g. the Haar projection of the unit step at 0 is
   identically 1, not the midpoint value 1/2).
+* Every projection, partial sum and order-robustness term comes from the
+  dyadic-lattice engine of ``waverate.expansion``: coefficients by the
+  midpoint rule on the 2h lattice, values by strided synthesis or atom rows.
 * Sup norms are grid suprema at the tabulation level L; the quantization
   error is reported as 2^{-L} times a local Lipschitz estimate.
 * Rate slopes are positive decay exponents: sup_error ~ C 2^{-slope j},
@@ -32,15 +35,14 @@ from typing import Callable
 import numpy as np
 
 from .expansion import (
-    ExpansionError,
-    SummationSchedule,
     analyze,
+    atom_rows,
     complete_schedule_check,
     project,
     validate_schedule,
 )
 from .families import MRAFamily, refined_tables
-from .grids import DecayHint, DyadicGrid, SampledFunction
+from .grids import NO_DECAY, DyadicGrid, SampledFunction
 from .serialize import write_csv, write_json
 
 #: default tabulation level for test functions and error grids
@@ -107,7 +109,7 @@ class TestFunction:
             ) / (4 * h)
         else:
             vals = np.asarray(self.sampler(x), dtype=float)
-        return SampledFunction(grid, vals, DecayHint("none"))
+        return SampledFunction(grid, vals, NO_DECAY)
 
     def truth_on(self, grid: DyadicGrid) -> np.ndarray:
         """Reference values on a grid (cell averages for measure functions)."""
@@ -383,22 +385,17 @@ def order_robustness(
 
     pts = np.array([_snap_right(x, level) for x in x_points])
     phi_t, psi_t = refined_tables(fam, level)
-
-    def term_value(term):
-        if term[0] == "b":
-            j, k, c = j0, term[1], coeffs.b[term[1]]
-            table = phi_t
-        else:
-            _, j, k = term
-            c, table = coeffs.a[(j, k)], psi_t
-        return c * 2.0 ** (j / 2.0) * table(np.ldexp(pts, j) - k)
+    levels = coeffs.levels()
+    values = {}
+    for (j, terms), table in zip(levels, [phi_t] + [psi_t] * (len(levels) - 1)):
+        rows = atom_rows(table, j, [term[-1] for term in terms], pts, level)
+        values.update((term, c * row) for (term, c), row in zip(terms.items(), rows))
 
     finals = []
     prefixes = {rho: [] for rho in PREFIX_FRACTIONS}
     for sched in schedules:
         terms = list(sched.terms())
-        values = np.array([term_value(t) for t in terms])
-        cumulative = np.cumsum(values, axis=0)
+        cumulative = np.cumsum([values[t] for t in terms], axis=0)
         for rho in PREFIX_FRACTIONS:
             n = max(1, math.ceil(rho * len(terms)))
             prefixes[rho].append(cumulative[n - 1])
@@ -419,14 +416,6 @@ def order_robustness(
 
 # ---------------------------------------------------------------------------
 # exports
-
-
-def export_trace_csv(
-    tf: TestFunction, fam: MRAFamily, kind: str, trace: np.ndarray, path: str
-) -> None:
-    header = ["family", "function", "kind", "j", "value"]
-    rows = [[fam.label, tf.name, kind, int(j), v] for j, v in trace]
-    write_csv(path, header, rows)
 
 
 def export_rate_csv(report: RateReport, path: str) -> None:

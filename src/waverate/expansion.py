@@ -1,20 +1,30 @@
 """Expansion coefficients, projections, partial sums, summation schedules.
 
-Coefficients are computed by quadrature against the tabulated scaling
-function and wavelet (the filter-bank recursion is used in tests only, as a
-cross-check).  All sums are finite: for compact families exactly the
-translates meeting the window enter, for decaying families the tabulated
-support already extends to the 1e-10 tail and serves as the margin.
+One dyadic-lattice engine pairs atoms with tables.  On the level-L lattice
+x_m = m 2^-L the atom 2^{j/2} g(2^j x - k) reads g at (m - k 2^{L-j}) 2^{j-L}:
+every translate samples one level-(L-j) lattice of g, shifted 2^{L-j} points
+per unit of k.  `_atom_blocks` reads a table there once, in unit blocks, and
+is the only reader of tables at atom points (exact once `refined_tables`
+resolves the lattice; band-limited and spectral tables are interpolated).
+Analysis uses the jump-robust rule 2T(h) - T(2h) of `product_quad`, which on
+even-aligned slices is the midpoint rule (weight 2h on odd offsets): f's odd
+samples correlated with the blocks, one matrix product summed along block
+diagonals.  Synthesis is the transpose, a Toeplitz gather of coefficients
+times blocks; `atom_rows` gathers the dense (k x points) matrix.  The
+filter-bank recursion is a test-only cross-check.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import MRAFamily, refined_tables
-from .grids import DyadicGrid, SampledFunction, product_quad
+from .grids import NO_DECAY, DyadicGrid, SampledFunction
 
 COEFFICIENT_BOUND_SLACK = 1e-6
 
@@ -24,9 +34,7 @@ QUADRATURE_REFINE = 3
 
 
 def _quad_refine(fam: MRAFamily) -> int:
-    if fam.name == "haar" or fam.param == 1:
-        return 0
-    return QUADRATURE_REFINE
+    return 0 if fam.name == "haar" or fam.param == 1 else QUADRATURE_REFINE
 
 
 class ExpansionError(ValueError):
@@ -43,9 +51,15 @@ class ExpansionCoefficients:
     window: tuple[float, float] = (0.0, 0.0)
 
     def l2_mass(self) -> float:
-        return sum(v * v for v in self.b.values()) + sum(
-            v * v for v in self.a.values()
-        )
+        return sum(v * v for v in self.b.values()) + sum(v * v for v in self.a.values())
+
+    def levels(self) -> list[tuple[int, dict[tuple, float]]]:
+        """(j, {term: coefficient}) in k order: scaling level, then wavelet levels."""
+        out = [(self.base_level, {("b", k): v for k, v in sorted(self.b.items())})]
+        for j in range(self.base_level, self.top_level):
+            terms = {("a", jj, k): v for (jj, k), v in sorted(self.a.items()) if jj == j}
+            out.append((j, terms))
+        return out
 
 
 @dataclass(frozen=True)
@@ -63,32 +77,22 @@ class SummationSchedule:
 
     def terms(self):
         for group in self.groups:
-            for term in group:
-                yield term
+            yield from group
 
 
 def level_by_level_schedule(coeffs: ExpansionCoefficients, bounded_range: int = 1):
-    groups = [tuple(("b", k) for k in sorted(coeffs.b))]
-    for j in range(coeffs.base_level, coeffs.top_level):
-        ks = sorted(k for (jj, k) in coeffs.a if jj == j)
-        groups.append(tuple(("a", j, k) for k in ks))
-    return SummationSchedule(tuple(groups), bounded_range)
+    groups = tuple(tuple(terms) for _, terms in coeffs.levels())
+    return SummationSchedule(groups, bounded_range)
 
 
 def interleaved_schedule(coeffs: ExpansionCoefficients, width: int = 2):
     """Round-robin over `width` consecutive levels at a time."""
-    groups = [tuple(("b", k) for k in sorted(coeffs.b))]
-    levels = list(range(coeffs.base_level, coeffs.top_level))
-    for start in range(0, len(levels), width):
-        block = levels[start : start + width]
-        queues = [
-            [("a", j, k) for k in sorted(k for (jj, k) in coeffs.a if jj == j)]
-            for j in block
-        ]
+    levels = [list(terms) for _, terms in coeffs.levels()]
+    groups = [tuple(levels[0])]
+    for start in range(1, len(levels), width):
+        queues = levels[start : start + width]
         while any(queues):
-            for q in queues:
-                if q:
-                    groups.append((q.pop(0),))
+            groups.extend((q.pop(0),) for q in queues if q)
     return SummationSchedule(tuple(groups), width)
 
 
@@ -97,27 +101,20 @@ def validate_schedule(schedule: SummationSchedule):
 
     Returns (ok, report); report carries the worst prefix's level span.
     """
-    totals: dict[int, int] = {}
-    for term in schedule.terms():
-        if term[0] == "a":
-            totals[term[1]] = totals.get(term[1], 0) + 1
-
-    seen: dict[int, int] = {}
-    worst_span = 0
-    worst_prefix = 0
-    n_terms = 0
+    terms = list(schedule.terms())
+    totals = Counter(term[1] for term in terms if term[0] == "a")
+    seen: Counter = Counter()
+    worst_span = worst_prefix = 0
     # the span must hold at every term prefix: a level finishing within a
     # group may still have straddled a wide range mid-group
-    for term in schedule.terms():
-        n_terms += 1
+    for n_terms, term in enumerate(terms, 1):
         if term[0] != "a":
             continue
-        seen[term[1]] = seen.get(term[1], 0) + 1
-        partial = [j for j, c in seen.items() if 0 < c < totals[j]]
+        seen[term[1]] += 1
+        partial = [j for j, c in seen.items() if c < totals[j]]
         span = (max(partial) - min(partial) + 1) if partial else 0
         if span > worst_span:
-            worst_span = span
-            worst_prefix = n_terms
+            worst_span, worst_prefix = span, n_terms
     ok = worst_span <= schedule.bounded_range
     report = {
         "ok": ok,
@@ -129,31 +126,7 @@ def validate_schedule(schedule: SummationSchedule):
 
 
 # ---------------------------------------------------------------------------
-# inner products
-
-
-def inner_product(f: SampledFunction, g: SampledFunction) -> float:
-    """Trapezoid-rule L2 pairing over the support intersection."""
-    left = max(f.grid.left, g.grid.left)
-    right = min(f.grid.right, g.grid.right)
-    if right <= left:
-        return 0.0
-    # quadrature on the coarser lattice: the finer table subsamples exactly
-    # there, while the coarser one would be interpolated (and its jumps
-    # smeared) on any finer lattice
-    level = min(f.grid.level, g.grid.level)
-    step = 2.0**-level
-    left = np.ceil(left / step) * step
-    right = np.floor(right / step) * step
-    n = int(round((right - left) * 2**level))
-    if n < 1:
-        return 0.0
-    x = left + np.arange(n + 1) * step
-    return product_quad(f(x), g(x), step)
-
-
-# ---------------------------------------------------------------------------
-# translate bookkeeping
+# the dyadic-lattice engine
 
 
 def translate_range(fam: MRAFamily, j: int, window: tuple[float, float]):
@@ -169,35 +142,75 @@ def translate_range(fam: MRAFamily, j: int, window: tuple[float, float]):
     return range(kmin, kmax + 1)
 
 
-def _coefficient(
-    f: SampledFunction, func: SampledFunction, j: int, k: int, qlevel: int
-) -> float:
-    """<f, 2^{j/2} func(2^j . - k)> on the level-qlevel lattice.
+def _atom_blocks(table: SampledFunction, j: int, level: int):
+    """2^{j/2} table on the level-(level - j) lattice, in blocks of one unit.
 
-    func's table must resolve level qlevel - j so the dilated values are
-    exact lookups.  The slice starts at an even global index so the
-    jump-robust product quadrature keeps its extrapolation structure.
+    Returns (beta, blocks) with blocks of shape (width, 2^(level-j)): the
+    atom of translate k reads blocks.ravel()[m - (k + beta) 2^(level-j)] at
+    the level-`level` lattice index m.  Needs level >= j.
     """
-    grid = f.grid
-    step = 2.0**-qlevel
-    last = (grid.count - 1) * 2 ** (qlevel - grid.level)
-    # support of the dilated atom in x, clipped to f's grid
-    lo = (func.grid.left + k) / 2**j
-    hi = (func.grid.right + k) / 2**j
-    i0 = max(0, int(np.floor((lo - grid.left) / step)))
-    i1 = min(last, int(np.ceil((hi - grid.left) / step)))
-    if i1 <= i0:
-        return 0.0
-    i0 -= i0 % 2
-    if (i1 - i0) % 2 == 1:
-        i1 = min(last, i1 + 1)
-    x = grid.left + np.arange(i0, i1 + 1) * step
-    if qlevel == grid.level:
-        fv = f.values[i0 : i1 + 1]
-    else:
-        fv = f(x)
-    vals = 2.0 ** (j / 2.0) * func(np.ldexp(x, j) - k)
-    return product_quad(fv, vals, step)
+    per = 2 ** (level - j)
+    beta = math.floor(table.grid.left)
+    width = math.floor(table.grid.right) - beta + 1
+    u = np.ldexp(np.arange(beta * per, (beta + width) * per, dtype=float), j - level)
+    return beta, (2.0 ** (j / 2.0) * table(u)).reshape(width, per)
+
+
+def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """values[idx], reading 0 where idx falls outside values."""
+    inside = (idx >= 0) & (idx < len(values))
+    return np.append(values, 0.0)[np.where(inside, idx, len(values))]
+
+
+def dyadic_analysis(
+    f: SampledFunction, table: SampledFunction, j: int, ks: range, qlevel: int
+) -> np.ndarray:
+    """<f, 2^{j/2} table(2^j . - k)> for k in ks, midpoint rule at qlevel.
+
+    f is read at its own level and interpolated on finer lattices; only the
+    blocks that the translates in ks meet are touched.
+    """
+    n = (f.grid.count - 1) * 2 ** (qlevel - f.grid.level)
+    if n % 2:
+        raise ExpansionError(
+            f"the level-{qlevel} quadrature lattice of f has an odd number of "
+            f"intervals ({n}); tabulate f one level finer"
+        )
+    level = max(qlevel, j)  # atoms finer than the lattice are read at level j
+    beta, blocks = _atom_blocks(table, j, level)
+    width, per = blocks.shape
+    m = np.arange(1, n, 2)
+    pos = (round(np.ldexp(f.grid.left, qlevel)) + m) * 2 ** (level - qlevel)
+    pos -= (ks.start + beta) * per
+    keep = (pos >= 0) & (pos < (len(ks) + width - 1) * per)
+    m = m[keep]
+    fv = f.values[m] if qlevel == f.grid.level else f(f.grid.left + np.ldexp(m, -qlevel))
+    g = np.zeros((len(ks) + width - 1) * per)
+    g[pos[keep]] = np.ldexp(fv, 1 - qlevel)
+    # translate ks[i] meets its block d in row i + d of the product
+    prod = g.reshape(-1, per) @ blocks.T
+    return np.einsum("kdd->k", sliding_window_view(prod, width, axis=0))
+
+
+def dyadic_synthesis(coef, table: SampledFunction, j: int, ks, xs: DyadicGrid) -> np.ndarray:
+    """sum_k coef[k] 2^{j/2} table(2^j x - k) at the points of xs; ks ascending."""
+    level = max(xs.level, j)
+    beta, blocks = _atom_blocks(table, j, level)
+    width, per = blocks.shape
+    dense = np.zeros(ks[-1] - ks[0] + 1)
+    dense[np.asarray(ks) - ks[0]] = coef
+    # block i from the first translate's first block is sum_d dense[i - d] blocks[d]
+    toeplitz = sliding_window_view(np.pad(dense, width - 1), width)[:, ::-1]
+    pos = np.rint(np.ldexp(xs.points(), level)).astype(np.int64)
+    return _gather((toeplitz @ blocks).ravel(), pos - (ks[0] + beta) * per)
+
+
+def atom_rows(table: SampledFunction, j: int, ks, x: np.ndarray, level: int) -> np.ndarray:
+    """Rows 2^{j/2} table(2^j x - k), k in ks, at level-`level` lattice points x."""
+    level = max(level, j)
+    beta, blocks = _atom_blocks(table, j, level)
+    pos = np.rint(np.ldexp(x, level)).astype(np.int64)
+    return _gather(blocks.ravel(), pos - (np.asarray(ks)[:, None] + beta) * blocks.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +237,23 @@ def analyze(
     qlevel = f.grid.level + _quad_refine(fam)
     phi_t, psi_t = refined_tables(fam, qlevel)
 
-    b = {}
-    for k in translate_range(fam, j0, window):
-        b[k] = _coefficient(f, phi_t, j0, k, qlevel)
+    ks = translate_range(fam, j0, window)
+    b = dict(zip(ks, dyadic_analysis(f, phi_t, j0, ks, qlevel).tolist()))
     a = {}
     for j in range(j0, j1):
         # the multiplicative slack absorbs the O(h) quadrature deficit of
         # ||psi||_1 at jumps, where the bound can be attained with equality
-        bound = (
-            2.0 ** (-j / 2.0) * sup_f * psi_l1 * (1.0 + 4.0 * fam.psi.dx)
-            + COEFFICIENT_BOUND_SLACK
-        )
-        for k in translate_range(fam, j, window):
-            val = _coefficient(f, psi_t, j, k, qlevel)
-            if abs(val) > bound:
-                raise ExpansionError(
-                    f"coefficient bound violated at (j={j}, k={k}): "
-                    f"|{val:.6g}| > {bound:.6g}"
-                )
-            a[(j, k)] = val
+        bound = 2.0 ** (-j / 2.0) * sup_f * psi_l1 * (1.0 + 4.0 * fam.psi.dx)
+        bound += COEFFICIENT_BOUND_SLACK
+        ks = translate_range(fam, j, window)
+        vals = dyadic_analysis(f, psi_t, j, ks, qlevel)
+        over = np.flatnonzero(np.abs(vals) > bound)
+        if over.size:
+            raise ExpansionError(
+                f"coefficient bound violated at (j={j}, k={ks[over[0]]}): "
+                f"|{vals[over[0]]:.6g}| > {bound:.6g}"
+            )
+        a.update(((j, k), v) for k, v in zip(ks, vals.tolist()))
     return ExpansionCoefficients(fam, j0, j1, b, a, window)
 
 
@@ -252,50 +263,35 @@ def project(
     """(P_j f)(x) = sum_k <f, phi_jk> phi_jk(x) tabulated on xs."""
     if xs.left < f.grid.left or xs.right > f.grid.right:
         raise ExpansionError("evaluation grid outside tabulated support of f")
-    window = (xs.left, xs.right)
-    out = np.zeros(xs.count)
-    pts = xs.points()
+    ks = translate_range(fam, j, (xs.left, xs.right))
     qlevel = f.grid.level + _quad_refine(fam)
     phi_t, _ = refined_tables(fam, max(qlevel, xs.level))
-    for k in translate_range(fam, j, window):
-        coef = _coefficient(f, phi_t, j, k, qlevel)
-        out += coef * 2.0 ** (j / 2.0) * phi_t(np.ldexp(pts, j) - k)
-    return SampledFunction(xs, out, _free_decay())
+    coef = dyadic_analysis(f, phi_t, j, ks, qlevel)
+    return SampledFunction(xs, dyadic_synthesis(coef, phi_t, j, ks, xs), NO_DECAY)
 
 
 def partial_sum(
     coeffs: ExpansionCoefficients, schedule: SummationSchedule, xs: DyadicGrid
 ) -> SampledFunction:
-    """Accumulate scheduled terms; complete schedules telescope to P_{j1}f."""
-    fam = coeffs.family
-    pts = xs.points()
+    """Accumulate scheduled terms; complete schedules telescope to P_{j1}f.
+
+    One synthesis per level; terms absent from the schedule count 0.
+    """
+    counts = Counter(schedule.terms())
+    levels = coeffs.levels()
+    absent = set(counts).difference(*(terms for _, terms in levels))
+    if absent:
+        raise ExpansionError(f"schedule references absent coefficients {sorted(absent)}")
+    phi_t, psi_t = refined_tables(coeffs.family, xs.level)
     out = np.zeros(xs.count)
-    phi_t, psi_t = refined_tables(fam, xs.level)
-    for term in schedule.terms():
-        if term[0] == "b":
-            k = term[1]
-            if k not in coeffs.b:
-                raise ExpansionError(f"schedule references absent coefficient b[{k}]")
-            j = coeffs.base_level
-            out += coeffs.b[k] * 2.0 ** (j / 2.0) * phi_t(np.ldexp(pts, j) - k)
-        else:
-            _, j, k = term
-            if (j, k) not in coeffs.a:
-                raise ExpansionError(
-                    f"schedule references absent coefficient a[{j},{k}]"
-                )
-            out += coeffs.a[(j, k)] * 2.0 ** (j / 2.0) * psi_t(np.ldexp(pts, j) - k)
-    return SampledFunction(xs, out, _free_decay())
+    for (j, terms), table in zip(levels, [phi_t] + [psi_t] * (len(levels) - 1)):
+        coef = [counts[term] * v for term, v in terms.items()]
+        out += dyadic_synthesis(coef, table, j, [term[-1] for term in terms], xs)
+    return SampledFunction(xs, out, NO_DECAY)
 
 
 def complete_schedule_check(coeffs: ExpansionCoefficients, schedule: SummationSchedule):
     """True iff the schedule contains every coefficient index exactly once."""
-    want = {("b", k) for k in coeffs.b} | {("a", j, k) for (j, k) in coeffs.a}
+    want = {term for _, terms in coeffs.levels() for term in terms}
     got = list(schedule.terms())
     return len(got) == len(set(got)) and set(got) == want
-
-
-def _free_decay():
-    from .grids import DecayHint
-
-    return DecayHint("none")

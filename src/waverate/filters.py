@@ -56,10 +56,7 @@ class FilterPair:
                 raise FilterError(
                     f"translate orthonormality fails at shift {shift}: {val!r}"
                 )
-        mirror = np.array(
-            [(-1) ** k * h[m - 1 - k] for k in range(m)]
-        )
-        if np.max(np.abs(self.highpass - mirror)) > 1e-14:
+        if np.max(np.abs(self.highpass - mirror_highpass(h))) > 1e-14:
             raise FilterError("highpass is not the conjugate mirror of lowpass")
 
 

@@ -106,6 +106,7 @@ class DecayHint:
 
 
 COMPACT = DecayHint("compact")
+NO_DECAY = DecayHint("none")
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ class SampledFunction:
         i0 = self.grid.index_of(left)
         i1 = self.grid.index_of(right)
         sub = DyadicGrid(left, right, self.grid.level)
-        return SampledFunction(sub, self.values[i0 : i1 + 1].copy(), DecayHint("none"))
+        return SampledFunction(sub, self.values[i0 : i1 + 1].copy(), NO_DECAY)
 
 
 def product_quad(values_f: np.ndarray, values_g: np.ndarray, dx: float) -> float:
@@ -174,6 +175,26 @@ def product_quad(values_f: np.ndarray, values_g: np.ndarray, dx: float) -> float
         return float(fine)
     coarse = np.trapezoid(prod[::2], dx=2 * dx)
     return float(2.0 * fine - coarse)
+
+
+def inner_product(f: SampledFunction, g: SampledFunction) -> float:
+    """Trapezoid-rule L2 pairing over the support intersection."""
+    left = max(f.grid.left, g.grid.left)
+    right = min(f.grid.right, g.grid.right)
+    if right <= left:
+        return 0.0
+    # quadrature on the coarser lattice: the finer table subsamples exactly
+    # there, while the coarser one would be interpolated (and its jumps
+    # smeared) on any finer lattice
+    level = min(f.grid.level, g.grid.level)
+    step = 2.0**-level
+    left = np.ceil(left / step) * step
+    right = np.floor(right / step) * step
+    n = int(round((right - left) * 2**level))
+    if n < 1:
+        return 0.0
+    x = left + np.arange(n + 1) * step
+    return product_quad(f(x), g(x), step)
 
 
 def sample(func, grid: DyadicGrid, decay_hint: DecayHint = COMPACT) -> SampledFunction:

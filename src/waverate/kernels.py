@@ -3,10 +3,11 @@
 The orthogonal projection onto V_j has kernel P_j(x,y) = sum_k
 phi_jk(x) phi_jk(y).  Its size is controlled by a single rescaled profile:
 |P_j(x,y)| <= C 2^j H(2^j |x-y|) with H nonincreasing and integrable for
-well-behaved families.  This module tabulates P_j, extracts the tightest
-nonincreasing majorant of the rescaled data, checks that profiles collapse
-across scales onto one integrable envelope, and fits exponential or
-algebraic decay models to the envelope.
+well-behaved families.  This module tabulates P_j as a product of atom
+rows from the dyadic-lattice engine (`waverate.expansion.atom_rows`),
+extracts the tightest nonincreasing majorant of the rescaled data, checks
+that profiles collapse across scales onto one integrable envelope, and fits
+exponential or algebraic decay models to the envelope.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expansion import translate_range
+from .expansion import atom_rows, translate_range
 from .families import MRAFamily, refined_tables
-from .grids import DyadicGrid, SampledFunction
-from .serialize import write_csv, write_json
+from .grids import NO_DECAY, DyadicGrid, SampledFunction
+from .serialize import write_json
 
 # rescaled-radius resolution 2^-RADII_LEVEL, shared across scales within a
 # family; compact supports need the finer lattice or boundary quantization
@@ -69,42 +70,24 @@ class DecayFit:
 # kernel evaluation
 
 
-def _atom_matrix(table: SampledFunction, fam, j: int, grid: DyadicGrid):
-    ks = list(translate_range(fam, j, (grid.left, grid.right)))
-    pts = grid.points()
-    rows = np.empty((len(ks), grid.count))
-    scale = 2.0 ** (j / 2.0)
-    scaled = np.ldexp(pts, j)
-    for i, k in enumerate(ks):
-        rows[i] = scale * table(scaled - k)
-    return ks, rows
+def _translate_sum(table: SampledFunction, fam, j: int, xs: DyadicGrid, ys: DyadicGrid):
+    """sum_k g_jk(x) g_jk(y) over the translates meeting both grids."""
+    kx = translate_range(fam, j, (xs.left, xs.right))
+    ky = translate_range(fam, j, (ys.left, ys.right))
+    ks = range(max(kx.start, ky.start), min(kx.stop, ky.stop))
+    if not ks:
+        return np.zeros((xs.count, ys.count))
+    ax = atom_rows(table, j, ks, xs.points(), xs.level)
+    ay = atom_rows(table, j, ks, ys.points(), ys.level)
+    return ax.T @ ay
 
 
 def kernel_matrix(
     fam: MRAFamily, j: int, xs: DyadicGrid, ys: DyadicGrid
 ) -> KernelEvaluation:
     """P_j(x,y) = sum_k phi_jk(x) phi_jk(y) over both grids."""
-    level = max(xs.level, ys.level)
-    phi_t, _ = refined_tables(fam, level)
-    ks_x, ax = _atom_matrix(phi_t, fam, j, xs)
-    ks_y, ay = _atom_matrix(phi_t, fam, j, ys)
-    # only translates meeting both windows contribute
-    common = sorted(set(ks_x) & set(ks_y))
-    if not common:
-        return KernelEvaluation(fam, j, xs, ys, np.zeros((xs.count, ys.count)))
-    ix = [ks_x.index(k) for k in common]
-    iy = [ks_y.index(k) for k in common]
-    values = ax[ix].T @ ay[iy]
-    return KernelEvaluation(fam, j, xs, ys, values)
-
-
-def kernel_value(fam: MRAFamily, j: int, x: float, y: float) -> float:
-    """Scalar P_j(x,y) straight from the stored tables."""
-    ks = translate_range(fam, j, (min(x, y), max(x, y)))
-    total = 0.0
-    for k in ks:
-        total += fam.phi(np.ldexp(x, j) - k) * fam.phi(np.ldexp(y, j) - k)
-    return float(2.0**j * total)
+    phi_t, _ = refined_tables(fam, max(xs.level, ys.level))
+    return KernelEvaluation(fam, j, xs, ys, _translate_sum(phi_t, fam, j, xs, ys))
 
 
 def wavelet_kernel_matrix(
@@ -114,18 +97,10 @@ def wavelet_kernel_matrix(
 
     Telescopes to kernel_matrix(fam, j1, ...) for an orthonormal family.
     """
-    level = max(xs.level, ys.level)
-    phi_t, psi_t = refined_tables(fam, level)
+    _, psi_t = refined_tables(fam, max(xs.level, ys.level))
     total = kernel_matrix(fam, j0, xs, ys).values.copy()
     for j in range(j0, j1):
-        ks_x, ax = _atom_matrix(psi_t, fam, j, xs)
-        ks_y, ay = _atom_matrix(psi_t, fam, j, ys)
-        common = sorted(set(ks_x) & set(ks_y))
-        if not common:
-            continue
-        ix = [ks_x.index(k) for k in common]
-        iy = [ks_y.index(k) for k in common]
-        total += ax[ix].T @ ay[iy]
+        total += _translate_sum(psi_t, fam, j, xs, ys)
     return total
 
 
@@ -152,10 +127,7 @@ def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
     w = np.full(ke.ys.count, ke.ys.spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
-    vals = ke.values @ (fy * w)
-    from .grids import DecayHint
-
-    return SampledFunction(ke.xs, vals, DecayHint("none"))
+    return SampledFunction(ke.xs, ke.values @ (fy * w), NO_DECAY)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +297,6 @@ def _r_squared(data: np.ndarray, pred: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # exports
-
-
-def export_kernel_csv(ke: KernelEvaluation, path: str) -> None:
-    x = ke.xs.points()
-    y = ke.ys.points()
-    rows = (
-        (x[i], y[m], ke.values[i, m])
-        for i in range(ke.xs.count)
-        for m in range(ke.ys.count)
-    )
-    write_csv(path, ["x", "y", "value"], rows)
-
-
-def export_profile_csv(rb: RadialBound, path: str) -> None:
-    write_csv(path, ["u", "M"], zip(rb.radii, rb.majorant))
 
 
 def export_bound_report(report: dict, fit: DecayFit | None, path: str) -> None:

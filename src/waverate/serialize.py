@@ -1,12 +1,15 @@
 """JSON/CSV export with a bit-exact float contract.
 
 Floats are rendered with 17 significant digits ('.' decimal, comma-delimited
-CSV, LF line endings) so identical runs produce byte-identical files.  All
+CSV with minimal quoting, LF line endings) so identical runs produce
+byte-identical files.  All
 writes are atomic: temp file in the target directory, then rename.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -14,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grids import COMPACT, DecayHint, DyadicGrid, SampledFunction
+from .grids import DecayHint
 
 
 def fmt(x) -> str:
@@ -41,10 +44,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
+    """Cells are quoted only when they hold a comma, a quote or a newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        lines.append(",".join(fmt(cell) if not isinstance(cell, str) else cell for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        writer.writerow(cell if isinstance(cell, str) else fmt(cell) for cell in row)
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_json(path: str, payload) -> None:
@@ -93,32 +99,6 @@ def family_to_dict(fam) -> dict:
     return doc
 
 
-def family_from_dict(doc: dict):
-    from .families import MRAFamily
-    from .filters import from_lowpass
-
-    grid = DyadicGrid(
-        float(doc["grid"]["left"]), float(doc["grid"]["right"]), int(doc["grid"]["level"])
-    )
-    decay = _decay_from_dict(doc["decay"])
-    phi = SampledFunction(grid, np.array([float(v) for v in doc["values"]]), decay)
-    psi = SampledFunction(grid, np.array([float(v) for v in doc["psi_values"]]), decay)
-    filt = None
-    if "filter" in doc:
-        filt = from_lowpass(
-            [float(h) for h in doc["filter"]["lowpass"]], int(doc["filter"]["offset"])
-        )
-    return MRAFamily(
-        name=doc["name"],
-        filter=filt,
-        phi=phi,
-        psi=psi,
-        vanishing_moments=int(doc["vanishing_moments"]),
-        decay_class=decay,
-        param=doc["params"],
-    )
-
-
 def _decay_to_dict(d: DecayHint) -> dict:
     out = {"kind": d.kind, "truncation": fmt(d.truncation)}
     if d.a is not None:
@@ -126,17 +106,6 @@ def _decay_to_dict(d: DecayHint) -> dict:
     if d.N is not None:
         out["N"] = fmt(d.N)
     return out
-
-
-def _decay_from_dict(doc: dict) -> DecayHint:
-    if doc["kind"] == "compact":
-        return COMPACT
-    return DecayHint(
-        doc["kind"],
-        a=float(doc["a"]) if "a" in doc else None,
-        N=float(doc["N"]) if "N" in doc else None,
-        truncation=float(doc["truncation"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +119,3 @@ def coefficients_to_dict(coeffs) -> dict:
         "b": {str(k): fmt(v) for k, v in sorted(coeffs.b.items())},
         "a": {f"{j},{k}": fmt(v) for (j, k), v in sorted(coeffs.a.items())},
     }
-
-
-def coefficients_from_dict(doc: dict) -> tuple[int, int, dict, dict]:
-    b = {int(k): float(v) for k, v in doc["b"].items()}
-    a = {}
-    for key, v in doc["a"].items():
-        j, k = key.split(",")
-        a[(int(j), int(k))] = float(v)
-    return int(doc["j0"]), int(doc["j1"]), b, a

@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, solveh_banded
 
-from .grids import DyadicGrid, SampledFunction
-from .serialize import write_csv
+from .grids import NO_DECAY, DyadicGrid, SampledFunction
 
 #: Gram condition estimates above this indicate a bug (uniform meshes are
 #: uniformly well conditioned)
@@ -172,9 +170,15 @@ def _banded_upper(G: np.ndarray, bandwidth: int) -> np.ndarray:
 
 
 def condition_estimate(space: SplineSpace) -> float:
-    G = gram_matrix(space)
-    ab = _banded_upper(G, space.order - 1)
-    n = G.shape[0]
+    return _banded_condition(_banded_upper(gram_matrix(space), space.order - 1))
+
+
+def _banded_condition(ab: np.ndarray) -> float:
+    """Extreme-eigenvalue ratio of a symmetric matrix in upper banded form."""
+    # scipy.linalg costs a few tenths of a second to import; only solves pay it
+    from scipy.linalg import eig_banded
+
+    n = ab.shape[1]
     smallest = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 0))[0]
     largest = eig_banded(
         ab, lower=False, eigvals_only=True, select="i", select_range=(n - 1, n - 1)
@@ -256,15 +260,17 @@ def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximatio
     ratio = space.mesh / f.grid.spacing
     if abs(ratio - round(ratio)) > 1e-9 or int(round(ratio)) % 2:
         raise SplineError("mesh must be an even integer multiple of f's grid spacing")
-    G = gram_matrix(space)
-    cond = condition_estimate(space)
+    from scipy.linalg import solveh_banded
+
+    ab = _banded_upper(gram_matrix(space), space.order - 1)
+    cond = _banded_condition(ab)
     if cond > CONDITION_LIMIT:
         raise SplineError(
             f"Gram matrix ill-conditioned (estimate {cond:.3g}); "
             "uniform meshes should never do this - this signals a bug"
         )
     b = _load_vector(f, space)
-    coef = solveh_banded(_banded_upper(G, space.order - 1), b, lower=False)
+    coef = solveh_banded(ab, b, lower=False)
     i0 = f.grid.index_of(space.window[0])
     i1 = f.grid.index_of(space.window[1])
     x = f.grid.left + np.arange(i0, i1 + 1) * f.grid.spacing
@@ -283,7 +289,7 @@ def residual_orthogonality(f: SampledFunction, approx: SplineApproximation) -> f
     diff = SampledFunction(
         DyadicGrid(space.window[0], space.window[1], grid.level),
         f.values[i0 : i1 + 1] - approx(x),
-        _free(),
+        NO_DECAY,
     )
     b = _load_vector(diff, space)
     return float(np.max(np.abs(b)))
@@ -374,21 +380,3 @@ def spline_pointwise_trace(tf, order: int, meshes, x: float, level: int = 12):
         approx = best_l2_spline(f, make_space(order, h, tf.window))
         rows.append((-math.log2(h), float(approx(x)[0])))
     return np.array(rows)
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def export_spline_csv(approx: SplineApproximation, path: str) -> None:
-    header = ["knot_index", "coefficient"]
-    rows = [
-        [i - (approx.space.order - 1), c] for i, c in enumerate(approx.coefficients)
-    ]
-    write_csv(path, header, rows)
-
-
-def _free():
-    from .grids import DecayHint
-
-    return DecayHint("none")

@@ -12,7 +12,6 @@ from waverate.convergence import (
     builtin_suite,
     export_rate_csv,
     export_rate_json,
-    export_trace_csv,
     lebesgue_average,
     lp_error_trace,
     midcell_step,
@@ -230,14 +229,6 @@ class TestOrderRobustness:
 
 
 class TestExports:
-    def test_trace_csv(self, suite, haar, tmp_path):
-        tr = pointwise_trace(suite["step"], haar, 0.0, range(0, 5))
-        path = tmp_path / "trace.csv"
-        export_trace_csv(suite["step"], haar, "jump", tr, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "family,function,kind,j,value"
-        assert lines[1].startswith("haar,step,jump,0,")
-
     def test_rate_exports(self, suite, haar, tmp_path):
         r = sup_error_rates(suite["gaussian"], haar, range(3, 10), (-1.0, 1.0))
         export_rate_csv(r, str(tmp_path / "rate.csv"))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,12 @@ from hypothesis import strategies as st
 from waverate import DyadicGrid, make_family, sample
 from waverate.expansion import (
     ExpansionError,
+    _quad_refine,
     analyze,
+    atom_rows,
     complete_schedule_check,
-    inner_product,
+    dyadic_analysis,
+    dyadic_synthesis,
     interleaved_schedule,
     level_by_level_schedule,
     partial_sum,
@@ -16,8 +21,8 @@ from waverate.expansion import (
     translate_range,
     validate_schedule,
 )
-from waverate.families import refined_tables
-from waverate.grids import DecayHint, SampledFunction
+from waverate.families import evaluate_dilate, refined_tables
+from waverate.grids import DecayHint, SampledFunction, inner_product, product_quad
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +229,80 @@ class TestSchedules:
         ok, report = validate_schedule(SummationSchedule(tuple(groups), 2))
         assert not ok
         assert report["worst_span"] == 5
+
+
+# ---------------------------------------------------------------------------
+# the lattice engine against the per-translate formula
+
+
+def reference_coefficient(f, table, j, k, qlevel):
+    """<f, table_jk> by product_quad on an even-aligned slice covering the atom."""
+    grid = f.grid
+    step = 2.0**-qlevel
+    last = (grid.count - 1) * 2 ** (qlevel - grid.level)
+    lo = (table.grid.left + k) / 2**j
+    hi = (table.grid.right + k) / 2**j
+    i0 = max(0, int(np.floor((lo - grid.left) / step)))
+    i1 = min(last, int(np.ceil((hi - grid.left) / step)))
+    if i1 <= i0:
+        return 0.0
+    i0 -= i0 % 2
+    i1 += (i1 - i0) % 2  # last is even, so this stays on the grid
+    x = grid.left + np.arange(i0, i1 + 1) * step
+    fv = f.values[i0 : i1 + 1] if qlevel == grid.level else f(x)
+    return product_quad(fv, evaluate_dilate(table, j, k, x), step)
+
+
+ENGINE_FAMILIES = ["haar", "daubechies:2", "daubechies:4", "battle_lemarie:2", "shannon"]
+
+
+@functools.lru_cache(maxsize=None)
+def engine_family(spec):
+    name, _, param = spec.partition(":")
+    return make_family(name, int(param or 0))
+
+
+class TestLatticeEngine:
+    # level 5 puts haar's j = 6 atoms below the quadrature lattice spacing
+    f = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-2.0, 2.0, 5), DecayHint("none"))
+    xs = DyadicGrid(-1.0, 1.0, 5)
+
+    def tables(self, spec):
+        fam = engine_family(spec)
+        qlevel = self.f.grid.level + _quad_refine(fam)
+        return fam, qlevel, refined_tables(fam, qlevel)
+
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    @pytest.mark.parametrize("spec", ENGINE_FAMILIES)
+    def test_analysis_matches_per_translate(self, spec, j):
+        fam, qlevel, tables = self.tables(spec)
+        ks = translate_range(fam, j, (-1.5, 1.0))
+        for table in tables:
+            got = dyadic_analysis(self.f, table, j, ks, qlevel)
+            want = [reference_coefficient(self.f, table, j, k, qlevel) for k in ks]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    @pytest.mark.parametrize("spec", ENGINE_FAMILIES)
+    def test_synthesis_and_rows_match_per_translate(self, spec, j):
+        fam, _, tables = self.tables(spec)
+        ks = translate_range(fam, j, (self.xs.left, self.xs.right))
+        coef = np.random.default_rng(j).standard_normal(len(ks))
+        x = self.xs.points()
+        for table in tables:
+            want_rows = np.array([evaluate_dilate(table, j, k, x) for k in ks])
+            rows = atom_rows(table, j, ks, x, self.xs.level)
+            np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-13)
+            got = dyadic_synthesis(coef, table, j, ks, self.xs)
+            np.testing.assert_allclose(got, coef @ want_rows, rtol=0, atol=1e-13)
+
+    def test_odd_interval_lattice_rejected(self, haar):
+        # 13 intervals at level 2: the midpoint rule has no pair for the last one
+        f = sample(np.sin, DyadicGrid(0.0, 3.25, 2), DecayHint("none"))
+        with pytest.raises(ExpansionError, match="odd number of intervals"):
+            analyze(f, haar, 0, 2)
+        with pytest.raises(ExpansionError, match="odd number of intervals"):
+            project(f, haar, 3, DyadicGrid(0.5, 2.5, 2))
 
 
 class TestFilterBankCrossCheck:

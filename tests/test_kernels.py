@@ -8,11 +8,8 @@ from waverate.kernels import (
     absolute_wavelet_mass,
     apply_kernel,
     export_bound_report,
-    export_kernel_csv,
-    export_profile_csv,
     fit_decay,
     kernel_matrix,
-    kernel_value,
     radial_profile,
     scale_profiles,
     verify_convolution_bound,
@@ -37,9 +34,12 @@ def haar_report(haar):
 
 class TestKernelMatrix:
     def test_haar_point_values(self, haar):
-        assert kernel_value(haar, 0, 0.3, 0.6) == pytest.approx(1.0)
-        assert kernel_value(haar, 1, 0.3, 0.6) == pytest.approx(0.0)
-        assert kernel_value(haar, 2, 0.3, 0.3) == pytest.approx(4.0)
+        # interior dyadic points 0.375 and 0.625: one cell at j=0, two at j=1
+        g = DyadicGrid(0.25, 0.75, 3)
+        a, b = g.index_of(0.375), g.index_of(0.625)
+        assert kernel_matrix(haar, 0, g, g).values[a, b] == pytest.approx(1.0)
+        assert kernel_matrix(haar, 1, g, g).values[a, b] == pytest.approx(0.0)
+        assert kernel_matrix(haar, 2, g, g).values[a, a] == pytest.approx(4.0)
 
     def test_matches_closed_form_haar_kernel(self, haar):
         g = DyadicGrid(0.0, 1.0, 5)
@@ -182,14 +182,7 @@ class TestAbsoluteValueDiagnostic:
 
 
 class TestExports:
-    def test_csv_and_json(self, haar, haar_report, tmp_path):
-        g = DyadicGrid(0.0, 1.0, 3)
-        ke = kernel_matrix(haar, 1, g, g)
-        export_kernel_csv(ke, str(tmp_path / "k.csv"))
-        header = open(tmp_path / "k.csv").readline().strip()
-        assert header == "x,y,value"
-        export_profile_csv(haar_report["envelope"], str(tmp_path / "p.csv"))
-        assert open(tmp_path / "p.csv").readline().strip() == "u,M"
+    def test_bound_report_json(self, haar_report, tmp_path):
         fit = fit_decay(haar_report["envelope"], "exponential")
         export_bound_report(haar_report, fit, str(tmp_path / "r.json"))
         import json

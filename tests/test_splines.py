@@ -15,7 +15,6 @@ from waverate.splines import (
     cardinal_bspline,
     cardinal_gram_row,
     condition_estimate,
-    export_spline_csv,
     gram_matrix,
     make_space,
     partition_defect,
@@ -206,14 +205,3 @@ class TestConvergenceStudies:
         for bad in ([0.25], [0.25, 0.3], [0.25, 0.2], [0.25, 0.125, 0.1]):
             with pytest.raises(SplineError):
                 spline_convergence_study(suite["gaussian"], 1, bad)
-
-
-class TestExports:
-    def test_spline_csv(self, sine_fit, tmp_path):
-        _, approx = sine_fit
-        path = tmp_path / "spline.csv"
-        export_spline_csv(approx, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "knot_index,coefficient"
-        assert len(lines) == 1 + approx.space.basis_count
-        assert lines[1].startswith("-2,")
