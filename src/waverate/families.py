@@ -6,19 +6,26 @@ Construction routes:
   * Daubechies N>=2: cascade iteration of the refinement operator on a
     dyadic grid, wavelet from the mirror filter.
   * Battle-Lemarie order k: frequency-domain orthonormalization of the
-    order-k B-spline, inverse FFT onto a dyadic spatial grid.
+    order-k B-spline by its exact Euler-Frobenius periodization, inverse
+    FFT onto a dyadic spatial grid.
   * Shannon: truncated sinc closed form, shipped as an algebraic-decay
     stress case (its natural majorant is ~1/|x| and is not integrable, so
     only inflated, truncation-aware tolerances apply to it).
+
+Every family also carries its two-scale power symbol
+w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
+`waverate.sobolev` are infinite products of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .filters import FilterPair, daubechies_filter, haar_filter
+from .filters import FilterPair, daubechies_filter, haar_filter, half_band_coefficients
 from .grids import (
     COMPACT,
     DecayHint,
@@ -51,6 +58,8 @@ class MRAFamily:
     psi: SampledFunction
     vanishing_moments: int
     decay_class: DecayHint
+    #: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized
+    symbol: Callable = field(repr=False, compare=False)
     param: int | None = None
 
     @property
@@ -75,6 +84,20 @@ def evaluate_dilate(f: SampledFunction, j: int, k: int, x) -> np.ndarray | float
 
 # ---------------------------------------------------------------------------
 # cascade construction
+
+
+def _two_scale(c: np.ndarray, vals: np.ndarray, src: np.ndarray, step: int) -> np.ndarray:
+    """sqrt(2) sum_k c_k vals[src - k*step], reading 0 outside the table.
+
+    With `step` = 2^level and `src` the table index of 2x, this is
+    sqrt(2) sum_k c_k f(2x - k) for the level-`level` table `vals` of f.
+    """
+    out = np.zeros(src.size)
+    for k in range(len(c)):
+        idx = src - k * step
+        ok = (idx >= 0) & (idx < vals.size)
+        out[ok] += c[k] * vals[idx[ok]]
+    return np.sqrt(2.0) * out
 
 
 def cascade_scaling(
@@ -107,14 +130,7 @@ def cascade_scaling(
 
     residual = np.inf
     for _ in range(iterations):
-        new = np.zeros(n)
-        # new[i] = sqrt(2) * sum_k h[k] * vals[2i - k*2^level]
-        idx = np.arange(n)
-        for k in range(m):
-            src = 2 * idx - k * step
-            ok = (src >= 0) & (src < n)
-            new[ok] += h[k] * vals[src[ok]]
-        new *= np.sqrt(2.0)
+        new = _two_scale(h, vals, 2 * np.arange(n), step)
         residual = float(np.max(np.abs(new - vals)))
         vals = new
         if residual < CASCADE_TOL:
@@ -145,22 +161,14 @@ def refine_scaling(
     phi(x) = sqrt(2) sum_k h_k phi(2x - k) is an exact table lookup; no
     fixed-point iteration is needed.
     """
-    h = filter.lowpass
     vals = phi.values
     grid = phi.grid
     for _ in range(extra_levels):
         step = 2**grid.level
-        off = int(round(grid.left * step))
         fine = grid.refine(1)
-        n = fine.count
-        new = np.zeros(n)
-        idx = np.arange(n)
-        # index of 2x - k on the old lattice, measured from grid.left
-        for k in range(len(h)):
-            src = idx + off - k * step
-            ok = (src >= 0) & (src < grid.count)
-            new[ok] += h[k] * vals[src[ok]]
-        vals = np.sqrt(2.0) * new
+        # fine index i is x = left + i/(2 step), so 2x has old index i + left*step
+        src = np.arange(fine.count) + int(round(grid.left * step))
+        vals = _two_scale(filter.lowpass, vals, src, step)
         grid = fine
     vals[0] = 0.0
     vals[-1] = 0.0
@@ -172,17 +180,9 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
     level = phi.grid.level
     if level < 1:
         raise ValueError("phi grid too coarse to evaluate phi(2x-k)")
-    g = filter.highpass
-    n = phi.grid.count
     step = 2**level
-    vals = np.zeros(n)
-    idx = np.arange(n)
-    base = 2 * (idx + int(round(phi.grid.left * step)))
-    for k in range(len(g)):
-        src = base - k * step - int(round(phi.grid.left * step))
-        ok = (src >= 0) & (src < n)
-        vals[ok] += g[k] * phi.values[src[ok]]
-    vals *= np.sqrt(2.0)
+    src = 2 * np.arange(phi.grid.count) + int(round(phi.grid.left * step))
+    vals = _two_scale(filter.highpass, phi.values, src, step)
     vals[0] = 0.0
     vals[-1] = 0.0
     return SampledFunction(phi.grid, vals, COMPACT)
@@ -192,23 +192,25 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
 # closed forms
 
 
-def _haar_pair(level: int) -> tuple[SampledFunction, SampledFunction]:
-    grid = DyadicGrid(-1.0, 2.0, level)
+def _box_pair(grid: DyadicGrid, left: float) -> tuple[SampledFunction, SampledFunction]:
+    """Indicator of (left, left + 1) and its Haar wavelet on `grid`."""
     x = grid.points()
-    phi = np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
-    psi = np.where((x > 0.0) & (x < 0.5), 1.0, 0.0) - np.where(
-        (x > 0.5) & (x < 1.0), 1.0, 0.0
+    mid, right = left + 0.5, left + 1.0
+    phi = np.where((x > left) & (x < right), 1.0, 0.0)
+    psi = np.where((x > left) & (x < mid), 1.0, 0.0) - np.where(
+        (x > mid) & (x < right), 1.0, 0.0
     )
     # midpoint values at the jumps keep trapezoid quadrature exact
-    phi[grid.index_of(0.0)] = 0.5
-    phi[grid.index_of(1.0)] = 0.5
-    psi[grid.index_of(0.0)] = 0.5
-    psi[grid.index_of(0.5)] = 0.0
-    psi[grid.index_of(1.0)] = -0.5
-    return (
-        SampledFunction(grid, phi, COMPACT),
-        SampledFunction(grid, psi, COMPACT),
-    )
+    phi[grid.index_of(left)] = 0.5
+    phi[grid.index_of(right)] = 0.5
+    psi[grid.index_of(left)] = 0.5
+    psi[grid.index_of(mid)] = 0.0
+    psi[grid.index_of(right)] = -0.5
+    return SampledFunction(grid, phi, COMPACT), SampledFunction(grid, psi, COMPACT)
+
+
+def _haar_pair(level: int) -> tuple[SampledFunction, SampledFunction]:
+    return _box_pair(DyadicGrid(-1.0, 2.0, level), 0.0)
 
 
 def _shannon_pair(level: int, radius: float = SHANNON_RADIUS):
@@ -228,7 +230,6 @@ def _shannon_pair(level: int, radius: float = SHANNON_RADIUS):
 # ---------------------------------------------------------------------------
 # Battle-Lemarie via spectral orthonormalization
 
-_BL_PERIODIZATION_TERMS = 64
 _BL_SPECTRAL_SIZE = 2**16  # 2^14 leaves ~1e-5 wraparound; 2^16 reaches 1e-12 tails
 
 
@@ -237,13 +238,21 @@ def _bspline_hat(xi: np.ndarray, order: int) -> np.ndarray:
     return np.sinc(xi / (2 * np.pi)) ** order
 
 
-def _periodization(xi: np.ndarray, order: int) -> np.ndarray:
-    # 2pi-periodic; reduce first so the |m| <= 64 truncation stays accurate
-    # at the far end of the spectral grid
-    xi0 = xi - 2 * np.pi * np.round(xi / (2 * np.pi))
-    total = np.zeros_like(xi0)
-    for mshift in range(-_BL_PERIODIZATION_TERMS, _BL_PERIODIZATION_TERMS + 1):
-        total += _bspline_hat(xi0 + 2 * np.pi * mshift, order) ** 2
+def euler_frobenius(xi, order: int) -> np.ndarray:
+    """Pi(xi) = sum_m |B^(xi + 2 pi m)|^2 = sum_{|n|<k} B_{2k}(n) cos(n xi).
+
+    B_{2k} is the centered cardinal B-spline of order 2k = 2*order; its
+    values at the integers come from the truncated-power formula in integer
+    arithmetic, so the trigonometric polynomial is exact.
+    """
+    m = 2 * order
+    total = np.zeros(np.shape(xi))
+    for n in range(order):
+        b = sum(
+            (-1) ** j * math.comb(m, j) * (n + order - j) ** (m - 1)
+            for j in range(n + order)
+        ) / math.factorial(m - 1)
+        total += (b if n == 0 else 2 * b) * np.cos(n * np.asarray(xi))
     return total
 
 
@@ -251,34 +260,20 @@ def _battle_lemarie_pair(order: int, level: int):
     if order == 1:
         # order-1 B-spline translates are already orthonormal; the FFT route
         # would only smear the jumps, so use the exact centered box forms
-        grid = DyadicGrid(-2.0, 2.0, level)
-        x = grid.points()
-        phi = np.where((x > -0.5) & (x < 0.5), 1.0, 0.0)
-        psi = np.where((x > -0.5) & (x < 0.0), 1.0, 0.0) - np.where(
-            (x > 0.0) & (x < 0.5), 1.0, 0.0
-        )
-        phi[grid.index_of(-0.5)] = 0.5
-        phi[grid.index_of(0.5)] = 0.5
-        psi[grid.index_of(-0.5)] = 0.5
-        psi[grid.index_of(0.0)] = 0.0
-        psi[grid.index_of(0.5)] = -0.5
-        return (
-            SampledFunction(grid, phi, COMPACT),
-            SampledFunction(grid, psi, COMPACT),
-        )
+        return _box_pair(DyadicGrid(-2.0, 2.0, level), -0.5)
     n = _BL_SPECTRAL_SIZE
     dx = 2.0**-level
     dxi = 2 * np.pi / (n * dx)
     xi = (np.arange(n) - n // 2) * dxi
 
-    phi_hat = _bspline_hat(xi, order) / np.sqrt(_periodization(xi, order))
+    phi_hat = _bspline_hat(xi, order) / np.sqrt(euler_frobenius(xi, order))
 
     # m0(w) = cos^k(w/2) * sqrt(Pi(w)/Pi(2w)); psi_hat from the mirror relation
     half = xi / 2.0
-    phi_hat_half = _bspline_hat(half, order) / np.sqrt(_periodization(half, order))
+    phi_hat_half = _bspline_hat(half, order) / np.sqrt(euler_frobenius(half, order))
     w = half + np.pi
     m0_at = np.cos(w / 2.0) ** order * np.sqrt(
-        _periodization(w, order) / _periodization(2 * w, order)
+        euler_frobenius(w, order) / euler_frobenius(2 * w, order)
     )
     psi_hat = np.exp(-1j * half) * m0_at * phi_hat_half
 
@@ -316,17 +311,53 @@ def _battle_lemarie_pair(order: int, level: int):
         v[0] = 0.0 if abs(v[0]) < 10 * tol else v[0]
         v[-1] = 0.0 if abs(v[-1]) < 10 * tol else v[-1]
 
-    rate = _bl_decay_rate(order)
-    hint = DecayHint("exponential", a=rate, truncation=tol)
+    hint = DecayHint("exponential", a=_BL_DECAY_RATE[order], truncation=tol)
     return (
         SampledFunction(grid, phi_vals, hint),
         SampledFunction(grid, psi_vals, hint),
     )
 
 
-def _bl_decay_rate(order: int) -> float:
-    # empirical log-slope of |phi| tails; a conservative per-order constant
-    return {1: 1.3, 2: 1.2, 3: 0.9, 4: 0.8}.get(order, 0.8)
+#: empirical log-slope of |phi| tails; a conservative per-order constant
+_BL_DECAY_RATE = {1: 1.3, 2: 1.2, 3: 0.9, 4: 0.8}
+
+
+# ---------------------------------------------------------------------------
+# two-scale power symbols: each of |m0(w)|^2 and |m0(w + pi)|^2 is evaluated
+# in its own closed form, never as 1 minus the other, so both stay accurate
+# where they are small
+
+
+def _daubechies_symbol(n: int) -> Callable:
+    """cos^{2n}(w/2) P_n(sin^2(w/2)) and sin^{2n}(w/2) P_n(cos^2(w/2)); n=1 is Haar."""
+    p = np.array(half_band_coefficients(n)[::-1], dtype=float)  # descending
+
+    def symbol(omega):
+        c, s = np.cos(omega / 2) ** 2, np.sin(omega / 2) ** 2
+        return c**n * np.polyval(p, s), s**n * np.polyval(p, c)
+
+    return symbol
+
+
+def _battle_lemarie_symbol(k: int) -> Callable:
+    """cos^{2k}(w/2) Pi(w)/Pi(2w) and sin^{2k}(w/2) Pi(w + pi)/Pi(2w)."""
+
+    def symbol(omega):
+        c, s = np.cos(omega / 2) ** 2, np.sin(omega / 2) ** 2
+        den = euler_frobenius(2 * omega, k)
+        return (
+            c**k * euler_frobenius(omega, k) / den,
+            s**k * euler_frobenius(omega + np.pi, k) / den,
+        )
+
+    return symbol
+
+
+def _shannon_symbol(omega):
+    """Indicator of |w| < pi/2 modulo 2 pi, and its complement."""
+    centered = np.remainder(omega + np.pi, 2 * np.pi) - np.pi
+    a = np.where(np.abs(centered) < np.pi / 2, 1.0, 0.0)
+    return a, 1.0 - a
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +372,10 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
 
     Returns the measured defects.  For non-compact families the declared
     truncation error inflates the tolerances.  Cascade-built families are
-    re-tabulated a few levels finer for the check: the quadrature error on
-    products of Hoelder-rough scaling functions decays like h^(2*alpha) and
-    would otherwise swamp the 1e-6 orthonormality tolerance.
+    checked on their tables subdivided a few levels finer by the exact
+    two-scale relation (`refined_tables`): the quadrature error on products
+    of Hoelder-rough scaling functions decays like h^(2*alpha) and would
+    otherwise swamp the 1e-6 orthonormality tolerance.
     """
     slack = 0.0
     if fam.decay_class.kind != "compact":
@@ -351,10 +383,8 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
 
     defects = {}
     phi, psi = fam.phi, fam.psi
-    if fam.filter is not None and fam.name == "daubechies" and fam.param != 1:
-        fine_level = phi.grid.level + _INVARIANT_CHECK_REFINE
-        phi = cascade_scaling(fam.filter, level=fine_level)
-        psi = derive_wavelet(fam.filter, phi)
+    if fam.name == "daubechies" and fam.param != 1:
+        phi, psi = refined_tables(fam, phi.grid.level + _INVARIANT_CHECK_REFINE)
 
     defects["phi_integral"] = abs(phi.integral() - 1.0)
     _require(defects["phi_integral"] <= 1e-8 + slack, fam, "phi integral != 1")
@@ -416,57 +446,34 @@ def make_family(name: str, param: int = 0, level: int | None = None) -> MRAFamil
     if name not in FAMILY_NAMES:
         raise FamilyError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
+    filt, moments = None, param
     if name == "haar" or (name == "daubechies" and param == 1):
+        filt, moments, symbol = haar_filter(), 1, _daubechies_symbol(1)
         phi, psi = _haar_pair(level)
-        fam = MRAFamily(
-            name=name,
-            filter=haar_filter(),
-            phi=phi,
-            psi=psi,
-            vanishing_moments=1,
-            decay_class=COMPACT,
-            param=1 if name == "daubechies" else None,
-        )
     elif name == "daubechies":
-        filt = daubechies_filter(param)
+        filt, symbol = daubechies_filter(param), _daubechies_symbol(param)
         phi = cascade_scaling(filt, level=level)
         psi = derive_wavelet(filt, phi)
-        fam = MRAFamily(
-            name=name,
-            filter=filt,
-            phi=phi,
-            psi=psi,
-            vanishing_moments=param,
-            decay_class=COMPACT,
-            param=param,
-        )
     elif name == "battle_lemarie":
         if not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
             raise FamilyError(
                 f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}"
             )
+        symbol = _battle_lemarie_symbol(param)
         phi, psi = _battle_lemarie_pair(param, level)
-        fam = MRAFamily(
-            name=name,
-            filter=None,
-            phi=phi,
-            psi=psi,
-            vanishing_moments=param,
-            decay_class=phi.decay_hint,
-            param=param,
-        )
     else:  # shannon
+        moments, symbol = 1, _shannon_symbol
         phi, psi = _shannon_pair(level)
-        fam = MRAFamily(
-            name=name,
-            filter=None,
-            phi=phi,
-            psi=psi,
-            vanishing_moments=1,
-            decay_class=phi.decay_hint,
-            param=None,
-        )
-
+    fam = MRAFamily(
+        name=name,
+        filter=filt,
+        phi=phi,
+        psi=psi,
+        vanishing_moments=moments,
+        decay_class=phi.decay_hint,
+        symbol=symbol,
+        param=param if name in ("daubechies", "battle_lemarie") else None,
+    )
     check_family_invariants(fam)
     return fam
 
@@ -496,7 +503,9 @@ def refined_tables(fam: MRAFamily, level: int):
             phi = refine_scaling(fam.filter, fam.phi, level - fam.phi.grid.level)
             pair = (phi, derive_wavelet(fam.filter, phi))
         else:
-            pair = (fam.phi, fam.psi)
+            # never cached: another family object of the same name and level
+            # must get its own tables back
+            return fam.phi, fam.psi
         _REFINED_CACHE[key] = pair
     return _REFINED_CACHE[key]
 

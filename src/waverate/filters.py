@@ -9,6 +9,7 @@ precision, so every filter re-validates its own orthonormality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -75,6 +76,15 @@ def haar_filter() -> FilterPair:
     return from_lowpass([1.0 / s, 1.0 / s])
 
 
+def half_band_coefficients(n: int) -> list[int]:
+    """Coefficients of P_n(y) = sum_{k<n} C(n-1+k, k) y^k, ascending in y.
+
+    |m0(w)|^2 = cos^{2n}(w/2) P_n(sin^2(w/2)) for the Daubechies filter with
+    n vanishing moments.
+    """
+    return [math.comb(n - 1 + k, k) for k in range(n)]
+
+
 def daubechies_filter(n_moments: int) -> FilterPair:
     """Extremal-phase Daubechies lowpass with `n_moments` vanishing moments.
 
@@ -90,8 +100,7 @@ def daubechies_filter(n_moments: int) -> FilterPair:
 
     with mp.workdps(60):
         n = n_moments
-        # P(y) = sum_{k<n} C(n-1+k, k) y^k, ascending
-        p_coeffs = [mp.binomial(n - 1 + k, k) for k in range(n)]
+        p_coeffs = [mp.mpf(c) for c in half_band_coefficients(n)]
         roots = mp.polyroots(list(reversed(p_coeffs)), maxsteps=200, extraprec=120)
 
         # each root y0 of P gives z^2 - (2 - 4 y0) z + 1 = 0; keep |z| < 1

@@ -104,23 +104,6 @@ def wavelet_kernel_matrix(
     return total
 
 
-def absolute_wavelet_mass(fam: MRAFamily, j0: int, j1: int, x: float, span=(-8.0, 8.0)):
-    """integral over y of sum_{j,k} |psi_jk(x)| |psi_jk(y)| dy.
-
-    Diagnostic only: this naive bound on the detail kernels grows with j1
-    instead of staying integrable, which is why the majorant must be built
-    from the full kernel rather than term-by-term absolute values.
-    """
-    total = 0.0
-    psi_l1 = fam.psi.norm_l1()
-    for j in range(j0, j1):
-        for k in translate_range(fam, j, span):
-            val = abs(fam.psi(np.ldexp(x, j) - k))
-            if val:
-                total += 2.0 ** (j / 2.0) * val * 2.0 ** (-j / 2.0) * psi_l1
-    return total
-
-
 def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
     """(P_j f)(x) = integral P_j(x, y) f(y) dy via trapezoid over ys."""
     fy = f(ke.ys.points())

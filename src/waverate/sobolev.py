@@ -5,46 +5,56 @@ is decided by the small-frequency behaviour of the generator spectra.  Two
 equivalent integral tests are implemented:
 
 * wavelet test:  finiteness of  int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi
-* scaling test:  finiteness of  int_{|xi|<eps} ((2pi)|phi^(xi)|^2 - 1) |xi|^{-(2s+1)} dxi
+* scaling test:  finiteness of  int_{|xi|<eps} (1 - 2pi |phi^(xi)|^2) |xi|^{-(2s+1)} dxi
+
+Both spectra come from the family's two-scale power symbol
+a(w) = |m0(w)|^2, b(w) = |m0(w + pi)|^2 (``MRAFamily.symbol``).  With the
+unitary convention F(xi) = (2pi)^{-1/2} int f(x) e^{-i xi x} dx,
+
+    2pi |phi^(xi)|^2     = prod_{i>=1} a(xi / 2^i)
+    |psi^(xi)|^2         = b(xi / 2) |phi^(xi / 2)|^2
+    1 - 2pi |phi^(xi)|^2 = sum_{k>=1} prod_{i<k} a(xi / 2^i) * b(xi / 2^k)
+
+The last line telescopes from a + b = 1.  Its terms are nonnegative, so the
+scaling factor keeps full relative accuracy however small it is, as does
+|psi^|^2 ~ xi^{2N} (Daubechies, Ten Lectures on Wavelets, ch. 6-7).  The
+products stop once every factor is exactly 1.0 in double precision.
 
 Both integrals are evaluated over dyadic shells [eps 2^{-(m+1)}, eps 2^{-m}]
 shrinking toward 0; divergence is declared when the last three shell sums fail
-to decay geometrically (ratio > 0.95).  The Fourier convention is unitary,
-F(xi) = (2pi)^{-1/2} int f(x) e^{-i xi x} dx, so that (2pi)|phi^|^2 - 1
-vanishes at xi = 0 for an orthonormal scaling function.
+to decay geometrically (ratio > 0.95).
 
 The critical regularity order of a family is located by bisection on the
 finite/diverged verdict and equals the number of vanishing moments for the
-standard constructions.
+standard constructions.  ``fourier_transform`` (a dense DFT of sampled
+values) is kept as an independent check of the tabulated generators against
+the symbol route; no criterion uses it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .families import MRAFamily, refined_tables
+from .families import MRAFamily
 from .grids import SampledFunction
 from .serialize import fmt, write_csv, write_json
 
-#: smallest frequency at which bundled spectra are trusted; shells never go below
+#: shells reach down to XI_FLOOR / 4, where |xi|^{-(2s+1)} <= 1e153 for
+#: s <= 16 and |psi^|^2 ~ xi^{2N} >= 1e-93 for N <= 10: far from overflow
+#: and underflow in double precision
 XI_FLOOR = 1e-4
-#: number of dyadic shells for the wavelet-side integral (eps=1 reaches ~2.4e-4)
-WAVELET_SHELLS = 12
-#: the scaling-side integrand decays like xi^{2p} and sinks under quadrature
-#: noise sooner, so its shells stop earlier
-SCALING_SHELLS = 7
+#: number of dyadic shells for both integrals (eps=1 reaches ~2.4e-4)
+SHELLS = 12
 #: points per shell for the trapezoid rule
 SHELL_POINTS = 65
 #: shell sums must shrink by at least 5% or the integral is declared divergent
 DECAY_RATIO = 0.95
-#: spectral magnitudes below this multiple of the declared tail-truncation
-#: error are treated as exact zeros (band-limited families only)
-TRUNCATION_CLAMP = 4.0
 
-_BISECT_LO, _BISECT_HI = 0.1, 8.0
+_BISECT_LO, _BISECT_HI = 0.1, 15.9
 _BRACKET_WIDTH = 0.05
 
 
@@ -53,25 +63,65 @@ class SobolevError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Fourier transform
+# spectra from the two-scale symbol
+
+
+@dataclass(frozen=True)
+class SymbolSpectrum:
+    """|phi^| or |psi^| of a family, as infinite products of its symbol."""
+
+    symbol: Callable
+    which: str
+
+    def _products(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(2pi |phi^(xi)|^2, 1 - 2pi |phi^(xi)|^2), the latter as a sum."""
+        if not np.all(np.isfinite(xi)):
+            raise SobolevError("frequencies must be finite")
+        power, factor = np.ones_like(xi), np.zeros_like(xi)
+        while True:
+            xi = xi / 2.0
+            a, b = self.symbol(xi)
+            factor += power * b
+            power = power * a
+            if np.all(a == 1.0):
+                return power, factor
+
+    def evaluate(self, xi) -> np.ndarray:
+        """|phi^(xi)| or |psi^(xi)| (vectorized); no criterion needs the phase."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if self.which == "phi":
+            return np.sqrt(self._products(xi)[0] / (2.0 * math.pi))
+        power = self._products(xi / 2.0)[0]
+        return np.sqrt(self.symbol(xi / 2.0)[1] * power / (2.0 * math.pi))
+
+    def scaling_factor(self, xi) -> np.ndarray:
+        """1 - 2pi |phi^(xi)|^2, summed from nonnegative terms."""
+        return self._products(np.atleast_1d(np.asarray(xi, dtype=float)))[1]
+
+
+def family_spectrum(fam: MRAFamily, which: str = "psi") -> SymbolSpectrum:
+    """Spectrum of a family generator, from the family's two-scale symbol."""
+    if which not in ("phi", "psi"):
+        raise SobolevError(f"which must be 'phi' or 'psi', got {which!r}")
+    return SymbolSpectrum(fam.symbol, which)
+
+
+# ---------------------------------------------------------------------------
+# sampled Fourier transform (the cross-check of tabulated generators)
 
 
 @dataclass
 class SampledSpectrum:
-    """Unitary Fourier transform sampled on a symmetric frequency grid.
+    """Unitary Fourier transform of sampled values on a symmetric grid.
 
-    ``values[i]`` approximates ``(2pi)^{-1/2} int f(x) exp(-i xi[i] x) dx``.
-    When the generating samples are retained in ``source``, ``evaluate`` forms
-    the transform at arbitrary frequencies by direct quadrature, which is what
-    the shell integrals near xi = 0 rely on; without a source only grid
-    interpolation is available.
+    ``values[i]`` approximates ``(2pi)^{-1/2} int f(x) exp(-i xi[i] x) dx``;
+    ``evaluate`` forms the transform of the ``source`` samples at arbitrary
+    frequencies by direct quadrature.
     """
 
     xi: np.ndarray
     values: np.ndarray
-    source: SampledFunction | None = None
-    convention_note: str = "unitary: F(xi) = (2pi)^{-1/2} int f(x) exp(-i xi x) dx"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    source: SampledFunction
 
     def __post_init__(self):
         if self.xi.ndim != 1 or self.xi.shape != self.values.shape:
@@ -79,22 +129,9 @@ class SampledSpectrum:
         if np.max(np.abs(self.xi + self.xi[::-1])) > 1e-9 * np.max(np.abs(self.xi)):
             raise SobolevError("frequency grid must be symmetric about 0")
 
-    @property
-    def resolution(self) -> float:
-        return float(self.xi[1] - self.xi[0])
-
     def evaluate(self, xi) -> np.ndarray:
         """Transform values at arbitrary frequencies (vectorized)."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.source is None:
-            if np.min(np.abs(xi[xi != 0.0]), initial=np.inf) < 4 * self.resolution:
-                raise SobolevError(
-                    "spectrum lacks resolution near 0: no source samples and "
-                    f"grid spacing {self.resolution:.3g} is too coarse"
-                )
-            re = np.interp(xi, self.xi, self.values.real)
-            im = np.interp(xi, self.xi, self.values.imag)
-            return re + 1j * im
         x = self.source.grid.points()
         w = np.full(x.size, self.source.grid.spacing)
         w[0] *= 0.5
@@ -102,12 +139,6 @@ class SampledSpectrum:
         return ((self.source.values * w) @ np.exp(-1j * np.outer(x, xi))) / math.sqrt(
             2.0 * math.pi
         )
-
-    def truncation(self) -> float:
-        """Declared tail-truncation error of the underlying samples."""
-        if self.source is None:
-            return 0.0
-        return float(self.source.decay_hint.truncation)
 
 
 def fourier_transform(f: SampledFunction, pad_factor: int = 8) -> SampledSpectrum:
@@ -139,8 +170,6 @@ def fourier_transform(f: SampledFunction, pad_factor: int = 8) -> SampledSpectru
 
 def plancherel_defect(spec: SampledSpectrum) -> float:
     """| ||F||_2^2 - ||f||_2^2 |; an accuracy certificate for the transform."""
-    if spec.source is None:
-        raise SobolevError("source samples required")
     lhs = float(np.trapezoid(np.abs(spec.values) ** 2, spec.xi))
     return abs(lhs - spec.source.norm_l2() ** 2)
 
@@ -148,17 +177,6 @@ def plancherel_defect(spec: SampledSpectrum) -> float:
 def hermitian_defect(spec: SampledSpectrum) -> float:
     """max |F(-xi) - conj(F(xi))|; zero for transforms of real functions."""
     return float(np.max(np.abs(spec.values[::-1] - np.conj(spec.values))))
-
-
-def family_spectrum(
-    fam: MRAFamily, which: str = "psi", pad_factor: int = 8
-) -> SampledSpectrum:
-    """Spectrum of a family generator, tabulated finely enough near xi = 0."""
-    if which not in ("phi", "psi"):
-        raise SobolevError(f"which must be 'phi' or 'psi', got {which!r}")
-    extra = 3 if fam.filter is not None and fam.name != "haar" and fam.param != 1 else 0
-    phi, psi = refined_tables(fam, fam.phi.grid.level + extra)
-    return fourier_transform(phi if which == "phi" else psi, pad_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +188,9 @@ class IntegralResult:
     """Outcome of a singular-weight shell integral.
 
     ``value`` is +inf when ``diverged``.  ``refinement_trace`` lists the
-    cumulative totals after each shell (monotone increasing for nonnegative
-    integrands); ``shells`` the individual shell sums, outermost first.
+    cumulative totals after each shell (monotone increasing, as both
+    integrands are nonnegative); ``shells`` the individual shell sums,
+    outermost first.
     """
 
     s: float
@@ -180,30 +199,9 @@ class IntegralResult:
     diverged: bool
     shells: tuple
     refinement_trace: tuple
-    signed_value: float | None = None
 
     def render_value(self) -> str:
         return "DIVERGED" if self.diverged else fmt(self.value)
-
-
-def _shell_grid(epsilon: float, n_shells: int) -> list[np.ndarray]:
-    return [
-        np.linspace(epsilon * 2.0 ** -(m + 1), epsilon * 2.0**-m, SHELL_POINTS)
-        for m in range(n_shells)
-    ]
-
-
-def _shell_data(spec: SampledSpectrum, epsilon: float, n_shells: int) -> list:
-    """|F|^2 on every shell grid, cached on the spectrum."""
-    key = (epsilon, n_shells)
-    if key not in spec._cache:
-        grids = _shell_grid(epsilon, n_shells)
-        power = np.abs(spec.evaluate(np.concatenate(grids))) ** 2
-        spec._cache[key] = [
-            (g, power[i * SHELL_POINTS : (i + 1) * SHELL_POINTS])
-            for i, g in enumerate(grids)
-        ]
-    return spec._cache[key]
 
 
 def _check_parameters(s: float, epsilon: float, n_shells: int) -> None:
@@ -213,21 +211,18 @@ def _check_parameters(s: float, epsilon: float, n_shells: int) -> None:
         raise SobolevError(f"epsilon must lie in (0, pi], got {epsilon}")
     if epsilon * 2.0**-n_shells < XI_FLOOR / 4.0:
         raise SobolevError(
-            "spectrum lacks resolution below xi = 1e-4: shells would reach "
-            f"{epsilon * 2.0 ** -n_shells:.2g}"
+            f"shells would reach xi = {epsilon * 2.0 ** -n_shells:.2g}, "
+            f"below the frequency floor {XI_FLOOR:g}"
         )
 
 
-def _assemble(s, epsilon, shell_sums, signed_sums=None) -> IntegralResult:
+def _assemble(s, epsilon, shell_sums) -> IntegralResult:
     shells = tuple(float(v) for v in shell_sums)
     trace = tuple(np.cumsum(shells))
     tail = shells[-3:]
     ratios = [b / a if a > 0 else (1.0 if b > 0 else 0.0) for a, b in zip(shells[-4:-1], tail)]
     diverged = len(ratios) == 3 and all(r > DECAY_RATIO for r in ratios)
     value = math.inf if diverged else float(trace[-1])
-    signed = None
-    if signed_sums is not None:
-        signed = math.inf if diverged else float(np.sum(signed_sums))
     return IntegralResult(
         s=float(s),
         epsilon=float(epsilon),
@@ -235,43 +230,44 @@ def _assemble(s, epsilon, shell_sums, signed_sums=None) -> IntegralResult:
         diverged=diverged,
         shells=shells,
         refinement_trace=trace,
-        signed_value=signed,
     )
 
 
-def wavelet_criterion(
-    spec: SampledSpectrum, s: float, epsilon: float = 1.0, n_shells: int = WAVELET_SHELLS
-) -> IntegralResult:
-    """Shell evaluation of int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi."""
+def _shell_sums(values_at: Callable, s, epsilon, n_shells) -> IntegralResult:
+    """int_{|xi|<eps} values_at(xi) |xi|^{-(2s+1)} dxi for an even integrand."""
     _check_parameters(s, epsilon, n_shells)
-    sums = []
-    for grid, power in _shell_data(spec, epsilon, n_shells):
-        integrand = 2.0 * power * grid ** -(2.0 * s + 1.0)
-        sums.append(float(np.trapezoid(integrand, grid)))
+    grids = [
+        np.linspace(epsilon * 2.0 ** -(m + 1), epsilon * 2.0**-m, SHELL_POINTS)
+        for m in range(n_shells)
+    ]
+    values = np.split(values_at(np.concatenate(grids)), n_shells)
+    sums = [
+        float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g)) for g, v in zip(grids, values)
+    ]
     return _assemble(s, epsilon, sums)
 
 
-def scaling_criterion(
-    spec: SampledSpectrum, s: float, epsilon: float = 1.0, n_shells: int = SCALING_SHELLS
+def wavelet_criterion(
+    spec: SymbolSpectrum, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
 ) -> IntegralResult:
-    """Shell evaluation of int ((2pi)|phi^(xi)|^2 - 1) |xi|^{-(2s+1)} dxi.
+    """Shell evaluation of int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi."""
+    return _shell_sums(lambda xi: spec.evaluate(xi) ** 2, s, epsilon, n_shells)
 
-    The divergence verdict uses the absolute value of the spectral factor;
-    ``signed_value`` carries the signed integral.  Factor magnitudes below the
-    declared tail-truncation error of the samples (times a safety margin) are
-    clamped to zero: for exactly band-limited families the truncated-tail
-    ripple would otherwise masquerade as divergence.
-    """
-    _check_parameters(s, epsilon, n_shells)
-    floor = TRUNCATION_CLAMP * spec.truncation()
-    abs_sums, signed_sums = [], []
-    for grid, power in _shell_data(spec, epsilon, n_shells):
-        factor = 2.0 * math.pi * power - 1.0
-        factor = np.where(np.abs(factor) <= floor, 0.0, factor)
-        weight = 2.0 * grid ** -(2.0 * s + 1.0)
-        abs_sums.append(float(np.trapezoid(np.abs(factor) * weight, grid)))
-        signed_sums.append(float(np.trapezoid(factor * weight, grid)))
-    return _assemble(s, epsilon, abs_sums, signed_sums)
+
+def scaling_criterion(
+    spec: SymbolSpectrum, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
+) -> IntegralResult:
+    """Shell evaluation of int_{|xi|<eps} (1 - 2pi |phi^(xi)|^2) |xi|^{-(2s+1)} dxi."""
+    return _shell_sums(spec.scaling_factor, s, epsilon, n_shells)
+
+
+def _criterion(name: str):
+    """(generator, criterion function) of a criterion name."""
+    if name == "wavelet":
+        return "psi", wavelet_criterion
+    if name == "scaling":
+        return "phi", scaling_criterion
+    raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +288,17 @@ def critical_order(
 ) -> CriticalOrder:
     """Bisect for the regularity order where the criterion flips to divergent.
 
-    Searches s in [0.1, 8] and returns the midpoint of the final bracket of
-    width <= 0.05.  Raises if the verdict is not monotone in s (finite must
-    precede diverged) or if no sign change exists in the search interval.
+    Searches s in [0.1, 15.9], whose first midpoint is 8, and returns the
+    midpoint of the final bracket of width <= 0.05.  Raises if the verdict is
+    not monotone in s (finite must precede diverged) or if no sign change
+    exists in the search interval.
     """
-    if criterion == "wavelet":
-        spec = family_spectrum(fam, "psi")
-        test = lambda s: wavelet_criterion(spec, s, epsilon).diverged
-    elif criterion == "scaling":
-        spec = family_spectrum(fam, "phi")
-        test = lambda s: scaling_criterion(spec, s, epsilon).diverged
-    else:
-        raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {criterion!r}")
-
+    which, run = _criterion(criterion)
+    spec = family_spectrum(fam, which)
     evaluations = []
 
     def verdict(s: float) -> bool:
-        d = test(s)
+        d = run(spec, s, epsilon).diverged
         evaluations.append((s, d))
         return d
 
@@ -344,12 +334,12 @@ def critical_order(
 
 
 def criterion_sweep(
-    spec: SampledSpectrum,
+    spec: SymbolSpectrum,
     s_values,
     epsilon: float = 1.0,
     criterion: str = "wavelet",
 ) -> list[IntegralResult]:
-    run = wavelet_criterion if criterion == "wavelet" else scaling_criterion
+    _, run = _criterion(criterion)
     return [run(spec, float(s), epsilon) for s in s_values]
 
 

@@ -14,7 +14,7 @@ from waverate import (
     make_family,
     parse_family_spec,
 )
-from waverate.families import FamilyError, refined_tables
+from waverate.families import FamilyError, euler_frobenius, refined_tables
 from waverate.grids import product_quad
 
 
@@ -155,6 +155,11 @@ class TestMakeFamily:
     def test_invariants_pass(self, name, param):
         fam = make_family(name, param)
         check_family_invariants(fam)  # raises on failure
+        # the power symbol is a quadrature mirror pair with m0(0) = 1
+        omega = np.linspace(-7.0, 7.0, 141)
+        a, b = fam.symbol(omega)
+        assert np.max(np.abs(a + b - 1.0)) < 1e-14
+        assert fam.symbol(np.zeros(1)) == (1.0, 0.0)
 
     def test_unknown_family(self):
         with pytest.raises(FamilyError):
@@ -213,3 +218,18 @@ class TestRefinedTables:
         fam = make_family("battle_lemarie", 2)
         phi, _ = refined_tables(fam, fam.phi.grid.level + 3)
         assert phi is fam.phi
+
+
+class TestEulerFrobenius:
+    def test_cubic_closed_form(self):
+        xi = np.linspace(-7.0, 7.0, 141)
+        assert np.max(np.abs(euler_frobenius(xi, 2) - (2.0 + np.cos(xi)) / 3.0)) < 1e-15
+
+    def test_matches_sinc_periodization(self):
+        # sum_m |B^(xi + 2 pi m)|^2 for the order-3 B-spline, B^(xi) = sinc^3(xi/2);
+        # the tail beyond |m| = 200 is below 2e-15
+        xi = np.linspace(-np.pi, np.pi, 101)
+        total = sum(
+            np.sinc((xi + 2.0 * np.pi * m) / (2.0 * np.pi)) ** 6 for m in range(-200, 201)
+        )
+        assert np.max(np.abs(euler_frobenius(xi, 3) / total - 1.0)) < 1e-12

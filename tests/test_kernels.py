@@ -5,7 +5,6 @@ from waverate import DyadicGrid, make_family, sample
 from waverate.grids import DecayHint
 from waverate.kernels import (
     KernelError,
-    absolute_wavelet_mass,
     apply_kernel,
     export_bound_report,
     fit_decay,
@@ -170,15 +169,6 @@ class TestFitDecay:
     def test_algebraic_requires_order(self, haar_report):
         with pytest.raises(KernelError):
             fit_decay(haar_report["envelope"], "algebraic")
-
-
-class TestAbsoluteValueDiagnostic:
-    def test_naive_absolute_sum_grows_with_depth(self, haar):
-        # documented negative example: the term-by-term absolute mass is not
-        # bounded in the depth, unlike the true kernel's majorant mass
-        masses = [absolute_wavelet_mass(haar, 0, j1, x=0.3) for j1 in (2, 4, 6)]
-        assert masses[0] < masses[1] < masses[2]
-        assert masses[2] > 2.0 * masses[0]
 
 
 class TestExports:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from waverate import DyadicGrid, make_family, sample
+from waverate.families import refined_tables
 from waverate.grids import DecayHint, SampledFunction
 from waverate.sobolev import (
     CriticalOrder,
@@ -78,15 +80,40 @@ class TestFourierTransform:
         with pytest.raises(SobolevError):
             fourier_transform(box_function(), pad_factor=2)
 
-    def test_sourceless_spectrum_lacks_resolution(self):
-        sp = fourier_transform(box_function())
-        bare = SampledSpectrum(xi=sp.xi, values=sp.values, source=None)
-        with pytest.raises(SobolevError):
-            wavelet_criterion(bare, 1.0)
-
     def test_rejects_asymmetric_grid(self):
         with pytest.raises(SobolevError):
-            SampledSpectrum(xi=np.array([0.0, 1.0, 3.0]), values=np.zeros(3, complex))
+            SampledSpectrum(
+                xi=np.array([0.0, 1.0, 3.0]), values=np.zeros(3, complex),
+                source=box_function(),
+            )
+
+
+@functools.cache
+def built(name, param):
+    return make_family(name, param) if param else make_family(name)
+
+
+class TestSymbolSpectrum:
+    @pytest.mark.parametrize(
+        "name,param",
+        [("haar", 0), ("daubechies", 2), ("daubechies", 4), ("battle_lemarie", 2),
+         ("battle_lemarie", 3)],
+    )
+    def test_matches_sampled_transform_of_tables(self, name, param):
+        # the symbol products against the DFT of the tabulated generators
+        fam = built(name, param)
+        phi, psi = refined_tables(fam, fam.phi.grid.level + 3)
+        xi = np.linspace(0.05, 3.0, 40)
+        psi_dft = np.abs(fourier_transform(psi).evaluate(xi)) ** 2
+        psi_sym = family_spectrum(fam, "psi").evaluate(xi) ** 2
+        assert np.max(np.abs(psi_dft / psi_sym - 1.0)) <= 1e-5
+        phi_dft = 2 * np.pi * np.abs(fourier_transform(phi).evaluate(xi)) ** 2
+        phi_sym = 2 * np.pi * family_spectrum(fam, "phi").evaluate(xi) ** 2
+        assert np.max(np.abs(phi_dft - phi_sym)) <= 1e-6
+
+    def test_rejects_nonfinite_frequency(self, haar_psi_spec):
+        with pytest.raises(SobolevError):
+            haar_psi_spec.evaluate(np.inf)
 
 
 class TestWaveletCriterion:
@@ -124,16 +151,19 @@ class TestWaveletCriterion:
 
 class TestScalingCriterion:
     def test_haar_verdicts(self, haar_phi_spec):
-        fine = scaling_criterion(haar_phi_spec, 0.5)
-        assert not fine.diverged
-        # (2pi)|phi^|^2 - 1 ~ -xi^2/12 near 0: signed integral negative
-        assert fine.signed_value < 0
+        assert not scaling_criterion(haar_phi_spec, 0.5).diverged
         assert scaling_criterion(haar_phi_spec, 1.5).diverged
 
     def test_haar_factor_quadratic_law(self, haar_phi_spec):
         xi = np.array([1e-3, 1e-2, 0.05])
         factor = 2 * np.pi * np.abs(haar_phi_spec.evaluate(xi)) ** 2 - 1
         assert np.max(np.abs(factor / (-(xi**2) / 12.0) - 1.0)) < 0.01
+
+    def test_haar_factor_without_cancellation(self, haar_phi_spec):
+        # 1 - sinc^2(xi/2) = xi^2/12 - xi^4/360 + O(xi^6), far below 1e-16 at 1e-9
+        xi = np.array([1e-9, 1e-6, 1e-3])
+        series = xi**2 / 12.0 - xi**4 / 360.0
+        assert np.max(np.abs(haar_phi_spec.scaling_factor(xi) / series - 1.0)) < 1e-9
 
     def test_shannon_identically_zero(self):
         sp = family_spectrum(make_family("shannon"), "phi")
@@ -172,6 +202,16 @@ class TestCriticalOrder:
             co = critical_order(fam)
             assert abs(co.s_star - fam.vanishing_moments) <= 0.15
 
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    @pytest.mark.parametrize(
+        "name,param",
+        [("daubechies", n) for n in range(1, 11)]
+        + [("battle_lemarie", k) for k in range(1, 5)],
+    )
+    def test_every_family_vanishing_moments(self, name, param, criterion):
+        co = critical_order(built(name, param), criterion=criterion)
+        assert abs(co.s_star - param) <= 0.15
+
     def test_wavelet_scaling_agreement(self):
         for spec in [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)]:
             fam = make_family(spec[0], spec[1]) if spec[1] else make_family(spec[0])
@@ -186,6 +226,8 @@ class TestCriticalOrder:
     def test_bad_criterion_name(self, haar):
         with pytest.raises(SobolevError):
             critical_order(haar, criterion="bogus")
+        with pytest.raises(SobolevError):
+            criterion_sweep(family_spectrum(haar, "phi"), [0.5], criterion="bogus")
 
     def test_verdict_monotone_on_sweep(self, haar_psi_spec):
         # finite verdicts must precede diverged ones on a 0.1-spaced sweep
