@@ -39,6 +39,7 @@ from .expansion import (
     ExpansionError,
     SummationSchedule,
     analyze,
+    check_quadrature_lattice,
     interleaved_schedule,
     level_by_level_schedule,
     project,
@@ -68,9 +69,11 @@ from .sobolev import (
     wavelet_criterion,
 )
 from .splines import (
+    MAX_ORDER,
     PERTURBATION_SEED,
     SplineError,
     best_l2_spline,
+    check_study,
     make_space,
     perturbation_optimality,
     residual_orthogonality,
@@ -170,6 +173,16 @@ def _family(spec: str):
         raise ConfigError(str(exc)) from None
 
 
+def _check_grids(fam, tf: TestFunction, level: int, window=None) -> None:
+    """Reject non-dyadic windows and an odd quadrature lattice before any compute."""
+    try:
+        if window is not None:
+            DyadicGrid(window[0], window[1], level)
+        check_quadrature_lattice(fam, DyadicGrid(tf.window[0], tf.window[1], level))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners (each returns the one-line stdout summary)
 
@@ -186,9 +199,10 @@ def run_family(args) -> str:
 
 
 def run_expand(args) -> str:
-    fam = _family(args.family)
     tf = lookup_function(args.function)
     jr = parse_int_range(args.j)
+    fam = _family(args.family)
+    _check_grids(fam, tf, args.level)
     coeffs = analyze(tf.tabulate(args.level), fam, jr.start, jr.stop - 1)
     if args.out:
         from .serialize import coefficients_to_dict
@@ -215,10 +229,11 @@ def run_kernel(args) -> str:
 
 
 def run_rate(args) -> str:
-    fam = _family(args.family)
     tf = lookup_function(args.function)
     jr = parse_int_range(args.j)
     window = parse_window(args.window) if args.window else (-1.0, 1.0)
+    fam = _family(args.family)
+    _check_grids(fam, tf, args.level, window)
     report = sup_error_rates(tf, fam, jr, window, level=args.level)
     if args.out:
         if args.format == "csv":
@@ -250,8 +265,11 @@ def run_sobolev(args) -> str:
 
 def run_spline(args) -> str:
     tf = lookup_function(args.function)
-    mr = parse_int_range(args.mesh_exponents)
-    meshes = [2.0**-m for m in mr]
+    meshes = [2.0**-m for m in parse_int_range(args.mesh_exponents)]
+    try:
+        check_study(tf.window, args.order, meshes, args.level)
+    except SplineError as exc:
+        raise ConfigError(str(exc)) from None
     report = spline_convergence_study(tf, args.order, meshes, level=args.level)
     optimal = ""
     if args.check_optimality:
@@ -710,7 +728,9 @@ def build_parser() -> _Parser:
 
     p = add("spline", help="best-L2 spline mesh-refinement study")
     p.add_argument("--function", required=True)
-    p.add_argument("--order", type=int, required=True, help="spline order k >= 1")
+    p.add_argument(
+        "--order", type=int, required=True, help=f"spline order k in 1..{MAX_ORDER}"
+    )
     p.add_argument(
         "--mesh-exponents", required=True, help="m range with h = 2^-m, e.g. 2..6"
     )

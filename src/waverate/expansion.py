@@ -162,6 +162,22 @@ def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.append(values, 0.0)[np.where(inside, idx, len(values))]
 
 
+def _even_intervals(grid: DyadicGrid, qlevel: int) -> int:
+    """Intervals of grid's level-qlevel quadrature lattice, which must be even."""
+    n = (grid.count - 1) * 2 ** (qlevel - grid.level)
+    if n % 2:
+        raise ExpansionError(
+            f"the level-{qlevel} quadrature lattice of f has an odd number of "
+            f"intervals ({n}); tabulate f one level finer"
+        )
+    return n
+
+
+def check_quadrature_lattice(fam: MRAFamily, grid: DyadicGrid) -> None:
+    """Raise the odd-lattice error of analysing f on grid, before f is tabulated."""
+    _even_intervals(grid, grid.level + _quad_refine(fam))
+
+
 def dyadic_analysis(
     f: SampledFunction, table: SampledFunction, j: int, ks: range, qlevel: int
 ) -> np.ndarray:
@@ -170,12 +186,7 @@ def dyadic_analysis(
     f is read at its own level and interpolated on finer lattices; only the
     blocks that the translates in ks meet are touched.
     """
-    n = (f.grid.count - 1) * 2 ** (qlevel - f.grid.level)
-    if n % 2:
-        raise ExpansionError(
-            f"the level-{qlevel} quadrature lattice of f has an odd number of "
-            f"intervals ({n}); tabulate f one level finer"
-        )
+    n = _even_intervals(f.grid, qlevel)
     level = max(qlevel, j)  # atoms finer than the lattice are read at level j
     beta, blocks = _atom_blocks(table, j, level)
     width, per = blocks.shape

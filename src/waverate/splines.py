@@ -11,12 +11,22 @@ Boundary handling: the knot sequence is extended k-1 ghost knots beyond the
 window and the corresponding B-splines are truncated to the window, so the
 (truncated) basis still sums to 1 everywhere inside.  Convergence assertions
 shrink the window by k h to stay clear of boundary pollution.
+
+Evaluation is local: B_i is nonzero only on its k cells, so a point in cell
+floor((x - left)/h) sums just the k+1 basis functions i = cell-1..cell+k-1
+(cell-1 for the order-1 midpoint value 1/2 at a knot), O(k) per point
+whatever the number of basis functions.  Every other term is an exact zero,
+and the candidates are added in increasing i, so the values are bitwise
+those of the full per-basis sum.  M_k itself is built bottom-up, k(k+1)/2
+arrays instead of the recursion's 2^k - 1 calls, with the same arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
@@ -27,6 +37,9 @@ from .grids import NO_DECAY, DyadicGrid, SampledFunction
 CONDITION_LIMIT = 1e12
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
+#: largest order a study accepts: from order 9 on, the Gram condition of the
+#: truncated boundary splines exceeds CONDITION_LIMIT (4.3e12 at order 9)
+MAX_ORDER = 8
 #: default seed for the perturbation-optimality check
 PERTURBATION_SEED = 20260823
 
@@ -37,14 +50,12 @@ class SplineError(ValueError):
 
 def cardinal_bspline(k: int, x) -> np.ndarray:
     """Cardinal B-spline M_k supported on [0, k] (midpoint values for k=1)."""
-    x = np.asarray(x, dtype=float)
-    if k == 1:
-        inside = ((x > 0) & (x < 1)).astype(float)
-        edge = 0.5 * ((x == 0.0) | (x == 1.0))
-        return inside + edge
-    prev = cardinal_bspline(k - 1, x)
-    prev_shift = cardinal_bspline(k - 1, x - 1.0)
-    return (x * prev + (k - x) * prev_shift) / (k - 1)
+    # y_s = y_{s-1} - 1.0: the recursion's own repeated shifts, not x - s
+    ys = list(accumulate([np.asarray(x, dtype=float)] + [1.0] * (k - 1), sub))
+    m = [((y > 0) & (y < 1)) + 0.5 * ((y == 0.0) | (y == 1.0)) for y in ys]
+    for j in range(2, k + 1):  # row j holds M_j(y_s) for s = 0..k-j
+        m = [(y * a + (j - y) * b) / (j - 1) for y, a, b in zip(ys, m, m[1:])]
+    return m[0]
 
 
 @dataclass(frozen=True)
@@ -90,10 +101,8 @@ def make_space(order: int, mesh: float, window) -> SplineSpace:
 def partition_defect(space: SplineSpace, samples: int = 1025) -> float:
     """max |sum_i B_i(x) - 1| over the window (truncated ghosts included)."""
     x = np.linspace(space.window[0], space.window[1], samples)[1:-1]
-    total = np.zeros_like(x)
-    for i in range(space.basis_count):
-        total += space.basis(i, x)
-    return float(np.max(np.abs(total - 1.0)))
+    ones = SplineApproximation(space, np.ones(space.basis_count), 0.0)
+    return float(np.max(np.abs(ones(x) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +208,16 @@ class SplineApproximation:
     residual_l2: float
 
     def __call__(self, x) -> np.ndarray:
+        k, n, coef = self.space.order, self.space.basis_count, self.coefficients
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.isfinite(x).all():
+            raise SplineError("spline evaluation points must be finite")
+        u = (x - self.space.window[0]) / self.space.mesh
+        cell = np.floor(np.clip(u, -k - 1, n + 1)).astype(np.int64)
         out = np.zeros_like(x)
-        for i in range(self.space.basis_count):
-            c = self.coefficients[i]
-            if c != 0.0:
-                out += c * self.space.basis(i, x)
+        for i in (cell + r for r in range(-1, k)):  # in increasing i, as the full sum
+            c = np.where((i >= 0) & (i < n), coef[np.clip(i, 0, n - 1)], 0.0)
+            out += c * cardinal_bspline(k, u - (i - (k - 1)))
         return out
 
 
@@ -248,18 +261,22 @@ def _load_vector(f: SampledFunction, space: SplineSpace) -> np.ndarray:
     return b
 
 
+def _check_resolution(mesh: float, spacing: float) -> None:
+    if spacing > mesh / MIN_SAMPLES_PER_CELL:
+        raise SplineError(
+            f"quadrature resolution insufficient: f spacing {spacing:.3g} "
+            f"exceeds mesh/{MIN_SAMPLES_PER_CELL} = {mesh / MIN_SAMPLES_PER_CELL:.3g}"
+        )
+    ratio = mesh / spacing
+    if abs(ratio - round(ratio)) > 1e-9 or int(round(ratio)) % 2:
+        raise SplineError("mesh must be an even integer multiple of f's grid spacing")
+
+
 def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximation:
     """Solve the banded Gram system for the best L^2 spline approximation."""
     if f.grid.left > space.window[0] + 1e-12 or f.grid.right < space.window[1] - 1e-12:
         raise SplineError("f is not tabulated on the full spline window")
-    if f.grid.spacing > space.mesh / MIN_SAMPLES_PER_CELL:
-        raise SplineError(
-            f"quadrature resolution insufficient: f spacing {f.grid.spacing:.3g} "
-            f"exceeds mesh/{MIN_SAMPLES_PER_CELL} = {space.mesh / MIN_SAMPLES_PER_CELL:.3g}"
-        )
-    ratio = space.mesh / f.grid.spacing
-    if abs(ratio - round(ratio)) > 1e-9 or int(round(ratio)) % 2:
-        raise SplineError("mesh must be an even integer multiple of f's grid spacing")
+    _check_resolution(space.mesh, f.grid.spacing)
     from scipy.linalg import solveh_banded
 
     ab = _banded_upper(gram_matrix(space), space.order - 1)
@@ -336,6 +353,28 @@ def _validate_meshes(meshes) -> list:
     return hs
 
 
+def check_study(window, order: int, meshes, level: int) -> list:
+    """Validate a mesh-refinement study before f is tabulated; return the meshes.
+
+    Rejects every configuration that would otherwise fail part-way: an order
+    outside 1..MAX_ORDER, meshes that do not halve or do not tile the window,
+    a level too coarse for the finest mesh, and a window that the boundary
+    shrink of order * h_0 at each end leaves empty.
+    """
+    if not 1 <= order <= MAX_ORDER:
+        raise SplineError(f"spline order must be in 1..{MAX_ORDER}, got {order}")
+    hs = _validate_meshes(meshes)
+    for h in hs:
+        make_space(order, h, window)
+        _check_resolution(h, 2.0**-level)
+    if 2 * order * hs[0] >= window[1] - window[0]:
+        raise SplineError(
+            f"order {order} at mesh {hs[0]} shrinks the window {tuple(window)} "
+            "to nothing; start from a finer mesh"
+        )
+    return hs
+
+
 def spline_convergence_study(tf, order: int, meshes, level: int = 12):
     """Sup errors on a boundary-shrunk window as the mesh halves.
 
@@ -343,7 +382,7 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
     """
     from .convergence import RateReport, _fit_rate
 
-    hs = _validate_meshes(meshes)
+    hs = check_study(tf.window, order, meshes, level)
     f = tf.tabulate(level)
     shrink = order * hs[0]
     lo = math.ceil((tf.window[0] + shrink) * 2**level) / 2**level

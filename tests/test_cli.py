@@ -10,6 +10,8 @@ from waverate.cli import (
     parse_sweep,
     parse_window,
 )
+from waverate.convergence import TestFunction
+from waverate.splines import MAX_ORDER
 
 
 class TestParsing:
@@ -102,6 +104,35 @@ class TestCommands:
             ]
         )
         assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spline --function sine --order 0 --mesh-exponents 2..6",
+            f"spline --function sine --order {MAX_ORDER + 1} --mesh-exponents 4..8",
+            # 8 * 0.25 at each end swallows the 3.25-wide window
+            "spline --function sine --order 8 --mesh-exponents 2..4",
+            "spline --function sine --order 2 --mesh-exponents 2..10",
+            "spline --function sine --order 2 --mesh-exponents 1..5",
+            "spline --function sine --order 2 --mesh-exponents 3..3",
+            # 13 intervals at level 2, and Haar's lattice is not refined
+            "rate --family haar --function sine --level 2 --j 3..9 --window=0.5,2.5",
+            "expand --family haar --function sine --level 2 --j 0..3",
+            "rate --family haar --function sine --level 1 --j 3..9",
+            "rate --family haar --function gaussian --j 3..9 --window=0.3,0.7",
+        ],
+    )
+    def test_bad_study_exits_1_before_compute(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(TestFunction, "tabulate", refuse)
+        out = tmp_path / "out.json"
+        assert main(argv.split() + ["--out", str(out)]) == 1
+        assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
     def test_family_invariants(self, capsys):

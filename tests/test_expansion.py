@@ -11,6 +11,7 @@ from waverate.expansion import (
     _quad_refine,
     analyze,
     atom_rows,
+    check_quadrature_lattice,
     complete_schedule_check,
     dyadic_analysis,
     dyadic_synthesis,
@@ -303,6 +304,14 @@ class TestLatticeEngine:
             analyze(f, haar, 0, 2)
         with pytest.raises(ExpansionError, match="odd number of intervals"):
             project(f, haar, 3, DyadicGrid(0.5, 2.5, 2))
+
+    def test_odd_interval_lattice_detected_from_grid(self, haar, db2):
+        # the same verdict from the grid alone, before f is tabulated
+        grid = DyadicGrid(0.0, 3.25, 2)
+        with pytest.raises(ExpansionError, match="odd number of intervals"):
+            check_quadrature_lattice(haar, grid)
+        check_quadrature_lattice(haar, DyadicGrid(0.0, 3.25, 3))
+        check_quadrature_lattice(db2, grid)  # refined 3 levels: always even
 
 
 class TestFilterBankCrossCheck:

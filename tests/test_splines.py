@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverate import DyadicGrid, make_family, sample
+from waverate import DyadicGrid, make_family, sample, splines
 from waverate.convergence import MarkedPoint, TestFunction, builtin_suite
 from waverate.expansion import project
 from waverate.grids import DecayHint
 from waverate.splines import (
+    CONDITION_LIMIT,
+    MAX_ORDER,
+    SplineApproximation,
     SplineError,
     best_l2_spline,
     cardinal_bspline,
     cardinal_gram_row,
+    check_study,
     condition_estimate,
     gram_matrix,
     make_space,
@@ -27,6 +31,28 @@ from waverate.splines import (
 
 def tabulate(func, lo, hi, level=12):
     return sample(func, DyadicGrid(lo, hi, level), DecayHint("none"))
+
+
+def recursive_bspline(k, x):
+    """M_k by its defining recursion, 2^k - 1 calls: the oracle for the table."""
+    x = np.asarray(x, dtype=float)
+    if k == 1:
+        return ((x > 0) & (x < 1)).astype(float) + 0.5 * ((x == 0.0) | (x == 1.0))
+    prev, shifted = recursive_bspline(k - 1, x), recursive_bspline(k - 1, x - 1.0)
+    return (x * prev + (k - x) * shifted) / (k - 1)
+
+
+def full_sum(approx, x):
+    """sum_i c_i B_i(x) over every basis function, in increasing i."""
+    out = np.zeros_like(x)
+    for i, c in enumerate(approx.coefficients):
+        if c != 0.0:
+            out += c * approx.space.basis(i, x)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +79,21 @@ class TestBasis:
         # M_2 is the unit hat on [0, 2]
         x = np.linspace(0.0, 2.0, 41)
         assert np.max(np.abs(cardinal_bspline(2, x) - (1.0 - np.abs(x - 1.0)))) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bottom_up_matches_recursion_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        knots = np.arange(-2.0, k + 3.0)
+        x = np.concatenate(
+            [
+                rng.uniform(-2.0, k + 2.0, 2000),
+                knots,
+                np.nextafter(knots, -np.inf),
+                np.nextafter(knots, np.inf),
+                np.arange(-16, 8 * k + 17) / 8.0,
+            ]
+        )
+        assert same_bits(cardinal_bspline(k, x), recursive_bspline(k, x))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_partition_of_unity(self, k):
@@ -110,6 +151,55 @@ class TestGram:
     def test_symmetry(self):
         G = gram_matrix(make_space(4, 0.5, (-1.0, 1.0)))
         assert np.max(np.abs(G - G.T)) == 0.0
+
+
+class TestLocalEvaluation:
+    SPACES = [(0.25, (-1.0, 1.0)), (0.1, (-0.7, 1.3)), (0.5, (0.0, 0.5))]
+
+    @pytest.mark.filterwarnings("error")  # no overflowing cast of far points to cells
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("h, window", SPACES)
+    def test_matches_full_sum_bitwise(self, k, h, window):
+        sp = make_space(k, h, window)  # the last space has one cell: basis_count == k
+        rng = np.random.default_rng(sp.basis_count)
+        coef = rng.standard_normal(sp.basis_count)
+        coef[::3] = 0.0
+        lo, hi = window
+        knots = lo + h * np.arange(-k - 2, sp.basis_count + 3)
+        x = np.concatenate(
+            [
+                knots,
+                [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)],
+                rng.uniform(lo - 1.0, hi + 1.0, 500),  # inside and outside
+                [lo - 1e6, hi + 1e300],
+            ]
+        )
+        approx = SplineApproximation(sp, coef, 0.0)
+        assert same_bits(approx(x), full_sum(approx, x))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("h", [0.5, 2.0**-6])
+    def test_basis_calls_independent_of_basis_count(self, k, h, monkeypatch):
+        calls = []
+        real = splines.cardinal_bspline
+
+        def counting(order, x):
+            calls.append(order)
+            return real(order, x)
+
+        monkeypatch.setattr(splines, "cardinal_bspline", counting)
+        sp = make_space(k, h, (-2.0, 2.0))
+        approx = SplineApproximation(sp, np.ones(sp.basis_count), 0.0)
+        approx(np.linspace(-2.5, 2.5, 301))
+        assert 1 <= len(calls) <= k + 1
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_points(self, k, bad):
+        sp = make_space(k, 0.25, (-1.0, 1.0))
+        approx = SplineApproximation(sp, np.ones(sp.basis_count), 0.0)
+        with pytest.raises(SplineError, match="finite"):
+            approx(np.array([0.0, bad]))
 
 
 class TestBestApproximation:
@@ -205,3 +295,26 @@ class TestConvergenceStudies:
         for bad in ([0.25], [0.25, 0.3], [0.25, 0.2], [0.25, 0.125, 0.1]):
             with pytest.raises(SplineError):
                 spline_convergence_study(suite["gaussian"], 1, bad)
+
+    def test_rejects_window_swallowed_by_shrink(self, sine_tf):
+        # 8 * 0.25 at each end of the 3.25-wide window leaves no point to assert on
+        with pytest.raises(SplineError, match="shrinks the window"):
+            spline_convergence_study(sine_tf, 8, [0.25, 0.125, 0.0625])
+
+
+class TestCheckStudy:
+    WINDOW = (0.0, 3.25)
+    MESHES = [2.0**-m for m in range(2, 7)]
+
+    def test_accepts_readme_study(self):
+        assert check_study(self.WINDOW, 2, self.MESHES, 12) == self.MESHES
+
+    @pytest.mark.parametrize("order", [0, -1, MAX_ORDER + 1])
+    def test_rejects_order_outside_range(self, order):
+        with pytest.raises(SplineError, match=f"1..{MAX_ORDER}"):
+            check_study(self.WINDOW, order, self.MESHES, 12)
+
+    def test_max_order_gram_within_condition_limit(self):
+        cond = condition_estimate(make_space(MAX_ORDER, 0.25, self.WINDOW))
+        assert cond < CONDITION_LIMIT
+
