@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Best-L2 spline mesh-refinement study and the k=1 vs. Haar comparison.
+"""Best-L2 spline mesh-refinement study and the spline-vs-Battle-Lemarie comparison.
 
 Runs mesh-halving studies for spline orders 1-3 on a smooth target,
-printing the fitted rates, then verifies that the order-1 spline
-approximation coincides with the Haar dyadic projection when the mesh
-matches the dyadic cells.
+printing the fitted rates, then verifies that the order-k spline
+approximation on the mesh 2^-j coincides with the level-j projection onto
+battle_lemarie:k (k = 1..4; order 1 is Haar): both are the orthogonal
+projection onto the same cardinal-spline space.
 
 Usage: python3 scripts/spline_vs_projection.py [--outdir DIR]
 """
@@ -45,16 +46,16 @@ def main():
             export_rate_json(report, os.path.join(args.outdir, f"spline_k{order}.json"))
 
     gaussian = {tf.name: tf for tf in builtin_suite()}["gaussian"]
-    haar = make_family("haar")
-    f = gaussian.tabulate(13)
-    xs = DyadicGrid(-2.0, 2.0, 13)
-    print("\nk=1 spline vs. Haar projection (shared window [-2, 2]):")
-    for j in (2, 3, 4):
-        pj = project(f, haar, j, xs)
-        approx = best_l2_spline(f, make_space(1, 2.0**-j, gaussian.window))
-        gap = float(np.max(np.abs(approx(xs.points()) - pj.values)))
-        print(f"  h = 2^-{j}: sup difference {gap:.3e}")
-
+    f = gaussian.tabulate(12)
+    xs = DyadicGrid(-3.0, 3.0, 12)
+    print("\norder-k spline vs. battle_lemarie:k projection on [-3, 3]:")
+    for order in (1, 2, 3, 4):
+        fam = make_family("battle_lemarie", order)
+        for j in (3, 4, 5):
+            pj = project(f, fam, j, xs)
+            approx = best_l2_spline(f, make_space(order, 2.0**-j, gaussian.window))
+            gap = float(np.max(np.abs(approx(xs.points()) - pj.values)))
+            print(f"  k={order} h = 2^-{j}: sup difference {gap:.3e}")
 
 if __name__ == "__main__":
     main()

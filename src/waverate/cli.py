@@ -692,18 +692,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="waverate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, level=False, **kwargs):
+        # only the studies that tabulate f read --level; the others reject it
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", help="output file path")
-        p.add_argument(
-            "--level", type=int, default=12, help="tabulation level (default 12)"
-        )
+        if level:
+            p.add_argument(
+                "--level", type=int, default=12, help="tabulation level (default 12)"
+            )
         return p
 
     p = add("family", help="build a family and check its invariants")
     p.add_argument("--family", required=True, help="name or name:param, e.g. daubechies:2")
 
-    p = add("expand", help="compute expansion coefficients")
+    p = add("expand", level=True, help="compute expansion coefficients")
     p.add_argument("--family", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--j", required=True, help="level range, e.g. 0..6")
@@ -713,7 +715,7 @@ def build_parser() -> _Parser:
     p.add_argument("--j", required=True, help="scale range, e.g. 0..6")
     p.add_argument("--fit-decay", choices=["exponential"], help="fit a decay model")
 
-    p = add("rate", help="sup-norm convergence-rate regression")
+    p = add("rate", level=True, help="sup-norm convergence-rate regression")
     p.add_argument("--family", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--j", required=True, help="level range, e.g. 3..9")
@@ -726,7 +728,7 @@ def build_parser() -> _Parser:
     p.add_argument("--criterion", choices=["wavelet", "scaling"], default="wavelet")
     p.add_argument("--epsilon", type=float, default=1.0)
 
-    p = add("spline", help="best-L2 spline mesh-refinement study")
+    p = add("spline", level=True, help="best-L2 spline mesh-refinement study")
     p.add_argument("--function", required=True)
     p.add_argument(
         "--order", type=int, required=True, help=f"spline order k in 1..{MAX_ORDER}"

@@ -5,7 +5,7 @@ x_m = m 2^-L the atom 2^{j/2} g(2^j x - k) reads g at (m - k 2^{L-j}) 2^{j-L}:
 every translate samples one level-(L-j) lattice of g, shifted 2^{L-j} points
 per unit of k.  `_atom_blocks` reads a table there once, in unit blocks, and
 is the only reader of tables at atom points (exact once `refined_tables`
-resolves the lattice; band-limited and spectral tables are interpolated).
+resolves the lattice; band-limited and BL spline tables are interpolated).
 Analysis uses the jump-robust rule 2T(h) - T(2h) of `product_quad`, which on
 even-aligned slices is the midpoint rule (weight 2h on odd offsets): f's odd
 samples correlated with the blocks, one matrix product summed along block
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import MRAFamily, refined_tables
+from .families import MRAFamily, refined_tables, uses_haar_tables
 from .grids import NO_DECAY, DyadicGrid, SampledFunction
 
 COEFFICIENT_BOUND_SLACK = 1e-6
@@ -34,7 +34,7 @@ QUADRATURE_REFINE = 3
 
 
 def _quad_refine(fam: MRAFamily) -> int:
-    return 0 if fam.name == "haar" or fam.param == 1 else QUADRATURE_REFINE
+    return 0 if uses_haar_tables(fam.name, fam.param) else QUADRATURE_REFINE
 
 
 class ExpansionError(ValueError):

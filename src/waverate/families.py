@@ -5,9 +5,11 @@ Construction routes:
     extended one cell past [0,1] so trapezoid quadrature is exact.
   * Daubechies N>=2: cascade iteration of the refinement operator on a
     dyadic grid, wavelet from the mirror filter.
-  * Battle-Lemarie order k: frequency-domain orthonormalization of the
-    order-k B-spline by its exact Euler-Frobenius periodization, inverse
-    FFT onto a dyadic spatial grid.
+  * Battle-Lemarie order k >= 2: an exact spline series on integer knots,
+    phi = sum_n c_n M_k(x - n + k//2) and psi = sum_p d_p M_k(2x - p + k//2),
+    with c and d the Fourier coefficients of the orthonormalizing symbols
+    built from the Euler-Frobenius polynomial; its invariants are checked
+    exactly from the coefficients.  Order 1 is Haar.
   * Shannon: truncated sinc closed form, shipped as an algebraic-decay
     stress case (its natural majorant is ~1/|x| and is not integrable, so
     only inflated, truncation-aware tolerances apply to it).
@@ -34,6 +36,7 @@ from .grids import (
     default_level,
     product_quad,
 )
+from .splines import cardinal_autocorrelation, cardinal_bspline
 
 FAMILY_NAMES = ("haar", "daubechies", "battle_lemarie", "shannon")
 
@@ -192,25 +195,26 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
 # closed forms
 
 
-def _box_pair(grid: DyadicGrid, left: float) -> tuple[SampledFunction, SampledFunction]:
-    """Indicator of (left, left + 1) and its Haar wavelet on `grid`."""
-    x = grid.points()
-    mid, right = left + 0.5, left + 1.0
-    phi = np.where((x > left) & (x < right), 1.0, 0.0)
-    psi = np.where((x > left) & (x < mid), 1.0, 0.0) - np.where(
-        (x > mid) & (x < right), 1.0, 0.0
-    )
-    # midpoint values at the jumps keep trapezoid quadrature exact
-    phi[grid.index_of(left)] = 0.5
-    phi[grid.index_of(right)] = 0.5
-    psi[grid.index_of(left)] = 0.5
-    psi[grid.index_of(mid)] = 0.0
-    psi[grid.index_of(right)] = -0.5
-    return SampledFunction(grid, phi, COMPACT), SampledFunction(grid, psi, COMPACT)
+def uses_haar_tables(name: str, param: int | None) -> bool:
+    """Haar, daubechies:1 and battle_lemarie:1 are one family: the box pair."""
+    return name == "haar" or param == 1
 
 
 def _haar_pair(level: int) -> tuple[SampledFunction, SampledFunction]:
-    return _box_pair(DyadicGrid(-1.0, 2.0, level), 0.0)
+    """Indicator of (0, 1) and its Haar wavelet on [-1, 2]."""
+    grid = DyadicGrid(-1.0, 2.0, level)
+    x = grid.points()
+    phi = np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
+    psi = np.where((x > 0.0) & (x < 0.5), 1.0, 0.0) - np.where(
+        (x > 0.5) & (x < 1.0), 1.0, 0.0
+    )
+    # midpoint values at the jumps keep trapezoid quadrature exact
+    phi[grid.index_of(0.0)] = 0.5
+    phi[grid.index_of(1.0)] = 0.5
+    psi[grid.index_of(0.0)] = 0.5
+    psi[grid.index_of(0.5)] = 0.0
+    psi[grid.index_of(1.0)] = -0.5
+    return SampledFunction(grid, phi, COMPACT), SampledFunction(grid, psi, COMPACT)
 
 
 def _shannon_pair(level: int, radius: float = SHANNON_RADIUS):
@@ -228,98 +232,78 @@ def _shannon_pair(level: int, radius: float = SHANNON_RADIUS):
 
 
 # ---------------------------------------------------------------------------
-# Battle-Lemarie via spectral orthonormalization
+# Battle-Lemarie as integer-knot spline series
 
-_BL_SPECTRAL_SIZE = 2**16  # 2^14 leaves ~1e-5 wraparound; 2^16 reaches 1e-12 tails
-
-
-def _bspline_hat(xi: np.ndarray, order: int) -> np.ndarray:
-    """Fourier transform of the centered cardinal B-spline: sinc^k(xi/2)."""
-    return np.sinc(xi / (2 * np.pi)) ** order
+#: Fourier coefficients per series: both symbols are analytic, and the
+#: slowest, d_p of order 4, decays like e^{-0.31 |p|}, so aliasing is < 1e-30
+_BL_COEFFICIENTS = 512
+#: the tables stop where every coefficient beyond is below this
+_BL_TRUNCATION = 1e-12
 
 
 def euler_frobenius(xi, order: int) -> np.ndarray:
     """Pi(xi) = sum_m |B^(xi + 2 pi m)|^2 = sum_{|n|<k} B_{2k}(n) cos(n xi).
 
-    B_{2k} is the centered cardinal B-spline of order 2k = 2*order; its
-    values at the integers come from the truncated-power formula in integer
-    arithmetic, so the trigonometric polynomial is exact.
+    B_{2k}(n) comes from `cardinal_autocorrelation` in integer arithmetic, so
+    the trigonometric polynomial is exact.
     """
-    m = 2 * order
     total = np.zeros(np.shape(xi))
-    for n in range(order):
-        b = sum(
-            (-1) ** j * math.comb(m, j) * (n + order - j) ** (m - 1)
-            for j in range(n + order)
-        ) / math.factorial(m - 1)
+    for n, b in enumerate(cardinal_autocorrelation(order)):
         total += (b if n == 0 else 2 * b) * np.cos(n * np.asarray(xi))
     return total
 
 
+def battle_lemarie_series(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_n, d_p (n, p = -256..255) of the order-k Battle-Lemarie pair.
+
+    phi(x) = sum_n c_n M_k(x - n + k//2) and psi(x) = sum_p d_p M_k(2x - p + k//2)
+    on integer knots.  sum_n c_n e^{-in w} = Pi(w)^{-1/2} and
+    sum_p d_p e^{-ip w} = 2 e^{-iw} conj(m0(w + pi)) Pi(w)^{-1/2}, with
+    m0(w) = e^{-i (k mod 2) w/2} cos^k(w/2) sqrt(Pi(w)/Pi(2w)); both symbols
+    are 2 pi-periodic with real coefficients, so one FFT each gives them.
+    """
+    w = 2 * np.pi * np.arange(_BL_COEFFICIENTS) / _BL_COEFFICIENTS
+    inv_root = euler_frobenius(w, order) ** -0.5
+    v = w + np.pi
+    m0_conj = (
+        np.exp(0.5j * (order % 2) * v)
+        * np.cos(v / 2) ** order
+        * np.sqrt(euler_frobenius(v, order) / euler_frobenius(2 * v, order))
+    )
+    c = np.fft.ifft(inv_root).real
+    d = np.fft.ifft(2 * np.exp(-1j * w) * m0_conj * inv_root).real
+    return np.fft.fftshift(c), np.fft.fftshift(d)
+
+
+def _decay_rate(order: int) -> float:
+    """-ln|z_1|, z_1 the root of z^{k-1} Pi(z) inside the unit circle nearest to it."""
+    b = cardinal_autocorrelation(order)
+    roots = np.roots(b[:0:-1] + b)
+    return -math.log(max(abs(z) for z in roots if abs(z) < 1.0))
+
+
 def _battle_lemarie_pair(order: int, level: int):
-    if order == 1:
-        # order-1 B-spline translates are already orthonormal; the FFT route
-        # would only smear the jumps, so use the exact centered box forms
-        return _box_pair(DyadicGrid(-2.0, 2.0, level), -0.5)
-    n = _BL_SPECTRAL_SIZE
-    dx = 2.0**-level
-    dxi = 2 * np.pi / (n * dx)
-    xi = (np.arange(n) - n // 2) * dxi
-
-    phi_hat = _bspline_hat(xi, order) / np.sqrt(euler_frobenius(xi, order))
-
-    # m0(w) = cos^k(w/2) * sqrt(Pi(w)/Pi(2w)); psi_hat from the mirror relation
-    half = xi / 2.0
-    phi_hat_half = _bspline_hat(half, order) / np.sqrt(euler_frobenius(half, order))
-    w = half + np.pi
-    m0_at = np.cos(w / 2.0) ** order * np.sqrt(
-        euler_frobenius(w, order) / euler_frobenius(2 * w, order)
-    )
-    psi_hat = np.exp(-1j * half) * m0_at * phi_hat_half
-
-    def invert(spec: np.ndarray) -> np.ndarray:
-        # f(x_m) = (1/2pi) sum_q spec(xi_q) e^{i xi_q x_m} dxi with
-        # xi_q = (q - n/2) dxi, x_m = (m - n/2) dx, dxi*dx = 2pi/n.
-        # Expanding the exponent gives an inverse DFT with (-1)^q / (-1)^m
-        # twiddles (n/2 is even, so the global phase is +1).
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        vals = np.fft.ifft(spec * signs) * (n * dxi / (2 * np.pi)) * signs
-        # odd spline orders give a purely imaginary inversion (the spectral
-        # factor is odd); a unimodular constant makes the wavelet real
-        re, im = np.real(vals), np.imag(vals)
-        return re if np.abs(re).max() >= np.abs(im).max() else im
-
-    phi_full = invert(phi_hat)
-    psi_full = invert(psi_hat)
-
-    # trim to the 1e-12 tail, on a dyadic window
-    tol = 1e-12
-    nz = np.where((np.abs(phi_full) > tol) | (np.abs(psi_full) > tol))[0]
-    lo, hi = nz[0], nz[-1]
-    # snap to whole-integer abscissae for tidy supports
+    """Tabulate the series polyphase: x = i + r 2^-level reads M_k(t + r 2^-level)
+    for t = 0..k-1 against the coefficient of index i - t + k//2."""
+    k, shift = order, order // 2
+    c, d = battle_lemarie_series(k)
+    index = np.arange(c.size) - c.size // 2
+    nc = index[np.abs(c) > _BL_TRUNCATION]
+    nd = index[np.abs(d) > _BL_TRUNCATION]
+    left = min(nc[0] - shift, (nd[0] - shift) // 2)
+    right = max(nc[-1] - shift + k, -((shift - k - nd[-1]) // 2))
+    grid = DyadicGrid(float(left), float(right), level)
     step = 2**level
-    lo = (lo // step) * step
-    hi = -(-hi // step) * step
-    lo = max(lo, 0)
-    hi = min(hi, n - 1)
-    xs = (np.arange(n) - n // 2) * dx
+    samples = cardinal_bspline(k, np.arange(k)[:, None] + np.arange(step) / step)
+    hint = DecayHint("exponential", a=_decay_rate(k), truncation=_BL_TRUNCATION)
 
-    grid = DyadicGrid(float(xs[lo]), float(xs[hi]), level)
-    phi_vals = phi_full[lo : hi + 1].copy()
-    psi_vals = psi_full[lo : hi + 1].copy()
-    for v in (phi_vals, psi_vals):
-        v[0] = 0.0 if abs(v[0]) < 10 * tol else v[0]
-        v[-1] = 0.0 if abs(v[-1]) < 10 * tol else v[-1]
+    def table(coef: np.ndarray, scale: int) -> SampledFunction:
+        # rows are the integer parts of scale * x; psi reads M_k one level coarser
+        rows = np.arange(scale * left, scale * right + 1) + shift + coef.size // 2
+        vals = sum(coef[rows - t][:, None] * samples[t, ::scale] for t in range(k))
+        return SampledFunction(grid, vals.ravel()[: grid.count], hint)
 
-    hint = DecayHint("exponential", a=_BL_DECAY_RATE[order], truncation=tol)
-    return (
-        SampledFunction(grid, phi_vals, hint),
-        SampledFunction(grid, psi_vals, hint),
-    )
-
-
-#: empirical log-slope of |phi| tails; a conservative per-order constant
-_BL_DECAY_RATE = {1: 1.3, 2: 1.2, 3: 0.9, 4: 0.8}
+    return table(c, 1), table(d, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -371,39 +355,60 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
     """Evaluate the four family invariants; raise ConstructionError on failure.
 
     Returns the measured defects.  For non-compact families the declared
-    truncation error inflates the tolerances.  Cascade-built families are
-    checked on their tables subdivided a few levels finer by the exact
+    truncation error inflates the tolerances.  Battle-Lemarie families are
+    checked exactly from their series coefficients.  Cascade-built families
+    are checked on their tables subdivided a few levels finer by the exact
     two-scale relation (`refined_tables`): the quadrature error on products
     of Hoelder-rough scaling functions decays like h^(2*alpha) and would
     otherwise swamp the 1e-6 orthonormality tolerance.
     """
+    if fam.name == "battle_lemarie":
+        defects = _series_defects(fam.param)
+    else:
+        phi, psi = fam.phi, fam.psi
+        if fam.name == "daubechies" and fam.param != 1:
+            phi, psi = refined_tables(fam, phi.grid.level + _INVARIANT_CHECK_REFINE)
+        defects = {
+            "phi_integral": abs(phi.integral() - 1.0),
+            "psi_integral": abs(psi.integral()),
+            "partition_of_unity": partition_of_unity_defect(phi),
+            "translate_orthonormality": translate_orthonormality_defect(phi),
+        }
     slack = 0.0
     if fam.decay_class.kind != "compact":
         slack = 20.0 * fam.decay_class.truncation
-
-    defects = {}
-    phi, psi = fam.phi, fam.psi
-    if fam.name == "daubechies" and fam.param != 1:
-        phi, psi = refined_tables(fam, phi.grid.level + _INVARIANT_CHECK_REFINE)
-
-    defects["phi_integral"] = abs(phi.integral() - 1.0)
-    _require(defects["phi_integral"] <= 1e-8 + slack, fam, "phi integral != 1")
-
-    defects["psi_integral"] = abs(psi.integral())
-    _require(defects["psi_integral"] <= 1e-8 + slack, fam, "psi integral != 0")
-
-    defects["partition_of_unity"] = partition_of_unity_defect(phi)
-    _require(
-        defects["partition_of_unity"] <= 1e-6 + slack, fam, "partition of unity fails"
-    )
-
-    defects["translate_orthonormality"] = translate_orthonormality_defect(phi)
-    _require(
-        defects["translate_orthonormality"] <= 1e-6 + slack,
-        fam,
-        "integer-translate orthonormality fails",
-    )
+    for key, tol, what in _INVARIANT_TOLERANCES:
+        _require(defects[key] <= tol + slack, fam, what)
     return defects
+
+
+_INVARIANT_TOLERANCES = (
+    ("phi_integral", 1e-8, "phi integral != 1"),
+    ("psi_integral", 1e-8, "psi integral != 0"),
+    ("partition_of_unity", 1e-6, "partition of unity fails"),
+    ("translate_orthonormality", 1e-6, "integer-translate orthonormality fails"),
+)
+
+
+def _series_defects(order: int) -> dict[str, float]:
+    """The invariants of a Battle-Lemarie pair, exactly from its coefficients.
+
+    M_k has unit mass and its integer translates sum to 1, so both the phi
+    integral and the translate sum of phi are sum_n c_n, and the psi
+    integral is sum_p d_p / 2; <phi, phi(. - m)> is
+    sum_{n,n'} c_n c_n' B_{2k}(m + n' - n).
+    """
+    c, d = battle_lemarie_series(order)
+    b = cardinal_autocorrelation(order)
+    overlap = np.convolve(np.convolve(c, c[::-1]), b[:0:-1] + b)
+    overlap[overlap.size // 2] -= 1.0
+    mass = abs(float(np.sum(c)) - 1.0)
+    return {
+        "phi_integral": mass,
+        "psi_integral": abs(float(np.sum(d))) / 2.0,
+        "partition_of_unity": mass,
+        "translate_orthonormality": float(np.max(np.abs(overlap))),
+    }
 
 
 def partition_of_unity_defect(phi: SampledFunction) -> float:
@@ -446,8 +451,12 @@ def make_family(name: str, param: int = 0, level: int | None = None) -> MRAFamil
     if name not in FAMILY_NAMES:
         raise FamilyError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
+    if name == "battle_lemarie" and not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
+        raise FamilyError(f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}")
+    param = param if name in ("daubechies", "battle_lemarie") else None
+
     filt, moments = None, param
-    if name == "haar" or (name == "daubechies" and param == 1):
+    if uses_haar_tables(name, param):
         filt, moments, symbol = haar_filter(), 1, _daubechies_symbol(1)
         phi, psi = _haar_pair(level)
     elif name == "daubechies":
@@ -455,10 +464,6 @@ def make_family(name: str, param: int = 0, level: int | None = None) -> MRAFamil
         phi = cascade_scaling(filt, level=level)
         psi = derive_wavelet(filt, phi)
     elif name == "battle_lemarie":
-        if not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
-            raise FamilyError(
-                f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}"
-            )
         symbol = _battle_lemarie_symbol(param)
         phi, psi = _battle_lemarie_pair(param, level)
     else:  # shannon
@@ -472,7 +477,7 @@ def make_family(name: str, param: int = 0, level: int | None = None) -> MRAFamil
         vanishing_moments=moments,
         decay_class=phi.decay_hint,
         symbol=symbol,
-        param=param if name in ("daubechies", "battle_lemarie") else None,
+        param=param,
     )
     check_family_invariants(fam)
     return fam
@@ -486,19 +491,18 @@ def refined_tables(fam: MRAFamily, level: int):
 
     Needed whenever atoms are evaluated on a lattice finer than the stored
     tables: interpolating the stored table there would smear jumps and rough
-    features.  Closed-form families are re-tabulated directly, filter
-    families by exact dyadic subdivision.  Spectral and band-limited
-    families are returned unchanged: their tables are piecewise linear or
-    smooth on the stored lattice, so interpolation is already faithful.
+    features.  The Haar box pair is re-tabulated directly, filter families
+    by exact dyadic subdivision.  Battle-Lemarie spline tables and the
+    band-limited Shannon pair are returned unchanged: they are continuous
+    splines on integer knots (linear for order 2, so interpolation is exact)
+    or smooth on the stored lattice, so interpolation is already faithful.
     """
     if level <= fam.phi.grid.level:
         return fam.phi, fam.psi
     key = (fam.name, fam.param, fam.phi.grid.level, level)
     if key not in _REFINED_CACHE:
-        if fam.name == "haar" or (fam.name == "daubechies" and fam.param == 1):
+        if uses_haar_tables(fam.name, fam.param):
             pair = _haar_pair(level)
-        elif fam.name == "battle_lemarie" and fam.param == 1:
-            pair = _battle_lemarie_pair(1, level)
         elif fam.filter is not None:
             phi = refine_scaling(fam.filter, fam.phi, level - fam.phi.grid.level)
             pair = (phi, derive_wavelet(fam.filter, phi))

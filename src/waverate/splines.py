@@ -9,7 +9,9 @@ the role of the level j.
 
 Boundary handling: the knot sequence is extended k-1 ghost knots beyond the
 window and the corresponding B-splines are truncated to the window, so the
-(truncated) basis still sums to 1 everywhere inside.  Convergence assertions
+(truncated) basis still sums to 1 everywhere inside.  The Gram is built in
+banded form: every untruncated entry is h B_{2k}(i - j), exact, and only the
+(k-1)-wide blocks at the ends take a quadrature.  Convergence assertions
 shrink the window by k h to stay clear of boundary pollution.
 
 Evaluation is local: B_i is nonzero only on its k cells, so a point in cell
@@ -109,30 +111,29 @@ def partition_defect(space: SplineSpace, samples: int = 1025) -> float:
 # Gram matrix
 
 
-#: exact interior Gram rows h * [g_0, g_1, ...] of cardinal splines, k <= 4
-_CARDINAL_GRAM = {
-    1: (1.0,),
-    2: (4.0 / 6.0, 1.0 / 6.0),
-    3: (66.0 / 120.0, 26.0 / 120.0, 1.0 / 120.0),
-    4: (2416.0 / 5040.0, 1191.0 / 5040.0, 120.0 / 5040.0, 1.0 / 5040.0),
-}
+def cardinal_autocorrelation(k: int) -> tuple:
+    """B_{2k}(n) = <M_k, M_k(. - n)> for n = 0..k-1.
+
+    The centered order-2k B-spline at the integers, from the truncated-power
+    formula in integer arithmetic with one division per value; it is the
+    interior Gram row (relative to h), the cosine coefficients of the
+    Euler-Frobenius polynomial and the Battle-Lemarie overlap kernel.
+    """
+    m = 2 * k
+    return tuple(
+        sum((-1) ** j * math.comb(m, j) * (n + k - j) ** (m - 1) for j in range(n + k))
+        / math.factorial(m - 1)
+        for n in range(k)
+    )
 
 
-def cardinal_gram_row(k: int) -> tuple:
-    """Closed-form interior Gram row (relative to h) for k <= 4."""
-    if k not in _CARDINAL_GRAM:
-        raise SplineError(f"closed-form Gram rows tabulated for k <= 4, got {k}")
-    return _CARDINAL_GRAM[k]
-
-
-def _gauss_entry(space: SplineSpace, i: int, j: int) -> float:
-    """<B_i, B_j> over the window by per-cell Gauss-Legendre (exact)."""
+def _gauss_entry(space: SplineSpace, i: int, j: int, nodes, weights) -> float:
+    """<B_i, B_j> over the window by a per-cell Gauss-Legendre rule (exact)."""
     k, h, (left, right) = space.order, space.mesh, space.window
     lo = max(left, space.knot(max(i, j)))
     hi = min(right, space.knot(min(i, j)) + k * h)
     if hi <= lo:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(k)
     total = 0.0
     m0 = int(math.floor((lo - left) / h + 1e-9))
     m1 = int(math.ceil((hi - left) / h - 1e-9))
@@ -146,40 +147,27 @@ def _gauss_entry(space: SplineSpace, i: int, j: int) -> float:
 
 
 def gram_matrix(space: SplineSpace) -> np.ndarray:
-    """Symmetric banded Gram G_ij = <B_i, B_j>, bandwidth k - 1.
+    """Gram G_ij = <B_i, B_j> in upper banded form: ab[k-1-d, j] = G_{j-d, j}.
 
-    Interior entries use the exact closed-form cardinal rows for k <= 4;
-    truncated boundary entries (and all entries for k > 4) use a per-cell
-    Gauss rule that is exact for the piecewise-polynomial integrands.
+    An entry whose product support lies inside the window is h B_{2k}(j - i).
+    Only the truncated end blocks (j < k-1 on the left, i > n-k on the right)
+    take the k-point Gauss rule per cell, exact for the piecewise
+    polynomials.
     """
     k, h, n = space.order, space.mesh, space.basis_count
-    G = np.zeros((n, n))
-    row = _CARDINAL_GRAM.get(k)
-    for i in range(n):
-        for j in range(i, min(n, i + k)):
-            interior = (
-                row is not None
-                and space.knot(j) >= space.window[0] - 1e-12
-                and space.knot(i) + k * h <= space.window[1] + 1e-12
-            )
-            if interior:
-                val = h * row[j - i]
-            else:
-                val = _gauss_entry(space, i, j)
-            G[i, j] = G[j, i] = val
-    return G
-
-
-def _banded_upper(G: np.ndarray, bandwidth: int) -> np.ndarray:
-    n = G.shape[0]
-    ab = np.zeros((bandwidth + 1, n))
-    for d in range(bandwidth + 1):
-        ab[bandwidth - d, d:] = np.diagonal(G, offset=d)
+    ab = np.zeros((k, n))
+    for d, b in enumerate(cardinal_autocorrelation(k)):
+        ab[k - 1 - d, d:] = h * b
+    ends = {(i, j) for j in range(min(k - 1, n)) for i in range(j + 1)}
+    ends |= {(i, j) for i in range(max(0, n - k + 1), n) for j in range(i, n)}
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    for i, j in ends:
+        ab[k - 1 - (j - i), j] = _gauss_entry(space, i, j, nodes, weights)
     return ab
 
 
 def condition_estimate(space: SplineSpace) -> float:
-    return _banded_condition(_banded_upper(gram_matrix(space), space.order - 1))
+    return _banded_condition(gram_matrix(space))
 
 
 def _banded_condition(ab: np.ndarray) -> float:
@@ -279,7 +267,7 @@ def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximatio
     _check_resolution(space.mesh, f.grid.spacing)
     from scipy.linalg import solveh_banded
 
-    ab = _banded_upper(gram_matrix(space), space.order - 1)
+    ab = gram_matrix(space)
     cond = _banded_condition(ab)
     if cond > CONDITION_LIMIT:
         raise SplineError(

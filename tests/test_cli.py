@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,10 @@ class TestCommands:
             "expand --family haar --function sine --level 2 --j 0..3",
             "rate --family haar --function sine --level 1 --j 3..9",
             "rate --family haar --function gaussian --j 3..9 --window=0.3,0.7",
+            # --level belongs to the studies that tabulate f
+            "family --family daubechies:2 --level 6",
+            "kernel --family haar --j 0..2 --level 6",
+            "sobolev --family haar --level 6",
         ],
     )
     def test_bad_study_exits_1_before_compute(
@@ -134,6 +139,16 @@ class TestCommands:
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_expand_battle_lemarie_parseval(self, tmp_path):
+        # odd-order splines on integer knots nest, so bl3 is an MRA: the
+        # squared coefficients of the gaussian sum to int e^{-2x^2} dx
+        out = tmp_path / "expand.json"
+        argv = "expand --family battle_lemarie:3 --function gaussian --j 0..6 --out"
+        assert main(argv.split() + [str(out)]) == 0
+        doc = json.loads(out.read_text())
+        total = sum(float(v) ** 2 for part in ("a", "b") for v in doc[part].values())
+        assert abs(total / math.sqrt(math.pi / 2.0) - 1.0) <= 1e-6
 
     def test_family_invariants(self, capsys):
         assert main(["family", "--family", "haar"]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,14 @@ from waverate import (
     make_family,
     parse_family_spec,
 )
-from waverate.families import FamilyError, euler_frobenius, refined_tables
+from waverate.families import (
+    FamilyError,
+    battle_lemarie_series,
+    euler_frobenius,
+    refined_tables,
+)
 from waverate.grids import product_quad
+from waverate.splines import cardinal_bspline
 
 
 def integer_values_oracle(filt):
@@ -173,6 +181,9 @@ class TestMakeFamily:
         db1 = make_family("daubechies", 1)
         haar = make_family("haar")
         assert np.array_equal(db1.phi.values, haar.phi.values)
+        bl1 = make_family("battle_lemarie", 1)
+        assert np.array_equal(bl1.phi.values, haar.phi.values)
+        assert np.array_equal(bl1.psi.values, haar.psi.values)
 
     def test_labels_and_parse_round_trip(self):
         fam = parse_family_spec("daubechies:3")
@@ -233,3 +244,70 @@ class TestEulerFrobenius:
             np.sinc((xi + 2.0 * np.pi * m) / (2.0 * np.pi)) ** 6 for m in range(-200, 201)
         )
         assert np.max(np.abs(euler_frobenius(xi, 3) / total - 1.0)) < 1e-12
+
+
+class TestBattleLemarieSeries:
+    def test_order_one_series_is_haar(self):
+        # c = delta_0 and d = (-1, 1) at p = 0, 1: the box and its Haar wavelet
+        # up to the sign of psi
+        c, d = battle_lemarie_series(1)
+        mid = c.size // 2
+        assert np.max(np.abs(c - np.eye(1, c.size, mid)[0])) < 1e-15
+        assert np.max(np.abs(d - np.eye(1, d.size, mid + 1)[0] + np.eye(1, d.size, mid)[0])) < 1e-15
+
+    def test_knot_value_is_exact(self):
+        # bl2 is piecewise linear on integer knots, so phi(0) is c_0, the mean
+        # of ((2 + cos xi) / 3)^(-1/2) over a period
+        import mpmath as mp
+
+        c0 = mp.quad(lambda xi: ((2 + mp.cos(xi)) / 3) ** -0.5, [0, mp.pi]) / mp.pi
+        assert abs(make_family("battle_lemarie", 2).phi(0.0) - float(c0)) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_tables_match_pointwise_series(self, k):
+        # the polyphase tables against the full sums over all coefficients
+        fam = make_family("battle_lemarie", k)
+        c, d = battle_lemarie_series(k)
+        n = np.arange(c.size) - c.size // 2
+        rng = np.random.default_rng(k)
+        for table, coef, scale in ((fam.phi, c, 1), (fam.psi, d, 2)):
+            idx = rng.integers(0, table.grid.count, 200)
+            x = table.x()[idx]
+            want = cardinal_bspline(k, scale * x[:, None] - n + k // 2) @ coef
+            assert np.max(np.abs(table.values[idx] - want)) < 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_wavelet_orthogonality_on_tables(self, k):
+        # psi is orthogonal to V_0 and to the next scale, and its integer
+        # translates are orthonormal; level-10 quadrature on the tables
+        fam = make_family("battle_lemarie", k)
+        phi, psi = fam.phi, fam.psi
+        x, width = psi.x(), int(psi.grid.right - psi.grid.left)
+        worst = 0.0
+        for m in range(-width, width + 1):
+            worst = max(
+                worst,
+                abs(product_quad(psi.values, phi(x - m), psi.dx)),
+                abs(product_quad(psi.values, psi(x - m), psi.dx) - (m == 0)),
+            )
+        for m in range(-2 * width, 2 * width + 1):
+            across = np.sqrt(2.0) * psi(2.0 * x - m)
+            worst = max(worst, abs(product_quad(psi.values, across, psi.dx)))
+        assert worst <= 2e-5
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_exact_invariants_from_coefficients(self, k):
+        defects = check_family_invariants(make_family("battle_lemarie", k))
+        assert max(defects.values()) <= 1e-13
+
+    def test_cubic_decay_rate(self):
+        # the root of z^2 + 4z + 1 inside the unit circle is sqrt(3) - 2
+        a = make_family("battle_lemarie", 2).decay_class.a
+        assert abs(a - math.log(2.0 + math.sqrt(3.0))) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_decay_rate_matches_coefficient_envelope(self, k):
+        c, _ = battle_lemarie_series(k)
+        n = np.arange(10, 31)
+        slope = np.polyfit(n, np.log(np.abs(c[c.size // 2 + n])), 1)[0]
+        assert abs(-slope - make_family("battle_lemarie", k).decay_class.a) < 0.05

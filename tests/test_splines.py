@@ -16,7 +16,6 @@ from waverate.splines import (
     SplineError,
     best_l2_spline,
     cardinal_bspline,
-    cardinal_gram_row,
     check_study,
     condition_estimate,
     gram_matrix,
@@ -118,28 +117,46 @@ class TestMakeSpace:
             make_space(2, 0.3, (0.0, 1.0))  # width not a multiple of mesh
 
 
+def dense_gauss_gram(space):
+    """<B_i, B_j> for every pair, assembled cell by cell over the window with
+    the k-point Gauss rule (exact for the degree 2k-2 products): the oracle
+    for the banded Gram, truncated ends included."""
+    k, h, (left, right), n = space.order, space.mesh, space.window, space.basis_count
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    G = np.zeros((n, n))
+    for m in range(int(round((right - left) / h))):
+        x = left + (m + 0.5 * (nodes + 1.0)) * h
+        vals = np.array([space.basis(i, x) for i in range(n)])
+        G += 0.5 * h * (vals * weights) @ vals.T
+    return G
+
+
 class TestGram:
     def test_order_one_diagonal(self):
         sp = make_space(1, 0.5, (-1.0, 1.0))
-        assert np.allclose(gram_matrix(sp), 0.5 * np.eye(sp.basis_count), atol=1e-14)
+        assert np.allclose(gram_matrix(sp), np.full((1, sp.basis_count), 0.5), atol=1e-14)
 
     def test_order_two_interior_row(self):
         sp = make_space(2, 0.5, (-1.0, 1.0))
-        G = gram_matrix(sp)
         i = sp.basis_count // 2
-        assert np.allclose(G[i, i - 1 : i + 2], 0.5 * np.array([1, 4, 1]) / 6.0)
+        # banded column i holds G[i-1, i] above G[i, i]
+        assert np.allclose(gram_matrix(sp)[:, i], 0.5 * np.array([1, 4]) / 6.0)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_closed_form_matches_gauss(self, k):
-        # untruncated interior entries computed by per-cell Gauss quadrature
-        # must reproduce the tabulated cardinal rows
-        from waverate.splines import _gauss_entry
-
-        h = 0.25
-        sp = make_space(k, h, (-2.0, 2.0))
-        i = sp.basis_count // 2
-        for d, want in enumerate(cardinal_gram_row(k)):
-            assert _gauss_entry(sp, i, i + d) == pytest.approx(h * want, abs=1e-13)
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    @pytest.mark.parametrize(
+        "h,window", [(0.1, (-0.7, 0.8)), (0.5, (0.0, 1.5))], ids=["mesh0.1", "mesh0.5"]
+    )
+    def test_banded_matches_dense_oracle(self, k, h, window):
+        # the 1.5-wide space is narrower than 2k - 2 cells from k = 5 on, so
+        # its two truncated end blocks overlap
+        sp = make_space(k, h, window)
+        ab, G = gram_matrix(sp), dense_gauss_gram(sp)
+        assert ab.shape == (k, sp.basis_count)
+        for d in range(k):
+            for off in (d, -d):  # both triangles: the banded form is symmetric
+                gap = np.abs(ab[k - 1 - d, d:] - np.diagonal(G, off))
+                assert np.max(gap, initial=0.0) < 1e-15
+        assert not np.any(np.triu(G, k)) and not np.any(ab[: k - 1, 0])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("h", [0.5, 0.1])
@@ -147,10 +164,6 @@ class TestGram:
         cond = condition_estimate(make_space(k, h, (-1.0, 1.0)))
         assert math.isfinite(cond)
         assert cond < 1e6
-
-    def test_symmetry(self):
-        G = gram_matrix(make_space(4, 0.5, (-1.0, 1.0)))
-        assert np.max(np.abs(G - G.T)) == 0.0
 
 
 class TestLocalEvaluation:
@@ -256,6 +269,23 @@ class TestHaarConsistency:
             pj = project(f, haar, j, xs)
             approx = best_l2_spline(f, make_space(1, 2.0**-j, tf.window))
             assert np.max(np.abs(approx(xs.points()) - pj.values)) < 1e-8
+
+
+class TestSplineCorollary:
+    @pytest.mark.parametrize("j", [3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_best_spline_equals_battle_lemarie_projection(self, suite, k, j):
+        # order-k splines on the mesh 2^-j are V_j of battle_lemarie:k, so the
+        # best L^2 spline and P_j are the same orthogonal projection; on
+        # [-3, 3] the truncated boundary basis of the window [-4, 4] costs
+        # nothing at the size of the gaussian there
+        fam = make_family("battle_lemarie", k)
+        tf = suite["gaussian"]
+        f = tf.tabulate(12)
+        xs = DyadicGrid(-3.0, 3.0, 12)
+        pj = project(f, fam, j, xs)
+        approx = best_l2_spline(f, make_space(k, 2.0**-j, tf.window))
+        assert np.max(np.abs(approx(xs.points()) - pj.values)) <= 1e-7
 
 
 @pytest.fixture(scope="module")
