@@ -40,6 +40,7 @@ from .expansion import (
     SummationSchedule,
     analyze,
     check_quadrature_lattice,
+    finest_table_level,
     interleaved_schedule,
     level_by_level_schedule,
     project,
@@ -51,11 +52,12 @@ from .families import (
     make_family,
     parse_family_spec,
 )
-from .grids import DyadicGrid
+from .grids import DyadicGrid, check_table_level
 from .kernels import (
     KernelError,
     export_bound_report,
     fit_decay,
+    profile_table_level,
     verify_convolution_bound,
 )
 from .serialize import family_to_dict, write_csv, write_json
@@ -173,9 +175,11 @@ def _family(spec: str):
         raise ConfigError(str(exc)) from None
 
 
-def _check_grids(fam, tf: TestFunction, level: int, window=None) -> None:
-    """Reject non-dyadic windows and an odd quadrature lattice before any compute."""
+def _check_grids(fam, tf: TestFunction, level: int, js: range, window=None) -> None:
+    """Reject tables finer than MAX_TABLE_LEVEL, non-dyadic windows and an odd
+    quadrature lattice before any compute."""
     try:
+        check_table_level(finest_table_level(fam, level, js[-1]))
         if window is not None:
             DyadicGrid(window[0], window[1], level)
         check_quadrature_lattice(fam, DyadicGrid(tf.window[0], tf.window[1], level))
@@ -202,7 +206,7 @@ def run_expand(args) -> str:
     tf = lookup_function(args.function)
     jr = parse_int_range(args.j)
     fam = _family(args.family)
-    _check_grids(fam, tf, args.level)
+    _check_grids(fam, tf, args.level, jr)
     coeffs = analyze(tf.tabulate(args.level), fam, jr.start, jr.stop - 1)
     if args.out:
         from .serialize import coefficients_to_dict
@@ -213,8 +217,14 @@ def run_expand(args) -> str:
 
 
 def run_kernel(args) -> str:
-    fam = _family(args.family)
     jr = parse_int_range(args.j)
+    if jr.start < 0 or len(jr) < 3:
+        raise ConfigError(f"kernel needs at least 3 scales j >= 0, got {args.j!r}")
+    fam = _family(args.family)
+    try:
+        check_table_level(profile_table_level(fam, jr[-1]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     report = verify_convolution_bound(fam, jr)
     fit = None
     if args.fit_decay:
@@ -233,7 +243,7 @@ def run_rate(args) -> str:
     jr = parse_int_range(args.j)
     window = parse_window(args.window) if args.window else (-1.0, 1.0)
     fam = _family(args.family)
-    _check_grids(fam, tf, args.level, window)
+    _check_grids(fam, tf, args.level, jr, window)
     report = sup_error_rates(tf, fam, jr, window, level=args.level)
     if args.out:
         if args.format == "csv":

@@ -263,6 +263,8 @@ class RateReport:
     intercept: float
     r_squared: float
     quantization_bound: float
+    #: the meshes a spline study fitted (None for projection studies)
+    fitted_meshes: tuple | None = None
 
 
 def _fit_rate(js, errors):
@@ -428,16 +430,16 @@ def export_rate_csv(report: RateReport, path: str) -> None:
 
 
 def export_rate_json(report: RateReport, path: str) -> None:
-    write_json(
-        path,
-        {
-            "family": report.family,
-            "function": report.function,
-            "j_values": list(report.j_values),
-            "sup_errors": list(report.sup_errors),
-            "slope": report.slope,
-            "intercept": report.intercept,
-            "r_squared": report.r_squared,
-            "quantization_bound": report.quantization_bound,
-        },
-    )
+    doc = {
+        "family": report.family,
+        "function": report.function,
+        "j_values": list(report.j_values),
+        "sup_errors": list(report.sup_errors),
+        "slope": report.slope,
+        "intercept": report.intercept,
+        "r_squared": report.r_squared,
+        "quantization_bound": report.quantization_bound,
+    }
+    if report.fitted_meshes is not None:
+        doc["fitted_meshes"] = list(report.fitted_meshes)
+    write_json(path, doc)

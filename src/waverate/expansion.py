@@ -3,9 +3,10 @@
 One dyadic-lattice engine pairs atoms with tables.  On the level-L lattice
 x_m = m 2^-L the atom 2^{j/2} g(2^j x - k) reads g at (m - k 2^{L-j}) 2^{j-L}:
 every translate samples one level-(L-j) lattice of g, shifted 2^{L-j} points
-per unit of k.  `_atom_blocks` reads a table there once, in unit blocks, and
-is the only reader of tables at atom points (exact once `refined_tables`
-resolves the lattice; band-limited and BL spline tables are interpolated).
+per unit of k.  `_atom_blocks` reads a table there once, in unit blocks
+(`SampledFunction.on_lattice`), and is the only reader of tables at atom
+points (exact once `refined_tables` resolves the lattice; band-limited and BL
+spline tables are interpolated).
 Analysis uses the jump-robust rule 2T(h) - T(2h) of `product_quad`, which on
 even-aligned slices is the midpoint rule (weight 2h on odd offsets): f's odd
 samples correlated with the blocks, one matrix product summed along block
@@ -152,8 +153,8 @@ def _atom_blocks(table: SampledFunction, j: int, level: int):
     per = 2 ** (level - j)
     beta = math.floor(table.grid.left)
     width = math.floor(table.grid.right) - beta + 1
-    u = np.ldexp(np.arange(beta * per, (beta + width) * per, dtype=float), j - level)
-    return beta, (2.0 ** (j / 2.0) * table(u)).reshape(width, per)
+    u = table.on_lattice(level - j, beta * per, width * per)
+    return beta, (2.0 ** (j / 2.0) * u).reshape(width, per)
 
 
 def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -173,6 +174,12 @@ def _even_intervals(grid: DyadicGrid, qlevel: int) -> int:
     return n
 
 
+def finest_table_level(fam: MRAFamily, level: int, j_max: int) -> int:
+    """Finest lattice at which analysing or projecting a level-`level` f on
+    scales up to j_max reads the family's tables."""
+    return max(level + _quad_refine(fam), j_max)
+
+
 def check_quadrature_lattice(fam: MRAFamily, grid: DyadicGrid) -> None:
     """Raise the odd-lattice error of analysing f on grid, before f is tabulated."""
     _even_intervals(grid, grid.level + _quad_refine(fam))
@@ -183,19 +190,21 @@ def dyadic_analysis(
 ) -> np.ndarray:
     """<f, 2^{j/2} table(2^j . - k)> for k in ks, midpoint rule at qlevel.
 
-    f is read at its own level and interpolated on finer lattices; only the
-    blocks that the translates in ks meet are touched.
+    f is read on the qlevel lattice (`SampledFunction.on_lattice`: a slice at
+    its own level, interpolated on finer lattices); only the blocks that the
+    translates in ks meet are touched.
     """
     n = _even_intervals(f.grid, qlevel)
     level = max(qlevel, j)  # atoms finer than the lattice are read at level j
     beta, blocks = _atom_blocks(table, j, level)
     width, per = blocks.shape
+    origin = round(np.ldexp(f.grid.left, qlevel))
     m = np.arange(1, n, 2)
-    pos = (round(np.ldexp(f.grid.left, qlevel)) + m) * 2 ** (level - qlevel)
-    pos -= (ks.start + beta) * per
+    pos = (origin + m) * 2 ** (level - qlevel) - (ks.start + beta) * per
     keep = (pos >= 0) & (pos < (len(ks) + width - 1) * per)
     m = m[keep]
-    fv = f.values[m] if qlevel == f.grid.level else f(f.grid.left + np.ldexp(m, -qlevel))
+    # the kept m are one run of odd offsets: every other point of a lattice run
+    fv = f.on_lattice(qlevel, origin + m[0], 2 * m.size - 1)[::2] if m.size else m
     g = np.zeros((len(ks) + width - 1) * per)
     g[pos[keep]] = np.ldexp(fv, 1 - qlevel)
     # translate ks[i] meets its block d in row i + d of the product

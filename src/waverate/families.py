@@ -417,18 +417,25 @@ def partition_of_unity_defect(phi: SampledFunction) -> float:
     step = 2**level
     kmin = int(np.floor(phi.grid.left)) - 1
     kmax = int(np.ceil(phi.grid.right)) + 1
-    u = np.arange(step) / step  # one period [0,1)
+    # row k - kmin is phi on [k, k + 1): one period, read at its nodes
+    blocks = phi.on_lattice(level, kmin * step, (kmax - kmin + 1) * step).reshape(-1, step)
     total = np.zeros(step)
-    for k in range(kmin, kmax + 1):
-        total += phi(u + k)
+    for block in blocks:
+        total += block
     return float(np.max(np.abs(total - 1.0)))
 
 
 def translate_orthonormality_defect(phi: SampledFunction) -> float:
+    """max over integer k >= 0 of |<phi, phi(. - k)> - delta_k|.
+
+    phi(x - k) on phi's own grid is the table shifted k 2^level places.
+    """
     width = phi.grid.right - phi.grid.left
+    step = 2**phi.grid.level
     worst = 0.0
     for k in range(int(np.ceil(width)) + 1):
-        shifted = phi(phi.x() - k)
+        shifted = np.zeros(phi.values.size)
+        shifted[k * step :] = phi.values[: max(phi.values.size - k * step, 0)]
         val = product_quad(phi.values, shifted, phi.dx)
         target = 1.0 if k == 0 else 0.0
         worst = max(worst, abs(val - target))

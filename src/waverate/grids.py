@@ -14,12 +14,19 @@ is then exact for piecewise-constant data.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_LEVEL_ENV = "WAVERATE_GRID_LEVEL"
+
+#: finest lattice level a study may read a table at.  The widest refined
+#: table, daubechies:10 on 19 units, holds 5.0 M points (40 MB) at level 18;
+#: rate --family daubechies:10 --level 15 (quadrature level 18) peaks at
+#: 262 MB in 5.7 s, and each level more doubles both
+MAX_TABLE_LEVEL = 18
 
 
 def default_level() -> int:
@@ -31,6 +38,15 @@ def default_level() -> int:
     if lvl < 3:
         raise ValueError(f"{DEFAULT_LEVEL_ENV} must be >= 3, got {lvl}")
     return lvl
+
+
+def check_table_level(level: int) -> None:
+    """Raise ValueError if a study would read tables finer than MAX_TABLE_LEVEL."""
+    if level > MAX_TABLE_LEVEL:
+        raise ValueError(
+            f"the study reads tables at level {level}; the finest allowed is "
+            f"{MAX_TABLE_LEVEL}"
+        )
 
 
 def _is_dyadic(x: float, level: int) -> bool:
@@ -138,8 +154,65 @@ class SampledFunction:
         return self.grid.spacing
 
     def __call__(self, points) -> np.ndarray:
-        """Evaluate by linear interpolation; zero outside the grid."""
-        return np.interp(points, self.x(), self.values, left=0.0, right=0.0)
+        """Evaluate by linear interpolation; zero outside the grid.
+
+        Bitwise np.interp(points, self.x(), self.values, left=0, right=0),
+        found by index arithmetic instead of a search: the cell index is
+        floor((x - left) 2^level), one step too large at most when x - left
+        rounds up onto the next node, and the interpolant is numpy's own
+        slope * (x - x_i) + v_i, with exact node values and NaN passed
+        through.
+        """
+        x = np.asarray(points, dtype=float)
+        grid, vals = self.grid, self.values
+        inside = (x >= grid.left) & (x <= grid.right)  # False at NaN
+        t = np.where(inside, x, grid.left)
+        i = np.ldexp(t - grid.left, grid.level).astype(np.int64)  # t >= left: floor
+        i -= t < grid.left + i * grid.spacing
+        node = grid.left + i * grid.spacing
+        lo = vals[i]
+        slope = (vals.take(i + 1, mode="clip") - lo) / grid.spacing
+        out = np.where(t == node, lo, slope * (t - node) + lo)
+        out = np.where(inside, out, np.where(np.isnan(x), x, 0.0))
+        return out[()] if out.ndim == 0 else out
+
+    def on_lattice(self, level: int, start: int, count: int) -> np.ndarray:
+        """self at the lattice points (start + n) 2^-level, n = 0..count-1.
+
+        Bitwise equal to calling self on those points.  At or below the
+        table's level the points are nodes and the read is a strided slice;
+        on a finer lattice each table cell holds 2^(level - L) points at the
+        exact offsets r 2^-level from its node, so numpy's interpolant is one
+        broadcast slope * offset + value per cell.
+        """
+        grid, vals = self.grid, self.values
+        out = np.zeros(count)
+        last = vals.size - 1
+        if level <= grid.level:
+            stride = 2 ** (grid.level - level)
+            # table index of point n is first + n * stride
+            first = start * stride - round(math.ldexp(grid.left, grid.level))
+            n0 = max(0, -(first // stride))
+            n1 = min(count, (last - first) // stride + 1)
+            if n1 > n0:
+                out[n0:n1] = vals[first + n0 * stride : first + (n1 - 1) * stride + 1 : stride]
+            return out
+        per = 2 ** (level - grid.level)
+        # q = lattice offset from the table's first node; inside is q <= last * per
+        offset = start - round(math.ldexp(grid.left, level))
+        q0, q1 = max(offset, 0), min(offset + count, last * per + 1)
+        if q1 <= q0:
+            return out
+        c0, c1 = q0 // per, min(-(-q1 // per), last)
+        lo = vals[c0:c1, None]
+        slope = (vals[c0 + 1 : c1 + 1, None] - lo) / grid.spacing
+        cells = slope * np.ldexp(np.arange(per), -level) + lo
+        cells[:, 0] = lo[:, 0]
+        end = min(q1, c1 * per)
+        out[q0 - offset : end - offset] = cells.ravel()[q0 - c0 * per : end - c0 * per]
+        if q1 > end:  # the right endpoint q = last * per
+            out[end - offset] = vals[last]
+        return out
 
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.dx))
@@ -187,14 +260,13 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> float:
     # there, while the coarser one would be interpolated (and its jumps
     # smeared) on any finer lattice
     level = min(f.grid.level, g.grid.level)
-    step = 2.0**-level
-    left = np.ceil(left / step) * step
-    right = np.floor(right / step) * step
-    n = int(round((right - left) * 2**level))
+    start = math.ceil(math.ldexp(left, level))
+    n = math.floor(math.ldexp(right, level)) - start
     if n < 1:
         return 0.0
-    x = left + np.arange(n + 1) * step
-    return product_quad(f(x), g(x), step)
+    return product_quad(
+        f.on_lattice(level, start, n + 1), g.on_lattice(level, start, n + 1), 2.0**-level
+    )
 
 
 def sample(func, grid: DyadicGrid, decay_hint: DecayHint = COMPACT) -> SampledFunction:

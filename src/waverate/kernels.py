@@ -78,7 +78,10 @@ def _translate_sum(table: SampledFunction, fam, j: int, xs: DyadicGrid, ys: Dyad
     if not ks:
         return np.zeros((xs.count, ys.count))
     ax = atom_rows(table, j, ks, xs.points(), xs.level)
-    ay = atom_rows(table, j, ks, ys.points(), ys.level)
+    # one grid reads its rows once; the copy keeps numpy's general product,
+    # since a matrix times its own transpose takes a symmetric path that
+    # rounds differently
+    ay = ax.copy() if ys == xs else atom_rows(table, j, ks, ys.points(), ys.level)
     return ax.T @ ay
 
 
@@ -106,8 +109,9 @@ def wavelet_kernel_matrix(
 
 def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
     """(P_j f)(x) = integral P_j(x, y) f(y) dy via trapezoid over ys."""
-    fy = f(ke.ys.points())
-    w = np.full(ke.ys.count, ke.ys.spacing)
+    ys = ke.ys
+    fy = f.on_lattice(ys.level, round(np.ldexp(ys.left, ys.level)), ys.count)
+    w = np.full(ys.count, ys.spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
     return SampledFunction(ke.xs, ke.values @ (fy * w), NO_DECAY)
@@ -120,22 +124,28 @@ def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
 def radial_profile(ke: KernelEvaluation) -> RadialBound:
     """M(u) = sup over pairs with 2^j |x-y| >= u of |P_j|/2^j, nonincreasing.
 
-    The suffix supremum automatically monotonizes: it is the tightest
-    nonincreasing majorant of the rescaled data.
+    Both grids share one lattice, so a pair's distance is a whole number of
+    spacings, fixed along each diagonal of the matrix: the profile is the
+    peak of |P_j| per diagonal, folded onto |x - y|.  The suffix supremum
+    automatically monotonizes: it is the tightest nonincreasing majorant of
+    the rescaled data.
     """
-    j = ke.j
-    x = ke.xs.points()
-    y = ke.ys.points()
-    u = np.ldexp(np.abs(x[:, None] - y[None, :]), j).ravel()
-    v = np.abs(ke.values).ravel() / 2.0**j
-    keep = u <= U_CAP
-    u, v = u[keep], v[keep]
-    # rescaled pair distances live on the lattice 2^j * grid spacing
-    du = np.ldexp(max(ke.xs.spacing, ke.ys.spacing), j)
-    bins = np.round(u / du).astype(int)
-    n = int(bins.max()) + 1
+    xs, ys, j = ke.xs, ke.ys, ke.j
+    if xs.level != ys.level:
+        raise KernelError("a radial profile needs both grids on one lattice")
+    nx, ny = ke.values.shape
+    # diag[d + nx - 1] is the peak of |P_j| over the pairs with y-index - x-index = d
+    diag = np.zeros(nx + ny - 1)
+    for i, row in enumerate(ke.values):
+        span = diag[nx - 1 - i : nx - 1 - i + ny]
+        np.maximum(span, np.abs(row), out=span)
+    shift = round(np.ldexp(ys.left - xs.left, xs.level))
+    steps = np.abs(np.arange(1 - nx, ny) + shift)  # |y - x| in spacings
+    du = np.ldexp(xs.spacing, j)
+    keep = steps * du <= U_CAP
+    n = int(steps[keep].max()) + 1
     peak = np.zeros(n)
-    np.maximum.at(peak, bins, v)
+    np.maximum.at(peak, steps[keep], diag[keep] / 2.0**j)
     # suffix max from the largest radius inward
     maj = np.maximum.accumulate(peak[::-1])[::-1]
     radii = np.arange(n) * du
@@ -147,6 +157,11 @@ def _radii_level(fam: MRAFamily) -> int:
     if fam.decay_class.kind == "compact":
         return RADII_LEVEL_COMPACT
     return RADII_LEVEL_WIDE
+
+
+def profile_table_level(fam: MRAFamily, j: int) -> int:
+    """Lattice level at which the scale-j profile reads the family's tables."""
+    return j + _radii_level(fam)
 
 
 def _profile_grid(fam: MRAFamily, j: int, radii_level: int) -> DyadicGrid:

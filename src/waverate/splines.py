@@ -32,7 +32,7 @@ from operator import sub
 
 import numpy as np
 
-from .grids import NO_DECAY, DyadicGrid, SampledFunction
+from .grids import NO_DECAY, DyadicGrid, SampledFunction, check_table_level
 
 #: Gram condition estimates above this indicate a bug (uniform meshes are
 #: uniformly well conditioned)
@@ -44,6 +44,12 @@ MIN_SAMPLES_PER_CELL = 8
 MAX_ORDER = 8
 #: default seed for the perturbation-optimality check
 PERTURBATION_SEED = 20260823
+#: sup errors at or below this many eps * max|f| are roundoff and are not
+#: fitted.  Once the mesh resolves f the errors of orders 5..8 plateau at
+#: 5..32 eps max|f| (sine and gaussian, level 12), and a 1e-15 change of
+#: the Gram moves an error by up to 13 eps (order 5, mesh 2^-6: 8.09e-14 to
+#: 7.81e-14), 1.3% of an error at this floor
+ROUNDOFF_FLOOR_EPS = 1000
 
 
 class SplineError(ValueError):
@@ -344,13 +350,18 @@ def _validate_meshes(meshes) -> list:
 def check_study(window, order: int, meshes, level: int) -> list:
     """Validate a mesh-refinement study before f is tabulated; return the meshes.
 
-    Rejects every configuration that would otherwise fail part-way: an order
-    outside 1..MAX_ORDER, meshes that do not halve or do not tile the window,
-    a level too coarse for the finest mesh, and a window that the boundary
-    shrink of order * h_0 at each end leaves empty.
+    Rejects every configuration that would otherwise fail part-way or exhaust
+    memory: an order outside 1..MAX_ORDER, a level above MAX_TABLE_LEVEL,
+    meshes that do not halve or do not tile the window, a level too coarse
+    for the finest mesh, and a window that the boundary shrink of
+    order * h_0 at each end leaves empty.
     """
     if not 1 <= order <= MAX_ORDER:
         raise SplineError(f"spline order must be in 1..{MAX_ORDER}, got {order}")
+    try:
+        check_table_level(level)
+    except ValueError as exc:
+        raise SplineError(str(exc)) from None
     hs = _validate_meshes(meshes)
     for h in hs:
         make_space(order, h, window)
@@ -367,6 +378,9 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
     """Sup errors on a boundary-shrunk window as the mesh halves.
 
     Returns the shared RateReport with -log2 h in the role of the level.
+    The rate is fitted on the meshes whose error lies above the roundoff
+    floor ROUNDOFF_FLOOR_EPS * eps * max|f|, recorded as `fitted_meshes`;
+    fewer than two such meshes raise SplineError.
     """
     from .convergence import RateReport, _fit_rate
 
@@ -384,7 +398,14 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
         approx = best_l2_spline(f, space)
         js.append(-math.log2(h))
         errors.append(float(np.max(np.abs(approx(x) - truth))))
-    slope, intercept, r2 = _fit_rate(js, errors)
+    floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
+    fitted = [i for i, e in enumerate(errors) if e > floor]
+    if len(fitted) < 2:
+        raise SplineError(
+            f"only {len(fitted)} mesh(es) have a sup error above the roundoff floor "
+            f"{floor:.3g}; a rate fit needs two"
+        )
+    slope, intercept, r2 = _fit_rate([js[i] for i in fitted], [errors[i] for i in fitted])
     lipschitz = float(np.max(np.abs(np.diff(truth)))) / f.grid.spacing
     return RateReport(
         family=f"spline:k={order}",
@@ -395,6 +416,7 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
         intercept=intercept,
         r_squared=r2,
         quantization_bound=2.0**-level * lipschitz,
+        fitted_meshes=tuple(hs[i] for i in fitted),
     )
 
 

@@ -126,6 +126,13 @@ class TestCommands:
             "family --family daubechies:2 --level 6",
             "kernel --family haar --j 0..2 --level 6",
             "sobolev --family haar --level 6",
+            # tables finer than MAX_TABLE_LEVEL (18): level + 3, or j itself
+            "expand --family daubechies:2 --function gaussian --level 16 --j 0..6",
+            "expand --family haar --function gaussian --level 40 --j 0..6",
+            "expand --family daubechies:2 --function gaussian --j 0..40",
+            "rate --family daubechies:2 --function gaussian --j 3..30",
+            "rate --family daubechies:2 --function gaussian --level 2000 --j 3..9",
+            "spline --function sine --order 2 --mesh-exponents 2..6 --level 40",
         ],
     )
     def test_bad_study_exits_1_before_compute(
@@ -136,6 +143,30 @@ class TestCommands:
 
         monkeypatch.setattr(TestFunction, "tabulate", refuse)
         out = tmp_path / "out.json"
+        assert main(argv.split() + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the profile grids of compact families read tables at j + 6
+            "kernel --family daubechies:2 --j 0..40",
+            "kernel --family haar --j 0..13",
+            "kernel --family shannon --j 0..15",
+            "kernel --family haar --j -1..3",
+            # profile collapse is judged over three scales or more
+            "kernel --family haar --j 0..1",
+        ],
+    )
+    def test_bad_kernel_scales_exit_1_before_compute(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel was computed")
+
+        monkeypatch.setattr("waverate.cli.verify_convolution_bound", refuse)
+        out = tmp_path / "kernel.json"
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
@@ -173,6 +204,15 @@ class TestCommands:
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == "family,function,kind,j,sup_error"
+
+    def test_spline_json_records_fitted_meshes(self, tmp_path):
+        # the errors at h = 2^-5 and 2^-6 (3.1e-14, 1.4e-15) are roundoff
+        out = tmp_path / "spline.json"
+        argv = "spline --function sine --order 6 --mesh-exponents 2..6 --out"
+        assert main(argv.split() + [str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["fitted_meshes"] == [0.25, 0.125, 0.0625]
+        assert abs(doc["slope"] - 6.0) <= 0.1
 
 
 class TestSuiteCommand:

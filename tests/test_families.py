@@ -20,7 +20,9 @@ from waverate.families import (
     FamilyError,
     battle_lemarie_series,
     euler_frobenius,
+    partition_of_unity_defect,
     refined_tables,
+    translate_orthonormality_defect,
 )
 from waverate.grids import product_quad
 from waverate.splines import cardinal_bspline
@@ -199,6 +201,38 @@ class TestMakeFamily:
         assert make_family("daubechies", 2).decay_class.kind == "compact"
         assert make_family("battle_lemarie", 2).decay_class.kind == "exponential"
         assert make_family("shannon").decay_class.kind == "algebraic"
+
+
+def interpolated_partition_defect(phi) -> float:
+    """Partition-of-unity defect with every phi(x - k) interpolated."""
+    step = 2**phi.grid.level
+    u = np.arange(step) / step
+    total = np.zeros(step)
+    for k in range(int(np.floor(phi.grid.left)) - 1, int(np.ceil(phi.grid.right)) + 2):
+        total += phi(u + k)
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def interpolated_orthonormality_defect(phi) -> float:
+    """Translate-orthonormality defect with every phi(x - k) interpolated."""
+    worst = 0.0
+    for k in range(int(np.ceil(phi.grid.right - phi.grid.left)) + 1):
+        val = product_quad(phi.values, phi(phi.x() - k), phi.dx)
+        worst = max(worst, abs(val - (1.0 if k == 0 else 0.0)))
+    return worst
+
+
+class TestInvariantDefects:
+    @pytest.mark.parametrize(
+        "name,param,extra", [("haar", 0, 0), ("daubechies", 2, 3), ("daubechies", 3, 0),
+                             ("battle_lemarie", 3, 0), ("shannon", 0, 0)]
+    )
+    def test_shifted_reads_equal_interpolation(self, name, param, extra):
+        fam = make_family(name, param)
+        phi, _ = refined_tables(fam, fam.phi.grid.level + extra)
+        assert partition_of_unity_defect(phi) == interpolated_partition_defect(phi)
+        got = translate_orthonormality_defect(phi)
+        assert got == interpolated_orthonormality_defect(phi)
 
 
 class TestRefinedTables:

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waverate import make_family
 from waverate.grids import (
     COMPACT,
+    MAX_TABLE_LEVEL,
+    NO_DECAY,
     DecayHint,
     DyadicGrid,
     SampledFunction,
+    check_table_level,
     default_level,
     product_quad,
     sample,
@@ -83,6 +87,84 @@ class TestSampledFunction:
         sub = f.restrict(0.0, 0.5)
         assert sub.grid.left == 0.0 and sub.grid.right == 0.5
         assert sub.values[0] == 0.0 and sub.values[-1] == 0.5
+
+
+def _bits(a) -> np.ndarray:
+    """The float64 bit patterns: tells -0.0 from 0.0 and compares NaN payloads."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _interp(f: SampledFunction, x) -> np.ndarray:
+    return np.interp(x, f.x(), f.values, left=0.0, right=0.0)
+
+
+@pytest.fixture(scope="module", params=["haar", "daubechies:2", "battle_lemarie:3", "shannon"])
+def table(request):
+    name, _, param = request.param.partition(":")
+    return make_family(name, int(param or 0)).phi
+
+
+class TestEvaluationOracle:
+    """__call__ and on_lattice are bitwise np.interp on the tabulated abscissae."""
+
+    def test_nodes_midpoints_and_neighbours(self, table):
+        x = table.x()
+        for pts in (x, (x[:-1] + x[1:]) / 2, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)):
+            assert np.array_equal(_bits(table(pts)), _bits(_interp(table, pts)))
+
+    def test_endpoints_out_of_range_and_nan(self, table):
+        g = table.grid
+        pts = np.array(
+            [g.left, g.right, g.left - 1.0, g.right + 1.0, np.nextafter(g.left, -np.inf),
+             np.nextafter(g.right, np.inf), -np.inf, np.inf, np.nan, -0.0]
+        )
+        got = table(pts)
+        assert np.array_equal(_bits(got), _bits(_interp(table, pts)))
+        assert np.isnan(got[-2]) and got[2] == got[3] == 0.0
+
+    def test_scalar_and_two_dimensional(self, table):
+        g = table.grid
+        for s in (0.3, g.left, g.right, g.right + 2.0, 1, np.nan):
+            got, want = table(s), _interp(table, s)
+            assert type(got) is type(want)
+            assert _bits(got) == _bits(want)
+        pts = np.random.default_rng(3).uniform(g.left - 1.0, g.right + 1.0, (40, 7))
+        got = table(pts)
+        assert got.shape == (40, 7)
+        assert np.array_equal(_bits(got), _bits(_interp(table, pts)))
+
+    def test_random_points(self, table):
+        g = table.grid
+        pts = np.random.default_rng(4).uniform(g.left - 1.0, g.right + 1.0, 20000)
+        assert np.array_equal(_bits(table(pts)), _bits(_interp(table, pts)))
+
+    @pytest.mark.parametrize("extra", [-3, 0, 2, 5])
+    def test_on_lattice(self, table, extra):
+        # lattices coarser than, equal to and finer than the table's, over
+        # runs that start left of it, end right of it, or fall inside it
+        g = table.grid
+        level = g.level + extra
+        lo, hi = round(np.ldexp(g.left, level)), round(np.ldexp(g.right, level))
+        span = hi - lo
+        for start, count in ((lo - 5, span + 11), (lo, span + 1), (lo + span // 3, span // 4),
+                             (hi, 3), (hi + 1, 4), (lo - 9, 4), (lo + 1, 0)):
+            pts = np.ldexp(np.arange(start, start + count, dtype=float), -level)
+            got = table.on_lattice(level, start, count)
+            assert np.array_equal(_bits(got), _bits(_interp(table, pts)))
+
+    def test_signed_zero_node_values(self):
+        # a node holding -0.0 is read back as -0.0, as np.interp does
+        g = DyadicGrid(0.0, 1.0, 2)
+        f = SampledFunction(g, np.array([1.0, -0.0, 2.0, -0.0, 0.0]), NO_DECAY)
+        pts = np.array([0.25, 0.75, 0.5, 0.3])
+        assert np.array_equal(_bits(f(pts)), _bits(_interp(f, pts)))
+        assert np.array_equal(_bits(f.on_lattice(3, 0, 9)), _bits(_interp(f, np.arange(9) / 8)))
+
+
+def test_check_table_level():
+    check_table_level(MAX_TABLE_LEVEL)
+    with pytest.raises(ValueError, match="finest allowed"):
+        check_table_level(MAX_TABLE_LEVEL + 1)
 
 
 class TestDecayHint:

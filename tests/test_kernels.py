@@ -1,19 +1,45 @@
+import math
+
 import numpy as np
 import pytest
 
 from waverate import DyadicGrid, make_family, sample
 from waverate.grids import DecayHint
 from waverate.kernels import (
+    U_CAP,
     KernelError,
+    RadialBound,
     apply_kernel,
     export_bound_report,
     fit_decay,
     kernel_matrix,
+    profile_table_level,
     radial_profile,
     scale_profiles,
     verify_convolution_bound,
     wavelet_kernel_matrix,
 )
+from waverate.kernels import _profile_grid, _radii_level
+
+
+def outer_difference_profile(ke) -> RadialBound:
+    """The radial profile from every pair's distance, binned by rounding."""
+    j = ke.j
+    x = ke.xs.points()
+    y = ke.ys.points()
+    u = np.ldexp(np.abs(x[:, None] - y[None, :]), j).ravel()
+    v = np.abs(ke.values).ravel() / 2.0**j
+    keep = u <= U_CAP
+    u, v = u[keep], v[keep]
+    du = np.ldexp(max(ke.xs.spacing, ke.ys.spacing), j)
+    bins = np.round(u / du).astype(int)
+    n = int(bins.max()) + 1
+    peak = np.zeros(n)
+    np.maximum.at(peak, bins, v)
+    maj = np.maximum.accumulate(peak[::-1])[::-1]
+    radii = np.arange(n) * du
+    mass = 2.0 * float(np.trapezoid(maj, dx=du))
+    return RadialBound(radii, maj, float(maj[0]), mass, ke.family.label, j)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +126,35 @@ class TestKernelMatrix:
 
 
 class TestRadialProfile:
+    @pytest.mark.parametrize("spec", ["haar", "daubechies:2", "shannon"])
+    @pytest.mark.parametrize("j", [1, 4])
+    def test_matches_outer_difference_oracle(self, spec, j):
+        name, _, param = spec.partition(":")
+        fam = make_family(name, int(param or 0))
+        g = _profile_grid(fam, j, _radii_level(fam))
+        ke = kernel_matrix(fam, j, g, g)
+        got, want = radial_profile(ke), outer_difference_profile(ke)
+        assert np.array_equal(got.radii, want.radii)
+        assert np.array_equal(got.majorant, want.majorant)
+        assert (got.constant, got.l1_mass) == (want.constant, want.l1_mass)
+
+    def test_offset_grids_match_oracle(self, db2):
+        # two grids on one lattice, shifted against each other
+        xs, ys = DyadicGrid(0.0, 2.0, 6), DyadicGrid(-0.75, 1.5, 6)
+        ke = kernel_matrix(db2, 2, xs, ys)
+        got, want = radial_profile(ke), outer_difference_profile(ke)
+        assert np.array_equal(got.majorant, want.majorant)
+        assert got.l1_mass == want.l1_mass
+
+    def test_needs_one_lattice(self, db2):
+        ke = kernel_matrix(db2, 2, DyadicGrid(0.0, 1.0, 5), DyadicGrid(0.0, 1.0, 6))
+        with pytest.raises(KernelError, match="one lattice"):
+            radial_profile(ke)
+
+    def test_profile_table_level(self, haar):
+        assert profile_table_level(haar, 12) == 18
+        assert profile_table_level(make_family("shannon"), 12) == 16
+
     def test_haar_box_profile(self, haar):
         profile = scale_profiles(haar, [3])[0]
         r, m = profile.radii, profile.majorant
@@ -142,13 +197,20 @@ class TestConvolutionBound:
 
 
 class TestFitDecay:
-    def test_battle_lemarie_exponential(self):
+    @pytest.fixture(scope="class")
+    def bl2_fit(self):
         bl2 = make_family("battle_lemarie", 2)
-        env = verify_convolution_bound(bl2, range(7))["envelope"]
-        fit = fit_decay(env, "exponential")
-        assert fit.rate > 0
-        assert fit.r2 > 0.98
-        assert not fit.flagged
+        return fit_decay(verify_convolution_bound(bl2, range(7))["envelope"], "exponential")
+
+    def test_battle_lemarie_exponential(self, bl2_fit):
+        assert bl2_fit.rate > 0
+        assert bl2_fit.r2 > 0.98
+        assert not bl2_fit.flagged
+
+    def test_battle_lemarie_decay_rate(self, bl2_fit):
+        # phi decays like e^{-ln(2 + sqrt 3) |x|}, and the kernel bound is
+        # C e^{-a u / 2}: a = 2 ln(2 + sqrt 3) = 2.6339
+        assert abs(bl2_fit.rate - 2.0 * math.log(2.0 + math.sqrt(3.0))) <= 0.01
 
     def test_haar_degenerate_flat_profile(self, haar_report):
         # constant profile on the support: slope 0, flagged as mismatch

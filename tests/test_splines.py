@@ -12,6 +12,7 @@ from waverate.grids import DecayHint
 from waverate.splines import (
     CONDITION_LIMIT,
     MAX_ORDER,
+    ROUNDOFF_FLOOR_EPS,
     SplineApproximation,
     SplineError,
     best_l2_spline,
@@ -309,6 +310,24 @@ class TestConvergenceStudies:
         assert rep.r_squared > 0.99
         ratios = [a / b for a, b in zip(rep.sup_errors, rep.sup_errors[1:])]
         assert all(3.4 <= r <= 4.6 for r in ratios)
+
+    def test_order_two_fits_every_mesh(self, sine_tf):
+        rep = spline_convergence_study(sine_tf, 2, self.MESHES)
+        assert rep.fitted_meshes == tuple(self.MESHES)
+        assert rep.slope == pytest.approx(1.9997461482062462, abs=1e-12)
+
+    def test_roundoff_errors_are_not_fitted(self, sine_tf):
+        rep = spline_convergence_study(sine_tf, 6, self.MESHES)
+        floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps
+        fitted = [h for h, e in zip(self.MESHES, rep.sup_errors) if e > floor]
+        assert rep.fitted_meshes == tuple(fitted) == tuple(self.MESHES[:3])
+        assert abs(rep.slope - 6.0) <= 0.1
+
+    def test_fewer_than_two_fitted_meshes_raise(self):
+        # linear splines reproduce a line: every error is roundoff
+        line = TestFunction("line", lambda x: 0.5 * np.asarray(x) + 1.0, (0.0, 2.0), (), 1.0)
+        with pytest.raises(SplineError, match="roundoff floor"):
+            spline_convergence_study(line, 2, [0.25, 0.125, 0.0625])
 
     def test_order_one_gaussian_first_order(self, suite):
         rep = spline_convergence_study(suite["gaussian"], 1, self.MESHES)
