@@ -1,4 +1,4 @@
-"""Best-L^2 spline approximation on uniform meshes via banded Gram solves.
+"""Best-L^2 spline approximation on uniform meshes: banded Cholesky, numpy only.
 
 Order-k B-splines (piecewise degree k-1, smoothness C^{k-2}) on the uniform
 knots {window.left + i h} span a nonorthonormal basis; the best L^2
@@ -14,6 +14,10 @@ banded form: every untruncated entry is h B_{2k}(i - j), exact, and only the
 (k-1)-wide blocks at the ends take a quadrature.  Convergence assertions
 shrink the window by k h to stay clear of boundary pollution.
 
+One banded Cholesky factor per fit (de Boor, A Practical Guide to Splines,
+ch. XIV) serves both the condition guard, ||G||_1 times Hager's estimate of
+||G^{-1}||_1 as in LAPACK's dpbcon, and the solve.
+
 Evaluation is local: B_i is nonzero only on its k cells, so a point in cell
 floor((x - left)/h) sums just the k+1 basis functions i = cell-1..cell+k-1
 (cell-1 for the order-1 midpoint value 1/2 at a knot), O(k) per point
@@ -28,9 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import mul, sub
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import NO_DECAY, DyadicGrid, SampledFunction, check_table_level
 
@@ -40,7 +45,8 @@ CONDITION_LIMIT = 1e12
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
 #: largest order a study accepts: from order 9 on, the Gram condition of the
-#: truncated boundary splines exceeds CONDITION_LIMIT (4.3e12 at order 9)
+#: truncated boundary splines exceeds CONDITION_LIMIT (1-norm estimate 4.4e12
+#: to 4.5e12 at order 9, meshes 2^-2..2^-6; order 8 reads 3.8e10 to 3.9e10)
 MAX_ORDER = 8
 #: default seed for the perturbation-optimality check
 PERTURBATION_SEED = 20260823
@@ -133,62 +139,105 @@ def cardinal_autocorrelation(k: int) -> tuple:
     )
 
 
-def _gauss_entry(space: SplineSpace, i: int, j: int, nodes, weights) -> float:
-    """<B_i, B_j> over the window by a per-cell Gauss-Legendre rule (exact)."""
-    k, h, (left, right) = space.order, space.mesh, space.window
-    lo = max(left, space.knot(max(i, j)))
-    hi = min(right, space.knot(min(i, j)) + k * h)
-    if hi <= lo:
-        return 0.0
-    total = 0.0
-    m0 = int(math.floor((lo - left) / h + 1e-9))
-    m1 = int(math.ceil((hi - left) / h - 1e-9))
-    for m in range(m0, m1):
-        a, b = left + m * h, left + (m + 1) * h
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total += 0.5 * (b - a) * float(
-            np.sum(weights * space.basis(i, x) * space.basis(j, x))
-        )
-    return total
-
-
 def gram_matrix(space: SplineSpace) -> np.ndarray:
     """Gram G_ij = <B_i, B_j> in upper banded form: ab[k-1-d, j] = G_{j-d, j}.
 
     An entry whose product support lies inside the window is h B_{2k}(j - i).
     Only the truncated end blocks (j < k-1 on the left, i > n-k on the right)
-    take the k-point Gauss rule per cell, exact for the piecewise
-    polynomials.
+    are summed cell by cell over the part of the window they reach.  On the
+    uniform mesh every cell carries the same k pieces M_k(p + t), t in [0, 1],
+    so one k x k table of the pieces against each other, by the k-point Gauss
+    rule (exact for the piecewise polynomials), gives every cell's term.
     """
     k, h, n = space.order, space.mesh, space.basis_count
+    cells = n - k + 1
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    pieces = cardinal_bspline(k, np.arange(k)[:, None] + 0.5 * (nodes + 1.0))
+    local = 0.5 * h * (pieces * weights) @ pieces.T
     ab = np.zeros((k, n))
+    cols = np.arange(n)
     for d, b in enumerate(cardinal_autocorrelation(k)):
         ab[k - 1 - d, d:] = h * b
-    ends = {(i, j) for j in range(min(k - 1, n)) for i in range(j + 1)}
-    ends |= {(i, j) for i in range(max(0, n - k + 1), n) for j in range(i, n)}
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    for i, j in ends:
-        ab[k - 1 - (j - i), j] = _gauss_entry(space, i, j, nodes, weights)
+        # G_{j-d, j} takes piece p of B_{j-d} against piece p - d of B_j on
+        # cell j - d - (k-1) + p, for p = d..k-1
+        ends = cols[(cols >= d) & ((cols < k - 1) | (cols - d > n - k))]
+        cell = (ends - d - (k - 1))[:, None] + np.arange(d, k)
+        inside = (cell >= 0) & (cell < cells)
+        ab[k - 1 - d, ends] = np.where(inside, np.diagonal(local, -d), 0.0).sum(axis=1)
     return ab
 
 
+def _cholesky(ab: np.ndarray) -> list:
+    """Banded Cholesky G = U^T U of an upper-banded Gram, column by column.
+
+    LINPACK's dpbfa, on Python floats (a k <= 8 band is too short for numpy
+    calls to pay): row j of the result holds column j of U,
+    u[j][s] = U[j - (k-1) + s, j], its diagonal last.  A pivot that is not
+    positive (G not positive definite) raises SplineError.
+    """
+    k, n = ab.shape
+    u = ab.T.tolist()
+    for j, uj in enumerate(u):
+        for s in range(max(0, k - 1 - j), k - 1):
+            ui = u[j - (k - 1) + s]
+            uj[s] = (uj[s] - sum(map(mul, uj[:s], ui[k - 1 - s : k - 1]))) / ui[k - 1]
+        pivot = uj[k - 1] - sum(map(mul, uj[: k - 1], uj[: k - 1]))
+        if not pivot > 0:
+            raise SplineError(
+                f"Gram matrix not positive definite (pivot {pivot:.3g} at column {j}); "
+                "uniform meshes should never do this - this signals a bug"
+            )
+        uj[k - 1] = math.sqrt(pivot)
+    return u
+
+
+def _solve(u: list, b) -> np.ndarray:
+    """G^{-1} b from the banded factor: U^T y = b forward, then U x = y back."""
+    k = len(u[0])
+    x = np.asarray(b, dtype=float).tolist()
+    for j, uj in enumerate(u):
+        lo = max(0, j - (k - 1))
+        x[j] = (x[j] - sum(map(mul, uj[lo - j + k - 1 : k - 1], x[lo:j]))) / uj[k - 1]
+    for j in range(len(u) - 1, -1, -1):
+        uj = u[j]
+        xj = x[j] = x[j] / uj[k - 1]
+        for i in range(max(0, j - (k - 1)), j):
+            x[i] -= uj[i - j + k - 1] * xj
+    return np.array(x)
+
+
+def _condition(ab: np.ndarray, u: list) -> float:
+    """||G||_1 times Hager's estimate of ||G^{-1}||_1 from the factor u.
+
+    The iteration LAPACK's dpbcon runs (Hager 1984; Higham 1988), at most
+    five steps of two solves.  It is exact here: the Gram of a B-spline
+    basis, truncated or not, is totally positive, so G^{-1} has a
+    checkerboard sign pattern and the sign vector of a column of G^{-1}
+    finds the column of largest 1-norm in the next step.
+    """
+    k, n = ab.shape
+    col_sums = np.abs(ab).sum(axis=0)
+    for d in range(1, k):  # the lower triangle: G_{j+d, j} = ab[k-1-d, j+d]
+        col_sums[: n - d] += np.abs(ab[k - 1 - d, d:])
+    x = np.full(n, 1.0 / n)
+    for _ in range(5):
+        y = _solve(u, x)
+        z = _solve(u, np.where(y < 0, -1.0, 1.0))
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    return float(col_sums.max() * np.abs(y).sum())
+
+
 def condition_estimate(space: SplineSpace) -> float:
-    return _banded_condition(gram_matrix(space))
-
-
-def _banded_condition(ab: np.ndarray) -> float:
-    """Extreme-eigenvalue ratio of a symmetric matrix in upper banded form."""
-    # scipy.linalg costs a few tenths of a second to import; only solves pay it
-    from scipy.linalg import eig_banded
-
-    n = ab.shape[1]
-    smallest = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 0))[0]
-    largest = eig_banded(
-        ab, lower=False, eigvals_only=True, select="i", select_range=(n - 1, n - 1)
-    )[0]
-    if smallest <= 0:
+    """1-norm condition number of the Gram; inf if it is not positive definite."""
+    ab = gram_matrix(space)
+    try:
+        return _condition(ab, _cholesky(ab))
+    except SplineError:
         return math.inf
-    return float(largest / smallest)
 
 
 # ---------------------------------------------------------------------------
@@ -215,44 +264,38 @@ class SplineApproximation:
         return out
 
 
-def _simpson(values: np.ndarray, step: float) -> float:
-    """Composite Simpson over an even number of intervals."""
-    w = np.ones(values.size)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.dot(w, values)) * step / 3.0
-
-
 def _load_vector(f: SampledFunction, space: SplineSpace) -> np.ndarray:
-    """b_i = <f, B_i> by composite Simpson with even-aligned panels.
+    """b_i = <f, B_i> by composite Simpson with knot-aligned panels.
 
     Knots (and the bundled jump locations) sit on panel boundaries, where
     Simpson is exact for the piecewise-polynomial integrands and the
     midpoint convention's +-(step/3)(jump/2) endpoint errors cancel between
-    the two adjacent panels.
+    the two adjacent panels.  Each cell spans an even number m of f's steps
+    and carries the same k pieces M_k(p + r/m), so the per-cell Simpson
+    moments F[c, p] = sum_r w_r f[c m + r] M_k(p + r/m) are one product of
+    f's overlapping cell rows with a weighted piece table, and
+    b_i = (step/3) sum_p F[i - (k-1) + p, p] is k shifted adds.
     """
-    grid = f.grid
-    k, h = space.order, space.mesh
-    b = np.empty(space.basis_count)
-    step = grid.spacing
-    for i in range(space.basis_count):
-        lo = max(space.window[0], space.knot(i))
-        hi = min(space.window[1], space.knot(i) + k * h)
-        # lo and hi are knots (or window edges), exactly on f's lattice, and
-        # separated by whole mesh cells of even lattice length, so Simpson
-        # panels line up with the knot intervals
-        i0 = int(round((lo - grid.left) / step))
-        i1 = int(round((hi - grid.left) / step))
-        x = grid.left + np.arange(i0, i1 + 1) * step
-        if k == 1:
-            # the order-1 basis is the indicator of the single cell [lo, hi];
-            # sampling it would read the midpoint value 1/2 at its own jumps,
-            # so use the interior value directly
-            bvals = np.ones(x.size)
-        else:
-            bvals = space.basis(i, x)
-        b[i] = _simpson(f.values[i0 : i1 + 1] * bvals, step)
-    return b
+    k, n = space.order, space.basis_count
+    step = f.grid.spacing
+    m = int(round(space.mesh / step))
+    cells = n - k + 1
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    if k == 1:
+        # the order-1 piece is the indicator of its cell; sampling it would
+        # read the midpoint value 1/2 at its own jumps, so use the interior value
+        table = w[:, None]
+    else:
+        table = w[:, None] * cardinal_bspline(k, np.arange(m + 1)[:, None] / m + np.arange(k))
+    i0 = f.grid.index_of(space.window[0])
+    rows = sliding_window_view(f.values[i0 : i0 + cells * m + 1], m + 1)[::m]
+    moments = rows @ table
+    b = np.zeros(n)
+    for p in range(k):
+        b[k - 1 - p : k - 1 - p + cells] += moments[:, p]
+    return b * step / 3.0
 
 
 def _check_resolution(mesh: float, spacing: float) -> None:
@@ -271,17 +314,16 @@ def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximatio
     if f.grid.left > space.window[0] + 1e-12 or f.grid.right < space.window[1] - 1e-12:
         raise SplineError("f is not tabulated on the full spline window")
     _check_resolution(space.mesh, f.grid.spacing)
-    from scipy.linalg import solveh_banded
-
     ab = gram_matrix(space)
-    cond = _banded_condition(ab)
+    u = _cholesky(ab)
+    cond = _condition(ab, u)
     if cond > CONDITION_LIMIT:
         raise SplineError(
             f"Gram matrix ill-conditioned (estimate {cond:.3g}); "
             "uniform meshes should never do this - this signals a bug"
         )
     b = _load_vector(f, space)
-    coef = solveh_banded(ab, b, lower=False)
+    coef = _solve(u, b)
     i0 = f.grid.index_of(space.window[0])
     i1 = f.grid.index_of(space.window[1])
     x = f.grid.left + np.arange(i0, i1 + 1) * f.grid.spacing

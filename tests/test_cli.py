@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import waverate
 from waverate.cli import (
     ConfigError,
     main,
@@ -206,7 +210,7 @@ class TestCommands:
         assert out.read_text().splitlines()[0] == "family,function,kind,j,sup_error"
 
     def test_spline_json_records_fitted_meshes(self, tmp_path):
-        # the errors at h = 2^-5 and 2^-6 (3.1e-14, 1.4e-15) are roundoff
+        # the errors at h = 2^-5 and 2^-6 (3.2e-14, 1.7e-15) are roundoff
         out = tmp_path / "spline.json"
         argv = "spline --function sine --order 6 --mesh-exponents 2..6 --out"
         assert main(argv.split() + [str(out)]) == 0
@@ -230,3 +234,32 @@ class TestSuiteCommand:
     def test_only_no_match_exits_1(self, tmp_path):
         assert main(["suite", "--only", "bogus", "--out", str(tmp_path / "rep")]) == 1
         assert not (tmp_path / "rep").exists()
+
+
+class TestImportGraph:
+    def test_spline_studies_do_not_import_scipy(self, tmp_path):
+        # a cold scipy import costs a few tenths of a second; the spline layer
+        # runs on numpy alone, so no study may pull it in
+        script = (
+            "import sys\n"
+            "from waverate.cli import main\n"
+            "codes = [\n"
+            "    main('spline --function sine --order 2 --mesh-exponents 2..6 "
+            "--check-optimality'.split()),\n"
+            "    main('suite --only 11 --out suite_report'.split()),\n"
+            "]\n"
+            "print(codes, 'scipy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(waverate.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] False"

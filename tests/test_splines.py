@@ -132,6 +132,13 @@ def dense_gauss_gram(space):
     return G
 
 
+# the 1.5-wide space is narrower than 2k - 2 cells from k = 5 on, so its two
+# truncated end blocks overlap
+ORACLE_SPACES = pytest.mark.parametrize(
+    "h,window", [(0.1, (-0.7, 0.8)), (0.5, (0.0, 1.5))], ids=["mesh0.1", "mesh0.5"]
+)
+
+
 class TestGram:
     def test_order_one_diagonal(self):
         sp = make_space(1, 0.5, (-1.0, 1.0))
@@ -144,12 +151,8 @@ class TestGram:
         assert np.allclose(gram_matrix(sp)[:, i], 0.5 * np.array([1, 4]) / 6.0)
 
     @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
-    @pytest.mark.parametrize(
-        "h,window", [(0.1, (-0.7, 0.8)), (0.5, (0.0, 1.5))], ids=["mesh0.1", "mesh0.5"]
-    )
+    @ORACLE_SPACES
     def test_banded_matches_dense_oracle(self, k, h, window):
-        # the 1.5-wide space is narrower than 2k - 2 cells from k = 5 on, so
-        # its two truncated end blocks overlap
         sp = make_space(k, h, window)
         ab, G = gram_matrix(sp), dense_gauss_gram(sp)
         assert ab.shape == (k, sp.basis_count)
@@ -165,6 +168,50 @@ class TestGram:
         cond = condition_estimate(make_space(k, h, (-1.0, 1.0)))
         assert math.isfinite(cond)
         assert cond < 1e6
+
+
+class TestFactor:
+    """The banded Cholesky factor and the condition estimate from it, against
+    dense numpy on the Gauss-assembled Gram."""
+
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    @ORACLE_SPACES
+    def test_solve_matches_dense(self, k, h, window):
+        sp = make_space(k, h, window)
+        G = dense_gauss_gram(sp)
+        b = np.random.default_rng(k).standard_normal(sp.basis_count)
+        want = np.linalg.solve(G, b)
+        got = splines._solve(splines._cholesky(gram_matrix(sp)), b)
+        gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert gap <= 1e3 * np.finfo(float).eps * np.linalg.cond(G)
+
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    @ORACLE_SPACES
+    def test_condition_estimate(self, k, h, window):
+        # the Gram is totally positive, so Hager's lower estimate of the
+        # 1-norm condition is exact; for symmetric G that number bounds
+        # lambda_max / lambda_min from above, up to roundoff (order 1 at
+        # h = 0.1 reads 0.1 * 10 = 1 - eps)
+        sp = make_space(k, h, window)
+        G = dense_gauss_gram(sp)
+        eig = np.linalg.eigvalsh(G)
+        est = condition_estimate(sp)
+        assert est == pytest.approx(np.linalg.cond(G, 1), rel=1e-6)
+        assert 1.0 - 4 * np.finfo(float).eps <= est / (eig[-1] / eig[0]) <= 1.5
+
+    def test_indefinite_gram_is_refused(self, monkeypatch):
+        sp = make_space(3, 0.25, (-1.0, 1.0))
+        real = splines.gram_matrix
+
+        def negated(space):
+            ab = real(space)
+            ab[-1, space.basis_count // 2] *= -1.0  # one diagonal entry
+            return ab
+
+        monkeypatch.setattr(splines, "gram_matrix", negated)
+        assert condition_estimate(sp) == math.inf
+        with pytest.raises(SplineError, match="not positive definite"):
+            best_l2_spline(tabulate(np.sin, -1.0, 1.0), sp)
 
 
 class TestLocalEvaluation:
@@ -314,7 +361,7 @@ class TestConvergenceStudies:
     def test_order_two_fits_every_mesh(self, sine_tf):
         rep = spline_convergence_study(sine_tf, 2, self.MESHES)
         assert rep.fitted_meshes == tuple(self.MESHES)
-        assert rep.slope == pytest.approx(1.9997461482062462, abs=1e-12)
+        assert rep.slope == pytest.approx(1.9997461482093464, abs=1e-12)
 
     def test_roundoff_errors_are_not_fitted(self, sine_tf):
         rep = spline_convergence_study(sine_tf, 6, self.MESHES)
