@@ -63,12 +63,11 @@ from .kernels import (
 from .serialize import family_to_dict, write_csv, write_json
 from .sobolev import (
     SobolevError,
+    criterion_spectrum,
     criterion_sweep,
     critical_order,
     export_critical_json,
     export_sweep_csv,
-    family_spectrum,
-    wavelet_criterion,
 )
 from .splines import (
     MAX_ORDER,
@@ -257,8 +256,7 @@ def run_sobolev(args) -> str:
     fam = _family(args.family)
     if args.sweep_s:
         s_values = parse_sweep(args.sweep_s)
-        which = "psi" if args.criterion == "wavelet" else "phi"
-        spec = family_spectrum(fam, which)
+        spec = criterion_spectrum(fam, args.criterion)
         results = criterion_sweep(spec, s_values, args.epsilon, args.criterion)
         if args.out:
             export_sweep_csv(results, args.out)
@@ -521,13 +519,14 @@ def crit_critical_orders():
         fam = make_family(*spec)
         co = critical_order(fam)
         results[label] = co
-        spectrum = family_spectrum(fam, "psi")
-        for s in (co.s_star - 0.3, co.s_star + 0.3):
-            verdicts = {
-                wavelet_criterion(spectrum, s, eps).diverged
-                for eps in (0.5, 1.0, 2.0)
-            }
-            eps_ok &= len(verdicts) == 1
+        spectrum = criterion_spectrum(fam, "wavelet")
+        around = (co.s_star - 0.3, co.s_star + 0.3)
+        by_eps = [
+            [r.diverged for r in criterion_sweep(spectrum, around, eps)]
+            for eps in (0.5, 1.0, 2.0)
+        ]
+        # one verdict per s across every eps
+        eps_ok &= all(len(set(verdicts)) == 1 for verdicts in zip(*by_eps))
     ok = eps_ok and all(
         abs(results[label].s_star - target) <= tol
         for label, (target, tol) in _CRITICAL_TARGETS.items()

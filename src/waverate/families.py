@@ -22,6 +22,7 @@ w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -89,17 +90,23 @@ def evaluate_dilate(f: SampledFunction, j: int, k: int, x) -> np.ndarray | float
 # cascade construction
 
 
-def _two_scale(c: np.ndarray, vals: np.ndarray, src: np.ndarray, step: int) -> np.ndarray:
-    """sqrt(2) sum_k c_k vals[src - k*step], reading 0 outside the table.
+def _two_scale(
+    c: np.ndarray, vals: np.ndarray, first: int, stride: int, count: int, step: int
+) -> np.ndarray:
+    """sqrt(2) sum_k c_k vals[first + stride*i - k*step] for i < count, 0 off the table.
 
-    With `step` = 2^level and `src` the table index of 2x, this is
-    sqrt(2) sum_k c_k f(2x - k) for the level-`level` table `vals` of f.
+    With `step` = 2^level and first + stride*i the table index of 2x, this is
+    sqrt(2) sum_k c_k f(2x - k) for the level-`level` table `vals` of f; each
+    tap reads one strided slice.
     """
-    out = np.zeros(src.size)
+    out = np.zeros(count)
     for k in range(len(c)):
-        idx = src - k * step
-        ok = (idx >= 0) & (idx < vals.size)
-        out[ok] += c[k] * vals[idx[ok]]
+        start = first - k * step
+        lo = max(0, -(start // stride))
+        hi = min(count, (vals.size - 1 - start) // stride + 1)
+        if lo < hi:
+            a = start + lo * stride
+            out[lo:hi] += c[k] * vals[a : a + (hi - lo - 1) * stride + 1 : stride]
     return np.sqrt(2.0) * out
 
 
@@ -133,7 +140,7 @@ def cascade_scaling(
 
     residual = np.inf
     for _ in range(iterations):
-        new = _two_scale(h, vals, 2 * np.arange(n), step)
+        new = _two_scale(h, vals, 0, 2, n, step)
         residual = float(np.max(np.abs(new - vals)))
         vals = new
         if residual < CASCADE_TOL:
@@ -170,8 +177,8 @@ def refine_scaling(
         step = 2**grid.level
         fine = grid.refine(1)
         # fine index i is x = left + i/(2 step), so 2x has old index i + left*step
-        src = np.arange(fine.count) + int(round(grid.left * step))
-        vals = _two_scale(filter.lowpass, vals, src, step)
+        first = int(round(grid.left * step))
+        vals = _two_scale(filter.lowpass, vals, first, 1, fine.count, step)
         grid = fine
     vals[0] = 0.0
     vals[-1] = 0.0
@@ -184,8 +191,8 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
     if level < 1:
         raise ValueError("phi grid too coarse to evaluate phi(2x-k)")
     step = 2**level
-    src = 2 * np.arange(phi.grid.count) + int(round(phi.grid.left * step))
-    vals = _two_scale(filter.highpass, phi.values, src, step)
+    first = int(round(phi.grid.left * step))
+    vals = _two_scale(filter.highpass, phi.values, first, 2, phi.grid.count, step)
     vals[0] = 0.0
     vals[-1] = 0.0
     return SampledFunction(phi.grid, vals, COMPACT)
@@ -491,6 +498,8 @@ def make_family(name: str, param: int = 0, level: int | None = None) -> MRAFamil
 
 
 _REFINED_CACHE: dict[tuple, tuple[SampledFunction, SampledFunction]] = {}
+#: one lock for every lookup and insert: `suite --jobs` threads share the cache
+_REFINED_LOCK = threading.Lock()
 
 
 def refined_tables(fam: MRAFamily, level: int):
@@ -499,26 +508,30 @@ def refined_tables(fam: MRAFamily, level: int):
     Needed whenever atoms are evaluated on a lattice finer than the stored
     tables: interpolating the stored table there would smear jumps and rough
     features.  The Haar box pair is re-tabulated directly, filter families
-    by exact dyadic subdivision.  Battle-Lemarie spline tables and the
-    band-limited Shannon pair are returned unchanged: they are continuous
-    splines on integer knots (linear for order 2, so interpolation is exact)
-    or smooth on the stored lattice, so interpolation is already faithful.
+    by exact dyadic subdivision, continued from the finest level already
+    cached.  Battle-Lemarie spline tables and the band-limited Shannon pair
+    are returned unchanged: they are continuous splines on integer knots
+    (linear for order 2, so interpolation is exact) or smooth on the stored
+    lattice, so interpolation is already faithful.
     """
-    if level <= fam.phi.grid.level:
+    haar = uses_haar_tables(fam.name, fam.param)
+    if level <= fam.phi.grid.level or not (haar or fam.filter is not None):
+        # never cached: another family object of the same name and level
+        # must get its own tables back
         return fam.phi, fam.psi
-    key = (fam.name, fam.param, fam.phi.grid.level, level)
-    if key not in _REFINED_CACHE:
-        if uses_haar_tables(fam.name, fam.param):
-            pair = _haar_pair(level)
-        elif fam.filter is not None:
-            phi = refine_scaling(fam.filter, fam.phi, level - fam.phi.grid.level)
-            pair = (phi, derive_wavelet(fam.filter, phi))
-        else:
-            # never cached: another family object of the same name and level
-            # must get its own tables back
-            return fam.phi, fam.psi
-        _REFINED_CACHE[key] = pair
-    return _REFINED_CACHE[key]
+    base = (fam.name, fam.param, fam.phi.grid.level)
+    with _REFINED_LOCK:
+        if base + (level,) in _REFINED_CACHE:
+            return _REFINED_CACHE[base + (level,)]
+        cached = [key[3] for key in _REFINED_CACHE if key[:3] == base and key[3] < level]
+        phi = _REFINED_CACHE[base + (max(cached),)][0] if cached else fam.phi
+    if haar:
+        pair = _haar_pair(level)
+    else:
+        phi = refine_scaling(fam.filter, phi, level - phi.grid.level)
+        pair = (phi, derive_wavelet(fam.filter, phi))
+    with _REFINED_LOCK:
+        return _REFINED_CACHE.setdefault(base + (level,), pair)
 
 
 def parse_family_spec(spec: str, level: int | None = None) -> MRAFamily:

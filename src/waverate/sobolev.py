@@ -22,7 +22,10 @@ products stop once every factor is exactly 1.0 in double precision.
 
 Both integrals are evaluated over dyadic shells [eps 2^{-(m+1)}, eps 2^{-m}]
 shrinking toward 0; divergence is declared when the last three shell sums fail
-to decay geometrically (ratio > 0.95).
+to decay geometrically (ratio > 0.95).  The integrand on the shells does not
+depend on s, so ``critical_order`` and ``criterion_sweep`` evaluate it once
+per spectrum and eps and pay one weighted trapezoid per shell for each s.  A
+criterion given the spectrum of the other generator raises.
 
 The critical regularity order of a family is located by bisection on the
 finite/diverged verdict and equals the number of vanishing moments for the
@@ -204,9 +207,7 @@ class IntegralResult:
         return "DIVERGED" if self.diverged else fmt(self.value)
 
 
-def _check_parameters(s: float, epsilon: float, n_shells: int) -> None:
-    if not 0.0 < s <= 16.0:
-        raise SobolevError(f"regularity order s must lie in (0, 16], got {s}")
+def _check_shells(epsilon: float, n_shells: int) -> None:
     if not 0.0 < epsilon <= math.pi:
         raise SobolevError(f"epsilon must lie in (0, pi], got {epsilon}")
     if epsilon * 2.0**-n_shells < XI_FLOOR / 4.0:
@@ -233,41 +234,64 @@ def _assemble(s, epsilon, shell_sums) -> IntegralResult:
     )
 
 
-def _shell_sums(values_at: Callable, s, epsilon, n_shells) -> IntegralResult:
-    """int_{|xi|<eps} values_at(xi) |xi|^{-(2s+1)} dxi for an even integrand."""
-    _check_parameters(s, epsilon, n_shells)
+def _criterion(name: str):
+    """(generator, (spectrum, xi) -> integrand) of a criterion name."""
+    if name == "wavelet":
+        return "psi", lambda spec, xi: spec.evaluate(xi) ** 2
+    if name == "scaling":
+        return "phi", lambda spec, xi: spec.scaling_factor(xi)
+    raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {name!r}")
+
+
+def criterion_spectrum(fam: MRAFamily, criterion: str) -> SymbolSpectrum:
+    """The spectrum a criterion integrates: psi for 'wavelet', phi for 'scaling'."""
+    return family_spectrum(fam, _criterion(criterion)[0])
+
+
+def _shell_integral(
+    spec: SymbolSpectrum, criterion: str, epsilon: float, n_shells: int
+) -> Callable[[float], IntegralResult]:
+    """s -> int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
+
+    The shell grids and the integrand on them do not depend on s, so they are
+    evaluated here once; each s then costs one weighted trapezoid per shell.
+    """
+    which, integrand = _criterion(criterion)
+    if spec.which != which:
+        raise SobolevError(
+            f"the {criterion} criterion integrates the {which} spectrum, got {spec.which}"
+        )
+    _check_shells(epsilon, n_shells)
     grids = [
         np.linspace(epsilon * 2.0 ** -(m + 1), epsilon * 2.0**-m, SHELL_POINTS)
         for m in range(n_shells)
     ]
-    values = np.split(values_at(np.concatenate(grids)), n_shells)
-    sums = [
-        float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g)) for g, v in zip(grids, values)
-    ]
-    return _assemble(s, epsilon, sums)
+    values = np.split(integrand(spec, np.concatenate(grids)), n_shells)
+
+    def integral(s: float) -> IntegralResult:
+        if not 0.0 < s <= 16.0:
+            raise SobolevError(f"regularity order s must lie in (0, 16], got {s}")
+        sums = [
+            float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g))
+            for g, v in zip(grids, values)
+        ]
+        return _assemble(s, epsilon, sums)
+
+    return integral
 
 
 def wavelet_criterion(
     spec: SymbolSpectrum, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
 ) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi."""
-    return _shell_sums(lambda xi: spec.evaluate(xi) ** 2, s, epsilon, n_shells)
+    return _shell_integral(spec, "wavelet", epsilon, n_shells)(s)
 
 
 def scaling_criterion(
     spec: SymbolSpectrum, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
 ) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} (1 - 2pi |phi^(xi)|^2) |xi|^{-(2s+1)} dxi."""
-    return _shell_sums(spec.scaling_factor, s, epsilon, n_shells)
-
-
-def _criterion(name: str):
-    """(generator, criterion function) of a criterion name."""
-    if name == "wavelet":
-        return "psi", wavelet_criterion
-    if name == "scaling":
-        return "phi", scaling_criterion
-    raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {name!r}")
+    return _shell_integral(spec, "scaling", epsilon, n_shells)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +317,11 @@ def critical_order(
     not monotone in s (finite must precede diverged) or if no sign change
     exists in the search interval.
     """
-    which, run = _criterion(criterion)
-    spec = family_spectrum(fam, which)
+    integral = _shell_integral(criterion_spectrum(fam, criterion), criterion, epsilon, SHELLS)
     evaluations = []
 
     def verdict(s: float) -> bool:
-        d = run(spec, s, epsilon).diverged
+        d = integral(s).diverged
         evaluations.append((s, d))
         return d
 
@@ -339,8 +362,9 @@ def criterion_sweep(
     epsilon: float = 1.0,
     criterion: str = "wavelet",
 ) -> list[IntegralResult]:
-    _, run = _criterion(criterion)
-    return [run(spec, float(s), epsilon) for s in s_values]
+    """The criterion at each s; the spectrum must be the one it integrates."""
+    integral = _shell_integral(spec, criterion, epsilon, SHELLS)
+    return [integral(float(s)) for s in s_values]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ arrays instead of the recursion's 2^k - 1 calls, with the same arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -123,6 +124,7 @@ def partition_defect(space: SplineSpace, samples: int = 1025) -> float:
 # Gram matrix
 
 
+@functools.cache
 def cardinal_autocorrelation(k: int) -> tuple:
     """B_{2k}(n) = <M_k, M_k(. - n)> for n = 0..k-1.
 

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,11 +19,14 @@ from waverate import (
     make_family,
     parse_family_spec,
 )
+from waverate import families
 from waverate.families import (
     FamilyError,
+    _two_scale,
     battle_lemarie_series,
     euler_frobenius,
     partition_of_unity_defect,
+    refine_scaling,
     refined_tables,
     translate_orthonormality_defect,
 )
@@ -222,6 +228,51 @@ def interpolated_orthonormality_defect(phi) -> float:
     return worst
 
 
+def two_scale_oracle(c, vals, src, step):
+    """sqrt(2) sum_k c_k vals[src - k*step] by a boolean mask per tap."""
+    out = np.zeros(src.size)
+    for k in range(len(c)):
+        idx = src - k * step
+        ok = (idx >= 0) & (idx < vals.size)
+        out[ok] += c[k] * vals[idx[ok]]
+    return np.sqrt(2.0) * out
+
+
+class TestTwoScale:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_strided_passes_equal_fancy_index_oracle(self, n):
+        filt = daubechies_filter(n)
+        level = 6
+        step = 2**level
+        phi = cascade_scaling(filt, level=level)
+        first = int(round(phi.grid.left * step))
+        patterns = [
+            # cascade: the unpadded table read at 2x
+            (filt.lowpass, phi.values[1:-1], 0, 2, phi.values.size - 2),
+            # refine_scaling: the padded table read from the next finer lattice
+            (filt.lowpass, phi.values, first, 1, 2 * phi.values.size - 1),
+            # derive_wavelet: the padded table read at 2x on its own lattice
+            (filt.highpass, phi.values, first, 2, phi.values.size),
+        ]
+        # the tables vanish at both ends; random values of the same sizes
+        # also check the first and last reads of each tap
+        rng = np.random.default_rng(n)
+        patterns += [(c, rng.standard_normal(v.size), *rest) for c, v, *rest in patterns]
+        for c, vals, start, stride, count in patterns:
+            got = _two_scale(c, vals, start, stride, count, step)
+            want = two_scale_oracle(c, vals, start + stride * np.arange(count), step)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_chained_refinement_equals_direct(self, n):
+        filt = daubechies_filter(n)
+        phi = cascade_scaling(filt, level=6)
+        chained = refine_scaling(filt, refine_scaling(filt, phi, 3), 2)
+        direct = refine_scaling(filt, phi, 5)
+        assert chained.grid == direct.grid
+        assert chained.values.tobytes() == direct.values.tobytes()
+
+
 class TestInvariantDefects:
     @pytest.mark.parametrize(
         "name,param,extra", [("haar", 0, 0), ("daubechies", 2, 3), ("daubechies", 3, 0),
@@ -258,6 +309,53 @@ class TestRefinedTables:
         phi, psi = refined_tables(fam, fam.phi.grid.level + 3)
         assert np.max(np.abs(phi.values[::8] - fam.phi.values)) < 1e-8
         assert np.max(np.abs(psi.values[::8] - fam.psi.values)) < 1e-8
+
+    def test_continues_from_finest_cached_level(self, monkeypatch):
+        fam = make_family("daubechies", 3)
+        base = fam.phi.grid.level
+        monkeypatch.setattr(families, "_REFINED_CACHE", {})
+        direct = refined_tables(fam, base + 5)
+        monkeypatch.setattr(families, "_REFINED_CACHE", {})
+        steps = []
+
+        def counted(filt, phi, extra_levels):
+            steps.append(extra_levels)
+            return refine_scaling(filt, phi, extra_levels)
+
+        monkeypatch.setattr(families, "refine_scaling", counted)
+        refined_tables(fam, base + 3)
+        chained = refined_tables(fam, base + 5)
+        assert steps == [3, 2]
+        for a, b in zip(chained, direct):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_threads_get_serial_tables(self, monkeypatch):
+        # more threads than cores, switching often: each must get the serial
+        # tables, and threads asking for one level must share one cached pair
+        fam = make_family("daubechies", 2)
+        levels = [fam.phi.grid.level + extra for extra in (3, 5, 4, 3, 5, 6)]
+        monkeypatch.setattr(families, "_REFINED_CACHE", {})
+        serial = {level: refined_tables(fam, level) for level in levels}
+        monkeypatch.setattr(families, "_REFINED_CACHE", {})
+        start = threading.Barrier(len(levels))
+
+        def ask(level):
+            start.wait(timeout=30)
+            return refined_tables(fam, level)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(levels)) as pool:
+                futures = [pool.submit(ask, level) for level in levels]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for level, got in zip(levels, threaded):
+            assert got is refined_tables(fam, level)
+            for a, b in zip(got, serial[level]):
+                assert a.grid == b.grid
+                assert a.values.tobytes() == b.values.tobytes()
 
     def test_spectral_families_returned_unchanged(self):
         fam = make_family("battle_lemarie", 2)

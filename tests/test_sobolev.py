@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -12,6 +13,7 @@ from waverate.sobolev import (
     CriticalOrder,
     SampledSpectrum,
     SobolevError,
+    criterion_spectrum,
     criterion_sweep,
     critical_order,
     export_critical_json,
@@ -234,6 +236,62 @@ class TestCriticalOrder:
         sweep = criterion_sweep(haar_psi_spec, np.arange(0.1, 2.01, 0.1))
         flags = [r.diverged for r in sweep]
         assert flags == sorted(flags)
+
+
+def counted_symbol(fam):
+    """fam with its symbol wrapped to count calls, and the call list."""
+    calls = []
+
+    def symbol(omega):
+        calls.append(omega.size)
+        return fam.symbol(omega)
+
+    return dataclasses.replace(fam, symbol=symbol), calls
+
+
+_SINGLE = {"wavelet": wavelet_criterion, "scaling": scaling_criterion}
+
+
+class TestShellIntegrand:
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    @pytest.mark.parametrize("name,param", [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)])
+    def test_one_product_loop_per_spectrum_and_epsilon(self, name, param, criterion):
+        fam, calls = counted_symbol(built(name, param))
+        _SINGLE[criterion](criterion_spectrum(fam, criterion), 1.0, 0.5)
+        one = list(calls)
+        calls.clear()
+        co = critical_order(fam, 0.5, criterion)
+        assert len(co.evaluations) > 10 and calls == one
+        calls.clear()
+        criterion_sweep(criterion_spectrum(fam, criterion), np.arange(0.1, 2.01, 0.1), 0.5,
+                        criterion)
+        assert calls == one
+
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    @pytest.mark.parametrize("name,param", [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)])
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_verdicts_equal_single_order_criteria(self, name, param, criterion, eps):
+        fam = built(name, param)
+        spec = criterion_spectrum(fam, criterion)
+        single = _SINGLE[criterion]
+        co = critical_order(fam, eps, criterion)
+        for s, diverged in co.evaluations:
+            assert single(spec, s, eps).diverged == diverged
+        s_values = [s for s, _ in co.evaluations] + [0.3, 1.7, 2.9]
+        swept = criterion_sweep(spec, s_values, eps, criterion)
+        assert swept == [single(spec, s, eps) for s in s_values]
+
+    @pytest.mark.parametrize("criterion,other", [("wavelet", "phi"), ("scaling", "psi")])
+    def test_rejects_spectrum_of_the_other_generator(self, haar, criterion, other):
+        spec = family_spectrum(haar, other)
+        with pytest.raises(SobolevError, match="spectrum"):
+            criterion_sweep(spec, [0.3, 0.5], criterion=criterion)
+        with pytest.raises(SobolevError, match="spectrum"):
+            _SINGLE[criterion](spec, 0.3)
+
+    def test_haar_wavelet_finite_below_one(self, haar):
+        sweep = criterion_sweep(criterion_spectrum(haar, "wavelet"), [0.3, 0.5])
+        assert not any(r.diverged for r in sweep)
 
 
 class TestExports:
