@@ -12,7 +12,7 @@ import argparse
 import os
 
 from waverate import make_family
-from waverate.convergence import builtin_suite, export_rate_json, sup_error_rates
+from waverate.convergence import export_rate_json, sup_error_rates, test_function
 from waverate.sobolev import critical_order
 
 FAMILIES = (
@@ -28,7 +28,7 @@ def main():
     parser.add_argument("--outdir", help="write per-family RateReport JSON here")
     args = parser.parse_args()
 
-    gaussian = {tf.name: tf for tf in builtin_suite()}["gaussian"]
+    gaussian = test_function("gaussian")
     print(f"{'family':<18} {'slope':>7} {'R^2':>7} {'s*':>7} {'|slope-s*|':>11}")
     for name, param in FAMILIES:
         fam = make_family(name, param)

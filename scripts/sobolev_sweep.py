@@ -19,7 +19,6 @@ from waverate.sobolev import (
     critical_order,
     export_critical_json,
     export_sweep_csv,
-    family_spectrum,
 )
 
 FAMILIES = (
@@ -39,9 +38,8 @@ def main():
     print(f"{'family':<18} {'flip at':>8} {'s* (wav)':>9} {'s* (scal)':>10}")
     for name, param in FAMILIES:
         fam = make_family(name, param)
-        spectrum = family_spectrum(fam, "psi")
         s_values = np.arange(args.step, 4.0 + args.step / 2, args.step)
-        results = criterion_sweep(spectrum, s_values)
+        results = criterion_sweep(fam, s_values)
         flips = [r.s for r in results if r.diverged]
         flip = min(flips) if flips else float("nan")
         wav = critical_order(fam, criterion="wavelet")

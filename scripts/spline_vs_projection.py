@@ -11,13 +11,12 @@ Usage: python3 scripts/spline_vs_projection.py [--outdir DIR]
 """
 
 import argparse
-import math
 import os
 
 import numpy as np
 
 from waverate import DyadicGrid, make_family
-from waverate.convergence import MarkedPoint, TestFunction, builtin_suite, export_rate_json
+from waverate.convergence import export_rate_json, test_function
 from waverate.expansion import project
 from waverate.splines import best_l2_spline, make_space, spline_convergence_study
 
@@ -27,13 +26,7 @@ def main():
     parser.add_argument("--outdir", help="write RateReport JSON here")
     args = parser.parse_args()
 
-    sine = TestFunction(
-        "sine",
-        np.sin,
-        (0.0, 3.25),
-        (MarkedPoint(1.0, "continuity", math.sin(1.0)),),
-        math.inf,
-    )
+    sine = test_function("sine")
     meshes = [2.0**-m for m in range(2, 7)]
     print(f"{'order':<6} {'slope':>7} {'R^2':>7} {'finest error':>13}")
     for order in (1, 2, 3):
@@ -45,7 +38,7 @@ def main():
         if args.outdir:
             export_rate_json(report, os.path.join(args.outdir, f"spline_k{order}.json"))
 
-    gaussian = {tf.name: tf for tf in builtin_suite()}["gaussian"]
+    gaussian = test_function("gaussian")
     f = gaussian.tabulate(12)
     xs = DyadicGrid(-3.0, 3.0, 12)
     print("\norder-k spline vs. battle_lemarie:k projection on [-3, 3]:")

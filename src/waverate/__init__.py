@@ -4,7 +4,7 @@ Builds concrete wavelet families, evaluates their expansions and projection
 kernels, and runs the convergence-rate and Sobolev-criterion experiments.
 """
 
-from .grids import DecayHint, DyadicGrid, SampledFunction, default_level, sample
+from .grids import DecayHint, DyadicGrid, SampledFunction, sample
 from .filters import FilterPair, daubechies_filter, haar_filter
 from .families import (
     MRAFamily,
@@ -25,7 +25,6 @@ __all__ = [
     "cascade_scaling",
     "check_family_invariants",
     "daubechies_filter",
-    "default_level",
     "derive_wavelet",
     "evaluate_dilate",
     "haar_filter",

@@ -24,9 +24,8 @@ import numpy as np
 
 from .convergence import (
     ConvergenceError,
-    MarkedPoint,
     TestFunction,
-    builtin_suite,
+    check_rate_study,
     export_rate_csv,
     export_rate_json,
     lp_error_trace,
@@ -34,6 +33,7 @@ from .convergence import (
     order_robustness,
     pointwise_trace,
     sup_error_rates,
+    test_function,
 )
 from .expansion import (
     ExpansionError,
@@ -63,7 +63,6 @@ from .kernels import (
 from .serialize import family_to_dict, write_csv, write_json
 from .sobolev import (
     SobolevError,
-    criterion_spectrum,
     criterion_sweep,
     critical_order,
     export_critical_json,
@@ -146,25 +145,11 @@ def parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _sine_tf() -> TestFunction:
-    # window endpoints must be dyadic, hence 3.25 rather than pi
-    return TestFunction(
-        "sine",
-        np.sin,
-        (0.0, 3.25),
-        (MarkedPoint(1.0, "continuity", math.sin(1.0)),),
-        math.inf,
-    )
-
-
 def lookup_function(name: str) -> TestFunction:
-    table = {tf.name: tf for tf in builtin_suite()}
-    table["sine"] = _sine_tf()
-    if name not in table:
-        raise ConfigError(
-            f"unknown function {name!r}; choose from {sorted(table)}"
-        )
-    return table[name]
+    try:
+        return test_function(name)
+    except ConvergenceError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _family(spec: str):
@@ -175,12 +160,14 @@ def _family(spec: str):
 
 
 def _check_grids(fam, tf: TestFunction, level: int, js: range, window=None) -> None:
-    """Reject tables finer than MAX_TABLE_LEVEL, non-dyadic windows and an odd
-    quadrature lattice before any compute."""
+    """Reject tables finer than MAX_TABLE_LEVEL, an odd quadrature lattice and,
+    for a rate study, a window that is not dyadic or not inside f's window and
+    too few levels to fit, before any compute."""
     try:
         check_table_level(finest_table_level(fam, level, js[-1]))
         if window is not None:
             DyadicGrid(window[0], window[1], level)
+            check_rate_study(tf, js, window)
         check_quadrature_lattice(fam, DyadicGrid(tf.window[0], tf.window[1], level))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -237,6 +224,12 @@ def run_kernel(args) -> str:
     )
 
 
+def _export_rate(report, args) -> None:
+    """Write a rate or spline study's RateReport as --format asks."""
+    if args.out:
+        (export_rate_csv if args.format == "csv" else export_rate_json)(report, args.out)
+
+
 def run_rate(args) -> str:
     tf = lookup_function(args.function)
     jr = parse_int_range(args.j)
@@ -244,11 +237,7 @@ def run_rate(args) -> str:
     fam = _family(args.family)
     _check_grids(fam, tf, args.level, jr, window)
     report = sup_error_rates(tf, fam, jr, window, level=args.level)
-    if args.out:
-        if args.format == "csv":
-            export_rate_csv(report, args.out)
-        else:
-            export_rate_json(report, args.out)
+    _export_rate(report, args)
     return f"rate {fam.label} {tf.name} slope={report.slope:.4f} r2={report.r_squared:.4f}"
 
 
@@ -256,8 +245,7 @@ def run_sobolev(args) -> str:
     fam = _family(args.family)
     if args.sweep_s:
         s_values = parse_sweep(args.sweep_s)
-        spec = criterion_spectrum(fam, args.criterion)
-        results = criterion_sweep(spec, s_values, args.epsilon, args.criterion)
+        results = criterion_sweep(fam, s_values, args.epsilon, args.criterion)
         if args.out:
             export_sweep_csv(results, args.out)
         n_div = sum(r.diverged for r in results)
@@ -285,11 +273,7 @@ def run_spline(args) -> str:
         approx = best_l2_spline(f, make_space(args.order, meshes[-1], tf.window))
         ok = perturbation_optimality(f, approx, seed=args.seed)
         optimal = f" optimal={ok}"
-    if args.out:
-        if args.format == "csv":
-            export_rate_csv(report, args.out)
-        else:
-            export_rate_json(report, args.out)
+    _export_rate(report, args)
     return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}"
 
 
@@ -362,11 +346,10 @@ def _haar_cell_average_defect(tf, j: int, level: int = 12) -> float:
 
 
 def crit_haar_projection_oracle():
-    suite = {tf.name: tf for tf in builtin_suite()}
     worst = 0.0
     for fname in ("ramp", "gaussian"):
         for j in range(0, 9):
-            worst = max(worst, _haar_cell_average_defect(suite[fname], j))
+            worst = max(worst, _haar_cell_average_defect(test_function(fname), j))
     return _row(
         "2",
         "haar-projection-oracle",
@@ -423,9 +406,8 @@ def crit_exponential_decay_fit():
 
 
 def crit_lebesgue_point():
-    suite = {tf.name: tf for tf in builtin_suite()}
     haar = make_family("haar")
-    tr = pointwise_trace(suite["oscillating_indicator"], haar, 0.0, range(2, 11))
+    tr = pointwise_trace(test_function("oscillating_indicator"), haar, 0.0, range(2, 11))
     margin = max(abs(v) / ((8.0 / 7.0) * 4.0**-j) for j, v in tr)
     return _row(
         "5",
@@ -437,9 +419,8 @@ def crit_lebesgue_point():
 
 
 def crit_summation_order():
-    suite = {tf.name: tf for tf in builtin_suite()}
     haar = make_family("haar")
-    tf = suite["gaussian"]
+    tf = test_function("gaussian")
     coeffs = analyze(tf.tabulate(), haar, 0, 6)
     schedules = [level_by_level_schedule(coeffs), interleaved_schedule(coeffs, 2)]
     rep = order_robustness(tf, haar, schedules, np.linspace(-1.0, 1.0, 50))
@@ -463,6 +444,13 @@ def crit_summation_order():
     )
 
 
+#: the families of criteria 7, 8 and 9: label -> make_family arguments
+_BATTERY_FAMILIES = {
+    "haar": ("haar", 0),
+    "db2": ("daubechies", 2),
+    "bl2": ("battle_lemarie", 2),
+}
+
 _SLOPE_TARGETS = {
     "haar": (0.85, 1.1),
     "db2": (1.8, 2.2),
@@ -471,17 +459,11 @@ _SLOPE_TARGETS = {
 
 
 def _slope_reports():
-    suite = {tf.name: tf for tf in builtin_suite()}
-    gaussian = suite["gaussian"]
-    out = {}
-    for label, spec in (
-        ("haar", ("haar", 0)),
-        ("db2", ("daubechies", 2)),
-        ("bl2", ("battle_lemarie", 2)),
-    ):
-        fam = make_family(*spec)
-        out[label] = sup_error_rates(gaussian, fam, range(3, 10), (-1.0, 1.0))
-    return out
+    gaussian = test_function("gaussian")
+    return {
+        label: sup_error_rates(gaussian, make_family(*spec), range(3, 10), (-1.0, 1.0))
+        for label, spec in _BATTERY_FAMILIES.items()
+    }
 
 
 def crit_rate_slopes():
@@ -511,18 +493,13 @@ _CRITICAL_TARGETS = {
 def crit_critical_orders():
     results = {}
     eps_ok = True
-    for label, spec in (
-        ("haar", ("haar", 0)),
-        ("db2", ("daubechies", 2)),
-        ("bl2", ("battle_lemarie", 2)),
-    ):
+    for label, spec in _BATTERY_FAMILIES.items():
         fam = make_family(*spec)
         co = critical_order(fam)
         results[label] = co
-        spectrum = criterion_spectrum(fam, "wavelet")
         around = (co.s_star - 0.3, co.s_star + 0.3)
         by_eps = [
-            [r.diverged for r in criterion_sweep(spectrum, around, eps)]
+            [r.diverged for r in criterion_sweep(fam, around, eps)]
             for eps in (0.5, 1.0, 2.0)
         ]
         # one verdict per s across every eps
@@ -545,11 +522,7 @@ def crit_rate_criterion_consistency():
     reports = _slope_reports()
     ok = True
     pieces = []
-    for label, spec in (
-        ("haar", ("haar", 0)),
-        ("db2", ("daubechies", 2)),
-        ("bl2", ("battle_lemarie", 2)),
-    ):
+    for label, spec in _BATTERY_FAMILIES.items():
         fam = make_family(*spec)
         a = critical_order(fam, criterion="wavelet").s_star
         b = critical_order(fam, criterion="scaling").s_star
@@ -585,9 +558,8 @@ def crit_lp_convergence():
 
 
 def crit_spline_convergence():
-    suite = {tf.name: tf for tf in builtin_suite()}
     haar = make_family("haar")
-    tf = suite["gaussian"]
+    tf = test_function("gaussian")
     # level 13: at level 12 the dyadic midpoint quadrature on the projection
     # side leaves ~2e-8 disagreement with the Simpson spline loads
     f = tf.tabulate(13)
@@ -597,7 +569,7 @@ def crit_spline_convergence():
         pj = project(f, haar, j, xs)
         approx = best_l2_spline(f, make_space(1, 2.0**-j, tf.window))
         haar_gap = max(haar_gap, float(np.max(np.abs(approx(xs.points()) - pj.values))))
-    sine = _sine_tf()
+    sine = test_function("sine")
     rep = spline_convergence_study(sine, 2, [2.0**-m for m in range(2, 7)])
     ratios = [a / b for a, b in zip(rep.sup_errors, rep.sup_errors[1:])]
     sine_f = sine.tabulate()
@@ -623,9 +595,8 @@ def crit_spline_convergence():
 def crit_determinism():
     # artifact-level check: the same report must render to identical bytes
     # twice (the acceptance test additionally compares two full suite runs)
-    suite = {tf.name: tf for tf in builtin_suite()}
     haar = make_family("haar")
-    rep = sup_error_rates(suite["gaussian"], haar, range(3, 8), (-1.0, 1.0))
+    rep = sup_error_rates(test_function("gaussian"), haar, range(3, 8), (-1.0, 1.0))
     import tempfile
 
     renders = []

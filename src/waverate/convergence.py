@@ -179,7 +179,29 @@ def builtin_suite() -> list:
             0.0,
             cumulative_measure=oscillating_measure,
         ),
+        # window endpoints must be dyadic, hence 3.25 rather than pi
+        TestFunction(
+            "sine",
+            np.sin,
+            (0.0, 3.25),
+            (MarkedPoint(1.0, "continuity", math.sin(1.0)),),
+            math.inf,
+        ),
     ]
+
+
+def test_function(name: str) -> TestFunction:
+    """The bundled test function called `name`."""
+    suite = builtin_suite()
+    for tf in suite:
+        if tf.name == name:
+            return tf
+    raise ConvergenceError(
+        f"unknown function {name!r}; choose from {sorted(tf.name for tf in suite)}"
+    )
+
+
+test_function.__test__ = False  # not a pytest test despite the name
 
 
 def midcell_step(j: int) -> TestFunction:
@@ -199,16 +221,6 @@ def midcell_step(j: int) -> TestFunction:
         (MarkedPoint(x0, "jump", None),),
         0.0,
     )
-
-
-def lebesgue_average(tf: TestFunction, x: float, reference: float, radius: float) -> float:
-    """Average of |reference - f(y)| over [x - r, x + r]; the Lebesgue defect."""
-    level = STUDY_LEVEL
-    f = tf.tabulate(level)
-    lo = max(tf.window[0], x - radius)
-    hi = min(tf.window[1], x + radius)
-    pts = np.linspace(lo, hi, 2049)
-    return float(np.mean(np.abs(reference - f(pts))))
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +279,44 @@ class RateReport:
     fitted_meshes: tuple | None = None
 
 
-def _fit_rate(js, errors):
-    js = np.asarray(js, dtype=float)
-    logs = np.log2(np.maximum(errors, 1e-300))
-    coef = np.polyfit(js, logs, 1)
-    fitted = np.polyval(coef, js)
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return -float(coef[0]), float(coef[1]), r2
+def r_squared(data: np.ndarray, pred: np.ndarray) -> float:
+    """Coefficient of determination of pred for data; 0 for constant data."""
+    ss_res = float(np.sum((data - pred) ** 2))
+    ss_tot = float(np.sum((data - np.mean(data)) ** 2))
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+
+
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, R^2)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    coef = np.polyfit(x, y, 1)
+    return float(coef[0]), float(coef[1]), r_squared(y, np.polyval(coef, x))
+
+
+def rate_report(family: str, function: str, j_values, errors, fitted, truth,
+                fitted_meshes=None) -> RateReport:
+    """The RateReport of a study: a log2 line through the errors at `fitted`.
+
+    `fitted` lists the indices of the levels the rate is fitted on; the slope
+    is the decay exponent of sup_error ~ C 2^{-slope j}.  `truth` is the
+    reference on the level-L assertion grid, and the quantization bound
+    2^-L times its grid Lipschitz estimate is its largest step.
+    """
+    slope, intercept, r2 = line_fit(
+        [j_values[i] for i in fitted],
+        np.log2(np.maximum([errors[i] for i in fitted], 1e-300)),
+    )
+    return RateReport(
+        family=family,
+        function=function,
+        j_values=tuple(j_values),
+        sup_errors=tuple(errors),
+        slope=-slope,
+        intercept=intercept,
+        r_squared=r2,
+        quantization_bound=float(np.max(np.abs(np.diff(truth)))),
+        fitted_meshes=fitted_meshes,
+    )
 
 
 def _window_grid(window, level):
@@ -290,6 +331,24 @@ def _check_jump_margin(tf: TestFunction, window, margin: float) -> None:
             )
 
 
+def check_rate_study(tf: TestFunction, js, window) -> None:
+    """Reject a sup-norm rate study before f is tabulated.
+
+    The window must lie inside f's tabulated window, and the fit needs at
+    least four levels j >= REGRESSION_MIN_J.
+    """
+    if window[0] < tf.window[0] or window[1] > tf.window[1]:
+        raise ConvergenceError(
+            f"window {tuple(window)} is not inside the tabulated window {tf.window} "
+            f"of {tf.name}"
+        )
+    usable = sum(j >= REGRESSION_MIN_J for j in js)
+    if usable < 4:
+        raise ConvergenceError(
+            f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
+        )
+
+
 def sup_error_rates(
     tf: TestFunction,
     fam: MRAFamily,
@@ -300,31 +359,11 @@ def sup_error_rates(
     """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit."""
     js = sorted(j_range)
     _check_jump_margin(tf, window, 2.0 ** -min(js))
-    xs = _window_grid(window, level)
-    f = tf.tabulate(level)
-    truth = tf.truth_on(xs)
-    errors = []
-    for j in js:
-        p = project(f, fam, j, xs)
-        errors.append(float(np.max(np.abs(p.values - truth))))
-    usable = [(j, e) for j, e in zip(js, errors) if j >= REGRESSION_MIN_J]
-    if len(usable) < 4:
-        raise ConvergenceError(
-            f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, "
-            f"got {len(usable)}"
-        )
-    slope, intercept, r2 = _fit_rate([j for j, _ in usable], [e for _, e in usable])
-    lipschitz = float(np.max(np.abs(np.diff(truth)))) / xs.spacing
-    return RateReport(
-        family=fam.label,
-        function=tf.name,
-        j_values=tuple(js),
-        sup_errors=tuple(errors),
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        quantization_bound=2.0**-level * lipschitz,
-    )
+    check_rate_study(tf, js, window)
+    errors = lp_error_trace(tf, fam, math.inf, js, window, level)[:, 1].tolist()
+    fitted = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
+    truth = tf.truth_on(_window_grid(window, level))
+    return rate_report(fam.label, tf.name, js, errors, fitted, truth)
 
 
 def lp_error_trace(

@@ -34,13 +34,14 @@ from .grids import (
     DecayHint,
     DyadicGrid,
     SampledFunction,
-    default_level,
     product_quad,
 )
 from .splines import cardinal_autocorrelation, cardinal_bspline
 
 FAMILY_NAMES = ("haar", "daubechies", "battle_lemarie", "shannon")
 
+#: level at which every family tabulates phi and psi
+FAMILY_LEVEL = 10
 BATTLE_LEMARIE_MAX_ORDER = 4
 SHANNON_RADIUS = 64.0
 CASCADE_TOL = 1e-9
@@ -113,7 +114,7 @@ def _two_scale(
 def cascade_scaling(
     filter: FilterPair,
     iterations: int = 400,
-    level: int | None = None,
+    level: int = FAMILY_LEVEL,
 ) -> SampledFunction:
     """Fixed-point iterate of phi(x) = sqrt(2) sum_k h_k phi(2x-k).
 
@@ -121,8 +122,6 @@ def cascade_scaling(
     [0, M-1]; stops when successive iterates agree to CASCADE_TOL in sup
     norm, else raises.
     """
-    if level is None:
-        level = default_level()
     if level < 3:
         raise ValueError("cascade level must be >= 3")
     if iterations < 1:
@@ -458,10 +457,8 @@ def _require(cond: bool, fam: MRAFamily, what: str) -> None:
 # factory
 
 
-def make_family(name: str, param: int = 0, level: int | None = None) -> MRAFamily:
-    """Build a named family and verify its invariants."""
-    if level is None:
-        level = default_level()
+def make_family(name: str, param: int = 0) -> MRAFamily:
+    """Build a named family at FAMILY_LEVEL and verify its invariants."""
     if name not in FAMILY_NAMES:
         raise FamilyError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
@@ -472,17 +469,17 @@ def make_family(name: str, param: int = 0, level: int | None = None) -> MRAFamil
     filt, moments = None, param
     if uses_haar_tables(name, param):
         filt, moments, symbol = haar_filter(), 1, _daubechies_symbol(1)
-        phi, psi = _haar_pair(level)
+        phi, psi = _haar_pair(FAMILY_LEVEL)
     elif name == "daubechies":
         filt, symbol = daubechies_filter(param), _daubechies_symbol(param)
-        phi = cascade_scaling(filt, level=level)
+        phi = cascade_scaling(filt)
         psi = derive_wavelet(filt, phi)
     elif name == "battle_lemarie":
         symbol = _battle_lemarie_symbol(param)
-        phi, psi = _battle_lemarie_pair(param, level)
+        phi, psi = _battle_lemarie_pair(param, FAMILY_LEVEL)
     else:  # shannon
         moments, symbol = 1, _shannon_symbol
-        phi, psi = _shannon_pair(level)
+        phi, psi = _shannon_pair(FAMILY_LEVEL)
     fam = MRAFamily(
         name=name,
         filter=filt,
@@ -534,9 +531,9 @@ def refined_tables(fam: MRAFamily, level: int):
         return _REFINED_CACHE.setdefault(base + (level,), pair)
 
 
-def parse_family_spec(spec: str, level: int | None = None) -> MRAFamily:
+def parse_family_spec(spec: str) -> MRAFamily:
     """Parse 'name' or 'name:param' CLI syntax."""
     if ":" in spec:
         name, raw = spec.split(":", 1)
-        return make_family(name, int(raw), level=level)
-    return make_family(spec, level=level)
+        return make_family(name, int(raw))
+    return make_family(spec)

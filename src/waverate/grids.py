@@ -15,29 +15,15 @@ is then exact for piecewise-constant data.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-DEFAULT_LEVEL_ENV = "WAVERATE_GRID_LEVEL"
 
 #: finest lattice level a study may read a table at.  The widest refined
 #: table, daubechies:10 on 19 units, holds 5.0 M points (40 MB) at level 18;
 #: rate --family daubechies:10 --level 15 (quadrature level 18) peaks at
 #: 262 MB in 5.7 s, and each level more doubles both
 MAX_TABLE_LEVEL = 18
-
-
-def default_level() -> int:
-    """Default tabulation level, overridable via WAVERATE_GRID_LEVEL."""
-    raw = os.environ.get(DEFAULT_LEVEL_ENV)
-    if raw is None:
-        return 10
-    lvl = int(raw)
-    if lvl < 3:
-        raise ValueError(f"{DEFAULT_LEVEL_ENV} must be >= 3, got {lvl}")
-    return lvl
 
 
 def check_table_level(level: int) -> None:
@@ -156,25 +142,9 @@ class SampledFunction:
     def __call__(self, points) -> np.ndarray:
         """Evaluate by linear interpolation; zero outside the grid.
 
-        Bitwise np.interp(points, self.x(), self.values, left=0, right=0),
-        found by index arithmetic instead of a search: the cell index is
-        floor((x - left) 2^level), one step too large at most when x - left
-        rounds up onto the next node, and the interpolant is numpy's own
-        slope * (x - x_i) + v_i, with exact node values and NaN passed
-        through.
+        A test oracle: the hot reads go through ``on_lattice``.
         """
-        x = np.asarray(points, dtype=float)
-        grid, vals = self.grid, self.values
-        inside = (x >= grid.left) & (x <= grid.right)  # False at NaN
-        t = np.where(inside, x, grid.left)
-        i = np.ldexp(t - grid.left, grid.level).astype(np.int64)  # t >= left: floor
-        i -= t < grid.left + i * grid.spacing
-        node = grid.left + i * grid.spacing
-        lo = vals[i]
-        slope = (vals.take(i + 1, mode="clip") - lo) / grid.spacing
-        out = np.where(t == node, lo, slope * (t - node) + lo)
-        out = np.where(inside, out, np.where(np.isnan(x), x, 0.0))
-        return out[()] if out.ndim == 0 else out
+        return np.interp(points, self.x(), self.values, left=0.0, right=0.0)
 
     def on_lattice(self, level: int, start: int, count: int) -> np.ndarray:
         """self at the lattice points (start + n) 2^-level, n = 0..count-1.
@@ -248,25 +218,6 @@ def product_quad(values_f: np.ndarray, values_g: np.ndarray, dx: float) -> float
         return float(fine)
     coarse = np.trapezoid(prod[::2], dx=2 * dx)
     return float(2.0 * fine - coarse)
-
-
-def inner_product(f: SampledFunction, g: SampledFunction) -> float:
-    """Trapezoid-rule L2 pairing over the support intersection."""
-    left = max(f.grid.left, g.grid.left)
-    right = min(f.grid.right, g.grid.right)
-    if right <= left:
-        return 0.0
-    # quadrature on the coarser lattice: the finer table subsamples exactly
-    # there, while the coarser one would be interpolated (and its jumps
-    # smeared) on any finer lattice
-    level = min(f.grid.level, g.grid.level)
-    start = math.ceil(math.ldexp(left, level))
-    n = math.floor(math.ldexp(right, level)) - start
-    if n < 1:
-        return 0.0
-    return product_quad(
-        f.on_lattice(level, start, n + 1), g.on_lattice(level, start, n + 1), 2.0**-level
-    )
 
 
 def sample(func, grid: DyadicGrid, decay_hint: DecayHint = COMPACT) -> SampledFunction:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convergence import line_fit, r_squared
 from .expansion import atom_rows, translate_range
 from .families import MRAFamily, refined_tables
 from .grids import NO_DECAY, DyadicGrid, SampledFunction
@@ -266,13 +267,11 @@ def fit_decay(
             f"only {len(u)} usable radii; need {MIN_FIT_POINTS} for a fit"
         )
     if model == "exponential":
-        slope, intercept = np.polyfit(u, m, 1)
+        slope, intercept, r2 = line_fit(u, m)
         a = -2.0 * slope
-        pred = intercept + slope * u
-        r2 = _r_squared(m, pred)
         # a below 1e-9 is numerically zero: constant profile, model mismatch
         return DecayFit(
-            "exponential", float(np.exp(intercept)), float(a), r2, len(u), bool(a < 1e-9)
+            "exponential", float(np.exp(intercept)), a, r2, len(u), bool(a < 1e-9)
         )
     if model == "algebraic":
         if order is None:
@@ -280,17 +279,9 @@ def fit_decay(
         # only log C is free; the slope is pinned by the given order
         logc = float(np.mean(m + order * np.log1p(u)))
         pred = logc - order * np.log1p(u)
-        r2 = _r_squared(m, pred)
+        r2 = r_squared(m, pred)
         return DecayFit("algebraic", float(np.exp(logc)), float(order), r2, len(u), False)
     raise KernelError(f"unknown decay model {model!r}")
-
-
-def _r_squared(data: np.ndarray, pred: np.ndarray) -> float:
-    ss_res = float(np.sum((data - pred) ** 2))
-    ss_tot = float(np.sum((data - np.mean(data)) ** 2))
-    if ss_tot == 0.0:
-        return 0.0
-    return 1.0 - ss_res / ss_tot
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ Both integrals are evaluated over dyadic shells [eps 2^{-(m+1)}, eps 2^{-m}]
 shrinking toward 0; divergence is declared when the last three shell sums fail
 to decay geometrically (ratio > 0.95).  The integrand on the shells does not
 depend on s, so ``critical_order`` and ``criterion_sweep`` evaluate it once
-per spectrum and eps and pay one weighted trapezoid per shell for each s.  A
-criterion given the spectrum of the other generator raises.
+per spectrum and eps and pay one weighted trapezoid per shell for each s.
+Every criterion takes the family and integrates its own generator's spectrum.
 
 The critical regularity order of a family is located by bisection on the
 finite/diverged verdict and equals the number of vanishing moments for the
@@ -243,13 +243,8 @@ def _criterion(name: str):
     raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {name!r}")
 
 
-def criterion_spectrum(fam: MRAFamily, criterion: str) -> SymbolSpectrum:
-    """The spectrum a criterion integrates: psi for 'wavelet', phi for 'scaling'."""
-    return family_spectrum(fam, _criterion(criterion)[0])
-
-
 def _shell_integral(
-    spec: SymbolSpectrum, criterion: str, epsilon: float, n_shells: int
+    fam: MRAFamily, criterion: str, epsilon: float, n_shells: int
 ) -> Callable[[float], IntegralResult]:
     """s -> int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
 
@@ -257,10 +252,7 @@ def _shell_integral(
     evaluated here once; each s then costs one weighted trapezoid per shell.
     """
     which, integrand = _criterion(criterion)
-    if spec.which != which:
-        raise SobolevError(
-            f"the {criterion} criterion integrates the {which} spectrum, got {spec.which}"
-        )
+    spec = family_spectrum(fam, which)
     _check_shells(epsilon, n_shells)
     grids = [
         np.linspace(epsilon * 2.0 ** -(m + 1), epsilon * 2.0**-m, SHELL_POINTS)
@@ -281,17 +273,17 @@ def _shell_integral(
 
 
 def wavelet_criterion(
-    spec: SymbolSpectrum, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
+    fam: MRAFamily, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
 ) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(spec, "wavelet", epsilon, n_shells)(s)
+    return _shell_integral(fam, "wavelet", epsilon, n_shells)(s)
 
 
 def scaling_criterion(
-    spec: SymbolSpectrum, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
+    fam: MRAFamily, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
 ) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} (1 - 2pi |phi^(xi)|^2) |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(spec, "scaling", epsilon, n_shells)(s)
+    return _shell_integral(fam, "scaling", epsilon, n_shells)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +309,7 @@ def critical_order(
     not monotone in s (finite must precede diverged) or if no sign change
     exists in the search interval.
     """
-    integral = _shell_integral(criterion_spectrum(fam, criterion), criterion, epsilon, SHELLS)
+    integral = _shell_integral(fam, criterion, epsilon, SHELLS)
     evaluations = []
 
     def verdict(s: float) -> bool:
@@ -357,13 +349,13 @@ def critical_order(
 
 
 def criterion_sweep(
-    spec: SymbolSpectrum,
+    fam: MRAFamily,
     s_values,
     epsilon: float = 1.0,
     criterion: str = "wavelet",
 ) -> list[IntegralResult]:
-    """The criterion at each s; the spectrum must be the one it integrates."""
-    integral = _shell_integral(spec, criterion, epsilon, SHELLS)
+    """The criterion at each s."""
+    integral = _shell_integral(fam, criterion, epsilon, SHELLS)
     return [integral(float(s)) for s in s_values]
 
 

@@ -311,6 +311,12 @@ def _check_resolution(mesh: float, spacing: float) -> None:
         raise SplineError("mesh must be an even integer multiple of f's grid spacing")
 
 
+def _window_table(f: SampledFunction, window) -> tuple[np.ndarray, np.ndarray]:
+    """f's abscissae and values on a window whose ends are nodes of f's grid."""
+    i0, i1 = f.grid.index_of(window[0]), f.grid.index_of(window[1])
+    return f.grid.left + np.arange(i0, i1 + 1) * f.grid.spacing, f.values[i0 : i1 + 1]
+
+
 def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximation:
     """Solve the banded Gram system for the best L^2 spline approximation."""
     if f.grid.left > space.window[0] + 1e-12 or f.grid.right < space.window[1] - 1e-12:
@@ -326,10 +332,8 @@ def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximatio
         )
     b = _load_vector(f, space)
     coef = _solve(u, b)
-    i0 = f.grid.index_of(space.window[0])
-    i1 = f.grid.index_of(space.window[1])
-    x = f.grid.left + np.arange(i0, i1 + 1) * f.grid.spacing
-    resid = f.values[i0 : i1 + 1] - SplineApproximation(space, coef, 0.0)(x)
+    x, fv = _window_table(f, space.window)
+    resid = fv - SplineApproximation(space, coef, 0.0)(x)
     residual_l2 = float(np.sqrt(np.trapezoid(resid**2, dx=f.grid.spacing)))
     return SplineApproximation(space, coef, residual_l2)
 
@@ -337,14 +341,9 @@ def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximatio
 def residual_orthogonality(f: SampledFunction, approx: SplineApproximation) -> float:
     """max_i |<f - s, B_i>|; < 1e-8 ||f||_2 certifies best approximation."""
     space = approx.space
-    grid = f.grid
-    i0 = grid.index_of(space.window[0])
-    i1 = grid.index_of(space.window[1])
-    x = grid.left + np.arange(i0, i1 + 1) * grid.spacing
+    x, fv = _window_table(f, space.window)
     diff = SampledFunction(
-        DyadicGrid(space.window[0], space.window[1], grid.level),
-        f.values[i0 : i1 + 1] - approx(x),
-        NO_DECAY,
+        DyadicGrid(space.window[0], space.window[1], f.grid.level), fv - approx(x), NO_DECAY
     )
     b = _load_vector(diff, space)
     return float(np.max(np.abs(b)))
@@ -360,10 +359,7 @@ def perturbation_optimality(
     """Every random coefficient perturbation strictly worsens the residual."""
     rng = np.random.default_rng(seed)
     space = approx.space
-    i0 = f.grid.index_of(space.window[0])
-    i1 = f.grid.index_of(space.window[1])
-    x = f.grid.left + np.arange(i0, i1 + 1) * f.grid.spacing
-    fv = f.values[i0 : i1 + 1]
+    x, fv = _window_table(f, space.window)
     base = float(np.sqrt(np.trapezoid((fv - approx(x)) ** 2, dx=f.grid.spacing)))
     for _ in range(trials):
         delta = rng.standard_normal(space.basis_count)
@@ -377,18 +373,6 @@ def perturbation_optimality(
 
 # ---------------------------------------------------------------------------
 # convergence studies
-
-
-def _validate_meshes(meshes) -> list:
-    hs = [float(h) for h in meshes]
-    if len(hs) < 2:
-        raise SplineError("need at least two meshes")
-    for a, b in zip(hs, hs[1:]):
-        if not b < a:
-            raise SplineError("meshes must be strictly decreasing")
-        if abs(b - a / 2) > 1e-12 * a:
-            raise SplineError("each mesh must halve the previous one")
-    return hs
 
 
 def check_study(window, order: int, meshes, level: int) -> list:
@@ -406,7 +390,14 @@ def check_study(window, order: int, meshes, level: int) -> list:
         check_table_level(level)
     except ValueError as exc:
         raise SplineError(str(exc)) from None
-    hs = _validate_meshes(meshes)
+    hs = [float(h) for h in meshes]
+    if len(hs) < 2:
+        raise SplineError("need at least two meshes")
+    for a, b in zip(hs, hs[1:]):
+        if not b < a:
+            raise SplineError("meshes must be strictly decreasing")
+        if abs(b - a / 2) > 1e-12 * a:
+            raise SplineError("each mesh must halve the previous one")
     for h in hs:
         make_space(order, h, window)
         _check_resolution(h, 2.0**-level)
@@ -426,22 +417,18 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
     floor ROUNDOFF_FLOOR_EPS * eps * max|f|, recorded as `fitted_meshes`;
     fewer than two such meshes raise SplineError.
     """
-    from .convergence import RateReport, _fit_rate
+    from .convergence import rate_report
 
     hs = check_study(tf.window, order, meshes, level)
     f = tf.tabulate(level)
     shrink = order * hs[0]
     lo = math.ceil((tf.window[0] + shrink) * 2**level) / 2**level
     hi = math.floor((tf.window[1] - shrink) * 2**level) / 2**level
-    i0, i1 = f.grid.index_of(lo), f.grid.index_of(hi)
-    x = f.grid.left + np.arange(i0, i1 + 1) * f.grid.spacing
-    truth = f.values[i0 : i1 + 1]
-    js, errors = [], []
-    for h in hs:
-        space = make_space(order, h, tf.window)
-        approx = best_l2_spline(f, space)
-        js.append(-math.log2(h))
-        errors.append(float(np.max(np.abs(approx(x) - truth))))
+    x, truth = _window_table(f, (lo, hi))
+    errors = [
+        float(np.max(np.abs(best_l2_spline(f, make_space(order, h, tf.window))(x) - truth)))
+        for h in hs
+    ]
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
     fitted = [i for i, e in enumerate(errors) if e > floor]
     if len(fitted) < 2:
@@ -449,27 +436,8 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
             f"only {len(fitted)} mesh(es) have a sup error above the roundoff floor "
             f"{floor:.3g}; a rate fit needs two"
         )
-    slope, intercept, r2 = _fit_rate([js[i] for i in fitted], [errors[i] for i in fitted])
-    lipschitz = float(np.max(np.abs(np.diff(truth)))) / f.grid.spacing
-    return RateReport(
-        family=f"spline:k={order}",
-        function=tf.name,
-        j_values=tuple(js),
-        sup_errors=tuple(errors),
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        quantization_bound=2.0**-level * lipschitz,
+    js = [-math.log2(h) for h in hs]
+    return rate_report(
+        f"spline:k={order}", tf.name, js, errors, fitted, truth,
         fitted_meshes=tuple(hs[i] for i in fitted),
     )
-
-
-def spline_pointwise_trace(tf, order: int, meshes, x: float, level: int = 12):
-    """(-log2 h, s(x)) pairs of the best spline evaluated at a fixed point."""
-    hs = _validate_meshes(meshes)
-    f = tf.tabulate(level)
-    rows = []
-    for h in hs:
-        approx = best_l2_spline(f, make_space(order, h, tf.window))
-        rows.append((-math.log2(h), float(approx(x)[0])))
-    return np.array(rows)

@@ -126,6 +126,9 @@ class TestCommands:
             "expand --family haar --function sine --level 2 --j 0..3",
             "rate --family haar --function sine --level 1 --j 3..9",
             "rate --family haar --function gaussian --j 3..9 --window=0.3,0.7",
+            # the window must lie inside f's window, and the fit needs 4 levels >= 3
+            "rate --family haar --function gaussian --j 3..9 --window=-5,5",
+            "rate --family haar --function gaussian --j 1..4",
             # --level belongs to the studies that tabulate f
             "family --family daubechies:2 --level 6",
             "kernel --family haar --j 0..2 --level 6",

@@ -12,13 +12,14 @@ from waverate.convergence import (
     builtin_suite,
     export_rate_csv,
     export_rate_json,
-    lebesgue_average,
+    line_fit,
     lp_error_trace,
     midcell_step,
     order_robustness,
     oscillating_measure,
     pointwise_trace,
     sup_error_rates,
+    test_function,
 )
 from waverate.expansion import (
     SummationSchedule,
@@ -62,11 +63,12 @@ class TestBuiltinSuite:
     def test_measure_monotone_and_bounded(self, t, dt):
         assert 0.0 <= oscillating_measure(t) <= oscillating_measure(t + dt) <= 1.0 / 7.0
 
-    def test_step_fails_lebesgue_condition(self, suite):
-        # averages of |ref - f(y)| around the jump tend to 1/2 at best,
-        # whatever the chosen reference value
-        for ref in (0.0, 0.5, 1.0):
-            assert lebesgue_average(suite["step"], 0.0, ref, 0.25) >= 0.49
+    def test_lookup_by_name(self, suite):
+        for name in suite:
+            assert test_function(name).name == name
+        assert test_function("sine").window == (0.0, 3.25)
+        with pytest.raises(ConvergenceError, match="choose from"):
+            test_function("nope")
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConvergenceError):
@@ -119,6 +121,26 @@ class TestSupErrorRates:
     def test_too_few_levels_rejected(self, suite, haar):
         with pytest.raises(ConvergenceError):
             sup_error_rates(suite["gaussian"], haar, range(0, 6), (-1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "j_range,window", [(range(1, 5), (-1.0, 1.0)), (range(3, 10), (-5.0, 5.0))]
+    )
+    def test_rejected_before_tabulation(self, suite, haar, monkeypatch, j_range, window):
+        tf = suite["gaussian"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(type(tf), "tabulate", refuse)
+        with pytest.raises(ConvergenceError):
+            sup_error_rates(tf, haar, j_range, window)
+
+    def test_line_fit(self):
+        x = np.arange(3.0, 10.0)
+        slope, intercept, r2 = line_fit(x, 1.5 - 2.0 * x)
+        assert slope == pytest.approx(-2.0) and intercept == pytest.approx(1.5)
+        assert r2 == pytest.approx(1.0)
+        assert line_fit(x, np.ones_like(x))[2] == 0.0
 
 
 class TestLpErrorTrace:

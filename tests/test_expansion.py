@@ -23,7 +23,7 @@ from waverate.expansion import (
     validate_schedule,
 )
 from waverate.families import evaluate_dilate, refined_tables
-from waverate.grids import DecayHint, SampledFunction, inner_product, product_quad
+from waverate.grids import DecayHint, SampledFunction, product_quad
 
 
 @pytest.fixture(scope="module")
@@ -48,23 +48,6 @@ def ramp_on_unit(level=12):
     v = np.where((x > 0) & (x < 1), x, 0.0)
     v[g.index_of(1.0)] = 0.5  # midpoint at the jump
     return SampledFunction(g, v)
-
-
-class TestInnerProduct:
-    def test_indicator_with_itself(self, haar):
-        assert inner_product(haar.phi, haar.phi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_phi_psi_orthogonal(self, haar):
-        assert inner_product(haar.phi, haar.psi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_ramp_against_indicator(self, haar):
-        f = ramp_on_unit()
-        assert inner_product(f, haar.phi) == pytest.approx(0.5, abs=1e-6)
-
-    def test_disjoint_supports(self, haar):
-        g = DyadicGrid(4.0, 5.0, 6)
-        far = sample(lambda x: np.ones_like(x), g, DecayHint("none"))
-        assert inner_product(haar.phi, far) == 0.0
 
 
 class TestTranslateRange:

@@ -21,6 +21,7 @@ from waverate import (
 )
 from waverate import families
 from waverate.families import (
+    FAMILY_LEVEL,
     FamilyError,
     _two_scale,
     battle_lemarie_series,
@@ -171,6 +172,7 @@ class TestMakeFamily:
     def test_invariants_pass(self, name, param):
         fam = make_family(name, param)
         check_family_invariants(fam)  # raises on failure
+        assert fam.phi.grid.level == fam.psi.grid.level == FAMILY_LEVEL
         # the power symbol is a quadrature mirror pair with m0(0) = 1
         omega = np.linspace(-7.0, 7.0, 141)
         a, b = fam.symbol(omega)

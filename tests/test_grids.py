@@ -12,7 +12,6 @@ from waverate.grids import (
     DyadicGrid,
     SampledFunction,
     check_table_level,
-    default_level,
     product_quad,
     sample,
 )
@@ -208,12 +207,8 @@ class TestProductQuad:
             want = 2 * want - np.trapezoid(vals[::2], dx=1.0)
         assert got == pytest.approx(float(want), abs=1e-12)
 
+    def test_haar_phi_psi_orthogonal(self):
+        haar = make_family("haar")
+        got = product_quad(haar.phi.values, haar.psi.values, haar.phi.dx)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
-def test_default_level_env(monkeypatch):
-    monkeypatch.delenv("WAVERATE_GRID_LEVEL", raising=False)
-    assert default_level() == 10
-    monkeypatch.setenv("WAVERATE_GRID_LEVEL", "8")
-    assert default_level() == 8
-    monkeypatch.setenv("WAVERATE_GRID_LEVEL", "2")
-    with pytest.raises(ValueError):
-        default_level()

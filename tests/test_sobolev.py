@@ -13,7 +13,6 @@ from waverate.sobolev import (
     CriticalOrder,
     SampledSpectrum,
     SobolevError,
-    criterion_spectrum,
     criterion_sweep,
     critical_order,
     export_critical_json,
@@ -119,42 +118,42 @@ class TestSymbolSpectrum:
 
 
 class TestWaveletCriterion:
-    def test_haar_low_order_finite(self, haar_psi_spec):
-        r = wavelet_criterion(haar_psi_spec, 0.5, 1.0)
+    def test_haar_low_order_finite(self, haar):
+        r = wavelet_criterion(haar, 0.5, 1.0)
         assert not r.diverged
         assert np.isfinite(r.value) and r.value > 0
 
-    def test_haar_high_order_diverged(self, haar_psi_spec):
-        r = wavelet_criterion(haar_psi_spec, 1.5, 1.0)
+    def test_haar_high_order_diverged(self, haar):
+        r = wavelet_criterion(haar, 1.5, 1.0)
         assert r.diverged
         assert r.value == math.inf
 
-    def test_trace_monotone_increasing(self, haar_psi_spec):
+    def test_trace_monotone_increasing(self, haar):
         for s in (0.3, 0.8, 1.2, 2.5):
-            t = wavelet_criterion(haar_psi_spec, s).refinement_trace
+            t = wavelet_criterion(haar, s).refinement_trace
             assert all(b >= a for a, b in zip(t, t[1:]))
 
-    def test_epsilon_independent_verdicts(self, haar_psi_spec):
+    def test_epsilon_independent_verdicts(self, haar):
         for s in (0.5, 1.5):
             verdicts = {
-                wavelet_criterion(haar_psi_spec, s, eps).diverged
+                wavelet_criterion(haar, s, eps).diverged
                 for eps in (0.5, 1.0, 2.0)
             }
             assert len(verdicts) == 1
 
-    def test_rejects_bad_parameters(self, haar_psi_spec):
+    def test_rejects_bad_parameters(self, haar):
         with pytest.raises(SobolevError):
-            wavelet_criterion(haar_psi_spec, -1.0)
+            wavelet_criterion(haar, -1.0)
         with pytest.raises(SobolevError):
-            wavelet_criterion(haar_psi_spec, 1.0, epsilon=0.0)
+            wavelet_criterion(haar, 1.0, epsilon=0.0)
         with pytest.raises(SobolevError):
-            wavelet_criterion(haar_psi_spec, 1.0, n_shells=20)
+            wavelet_criterion(haar, 1.0, n_shells=20)
 
 
 class TestScalingCriterion:
-    def test_haar_verdicts(self, haar_phi_spec):
-        assert not scaling_criterion(haar_phi_spec, 0.5).diverged
-        assert scaling_criterion(haar_phi_spec, 1.5).diverged
+    def test_haar_verdicts(self, haar):
+        assert not scaling_criterion(haar, 0.5).diverged
+        assert scaling_criterion(haar, 1.5).diverged
 
     def test_haar_factor_quadratic_law(self, haar_phi_spec):
         xi = np.array([1e-3, 1e-2, 0.05])
@@ -168,16 +167,16 @@ class TestScalingCriterion:
         assert np.max(np.abs(haar_phi_spec.scaling_factor(xi) / series - 1.0)) < 1e-9
 
     def test_shannon_identically_zero(self):
-        sp = family_spectrum(make_family("shannon"), "phi")
+        shannon = make_family("shannon")
         for s in (0.5, 2.0, 4.0):
-            r = scaling_criterion(sp, s)
+            r = scaling_criterion(shannon, s)
             assert not r.diverged
             assert abs(r.value) < 1e-12
 
-    def test_epsilon_independent_verdicts(self, haar_phi_spec):
+    def test_epsilon_independent_verdicts(self, haar):
         for s in (0.5, 1.5):
             verdicts = {
-                scaling_criterion(haar_phi_spec, s, eps).diverged
+                scaling_criterion(haar, s, eps).diverged
                 for eps in (0.5, 1.0, 2.0)
             }
             assert len(verdicts) == 1
@@ -229,11 +228,11 @@ class TestCriticalOrder:
         with pytest.raises(SobolevError):
             critical_order(haar, criterion="bogus")
         with pytest.raises(SobolevError):
-            criterion_sweep(family_spectrum(haar, "phi"), [0.5], criterion="bogus")
+            criterion_sweep(haar, [0.5], criterion="bogus")
 
-    def test_verdict_monotone_on_sweep(self, haar_psi_spec):
+    def test_verdict_monotone_on_sweep(self, haar):
         # finite verdicts must precede diverged ones on a 0.1-spaced sweep
-        sweep = criterion_sweep(haar_psi_spec, np.arange(0.1, 2.01, 0.1))
+        sweep = criterion_sweep(haar, np.arange(0.1, 2.01, 0.1))
         flags = [r.diverged for r in sweep]
         assert flags == sorted(flags)
 
@@ -257,14 +256,13 @@ class TestShellIntegrand:
     @pytest.mark.parametrize("name,param", [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)])
     def test_one_product_loop_per_spectrum_and_epsilon(self, name, param, criterion):
         fam, calls = counted_symbol(built(name, param))
-        _SINGLE[criterion](criterion_spectrum(fam, criterion), 1.0, 0.5)
+        _SINGLE[criterion](fam, 1.0, 0.5)
         one = list(calls)
         calls.clear()
         co = critical_order(fam, 0.5, criterion)
         assert len(co.evaluations) > 10 and calls == one
         calls.clear()
-        criterion_sweep(criterion_spectrum(fam, criterion), np.arange(0.1, 2.01, 0.1), 0.5,
-                        criterion)
+        criterion_sweep(fam, np.arange(0.1, 2.01, 0.1), 0.5, criterion)
         assert calls == one
 
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
@@ -272,31 +270,22 @@ class TestShellIntegrand:
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_verdicts_equal_single_order_criteria(self, name, param, criterion, eps):
         fam = built(name, param)
-        spec = criterion_spectrum(fam, criterion)
         single = _SINGLE[criterion]
         co = critical_order(fam, eps, criterion)
         for s, diverged in co.evaluations:
-            assert single(spec, s, eps).diverged == diverged
+            assert single(fam, s, eps).diverged == diverged
         s_values = [s for s, _ in co.evaluations] + [0.3, 1.7, 2.9]
-        swept = criterion_sweep(spec, s_values, eps, criterion)
-        assert swept == [single(spec, s, eps) for s in s_values]
-
-    @pytest.mark.parametrize("criterion,other", [("wavelet", "phi"), ("scaling", "psi")])
-    def test_rejects_spectrum_of_the_other_generator(self, haar, criterion, other):
-        spec = family_spectrum(haar, other)
-        with pytest.raises(SobolevError, match="spectrum"):
-            criterion_sweep(spec, [0.3, 0.5], criterion=criterion)
-        with pytest.raises(SobolevError, match="spectrum"):
-            _SINGLE[criterion](spec, 0.3)
+        swept = criterion_sweep(fam, s_values, eps, criterion)
+        assert swept == [single(fam, s, eps) for s in s_values]
 
     def test_haar_wavelet_finite_below_one(self, haar):
-        sweep = criterion_sweep(criterion_spectrum(haar, "wavelet"), [0.3, 0.5])
+        sweep = criterion_sweep(haar, [0.3, 0.5])
         assert not any(r.diverged for r in sweep)
 
 
 class TestExports:
-    def test_sweep_csv(self, haar_psi_spec, tmp_path):
-        results = criterion_sweep(haar_psi_spec, [0.5, 1.5])
+    def test_sweep_csv(self, haar, tmp_path):
+        results = criterion_sweep(haar, [0.5, 1.5])
         path = tmp_path / "sweep.csv"
         export_sweep_csv(results, str(path))
         lines = path.read_text().splitlines()

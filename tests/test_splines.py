@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverate import DyadicGrid, make_family, sample, splines
-from waverate.convergence import MarkedPoint, TestFunction, builtin_suite
+from waverate.convergence import TestFunction, builtin_suite
 from waverate.expansion import project
 from waverate.grids import DecayHint
 from waverate.splines import (
@@ -25,7 +25,6 @@ from waverate.splines import (
     perturbation_optimality,
     residual_orthogonality,
     spline_convergence_study,
-    spline_pointwise_trace,
 )
 
 
@@ -336,35 +335,24 @@ class TestSplineCorollary:
         assert np.max(np.abs(approx(xs.points()) - pj.values)) <= 1e-7
 
 
-@pytest.fixture(scope="module")
-def sine_tf():
-    return TestFunction(
-        "sine",
-        np.sin,
-        (0.0, 3.25),
-        (MarkedPoint(1.0, "continuity", math.sin(1.0)),),
-        math.inf,
-    )
-
-
 class TestConvergenceStudies:
     MESHES = [2.0**-m for m in range(2, 7)]
 
-    def test_order_two_sine_second_order(self, sine_tf):
-        rep = spline_convergence_study(sine_tf, 2, self.MESHES)
+    def test_order_two_sine_second_order(self, suite):
+        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)
         assert rep.family == "spline:k=2"
         assert 1.8 <= rep.slope <= 2.2
         assert rep.r_squared > 0.99
         ratios = [a / b for a, b in zip(rep.sup_errors, rep.sup_errors[1:])]
         assert all(3.4 <= r <= 4.6 for r in ratios)
 
-    def test_order_two_fits_every_mesh(self, sine_tf):
-        rep = spline_convergence_study(sine_tf, 2, self.MESHES)
+    def test_order_two_fits_every_mesh(self, suite):
+        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)
         assert rep.fitted_meshes == tuple(self.MESHES)
         assert rep.slope == pytest.approx(1.9997461482093464, abs=1e-12)
 
-    def test_roundoff_errors_are_not_fitted(self, sine_tf):
-        rep = spline_convergence_study(sine_tf, 6, self.MESHES)
+    def test_roundoff_errors_are_not_fitted(self, suite):
+        rep = spline_convergence_study(suite["sine"], 6, self.MESHES)
         floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps
         fitted = [h for h, e in zip(self.MESHES, rep.sup_errors) if e > floor]
         assert rep.fitted_meshes == tuple(fitted) == tuple(self.MESHES[:3])
@@ -382,20 +370,19 @@ class TestConvergenceStudies:
 
     def test_step_trace_converges_off_knot(self, suite):
         # x = 0.3 never becomes a knot, so the jump at 0 stays one cell away
-        tr = spline_pointwise_trace(
-            suite["step"], 1, [2.0**-m for m in range(2, 9)], 0.3
-        )
-        assert abs(tr[-1][1] - 1.0) < 1e-2
+        tf = suite["step"]
+        approx = best_l2_spline(tf.tabulate(12), make_space(1, 2.0**-8, tf.window))
+        assert abs(approx(0.3)[0] - 1.0) < 1e-2
 
     def test_rejects_bad_meshes(self, suite):
         for bad in ([0.25], [0.25, 0.3], [0.25, 0.2], [0.25, 0.125, 0.1]):
             with pytest.raises(SplineError):
                 spline_convergence_study(suite["gaussian"], 1, bad)
 
-    def test_rejects_window_swallowed_by_shrink(self, sine_tf):
+    def test_rejects_window_swallowed_by_shrink(self, suite):
         # 8 * 0.25 at each end of the 3.25-wide window leaves no point to assert on
         with pytest.raises(SplineError, match="shrinks the window"):
-            spline_convergence_study(sine_tf, 8, [0.25, 0.125, 0.0625])
+            spline_convergence_study(suite["sine"], 8, [0.25, 0.125, 0.0625])
 
 
 class TestCheckStudy:
