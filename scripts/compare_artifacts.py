@@ -6,7 +6,8 @@ Every `waverate` command of the README's CLI quickstart (the suite with
 importing `waverate` from BASE_SRC and once from this checkout's `src/`, each
 in its own temporary directory.  Every file a study writes, its standard
 output and its exit code are compared byte for byte, and each is printed as
-identical or differing.
+identical or differing.  A differing text artifact is followed by its unified
+diff, capped at DIFF_LINES lines, so the moved digits can be quoted.
 
 Usage: python3 scripts/compare_artifacts.py BASE_SRC
            [--study "kernel --family shannon --j 0..6 --out kernel.json" ...]
@@ -15,6 +16,7 @@ Exits 1 if any artifact differs.
 """
 
 import argparse
+import difflib
 import os
 import shlex
 import subprocess
@@ -23,6 +25,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: most diff lines printed per differing artifact
+DIFF_LINES = 40
 
 
 def readme_studies() -> list[list[str]]:
@@ -58,6 +62,18 @@ def run_study(src: str, argv: list[str]) -> dict[str, bytes]:
     return out
 
 
+def text_diff(name: str, base: bytes, head: bytes) -> list[str]:
+    """The unified diff of two text artifacts, capped; none for binary ones."""
+    try:
+        a, b = base.decode().splitlines(), head.decode().splitlines()
+    except UnicodeDecodeError:
+        return []
+    lines = list(difflib.unified_diff(a, b, f"base/{name}", f"head/{name}", lineterm=""))
+    if len(lines) > DIFF_LINES:
+        lines = lines[:DIFF_LINES] + [f"... {len(lines) - DIFF_LINES} more diff lines"]
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", help="the src/ directory of the reference tree")
@@ -78,6 +94,9 @@ def main() -> int:
                 verdict = "identical" if base[name] == head[name] else "differing"
             differing += verdict != "identical"
             print(f"  {name}: {verdict}")
+            if verdict == "differing":
+                for line in text_diff(name, base[name], head[name]):
+                    print(f"    {line}")
     print(f"{differing} differing artifact(s)")
     return 1 if differing else 0
 

@@ -8,12 +8,12 @@ from .grids import DecayHint, DyadicGrid, SampledFunction, sample
 from .filters import FilterPair, daubechies_filter, haar_filter
 from .families import (
     MRAFamily,
-    cascade_scaling,
     check_family_invariants,
     derive_wavelet,
     evaluate_dilate,
     make_family,
     parse_family_spec,
+    subdivision_scaling,
 )
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "SampledFunction",
     "FilterPair",
     "MRAFamily",
-    "cascade_scaling",
     "check_family_invariants",
     "daubechies_filter",
     "derive_wavelet",
@@ -31,4 +30,5 @@ __all__ = [
     "make_family",
     "parse_family_spec",
     "sample",
+    "subdivision_scaling",
 ]

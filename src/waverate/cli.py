@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 bad configuration, 2 computational error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -63,6 +64,7 @@ from .kernels import (
 from .serialize import family_to_dict, write_csv, write_json
 from .sobolev import (
     SobolevError,
+    check_settings,
     criterion_sweep,
     critical_order,
     export_critical_json,
@@ -93,6 +95,15 @@ COMPUTATIONAL_ERRORS = (
 
 class ConfigError(ValueError):
     """Invalid command-line configuration (exit code 1)."""
+
+
+@contextlib.contextmanager
+def _config_errors(*kinds):
+    """Re-raise a check's rejection (an exception of `kinds`) as ConfigError."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,31 +157,25 @@ def parse_window(text: str) -> tuple[float, float]:
 
 
 def lookup_function(name: str) -> TestFunction:
-    try:
+    with _config_errors(ConvergenceError):
         return test_function(name)
-    except ConvergenceError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _family(spec: str):
-    try:
+    with _config_errors(FamilyError, ValueError):
         return parse_family_spec(spec)
-    except (FamilyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _check_grids(fam, tf: TestFunction, level: int, js: range, window=None) -> None:
     """Reject tables finer than MAX_TABLE_LEVEL, an odd quadrature lattice and,
     for a rate study, a window that is not dyadic or not inside f's window and
     too few levels to fit, before any compute."""
-    try:
+    with _config_errors(ValueError):
         check_table_level(finest_table_level(fam, level, js[-1]))
         if window is not None:
             DyadicGrid(window[0], window[1], level)
             check_rate_study(tf, js, window)
         check_quadrature_lattice(fam, DyadicGrid(tf.window[0], tf.window[1], level))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +212,8 @@ def run_kernel(args) -> str:
     if jr.start < 0 or len(jr) < 3:
         raise ConfigError(f"kernel needs at least 3 scales j >= 0, got {args.j!r}")
     fam = _family(args.family)
-    try:
+    with _config_errors(ValueError):
         check_table_level(profile_table_level(fam, jr[-1]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     report = verify_convolution_bound(fam, jr)
     fit = None
     if args.fit_decay:
@@ -242,9 +245,11 @@ def run_rate(args) -> str:
 
 
 def run_sobolev(args) -> str:
+    s_values = parse_sweep(args.sweep_s) if args.sweep_s else ()
+    with _config_errors(SobolevError):
+        check_settings(args.epsilon, s_values)
     fam = _family(args.family)
     if args.sweep_s:
-        s_values = parse_sweep(args.sweep_s)
         results = criterion_sweep(fam, s_values, args.epsilon, args.criterion)
         if args.out:
             export_sweep_csv(results, args.out)
@@ -262,10 +267,8 @@ def run_sobolev(args) -> str:
 def run_spline(args) -> str:
     tf = lookup_function(args.function)
     meshes = [2.0**-m for m in parse_int_range(args.mesh_exponents)]
-    try:
+    with _config_errors(SplineError):
         check_study(tf.window, args.order, meshes, args.level)
-    except SplineError as exc:
-        raise ConfigError(str(exc)) from None
     report = spline_convergence_study(tf, args.order, meshes, level=args.level)
     optimal = ""
     if args.check_optimality:
@@ -318,7 +321,7 @@ def crit_mra_invariants():
     )
 
 
-def _haar_cell_average_defect(tf, j: int, level: int = 12) -> float:
+def _haar_cell_average_defect(haar, tf, j: int, level: int = 12) -> float:
     """Sup distance between project(f, haar, j) and a direct cell-average oracle.
 
     The oracle averages the sampler at cell-interior midpoints, which never
@@ -326,7 +329,6 @@ def _haar_cell_average_defect(tf, j: int, level: int = 12) -> float:
     convention; composite midpoint quadrature there is exact for the
     piecewise-linear targets and O(h^2) otherwise.
     """
-    haar = make_family("haar")
     f = tf.tabulate(level)
     xs = DyadicGrid(tf.window[0], tf.window[1], level)
     pj = project(f, haar, j, xs)
@@ -346,10 +348,10 @@ def _haar_cell_average_defect(tf, j: int, level: int = 12) -> float:
 
 
 def crit_haar_projection_oracle():
-    worst = 0.0
+    haar, worst = make_family("haar"), 0.0
     for fname in ("ramp", "gaussian"):
         for j in range(0, 9):
-            worst = max(worst, _haar_cell_average_defect(test_function(fname), j))
+            worst = max(worst, _haar_cell_average_defect(haar, test_function(fname), j))
     return _row(
         "2",
         "haar-projection-oracle",

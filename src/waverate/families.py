@@ -3,8 +3,9 @@
 Construction routes:
   * Haar (= DB1): closed forms with midpoint samples at the jumps, grid
     extended one cell past [0,1] so trapezoid quadrature is exact.
-  * Daubechies N>=2: cascade iteration of the refinement operator on a
-    dyadic grid, wavelet from the mirror filter.
+  * Daubechies N>=2: phi on the integers from the eigenvector of the
+    two-scale matrix, then exact dyadic subdivision to FAMILY_LEVEL; the
+    wavelet from the mirror filter.
   * Battle-Lemarie order k >= 2: an exact spline series on integer knots,
     phi = sum_n c_n M_k(x - n + k//2) and psi = sum_p d_p M_k(2x - p + k//2),
     with c and d the Fourier coefficients of the orthonormalizing symbols
@@ -16,7 +17,9 @@ Construction routes:
 
 Every family also carries its two-scale power symbol
 w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
-`waverate.sobolev` are infinite products of it.
+`waverate.sobolev` are infinite products of it.  Filter families (Haar and
+Daubechies) hold their finer tables themselves: `refined_tables` subdivides
+on demand and keeps each level on the family object.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ FAMILY_NAMES = ("haar", "daubechies", "battle_lemarie", "shannon")
 FAMILY_LEVEL = 10
 BATTLE_LEMARIE_MAX_ORDER = 4
 SHANNON_RADIUS = 64.0
-CASCADE_TOL = 1e-9
 
 
 class FamilyError(ValueError):
@@ -52,7 +54,7 @@ class FamilyError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """Invariant failure or non-convergence during family construction."""
+    """Invariant failure during family construction."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class MRAFamily:
     #: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized
     symbol: Callable = field(repr=False, compare=False)
     param: int | None = None
+    #: level -> (phi, psi) subdivided from this family's tables (`refined_tables`)
+    tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def label(self) -> str:
@@ -88,7 +92,7 @@ def evaluate_dilate(f: SampledFunction, j: int, k: int, x) -> np.ndarray | float
 
 
 # ---------------------------------------------------------------------------
-# cascade construction
+# two-scale construction
 
 
 def _two_scale(
@@ -111,54 +115,29 @@ def _two_scale(
     return np.sqrt(2.0) * out
 
 
-def cascade_scaling(
-    filter: FilterPair,
-    iterations: int = 400,
-    level: int = FAMILY_LEVEL,
-) -> SampledFunction:
-    """Fixed-point iterate of phi(x) = sqrt(2) sum_k h_k phi(2x-k).
+def subdivision_scaling(filter: FilterPair) -> SampledFunction:
+    """phi at FAMILY_LEVEL, exact up to roundoff, by subdivision of phi(0..M-1).
 
-    Starts from the indicator of [0,1) on a level-`level` grid over
-    [0, M-1]; stops when successive iterates agree to CASCADE_TOL in sup
-    norm, else raises.
+    On the integers phi = T phi with T_{nk} = sqrt(2) h_{2n-k}.  Every column
+    of T sums to 1, so the eigenvector at eigenvalue 1 with sum_n phi(n) = 1
+    solves T - I with its last row replaced by ones.  For Haar T = I: the box
+    keeps its closed form (`_haar_pair`).
     """
-    if level < 3:
-        raise ValueError("cascade level must be >= 3")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     h = filter.lowpass
-    m = len(h)
-    if m < 2:
-        raise FamilyError("filter too short for cascade")
-    width = m - 1
-    n = width * 2**level + 1
-    step = 2**level
-
-    vals = np.zeros(n)
-    vals[: step] = 1.0  # indicator of [0,1)
-
-    residual = np.inf
-    for _ in range(iterations):
-        new = _two_scale(h, vals, 0, 2, n, step)
-        residual = float(np.max(np.abs(new - vals)))
-        vals = new
-        if residual < CASCADE_TOL:
-            break
-    else:
-        raise ConstructionError(
-            f"cascade did not converge: residual {residual:.3e} after {iterations} steps"
-        )
-
+    width = len(h) - 1
+    taps = 2 * np.arange(len(h))[:, None] - np.arange(len(h))
+    system = np.where((taps >= 0) & (taps <= width), np.sqrt(2.0) * h[taps % len(h)], 0.0)
+    system -= np.eye(len(h))
+    system[-1] = 1.0
+    vals = np.linalg.solve(system, np.eye(len(h))[-1])
+    vals[0] = vals[-1] = 0.0  # phi vanishes at both ends of its support
+    integers = SampledFunction(DyadicGrid(0.0, float(width), 0), vals, COMPACT)
+    phi = refine_scaling(filter, integers, FAMILY_LEVEL)
     # pad one cell past the support: endpoint values stay zero (compact
-    # convention) while support-boundary values keep full trapezoid weight,
-    # which makes the Haar fixed point carry the indicator of [0,1) exactly
-    step_x = 2.0**-level
-    vals = np.concatenate(([0.0], vals, [0.0]))
-    grid = DyadicGrid(-step_x, width + step_x, level)
-    # pin total mass exactly; trapezoid mass is already 1 to ~1e-10
-    mass = np.trapezoid(vals, dx=step_x)
-    vals /= mass
-    return SampledFunction(grid, vals, COMPACT)
+    # convention) while support-boundary values keep full trapezoid weight
+    step_x = 2.0**-FAMILY_LEVEL
+    grid = DyadicGrid(-step_x, width + step_x, FAMILY_LEVEL)
+    return SampledFunction(grid, np.concatenate(([0.0], phi.values, [0.0])), COMPACT)
 
 
 def refine_scaling(
@@ -170,30 +149,23 @@ def refine_scaling(
     phi(x) = sqrt(2) sum_k h_k phi(2x - k) is an exact table lookup; no
     fixed-point iteration is needed.
     """
-    vals = phi.values
-    grid = phi.grid
+    vals, grid = phi.values, phi.grid
     for _ in range(extra_levels):
         step = 2**grid.level
-        fine = grid.refine(1)
         # fine index i is x = left + i/(2 step), so 2x has old index i + left*step
         first = int(round(grid.left * step))
-        vals = _two_scale(filter.lowpass, vals, first, 1, fine.count, step)
-        grid = fine
-    vals[0] = 0.0
-    vals[-1] = 0.0
+        vals = _two_scale(filter.lowpass, vals, first, 1, 2 * vals.size - 1, step)
+        grid = grid.refine(1)
+    vals[0] = vals[-1] = 0.0
     return SampledFunction(grid, vals, COMPACT)
 
 
 def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
     """psi(x) = sqrt(2) sum_k g_k phi(2x - k) on phi's own grid."""
-    level = phi.grid.level
-    if level < 1:
-        raise ValueError("phi grid too coarse to evaluate phi(2x-k)")
-    step = 2**level
+    step = 2**phi.grid.level
     first = int(round(phi.grid.left * step))
     vals = _two_scale(filter.highpass, phi.values, first, 2, phi.grid.count, step)
-    vals[0] = 0.0
-    vals[-1] = 0.0
+    vals[0] = vals[-1] = 0.0
     return SampledFunction(phi.grid, vals, COMPACT)
 
 
@@ -362,7 +334,7 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
 
     Returns the measured defects.  For non-compact families the declared
     truncation error inflates the tolerances.  Battle-Lemarie families are
-    checked exactly from their series coefficients.  Cascade-built families
+    checked exactly from their series coefficients.  Daubechies families
     are checked on their tables subdivided a few levels finer by the exact
     two-scale relation (`refined_tables`): the quadrature error on products
     of Hoelder-rough scaling functions decays like h^(2*alpha) and would
@@ -472,7 +444,7 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
         phi, psi = _haar_pair(FAMILY_LEVEL)
     elif name == "daubechies":
         filt, symbol = daubechies_filter(param), _daubechies_symbol(param)
-        phi = cascade_scaling(filt)
+        phi = subdivision_scaling(filt)
         psi = derive_wavelet(filt, phi)
     elif name == "battle_lemarie":
         symbol = _battle_lemarie_symbol(param)
@@ -494,8 +466,7 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
     return fam
 
 
-_REFINED_CACHE: dict[tuple, tuple[SampledFunction, SampledFunction]] = {}
-#: one lock for every lookup and insert: `suite --jobs` threads share the cache
+#: one lock for every lookup and insert: `suite --jobs` threads share families
 _REFINED_LOCK = threading.Lock()
 
 
@@ -503,37 +474,29 @@ def refined_tables(fam: MRAFamily, level: int):
     """phi and psi tabulated at least at `level`, on the family's own grid.
 
     Needed whenever atoms are evaluated on a lattice finer than the stored
-    tables: interpolating the stored table there would smear jumps and rough
-    features.  The Haar box pair is re-tabulated directly, filter families
-    by exact dyadic subdivision, continued from the finest level already
-    cached.  Battle-Lemarie spline tables and the band-limited Shannon pair
-    are returned unchanged: they are continuous splines on integer knots
-    (linear for order 2, so interpolation is exact) or smooth on the stored
-    lattice, so interpolation is already faithful.
+    tables, where interpolation would smear jumps and rough features.  Filter
+    families (Haar included) subdivide exactly, from the finest level they
+    already hold.  Battle-Lemarie splines on integer knots and the smooth
+    Shannon pair are returned unchanged: interpolation is already faithful.
     """
-    haar = uses_haar_tables(fam.name, fam.param)
-    if level <= fam.phi.grid.level or not (haar or fam.filter is not None):
-        # never cached: another family object of the same name and level
-        # must get its own tables back
+    if level <= fam.phi.grid.level or fam.filter is None:
         return fam.phi, fam.psi
-    base = (fam.name, fam.param, fam.phi.grid.level)
     with _REFINED_LOCK:
-        if base + (level,) in _REFINED_CACHE:
-            return _REFINED_CACHE[base + (level,)]
-        cached = [key[3] for key in _REFINED_CACHE if key[:3] == base and key[3] < level]
-        phi = _REFINED_CACHE[base + (max(cached),)][0] if cached else fam.phi
-    if haar:
-        pair = _haar_pair(level)
-    else:
-        phi = refine_scaling(fam.filter, phi, level - phi.grid.level)
-        pair = (phi, derive_wavelet(fam.filter, phi))
+        if level in fam.tables:
+            return fam.tables[level]
+        coarser = [held for held in fam.tables if held < level]
+        phi = fam.tables[max(coarser)][0] if coarser else fam.phi
+    phi = refine_scaling(fam.filter, phi, level - phi.grid.level)
+    pair = (phi, derive_wavelet(fam.filter, phi))
     with _REFINED_LOCK:
-        return _REFINED_CACHE.setdefault(base + (level,), pair)
+        return fam.tables.setdefault(level, pair)
 
 
 def parse_family_spec(spec: str) -> MRAFamily:
-    """Parse 'name' or 'name:param' CLI syntax."""
+    """Parse 'name' or 'name:param' CLI syntax; haar and shannon take no param."""
     if ":" in spec:
         name, raw = spec.split(":", 1)
+        if name in ("haar", "shannon"):
+            raise FamilyError(f"{name} takes no parameter, got {spec!r}")
         return make_family(name, int(raw))
     return make_family(spec)

@@ -207,7 +207,9 @@ class IntegralResult:
         return "DIVERGED" if self.diverged else fmt(self.value)
 
 
-def _check_shells(epsilon: float, n_shells: int) -> None:
+def check_settings(epsilon: float, s_values=(), n_shells: int = SHELLS) -> None:
+    """Raise SobolevError unless eps lies in (0, pi], its shells stay above
+    XI_FLOOR / 4 and every s lies in (0, 16]; needs no family."""
     if not 0.0 < epsilon <= math.pi:
         raise SobolevError(f"epsilon must lie in (0, pi], got {epsilon}")
     if epsilon * 2.0**-n_shells < XI_FLOOR / 4.0:
@@ -215,6 +217,9 @@ def _check_shells(epsilon: float, n_shells: int) -> None:
             f"shells would reach xi = {epsilon * 2.0 ** -n_shells:.2g}, "
             f"below the frequency floor {XI_FLOOR:g}"
         )
+    for s in s_values:
+        if not 0.0 < s <= 16.0:
+            raise SobolevError(f"regularity order s must lie in (0, 16], got {s}")
 
 
 def _assemble(s, epsilon, shell_sums) -> IntegralResult:
@@ -253,7 +258,7 @@ def _shell_integral(
     """
     which, integrand = _criterion(criterion)
     spec = family_spectrum(fam, which)
-    _check_shells(epsilon, n_shells)
+    check_settings(epsilon, n_shells=n_shells)
     grids = [
         np.linspace(epsilon * 2.0 ** -(m + 1), epsilon * 2.0**-m, SHELL_POINTS)
         for m in range(n_shells)
@@ -261,8 +266,7 @@ def _shell_integral(
     values = np.split(integrand(spec, np.concatenate(grids)), n_shells)
 
     def integral(s: float) -> IntegralResult:
-        if not 0.0 < s <= 16.0:
-            raise SobolevError(f"regularity order s must lie in (0, 16], got {s}")
+        check_settings(epsilon, (s,), n_shells)
         sums = [
             float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g))
             for g, v in zip(grids, values)

@@ -91,8 +91,11 @@ class TestCommands:
     def test_unknown_function_exits_1(self):
         assert main(["rate", "--family", "haar", "--function", "nope", "--j", "3..9"]) == 1
 
-    def test_unknown_family_exits_1(self):
-        assert main(["family", "--family", "mystery:3"]) == 1
+    @pytest.mark.parametrize("spec", ["mystery:3", "haar:3", "shannon:7"])
+    def test_bad_family_spec_exits_1(self, spec, capsys):
+        # haar and shannon take no parameter: one given is not dropped
+        assert main(["family", "--family", spec]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_computational_error_exits_2(self, capsys):
         # window touches the step's jump: a module-level diagnostic, not config
@@ -174,6 +177,31 @@ class TestCommands:
 
         monkeypatch.setattr("waverate.cli.verify_convolution_bound", refuse)
         out = tmp_path / "kernel.json"
+        assert main(argv.split() + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # epsilon outside (0, pi], or shells below the frequency floor
+            "sobolev --family daubechies:2 --epsilon 5",
+            "sobolev --family daubechies:2 --epsilon 0",
+            "sobolev --family daubechies:2 --epsilon 0.001",
+            "sobolev --family haar --epsilon 0.001 --sweep-s 0.5..1.5:0.5",
+            # s outside (0, 16]
+            "sobolev --family haar --sweep-s 0.0..2.0:0.5",
+            "sobolev --family haar --sweep-s 15.0..17.0:1.0",
+        ],
+    )
+    def test_bad_sobolev_settings_exit_1_before_compute(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr("waverate.cli.parse_family_spec", refuse)
+        out = tmp_path / "sobolev.json"
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()
         assert "error:" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from waverate import (
     DyadicGrid,
-    cascade_scaling,
+    SampledFunction,
     check_family_invariants,
     daubechies_filter,
     derive_wavelet,
@@ -18,11 +18,13 @@ from waverate import (
     haar_filter,
     make_family,
     parse_family_spec,
+    subdivision_scaling,
 )
 from waverate import families
 from waverate.families import (
     FAMILY_LEVEL,
     FamilyError,
+    _haar_pair,
     _two_scale,
     battle_lemarie_series,
     euler_frobenius,
@@ -31,7 +33,7 @@ from waverate.families import (
     refined_tables,
     translate_orthonormality_defect,
 )
-from waverate.grids import product_quad
+from waverate.grids import COMPACT, product_quad
 from waverate.splines import cardinal_bspline
 
 
@@ -55,50 +57,58 @@ def integer_values_oracle(filt):
     return col / col.sum()
 
 
-class TestCascade:
-    def test_haar_fixed_point_is_indicator(self):
-        phi = cascade_scaling(haar_filter(), iterations=2)
-        x = phi.grid.points()
-        assert np.array_equal(phi.values, np.where((x >= 0) & (x < 1), 1.0, 0.0))
+def haar_box(level: int) -> SampledFunction:
+    """The Haar box subdivided from its level-0 table on [-1, 2]: phi(0) =
+    phi(1) = 1/2, the midpoint values at the jumps."""
+    table = SampledFunction(DyadicGrid(-1.0, 2.0, 0), np.array([0.0, 0.5, 0.5, 0.0]), COMPACT)
+    return refine_scaling(haar_filter(), table, level)
 
-    def test_db2_integer_values_match_transfer_matrix(self):
-        filt = daubechies_filter(2)
-        phi = cascade_scaling(filt)
+
+class TestSubdivisionScaling:
+    def test_haar_box_from_integer_table(self):
+        phi = haar_box(6)
+        assert phi.grid == _haar_pair(6)[0].grid
+        assert phi.values.tobytes() == _haar_pair(6)[0].values.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_integer_values_match_transfer_matrix(self, n):
+        filt = daubechies_filter(n)
+        phi = subdivision_scaling(filt)
         oracle = integer_values_oracle(filt)
         got = np.array([phi(float(k)) for k in range(len(filt) - 1)])
-        assert np.max(np.abs(got - oracle)) < 1e-8
-        # closed form for DB2: phi(1) = (1 + sqrt 3)/2
-        assert phi(1.0) == pytest.approx((1 + np.sqrt(3.0)) / 2, abs=1e-8)
+        assert np.max(np.abs(got - oracle)) < 1e-14
+
+    def test_db2_closed_form(self):
+        # phi(1) = (1 + sqrt 3)/2 and phi(2) = (1 - sqrt 3)/2
+        phi = subdivision_scaling(daubechies_filter(2))
+        assert abs(phi(1.0) - (1 + np.sqrt(3.0)) / 2) <= 1e-15
+        assert abs(phi(2.0) - (1 - np.sqrt(3.0)) / 2) <= 1e-15
 
     def test_db2_partition_of_unity(self):
-        phi = cascade_scaling(daubechies_filter(2))
+        phi = subdivision_scaling(daubechies_filter(2))
         x = np.linspace(0.25, 0.75, 9)
         total = sum(phi(x + k) for k in range(-1, 3))
-        assert np.max(np.abs(total - 1.0)) < 1e-6
+        assert np.max(np.abs(total - 1.0)) < 1e-14
 
-    def test_mass_is_one(self):
-        for n in (2, 3, 5):
-            phi = cascade_scaling(daubechies_filter(n))
-            assert phi.integral() == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_mass_is_one(self, n):
+        # no re-normalization: the trapezoid mass is 1 by construction
+        phi = subdivision_scaling(daubechies_filter(n))
+        assert phi.grid.level == FAMILY_LEVEL
+        assert abs(phi.integral() - 1.0) < 1e-14
 
     def test_subdivision_consistency(self):
         # refining then restricting to the coarse lattice reproduces the table
         filt = daubechies_filter(3)
-        phi = cascade_scaling(filt, level=6)
-        from waverate.families import refine_scaling
-
+        phi = subdivision_scaling(filt)
         fine = refine_scaling(filt, phi, 2)
-        assert fine.grid.level == 8
-        assert np.max(np.abs(fine.values[::4] - phi.values)) < 1e-8
-
-    def test_rejects_coarse_level(self):
-        with pytest.raises(ValueError):
-            cascade_scaling(haar_filter(), level=2)
+        assert fine.grid.level == FAMILY_LEVEL + 2
+        assert np.max(np.abs(fine.values[::4] - phi.values)) < 1e-14
 
 
 class TestDeriveWavelet:
     def test_haar_wavelet_closed_form(self):
-        phi = cascade_scaling(haar_filter(), level=6)
+        phi = haar_box(6)
         psi = derive_wavelet(haar_filter(), phi)
         assert psi(0.25) == 1.0
         assert psi(0.75) == -1.0
@@ -244,31 +254,31 @@ class TestTwoScale:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_strided_passes_equal_fancy_index_oracle(self, n):
         filt = daubechies_filter(n)
-        level = 6
-        step = 2**level
-        phi = cascade_scaling(filt, level=level)
+        step = 2**FAMILY_LEVEL
+        phi = _haar_pair(FAMILY_LEVEL)[0] if n == 1 else subdivision_scaling(filt)
         first = int(round(phi.grid.left * step))
+        integers = np.append(integer_values_oracle(filt), 0.0)  # phi(0..M-1)
         patterns = [
-            # cascade: the unpadded table read at 2x
-            (filt.lowpass, phi.values[1:-1], 0, 2, phi.values.size - 2),
+            # subdivision_scaling: the integer table read from the level-1 lattice
+            (filt.lowpass, integers, 0, 1, 2 * integers.size - 1, 1),
             # refine_scaling: the padded table read from the next finer lattice
-            (filt.lowpass, phi.values, first, 1, 2 * phi.values.size - 1),
+            (filt.lowpass, phi.values, first, 1, 2 * phi.values.size - 1, step),
             # derive_wavelet: the padded table read at 2x on its own lattice
-            (filt.highpass, phi.values, first, 2, phi.values.size),
+            (filt.highpass, phi.values, first, 2, phi.values.size, step),
         ]
         # the tables vanish at both ends; random values of the same sizes
         # also check the first and last reads of each tap
         rng = np.random.default_rng(n)
         patterns += [(c, rng.standard_normal(v.size), *rest) for c, v, *rest in patterns]
-        for c, vals, start, stride, count in patterns:
-            got = _two_scale(c, vals, start, stride, count, step)
-            want = two_scale_oracle(c, vals, start + stride * np.arange(count), step)
+        for c, vals, start, stride, count, at in patterns:
+            got = _two_scale(c, vals, start, stride, count, at)
+            want = two_scale_oracle(c, vals, start + stride * np.arange(count), at)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_chained_refinement_equals_direct(self, n):
         filt = daubechies_filter(n)
-        phi = cascade_scaling(filt, level=6)
+        phi = subdivision_scaling(filt)
         chained = refine_scaling(filt, refine_scaling(filt, phi, 3), 2)
         direct = refine_scaling(filt, phi, 5)
         assert chained.grid == direct.grid
@@ -294,30 +304,36 @@ class TestRefinedTables:
         phi, psi = refined_tables(fam, fam.phi.grid.level)
         assert phi is fam.phi and psi is fam.psi
 
-    def test_cache_returns_same_object(self):
+    def test_tables_belong_to_the_family(self):
         fam = make_family("daubechies", 2)
         a = refined_tables(fam, fam.phi.grid.level + 2)
         b = refined_tables(fam, fam.phi.grid.level + 2)
         assert a[0] is b[0]
+        other = refined_tables(make_family("daubechies", 2), fam.phi.grid.level + 2)
+        assert other[0] is not a[0]
+        assert other[0].values.tobytes() == a[0].values.tobytes()
 
-    def test_haar_refinement_exact(self):
-        fam = make_family("haar")
-        phi, _ = refined_tables(fam, 12)
-        assert phi.grid.level == 12
+    @pytest.mark.parametrize("level", [11, 12, 13])
+    def test_haar_subdivision_is_the_closed_form(self, level):
+        phi, psi = refined_tables(make_family("haar"), level)
+        want_phi, want_psi = _haar_pair(level)
+        assert phi.grid == want_phi.grid
+        assert phi.values.tobytes() == want_phi.values.tobytes()
+        assert psi.values.tobytes() == want_psi.values.tobytes()
         assert phi(0.25) == 1.0 and phi(0.0) == 0.5
 
     def test_db2_refinement_restricts_to_original(self):
         fam = make_family("daubechies", 2)
         phi, psi = refined_tables(fam, fam.phi.grid.level + 3)
-        assert np.max(np.abs(phi.values[::8] - fam.phi.values)) < 1e-8
-        assert np.max(np.abs(psi.values[::8] - fam.psi.values)) < 1e-8
+        assert np.max(np.abs(phi.values[::8] - fam.phi.values)) < 1e-14
+        assert np.max(np.abs(psi.values[::8] - fam.psi.values)) < 1e-14
 
-    def test_continues_from_finest_cached_level(self, monkeypatch):
+    def test_continues_from_finest_held_level(self, monkeypatch):
         fam = make_family("daubechies", 3)
         base = fam.phi.grid.level
-        monkeypatch.setattr(families, "_REFINED_CACHE", {})
-        direct = refined_tables(fam, base + 5)
-        monkeypatch.setattr(families, "_REFINED_CACHE", {})
+        # the invariant check already subdivided three levels
+        assert list(fam.tables) == [base + 3]
+        direct = refine_scaling(fam.filter, fam.phi, 5)
         steps = []
 
         def counted(filt, phi, extra_levels):
@@ -325,20 +341,20 @@ class TestRefinedTables:
             return refine_scaling(filt, phi, extra_levels)
 
         monkeypatch.setattr(families, "refine_scaling", counted)
-        refined_tables(fam, base + 3)
         chained = refined_tables(fam, base + 5)
-        assert steps == [3, 2]
-        for a, b in zip(chained, direct):
-            assert a.values.tobytes() == b.values.tobytes()
+        refined_tables(fam, base + 4)
+        assert steps == [2, 1]
+        assert chained[0].values.tobytes() == direct.values.tobytes()
+        want_psi = derive_wavelet(fam.filter, direct)
+        assert chained[1].values.tobytes() == want_psi.values.tobytes()
 
-    def test_threads_get_serial_tables(self, monkeypatch):
+    def test_threads_get_serial_tables(self):
         # more threads than cores, switching often: each must get the serial
-        # tables, and threads asking for one level must share one cached pair
+        # tables, and threads asking for one level must share one held pair
+        levels = [FAMILY_LEVEL + extra for extra in (3, 5, 4, 3, 5, 6)]
         fam = make_family("daubechies", 2)
-        levels = [fam.phi.grid.level + extra for extra in (3, 5, 4, 3, 5, 6)]
-        monkeypatch.setattr(families, "_REFINED_CACHE", {})
         serial = {level: refined_tables(fam, level) for level in levels}
-        monkeypatch.setattr(families, "_REFINED_CACHE", {})
+        fam = make_family("daubechies", 2)
         start = threading.Barrier(len(levels))
 
         def ask(level):
@@ -363,6 +379,7 @@ class TestRefinedTables:
         fam = make_family("battle_lemarie", 2)
         phi, _ = refined_tables(fam, fam.phi.grid.level + 3)
         assert phi is fam.phi
+        assert fam.tables == {}
 
 
 class TestEulerFrobenius:

@@ -19,7 +19,15 @@ from waverate.kernels import (
     verify_convolution_bound,
     wavelet_kernel_matrix,
 )
+from waverate.families import _decay_rate
 from waverate.kernels import _profile_grid, _radii_level
+
+#: every family the code accepts, shannon aside
+ACCEPTED_FAMILIES = (
+    [("haar", 0)]
+    + [("daubechies", n) for n in range(1, 11)]
+    + [("battle_lemarie", k) for k in range(1, 5)]
+)
 
 
 def outer_difference_profile(ke) -> RadialBound:
@@ -196,6 +204,23 @@ class TestConvolutionBound:
             verify_convolution_bound(haar, [0, 1])
 
 
+class TestMainTheorem:
+    """P_j is bounded by a radial decreasing L1 kernel, for every family."""
+
+    @pytest.mark.parametrize("name,param", ACCEPTED_FAMILIES)
+    def test_radial_majorant(self, name, param):
+        fam = make_family(name, param)
+        rep = verify_convolution_bound(fam, range(0, 7))
+        assert rep["passes"]
+        if fam.filter is not None:
+            # exact tables: the rescaled profiles collapse to roundoff
+            assert rep["collapse_defect"] <= 1e-14
+
+    @pytest.mark.xfail(strict=True, reason="the sinc kernel has no L1 radial majorant")
+    def test_shannon_has_none(self):
+        assert verify_convolution_bound(make_family("shannon"), range(0, 7))["passes"]
+
+
 class TestFitDecay:
     @pytest.fixture(scope="class")
     def bl2_fit(self):
@@ -211,6 +236,12 @@ class TestFitDecay:
         # phi decays like e^{-ln(2 + sqrt 3) |x|}, and the kernel bound is
         # C e^{-a u / 2}: a = 2 ln(2 + sqrt 3) = 2.6339
         assert abs(bl2_fit.rate - 2.0 * math.log(2.0 + math.sqrt(3.0))) <= 0.01
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_battle_lemarie_decay_rate_every_order(self, k):
+        # the kernel bound C e^{-a u / 2} with a = 2 (-ln |z_1|)
+        env = verify_convolution_bound(make_family("battle_lemarie", k), range(7))["envelope"]
+        assert abs(fit_decay(env, "exponential").rate - 2.0 * _decay_rate(k)) <= 0.01
 
     def test_haar_degenerate_flat_profile(self, haar_report):
         # constant profile on the support: slope 0, flagged as mismatch
