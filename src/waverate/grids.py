@@ -211,12 +211,18 @@ def product_quad(values_f: np.ndarray, values_g: np.ndarray, dx: float) -> float
     Richardson extrapolation 2 T(h) - T(2h) cancels it while leaving smooth
     integrands with an O(h^2) error.  Jumps must sit on even grid indices,
     i.e. at dyadic points one level coarser than the grid.
+
+    Each trapezoid is taken in sum form, h (sum p - (p_0 + p_N) / 2), with
+    numpy's pairwise sum: one pass over the product and one over its even
+    samples.  A dot product would hand the sum to BLAS, whose blocking (and
+    so its last digits) depends on the thread count.
     """
     prod = values_f * values_g
-    fine = np.trapezoid(prod, dx=dx)
-    if (len(prod) - 1) % 2 != 0:
+    ends = (prod[0] + prod[-1]) / 2.0
+    fine = dx * (prod.sum() - ends)
+    if (prod.size - 1) % 2 != 0:
         return float(fine)
-    coarse = np.trapezoid(prod[::2], dx=2 * dx)
+    coarse = 2.0 * dx * (prod[::2].sum() - ends)
     return float(2.0 * fine - coarse)
 
 

@@ -29,6 +29,7 @@ RADII_LEVEL_COMPACT = 6
 RADII_LEVEL_WIDE = 4
 U_CAP = 64.0  # off-diagonal evaluation radius; tails beyond are model-estimated
 PROFILE_FLOOR = 1e-12
+FOLD_ROWS = 64  # kernel rows folded onto the diagonals per array pass
 MIN_FIT_POINTS = 20
 
 
@@ -127,9 +128,12 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
 
     Both grids share one lattice, so a pair's distance is a whole number of
     spacings, fixed along each diagonal of the matrix: the profile is the
-    peak of |P_j| per diagonal, folded onto |x - y|.  The suffix supremum
-    automatically monotonizes: it is the tightest nonincreasing majorant of
-    the rescaled data.
+    peak of |P_j| per diagonal, folded onto |x - y|.  Each block of
+    FOLD_ROWS rows is written into one zeroed buffer, each row one column
+    left of the row above, so one column max gives the block's diagonal
+    peaks (a buffer for the whole matrix would hold nx (nx + ny) floats).
+    The suffix supremum automatically monotonizes: it is the tightest
+    nonincreasing majorant of the rescaled data.
     """
     xs, ys, j = ke.xs, ke.ys, ke.j
     if xs.level != ys.level:
@@ -137,9 +141,18 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
     nx, ny = ke.values.shape
     # diag[d + nx - 1] is the peak of |P_j| over the pairs with y-index - x-index = d
     diag = np.zeros(nx + ny - 1)
-    for i, row in enumerate(ke.values):
-        span = diag[nx - 1 - i : nx - 1 - i + ny]
-        np.maximum(span, np.abs(row), out=span)
+    rows = min(FOLD_ROWS, nx)  # >= 2: a grid has two points or more
+    w = rows + ny - 1  # the diagonals one block meets
+    buf = np.zeros(rows * w)
+    # row r of a block starts r (w - 1) + rows - 1 into buf, which is column
+    # rows - 1 - r of buf viewed as (rows, w): every diagonal is a column
+    block = buf[rows - 1 : rows - 1 + rows * (w - 1)].reshape(rows, w - 1)[:, :ny]
+    cols = buf.reshape(rows, w)
+    for i0 in range(0, nx, rows):
+        b = min(rows, nx - i0)
+        np.abs(ke.values[i0 : i0 + b], out=block[:b])
+        span = diag[nx - i0 - b : nx - i0 + ny - 1]
+        np.maximum(span, cols[:b, rows - b :].max(axis=0), out=span)
     shift = round(np.ldexp(ys.left - xs.left, xs.level))
     steps = np.abs(np.arange(1 - nx, ny) + shift)  # |y - x| in spacings
     du = np.ldexp(xs.spacing, j)

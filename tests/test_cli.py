@@ -1,22 +1,41 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import waverate
+from waverate import DyadicGrid, make_family
 from waverate.cli import (
     ConfigError,
+    _haar_cell_average_defect,
     main,
     parse_int_range,
     parse_sweep,
     parse_window,
 )
-from waverate.convergence import TestFunction
+from waverate.convergence import TestFunction, test_function
+from waverate.expansion import project
 from waverate.splines import MAX_ORDER
+
+
+def run_cli(argv, cwd, **env):
+    """`python -m waverate.cli argv` in a fresh process importing this waverate."""
+    src = os.path.dirname(os.path.dirname(waverate.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "waverate.cli", *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        timeout=300,
+        check=False,
+    )
 
 
 class TestParsing:
@@ -248,6 +267,56 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["fitted_meshes"] == [0.25, 0.125, 0.0625]
         assert abs(doc["slope"] - 6.0) <= 0.1
+
+
+def per_cell_average_defect(haar, tf, j: int, level: int = 12) -> float:
+    """Criterion 2's cell-average oracle one cell at a time."""
+    f = tf.tabulate(level)
+    pj = project(f, haar, j, DyadicGrid(tf.window[0], tf.window[1], level))
+    per = 2 ** (level - j)
+    h = f.grid.spacing
+    worst = 0.0
+    for c in range((f.values.size - 1) // per):
+        left = f.grid.left + c * per * h
+        avg = float(np.mean(tf.sampler(left + (np.arange(per) + 0.5) * h)))
+        interior = pj.values[c * per + 1 : c * per + per]
+        worst = max(worst, float(np.max(np.abs(interior - avg))))
+    return worst
+
+
+def oscillating_set_indicator(x):
+    """1 on E = union_n [2^-n, 2^-n (1 + 4^-n)], the set behind oscillating_indicator."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for n in range(1, 40):
+        out[(x >= 2.0**-n) & (x <= 2.0**-n + 8.0**-n)] = 1.0
+    return out
+
+
+class TestHaarCellAverageOracle:
+    @pytest.mark.parametrize("name", ["ramp", "gaussian", "oscillating_indicator"])
+    def test_one_pass_equals_per_cell_loop(self, name):
+        haar, tf = make_family("haar"), test_function(name)
+        if tf.sampler is None:  # tabulated from its measure; sample its set
+            tf = dataclasses.replace(tf, sampler=oscillating_set_indicator)
+        for j in range(0, 9):
+            got = _haar_cell_average_defect(haar, tf, j)
+            assert got == per_cell_average_defect(haar, tf, j)
+
+
+class TestThreadIndependence:
+    def test_family_json_same_under_blas_threads(self, tmp_path):
+        # the quadrature sums stay out of BLAS, whose blocking follows its
+        # thread count
+        outs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            argv = ["family", "--family", "daubechies:2", "--out", "f.json"]
+            proc = run_cli(argv, cwd, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((cwd / "f.json").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestSuiteCommand:

@@ -23,6 +23,7 @@ from waverate import (
 from waverate import families
 from waverate.families import (
     FAMILY_LEVEL,
+    _INVARIANT_CHECK_REFINE,
     FamilyError,
     _haar_pair,
     _two_scale,
@@ -232,10 +233,34 @@ def interpolated_partition_defect(phi) -> float:
 
 
 def interpolated_orthonormality_defect(phi) -> float:
-    """Translate-orthonormality defect with every phi(x - k) interpolated."""
+    """Translate-orthonormality defect with every phi(x - k) interpolated.
+
+    The product vanishes where x - k is left of the table, so each lag is
+    read on the overlap x >= left + k.
+    """
+    step, size = 2**phi.grid.level, phi.values.size
     worst = 0.0
     for k in range(int(np.ceil(phi.grid.right - phi.grid.left)) + 1):
-        val = product_quad(phi.values, phi(phi.x() - k), phi.dx)
+        s = k * step
+        val = 0.0
+        if s < size:
+            val = product_quad(phi.values[s:], phi(phi.x()[s:] - k), phi.dx)
+        worst = max(worst, abs(val - (1.0 if k == 0 else 0.0)))
+    return worst
+
+
+def shifted_copy_orthonormality_defect(phi) -> float:
+    """Translate-orthonormality defect from a zero-padded shifted copy per
+    lag, integrated over the whole table by 2 T(h) - T(2h) with np.trapezoid."""
+    step, size = 2**phi.grid.level, phi.values.size
+    worst = 0.0
+    for k in range(int(np.ceil(phi.grid.right - phi.grid.left)) + 1):
+        shifted = np.zeros(size)
+        shifted[k * step :] = phi.values[: max(size - k * step, 0)]
+        prod = phi.values * shifted
+        val = np.trapezoid(prod, dx=phi.dx)
+        if (size - 1) % 2 == 0:
+            val = 2.0 * val - np.trapezoid(prod[::2], dx=2 * phi.dx)
         worst = max(worst, abs(val - (1.0 if k == 0 else 0.0)))
     return worst
 
@@ -296,6 +321,20 @@ class TestInvariantDefects:
         assert partition_of_unity_defect(phi) == interpolated_partition_defect(phi)
         got = translate_orthonormality_defect(phi)
         assert got == interpolated_orthonormality_defect(phi)
+
+    @pytest.mark.parametrize(
+        "name,param",
+        [("haar", 0), *(("daubechies", n) for n in range(1, 11)),
+         *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", 0)],
+    )
+    def test_overlap_lags_match_shifted_copies(self, name, param):
+        # on the tables the invariant check reads
+        fam = make_family(name, param)
+        phi = fam.phi
+        if name == "daubechies" and param != 1:
+            phi, _ = refined_tables(fam, phi.grid.level + _INVARIANT_CHECK_REFINE)
+        got = translate_orthonormality_defect(phi)
+        assert abs(got - shifted_copy_orthonormality_defect(phi)) <= 1e-15
 
 
 class TestRefinedTables:

@@ -182,6 +182,15 @@ class TestDecayHint:
             DecayHint("linear")
 
 
+def trapezoid_product_quad(values_f, values_g, dx) -> float:
+    """2 T(h) - T(2h) through np.trapezoid: the rule before its sum form."""
+    prod = values_f * values_g
+    fine = np.trapezoid(prod, dx=dx)
+    if (prod.size - 1) % 2 != 0:
+        return float(fine)
+    return float(2.0 * fine - np.trapezoid(prod[::2], dx=2 * dx))
+
+
 class TestProductQuad:
     def test_exact_for_aligned_midpoint_jumps(self):
         # indicator of [0,1) with midpoint convention, against itself
@@ -212,3 +221,17 @@ class TestProductQuad:
         got = product_quad(haar.phi.values, haar.psi.values, haar.phi.dx)
         assert got == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 128, 129, 1000, 1001, 65536, 65537])
+    def test_sum_form_matches_trapezoid_form(self, n):
+        rng = np.random.default_rng(n)
+        f, g = rng.standard_normal(n), rng.standard_normal(n)
+        dx = 2.0**-10
+        bound = 8 * np.finfo(float).eps * dx * np.sum(np.abs(f * g))
+        assert abs(product_quad(f, g, dx) - trapezoid_product_quad(f, g, dx)) <= bound
+
+    def test_sum_form_matches_trapezoid_form_on_haar_jumps(self):
+        haar = make_family("haar")
+        for f, g in [(haar.phi, haar.phi), (haar.phi, haar.psi), (haar.psi, haar.psi)]:
+            bound = 8 * np.finfo(float).eps * f.dx * np.sum(np.abs(f.values * g.values))
+            got = product_quad(f.values, g.values, f.dx)
+            assert abs(got - trapezoid_product_quad(f.values, g.values, f.dx)) <= bound

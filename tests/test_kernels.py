@@ -6,8 +6,10 @@ import pytest
 from waverate import DyadicGrid, make_family, sample
 from waverate.grids import DecayHint
 from waverate.kernels import (
+    FOLD_ROWS,
     U_CAP,
     KernelError,
+    KernelEvaluation,
     RadialBound,
     apply_kernel,
     export_bound_report,
@@ -153,6 +155,18 @@ class TestRadialProfile:
         got, want = radial_profile(ke), outer_difference_profile(ke)
         assert np.array_equal(got.majorant, want.majorant)
         assert got.l1_mass == want.l1_mass
+
+    @pytest.mark.parametrize("nx", [2, FOLD_ROWS - 1, FOLD_ROWS, FOLD_ROWS + 1, 3 * FOLD_ROWS + 7])
+    @pytest.mark.parametrize("ny", [2, 3, 2 * FOLD_ROWS + 5])
+    def test_fold_blocks_match_oracle_on_random_values(self, db2, nx, ny):
+        # fewer rows than a block, whole blocks, a one-row last block, a
+        # partial one; rows narrower and wider than a block
+        xs = DyadicGrid(0.0, (nx - 1) / 8, 3)
+        ys = DyadicGrid(-0.5, -0.5 + (ny - 1) / 8, 3)
+        values = np.random.default_rng(nx * ny).standard_normal((nx, ny))
+        ke = KernelEvaluation(db2, 0, xs, ys, values)
+        got, want = radial_profile(ke), outer_difference_profile(ke)
+        assert np.array_equal(got.majorant, want.majorant)
 
     def test_needs_one_lattice(self, db2):
         ke = kernel_matrix(db2, 2, DyadicGrid(0.0, 1.0, 5), DyadicGrid(0.0, 1.0, 6))
