@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import re
@@ -217,7 +218,7 @@ def run_kernel(args) -> str:
     report = verify_convolution_bound(fam, jr)
     fit = None
     if args.fit_decay:
-        fit = fit_decay(report["envelope"], model=args.fit_decay)
+        fit = fit_decay(report["envelope"])
     if args.out:
         export_bound_report(report, fit, args.out)
     verdict = "pass" if report["passes"] else "FAIL"
@@ -395,7 +396,7 @@ def crit_kernel_bound_shannon():
 
 def crit_exponential_decay_fit():
     rep = verify_convolution_bound(make_family("battle_lemarie", 2), range(0, 7))
-    fit = fit_decay(rep["envelope"], model="exponential")
+    fit = fit_decay(rep["envelope"])
     ok = fit.rate > 0 and fit.r2 > 0.98 and not fit.flagged
     return _row(
         "4",
@@ -420,18 +421,16 @@ def crit_lebesgue_point():
 
 
 def crit_summation_order():
-    haar = make_family("haar")
-    tf = test_function("gaussian")
-    coeffs = analyze(tf.tabulate(), haar, 0, 6)
+    coeffs = analyze(test_function("gaussian").tabulate(), make_family("haar"), 0, 6)
     schedules = [level_by_level_schedule(coeffs), interleaved_schedule(coeffs, 2)]
-    rep = order_robustness(tf, haar, schedules, np.linspace(-1.0, 1.0, 50))
+    rep = order_robustness(coeffs, schedules, np.linspace(-1.0, 1.0, 50))
     groups = list(level_by_level_schedule(coeffs).groups)
     held = groups[1][0]
     groups[1] = groups[1][1:]
     groups.append((held,))
     straggler = SummationSchedule(tuple(groups), 1)
     try:
-        order_robustness(tf, haar, [straggler], np.linspace(-1.0, 1.0, 10))
+        order_robustness(coeffs, [straggler], np.linspace(-1.0, 1.0, 10))
         rejected = False
     except ConvergenceError:
         rejected = True
@@ -459,7 +458,11 @@ _SLOPE_TARGETS = {
 }
 
 
+@functools.cache
 def _slope_reports():
+    """Criterion 7's sup-norm studies, shared with criterion 9 within one
+    suite run (`run_suite` clears the cache).  Two threads may both compute
+    them; either result is the same."""
     gaussian = test_function("gaussian")
     return {
         label: sup_error_rates(gaussian, make_family(*spec), range(3, 10), (-1.0, 1.0))
@@ -643,12 +646,11 @@ def run_suite(args) -> tuple[str, int]:
     ]
     if not selected:
         raise ConfigError(f"--only {args.only!r} matches no criteria")
-    jobs = args.jobs or 1
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda item: item[1](), selected))
-    else:
-        rows = [fn() for _, fn in selected]
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    _slope_reports.cache_clear()
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(pool.map(lambda item: item[1](), selected))
     out_dir = args.out or "suite_report"
     write_csv(
         os.path.join(out_dir, "summary.csv"),

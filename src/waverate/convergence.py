@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .expansion import (
-    analyze,
+    ExpansionCoefficients,
     atom_rows,
     complete_schedule_check,
     project,
@@ -232,14 +232,8 @@ def _snap_right(x: float, level: int) -> float:
     return (math.floor(x * 2.0**level + 0.5) + 1) * 2.0**-level
 
 
-def pointwise_trace(
-    tf: TestFunction,
-    fam: MRAFamily,
-    x: float,
-    j_range,
-    level: int = STUDY_LEVEL,
-) -> np.ndarray:
-    """(j, P_j f(x)) pairs, with the right-continuous evaluation convention."""
+def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.ndarray:
+    """(j, P_j f(x)) pairs from f at STUDY_LEVEL, read right-continuously."""
     js = list(j_range)
     if not js:
         raise ConvergenceError("empty level range")
@@ -250,10 +244,10 @@ def pointwise_trace(
             f"point {x} too close to the window edge for level {min(js)} "
             f"(needs margin {margin:.3g})"
         )
-    f = tf.tabulate(level)
-    x_eval = _snap_right(x, level)
-    h = 2.0**-level
-    xs = DyadicGrid(x_eval - h, x_eval + h, level)
+    f = tf.tabulate(STUDY_LEVEL)
+    x_eval = _snap_right(x, STUDY_LEVEL)
+    h = 2.0**-STUDY_LEVEL
+    xs = DyadicGrid(x_eval - h, x_eval + h, STUDY_LEVEL)
     rows = []
     for j in js:
         p = project(f, fam, j, xs)
@@ -398,23 +392,14 @@ def lp_error_trace(
 # summation-order robustness
 
 
-def order_robustness(
-    tf: TestFunction,
-    fam: MRAFamily,
-    schedules,
-    x_points,
-    j0: int = 0,
-    j1: int = 6,
-    level: int = STUDY_LEVEL,
-) -> dict:
-    """Partial sums under different summation orders at fixed points.
+def order_robustness(coeffs: ExpansionCoefficients, schedules, x_points) -> dict:
+    """Partial sums of `coeffs` under different summation orders at fixed points.
 
-    Every schedule must be complete for the same coefficient set and satisfy
-    its declared bounded range; the final values must agree (they are the
-    same finite sum), while intermediate prefixes may disperse.
+    Every schedule must be complete for the coefficient set and satisfy its
+    declared bounded range; the final values must agree (they are the same
+    finite sum), while intermediate prefixes may disperse.  The points are
+    snapped right on the STUDY_LEVEL lattice, where the atoms are read.
     """
-    f = tf.tabulate(level)
-    coeffs = analyze(f, fam, j0, j1)
     for sched in schedules:
         ok, report = validate_schedule(sched)
         if not ok:
@@ -424,12 +409,12 @@ def order_robustness(
         if not complete_schedule_check(coeffs, sched):
             raise ConvergenceError("schedule is not complete for the coefficient set")
 
-    pts = np.array([_snap_right(x, level) for x in x_points])
-    phi_t, psi_t = refined_tables(fam, level)
+    pts = np.array([_snap_right(x, STUDY_LEVEL) for x in x_points])
+    phi_t, psi_t = refined_tables(coeffs.family, STUDY_LEVEL)
     levels = coeffs.levels()
     values = {}
     for (j, terms), table in zip(levels, [phi_t] + [psi_t] * (len(levels) - 1)):
-        rows = atom_rows(table, j, [term[-1] for term in terms], pts, level)
+        rows = atom_rows(table, j, [term[-1] for term in terms], pts, STUDY_LEVEL)
         values.update((term, c * row) for (term, c), row in zip(terms.items(), rows))
 
     finals = []

@@ -49,7 +49,6 @@ class ExpansionCoefficients:
     top_level: int
     b: dict[int, float] = field(repr=False)
     a: dict[tuple[int, int], float] = field(repr=False)
-    window: tuple[float, float] = (0.0, 0.0)
 
     def l2_mass(self) -> float:
         return sum(v * v for v in self.b.values()) + sum(v * v for v in self.a.values())
@@ -237,20 +236,12 @@ def atom_rows(table: SampledFunction, j: int, ks, x: np.ndarray, level: int) -> 
 # analyze / project / partial_sum
 
 
-def analyze(
-    f: SampledFunction,
-    fam: MRAFamily,
-    j0: int,
-    j1: int,
-    window: tuple[float, float] | None = None,
-) -> ExpansionCoefficients:
-    """Scaling coefficients at j0 and wavelet coefficients for j0 <= j < j1."""
+def analyze(f: SampledFunction, fam: MRAFamily, j0: int, j1: int) -> ExpansionCoefficients:
+    """Scaling coefficients at j0 and wavelet coefficients for j0 <= j < j1,
+    over every translate that meets f's grid."""
     if j1 <= j0:
         raise ExpansionError(f"need j1 > j0, got {j0}..{j1}")
-    if window is None:
-        window = (f.grid.left, f.grid.right)
-    if window[0] < f.grid.left or window[1] > f.grid.right:
-        raise ExpansionError(f"window {window} outside tabulated support of f")
+    window = (f.grid.left, f.grid.right)
 
     sup_f = f.norm_sup()
     psi_l1 = fam.psi.norm_l1()
@@ -274,7 +265,7 @@ def analyze(
                 f"|{vals[over[0]]:.6g}| > {bound:.6g}"
             )
         a.update(((j, k), v) for k, v in zip(ks, vals.tolist()))
-    return ExpansionCoefficients(fam, j0, j1, b, a, window)
+    return ExpansionCoefficients(fam, j0, j1, b, a)
 
 
 def project(

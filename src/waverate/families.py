@@ -64,7 +64,6 @@ class MRAFamily:
     phi: SampledFunction
     psi: SampledFunction
     vanishing_moments: int
-    decay_class: DecayHint
     #: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized
     symbol: Callable = field(repr=False, compare=False)
     param: int | None = None
@@ -195,8 +194,8 @@ def _haar_pair(level: int) -> tuple[SampledFunction, SampledFunction]:
     return SampledFunction(grid, phi, COMPACT), SampledFunction(grid, psi, COMPACT)
 
 
-def _shannon_pair(level: int, radius: float = SHANNON_RADIUS):
-    grid = DyadicGrid(-radius, radius, level)
+def _shannon_pair(level: int):
+    grid = DyadicGrid(-SHANNON_RADIUS, SHANNON_RADIUS, level)
     x = grid.points()
     phi = np.sinc(x)  # sin(pi x)/(pi x)
     xs = x - 0.5
@@ -204,7 +203,7 @@ def _shannon_pair(level: int, radius: float = SHANNON_RADIUS):
     denom = np.where(on_half, 1.0, np.pi * xs)
     psi = (np.sin(2 * np.pi * xs) - np.sin(np.pi * xs)) / denom
     psi[on_half] = 1.0  # limit of (sin 2u - sin u)/u at 0
-    trunc = 1.0 / (np.pi * radius)
+    trunc = 1.0 / (np.pi * SHANNON_RADIUS)
     hint = DecayHint("algebraic", N=1.05, truncation=trunc)
     return SampledFunction(grid, phi, hint), SampledFunction(grid, psi, hint)
 
@@ -353,8 +352,8 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
             "translate_orthonormality": translate_orthonormality_defect(phi),
         }
     slack = 0.0
-    if fam.decay_class.kind != "compact":
-        slack = 20.0 * fam.decay_class.truncation
+    if fam.phi.decay_hint.kind != "compact":
+        slack = 20.0 * fam.phi.decay_hint.truncation
     for key, tol, what in _INVARIANT_TOLERANCES:
         _require(defects[key] <= tol + slack, fam, what)
     return defects
@@ -460,7 +459,6 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
         phi=phi,
         psi=psi,
         vanishing_moments=moments,
-        decay_class=phi.decay_hint,
         symbol=symbol,
         param=param,
     )

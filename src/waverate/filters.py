@@ -42,9 +42,6 @@ class FilterPair:
             raise FilterError("lowpass/highpass must be 1-d arrays of equal length")
         self.validate()
 
-    def __len__(self) -> int:
-        return len(self.lowpass)
-
     def validate(self) -> None:
         h = self.lowpass
         m = len(h)

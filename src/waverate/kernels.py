@@ -7,7 +7,7 @@ well-behaved families.  This module tabulates P_j as a product of atom
 rows from the dyadic-lattice engine (`waverate.expansion.atom_rows`),
 extracts the tightest nonincreasing majorant of the rescaled data, checks
 that profiles collapse across scales onto one integrable envelope, and fits
-exponential or algebraic decay models to the envelope.
+the exponential decay C e^{-a u / 2} to the envelope.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convergence import line_fit, r_squared
+from .convergence import line_fit
 from .expansion import atom_rows, translate_range
 from .families import MRAFamily, refined_tables
 from .grids import NO_DECAY, DyadicGrid, SampledFunction
@@ -60,9 +60,10 @@ class RadialBound:
 
 @dataclass(frozen=True)
 class DecayFit:
-    model: str  # "exponential" or "algebraic"
+    """The fit log M(u) = log C - a u / 2 of a radial majorant."""
+
     constant: float
-    rate: float  # a for exponential, N for algebraic
+    rate: float  # a
     r2: float
     n_points: int
     flagged: bool  # model mismatch: nonpositive rate or degenerate range
@@ -72,41 +73,22 @@ class DecayFit:
 # kernel evaluation
 
 
-def _translate_sum(table: SampledFunction, fam, j: int, xs: DyadicGrid, ys: DyadicGrid):
-    """sum_k g_jk(x) g_jk(y) over the translates meeting both grids."""
+def kernel_matrix(
+    fam: MRAFamily, j: int, xs: DyadicGrid, ys: DyadicGrid
+) -> KernelEvaluation:
+    """P_j(x,y) = sum_k phi_jk(x) phi_jk(y) over the translates meeting both grids."""
     kx = translate_range(fam, j, (xs.left, xs.right))
     ky = translate_range(fam, j, (ys.left, ys.right))
     ks = range(max(kx.start, ky.start), min(kx.stop, ky.stop))
     if not ks:
-        return np.zeros((xs.count, ys.count))
-    ax = atom_rows(table, j, ks, xs.points(), xs.level)
+        return KernelEvaluation(fam, j, xs, ys, np.zeros((xs.count, ys.count)))
+    phi_t, _ = refined_tables(fam, max(xs.level, ys.level))
+    ax = atom_rows(phi_t, j, ks, xs.points(), xs.level)
     # one grid reads its rows once; the copy keeps numpy's general product,
     # since a matrix times its own transpose takes a symmetric path that
     # rounds differently
-    ay = ax.copy() if ys == xs else atom_rows(table, j, ks, ys.points(), ys.level)
-    return ax.T @ ay
-
-
-def kernel_matrix(
-    fam: MRAFamily, j: int, xs: DyadicGrid, ys: DyadicGrid
-) -> KernelEvaluation:
-    """P_j(x,y) = sum_k phi_jk(x) phi_jk(y) over both grids."""
-    phi_t, _ = refined_tables(fam, max(xs.level, ys.level))
-    return KernelEvaluation(fam, j, xs, ys, _translate_sum(phi_t, fam, j, xs, ys))
-
-
-def wavelet_kernel_matrix(
-    fam: MRAFamily, j0: int, j1: int, xs: DyadicGrid, ys: DyadicGrid
-) -> np.ndarray:
-    """Dual representation: phi terms at j0 plus psi terms for j0 <= j' < j1.
-
-    Telescopes to kernel_matrix(fam, j1, ...) for an orthonormal family.
-    """
-    _, psi_t = refined_tables(fam, max(xs.level, ys.level))
-    total = kernel_matrix(fam, j0, xs, ys).values.copy()
-    for j in range(j0, j1):
-        total += _translate_sum(psi_t, fam, j, xs, ys)
-    return total
+    ay = ax.copy() if ys == xs else atom_rows(phi_t, j, ks, ys.points(), ys.level)
+    return KernelEvaluation(fam, j, xs, ys, ax.T @ ay)
 
 
 def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
@@ -167,39 +149,33 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
     return RadialBound(radii, maj, float(maj[0]), mass, ke.family.label, j)
 
 
-def _radii_level(fam: MRAFamily) -> int:
-    if fam.decay_class.kind == "compact":
-        return RADII_LEVEL_COMPACT
-    return RADII_LEVEL_WIDE
-
-
 def profile_table_level(fam: MRAFamily, j: int) -> int:
     """Lattice level at which the scale-j profile reads the family's tables."""
-    return j + _radii_level(fam)
+    if fam.phi.decay_hint.kind == "compact":
+        return j + RADII_LEVEL_COMPACT
+    return j + RADII_LEVEL_WIDE
 
 
-def _profile_grid(fam: MRAFamily, j: int, radii_level: int) -> DyadicGrid:
-    # per-scale grid with fixed rescaled spacing 2^-radii_level, so profiles
+def _profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
+    # per-scale grid with fixed rescaled spacing 2^-RADII_LEVEL, so profiles
     # across j share one radii lattice
     width_scaled = min(U_CAP, fam.phi.grid.right - fam.phi.grid.left + 1.0)
     width = np.ldexp(np.ceil(width_scaled), -j)
-    return DyadicGrid(0.0, float(width), j + radii_level)
+    return DyadicGrid(0.0, float(width), profile_table_level(fam, j))
 
 
-def scale_profiles(fam: MRAFamily, j_set, radii_level: int | None = None) -> list[RadialBound]:
-    if radii_level is None:
-        radii_level = _radii_level(fam)
+def scale_profiles(fam: MRAFamily, j_set) -> list[RadialBound]:
     out = []
     for j in sorted(j_set):
-        g = _profile_grid(fam, j, radii_level)
+        g = _profile_grid(fam, j)
         out.append(radial_profile(kernel_matrix(fam, j, g, g)))
     return out
 
 
 def _tail_estimate(fam: MRAFamily, radii, maj) -> float:
-    """Mass beyond the last sampled radius, estimated from the decay class."""
-    kind = fam.decay_class.kind
-    if kind == "compact":
+    """Mass beyond the last sampled radius, estimated from phi's decay hint."""
+    decay = fam.phi.decay_hint
+    if decay.kind == "compact":
         return 0.0
     # anchor at 90% of the sampled range: the very last bins hold only a few
     # corner pairs and can dip spuriously (e.g. lattice zeros of sinc)
@@ -208,12 +184,10 @@ def _tail_estimate(fam: MRAFamily, radii, maj) -> float:
     m0 = float(maj[i0])
     if m0 <= PROFILE_FLOOR:
         return 0.0
-    if kind == "exponential":
-        a = fam.decay_class.a
-        return 2.0 * m0 / a
-    if kind == "algebraic":
-        n = fam.decay_class.N
-        return 2.0 * m0 * (1.0 + u0) / (n - 1.0)
+    if decay.kind == "exponential":
+        return 2.0 * m0 / decay.a
+    if decay.kind == "algebraic":
+        return 2.0 * m0 * (1.0 + u0) / (decay.N - 1.0)
     return float("inf")
 
 
@@ -256,45 +230,22 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# decay-model fits
+# exponential decay fit
 
 
-def fit_decay(
-    rb: RadialBound,
-    model: str = "exponential",
-    order: float | None = None,
-    u_range: tuple[float, float] | None = None,
-) -> DecayFit:
-    """Least-squares fit of a decay model to the profile, in log space.
-
-    exponential: log M(u) = log C - a u / 2 (the bound C 2^j e^{-a 2^j |x-y|/2}).
-    algebraic: M(u) = C / (1 + u)^order for a given order.
-    """
+def fit_decay(rb: RadialBound) -> DecayFit:
+    """Least-squares fit of log M(u) = log C - a u / 2 over the radii where
+    M exceeds PROFILE_FLOOR: the bound C 2^j e^{-a 2^j |x-y|/2}."""
     keep = rb.majorant > PROFILE_FLOOR
-    if u_range is not None:
-        keep &= (rb.radii >= u_range[0]) & (rb.radii <= u_range[1])
     u = rb.radii[keep]
-    m = np.log(rb.majorant[keep])
     if len(u) < MIN_FIT_POINTS:
         raise KernelError(
             f"only {len(u)} usable radii; need {MIN_FIT_POINTS} for a fit"
         )
-    if model == "exponential":
-        slope, intercept, r2 = line_fit(u, m)
-        a = -2.0 * slope
-        # a below 1e-9 is numerically zero: constant profile, model mismatch
-        return DecayFit(
-            "exponential", float(np.exp(intercept)), a, r2, len(u), bool(a < 1e-9)
-        )
-    if model == "algebraic":
-        if order is None:
-            raise KernelError("algebraic model requires an order")
-        # only log C is free; the slope is pinned by the given order
-        logc = float(np.mean(m + order * np.log1p(u)))
-        pred = logc - order * np.log1p(u)
-        r2 = r_squared(m, pred)
-        return DecayFit("algebraic", float(np.exp(logc)), float(order), r2, len(u), False)
-    raise KernelError(f"unknown decay model {model!r}")
+    slope, intercept, r2 = line_fit(u, np.log(rb.majorant[keep]))
+    a = -2.0 * slope
+    # a below 1e-9 is numerically zero: constant profile, model mismatch
+    return DecayFit(float(np.exp(intercept)), a, r2, len(u), bool(a < 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +263,10 @@ def export_bound_report(report: dict, fit: DecayFit | None, path: str) -> None:
         "passes": report["passes"],
     }
     if fit is not None:
-        key = "a" if fit.model == "exponential" else "N"
         doc["fit"] = {
-            "model": fit.model,
+            "model": "exponential",
             "C": fit.constant,
-            key: fit.rate,
+            "a": fit.rate,
             "r2": fit.r2,
             "flagged": fit.flagged,
         }

@@ -20,11 +20,12 @@ scaling factor keeps full relative accuracy however small it is, as does
 |psi^|^2 ~ xi^{2N} (Daubechies, Ten Lectures on Wavelets, ch. 6-7).  The
 products stop once every factor is exactly 1.0 in double precision.
 
-Both integrals are evaluated over dyadic shells [eps 2^{-(m+1)}, eps 2^{-m}]
-shrinking toward 0; divergence is declared when the last three shell sums fail
-to decay geometrically (ratio > 0.95).  The integrand on the shells does not
-depend on s, so ``critical_order`` and ``criterion_sweep`` evaluate it once
-per spectrum and eps and pay one weighted trapezoid per shell for each s.
+Both integrals are evaluated over SHELLS dyadic shells
+[eps 2^{-(m+1)}, eps 2^{-m}] shrinking toward 0; divergence is declared when
+the last three shell sums fail to decay geometrically (ratio > 0.95).  The
+integrand on the shells does not depend on s, so ``critical_order`` and
+``criterion_sweep`` evaluate it once per spectrum and eps and pay one
+weighted trapezoid per shell for each s.
 Every criterion takes the family and integrates its own generator's spectrum.
 
 The critical regularity order of a family is located by bisection on the
@@ -52,6 +53,9 @@ from .serialize import fmt, write_csv, write_json
 XI_FLOOR = 1e-4
 #: number of dyadic shells for both integrals (eps=1 reaches ~2.4e-4)
 SHELLS = 12
+#: zero padding of ``fourier_transform``: frequency spacing 2 pi / (8 width),
+#: dense enough for Plancherel-level accuracy
+PAD_FACTOR = 8
 #: points per shell for the trapezoid rule
 SHELL_POINTS = 65
 #: shell sums must shrink by at least 5% or the integral is declared divergent
@@ -144,18 +148,12 @@ class SampledSpectrum:
         )
 
 
-def fourier_transform(f: SampledFunction, pad_factor: int = 8) -> SampledSpectrum:
-    """Unitary FFT-based transform of a sampled function.
-
-    ``pad_factor`` controls zero padding and hence the frequency spacing
-    2*pi / (pad * width); at least 4 is required so the sampled spectrum is
-    dense enough for Plancherel-level accuracy.
-    """
-    if pad_factor < 4:
-        raise SobolevError(f"pad_factor must be >= 4, got {pad_factor}")
+def fourier_transform(f: SampledFunction) -> SampledSpectrum:
+    """Unitary FFT-based transform of a sampled function, zero padded to
+    PAD_FACTOR times its length (rounded up to a power of two)."""
     n = f.grid.count
     size = 1
-    while size < pad_factor * n:
+    while size < PAD_FACTOR * n:
         size *= 2
     vals = np.zeros(size)
     vals[:n] = f.values
@@ -207,14 +205,14 @@ class IntegralResult:
         return "DIVERGED" if self.diverged else fmt(self.value)
 
 
-def check_settings(epsilon: float, s_values=(), n_shells: int = SHELLS) -> None:
+def check_settings(epsilon: float, s_values=()) -> None:
     """Raise SobolevError unless eps lies in (0, pi], its shells stay above
     XI_FLOOR / 4 and every s lies in (0, 16]; needs no family."""
     if not 0.0 < epsilon <= math.pi:
         raise SobolevError(f"epsilon must lie in (0, pi], got {epsilon}")
-    if epsilon * 2.0**-n_shells < XI_FLOOR / 4.0:
+    if epsilon * 2.0**-SHELLS < XI_FLOOR / 4.0:
         raise SobolevError(
-            f"shells would reach xi = {epsilon * 2.0 ** -n_shells:.2g}, "
+            f"shells would reach xi = {epsilon * 2.0 ** -SHELLS:.2g}, "
             f"below the frequency floor {XI_FLOOR:g}"
         )
     for s in s_values:
@@ -249,7 +247,7 @@ def _criterion(name: str):
 
 
 def _shell_integral(
-    fam: MRAFamily, criterion: str, epsilon: float, n_shells: int
+    fam: MRAFamily, criterion: str, epsilon: float
 ) -> Callable[[float], IntegralResult]:
     """s -> int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
 
@@ -258,15 +256,15 @@ def _shell_integral(
     """
     which, integrand = _criterion(criterion)
     spec = family_spectrum(fam, which)
-    check_settings(epsilon, n_shells=n_shells)
+    check_settings(epsilon)
     grids = [
         np.linspace(epsilon * 2.0 ** -(m + 1), epsilon * 2.0**-m, SHELL_POINTS)
-        for m in range(n_shells)
+        for m in range(SHELLS)
     ]
-    values = np.split(integrand(spec, np.concatenate(grids)), n_shells)
+    values = np.split(integrand(spec, np.concatenate(grids)), SHELLS)
 
     def integral(s: float) -> IntegralResult:
-        check_settings(epsilon, (s,), n_shells)
+        check_settings(epsilon, (s,))
         sums = [
             float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g))
             for g, v in zip(grids, values)
@@ -276,18 +274,14 @@ def _shell_integral(
     return integral
 
 
-def wavelet_criterion(
-    fam: MRAFamily, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
-) -> IntegralResult:
+def wavelet_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(fam, "wavelet", epsilon, n_shells)(s)
+    return _shell_integral(fam, "wavelet", epsilon)(s)
 
 
-def scaling_criterion(
-    fam: MRAFamily, s: float, epsilon: float = 1.0, n_shells: int = SHELLS
-) -> IntegralResult:
+def scaling_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} (1 - 2pi |phi^(xi)|^2) |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(fam, "scaling", epsilon, n_shells)(s)
+    return _shell_integral(fam, "scaling", epsilon)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +307,7 @@ def critical_order(
     not monotone in s (finite must precede diverged) or if no sign change
     exists in the search interval.
     """
-    integral = _shell_integral(fam, criterion, epsilon, SHELLS)
+    integral = _shell_integral(fam, criterion, epsilon)
     evaluations = []
 
     def verdict(s: float) -> bool:
@@ -359,7 +353,7 @@ def criterion_sweep(
     criterion: str = "wavelet",
 ) -> list[IntegralResult]:
     """The criterion at each s."""
-    integral = _shell_integral(fam, criterion, epsilon, SHELLS)
+    integral = _shell_integral(fam, criterion, epsilon)
     return [integral(float(s)) for s in s_values]
 
 

@@ -51,6 +51,12 @@ MIN_SAMPLES_PER_CELL = 8
 MAX_ORDER = 8
 #: default seed for the perturbation-optimality check
 PERTURBATION_SEED = 20260823
+#: random coefficient perturbations tried by the optimality check, and the
+#: 2-norm of each
+PERTURBATION_TRIALS = 20
+PERTURBATION_SIZE = 1e-3
+#: evenly spaced points across the window for the partition-of-unity check
+PARTITION_SAMPLES = 1025
 #: sup errors at or below this many eps * max|f| are roundoff and are not
 #: fitted.  Once the mesh resolves f the errors of orders 5..8 plateau at
 #: 5..32 eps max|f| (sine and gaussian, level 12), and a 1e-15 change of
@@ -113,9 +119,9 @@ def make_space(order: int, mesh: float, window) -> SplineSpace:
     return SplineSpace(order, float(mesh), (float(window[0]), float(window[1])), count)
 
 
-def partition_defect(space: SplineSpace, samples: int = 1025) -> float:
+def partition_defect(space: SplineSpace) -> float:
     """max |sum_i B_i(x) - 1| over the window (truncated ghosts included)."""
-    x = np.linspace(space.window[0], space.window[1], samples)[1:-1]
+    x = np.linspace(space.window[0], space.window[1], PARTITION_SAMPLES)[1:-1]
     ones = SplineApproximation(space, np.ones(space.basis_count), 0.0)
     return float(np.max(np.abs(ones(x) - 1.0)))
 
@@ -350,20 +356,16 @@ def residual_orthogonality(f: SampledFunction, approx: SplineApproximation) -> f
 
 
 def perturbation_optimality(
-    f: SampledFunction,
-    approx: SplineApproximation,
-    trials: int = 20,
-    magnitude: float = 1e-3,
-    seed: int = PERTURBATION_SEED,
+    f: SampledFunction, approx: SplineApproximation, seed: int = PERTURBATION_SEED
 ) -> bool:
     """Every random coefficient perturbation strictly worsens the residual."""
     rng = np.random.default_rng(seed)
     space = approx.space
     x, fv = _window_table(f, space.window)
     base = float(np.sqrt(np.trapezoid((fv - approx(x)) ** 2, dx=f.grid.spacing)))
-    for _ in range(trials):
+    for _ in range(PERTURBATION_TRIALS):
         delta = rng.standard_normal(space.basis_count)
-        delta *= magnitude / np.linalg.norm(delta)
+        delta *= PERTURBATION_SIZE / np.linalg.norm(delta)
         bumped = SplineApproximation(space, approx.coefficients + delta, 0.0)
         worse = float(np.sqrt(np.trapezoid((fv - bumped(x)) ** 2, dx=f.grid.spacing)))
         if not worse > base - 1e-12:

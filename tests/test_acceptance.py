@@ -24,12 +24,13 @@ def test_criterion(cid, runner):
 
 
 def test_criterion_12_full_suite_determinism(tmp_path):
-    # two consecutive complete suite runs must write byte-identical reports
-    for tag in ("a", "b"):
-        assert main(["suite", "--out", str(tmp_path / tag)]) == 0
-    first = (tmp_path / "a" / "summary.csv").read_bytes()
-    second = (tmp_path / "b" / "summary.csv").read_bytes()
-    identical = first == second
+    # two consecutive complete suite runs, and a run on two threads, must
+    # write byte-identical reports
+    runs = {"a": [], "b": [], "jobs2": ["--jobs", "2"]}
+    for tag, extra in runs.items():
+        assert main(["suite", "--out", str(tmp_path / tag), *extra]) == 0
+    reports = {(tmp_path / tag / "summary.csv").read_bytes() for tag in runs}
+    identical = len(reports) == 1
     status = "PASS" if identical else "FAIL"
     print(
         "[criterion 12] determinism: expected byte-identical suite reports; "

@@ -335,6 +335,16 @@ class TestSuiteCommand:
         assert main(["suite", "--only", "bogus", "--out", str(tmp_path / "rep")]) == 1
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_exits_1_before_compute(self, jobs, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr("waverate.cli.CRITERIA", (("1", refuse),))
+        assert main(["suite", "--jobs", jobs, "--out", str(tmp_path / "rep")]) == 1
+        assert not (tmp_path / "rep").exists()
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestImportGraph:
     def test_spline_studies_do_not_import_scipy(self, tmp_path):

@@ -216,23 +216,19 @@ class TestInvariants:
 
 
 @pytest.fixture(scope="module")
-def robustness_setup(suite, haar):
-    tf = suite["gaussian"]
-    coeffs = analyze(tf.tabulate(), haar, 0, 6)
-    return tf, coeffs
+def coeffs(suite, haar):
+    return analyze(suite["gaussian"].tabulate(), haar, 0, 6)
 
 
 class TestOrderRobustness:
-    def test_schedules_agree(self, robustness_setup, haar):
-        tf, coeffs = robustness_setup
+    def test_schedules_agree(self, coeffs):
         scheds = [level_by_level_schedule(coeffs), interleaved_schedule(coeffs, 2)]
-        rep = order_robustness(tf, haar, scheds, np.linspace(-1, 1, 50))
+        rep = order_robustness(coeffs, scheds, np.linspace(-1, 1, 50))
         assert rep["final_agreement"] < 1e-10
         assert rep["prefix_dispersion"][0.5] > 0.0
         assert rep["prefix_dispersion"][1.0] < 1e-10
 
-    def test_unbounded_schedule_rejected(self, robustness_setup, haar):
-        tf, coeffs = robustness_setup
+    def test_unbounded_schedule_rejected(self, coeffs):
         base = level_by_level_schedule(coeffs)
         groups = list(base.groups)
         held = groups[1][0]
@@ -240,14 +236,13 @@ class TestOrderRobustness:
         groups.append((held,))
         bad = SummationSchedule(tuple(groups), 1)
         with pytest.raises(ConvergenceError):
-            order_robustness(tf, haar, [bad], np.linspace(-1, 1, 10))
+            order_robustness(coeffs, [bad], np.linspace(-1, 1, 10))
 
-    def test_incomplete_schedule_rejected(self, robustness_setup, haar):
-        tf, coeffs = robustness_setup
+    def test_incomplete_schedule_rejected(self, coeffs):
         base = level_by_level_schedule(coeffs)
         trimmed = SummationSchedule(base.groups[:-1], base.bounded_range)
         with pytest.raises(ConvergenceError):
-            order_robustness(tf, haar, [trimmed], np.linspace(-1, 1, 10))
+            order_robustness(coeffs, [trimmed], np.linspace(-1, 1, 10))
 
 
 class TestExports:

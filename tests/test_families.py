@@ -76,7 +76,7 @@ class TestSubdivisionScaling:
         filt = daubechies_filter(n)
         phi = subdivision_scaling(filt)
         oracle = integer_values_oracle(filt)
-        got = np.array([phi(float(k)) for k in range(len(filt) - 1)])
+        got = np.array([phi(float(k)) for k in range(len(filt.lowpass) - 1)])
         assert np.max(np.abs(got - oracle)) < 1e-14
 
     def test_db2_closed_form(self):
@@ -217,9 +217,9 @@ class TestMakeFamily:
         assert make_family("haar").vanishing_moments == 1
 
     def test_decay_metadata(self):
-        assert make_family("daubechies", 2).decay_class.kind == "compact"
-        assert make_family("battle_lemarie", 2).decay_class.kind == "exponential"
-        assert make_family("shannon").decay_class.kind == "algebraic"
+        assert make_family("daubechies", 2).phi.decay_hint.kind == "compact"
+        assert make_family("battle_lemarie", 2).phi.decay_hint.kind == "exponential"
+        assert make_family("shannon").phi.decay_hint.kind == "algebraic"
 
 
 def interpolated_partition_defect(phi) -> float:
@@ -492,7 +492,7 @@ class TestBattleLemarieSeries:
 
     def test_cubic_decay_rate(self):
         # the root of z^2 + 4z + 1 inside the unit circle is sqrt(3) - 2
-        a = make_family("battle_lemarie", 2).decay_class.a
+        a = make_family("battle_lemarie", 2).phi.decay_hint.a
         assert abs(a - math.log(2.0 + math.sqrt(3.0))) < 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -500,4 +500,4 @@ class TestBattleLemarieSeries:
         c, _ = battle_lemarie_series(k)
         n = np.arange(10, 31)
         slope = np.polyfit(n, np.log(np.abs(c[c.size // 2 + n])), 1)[0]
-        assert abs(-slope - make_family("battle_lemarie", k).decay_class.a) < 0.05
+        assert abs(-slope - make_family("battle_lemarie", k).phi.decay_hint.a) < 0.05

@@ -91,7 +91,7 @@ class TestFilterPairValidation:
     @settings(max_examples=10, deadline=None)
     def test_highpass_orthogonal_to_lowpass(self, n):
         f = daubechies_filter(n)
-        m = len(f)
+        m = len(f.lowpass)
         for shift in range(0, m, 2):
             assert np.dot(f.lowpass[: m - shift], f.highpass[shift:]) == pytest.approx(
                 0.0, abs=1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,10 +20,9 @@ from waverate.kernels import (
     radial_profile,
     scale_profiles,
     verify_convolution_bound,
-    wavelet_kernel_matrix,
 )
 from waverate.families import _decay_rate
-from waverate.kernels import _profile_grid, _radii_level
+from waverate.kernels import _profile_grid
 
 #: every family the code accepts, shannon aside
 ACCEPTED_FAMILIES = (
@@ -110,19 +110,6 @@ class TestKernelMatrix:
             lower = kernel_matrix(fam, 2, coarse, coarse)
             assert np.max(np.abs(upper.values - 2.0 * lower.values)) < 1e-8
 
-    def test_dual_representation(self, haar, db2):
-        rng = np.random.default_rng(7)
-        for fam in (haar, db2):
-            g = DyadicGrid(0.0, 2.0, 6)
-            direct = kernel_matrix(fam, 2, g, g).values
-            split = wavelet_kernel_matrix(fam, 0, 2, g, g)
-            idx = rng.integers(0, g.count, size=(100, 2))
-            offdiag = idx[idx[:, 0] != idx[:, 1]]
-            diffs = [
-                abs(direct[i, m] - split[i, m]) for i, m in offdiag
-            ]
-            assert max(diffs) < 1e-5
-
     def test_delta_convergence(self, haar, db2):
         ys = DyadicGrid(-2.0, 2.0, 10)
         f = sample(lambda y: np.exp(-(y**2)), ys, DecayHint("none"))
@@ -141,7 +128,7 @@ class TestRadialProfile:
     def test_matches_outer_difference_oracle(self, spec, j):
         name, _, param = spec.partition(":")
         fam = make_family(name, int(param or 0))
-        g = _profile_grid(fam, j, _radii_level(fam))
+        g = _profile_grid(fam, j)
         ke = kernel_matrix(fam, j, g, g)
         got, want = radial_profile(ke), outer_difference_profile(ke)
         assert np.array_equal(got.radii, want.radii)
@@ -239,7 +226,7 @@ class TestFitDecay:
     @pytest.fixture(scope="class")
     def bl2_fit(self):
         bl2 = make_family("battle_lemarie", 2)
-        return fit_decay(verify_convolution_bound(bl2, range(7))["envelope"], "exponential")
+        return fit_decay(verify_convolution_bound(bl2, range(7))["envelope"])
 
     def test_battle_lemarie_exponential(self, bl2_fit):
         assert bl2_fit.rate > 0
@@ -255,32 +242,27 @@ class TestFitDecay:
     def test_battle_lemarie_decay_rate_every_order(self, k):
         # the kernel bound C e^{-a u / 2} with a = 2 (-ln |z_1|)
         env = verify_convolution_bound(make_family("battle_lemarie", k), range(7))["envelope"]
-        assert abs(fit_decay(env, "exponential").rate - 2.0 * _decay_rate(k)) <= 0.01
+        assert abs(fit_decay(env).rate - 2.0 * _decay_rate(k)) <= 0.01
+
+    @staticmethod
+    def radii_up_to(rb: RadialBound, u: float) -> RadialBound:
+        keep = rb.radii <= u
+        return dataclasses.replace(rb, radii=rb.radii[keep], majorant=rb.majorant[keep])
 
     def test_haar_degenerate_flat_profile(self, haar_report):
         # constant profile on the support: slope 0, flagged as mismatch
-        fit = fit_decay(haar_report["envelope"], "exponential", u_range=(0.0, 0.9))
+        fit = fit_decay(self.radii_up_to(haar_report["envelope"], 0.9))
         assert fit.rate == pytest.approx(0.0, abs=1e-12)
         assert fit.flagged
 
-    def test_shannon_algebraic(self):
-        sh = make_family("shannon")
-        env = verify_convolution_bound(sh, range(5))["envelope"]
-        fit = fit_decay(env, "algebraic", order=1.0, u_range=(2.0, 40.0))
-        assert fit.r2 > 0.9
-
     def test_too_few_radii(self, haar_report):
         with pytest.raises(KernelError):
-            fit_decay(haar_report["envelope"], "exponential", u_range=(0.0, 0.1))
-
-    def test_algebraic_requires_order(self, haar_report):
-        with pytest.raises(KernelError):
-            fit_decay(haar_report["envelope"], "algebraic")
+            fit_decay(self.radii_up_to(haar_report["envelope"], 0.1))
 
 
 class TestExports:
     def test_bound_report_json(self, haar_report, tmp_path):
-        fit = fit_decay(haar_report["envelope"], "exponential")
+        fit = fit_decay(haar_report["envelope"])
         export_bound_report(haar_report, fit, str(tmp_path / "r.json"))
         import json
 

@@ -68,7 +68,7 @@ class TestFamilyRoundTrip:
         if fam.filter is not None:
             lowpass = [float(h) for h in doc["filter"]["lowpass"]]
             assert np.array_equal(lowpass, fam.filter.lowpass)
-        assert doc["decay"]["kind"] == fam.decay_class.kind
+        assert doc["decay"]["kind"] == fam.phi.decay_hint.kind
 
 
 class TestCoefficientRoundTrip:
