@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverate import make_family
+from waverate import DyadicGrid, make_family
 from waverate.convergence import (
+    STUDY_LEVEL,
     ConvergenceError,
     MarkedPoint,
     builtin_suite,
@@ -26,6 +28,7 @@ from waverate.expansion import (
     analyze,
     interleaved_schedule,
     level_by_level_schedule,
+    partial_sum,
 )
 from waverate.sobolev import critical_order
 
@@ -227,6 +230,25 @@ class TestOrderRobustness:
         assert rep["final_agreement"] < 1e-10
         assert rep["prefix_dispersion"][0.5] > 0.0
         assert rep["prefix_dispersion"][1.0] < 1e-10
+
+    def test_finals_are_partial_sums_of_given_coefficients(self, coeffs):
+        # the report sums the coefficients it is handed: doubling them doubles
+        # every final value, and the finals match partial_sum on the lattice
+        # of the snapped points
+        sched = level_by_level_schedule(coeffs)
+        x_points = np.linspace(-1, 1, 20)
+        rep = order_robustness(coeffs, [sched], x_points)
+        lattice = DyadicGrid(-1.0, 1.5, STUDY_LEVEL)
+        full = partial_sum(coeffs, sched, lattice)
+        want = full.values[[lattice.index_of(x) for x in rep["x_points"]]]
+        assert np.max(np.abs(rep["final_values"][0] - want)) < 1e-12
+        doubled = dataclasses.replace(
+            coeffs,
+            b={k: 2.0 * v for k, v in coeffs.b.items()},
+            a={t: 2.0 * v for t, v in coeffs.a.items()},
+        )
+        rep2 = order_robustness(doubled, [sched], x_points)
+        assert np.max(np.abs(rep2["final_values"][0] - 2.0 * want)) < 1e-12
 
     def test_unbounded_schedule_rejected(self, coeffs):
         base = level_by_level_schedule(coeffs)

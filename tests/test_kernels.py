@@ -21,7 +21,8 @@ from waverate.kernels import (
     scale_profiles,
     verify_convolution_bound,
 )
-from waverate.families import _decay_rate
+from waverate.expansion import atom_rows
+from waverate.families import _decay_rate, refined_tables
 from waverate.kernels import _profile_grid
 
 #: every family the code accepts, shannon aside
@@ -109,6 +110,24 @@ class TestKernelMatrix:
             upper = kernel_matrix(fam, 3, fine, fine)
             lower = kernel_matrix(fam, 2, coarse, coarse)
             assert np.max(np.abs(upper.values - 2.0 * lower.values)) < 1e-8
+
+    def test_dual_representation(self, haar, db2):
+        # P_2 = P_0 + Q_0 + Q_1 with Q_j(x,y) = sum_k psi_jk(x) psi_jk(y)
+        rng = np.random.default_rng(7)
+        for fam in (haar, db2):
+            g = DyadicGrid(0.0, 2.0, 6)
+            direct = kernel_matrix(fam, 2, g, g).values
+            _, psi_t = refined_tables(fam, g.level)
+            split = kernel_matrix(fam, 0, g, g).values.copy()
+            for j in (0, 1):
+                s0, s1 = psi_t.grid.left, psi_t.grid.right
+                ks = range(math.floor(g.left * 2**j - s1), math.ceil(g.right * 2**j - s0) + 1)
+                rows = atom_rows(psi_t, j, ks, g.points(), g.level)
+                split += rows.T @ rows
+            idx = rng.integers(0, g.count, size=(100, 2))
+            offdiag = idx[idx[:, 0] != idx[:, 1]]
+            diffs = [abs(direct[i, m] - split[i, m]) for i, m in offdiag]
+            assert max(diffs) < 1e-5
 
     def test_delta_convergence(self, haar, db2):
         ys = DyadicGrid(-2.0, 2.0, 10)
