@@ -197,6 +197,8 @@ def run_family(args) -> str:
 def run_expand(args) -> str:
     tf = lookup_function(args.function)
     jr = parse_int_range(args.j)
+    if len(jr) < 2:
+        raise ConfigError(f"expand needs at least 2 levels j0..j1, got {args.j!r}")
     fam = _family(args.family)
     _check_grids(fam, tf, args.level, jr)
     coeffs = analyze(tf.tabulate(args.level), fam, jr.start, jr.stop - 1)
@@ -268,6 +270,8 @@ def run_sobolev(args) -> str:
 def run_spline(args) -> str:
     tf = lookup_function(args.function)
     meshes = [2.0**-m for m in parse_int_range(args.mesh_exponents)]
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     with _config_errors(SplineError):
         check_study(tf.window, args.order, meshes, args.level)
     report = spline_convergence_study(tf, args.order, meshes, level=args.level)
@@ -494,13 +498,18 @@ _CRITICAL_TARGETS = {
 }
 
 
+@functools.cache
+def _critical_orders():
+    """Criterion 8's (family, wavelet critical order at eps = 1) pairs,
+    shared with criterion 9 like `_slope_reports`."""
+    fams = {label: make_family(*spec) for label, spec in _BATTERY_FAMILIES.items()}
+    return {label: (fam, critical_order(fam)) for label, fam in fams.items()}
+
+
 def crit_critical_orders():
-    results = {}
+    results = _critical_orders()
     eps_ok = True
-    for label, spec in _BATTERY_FAMILIES.items():
-        fam = make_family(*spec)
-        co = critical_order(fam)
-        results[label] = co
+    for fam, co in results.values():
         around = (co.s_star - 0.3, co.s_star + 0.3)
         by_eps = [
             [r.diverged for r in criterion_sweep(fam, around, eps)]
@@ -509,10 +518,10 @@ def crit_critical_orders():
         # one verdict per s across every eps
         eps_ok &= all(len(set(verdicts)) == 1 for verdicts in zip(*by_eps))
     ok = eps_ok and all(
-        abs(results[label].s_star - target) <= tol
+        abs(results[label][1].s_star - target) <= tol
         for label, (target, tol) in _CRITICAL_TARGETS.items()
     )
-    observed = " ".join(f"{label}={co.s_star:.3f}" for label, co in results.items())
+    observed = " ".join(f"{label}={co.s_star:.3f}" for label, (_, co) in results.items())
     return _row(
         "8",
         "critical-orders",
@@ -526,9 +535,8 @@ def crit_rate_criterion_consistency():
     reports = _slope_reports()
     ok = True
     pieces = []
-    for label, spec in _BATTERY_FAMILIES.items():
-        fam = make_family(*spec)
-        a = critical_order(fam, criterion="wavelet").s_star
+    for label, (fam, co) in _critical_orders().items():
+        a = co.s_star
         b = critical_order(fam, criterion="scaling").s_star
         gap = abs(reports[label].slope - a)
         ok &= gap <= 0.25 and abs(a - b) <= 0.15
@@ -649,6 +657,7 @@ def run_suite(args) -> tuple[str, int]:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     _slope_reports.cache_clear()
+    _critical_orders.cache_clear()
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(lambda item: item[1](), selected))
     out_dir = args.out or "suite_report"

@@ -7,7 +7,8 @@ well-behaved families.  This module tabulates P_j as a product of atom
 rows from the dyadic-lattice engine (`waverate.expansion.atom_rows`),
 extracts the tightest nonincreasing majorant of the rescaled data, checks
 that profiles collapse across scales onto one integrable envelope, and fits
-the exponential decay C e^{-a u / 2} to the envelope.
+the exponential decay C e^{-a u / 2} to the envelope.  A profile reads only
+the rows of one period, as P_j is symmetric and invariant under 2^-j shifts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ RADII_LEVEL_COMPACT = 6
 RADII_LEVEL_WIDE = 4
 U_CAP = 64.0  # off-diagonal evaluation radius; tails beyond are model-estimated
 PROFILE_FLOOR = 1e-12
-FOLD_ROWS = 64  # kernel rows folded onto the diagonals per array pass
 MIN_FIT_POINTS = 20
 
 
@@ -54,8 +54,6 @@ class RadialBound:
     majorant: np.ndarray = field(repr=False)
     constant: float
     l1_mass: float
-    label: str = ""
-    j: int = 0
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,7 @@ def kernel_matrix(
         return KernelEvaluation(fam, j, xs, ys, np.zeros((xs.count, ys.count)))
     phi_t, _ = refined_tables(fam, max(xs.level, ys.level))
     ax = atom_rows(phi_t, j, ks, xs.points(), xs.level)
-    # one grid reads its rows once; the copy keeps numpy's general product,
-    # since a matrix times its own transpose takes a symmetric path that
-    # rounds differently
-    ay = ax.copy() if ys == xs else atom_rows(phi_t, j, ks, ys.points(), ys.level)
+    ay = atom_rows(phi_t, j, ks, ys.points(), ys.level)
     return KernelEvaluation(fam, j, xs, ys, ax.T @ ay)
 
 
@@ -110,31 +105,23 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
 
     Both grids share one lattice, so a pair's distance is a whole number of
     spacings, fixed along each diagonal of the matrix: the profile is the
-    peak of |P_j| per diagonal, folded onto |x - y|.  Each block of
-    FOLD_ROWS rows is written into one zeroed buffer, each row one column
-    left of the row above, so one column max gives the block's diagonal
-    peaks (a buffer for the whole matrix would hold nx (nx + ny) floats).
-    The suffix supremum automatically monotonizes: it is the tightest
-    nonincreasing majorant of the rescaled data.
+    peak of |P_j| per diagonal, folded onto |x - y|.  Each row is written
+    into one zeroed buffer one column left of the row above, so one column
+    max gives every diagonal's peak.  The suffix supremum automatically
+    monotonizes: it is the tightest nonincreasing majorant of the data.
     """
     xs, ys, j = ke.xs, ke.ys, ke.j
     if xs.level != ys.level:
         raise KernelError("a radial profile needs both grids on one lattice")
     nx, ny = ke.values.shape
+    w = nx + ny - 1  # the diagonals
+    buf = np.zeros(nx * w)
+    # row r starts r (w - 1) + nx - 1 into buf, which is column nx - 1 - r of
+    # buf viewed as (nx, w); w - 1 >= ny, as a grid has two points or more
+    skewed = buf[nx - 1 : nx - 1 + nx * (w - 1)].reshape(nx, w - 1)[:, :ny]
+    np.abs(ke.values, out=skewed)
     # diag[d + nx - 1] is the peak of |P_j| over the pairs with y-index - x-index = d
-    diag = np.zeros(nx + ny - 1)
-    rows = min(FOLD_ROWS, nx)  # >= 2: a grid has two points or more
-    w = rows + ny - 1  # the diagonals one block meets
-    buf = np.zeros(rows * w)
-    # row r of a block starts r (w - 1) + rows - 1 into buf, which is column
-    # rows - 1 - r of buf viewed as (rows, w): every diagonal is a column
-    block = buf[rows - 1 : rows - 1 + rows * (w - 1)].reshape(rows, w - 1)[:, :ny]
-    cols = buf.reshape(rows, w)
-    for i0 in range(0, nx, rows):
-        b = min(rows, nx - i0)
-        np.abs(ke.values[i0 : i0 + b], out=block[:b])
-        span = diag[nx - i0 - b : nx - i0 + ny - 1]
-        np.maximum(span, cols[:b, rows - b :].max(axis=0), out=span)
+    diag = buf.reshape(nx, w).max(axis=0)
     shift = round(np.ldexp(ys.left - xs.left, xs.level))
     steps = np.abs(np.arange(1 - nx, ny) + shift)  # |y - x| in spacings
     du = np.ldexp(xs.spacing, j)
@@ -146,7 +133,7 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
     maj = np.maximum.accumulate(peak[::-1])[::-1]
     radii = np.arange(n) * du
     mass = 2.0 * float(np.trapezoid(maj, dx=du))
-    return RadialBound(radii, maj, float(maj[0]), mass, ke.family.label, j)
+    return RadialBound(radii, maj, float(maj[0]), mass)
 
 
 def profile_table_level(fam: MRAFamily, j: int) -> int:
@@ -165,10 +152,14 @@ def _profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
 
 
 def scale_profiles(fam: MRAFamily, j_set) -> list[RadialBound]:
+    """Radial profiles of P_j, j in j_set, from the rows x in [0, 2^-j]: as
+    P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x), they meet every distance
+    and value of the square profile grid."""
     out = []
     for j in sorted(j_set):
         g = _profile_grid(fam, j)
-        out.append(radial_profile(kernel_matrix(fam, j, g, g)))
+        period = DyadicGrid(0.0, 2.0**-j, g.level)
+        out.append(radial_profile(kernel_matrix(fam, j, period, g)))
     return out
 
 
@@ -202,17 +193,12 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
     if len(j_set) < 3:
         raise KernelError("need at least 3 scales to test profile collapse")
     profiles = scale_profiles(fam, j_set)
-    n = max(len(p.majorant) for p in profiles)
-    du = float(profiles[0].radii[1] - profiles[0].radii[0])
-    env = np.zeros(n)
-    for p in profiles:
-        env[: len(p.majorant)] = np.maximum(env[: len(p.majorant)], p.majorant)
-    defect = 0.0
-    for p in profiles:
-        padded = np.zeros(n)
-        padded[: len(p.majorant)] = p.majorant
-        defect = max(defect, float(np.max(np.abs(padded - env))) / env[0])
-    radii = np.arange(n) * du
+    # every scale reads the same rescaled grid: one radii lattice for all
+    radii = profiles[0].radii
+    du = float(radii[1] - radii[0])
+    stack = np.array([p.majorant for p in profiles])
+    env = stack.max(axis=0)
+    defect = float(np.max(env - stack)) / env[0]
     mass = 2.0 * float(np.trapezoid(env, dx=du))
     tail = _tail_estimate(fam, radii, env)
     passes = bool(np.isfinite(mass) and np.isfinite(tail) and tail < 0.1 * mass)
@@ -224,8 +210,7 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
         "l1_mass": mass,
         "tail_estimate": tail,
         "passes": passes,
-        "envelope": RadialBound(radii, env, float(env[0]), mass, fam.label, -1),
-        "profiles": profiles,
+        "envelope": RadialBound(radii, env, float(env[0]), mass),
     }
 
 

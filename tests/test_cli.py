@@ -162,6 +162,9 @@ class TestCommands:
             "rate --family daubechies:2 --function gaussian --j 3..30",
             "rate --family daubechies:2 --function gaussian --level 2000 --j 3..9",
             "spline --function sine --order 2 --mesh-exponents 2..6 --level 40",
+            # analysis needs two levels j0 < j1; the perturbation rng a seed >= 0
+            "expand --family haar --function gaussian --j 5..5",
+            "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality --seed -1",
         ],
     )
     def test_bad_study_exits_1_before_compute(

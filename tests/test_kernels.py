@@ -7,7 +7,6 @@ import pytest
 from waverate import DyadicGrid, make_family, sample
 from waverate.grids import DecayHint
 from waverate.kernels import (
-    FOLD_ROWS,
     U_CAP,
     KernelError,
     KernelEvaluation,
@@ -50,7 +49,7 @@ def outer_difference_profile(ke) -> RadialBound:
     maj = np.maximum.accumulate(peak[::-1])[::-1]
     radii = np.arange(n) * du
     mass = 2.0 * float(np.trapezoid(maj, dx=du))
-    return RadialBound(radii, maj, float(maj[0]), mass, ke.family.label, j)
+    return RadialBound(radii, maj, float(maj[0]), mass)
 
 
 @pytest.fixture(scope="module")
@@ -162,17 +161,28 @@ class TestRadialProfile:
         assert np.array_equal(got.majorant, want.majorant)
         assert got.l1_mass == want.l1_mass
 
-    @pytest.mark.parametrize("nx", [2, FOLD_ROWS - 1, FOLD_ROWS, FOLD_ROWS + 1, 3 * FOLD_ROWS + 7])
-    @pytest.mark.parametrize("ny", [2, 3, 2 * FOLD_ROWS + 5])
+    @pytest.mark.parametrize("nx", [2, 63, 64, 65, 199])
+    @pytest.mark.parametrize("ny", [2, 3, 133])
     def test_fold_blocks_match_oracle_on_random_values(self, db2, nx, ny):
-        # fewer rows than a block, whole blocks, a one-row last block, a
-        # partial one; rows narrower and wider than a block
+        # fewer rows than columns, as many, and more
         xs = DyadicGrid(0.0, (nx - 1) / 8, 3)
         ys = DyadicGrid(-0.5, -0.5 + (ny - 1) / 8, 3)
         values = np.random.default_rng(nx * ny).standard_normal((nx, ny))
         ke = KernelEvaluation(db2, 0, xs, ys, values)
         got, want = radial_profile(ke), outer_difference_profile(ke)
         assert np.array_equal(got.majorant, want.majorant)
+
+    @pytest.mark.parametrize("name,param", ACCEPTED_FAMILIES + [("shannon", 0)])
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    def test_one_period_of_rows_matches_square(self, name, param, j):
+        # P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x): the rows of one
+        # period meet every distance and value of the square profile grid
+        fam = make_family(name, param)
+        g = _profile_grid(fam, j)
+        got = scale_profiles(fam, [j])[0]
+        want = outer_difference_profile(kernel_matrix(fam, j, g, g))
+        assert np.array_equal(got.radii, want.radii)
+        assert np.max(np.abs(got.majorant - want.majorant)) <= 1e-15 * want.constant
 
     def test_needs_one_lattice(self, db2):
         ke = kernel_matrix(db2, 2, DyadicGrid(0.0, 1.0, 5), DyadicGrid(0.0, 1.0, 6))
