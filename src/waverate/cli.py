@@ -93,6 +93,9 @@ COMPUTATIONAL_ERRORS = (
     SplineError,
 )
 
+#: a Haar verdict costs well under 1 ms, so the longest sweep takes seconds
+MAX_SWEEP_POINTS = 10_000
+
 
 class ConfigError(ValueError):
     """Invalid command-line configuration (exit code 1)."""
@@ -138,10 +141,14 @@ def parse_sweep(text: str) -> list[float]:
         lo, hi, step = (float(g) for g in m.groups())
     except ValueError as exc:
         raise ConfigError(f"bad sweep {text!r}: {exc}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"sweep {text!r} must have finite ends and step")
     if step <= 0 or hi < lo:
         raise ConfigError(f"sweep {text!r} must be increasing with positive step")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    steps = (hi - lo) / step + 1e-9  # inf when the quotient overflows
+    if not steps < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep {text!r} has more than {MAX_SWEEP_POINTS} points")
+    return [lo + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
 def parse_window(text: str) -> tuple[float, float]:

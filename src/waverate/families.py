@@ -498,5 +498,7 @@ def parse_family_spec(spec: str) -> MRAFamily:
         name, raw = spec.split(":", 1)
         if name in ("haar", "shannon"):
             raise FamilyError(f"{name} takes no parameter, got {spec!r}")
+        if not (raw.isascii() and raw.isdigit()):
+            raise FamilyError(f"family parameter must be decimal digits, got {spec!r}")
         return make_family(name, int(raw))
     return make_family(spec)

@@ -12,6 +12,7 @@ import pytest
 import waverate
 from waverate import DyadicGrid, make_family
 from waverate.cli import (
+    MAX_SWEEP_POINTS,
     ConfigError,
     _haar_cell_average_defect,
     main,
@@ -54,10 +55,30 @@ class TestParsing:
         assert values[0] == pytest.approx(0.1)
         assert values[-1] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("bad", ["0.1..2.0", "2.0..0.1:0.1", "0.1..2.0:-1", "x..y:z"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "0.1..2.0",
+            "2.0..0.1:0.1",
+            "0.1..2.0:-1",
+            "x..y:z",
+            # non-finite ends or step
+            "nan..2.0:0.1",
+            "0.1..inf:0.1",
+            "0.1..2.0:nan",
+            "0.1..1e999:0.1",
+            # more than MAX_SWEEP_POINTS, counted before any point is built
+            "0.1..16:1e-12",
+            "-1e308..1e308:1",
+            "1..10001:1",
+        ],
+    )
     def test_sweep_rejects(self, bad):
         with pytest.raises(ConfigError):
             parse_sweep(bad)
+
+    def test_sweep_point_limit_is_inclusive(self):
+        assert len(parse_sweep("1..10000:1")) == MAX_SWEEP_POINTS
 
     def test_window(self):
         assert parse_window("-1.0,1.0") == (-1.0, 1.0)
@@ -115,6 +136,23 @@ class TestCommands:
         # haar and shannon take no parameter: one given is not dropped
         assert main(["family", "--family", spec]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # int() would read ' 2' and '+2' as 2 and relabel them daubechies:2
+            *(
+                (spec, f"family parameter must be decimal digits, got {spec!r}")
+                for spec in ("daubechies:2.5", "daubechies:", "daubechies: 2", "daubechies:+2")
+            ),
+            ("daubechies:0", "daubechies moments must be in 1..10, got 0"),
+            ("daubechies:11", "daubechies moments must be in 1..10, got 11"),
+            ("battle_lemarie:5", "battle_lemarie order must be in 1..4"),
+        ],
+    )
+    def test_bad_family_parameter_message(self, spec, message, capsys):
+        assert main(["family", "--family", spec]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_computational_error_exits_2(self, capsys):
         # window touches the step's jump: a module-level diagnostic, not config
@@ -214,6 +252,12 @@ class TestCommands:
             # s outside (0, 16]
             "sobolev --family haar --sweep-s 0.0..2.0:0.5",
             "sobolev --family haar --sweep-s 15.0..17.0:1.0",
+            # non-finite sweeps, and sweeps past MAX_SWEEP_POINTS (never built)
+            "sobolev --family haar --sweep-s nan..2:0.1",
+            "sobolev --family haar --sweep-s 0.1..inf:0.1",
+            "sobolev --family haar --sweep-s 0.1..2:inf",
+            "sobolev --family haar --sweep-s 0.1..16:1e-12",
+            "sobolev --family haar --sweep-s 0.001..16:0.001",
         ],
     )
     def test_bad_sobolev_settings_exit_1_before_compute(
@@ -350,24 +394,21 @@ class TestSuiteCommand:
 
 
 class TestImportGraph:
-    def test_spline_studies_do_not_import_scipy(self, tmp_path):
-        # a cold scipy import costs a few tenths of a second; the spline layer
-        # runs on numpy alone, so no study may pull it in
+    @staticmethod
+    def run_studies(studies, module, cwd) -> str:
+        """Run each CLI argv in one fresh interpreter; return its exit codes and
+        whether `module` was imported, as the line the script prints."""
         script = (
             "import sys\n"
             "from waverate.cli import main\n"
-            "codes = [\n"
-            "    main('spline --function sine --order 2 --mesh-exponents 2..6 "
-            "--check-optimality'.split()),\n"
-            "    main('suite --only 11 --out suite_report'.split()),\n"
-            "]\n"
-            "print(codes, 'scipy' in sys.modules)\n"
+            f"codes = [main(argv.split()) for argv in {list(studies)!r}]\n"
+            f"print(codes, {module!r} in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(waverate.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c", script],
-            cwd=tmp_path,
+            cwd=cwd,
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -375,4 +416,22 @@ class TestImportGraph:
             check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+        return proc.stdout.splitlines()[-1]
+
+    def test_spline_studies_do_not_import_scipy(self, tmp_path):
+        # a cold scipy import costs a few tenths of a second; the spline layer
+        # runs on numpy alone, so no study may pull it in
+        studies = [
+            "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality",
+            "suite --only 11 --out suite_report",
+        ]
+        assert self.run_studies(studies, "scipy", tmp_path) == "[0, 0] False"
+
+    def test_daubechies_studies_do_not_import_mpmath(self, tmp_path):
+        # the Daubechies filters are stored doubles: no study factors the
+        # half-band polynomial, so none pays for the extended-precision import
+        studies = [
+            "family --family daubechies:10",
+            "sobolev --family daubechies:6 --criterion wavelet",
+        ]
+        assert self.run_studies(studies, "mpmath", tmp_path) == "[0, 0] False"

@@ -1,14 +1,17 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverate.filters import (
+    _DAUBECHIES_LOWPASS,
     MAX_DAUBECHIES,
     FilterError,
     FilterPair,
     daubechies_filter,
     from_lowpass,
+    half_band_coefficients,
     haar_filter,
     mirror_highpass,
 )
@@ -16,6 +19,39 @@ from waverate.filters import (
 # published extremal-phase DB2 lowpass: (1 +- sqrt(3)) pattern over 4 sqrt(2)
 S3 = np.sqrt(3.0)
 DB2_REFERENCE = np.array([1 + S3, 3 + S3, 3 - S3, 1 - S3]) / (4 * np.sqrt(2.0))
+
+
+def _poly_mul(a, b):
+    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def factored_lowpass(n: int) -> np.ndarray:
+    """Extremal-phase Daubechies lowpass by spectral factorization at 60 digits.
+
+    Each root y0 of the half-band P_n gives z^2 - (2 - 4 y0) z + 1 = 0; the
+    root with |z| < 1 goes into q(z); h = sqrt(2) times the coefficients of
+    m0(z) = ((1+z)/2)^n q(z) / q(1).
+    """
+    with mp.workdps(60):
+        p_coeffs = [mp.mpf(c) for c in half_band_coefficients(n)]
+        roots = mp.polyroots(list(reversed(p_coeffs)), maxsteps=200, extraprec=120)
+        q = [mp.mpf(1)]
+        for y0 in roots:
+            b = 2 - 4 * y0
+            disc = mp.sqrt(b * b - 4)
+            z1, z2 = (b + disc) / 2, (b - disc) / 2
+            q = _poly_mul(q, [-(z1 if abs(z1) < 1 else z2), mp.mpf(1)])
+        for _ in range(n):
+            q = _poly_mul(q, [mp.mpf(0.5), mp.mpf(0.5)])
+        total = sum(q)
+        h = np.array([float(mp.re(mp.sqrt(2) * c / total)) for c in q])
+    # extremal phase: energy concentrated at the front
+    half = len(h) // 2
+    return h if np.sum(h[:half] ** 2) >= np.sum(h[half:] ** 2) else h[::-1]
 
 
 class TestHaarFilter:
@@ -66,6 +102,20 @@ class TestDaubechies:
     def test_rejects_out_of_range(self, n):
         with pytest.raises(FilterError):
             daubechies_filter(n)
+
+
+class TestDaubechiesTable:
+    """The stored lowpass doubles are those of the 60-digit factorization."""
+
+    def test_keys_cover_every_order_above_haar(self):
+        assert sorted(_DAUBECHIES_LOWPASS) == list(range(2, MAX_DAUBECHIES + 1))
+
+    @pytest.mark.parametrize("n", range(2, MAX_DAUBECHIES + 1))
+    def test_table_is_the_factorization_bit_for_bit(self, n):
+        oracle = factored_lowpass(n)
+        f = daubechies_filter(n)
+        assert f.lowpass.tobytes() == oracle.tobytes()
+        assert f.highpass.tobytes() == mirror_highpass(oracle).tobytes()
 
 
 class TestFilterPairValidation:
