@@ -19,7 +19,9 @@ FAMILIES = (
     ("haar", 0),
     ("daubechies", 2),
     ("daubechies", 3),
+    ("daubechies", 4),
     ("battle_lemarie", 2),
+    ("battle_lemarie", 4),
 )
 
 

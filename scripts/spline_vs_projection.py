@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from waverate import DyadicGrid, make_family
-from waverate.convergence import export_rate_json, test_function
+from waverate.convergence import export_rate_json, quadrature_sample, test_function
 from waverate.expansion import project
 from waverate.splines import best_l2_spline, make_space, spline_convergence_study
 
@@ -44,8 +44,10 @@ def main():
     print("\norder-k spline vs. battle_lemarie:k projection on [-3, 3]:")
     for order in (1, 2, 3, 4):
         fam = make_family("battle_lemarie", order)
+        # the projection samples f on the family's quadrature lattice
+        f_quad = quadrature_sample(gaussian, fam, xs.level)
         for j in (3, 4, 5):
-            pj = project(f, fam, j, xs)
+            pj = project(f_quad, fam, j, xs)
             approx = best_l2_spline(f, make_space(order, 2.0**-j, gaussian.window))
             gap = float(np.max(np.abs(approx(xs.points()) - pj.values)))
             print(f"  k={order} h = 2^-{j}: sup difference {gap:.3e}")

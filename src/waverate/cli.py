@@ -34,6 +34,7 @@ from .convergence import (
     midcell_step,
     order_robustness,
     pointwise_trace,
+    quadrature_sample,
     sup_error_rates,
     test_function,
 )
@@ -73,6 +74,7 @@ from .sobolev import (
 )
 from .splines import (
     MAX_ORDER,
+    MIN_SAMPLES_PER_CELL,
     PERTURBATION_SEED,
     SplineError,
     best_l2_spline,
@@ -208,7 +210,7 @@ def run_expand(args) -> str:
         raise ConfigError(f"expand needs at least 2 levels j0..j1, got {args.j!r}")
     fam = _family(args.family)
     _check_grids(fam, tf, args.level, jr)
-    coeffs = analyze(tf.tabulate(args.level), fam, jr.start, jr.stop - 1)
+    coeffs = analyze(quadrature_sample(tf, fam, args.level), fam, jr.start, jr.stop - 1)
     if args.out:
         from .serialize import coefficients_to_dict
 
@@ -276,7 +278,14 @@ def run_sobolev(args) -> str:
 
 def run_spline(args) -> str:
     tf = lookup_function(args.function)
-    meshes = [2.0**-m for m in parse_int_range(args.mesh_exponents)]
+    exponents = parse_int_range(args.mesh_exponents)
+    # bound the range by its ends before its meshes exist: coarser meshes
+    # overflow the window, finer ones span too few cells of the --level grid
+    lo = math.ceil(-math.log2(tf.window[1] - tf.window[0]))
+    hi = args.level - int(math.log2(MIN_SAMPLES_PER_CELL))
+    if not lo <= exponents[0] <= exponents[-1] <= hi:
+        raise ConfigError(f"mesh exponents must lie in {lo}..{hi} at --level {args.level}")
+    meshes = [2.0**-m for m in exponents]
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     with _config_errors(SplineError):
@@ -343,13 +352,13 @@ def _haar_cell_average_defect(haar, tf, j: int, level: int = 12) -> float:
     (n_cells, per) midpoint array is cell c; one sampler call and one
     row mean give every cell average.
     """
-    f = tf.tabulate(level)
+    f = quadrature_sample(tf, haar, level)
     xs = DyadicGrid(tf.window[0], tf.window[1], level)
     pj = project(f, haar, j, xs)
     per = 2 ** (level - j)
-    h = f.grid.spacing
-    n_cells = (f.values.size - 1) // per
-    lefts = f.grid.left + np.arange(n_cells) * per * h
+    h = xs.spacing
+    n_cells = (xs.count - 1) // per
+    lefts = xs.left + np.arange(n_cells) * per * h
     mids = lefts[:, None] + (np.arange(per) + 0.5) * h
     avg = np.asarray(tf.sampler(mids), dtype=float).mean(axis=1)
     # compare on the open interior of each cell (midpoint values sit on
@@ -432,7 +441,8 @@ def crit_lebesgue_point():
 
 
 def crit_summation_order():
-    coeffs = analyze(test_function("gaussian").tabulate(), make_family("haar"), 0, 6)
+    haar = make_family("haar")
+    coeffs = analyze(quadrature_sample(test_function("gaussian"), haar), haar, 0, 6)
     schedules = [level_by_level_schedule(coeffs), interleaved_schedule(coeffs, 2)]
     rep = order_robustness(coeffs, schedules, np.linspace(-1.0, 1.0, 50))
     groups = list(level_by_level_schedule(coeffs).groups)

@@ -15,6 +15,8 @@ Conventions
 * Every projection, partial sum and order-robustness term comes from the
   dyadic-lattice engine of ``waverate.expansion``: coefficients by the
   midpoint rule on the 2h lattice, values by strided synthesis or atom rows.
+* A study samples f once, with ``quadrature_sample``: on the family's
+  quadrature lattice, finer than the level-L grid its errors are read on.
 * Sup norms are grid suprema at the tabulation level L; the quantization
   error is reported as 2^{-L} times a local Lipschitz estimate.
 * Rate slopes are positive decay exponents: sup_error ~ C 2^{-slope j},
@@ -36,12 +38,13 @@ import numpy as np
 
 from .expansion import (
     ExpansionCoefficients,
+    _quad_refine,
     atom_rows,
     complete_schedule_check,
     project,
     validate_schedule,
 )
-from .families import MRAFamily, refined_tables
+from .families import MRAFamily
 from .grids import NO_DECAY, DyadicGrid, SampledFunction
 from .serialize import write_csv, write_json
 
@@ -116,6 +119,11 @@ class TestFunction:
         if self.cumulative_measure is not None:
             return self.tabulate(grid.level).restrict(grid.left, grid.right).values
         return np.asarray(self.sampler(grid.points()), dtype=float)
+
+
+def quadrature_sample(tf: TestFunction, fam: MRAFamily, level: int = STUDY_LEVEL):
+    """tf sampled where analysis on fam reads it, for errors on level-`level` grids."""
+    return tf.tabulate(level + _quad_refine(fam))
 
 
 def oscillating_measure(t) -> np.ndarray:
@@ -233,7 +241,7 @@ def _snap_right(x: float, level: int) -> float:
 
 
 def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.ndarray:
-    """(j, P_j f(x)) pairs from f at STUDY_LEVEL, read right-continuously."""
+    """(j, P_j f(x)) pairs on the STUDY_LEVEL lattice, read right-continuously."""
     js = list(j_range)
     if not js:
         raise ConvergenceError("empty level range")
@@ -244,7 +252,7 @@ def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.n
             f"point {x} too close to the window edge for level {min(js)} "
             f"(needs margin {margin:.3g})"
         )
-    f = tf.tabulate(STUDY_LEVEL)
+    f = quadrature_sample(tf, fam)
     x_eval = _snap_right(x, STUDY_LEVEL)
     h = 2.0**-STUDY_LEVEL
     xs = DyadicGrid(x_eval - h, x_eval + h, STUDY_LEVEL)
@@ -375,7 +383,7 @@ def lp_error_trace(
     if len(js) < 4:
         raise ConvergenceError("need at least 4 levels")
     xs = _window_grid(window, level)
-    f = tf.tabulate(level)
+    f = quadrature_sample(tf, fam, level)
     truth = tf.truth_on(xs)
     rows = []
     for j in js:
@@ -410,11 +418,10 @@ def order_robustness(coeffs: ExpansionCoefficients, schedules, x_points) -> dict
             raise ConvergenceError("schedule is not complete for the coefficient set")
 
     pts = np.array([_snap_right(x, STUDY_LEVEL) for x in x_points])
-    phi_t, psi_t = refined_tables(coeffs.family, STUDY_LEVEL)
     levels = coeffs.levels()
     values = {}
-    for (j, terms), table in zip(levels, [phi_t] + [psi_t] * (len(levels) - 1)):
-        rows = atom_rows(table, j, [term[-1] for term in terms], pts, STUDY_LEVEL)
+    for (j, terms), gen in zip(levels, ["phi"] + ["psi"] * (len(levels) - 1)):
+        rows = atom_rows(coeffs.family, gen, j, [t[-1] for t in terms], pts, STUDY_LEVEL)
         values.update((term, c * row) for (term, c), row in zip(terms.items(), rows))
 
     finals = []

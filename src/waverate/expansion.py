@@ -3,12 +3,11 @@
 One dyadic-lattice engine pairs atoms with tables.  On the level-L lattice
 x_m = m 2^-L the atom 2^{j/2} g(2^j x - k) reads g at (m - k 2^{L-j}) 2^{j-L}:
 every translate samples one level-(L-j) lattice of g, shifted 2^{L-j} points
-per unit of k.  `_atom_blocks` reads a table there once, in unit blocks
-(`SampledFunction.on_lattice`), and is the only reader of tables at atom
-points (exact once `refined_tables` resolves the lattice; band-limited and BL
-spline tables are interpolated).
-Analysis uses the jump-robust rule 2T(h) - T(2h) of `product_quad`, which on
-even-aligned slices is the midpoint rule (weight 2h on odd offsets): f's odd
+per unit of k.  `_atom_blocks` alone picks a table: it asks `refined_tables`
+for g on exactly that lattice and slices it once, in unit blocks.
+Analysis reads f on its own lattice, sampled `_quad_refine` levels finer than
+the error grid, by the jump-robust rule 2T(h) - T(2h) of `product_quad`, on
+even-aligned slices the midpoint rule (weight 2h on odd offsets): f's odd
 samples correlated with the blocks, one matrix product summed along block
 diagonals.  Synthesis is the transpose, a Toeplitz gather of coefficients
 times blocks; `atom_rows` gathers the dense (k x points) matrix.  The
@@ -29,13 +28,12 @@ from .grids import NO_DECAY, DyadicGrid, SampledFunction
 
 COEFFICIENT_BOUND_SLACK = 1e-6
 
-# extra quadrature levels for families whose tables are rough between lattice
-# points; the piecewise-constant closed forms are already exact on f's lattice
-QUADRATURE_REFINE = 3
-
 
 def _quad_refine(fam: MRAFamily) -> int:
-    return 0 if uses_haar_tables(fam.name, fam.param) else QUADRATURE_REFINE
+    """Levels by which f is sampled finer than the grid its errors are read
+    on: 3 for families whose tables are rough between lattice points, 0 for
+    the piecewise-constant closed forms, already exact on f's lattice."""
+    return 0 if uses_haar_tables(fam.name, fam.param) else 3
 
 
 class ExpansionError(ValueError):
@@ -68,8 +66,9 @@ class SummationSchedule:
 
     A term is ("b", k) for a scaling coefficient at the base level or
     ("a", j, k) for a wavelet coefficient.  `bounded_range` is the allowed
-    span (in consecutive levels) of wavelet levels that are started but not
-    finished at any prefix.
+    span (in consecutive levels) of levels that are started but not finished
+    at any prefix; the scaling terms count as one level just below the
+    lowest wavelet level.
     """
 
     groups: tuple[tuple[tuple, ...], ...]
@@ -102,15 +101,15 @@ def validate_schedule(schedule: SummationSchedule):
     Returns (ok, report); report carries the worst prefix's level span.
     """
     terms = list(schedule.terms())
-    totals = Counter(term[1] for term in terms if term[0] == "a")
+    base = min((term[1] for term in terms if term[0] == "a"), default=0) - 1
+    levels = [term[1] if term[0] == "a" else base for term in terms]
+    totals = Counter(levels)
     seen: Counter = Counter()
     worst_span = worst_prefix = 0
     # the span must hold at every term prefix: a level finishing within a
     # group may still have straddled a wide range mid-group
-    for n_terms, term in enumerate(terms, 1):
-        if term[0] != "a":
-            continue
-        seen[term[1]] += 1
+    for n_terms, level in enumerate(levels, 1):
+        seen[level] += 1
         partial = [j for j, c in seen.items() if c < totals[j]]
         span = (max(partial) - min(partial) + 1) if partial else 0
         if span > worst_span:
@@ -142,13 +141,15 @@ def translate_range(fam: MRAFamily, j: int, window: tuple[float, float]):
     return range(kmin, kmax + 1)
 
 
-def _atom_blocks(table: SampledFunction, j: int, level: int):
-    """2^{j/2} table on the level-(level - j) lattice, in blocks of one unit.
+def _atom_blocks(fam: MRAFamily, gen: str, j: int, level: int):
+    """2^{j/2} g, fam's generator gen ("phi" or "psi"), on the level-(level - j)
+    lattice, in blocks of one unit: a slice of `refined_tables` at that level.
 
     Returns (beta, blocks) with blocks of shape (width, 2^(level-j)): the
     atom of translate k reads blocks.ravel()[m - (k + beta) 2^(level-j)] at
     the level-`level` lattice index m.  Needs level >= j.
     """
+    table = refined_tables(fam, level - j)[("phi", "psi").index(gen)]
     per = 2 ** (level - j)
     beta = math.floor(table.grid.left)
     width = math.floor(table.grid.right) - beta + 1
@@ -162,59 +163,56 @@ def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.append(values, 0.0)[np.where(inside, idx, len(values))]
 
 
-def _even_intervals(grid: DyadicGrid, qlevel: int) -> int:
-    """Intervals of grid's level-qlevel quadrature lattice, which must be even."""
-    n = (grid.count - 1) * 2 ** (qlevel - grid.level)
+def _even_intervals(grid: DyadicGrid) -> int:
+    """Intervals of f's quadrature lattice, its own grid, which must be even."""
+    n = grid.count - 1
     if n % 2:
         raise ExpansionError(
-            f"the level-{qlevel} quadrature lattice of f has an odd number of "
+            f"the level-{grid.level} quadrature lattice of f has an odd number of "
             f"intervals ({n}); tabulate f one level finer"
         )
     return n
 
 
 def finest_table_level(fam: MRAFamily, level: int, j_max: int) -> int:
-    """Finest lattice at which analysing or projecting a level-`level` f on
-    scales up to j_max reads the family's tables."""
+    """Finest lattice at which analysing or projecting f, sampled for errors
+    on a level-`level` grid, on scales up to j_max reads a table."""
     return max(level + _quad_refine(fam), j_max)
 
 
 def check_quadrature_lattice(fam: MRAFamily, grid: DyadicGrid) -> None:
-    """Raise the odd-lattice error of analysing f on grid, before f is tabulated."""
-    _even_intervals(grid, grid.level + _quad_refine(fam))
+    """Raise the odd-lattice error of a study with errors on grid, before f is sampled."""
+    _even_intervals(grid.refine(_quad_refine(fam)))
 
 
 def dyadic_analysis(
-    f: SampledFunction, table: SampledFunction, j: int, ks: range, qlevel: int
+    f: SampledFunction, fam: MRAFamily, gen: str, j: int, ks: range
 ) -> np.ndarray:
-    """<f, 2^{j/2} table(2^j . - k)> for k in ks, midpoint rule at qlevel.
+    """<f, 2^{j/2} g(2^j . - k)> for k in ks, g fam's generator gen, by the
+    midpoint rule on f's own lattice.
 
-    f is read on the qlevel lattice (`SampledFunction.on_lattice`: a slice at
-    its own level, interpolated on finer lattices); only the blocks that the
-    translates in ks meet are touched.
+    Only the blocks that the translates in ks meet are touched.
     """
-    n = _even_intervals(f.grid, qlevel)
+    n = _even_intervals(f.grid)
+    qlevel = f.grid.level
     level = max(qlevel, j)  # atoms finer than the lattice are read at level j
-    beta, blocks = _atom_blocks(table, j, level)
+    beta, blocks = _atom_blocks(fam, gen, j, level)
     width, per = blocks.shape
     origin = round(np.ldexp(f.grid.left, qlevel))
     m = np.arange(1, n, 2)
     pos = (origin + m) * 2 ** (level - qlevel) - (ks.start + beta) * per
     keep = (pos >= 0) & (pos < (len(ks) + width - 1) * per)
-    m = m[keep]
-    # the kept m are one run of odd offsets: every other point of a lattice run
-    fv = f.on_lattice(qlevel, origin + m[0], 2 * m.size - 1)[::2] if m.size else m
     g = np.zeros((len(ks) + width - 1) * per)
-    g[pos[keep]] = np.ldexp(fv, 1 - qlevel)
+    g[pos[keep]] = np.ldexp(f.values[m[keep]], 1 - qlevel)
     # translate ks[i] meets its block d in row i + d of the product
     prod = g.reshape(-1, per) @ blocks.T
     return np.einsum("kdd->k", sliding_window_view(prod, width, axis=0))
 
 
-def dyadic_synthesis(coef, table: SampledFunction, j: int, ks, xs: DyadicGrid) -> np.ndarray:
-    """sum_k coef[k] 2^{j/2} table(2^j x - k) at the points of xs; ks ascending."""
+def dyadic_synthesis(coef, fam: MRAFamily, gen: str, j: int, ks, xs: DyadicGrid) -> np.ndarray:
+    """sum_k coef[k] 2^{j/2} g(2^j x - k), g fam's generator gen, on xs; ks ascending."""
     level = max(xs.level, j)
-    beta, blocks = _atom_blocks(table, j, level)
+    beta, blocks = _atom_blocks(fam, gen, j, level)
     width, per = blocks.shape
     dense = np.zeros(ks[-1] - ks[0] + 1)
     dense[np.asarray(ks) - ks[0]] = coef
@@ -224,10 +222,10 @@ def dyadic_synthesis(coef, table: SampledFunction, j: int, ks, xs: DyadicGrid) -
     return _gather((toeplitz @ blocks).ravel(), pos - (ks[0] + beta) * per)
 
 
-def atom_rows(table: SampledFunction, j: int, ks, x: np.ndarray, level: int) -> np.ndarray:
-    """Rows 2^{j/2} table(2^j x - k), k in ks, at level-`level` lattice points x."""
+def atom_rows(fam: MRAFamily, gen: str, j: int, ks, x: np.ndarray, level: int) -> np.ndarray:
+    """Rows 2^{j/2} g(2^j x - k), g fam's generator gen, k in ks, at lattice points x."""
     level = max(level, j)
-    beta, blocks = _atom_blocks(table, j, level)
+    beta, blocks = _atom_blocks(fam, gen, j, level)
     pos = np.rint(np.ldexp(x, level)).astype(np.int64)
     return _gather(blocks.ravel(), pos - (np.asarray(ks)[:, None] + beta) * blocks.shape[1])
 
@@ -238,18 +236,16 @@ def atom_rows(table: SampledFunction, j: int, ks, x: np.ndarray, level: int) -> 
 
 def analyze(f: SampledFunction, fam: MRAFamily, j0: int, j1: int) -> ExpansionCoefficients:
     """Scaling coefficients at j0 and wavelet coefficients for j0 <= j < j1,
-    over every translate that meets f's grid."""
+    over every translate that meets f's grid, by quadrature at f's level."""
     if j1 <= j0:
         raise ExpansionError(f"need j1 > j0, got {j0}..{j1}")
     window = (f.grid.left, f.grid.right)
 
     sup_f = f.norm_sup()
     psi_l1 = fam.psi.norm_l1()
-    qlevel = f.grid.level + _quad_refine(fam)
-    phi_t, psi_t = refined_tables(fam, qlevel)
 
     ks = translate_range(fam, j0, window)
-    b = dict(zip(ks, dyadic_analysis(f, phi_t, j0, ks, qlevel).tolist()))
+    b = dict(zip(ks, dyadic_analysis(f, fam, "phi", j0, ks).tolist()))
     a = {}
     for j in range(j0, j1):
         # the multiplicative slack absorbs the O(h) quadrature deficit of
@@ -257,7 +253,7 @@ def analyze(f: SampledFunction, fam: MRAFamily, j0: int, j1: int) -> ExpansionCo
         bound = 2.0 ** (-j / 2.0) * sup_f * psi_l1 * (1.0 + 4.0 * fam.psi.dx)
         bound += COEFFICIENT_BOUND_SLACK
         ks = translate_range(fam, j, window)
-        vals = dyadic_analysis(f, psi_t, j, ks, qlevel)
+        vals = dyadic_analysis(f, fam, "psi", j, ks)
         over = np.flatnonzero(np.abs(vals) > bound)
         if over.size:
             raise ExpansionError(
@@ -275,10 +271,8 @@ def project(
     if xs.left < f.grid.left or xs.right > f.grid.right:
         raise ExpansionError("evaluation grid outside tabulated support of f")
     ks = translate_range(fam, j, (xs.left, xs.right))
-    qlevel = f.grid.level + _quad_refine(fam)
-    phi_t, _ = refined_tables(fam, max(qlevel, xs.level))
-    coef = dyadic_analysis(f, phi_t, j, ks, qlevel)
-    return SampledFunction(xs, dyadic_synthesis(coef, phi_t, j, ks, xs), NO_DECAY)
+    coef = dyadic_analysis(f, fam, "phi", j, ks)
+    return SampledFunction(xs, dyadic_synthesis(coef, fam, "phi", j, ks, xs), NO_DECAY)
 
 
 def partial_sum(
@@ -293,11 +287,10 @@ def partial_sum(
     absent = set(counts).difference(*(terms for _, terms in levels))
     if absent:
         raise ExpansionError(f"schedule references absent coefficients {sorted(absent)}")
-    phi_t, psi_t = refined_tables(coeffs.family, xs.level)
     out = np.zeros(xs.count)
-    for (j, terms), table in zip(levels, [phi_t] + [psi_t] * (len(levels) - 1)):
+    for (j, terms), gen in zip(levels, ["phi"] + ["psi"] * (len(levels) - 1)):
         coef = [counts[term] * v for term, v in terms.items()]
-        out += dyadic_synthesis(coef, table, j, [term[-1] for term in terms], xs)
+        out += dyadic_synthesis(coef, coeffs.family, gen, j, [t[-1] for t in terms], xs)
     return SampledFunction(xs, out, NO_DECAY)
 
 

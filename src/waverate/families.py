@@ -17,9 +17,9 @@ Construction routes:
 
 Every family also carries its two-scale power symbol
 w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
-`waverate.sobolev` are infinite products of it.  Filter families (Haar and
-Daubechies) hold their finer tables themselves: `refined_tables` subdivides
-on demand and keeps each level on the family object.
+`waverate.sobolev` are infinite products of it.  `refined_tables` tabulates
+finer levels exactly: filter families (Haar and Daubechies) subdivide on
+demand and keep each level on the family object.
 """
 
 from __future__ import annotations
@@ -196,12 +196,16 @@ def _haar_pair(level: int) -> tuple[SampledFunction, SampledFunction]:
 
 def _shannon_pair(level: int):
     grid = DyadicGrid(-SHANNON_RADIUS, SHANNON_RADIUS, level)
-    x = grid.points()
-    phi = np.sinc(x)  # sin(pi x)/(pi x)
-    xs = x - 0.5
-    on_half = xs == 0.0
-    denom = np.where(on_half, 1.0, np.pi * xs)
-    psi = (np.sin(2 * np.pi * xs) - np.sin(np.pi * xs)) / denom
+    u = grid.points()
+    phi = np.sinc(u)  # sin(pi x)/(pi x)
+    # psi = (sin 2 pi u - sin pi u) / (pi u), u = x - 1/2, in place: fine levels are large
+    u -= 0.5
+    on_half = u == 0.0
+    psi = np.sin(2 * np.pi * u)
+    u *= np.pi
+    psi -= np.sin(u)
+    u[on_half] = 1.0
+    psi /= u
     psi[on_half] = 1.0  # limit of (sin 2u - sin u)/u at 0
     trunc = 1.0 / (np.pi * SHANNON_RADIUS)
     hint = DecayHint("algebraic", N=1.05, truncation=trunc)
@@ -473,14 +477,18 @@ _REFINED_LOCK = threading.Lock()
 def refined_tables(fam: MRAFamily, level: int):
     """phi and psi tabulated at least at `level`, on the family's own grid.
 
-    Needed whenever atoms are evaluated on a lattice finer than the stored
-    tables, where interpolation would smear jumps and rough features.  Filter
-    families (Haar included) subdivide exactly, from the finest level they
-    already hold.  Battle-Lemarie splines on integer knots and the smooth
-    Shannon pair are returned unchanged: interpolation is already faithful.
+    At or below the stored level the stored pair serves; finer levels are
+    tabulated exactly, so every lattice an atom is read on holds samples.
+    Battle-Lemarie tabulates its spline series and Shannon its closed form,
+    without holding them; filter families (Haar included) subdivide from
+    the finest level they already hold.
     """
-    if level <= fam.phi.grid.level or fam.filter is None:
+    if level <= fam.phi.grid.level:
         return fam.phi, fam.psi
+    if fam.name == "shannon":
+        return _shannon_pair(level)
+    if fam.filter is None:  # Battle-Lemarie of order 2 or more
+        return _battle_lemarie_pair(fam.param, level)
     with _REFINED_LOCK:
         if level in fam.tables:
             return fam.tables[level]

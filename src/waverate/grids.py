@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: finest lattice level a study may read a table at.  The widest refined
-#: table, daubechies:10 on 19 units, holds 5.0 M points (40 MB) at level 18;
-#: rate --family daubechies:10 --level 15 (quadrature level 18) peaks at
-#: 262 MB in 5.7 s, and each level more doubles both
+#: finest lattice level a study may read a table at.  Family tables are
+#: tabulated exactly at the level read; the widest, shannon on 128 units,
+#: holds 33.6 M points (268 MB) per generator at level 18.  expand --family
+#: shannon --j 0..6 --level 13 reads level 16 and peaks at 309 MB in 3.0 s,
+#: and each level more nearly doubles both; rate --family daubechies:10
+#: --level 15 (f at level 18, tables to level 15) peaks at 123 MB in 0.35 s
 MAX_TABLE_LEVEL = 18
 
 
@@ -149,39 +151,25 @@ class SampledFunction:
     def on_lattice(self, level: int, start: int, count: int) -> np.ndarray:
         """self at the lattice points (start + n) 2^-level, n = 0..count-1.
 
-        Bitwise equal to calling self on those points.  At or below the
-        table's level the points are nodes and the read is a strided slice;
-        on a finer lattice each table cell holds 2^(level - L) points at the
-        exact offsets r 2^-level from its node, so numpy's interpolant is one
-        broadcast slope * offset + value per cell.
+        The lattice must be at or coarser than the table's: its points are
+        nodes, read as one strided slice (0 off the grid), bitwise equal to
+        calling self on them.  A finer lattice raises ValueError; a table
+        holding it exactly comes from its source (`refined_tables` for a
+        family, `TestFunction.tabulate` for a test function).
         """
         grid, vals = self.grid, self.values
+        if level > grid.level:
+            raise ValueError(
+                f"the level-{level} lattice is finer than the level-{grid.level} table"
+            )
         out = np.zeros(count)
-        last = vals.size - 1
-        if level <= grid.level:
-            stride = 2 ** (grid.level - level)
-            # table index of point n is first + n * stride
-            first = start * stride - round(math.ldexp(grid.left, grid.level))
-            n0 = max(0, -(first // stride))
-            n1 = min(count, (last - first) // stride + 1)
-            if n1 > n0:
-                out[n0:n1] = vals[first + n0 * stride : first + (n1 - 1) * stride + 1 : stride]
-            return out
-        per = 2 ** (level - grid.level)
-        # q = lattice offset from the table's first node; inside is q <= last * per
-        offset = start - round(math.ldexp(grid.left, level))
-        q0, q1 = max(offset, 0), min(offset + count, last * per + 1)
-        if q1 <= q0:
-            return out
-        c0, c1 = q0 // per, min(-(-q1 // per), last)
-        lo = vals[c0:c1, None]
-        slope = (vals[c0 + 1 : c1 + 1, None] - lo) / grid.spacing
-        cells = slope * np.ldexp(np.arange(per), -level) + lo
-        cells[:, 0] = lo[:, 0]
-        end = min(q1, c1 * per)
-        out[q0 - offset : end - offset] = cells.ravel()[q0 - c0 * per : end - c0 * per]
-        if q1 > end:  # the right endpoint q = last * per
-            out[end - offset] = vals[last]
+        stride = 2 ** (grid.level - level)
+        # table index of point n is first + n * stride
+        first = start * stride - round(math.ldexp(grid.left, grid.level))
+        n0 = max(0, -(first // stride))
+        n1 = min(count, (vals.size - 1 - first) // stride + 1)
+        if n1 > n0:
+            out[n0:n1] = vals[first + n0 * stride : first + (n1 - 1) * stride + 1 : stride]
         return out
 
     def integral(self) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .convergence import line_fit
 from .expansion import atom_rows, translate_range
-from .families import MRAFamily, refined_tables
-from .grids import NO_DECAY, DyadicGrid, SampledFunction
+from .families import MRAFamily
+from .grids import DyadicGrid
 from .serialize import write_json
 
 # rescaled-radius resolution 2^-RADII_LEVEL, shared across scales within a
@@ -80,20 +80,9 @@ def kernel_matrix(
     ks = range(max(kx.start, ky.start), min(kx.stop, ky.stop))
     if not ks:
         return KernelEvaluation(fam, j, xs, ys, np.zeros((xs.count, ys.count)))
-    phi_t, _ = refined_tables(fam, max(xs.level, ys.level))
-    ax = atom_rows(phi_t, j, ks, xs.points(), xs.level)
-    ay = atom_rows(phi_t, j, ks, ys.points(), ys.level)
+    ax = atom_rows(fam, "phi", j, ks, xs.points(), xs.level)
+    ay = atom_rows(fam, "phi", j, ks, ys.points(), ys.level)
     return KernelEvaluation(fam, j, xs, ys, ax.T @ ay)
-
-
-def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
-    """(P_j f)(x) = integral P_j(x, y) f(y) dy via trapezoid over ys."""
-    ys = ke.ys
-    fy = f.on_lattice(ys.level, round(np.ldexp(ys.left, ys.level)), ys.count)
-    w = np.full(ys.count, ys.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return SampledFunction(ke.xs, ke.values @ (fy * w), NO_DECAY)
 
 
 # ---------------------------------------------------------------------------

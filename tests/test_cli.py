@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,22 @@ class TestCommands:
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == "family,function,kind,j,sup_error"
+
+    @pytest.mark.parametrize("exponents", ["2..3000000", "-3000000..4"])
+    def test_long_mesh_range_rejected_by_its_ends(self, exponents, tmp_path, capsys):
+        # the ends are checked before the list of meshes exists: no memory
+        # grows with the range
+        argv = ["spline", "--function", "sine", "--order", "2",
+                f"--mesh-exponents={exponents}", "--out", str(tmp_path / "spline.json")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 5 * 2**20
+        assert "error:" in capsys.readouterr().err
 
     def test_spline_json_records_fitted_meshes(self, tmp_path):
         # the errors at h = 2^-5 and 2^-6 (3.2e-14, 1.7e-15) are roundoff

@@ -113,6 +113,19 @@ class TestSupErrorRates:
         r = sup_error_rates(suite["gaussian"], db2, range(3, 10), (-1.0, 1.0))
         assert 1.8 <= r.slope <= 2.2
 
+    @pytest.mark.parametrize(
+        "famspec", [("daubechies", 3), ("daubechies", 4), ("daubechies", 5),
+                    ("battle_lemarie", 3), ("battle_lemarie", 4)]
+    )
+    def test_slope_tracks_vanishing_moments(self, suite, famspec):
+        # f sampled on the quadrature lattice leaves the errors no floor
+        # above roundoff.  daubechies:6 reaches roundoff (4.7e-15, 2.1e-15 at
+        # j = 8, 9), so its slope needs a fit window above a measured floor
+        fam = make_family(*famspec)
+        r = sup_error_rates(suite["gaussian"], fam, range(3, 10), (-1.0, 1.0))
+        assert abs(r.slope - fam.vanishing_moments) <= 0.25
+        assert r.r_squared > 0.99
+
     def test_haar_cusp_smoothness_capped(self, suite, haar):
         r = sup_error_rates(suite["cusp"], haar, range(3, 10), (-0.5, 0.5))
         assert 0.2 <= r.slope <= 0.4

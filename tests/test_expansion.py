@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from waverate import DyadicGrid, make_family, sample
 from waverate.expansion import (
     ExpansionError,
+    SummationSchedule,
     _quad_refine,
     analyze,
     atom_rows,
@@ -109,8 +110,10 @@ class TestProject:
         assert p(0.3) == pytest.approx(0.25, abs=1e-6)
 
     def test_db2_projection_identity_on_v0(self, db2):
+        # f = phi on the quadrature lattice, errors on the level-12 grid
+        f, _ = refined_tables(db2, 12 + _quad_refine(db2))
         phi, _ = refined_tables(db2, 12)
-        p = project(phi, db2, 0, phi.grid)
+        p = project(f, db2, 0, phi.grid)
         assert np.max(np.abs(p.values - phi.values)) < 1e-6
 
     @pytest.mark.parametrize("famname,j", [("haar", j) for j in range(5)]
@@ -176,8 +179,6 @@ class TestPartialSum:
         coeffs = analyze(gauss, haar, 0, 2)
         sched = level_by_level_schedule(coeffs)
         bad = sched.groups + ((("a", 7, 0),),)
-        from waverate.expansion import SummationSchedule
-
         with pytest.raises(ExpansionError):
             partial_sum(coeffs, SummationSchedule(bad, 1), DyadicGrid(0.0, 1.0, 4))
 
@@ -209,22 +210,34 @@ class TestSchedules:
         held, rest = first_detail[0], first_detail[1:]
         groups[1] = rest
         groups.append((held,))
-        from waverate.expansion import SummationSchedule
-
         ok, report = validate_schedule(SummationSchedule(tuple(groups), 2))
         assert not ok
         assert report["worst_span"] == 5
+
+    def test_scaling_straggler_rejected(self, haar):
+        # hold back one base-level scaling term until every wavelet level is
+        # done: the scaling terms are a level of their own, below level 0
+        gaussian = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-4.0, 4.0, 12),
+                          DecayHint("none"))
+        coeffs = analyze(gaussian, haar, 0, 6)
+        groups = list(level_by_level_schedule(coeffs).groups)
+        groups[0] = tuple(term for term in groups[0] if term != ("b", -6))
+        groups.append((("b", -6),))
+        ok, report = validate_schedule(SummationSchedule(tuple(groups), 1))
+        assert not ok
+        assert report["worst_span"] == 7
 
 
 # ---------------------------------------------------------------------------
 # the lattice engine against the per-translate formula
 
 
-def reference_coefficient(f, table, j, k, qlevel):
-    """<f, table_jk> by product_quad on an even-aligned slice covering the atom."""
+def reference_coefficient(f, table, j, k):
+    """<f, table_jk> by product_quad on an even-aligned slice of f's grid
+    covering the atom."""
     grid = f.grid
-    step = 2.0**-qlevel
-    last = (grid.count - 1) * 2 ** (qlevel - grid.level)
+    step = grid.spacing
+    last = grid.count - 1
     lo = (table.grid.left + k) / 2**j
     hi = (table.grid.right + k) / 2**j
     i0 = max(0, int(np.floor((lo - grid.left) / step)))
@@ -234,8 +247,7 @@ def reference_coefficient(f, table, j, k, qlevel):
     i0 -= i0 % 2
     i1 += (i1 - i0) % 2  # last is even, so this stays on the grid
     x = grid.left + np.arange(i0, i1 + 1) * step
-    fv = f.values[i0 : i1 + 1] if qlevel == grid.level else f(x)
-    return product_quad(fv, evaluate_dilate(table, j, k, x), step)
+    return product_quad(f.values[i0 : i1 + 1], evaluate_dilate(table, j, k, x), step)
 
 
 ENGINE_FAMILIES = ["haar", "daubechies:2", "daubechies:4", "battle_lemarie:2", "shannon"]
@@ -248,37 +260,40 @@ def engine_family(spec):
 
 
 class TestLatticeEngine:
-    # level 5 puts haar's j = 6 atoms below the quadrature lattice spacing
-    f = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-2.0, 2.0, 5), DecayHint("none"))
+    # errors on a level-5 grid: haar's j = 6 atoms fall below f's lattice
+    # spacing.  The oracle interpolates tables at their own nodes, so it
+    # reads the exact samples the engine slices
     xs = DyadicGrid(-1.0, 1.0, 5)
 
-    def tables(self, spec):
+    def engine(self, spec):
         fam = engine_family(spec)
-        qlevel = self.f.grid.level + _quad_refine(fam)
-        return fam, qlevel, refined_tables(fam, qlevel)
+        grid = self.xs.refine(_quad_refine(fam))
+        f = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-2.0, 2.0, grid.level),
+                   DecayHint("none"))
+        return fam, f, refined_tables(fam, grid.level)
 
     @pytest.mark.parametrize("j", [0, 3, 6])
     @pytest.mark.parametrize("spec", ENGINE_FAMILIES)
     def test_analysis_matches_per_translate(self, spec, j):
-        fam, qlevel, tables = self.tables(spec)
+        fam, f, tables = self.engine(spec)
         ks = translate_range(fam, j, (-1.5, 1.0))
-        for table in tables:
-            got = dyadic_analysis(self.f, table, j, ks, qlevel)
-            want = [reference_coefficient(self.f, table, j, k, qlevel) for k in ks]
+        for gen, table in zip(("phi", "psi"), tables):
+            got = dyadic_analysis(f, fam, gen, j, ks)
+            want = [reference_coefficient(f, table, j, k) for k in ks]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("j", [0, 3, 6])
     @pytest.mark.parametrize("spec", ENGINE_FAMILIES)
     def test_synthesis_and_rows_match_per_translate(self, spec, j):
-        fam, _, tables = self.tables(spec)
+        fam, _, tables = self.engine(spec)
         ks = translate_range(fam, j, (self.xs.left, self.xs.right))
         coef = np.random.default_rng(j).standard_normal(len(ks))
         x = self.xs.points()
-        for table in tables:
+        for gen, table in zip(("phi", "psi"), tables):
             want_rows = np.array([evaluate_dilate(table, j, k, x) for k in ks])
-            rows = atom_rows(table, j, ks, x, self.xs.level)
+            rows = atom_rows(fam, gen, j, ks, x, self.xs.level)
             np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-13)
-            got = dyadic_synthesis(coef, table, j, ks, self.xs)
+            got = dyadic_synthesis(coef, fam, gen, j, ks, self.xs)
             np.testing.assert_allclose(got, coef @ want_rows, rtol=0, atol=1e-13)
 
     def test_odd_interval_lattice_rejected(self, haar):

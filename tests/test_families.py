@@ -414,11 +414,35 @@ class TestRefinedTables:
                 assert a.grid == b.grid
                 assert a.values.tobytes() == b.values.tobytes()
 
-    def test_spectral_families_returned_unchanged(self):
-        fam = make_family("battle_lemarie", 2)
-        phi, _ = refined_tables(fam, fam.phi.grid.level + 3)
-        assert phi is fam.phi
+    @pytest.mark.parametrize("spec", [("battle_lemarie", 2), ("battle_lemarie", 4),
+                                      ("shannon", 0)])
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_series_and_closed_form_tables(self, spec, extra):
+        # finer Battle-Lemarie and Shannon tables hold their series or closed
+        # form, and the stored table's values at its own nodes; the family
+        # does not hold them
+        fam = make_family(*spec)
+        level = fam.phi.grid.level + extra
+        phi, psi = refined_tables(fam, level)
+        assert phi.grid == DyadicGrid(fam.phi.grid.left, fam.phi.grid.right, level)
         assert fam.tables == {}
+        stride = 2**extra
+        assert phi.values[::stride].tobytes() == fam.phi.values.tobytes()
+        assert psi.values[::stride].tobytes() == fam.psi.values.tobytes()
+        idx = np.random.default_rng(extra).integers(0, phi.grid.count, 200)
+        x = phi.x()[idx]
+        if spec[0] == "battle_lemarie":
+            k = spec[1]
+            c, d = battle_lemarie_series(k)
+            n = np.arange(c.size)[:, None] - c.size // 2 - k // 2
+            want_phi = c @ cardinal_bspline(k, x - n)
+            want_psi = d @ cardinal_bspline(k, 2 * x - n)
+        else:
+            u = x - 0.5
+            want_phi = np.sinc(x)
+            want_psi = np.where(u == 0.0, 1.0, 2 * np.sinc(2 * u) - np.sinc(u))
+        np.testing.assert_allclose(phi.values[idx], want_phi, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(psi.values[idx], want_psi, rtol=0, atol=1e-14)
 
 
 class TestEulerFrobenius:

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from waverate import DyadicGrid, make_family, sample
-from waverate.grids import DecayHint
+from waverate.grids import NO_DECAY, DecayHint, SampledFunction
 from waverate.kernels import (
     U_CAP,
     KernelError,
     KernelEvaluation,
     RadialBound,
-    apply_kernel,
     export_bound_report,
     fit_decay,
     kernel_matrix,
@@ -21,7 +20,7 @@ from waverate.kernels import (
     verify_convolution_bound,
 )
 from waverate.expansion import atom_rows
-from waverate.families import _decay_rate, refined_tables
+from waverate.families import _decay_rate
 from waverate.kernels import _profile_grid
 
 #: every family the code accepts, shannon aside
@@ -30,6 +29,16 @@ ACCEPTED_FAMILIES = (
     + [("daubechies", n) for n in range(1, 11)]
     + [("battle_lemarie", k) for k in range(1, 5)]
 )
+
+
+def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
+    """(P_j f)(x) = integral P_j(x, y) f(y) dy by the trapezoid rule over ys."""
+    ys = ke.ys
+    fy = f.on_lattice(ys.level, round(np.ldexp(ys.left, ys.level)), ys.count)
+    w = np.full(ys.count, ys.spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return SampledFunction(ke.xs, ke.values @ (fy * w), NO_DECAY)
 
 
 def outer_difference_profile(ke) -> RadialBound:
@@ -116,12 +125,11 @@ class TestKernelMatrix:
         for fam in (haar, db2):
             g = DyadicGrid(0.0, 2.0, 6)
             direct = kernel_matrix(fam, 2, g, g).values
-            _, psi_t = refined_tables(fam, g.level)
             split = kernel_matrix(fam, 0, g, g).values.copy()
             for j in (0, 1):
-                s0, s1 = psi_t.grid.left, psi_t.grid.right
+                s0, s1 = fam.psi.grid.left, fam.psi.grid.right
                 ks = range(math.floor(g.left * 2**j - s1), math.ceil(g.right * 2**j - s0) + 1)
-                rows = atom_rows(psi_t, j, ks, g.points(), g.level)
+                rows = atom_rows(fam, "psi", j, ks, g.points(), g.level)
                 split += rows.T @ rows
             idx = rng.integers(0, g.count, size=(100, 2))
             offdiag = idx[idx[:, 0] != idx[:, 1]]
