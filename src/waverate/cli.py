@@ -60,7 +60,7 @@ from .kernels import (
     KernelError,
     export_bound_report,
     fit_decay,
-    profile_table_level,
+    profile_grid,
     verify_convolution_bound,
 )
 from .serialize import family_to_dict, write_csv, write_json
@@ -225,7 +225,7 @@ def run_kernel(args) -> str:
         raise ConfigError(f"kernel needs at least 3 scales j >= 0, got {args.j!r}")
     fam = _family(args.family)
     with _config_errors(ValueError):
-        check_table_level(profile_table_level(fam, jr[-1]))
+        profile_grid(fam, jr[-1])  # the finest: its level must be a finite power of 2
     report = verify_convolution_bound(fam, jr)
     fit = None
     if args.fit_decay:

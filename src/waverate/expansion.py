@@ -149,7 +149,7 @@ def _atom_blocks(fam: MRAFamily, gen: str, j: int, level: int):
     atom of translate k reads blocks.ravel()[m - (k + beta) 2^(level-j)] at
     the level-`level` lattice index m.  Needs level >= j.
     """
-    table = refined_tables(fam, level - j)[("phi", "psi").index(gen)]
+    table = refined_tables(fam, gen, level - j)
     per = 2 ** (level - j)
     beta = math.floor(table.grid.left)
     width = math.floor(table.grid.right) - beta + 1

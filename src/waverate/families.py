@@ -17,15 +17,15 @@ Construction routes:
 
 Every family also carries its two-scale power symbol
 w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
-`waverate.sobolev` are infinite products of it.  `refined_tables` tabulates
-finer levels exactly: filter families (Haar and Daubechies) subdivide on
-demand and keep each level on the family object.
+`waverate.sobolev` are infinite products of it.  Each family also carries
+its tabulator, (gen, level) -> the table of phi or psi at that level, chosen
+once by `make_family`: the stored tables and every finer table
+(`refined_tables`) come from it, built on each read and never held.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,9 +66,9 @@ class MRAFamily:
     vanishing_moments: int
     #: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized
     symbol: Callable = field(repr=False, compare=False)
+    #: (gen, level) -> generator gen ("phi" or "psi") tabulated at that level
+    tabulate: Callable = field(repr=False, compare=False)
     param: int | None = None
-    #: level -> (phi, psi) subdivided from this family's tables (`refined_tables`)
-    tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def label(self) -> str:
@@ -120,7 +120,7 @@ def subdivision_scaling(filter: FilterPair) -> SampledFunction:
     On the integers phi = T phi with T_{nk} = sqrt(2) h_{2n-k}.  Every column
     of T sums to 1, so the eigenvector at eigenvalue 1 with sum_n phi(n) = 1
     solves T - I with its last row replaced by ones.  For Haar T = I: the box
-    keeps its closed form (`_haar_pair`).
+    keeps its closed form (`_haar_table`).
     """
     h = filter.lowpass
     width = len(h) - 1
@@ -177,39 +177,53 @@ def uses_haar_tables(name: str, param: int | None) -> bool:
     return name == "haar" or param == 1
 
 
-def _haar_pair(level: int) -> tuple[SampledFunction, SampledFunction]:
-    """Indicator of (0, 1) and its Haar wavelet on [-1, 2]."""
+def _haar_table(gen: str, level: int) -> SampledFunction:
+    """The indicator of (0, 1) or its Haar wavelet, on [-1, 2]."""
     grid = DyadicGrid(-1.0, 2.0, level)
     x = grid.points()
-    phi = np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
-    psi = np.where((x > 0.0) & (x < 0.5), 1.0, 0.0) - np.where(
-        (x > 0.5) & (x < 1.0), 1.0, 0.0
-    )
+    if gen == "phi":
+        vals = np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
+        jumps = {0.0: 0.5, 1.0: 0.5}
+    else:
+        vals = np.where((x > 0.0) & (x < 0.5), 1.0, 0.0) - np.where(
+            (x > 0.5) & (x < 1.0), 1.0, 0.0
+        )
+        jumps = {0.0: 0.5, 0.5: 0.0, 1.0: -0.5}
     # midpoint values at the jumps keep trapezoid quadrature exact
-    phi[grid.index_of(0.0)] = 0.5
-    phi[grid.index_of(1.0)] = 0.5
-    psi[grid.index_of(0.0)] = 0.5
-    psi[grid.index_of(0.5)] = 0.0
-    psi[grid.index_of(1.0)] = -0.5
-    return SampledFunction(grid, phi, COMPACT), SampledFunction(grid, psi, COMPACT)
+    for at, value in jumps.items():
+        vals[grid.index_of(at)] = value
+    return SampledFunction(grid, vals, COMPACT)
 
 
-def _shannon_pair(level: int):
+def _shannon_table(gen: str, level: int) -> SampledFunction:
     grid = DyadicGrid(-SHANNON_RADIUS, SHANNON_RADIUS, level)
     u = grid.points()
-    phi = np.sinc(u)  # sin(pi x)/(pi x)
-    # psi = (sin 2 pi u - sin pi u) / (pi u), u = x - 1/2, in place: fine levels are large
-    u -= 0.5
-    on_half = u == 0.0
-    psi = np.sin(2 * np.pi * u)
-    u *= np.pi
-    psi -= np.sin(u)
-    u[on_half] = 1.0
-    psi /= u
-    psi[on_half] = 1.0  # limit of (sin 2u - sin u)/u at 0
-    trunc = 1.0 / (np.pi * SHANNON_RADIUS)
-    hint = DecayHint("algebraic", N=1.05, truncation=trunc)
-    return SampledFunction(grid, phi, hint), SampledFunction(grid, psi, hint)
+    if gen == "phi":
+        vals = np.sinc(u)  # sin(pi x)/(pi x)
+    else:
+        # (sin 2 pi u - sin pi u) / (pi u), u = x - 1/2, in place: fine levels are large
+        u -= 0.5
+        on_half = u == 0.0
+        vals = np.sin(2 * np.pi * u)
+        u *= np.pi
+        vals -= np.sin(u)
+        u[on_half] = 1.0
+        vals /= u
+        vals[on_half] = 1.0  # limit of (sin 2u - sin u)/u at 0
+    hint = DecayHint("algebraic", N=1.05, truncation=1.0 / (np.pi * SHANNON_RADIUS))
+    return SampledFunction(grid, vals, hint)
+
+
+def _subdivision_tabulator(filter: FilterPair) -> Callable:
+    """Tables of a Daubechies family: phi subdivided from its level-FAMILY_LEVEL
+    table, psi derived from phi at the level asked for."""
+    base = subdivision_scaling(filter)
+
+    def tabulate(gen: str, level: int) -> SampledFunction:
+        phi = refine_scaling(filter, base, level - base.grid.level)
+        return phi if gen == "phi" else derive_wavelet(filter, phi)
+
+    return tabulate
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +277,10 @@ def _decay_rate(order: int) -> float:
     return -math.log(max(abs(z) for z in roots if abs(z) < 1.0))
 
 
-def _battle_lemarie_pair(order: int, level: int):
-    """Tabulate the series polyphase: x = i + r 2^-level reads M_k(t + r 2^-level)
-    for t = 0..k-1 against the coefficient of index i - t + k//2."""
+def _series_tabulator(order: int) -> Callable:
+    """Tables of a Battle-Lemarie family: the series polyphase at the level
+    asked for, x = i + r 2^-level reading M_k(t + r 2^-level) for t = 0..k-1
+    against the coefficient of index i - t + k//2; phi and psi share one grid."""
     k, shift = order, order // 2
     c, d = battle_lemarie_series(k)
     index = np.arange(c.size) - c.size // 2
@@ -273,18 +288,19 @@ def _battle_lemarie_pair(order: int, level: int):
     nd = index[np.abs(d) > _BL_TRUNCATION]
     left = min(nc[0] - shift, (nd[0] - shift) // 2)
     right = max(nc[-1] - shift + k, -((shift - k - nd[-1]) // 2))
-    grid = DyadicGrid(float(left), float(right), level)
-    step = 2**level
-    samples = cardinal_bspline(k, np.arange(k)[:, None] + np.arange(step) / step)
     hint = DecayHint("exponential", a=_decay_rate(k), truncation=_BL_TRUNCATION)
 
-    def table(coef: np.ndarray, scale: int) -> SampledFunction:
+    def tabulate(gen: str, level: int) -> SampledFunction:
+        grid = DyadicGrid(float(left), float(right), level)
+        step = 2**level
         # rows are the integer parts of scale * x; psi reads M_k one level coarser
+        coef, scale = (c, 1) if gen == "phi" else (d, 2)
+        samples = cardinal_bspline(k, np.arange(k)[:, None] + np.arange(0, step, scale) / step)
         rows = np.arange(scale * left, scale * right + 1) + shift + coef.size // 2
-        vals = sum(coef[rows - t][:, None] * samples[t, ::scale] for t in range(k))
+        vals = sum(coef[rows - t][:, None] * samples[t] for t in range(k))
         return SampledFunction(grid, vals.ravel()[: grid.count], hint)
 
-    return table(c, 1), table(d, 2)
+    return tabulate
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +354,18 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
     Returns the measured defects.  For non-compact families the declared
     truncation error inflates the tolerances.  Battle-Lemarie families are
     checked exactly from their series coefficients.  Daubechies families
-    are checked on their tables subdivided a few levels finer by the exact
-    two-scale relation (`refined_tables`): the quadrature error on products
-    of Hoelder-rough scaling functions decays like h^(2*alpha) and would
-    otherwise swamp the 1e-6 orthonormality tolerance.
+    are checked on phi subdivided a few levels finer by the exact two-scale
+    relation (`refined_tables`), and psi derived from it: the quadrature
+    error on products of Hoelder-rough scaling functions decays like
+    h^(2*alpha) and would otherwise swamp the 1e-6 orthonormality tolerance.
     """
     if fam.name == "battle_lemarie":
         defects = _series_defects(fam.param)
     else:
         phi, psi = fam.phi, fam.psi
         if fam.name == "daubechies" and fam.param != 1:
-            phi, psi = refined_tables(fam, phi.grid.level + _INVARIANT_CHECK_REFINE)
+            phi = refined_tables(fam, "phi", FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
+            psi = derive_wavelet(fam.filter, phi)
         defects = {
             "phi_integral": abs(phi.integral() - 1.0),
             "psi_integral": abs(psi.integral()),
@@ -445,59 +462,38 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
 
     filt, moments = None, param
     if uses_haar_tables(name, param):
-        filt, moments, symbol = haar_filter(), 1, _daubechies_symbol(1)
-        phi, psi = _haar_pair(FAMILY_LEVEL)
+        filt, moments, symbol, tabulate = haar_filter(), 1, _daubechies_symbol(1), _haar_table
     elif name == "daubechies":
         filt, symbol = daubechies_filter(param), _daubechies_symbol(param)
-        phi = subdivision_scaling(filt)
-        psi = derive_wavelet(filt, phi)
+        tabulate = _subdivision_tabulator(filt)
     elif name == "battle_lemarie":
-        symbol = _battle_lemarie_symbol(param)
-        phi, psi = _battle_lemarie_pair(param, FAMILY_LEVEL)
+        symbol, tabulate = _battle_lemarie_symbol(param), _series_tabulator(param)
     else:  # shannon
-        moments, symbol = 1, _shannon_symbol
-        phi, psi = _shannon_pair(FAMILY_LEVEL)
+        moments, symbol, tabulate = 1, _shannon_symbol, _shannon_table
     fam = MRAFamily(
         name=name,
         filter=filt,
-        phi=phi,
-        psi=psi,
+        phi=tabulate("phi", FAMILY_LEVEL),
+        psi=tabulate("psi", FAMILY_LEVEL),
         vanishing_moments=moments,
         symbol=symbol,
+        tabulate=tabulate,
         param=param,
     )
     check_family_invariants(fam)
     return fam
 
 
-#: one lock for every lookup and insert: `suite --jobs` threads share families
-_REFINED_LOCK = threading.Lock()
+def refined_tables(fam: MRAFamily, gen: str, level: int) -> SampledFunction:
+    """fam's generator gen ("phi" or "psi") tabulated at least at `level`.
 
-
-def refined_tables(fam: MRAFamily, level: int):
-    """phi and psi tabulated at least at `level`, on the family's own grid.
-
-    At or below the stored level the stored pair serves; finer levels are
-    tabulated exactly, so every lattice an atom is read on holds samples.
-    Battle-Lemarie tabulates its spline series and Shannon its closed form,
-    without holding them; filter families (Haar included) subdivide from
-    the finest level they already hold.
+    At or below FAMILY_LEVEL the stored table serves; a finer level comes
+    from the family's tabulator, exact, so every lattice an atom is read on
+    holds samples.  Nothing is held: each read builds its one table.
     """
-    if level <= fam.phi.grid.level:
-        return fam.phi, fam.psi
-    if fam.name == "shannon":
-        return _shannon_pair(level)
-    if fam.filter is None:  # Battle-Lemarie of order 2 or more
-        return _battle_lemarie_pair(fam.param, level)
-    with _REFINED_LOCK:
-        if level in fam.tables:
-            return fam.tables[level]
-        coarser = [held for held in fam.tables if held < level]
-        phi = fam.tables[max(coarser)][0] if coarser else fam.phi
-    phi = refine_scaling(fam.filter, phi, level - phi.grid.level)
-    pair = (phi, derive_wavelet(fam.filter, phi))
-    with _REFINED_LOCK:
-        return fam.tables.setdefault(level, pair)
+    if level <= FAMILY_LEVEL:
+        return getattr(fam, gen)
+    return fam.tabulate(gen, level)
 
 
 def parse_family_spec(spec: str) -> MRAFamily:

@@ -15,16 +15,19 @@ is then exact for piecewise-constant data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 #: finest lattice level a study may read a table at.  Family tables are
-#: tabulated exactly at the level read; the widest, shannon on 128 units,
-#: holds 33.6 M points (268 MB) per generator at level 18.  expand --family
-#: shannon --j 0..6 --level 13 reads level 16 and peaks at 309 MB in 3.0 s,
-#: and each level more nearly doubles both; rate --family daubechies:10
-#: --level 15 (f at level 18, tables to level 15) peaks at 123 MB in 0.35 s
+#: tabulated exactly at the level read, one generator per read; the widest,
+#: shannon on 128 units, holds 33.6 M points (268 MB) per generator at level
+#: 18.  On a 2-core Xeon, expand --family shannon --function gaussian --j 0..6
+#: --level 13 reads level 16 and peaks at 300 MB in 1.6-1.8 s (166 MB in
+#: 1.2 s at --level 12), each level more nearly doubling the memory; rate
+#: --family daubechies:10 --function gaussian --j 3..9 --level 15 (f at
+#: level 18, tables to level 15) peaks at 109 MB in 0.45-0.5 s
 MAX_TABLE_LEVEL = 18
 
 
@@ -53,6 +56,8 @@ class DyadicGrid:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("grid level must be >= 0")
+        if self.level >= sys.float_info.max_exp:
+            raise ValueError(f"grid level {self.level}: 2^{self.level} is not a finite double")
         if not self.right > self.left:
             raise ValueError("grid requires right > left")
         for endpoint in (self.left, self.right):

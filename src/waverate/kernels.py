@@ -125,19 +125,15 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
     return RadialBound(radii, maj, float(maj[0]), mass)
 
 
-def profile_table_level(fam: MRAFamily, j: int) -> int:
-    """Lattice level at which the scale-j profile reads the family's tables."""
-    if fam.phi.decay_hint.kind == "compact":
-        return j + RADII_LEVEL_COMPACT
-    return j + RADII_LEVEL_WIDE
-
-
-def _profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
-    # per-scale grid with fixed rescaled spacing 2^-RADII_LEVEL, so profiles
-    # across j share one radii lattice
+def profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
+    """The scale-j profile grid, of fixed rescaled spacing 2^-RADII_LEVEL so
+    that profiles across j share one radii lattice: it reads the family's
+    tables at level RADII_LEVEL for every j."""
+    compact = fam.phi.decay_hint.kind == "compact"
+    radii_level = RADII_LEVEL_COMPACT if compact else RADII_LEVEL_WIDE
     width_scaled = min(U_CAP, fam.phi.grid.right - fam.phi.grid.left + 1.0)
     width = np.ldexp(np.ceil(width_scaled), -j)
-    return DyadicGrid(0.0, float(width), profile_table_level(fam, j))
+    return DyadicGrid(0.0, float(width), j + radii_level)
 
 
 def scale_profiles(fam: MRAFamily, j_set) -> list[RadialBound]:
@@ -146,7 +142,7 @@ def scale_profiles(fam: MRAFamily, j_set) -> list[RadialBound]:
     and value of the square profile grid."""
     out = []
     for j in sorted(j_set):
-        g = _profile_grid(fam, j)
+        g = profile_grid(fam, j)
         period = DyadicGrid(0.0, 2.0**-j, g.level)
         out.append(radial_profile(kernel_matrix(fam, j, period, g)))
     return out

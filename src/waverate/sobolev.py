@@ -92,6 +92,8 @@ class SymbolSpectrum:
             power = power * a
             if np.all(a == 1.0):
                 return power, factor
+            if not np.any(xi):  # every xi underflowed: the factors stay a(0) != 1
+                raise SobolevError(f"the symbol's a(0) = {float(np.ravel(a)[0])!r} is not 1")
 
     def evaluate(self, xi) -> np.ndarray:
         """|phi^(xi)| or |psi^(xi)| (vectorized); no criterion needs the phase."""

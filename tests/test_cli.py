@@ -221,10 +221,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            # the profile grids of compact families read tables at j + 6
-            "kernel --family daubechies:2 --j 0..40",
-            "kernel --family haar --j 0..13",
-            "kernel --family shannon --j 0..15",
+            # the scale-j profile grid has level j + 6: 2^1024 overflows
+            "kernel --family haar --j 1016..1018",
             "kernel --family haar --j -1..3",
             # profile collapse is judged over three scales or more
             "kernel --family haar --j 0..1",
@@ -240,7 +238,15 @@ class TestCommands:
         out = tmp_path / "kernel.json"
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_fine_kernel_scales_run(self, tmp_path):
+        # every scale-j profile reads the family's tables at level 6
+        out = tmp_path / "kernel.json"
+        assert main(["kernel", "--family", "haar", "--j", "0..13", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["j_set"] == list(range(14)) and doc["passes"]
 
     @pytest.mark.parametrize(
         "argv",

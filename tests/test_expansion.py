@@ -111,8 +111,8 @@ class TestProject:
 
     def test_db2_projection_identity_on_v0(self, db2):
         # f = phi on the quadrature lattice, errors on the level-12 grid
-        f, _ = refined_tables(db2, 12 + _quad_refine(db2))
-        phi, _ = refined_tables(db2, 12)
+        f = refined_tables(db2, "phi", 12 + _quad_refine(db2))
+        phi = refined_tables(db2, "phi", 12)
         p = project(f, db2, 0, phi.grid)
         assert np.max(np.abs(p.values - phi.values)) < 1e-6
 
@@ -145,7 +145,7 @@ class TestProject:
         for j in range(0, 4):
             pj = project(gauss, haar, j, xs)
             pj1 = project(gauss, haar, j + 1, xs)
-            psi_t = refined_tables(haar, xs.level)[1]
+            psi_t = refined_tables(haar, "psi", xs.level)
             detail = np.zeros(xs.count)
             for (jj, k), v in coeffs.a.items():
                 if jj == j:
@@ -270,7 +270,7 @@ class TestLatticeEngine:
         grid = self.xs.refine(_quad_refine(fam))
         f = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-2.0, 2.0, grid.level),
                    DecayHint("none"))
-        return fam, f, refined_tables(fam, grid.level)
+        return fam, f, [refined_tables(fam, gen, grid.level) for gen in ("phi", "psi")]
 
     @pytest.mark.parametrize("j", [0, 3, 6])
     @pytest.mark.parametrize("spec", ENGINE_FAMILIES)

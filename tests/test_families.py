@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -20,12 +21,11 @@ from waverate import (
     parse_family_spec,
     subdivision_scaling,
 )
-from waverate import families
 from waverate.families import (
     FAMILY_LEVEL,
     _INVARIANT_CHECK_REFINE,
     FamilyError,
-    _haar_pair,
+    _haar_table,
     _two_scale,
     battle_lemarie_series,
     euler_frobenius,
@@ -68,8 +68,8 @@ def haar_box(level: int) -> SampledFunction:
 class TestSubdivisionScaling:
     def test_haar_box_from_integer_table(self):
         phi = haar_box(6)
-        assert phi.grid == _haar_pair(6)[0].grid
-        assert phi.values.tobytes() == _haar_pair(6)[0].values.tobytes()
+        assert phi.grid == _haar_table("phi", 6).grid
+        assert phi.values.tobytes() == _haar_table("phi", 6).values.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_integer_values_match_transfer_matrix(self, n):
@@ -117,13 +117,13 @@ class TestDeriveWavelet:
 
     def test_db2_first_moment_vanishes(self):
         db2 = make_family("daubechies", 2)
-        _, psi = refined_tables(db2, 13)
+        psi = refined_tables(db2, "psi", 13)
         x = psi.grid.points()
         assert np.trapezoid(x * psi.values, dx=psi.dx) == pytest.approx(0.0, abs=1e-6)
 
     def test_db2_psi_normalized(self):
         db2 = make_family("daubechies", 2)
-        _, psi = refined_tables(db2, 14)
+        psi = refined_tables(db2, "psi", 14)
         l2 = np.sqrt(product_quad(psi.values, psi.values, psi.dx))
         assert l2 == pytest.approx(1.0, abs=1e-6)
 
@@ -156,7 +156,7 @@ class TestEvaluateDilate:
         g = DyadicGrid(-4.0, 5.0, 12)
         x = g.points()
         # table must resolve the evaluation lattice or the jumps smear
-        phi, _ = refined_tables(fam, g.level)
+        phi = refined_tables(fam, "phi", g.level)
         vals = evaluate_dilate(phi, j, k, x)
         # dilation is unitary on L2 as long as the support stays in-window
         if (fam.phi.grid.right + k) / 2**j <= 5.0 and (
@@ -280,7 +280,7 @@ class TestTwoScale:
     def test_strided_passes_equal_fancy_index_oracle(self, n):
         filt = daubechies_filter(n)
         step = 2**FAMILY_LEVEL
-        phi = _haar_pair(FAMILY_LEVEL)[0] if n == 1 else subdivision_scaling(filt)
+        phi = _haar_table("phi", FAMILY_LEVEL) if n == 1 else subdivision_scaling(filt)
         first = int(round(phi.grid.left * step))
         integers = np.append(integer_values_oracle(filt), 0.0)  # phi(0..M-1)
         patterns = [
@@ -317,7 +317,7 @@ class TestInvariantDefects:
     )
     def test_shifted_reads_equal_interpolation(self, name, param, extra):
         fam = make_family(name, param)
-        phi, _ = refined_tables(fam, fam.phi.grid.level + extra)
+        phi = refined_tables(fam, "phi", fam.phi.grid.level + extra)
         assert partition_of_unity_defect(phi) == interpolated_partition_defect(phi)
         got = translate_orthonormality_defect(phi)
         assert got == interpolated_orthonormality_defect(phi)
@@ -332,30 +332,37 @@ class TestInvariantDefects:
         fam = make_family(name, param)
         phi = fam.phi
         if name == "daubechies" and param != 1:
-            phi, _ = refined_tables(fam, phi.grid.level + _INVARIANT_CHECK_REFINE)
+            phi = refined_tables(fam, "phi", phi.grid.level + _INVARIANT_CHECK_REFINE)
         got = translate_orthonormality_defect(phi)
         assert abs(got - shifted_copy_orthonormality_defect(phi)) <= 1e-15
+
+
+def family_state(fam):
+    """vars(fam), each table as its grid and bytes and each dict copied."""
+    state = {}
+    for key, value in vars(fam).items():
+        if isinstance(value, SampledFunction):
+            value = (value.grid, value.values.tobytes())
+        state[key] = dict(value) if isinstance(value, dict) else value
+    return state
+
+
+def both_tables(fam, level):
+    return tuple(refined_tables(fam, gen, level) for gen in ("phi", "psi"))
 
 
 class TestRefinedTables:
     def test_noop_at_or_below_table_level(self):
         fam = make_family("haar")
-        phi, psi = refined_tables(fam, fam.phi.grid.level)
+        phi, psi = both_tables(fam, fam.phi.grid.level)
         assert phi is fam.phi and psi is fam.psi
 
-    def test_tables_belong_to_the_family(self):
-        fam = make_family("daubechies", 2)
-        a = refined_tables(fam, fam.phi.grid.level + 2)
-        b = refined_tables(fam, fam.phi.grid.level + 2)
-        assert a[0] is b[0]
-        other = refined_tables(make_family("daubechies", 2), fam.phi.grid.level + 2)
-        assert other[0] is not a[0]
-        assert other[0].values.tobytes() == a[0].values.tobytes()
-
     @pytest.mark.parametrize("level", [11, 12, 13])
-    def test_haar_subdivision_is_the_closed_form(self, level):
-        phi, psi = refined_tables(make_family("haar"), level)
-        want_phi, want_psi = _haar_pair(level)
+    def test_haar_closed_form_is_the_subdivision(self, level):
+        fam = make_family("haar")
+        phi, psi = both_tables(fam, level)
+        want_phi = refine_scaling(fam.filter, fam.phi, level - FAMILY_LEVEL)
+        want_psi = derive_wavelet(fam.filter, want_phi)
         assert phi.grid == want_phi.grid
         assert phi.values.tobytes() == want_phi.values.tobytes()
         assert psi.values.tobytes() == want_psi.values.tobytes()
@@ -363,42 +370,43 @@ class TestRefinedTables:
 
     def test_db2_refinement_restricts_to_original(self):
         fam = make_family("daubechies", 2)
-        phi, psi = refined_tables(fam, fam.phi.grid.level + 3)
+        phi, psi = both_tables(fam, fam.phi.grid.level + 3)
         assert np.max(np.abs(phi.values[::8] - fam.phi.values)) < 1e-14
         assert np.max(np.abs(psi.values[::8] - fam.psi.values)) < 1e-14
 
-    def test_continues_from_finest_held_level(self, monkeypatch):
+    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 3), ("battle_lemarie", 2),
+                                      ("shannon", 0)])
+    def test_reads_leave_the_family_unchanged(self, spec):
+        fam = make_family(*spec)
+        before = family_state(fam)
+        for level in range(FAMILY_LEVEL, FAMILY_LEVEL + 4):
+            both_tables(fam, level)
+        assert family_state(fam) == before
+
+    def test_invariant_check_subdivides_once(self):
+        # psi of the check is derived from the one subdivided phi
         fam = make_family("daubechies", 3)
-        base = fam.phi.grid.level
-        # the invariant check already subdivided three levels
-        assert list(fam.tables) == [base + 3]
-        direct = refine_scaling(fam.filter, fam.phi, 5)
-        steps = []
+        reads = []
 
-        def counted(filt, phi, extra_levels):
-            steps.append(extra_levels)
-            return refine_scaling(filt, phi, extra_levels)
+        def counted(gen, level):
+            reads.append((gen, level))
+            return fam.tabulate(gen, level)
 
-        monkeypatch.setattr(families, "refine_scaling", counted)
-        chained = refined_tables(fam, base + 5)
-        refined_tables(fam, base + 4)
-        assert steps == [2, 1]
-        assert chained[0].values.tobytes() == direct.values.tobytes()
-        want_psi = derive_wavelet(fam.filter, direct)
-        assert chained[1].values.tobytes() == want_psi.values.tobytes()
+        check_family_invariants(dataclasses.replace(fam, tabulate=counted))
+        assert reads == [("phi", FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)]
 
     def test_threads_get_serial_tables(self):
         # more threads than cores, switching often: each must get the serial
-        # tables, and threads asking for one level must share one held pair
+        # tables
         levels = [FAMILY_LEVEL + extra for extra in (3, 5, 4, 3, 5, 6)]
         fam = make_family("daubechies", 2)
-        serial = {level: refined_tables(fam, level) for level in levels}
+        serial = {level: both_tables(fam, level) for level in levels}
         fam = make_family("daubechies", 2)
         start = threading.Barrier(len(levels))
 
         def ask(level):
             start.wait(timeout=30)
-            return refined_tables(fam, level)
+            return both_tables(fam, level)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -409,7 +417,6 @@ class TestRefinedTables:
         finally:
             sys.setswitchinterval(interval)
         for level, got in zip(levels, threaded):
-            assert got is refined_tables(fam, level)
             for a, b in zip(got, serial[level]):
                 assert a.grid == b.grid
                 assert a.values.tobytes() == b.values.tobytes()
@@ -419,13 +426,11 @@ class TestRefinedTables:
     @pytest.mark.parametrize("extra", [1, 3])
     def test_series_and_closed_form_tables(self, spec, extra):
         # finer Battle-Lemarie and Shannon tables hold their series or closed
-        # form, and the stored table's values at its own nodes; the family
-        # does not hold them
+        # form, and the stored table's values at its own nodes
         fam = make_family(*spec)
         level = fam.phi.grid.level + extra
-        phi, psi = refined_tables(fam, level)
+        phi, psi = both_tables(fam, level)
         assert phi.grid == DyadicGrid(fam.phi.grid.left, fam.phi.grid.right, level)
-        assert fam.tables == {}
         stride = 2**extra
         assert phi.values[::stride].tobytes() == fam.phi.values.tobytes()
         assert psi.values[::stride].tobytes() == fam.psi.values.tobytes()

@@ -30,6 +30,11 @@ class TestDyadicGrid:
         with pytest.raises(ValueError):
             DyadicGrid(0.3, 1.0, 4)
 
+    def test_rejects_level_past_finite_doubles(self):
+        assert DyadicGrid(0.0, 2.0**-1017, 1023).count == 65
+        with pytest.raises(ValueError, match="not a finite double"):
+            DyadicGrid(0.0, 2.0**-1018, 1024)
+
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             DyadicGrid(1.0, 1.0, 4)

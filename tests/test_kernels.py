@@ -14,14 +14,13 @@ from waverate.kernels import (
     export_bound_report,
     fit_decay,
     kernel_matrix,
-    profile_table_level,
+    profile_grid,
     radial_profile,
     scale_profiles,
     verify_convolution_bound,
 )
 from waverate.expansion import atom_rows
 from waverate.families import _decay_rate
-from waverate.kernels import _profile_grid
 
 #: every family the code accepts, shannon aside
 ACCEPTED_FAMILIES = (
@@ -154,7 +153,7 @@ class TestRadialProfile:
     def test_matches_outer_difference_oracle(self, spec, j):
         name, _, param = spec.partition(":")
         fam = make_family(name, int(param or 0))
-        g = _profile_grid(fam, j)
+        g = profile_grid(fam, j)
         ke = kernel_matrix(fam, j, g, g)
         got, want = radial_profile(ke), outer_difference_profile(ke)
         assert np.array_equal(got.radii, want.radii)
@@ -186,7 +185,7 @@ class TestRadialProfile:
         # P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x): the rows of one
         # period meet every distance and value of the square profile grid
         fam = make_family(name, param)
-        g = _profile_grid(fam, j)
+        g = profile_grid(fam, j)
         got = scale_profiles(fam, [j])[0]
         want = outer_difference_profile(kernel_matrix(fam, j, g, g))
         assert np.array_equal(got.radii, want.radii)
@@ -197,9 +196,9 @@ class TestRadialProfile:
         with pytest.raises(KernelError, match="one lattice"):
             radial_profile(ke)
 
-    def test_profile_table_level(self, haar):
-        assert profile_table_level(haar, 12) == 18
-        assert profile_table_level(make_family("shannon"), 12) == 16
+    def test_profile_grid_level(self, haar):
+        assert profile_grid(haar, 12).level == 18
+        assert profile_grid(make_family("shannon"), 12).level == 16
 
     def test_haar_box_profile(self, haar):
         profile = scale_profiles(haar, [3])[0]

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from waverate.sobolev import (
     CriticalOrder,
     SampledSpectrum,
     SobolevError,
+    SymbolSpectrum,
     criterion_sweep,
     critical_order,
     export_critical_json,
@@ -39,6 +41,23 @@ def haar_psi_spec(haar):
 @pytest.fixture(scope="module")
 def haar_phi_spec(haar):
     return family_spectrum(haar, "phi")
+
+
+def pollen_cosine_symbol(theta):
+    """Pollen's length-4 orthonormal filter at theta, as the power symbol
+    a(w) = sum_n r_n cos(n w) / 2 of its autocorrelation r and b(w) = a(w + pi):
+    a(0) = (sum h)^2 / 2 is 1 only up to rounding."""
+    c, s = math.cos(theta), math.sin(theta)
+    h = np.array([1 + c + s, 1 - c + s, 1 + c - s, 1 - c - s]) / (2 * math.sqrt(2))
+    r = np.convolve(h, h[::-1])  # lags -3..3
+
+    def symbol(omega):
+        return tuple(
+            sum(rn * np.cos((n - 3) * w) for n, rn in enumerate(r)) / 2
+            for w in (omega, omega + np.pi)
+        )
+
+    return symbol
 
 
 def box_function():
@@ -99,7 +118,8 @@ class TestSymbolSpectrum:
     def test_matches_sampled_transform_of_tables(self, name, param):
         # the symbol products against the DFT of the tabulated generators
         fam = built(name, param)
-        phi, psi = refined_tables(fam, fam.phi.grid.level + 3)
+        level = fam.phi.grid.level + 3
+        phi, psi = (refined_tables(fam, gen, level) for gen in ("phi", "psi"))
         xi = np.linspace(0.05, 3.0, 40)
         psi_dft = np.abs(fourier_transform(psi).evaluate(xi)) ** 2
         psi_sym = family_spectrum(fam, "psi").evaluate(xi) ** 2
@@ -111,6 +131,25 @@ class TestSymbolSpectrum:
     def test_rejects_nonfinite_frequency(self, haar_psi_spec):
         with pytest.raises(SobolevError):
             haar_psi_spec.evaluate(np.inf)
+
+    @pytest.mark.parametrize("which", ["phi", "psi"])
+    def test_symbol_off_one_at_zero_raises(self, which):
+        # the products stop once every xi has underflowed to 0, in well
+        # under the 5 s alarm
+        symbol = pollen_cosine_symbol(0.8)
+        assert symbol(np.zeros(1))[0][0] - 1.0 == pytest.approx(-4.4e-16, rel=0.01)
+
+        def stop(signum, frame):
+            raise TimeoutError("the symbol products did not stop")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(SobolevError, match=r"a\(0\) = 0\.9999999999999996 is not 1"):
+                SymbolSpectrum(symbol, which).evaluate([1.0])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestWaveletCriterion:
