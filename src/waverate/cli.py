@@ -42,8 +42,8 @@ from .expansion import (
     ExpansionError,
     SummationSchedule,
     analyze,
+    check_analysed_scale,
     check_quadrature_lattice,
-    finest_table_level,
     interleaved_schedule,
     level_by_level_schedule,
     project,
@@ -177,11 +177,12 @@ def _family(spec: str):
 
 
 def _check_grids(fam, tf: TestFunction, level: int, js: range, window=None) -> None:
-    """Reject tables finer than MAX_TABLE_LEVEL, an odd quadrature lattice and,
-    for a rate study, a window that is not dyadic or not inside f's window and
-    too few levels to fit, before any compute."""
+    """Reject analysed scales js that reach f's quadrature lattice, tables finer
+    than MAX_TABLE_LEVEL, an odd quadrature lattice and, for a rate study, a
+    window that is not dyadic or not inside f's window and too few levels to
+    fit, before any compute."""
     with _config_errors(ValueError):
-        check_table_level(finest_table_level(fam, level, js[-1]))
+        check_table_level(check_analysed_scale(fam, level, js[-1]))
         if window is not None:
             DyadicGrid(window[0], window[1], level)
             check_rate_study(tf, js, window)
@@ -209,7 +210,7 @@ def run_expand(args) -> str:
     if len(jr) < 2:
         raise ConfigError(f"expand needs at least 2 levels j0..j1, got {args.j!r}")
     fam = _family(args.family)
-    _check_grids(fam, tf, args.level, jr)
+    _check_grids(fam, tf, args.level, range(jr.start, jr.stop - 1))  # the wavelet scales
     coeffs = analyze(quadrature_sample(tf, fam, args.level), fam, jr.start, jr.stop - 1)
     if args.out:
         from .serialize import coefficients_to_dict
@@ -342,8 +343,9 @@ def crit_mra_invariants():
     )
 
 
-def _haar_cell_average_defect(haar, tf, j: int, level: int = 12) -> float:
-    """Sup distance between project(f, haar, j) and a direct cell-average oracle.
+def _haar_cell_average_defects(haar, tf, js, level: int = 12) -> list[float]:
+    """Sup distance between project(f, haar, j) and a direct cell-average
+    oracle for each j in js, from one sample of f.
 
     The oracle averages the sampler at cell-interior midpoints, which never
     touch the dyadic lattice where jump values follow the midpoint
@@ -354,24 +356,28 @@ def _haar_cell_average_defect(haar, tf, j: int, level: int = 12) -> float:
     """
     f = quadrature_sample(tf, haar, level)
     xs = DyadicGrid(tf.window[0], tf.window[1], level)
-    pj = project(f, haar, j, xs)
-    per = 2 ** (level - j)
     h = xs.spacing
-    n_cells = (xs.count - 1) // per
-    lefts = xs.left + np.arange(n_cells) * per * h
-    mids = lefts[:, None] + (np.arange(per) + 0.5) * h
-    avg = np.asarray(tf.sampler(mids), dtype=float).mean(axis=1)
-    # compare on the open interior of each cell (midpoint values sit on
-    # the cell boundaries)
-    interior = pj.values[: n_cells * per].reshape(n_cells, per)[:, 1:]
-    return float(np.max(np.abs(interior - avg[:, None])))
+    defects = []
+    for j in js:
+        pj = project(f, haar, j, xs)
+        per = 2 ** (level - j)
+        n_cells = (xs.count - 1) // per
+        lefts = xs.left + np.arange(n_cells) * per * h
+        mids = lefts[:, None] + (np.arange(per) + 0.5) * h
+        avg = np.asarray(tf.sampler(mids), dtype=float).mean(axis=1)
+        # compare on the open interior of each cell (midpoint values sit on
+        # the cell boundaries)
+        interior = pj.values[: n_cells * per].reshape(n_cells, per)[:, 1:]
+        defects.append(float(np.max(np.abs(interior - avg[:, None]))))
+    return defects
 
 
 def crit_haar_projection_oracle():
-    haar, worst = make_family("haar"), 0.0
-    for fname in ("ramp", "gaussian"):
-        for j in range(0, 9):
-            worst = max(worst, _haar_cell_average_defect(haar, test_function(fname), j))
+    haar = make_family("haar")
+    worst = max(
+        max(_haar_cell_average_defects(haar, test_function(fname), range(0, 9)))
+        for fname in ("ramp", "gaussian")
+    )
     return _row(
         "2",
         "haar-projection-oracle",

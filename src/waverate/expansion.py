@@ -8,9 +8,10 @@ for g on exactly that lattice and slices it once, in unit blocks.
 Analysis reads f on its own lattice, sampled `_quad_refine` levels finer than
 the error grid, by the jump-robust rule 2T(h) - T(2h) of `product_quad`, on
 even-aligned slices the midpoint rule (weight 2h on odd offsets): f's odd
-samples correlated with the blocks, one matrix product summed along block
-diagonals.  Synthesis is the transpose, a Toeplitz gather of coefficients
-times blocks; `atom_rows` gathers the dense (k x points) matrix.  The
+samples, one strided slice, correlated with the blocks, one matrix product
+summed along block diagonals.  Synthesis is the transpose, Toeplitz
+coefficients times blocks, read on the evaluation grid as one strided slice;
+`atom_rows` gathers the dense (k x points) matrix at any lattice points.  The
 filter-bank recursion is a test-only cross-check.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import MRAFamily, refined_tables, uses_haar_tables
-from .grids import NO_DECAY, DyadicGrid, SampledFunction
+from .grids import NO_DECAY, DyadicGrid, SampledFunction, strided_read
 
 COEFFICIENT_BOUND_SLACK = 1e-6
 
@@ -158,7 +159,7 @@ def _atom_blocks(fam: MRAFamily, gen: str, j: int, level: int):
 
 
 def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values[idx], reading 0 where idx falls outside values."""
+    """values[idx], reading 0 where idx falls outside values (for `atom_rows`)."""
     inside = (idx >= 0) & (idx < len(values))
     return np.append(values, 0.0)[np.where(inside, idx, len(values))]
 
@@ -174,15 +175,23 @@ def _even_intervals(grid: DyadicGrid) -> int:
     return n
 
 
-def finest_table_level(fam: MRAFamily, level: int, j_max: int) -> int:
-    """Finest lattice at which analysing or projecting f, sampled for errors
-    on a level-`level` grid, on scales up to j_max reads a table."""
-    return max(level + _quad_refine(fam), j_max)
-
-
 def check_quadrature_lattice(fam: MRAFamily, grid: DyadicGrid) -> None:
     """Raise the odd-lattice error of a study with errors on grid, before f is sampled."""
     _even_intervals(grid.refine(_quad_refine(fam)))
+
+
+def check_analysed_scale(fam: MRAFamily, level: int, j_max: int) -> int:
+    """Level of f's quadrature lattice for a study with errors on a
+    level-`level` grid, the finest at which it reads a table.  Raises before
+    f is sampled if the study analyses a scale j_max on or past that lattice,
+    whose atoms f's samples no longer resolve."""
+    qlevel = level + _quad_refine(fam)
+    if j_max >= qlevel:
+        raise ExpansionError(
+            f"scale j = {j_max} reaches the level-{qlevel} quadrature lattice of f; "
+            f"analysed scales must stay below it"
+        )
+    return qlevel
 
 
 def dyadic_analysis(
@@ -198,12 +207,14 @@ def dyadic_analysis(
     level = max(qlevel, j)  # atoms finer than the lattice are read at level j
     beta, blocks = _atom_blocks(fam, gen, j, level)
     width, per = blocks.shape
-    origin = round(np.ldexp(f.grid.left, qlevel))
-    m = np.arange(1, n, 2)
-    pos = (origin + m) * 2 ** (level - qlevel) - (ks.start + beta) * per
-    keep = (pos >= 0) & (pos < (len(ks) + width - 1) * per)
     g = np.zeros((len(ks) + width - 1) * per)
-    g[pos[keep]] = np.ldexp(f.values[m[keep]], 1 - qlevel)
+    # f's odd sample 1 + 2i lands at g index first + step i, inside g for i0 <= i < i1
+    step = 2 ** (level - qlevel + 1)
+    first = (round(math.ldexp(f.grid.left, qlevel)) + 1) * step // 2 - (ks.start + beta) * per
+    i0 = max(0, -(first // step))
+    i1 = max(i0, min(n // 2, -((first - g.size) // step)))
+    out = g[first + i0 * step :: step][: i1 - i0]
+    np.ldexp(f.values[1 + 2 * i0 : 2 * i1 : 2], 1 - qlevel, out=out)
     # translate ks[i] meets its block d in row i + d of the product
     prod = g.reshape(-1, per) @ blocks.T
     return np.einsum("kdd->k", sliding_window_view(prod, width, axis=0))
@@ -218,8 +229,9 @@ def dyadic_synthesis(coef, fam: MRAFamily, gen: str, j: int, ks, xs: DyadicGrid)
     dense[np.asarray(ks) - ks[0]] = coef
     # block i from the first translate's first block is sum_d dense[i - d] blocks[d]
     toeplitz = sliding_window_view(np.pad(dense, width - 1), width)[:, ::-1]
-    pos = np.rint(np.ldexp(xs.points(), level)).astype(np.int64)
-    return _gather((toeplitz @ blocks).ravel(), pos - (ks[0] + beta) * per)
+    # the product is P_j f on the level-`level` lattice from index (ks[0] + beta) per
+    first = round(math.ldexp(xs.left, level)) - (ks[0] + beta) * per
+    return strided_read((toeplitz @ blocks).ravel(), first, 2 ** (level - xs.level), xs.count)
 
 
 def atom_rows(fam: MRAFamily, gen: str, j: int, ks, x: np.ndarray, level: int) -> np.ndarray:

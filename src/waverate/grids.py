@@ -162,20 +162,14 @@ class SampledFunction:
         holding it exactly comes from its source (`refined_tables` for a
         family, `TestFunction.tabulate` for a test function).
         """
-        grid, vals = self.grid, self.values
+        grid = self.grid
         if level > grid.level:
             raise ValueError(
                 f"the level-{level} lattice is finer than the level-{grid.level} table"
             )
-        out = np.zeros(count)
         stride = 2 ** (grid.level - level)
-        # table index of point n is first + n * stride
         first = start * stride - round(math.ldexp(grid.left, grid.level))
-        n0 = max(0, -(first // stride))
-        n1 = min(count, (vals.size - 1 - first) // stride + 1)
-        if n1 > n0:
-            out[n0:n1] = vals[first + n0 * stride : first + (n1 - 1) * stride + 1 : stride]
-        return out
+        return strided_read(self.values, first, stride, count)
 
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.dx))
@@ -194,6 +188,17 @@ class SampledFunction:
         i1 = self.grid.index_of(right)
         sub = DyadicGrid(left, right, self.grid.level)
         return SampledFunction(sub, self.values[i0 : i1 + 1].copy(), NO_DECAY)
+
+
+def strided_read(values: np.ndarray, first: int, stride: int, count: int) -> np.ndarray:
+    """values[first + n * stride] for n = 0..count-1, as one strided slice;
+    0 where that index falls outside values."""
+    out = np.zeros(count)
+    n0 = max(0, -(first // stride))
+    n1 = min(count, (values.size - 1 - first) // stride + 1)
+    if n1 > n0:
+        out[n0:n1] = values[first + n0 * stride : first + (n1 - 1) * stride + 1 : stride]
+    return out
 
 
 def product_quad(values_f: np.ndarray, values_g: np.ndarray, dx: float) -> float:

@@ -15,7 +15,7 @@ from waverate import DyadicGrid, make_family
 from waverate.cli import (
     MAX_SWEEP_POINTS,
     ConfigError,
-    _haar_cell_average_defect,
+    _haar_cell_average_defects,
     main,
     parse_int_range,
     parse_sweep,
@@ -201,6 +201,12 @@ class TestCommands:
             "rate --family daubechies:2 --function gaussian --j 3..30",
             "rate --family daubechies:2 --function gaussian --level 2000 --j 3..9",
             "spline --function sine --order 2 --mesh-exponents 2..6 --level 40",
+            # analysed scales must stay below f's quadrature lattice (level + 3,
+            # level for haar): expand analyses j0..j1 - 1, rate j0..j1
+            "expand --family haar --function gaussian --j 0..13",
+            "rate --family haar --function gaussian --j 3..15",
+            "rate --family daubechies:2 --function gaussian --level 6 --j 3..9",
+            "expand --family daubechies:2 --function gaussian --level 2 --j 0..6",
             # analysis needs two levels j0 < j1; the perturbation rng a seed >= 0
             "expand --family haar --function gaussian --j 5..5",
             "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality --seed -1",
@@ -278,6 +284,20 @@ class TestCommands:
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "expand --family haar --function gaussian --j 0..12",
+        "expand --family haar --function gaussian --level 6 --j 0..6",
+    ])
+    def test_finest_analysed_scale_runs(self, argv, tmp_path):
+        # the wavelets of scale level - 1 are the finest below haar's
+        # quadrature lattice: the squared coefficients of the gaussian still
+        # sum to int e^{-2x^2} dx
+        out = tmp_path / "expand.json"
+        assert main(argv.split() + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        total = sum(float(v) ** 2 for part in ("a", "b") for v in doc[part].values())
+        assert abs(total / math.sqrt(math.pi / 2.0) - 1.0) <= 1e-12
 
     def test_expand_battle_lemarie_parseval(self, tmp_path):
         # odd-order splines on integer knots nest, so bl3 is an MRA: the
@@ -369,9 +389,8 @@ class TestHaarCellAverageOracle:
         haar, tf = make_family("haar"), test_function(name)
         if tf.sampler is None:  # tabulated from its measure; sample its set
             tf = dataclasses.replace(tf, sampler=oscillating_set_indicator)
-        for j in range(0, 9):
-            got = _haar_cell_average_defect(haar, tf, j)
-            assert got == per_cell_average_defect(haar, tf, j)
+        got = _haar_cell_average_defects(haar, tf, range(0, 9))
+        assert got == [per_cell_average_defect(haar, tf, j) for j in range(0, 9)]
 
 
 class TestThreadIndependence:

@@ -1,14 +1,17 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from waverate import DyadicGrid, make_family, sample
 from waverate.expansion import (
     ExpansionError,
     SummationSchedule,
+    _atom_blocks,
     _quad_refine,
     analyze,
     atom_rows,
@@ -23,6 +26,7 @@ from waverate.expansion import (
     translate_range,
     validate_schedule,
 )
+from waverate.convergence import quadrature_sample, test_function
 from waverate.families import evaluate_dilate, refined_tables
 from waverate.grids import DecayHint, SampledFunction, product_quad
 
@@ -311,6 +315,91 @@ class TestLatticeEngine:
             check_quadrature_lattice(haar, grid)
         check_quadrature_lattice(haar, DyadicGrid(0.0, 3.25, 3))
         check_quadrature_lattice(db2, grid)  # refined 3 levels: always even
+
+
+# ---------------------------------------------------------------------------
+# the strided reads against the index-array scatter and gather they replaced
+
+
+def scatter_analysis(f, fam, gen, j, ks):
+    """dyadic_analysis with f's odd samples scattered into g by index arrays."""
+    n = f.grid.count - 1
+    qlevel = f.grid.level
+    level = max(qlevel, j)
+    beta, blocks = _atom_blocks(fam, gen, j, level)
+    width, per = blocks.shape
+    origin = round(np.ldexp(f.grid.left, qlevel))
+    m = np.arange(1, n, 2)
+    pos = (origin + m) * 2 ** (level - qlevel) - (ks.start + beta) * per
+    keep = (pos >= 0) & (pos < (len(ks) + width - 1) * per)
+    g = np.zeros((len(ks) + width - 1) * per)
+    g[pos[keep]] = np.ldexp(f.values[m[keep]], 1 - qlevel)
+    prod = g.reshape(-1, per) @ blocks.T
+    return np.einsum("kdd->k", sliding_window_view(prod, width, axis=0))
+
+
+def gather_synthesis(coef, fam, gen, j, ks, xs):
+    """dyadic_synthesis with the product gathered at xs's rounded points."""
+    level = max(xs.level, j)
+    beta, blocks = _atom_blocks(fam, gen, j, level)
+    width, per = blocks.shape
+    dense = np.zeros(ks[-1] - ks[0] + 1)
+    dense[np.asarray(ks) - ks[0]] = coef
+    toeplitz = sliding_window_view(np.pad(dense, width - 1), width)[:, ::-1]
+    values = (toeplitz @ blocks).ravel()
+    idx = np.rint(np.ldexp(xs.points(), level)).astype(np.int64) - (ks[0] + beta) * per
+    inside = (idx >= 0) & (idx < len(values))
+    return np.append(values, 0.0)[np.where(inside, idx, len(values))]
+
+
+class TestStridedReads:
+    # f on (-2, 2) at level 5 + _quad_refine: haar's j = 6 atoms are read on
+    # the level-6 lattice, two points per sample of f
+    @staticmethod
+    def gaussian(fam):
+        grid = DyadicGrid(-2.0, 2.0, 5 + _quad_refine(fam))
+        return sample(lambda x: np.exp(-(x**2)), grid, DecayHint("none"))
+
+    # the second window runs the translates past both ends of f's grid; the
+    # third meets none of f's samples
+    @pytest.mark.parametrize("window", [(-1.5, 1.0), (-3.0, 3.0), (40.0, 41.0)])
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    @pytest.mark.parametrize("spec", ENGINE_FAMILIES)
+    def test_analysis_equals_index_scatter(self, spec, j, window):
+        fam = engine_family(spec)
+        f = self.gaussian(fam)
+        ks = translate_range(fam, j, window)
+        for gen in ("phi", "psi"):
+            got = dyadic_analysis(f, fam, gen, j, ks)
+            assert np.array_equal(got, scatter_analysis(f, fam, gen, j, ks))
+
+    # the second grid is coarser than the atoms' lattice and wider than the
+    # product on every side
+    @pytest.mark.parametrize("xs", [DyadicGrid(-1.0, 1.0, 5), DyadicGrid(-256.0, 256.0, 3)],
+                             ids=["narrow", "wide"])
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    @pytest.mark.parametrize("spec", ENGINE_FAMILIES)
+    def test_synthesis_equals_index_gather(self, spec, j, xs):
+        fam = engine_family(spec)
+        ks = translate_range(fam, j, (-1.0, 1.0))
+        coef = np.random.default_rng(j).standard_normal(len(ks))
+        for gen in ("phi", "psi"):
+            got = dyadic_synthesis(coef, fam, gen, j, ks, xs)
+            assert np.array_equal(got, gather_synthesis(coef, fam, gen, j, ks, xs))
+
+    def test_analysis_allocates_below_half_of_f(self, db2):
+        # f's odd samples go into g as one strided slice: no index arrays
+        # over f's 262,145 samples
+        f = quadrature_sample(test_function("gaussian"), db2, 12)
+        ks = translate_range(db2, 9, (-1.0, 1.0))
+        dyadic_analysis(f, db2, "psi", 9, ks)  # one-time setup is not counted
+        tracemalloc.start()
+        try:
+            dyadic_analysis(f, db2, "psi", 9, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.values.nbytes / 2
 
 
 class TestFilterBankCrossCheck:
