@@ -291,13 +291,10 @@ def run_spline(args) -> str:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     with _config_errors(SplineError):
         check_study(tf.window, args.order, meshes, args.level)
-    report = spline_convergence_study(tf, args.order, meshes, level=args.level)
+    report, f, fits = spline_convergence_study(tf, args.order, meshes, level=args.level)
     optimal = ""
     if args.check_optimality:
-        f = tf.tabulate(args.level)
-        approx = best_l2_spline(f, make_space(args.order, meshes[-1], tf.window))
-        ok = perturbation_optimality(f, approx, seed=args.seed)
-        optimal = f" optimal={ok}"
+        optimal = f" optimal={perturbation_optimality(f, fits[-1], seed=args.seed)}"
     _export_rate(report, args)
     return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}"
 
@@ -603,14 +600,15 @@ def crit_spline_convergence():
     for j in (2, 3, 4):
         pj = project(f, haar, j, xs)
         approx = best_l2_spline(f, make_space(1, 2.0**-j, tf.window))
-        haar_gap = max(haar_gap, float(np.max(np.abs(approx(xs.points()) - pj.values))))
-    sine = test_function("sine")
-    rep = spline_convergence_study(sine, 2, [2.0**-m for m in range(2, 7)])
+        sj = approx.on_lattice(xs.level, round(math.ldexp(xs.left, xs.level)), xs.count)
+        haar_gap = max(haar_gap, float(np.max(np.abs(sj - pj.values))))
+    # the sine study's level-12 table and its mesh-0.25 fit serve the
+    # orthogonality check
+    meshes = [2.0**-m for m in range(2, 7)]
+    rep, sine_f, fits = spline_convergence_study(test_function("sine"), 2, meshes)
     ratios = [a / b for a, b in zip(rep.sup_errors, rep.sup_errors[1:])]
-    sine_f = sine.tabulate()
-    approx = best_l2_spline(sine_f, make_space(2, 0.25, sine.window))
     norm = float(np.sqrt(np.trapezoid(sine_f.values**2, dx=sine_f.grid.spacing)))
-    orth = residual_orthogonality(sine_f, approx) / norm
+    orth = residual_orthogonality(sine_f, fits[0]) / norm
     ok = (
         haar_gap < 1e-8
         and all(3.4 <= r <= 4.6 for r in ratios)

@@ -18,13 +18,19 @@ One banded Cholesky factor per fit (de Boor, A Practical Guide to Splines,
 ch. XIV) serves both the condition guard, ||G||_1 times Hager's estimate of
 ||G^{-1}||_1 as in LAPACK's dpbcon, and the solve.
 
-Evaluation is local: B_i is nonzero only on its k cells, so a point in cell
-floor((x - left)/h) sums just the k+1 basis functions i = cell-1..cell+k-1
-(cell-1 for the order-1 midpoint value 1/2 at a knot), O(k) per point
-whatever the number of basis functions.  Every other term is an exact zero,
-and the candidates are added in increasing i, so the values are bitwise
-those of the full per-basis sum.  M_k itself is built bottom-up, k(k+1)/2
-arrays instead of the recursion's 2^k - 1 calls, with the same arithmetic.
+Evaluation is local and read on the lattice.  B_i is nonzero only on its k
+cells, so a point in cell floor((x - left)/h) sums just the k+1 basis
+functions i = cell-1..cell+k-1 (cell-1 for the order-1 midpoint value 1/2 at
+a knot); every other term is an exact zero, and the candidates are added in
+increasing i, so the values are bitwise those of the full per-basis sum.
+Every study reads a dyadic lattice that splits each cell into m points, at
+which the k+1 candidates take the piece values M_k(p + r/m), p = 0..k,
+r = 0..m-1: `SplineApproximation.on_lattice` builds that one table per read
+and adds k+1 shifted products of it with the coefficients, the transpose of
+the load vector's per-cell moments; `__call__` evaluates M_k at arbitrary
+points and is the oracle for the read.  M_k itself is built bottom-up,
+k(k+1)/2 arrays instead of the recursion's 2^k - 1 calls, with the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -55,8 +61,6 @@ PERTURBATION_SEED = 20260823
 #: 2-norm of each
 PERTURBATION_TRIALS = 20
 PERTURBATION_SIZE = 1e-3
-#: evenly spaced points across the window for the partition-of-unity check
-PARTITION_SAMPLES = 1025
 #: sup errors at or below this many eps * max|f| are roundoff and are not
 #: fitted.  Once the mesh resolves f the errors of orders 5..8 plateau at
 #: 5..32 eps max|f| (sine and gaussian, level 12), and a 1e-15 change of
@@ -102,8 +106,8 @@ class SplineSpace:
 
 
 def make_space(order: int, mesh: float, window) -> SplineSpace:
-    if order < 1:
-        raise SplineError(f"spline order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise SplineError(f"spline order must be in 1..{MAX_ORDER}, got {order}")
     if mesh <= 0:
         raise SplineError(f"mesh must be positive, got {mesh}")
     width = window[1] - window[0]
@@ -117,13 +121,6 @@ def make_space(order: int, mesh: float, window) -> SplineSpace:
     if count < order:
         raise SplineError(f"need at least {order} basis functions, got {count}")
     return SplineSpace(order, float(mesh), (float(window[0]), float(window[1])), count)
-
-
-def partition_defect(space: SplineSpace) -> float:
-    """max |sum_i B_i(x) - 1| over the window (truncated ghosts included)."""
-    x = np.linspace(space.window[0], space.window[1], PARTITION_SAMPLES)[1:-1]
-    ones = SplineApproximation(space, np.ones(space.basis_count), 0.0)
-    return float(np.max(np.abs(ones(x) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +144,40 @@ def cardinal_autocorrelation(k: int) -> tuple:
     )
 
 
+#: k-point Gauss-Legendre nodes and weights on [-1, 1] for k = 1..MAX_ORDER,
+#: the doubles numpy.polynomial.legendre.leggauss(k) returns, stored so that
+#: no study pays for importing numpy.polynomial
+_GAUSS_LEGENDRE = {
+    1: ((0.0,), (2.0,)),
+    2: ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
+    4: ((-0.8611363115940526, -0.33998104358485626, 0.33998104358485626,
+         0.8611363115940526),
+        (0.34785484513745357, 0.6521451548625464, 0.6521451548625464,
+         0.34785484513745357)),
+    5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+         0.906179845938664),
+        (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+         0.4786286704993663, 0.23692688505618928)),
+    6: ((-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+         0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+         0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
+    7: ((-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+         0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
+        (0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+         0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+         0.12948496616886973)),
+    8: ((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+         -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+         0.7966664774136267, 0.9602898564975362),
+        (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+         0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+         0.22238103445337443, 0.10122853629037706)),
+}
+
+
 def gram_matrix(space: SplineSpace) -> np.ndarray:
     """Gram G_ij = <B_i, B_j> in upper banded form: ab[k-1-d, j] = G_{j-d, j}.
 
@@ -159,7 +190,7 @@ def gram_matrix(space: SplineSpace) -> np.ndarray:
     """
     k, h, n = space.order, space.mesh, space.basis_count
     cells = n - k + 1
-    nodes, weights = np.polynomial.legendre.leggauss(k)
+    nodes, weights = map(np.array, _GAUSS_LEGENDRE[k])
     pieces = cardinal_bspline(k, np.arange(k)[:, None] + 0.5 * (nodes + 1.0))
     local = 0.5 * h * (pieces * weights) @ pieces.T
     ab = np.zeros((k, n))
@@ -256,9 +287,42 @@ def condition_estimate(space: SplineSpace) -> float:
 class SplineApproximation:
     space: SplineSpace
     coefficients: np.ndarray
-    residual_l2: float
+
+    def on_lattice(self, level: int, start: int, count: int) -> np.ndarray:
+        """self at the lattice points (start + q) 2^-level, q = 0..count-1.
+
+        The lattice must split each mesh cell into m = mesh 2^level points, a
+        positive integer, with the window's left end among them; otherwise
+        SplineError.  Point q lies r = g mod m points into cell g // m, where
+        g counts lattice points from the window's left end, and there basis
+        cell + t takes the piece value M_k(k - 1 - t + r/m), t = -1..k-1: one
+        table of the pieces serves the read, and the k+1 shifted products are
+        added in increasing basis index over zero-padded coefficients.  For a
+        power-of-two m (a dyadic mesh) the table's arguments are __call__'s
+        exactly, so the values are bitwise __call__'s.
+        """
+        k, n, coef = self.space.order, self.space.basis_count, self.coefficients
+        m = math.ldexp(self.space.mesh, level)
+        origin = math.ldexp(self.space.window[0], level)
+        if not (m >= 1 and m.is_integer() and origin.is_integer()):
+            raise SplineError(
+                f"the level-{level} lattice does not split the mesh {self.space.mesh} "
+                f"of the window {self.space.window} into whole cells"
+            )
+        m, first = int(m), start - int(origin)
+        lo, cells = first // m, (first + count - 1) // m - first // m + 1
+        # padded[t + 1 + c] = coef[lo + c + t], 0 outside 0..n-1
+        padded = np.zeros(cells + k)
+        i0, i1 = max(lo - 1, 0), min(lo + cells + k - 1, n)
+        padded[i0 - lo + 1 : i1 - lo + 1] = coef[i0:i1]
+        pieces = cardinal_bspline(k, np.arange(k + 1)[:, None] + np.arange(m) / m)
+        out = np.zeros((cells, m))
+        for t in range(-1, k):
+            out += padded[t + 1 : t + 1 + cells, None] * pieces[k - 1 - t]
+        return out.ravel()[first - lo * m : first - lo * m + count]
 
     def __call__(self, x) -> np.ndarray:
+        """self at arbitrary points: the oracle for `on_lattice`."""
         k, n, coef = self.space.order, self.space.basis_count, self.coefficients
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.isfinite(x).all():
@@ -317,10 +381,13 @@ def _check_resolution(mesh: float, spacing: float) -> None:
         raise SplineError("mesh must be an even integer multiple of f's grid spacing")
 
 
-def _window_table(f: SampledFunction, window) -> tuple[np.ndarray, np.ndarray]:
-    """f's abscissae and values on a window whose ends are nodes of f's grid."""
-    i0, i1 = f.grid.index_of(window[0]), f.grid.index_of(window[1])
-    return f.grid.left + np.arange(i0, i1 + 1) * f.grid.spacing, f.values[i0 : i1 + 1]
+def _window_table(f: SampledFunction, window) -> tuple[tuple, np.ndarray]:
+    """The lattice (level, start, count) of f's grid points on a window whose
+    ends are nodes of that grid, and f's values there."""
+    grid = f.grid
+    i0, i1 = grid.index_of(window[0]), grid.index_of(window[1])
+    start = i0 + round(math.ldexp(grid.left, grid.level))
+    return (grid.level, start, i1 - i0 + 1), f.values[i0 : i1 + 1]
 
 
 def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximation:
@@ -336,20 +403,17 @@ def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximatio
             f"Gram matrix ill-conditioned (estimate {cond:.3g}); "
             "uniform meshes should never do this - this signals a bug"
         )
-    b = _load_vector(f, space)
-    coef = _solve(u, b)
-    x, fv = _window_table(f, space.window)
-    resid = fv - SplineApproximation(space, coef, 0.0)(x)
-    residual_l2 = float(np.sqrt(np.trapezoid(resid**2, dx=f.grid.spacing)))
-    return SplineApproximation(space, coef, residual_l2)
+    return SplineApproximation(space, _solve(u, _load_vector(f, space)))
 
 
 def residual_orthogonality(f: SampledFunction, approx: SplineApproximation) -> float:
     """max_i |<f - s, B_i>|; < 1e-8 ||f||_2 certifies best approximation."""
     space = approx.space
-    x, fv = _window_table(f, space.window)
+    lattice, fv = _window_table(f, space.window)
     diff = SampledFunction(
-        DyadicGrid(space.window[0], space.window[1], f.grid.level), fv - approx(x), NO_DECAY
+        DyadicGrid(space.window[0], space.window[1], f.grid.level),
+        fv - approx.on_lattice(*lattice),
+        NO_DECAY,
     )
     b = _load_vector(diff, space)
     return float(np.max(np.abs(b)))
@@ -361,14 +425,17 @@ def perturbation_optimality(
     """Every random coefficient perturbation strictly worsens the residual."""
     rng = np.random.default_rng(seed)
     space = approx.space
-    x, fv = _window_table(f, space.window)
-    base = float(np.sqrt(np.trapezoid((fv - approx(x)) ** 2, dx=f.grid.spacing)))
+    lattice, fv = _window_table(f, space.window)
+
+    def residual(coef):
+        resid = fv - SplineApproximation(space, coef).on_lattice(*lattice)
+        return float(np.sqrt(np.trapezoid(resid**2, dx=f.grid.spacing)))
+
+    base = residual(approx.coefficients)
     for _ in range(PERTURBATION_TRIALS):
         delta = rng.standard_normal(space.basis_count)
         delta *= PERTURBATION_SIZE / np.linalg.norm(delta)
-        bumped = SplineApproximation(space, approx.coefficients + delta, 0.0)
-        worse = float(np.sqrt(np.trapezoid((fv - bumped(x)) ** 2, dx=f.grid.spacing)))
-        if not worse > base - 1e-12:
+        if not residual(approx.coefficients + delta) > base - 1e-12:
             return False
     return True
 
@@ -386,8 +453,6 @@ def check_study(window, order: int, meshes, level: int) -> list:
     for the finest mesh, and a window that the boundary shrink of
     order * h_0 at each end leaves empty.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise SplineError(f"spline order must be in 1..{MAX_ORDER}, got {order}")
     try:
         check_table_level(level)
     except ValueError as exc:
@@ -414,23 +479,23 @@ def check_study(window, order: int, meshes, level: int) -> list:
 def spline_convergence_study(tf, order: int, meshes, level: int = 12):
     """Sup errors on a boundary-shrunk window as the mesh halves.
 
-    Returns the shared RateReport with -log2 h in the role of the level.
-    The rate is fitted on the meshes whose error lies above the roundoff
-    floor ROUNDOFF_FLOOR_EPS * eps * max|f|, recorded as `fitted_meshes`;
-    fewer than two such meshes raise SplineError.
+    Returns (report, f, fits): the shared RateReport with -log2 h in the
+    role of the level, f = tf tabulated at `level`, and fits[i] the best L^2
+    spline of f on meshes[i], for checks that read the same fits.  The rate
+    is fitted on the meshes whose error lies above the roundoff floor
+    ROUNDOFF_FLOOR_EPS * eps * max|f|, recorded as `fitted_meshes`; fewer
+    than two such meshes raise SplineError.
     """
     from .convergence import rate_report
 
     hs = check_study(tf.window, order, meshes, level)
     f = tf.tabulate(level)
+    fits = [best_l2_spline(f, make_space(order, h, tf.window)) for h in hs]
     shrink = order * hs[0]
     lo = math.ceil((tf.window[0] + shrink) * 2**level) / 2**level
     hi = math.floor((tf.window[1] - shrink) * 2**level) / 2**level
-    x, truth = _window_table(f, (lo, hi))
-    errors = [
-        float(np.max(np.abs(best_l2_spline(f, make_space(order, h, tf.window))(x) - truth)))
-        for h in hs
-    ]
+    lattice, truth = _window_table(f, (lo, hi))
+    errors = [float(np.max(np.abs(fit.on_lattice(*lattice) - truth))) for fit in fits]
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
     fitted = [i for i, e in enumerate(errors) if e > floor]
     if len(fitted) < 2:
@@ -439,7 +504,8 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
             f"{floor:.3g}; a rate fit needs two"
         )
     js = [-math.log2(h) for h in hs]
-    return rate_report(
+    report = rate_report(
         f"spline:k={order}", tf.name, js, errors, fitted, truth,
         fitted_meshes=tuple(hs[i] for i in fitted),
     )
+    return report, f, fits

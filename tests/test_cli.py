@@ -349,6 +349,30 @@ class TestCommands:
         assert peak < 5 * 2**20
         assert "error:" in capsys.readouterr().err
 
+    def test_spline_check_fits_each_mesh_once(self, monkeypatch, capsys):
+        # the optimality check reads the study's own table and finest fit
+        from waverate import cli, convergence, splines
+
+        fits, tables = [], []
+        fit, tabulate = splines.best_l2_spline, convergence.TestFunction.tabulate
+
+        def counting_fit(f, space):
+            fits.append(space.mesh)
+            return fit(f, space)
+
+        def counting_tabulate(tf, level):
+            tables.append(level)
+            return tabulate(tf, level)
+
+        for module in (cli, splines):
+            monkeypatch.setattr(module, "best_l2_spline", counting_fit)
+        monkeypatch.setattr(convergence.TestFunction, "tabulate", counting_tabulate)
+        argv = "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality"
+        assert main(argv.split()) == 0
+        assert "optimal=True" in capsys.readouterr().out
+        assert fits == [2.0**-m for m in range(2, 7)]
+        assert tables == [12]
+
     def test_spline_json_records_fitted_meshes(self, tmp_path):
         # the errors at h = 2^-5 and 2^-6 (3.2e-14, 1.7e-15) are roundoff
         out = tmp_path / "spline.json"
@@ -468,6 +492,15 @@ class TestImportGraph:
             "suite --only 11 --out suite_report",
         ]
         assert self.run_studies(studies, "scipy", tmp_path) == "[0, 0] False"
+
+    def test_spline_studies_do_not_import_numpy_polynomial(self, tmp_path):
+        # the Gram's Gauss-Legendre rules are stored doubles: no study pays
+        # for the cold numpy.polynomial import
+        studies = [
+            "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality",
+            "suite --only 11 --out suite_report",
+        ]
+        assert self.run_studies(studies, "numpy.polynomial", tmp_path) == "[0, 0] False"
 
     def test_daubechies_studies_do_not_import_mpmath(self, tmp_path):
         # the Daubechies filters are stored doubles: no study factors the

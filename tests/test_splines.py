@@ -21,7 +21,6 @@ from waverate.splines import (
     condition_estimate,
     gram_matrix,
     make_space,
-    partition_defect,
     perturbation_optimality,
     residual_orthogonality,
     spline_convergence_study,
@@ -52,6 +51,24 @@ def full_sum(approx, x):
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def partition_defect(space):
+    """max |sum_i B_i(x) - 1| at 1023 evenly spaced points inside the window
+    (truncated ghosts included)."""
+    x = np.linspace(space.window[0], space.window[1], 1025)[1:-1]
+    ones = SplineApproximation(space, np.ones(space.basis_count))
+    return float(np.max(np.abs(ones(x) - 1.0)))
+
+
+def lattice(left, right, level):
+    """(level, start, count) of the grid points of [left, right] at level."""
+    grid = DyadicGrid(left, right, level)
+    return level, round(math.ldexp(left, level)), grid.count
+
+
+def lattice_points(level, start, count):
+    return np.ldexp(np.arange(start, start + count, dtype=float), -level)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +116,20 @@ class TestBasis:
         assert partition_defect(make_space(k, 0.25, (-1.0, 1.0))) < 1e-10
 
 
+class TestGaussLegendreTable:
+    """The stored Gauss-Legendre rules are numpy's leggauss, bit for bit."""
+
+    def test_keys_cover_every_order(self):
+        assert sorted(splines._GAUSS_LEGENDRE) == list(range(1, MAX_ORDER + 1))
+
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    def test_table_is_leggauss_bit_for_bit(self, k):
+        nodes, weights = np.polynomial.legendre.leggauss(k)
+        stored_nodes, stored_weights = map(np.array, splines._GAUSS_LEGENDRE[k])
+        assert stored_nodes.tobytes() == nodes.tobytes()
+        assert stored_weights.tobytes() == weights.tobytes()
+
+
 class TestMakeSpace:
     def test_counts_and_knots(self):
         sp = make_space(3, 0.5, (0.0, 2.0))
@@ -106,9 +137,10 @@ class TestMakeSpace:
         assert sp.knot(0) == pytest.approx(-1.0)  # ghost knots extend left
         assert sp.knot(2) == pytest.approx(0.0)
 
-    def test_rejects_bad_order(self):
+    @pytest.mark.parametrize("order", [0, MAX_ORDER + 1])
+    def test_rejects_bad_order(self, order):
         with pytest.raises(SplineError):
-            make_space(0, 0.5, (0.0, 1.0))
+            make_space(order, 0.5, (0.0, 1.0))
 
     def test_rejects_bad_mesh(self):
         with pytest.raises(SplineError):
@@ -234,7 +266,7 @@ class TestLocalEvaluation:
                 [lo - 1e6, hi + 1e300],
             ]
         )
-        approx = SplineApproximation(sp, coef, 0.0)
+        approx = SplineApproximation(sp, coef)
         assert same_bits(approx(x), full_sum(approx, x))
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -249,7 +281,7 @@ class TestLocalEvaluation:
 
         monkeypatch.setattr(splines, "cardinal_bspline", counting)
         sp = make_space(k, h, (-2.0, 2.0))
-        approx = SplineApproximation(sp, np.ones(sp.basis_count), 0.0)
+        approx = SplineApproximation(sp, np.ones(sp.basis_count))
         approx(np.linspace(-2.5, 2.5, 301))
         assert 1 <= len(calls) <= k + 1
 
@@ -257,9 +289,72 @@ class TestLocalEvaluation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_points(self, k, bad):
         sp = make_space(k, 0.25, (-1.0, 1.0))
-        approx = SplineApproximation(sp, np.ones(sp.basis_count), 0.0)
+        approx = SplineApproximation(sp, np.ones(sp.basis_count))
         with pytest.raises(SplineError, match="finite"):
             approx(np.array([0.0, bad]))
+
+
+class TestLatticeRead:
+    """on_lattice is bitwise __call__ and the full per-basis sum."""
+
+    WINDOW = (-1.0, 1.0)
+
+    @staticmethod
+    def lattices(h):
+        lo, hi = TestLatticeRead.WINDOW
+        return {
+            "window": lattice(lo, hi, 8),
+            "mid-cell": lattice(lo + 1.5 * h, hi - 0.5 * h, 8),
+            "past-ends": lattice(lo - 2.0, hi + 2.0, 8),
+            # criterion 11's level, across the left end of the window
+            "level-13": lattice(lo - 0.125, lo + 0.25, 13),
+            "one-point": (8, round(math.ldexp(0.3, 8)), 1),
+        }
+
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    @pytest.mark.parametrize("e", range(2, 7))
+    def test_matches_call_and_full_sum_bitwise(self, k, e):
+        sp = make_space(k, 2.0**-e, self.WINDOW)
+        rng = np.random.default_rng(100 * k + e)
+        coef = rng.standard_normal(sp.basis_count)
+        coef[1::3] = 0.0  # zeros inside, nonzero end coefficients
+        approx = SplineApproximation(sp, coef)
+        for name, lat in self.lattices(sp.mesh).items():
+            x = lattice_points(*lat)
+            want = approx(x)
+            assert same_bits(approx.on_lattice(*lat), want), name
+            assert same_bits(full_sum(approx, x), want), name
+
+    def test_zero_coefficients_read_zero(self):
+        sp = make_space(3, 0.25, self.WINDOW)
+        approx = SplineApproximation(sp, np.zeros(sp.basis_count))
+        got = approx.on_lattice(*lattice(-2.0, 2.0, 6))
+        assert same_bits(got, np.zeros(4 * 64 + 1))
+
+    @pytest.mark.parametrize(
+        "window,level",
+        [((-1.0, 1.0), 1), ((-1.0, 1.0), -3), ((0.125, 1.125), 2)],
+        ids=["coarser", "negative-level", "window-off-lattice"],
+    )
+    def test_rejects_lattice_that_does_not_split_the_mesh(self, window, level):
+        sp = make_space(2, 0.25, window)
+        approx = SplineApproximation(sp, np.ones(sp.basis_count))
+        with pytest.raises(SplineError, match="whole cells"):
+            approx.on_lattice(level, 0, 5)
+
+    @pytest.mark.parametrize("k", [1, 4, MAX_ORDER])
+    def test_one_piece_table_per_read(self, k, monkeypatch):
+        calls = []
+        real = splines.cardinal_bspline
+
+        def counting(order, x):
+            calls.append(np.shape(x))
+            return real(order, x)
+
+        monkeypatch.setattr(splines, "cardinal_bspline", counting)
+        sp = make_space(k, 2.0**-6, self.WINDOW)
+        SplineApproximation(sp, np.ones(sp.basis_count)).on_lattice(*lattice(-2.0, 2.0, 12))
+        assert calls == [(k + 1, 64)]
 
 
 class TestBestApproximation:
@@ -339,7 +434,7 @@ class TestConvergenceStudies:
     MESHES = [2.0**-m for m in range(2, 7)]
 
     def test_order_two_sine_second_order(self, suite):
-        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)
+        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)[0]
         assert rep.family == "spline:k=2"
         assert 1.8 <= rep.slope <= 2.2
         assert rep.r_squared > 0.99
@@ -347,12 +442,12 @@ class TestConvergenceStudies:
         assert all(3.4 <= r <= 4.6 for r in ratios)
 
     def test_order_two_fits_every_mesh(self, suite):
-        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)
+        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)[0]
         assert rep.fitted_meshes == tuple(self.MESHES)
         assert rep.slope == pytest.approx(1.9997461482093464, abs=1e-12)
 
     def test_roundoff_errors_are_not_fitted(self, suite):
-        rep = spline_convergence_study(suite["sine"], 6, self.MESHES)
+        rep = spline_convergence_study(suite["sine"], 6, self.MESHES)[0]
         floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps
         fitted = [h for h, e in zip(self.MESHES, rep.sup_errors) if e > floor]
         assert rep.fitted_meshes == tuple(fitted) == tuple(self.MESHES[:3])
@@ -365,7 +460,7 @@ class TestConvergenceStudies:
             spline_convergence_study(line, 2, [0.25, 0.125, 0.0625])
 
     def test_order_one_gaussian_first_order(self, suite):
-        rep = spline_convergence_study(suite["gaussian"], 1, self.MESHES)
+        rep = spline_convergence_study(suite["gaussian"], 1, self.MESHES)[0]
         assert 0.85 <= rep.slope <= 1.1
 
     def test_step_trace_converges_off_knot(self, suite):
