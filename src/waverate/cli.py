@@ -113,10 +113,23 @@ def _config_errors(*kinds):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2; bad config must be exit 1."""
+    """argparse defaults to exit code 2; bad config must be exit 1.
+
+    argparse reads a value that starts with '-' and is not a plain number
+    (``--window -0.5,0.5``) as an option, so such a value is glued to the
+    option before it (``--window=-0.5,0.5``)."""
 
     def error(self, message):
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        glued = []
+        for token in sys.argv[1:] if args is None else args:
+            if glued and re.fullmatch(r"--[^=]+", glued[-1]) and re.match(r"-\.?\d", token):
+                glued[-1] += "=" + token
+            else:
+                glued.append(token)
+        return super().parse_known_args(glued, namespace)
 
 
 # ---------------------------------------------------------------------------

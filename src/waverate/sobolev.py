@@ -18,14 +18,18 @@ unitary convention F(xi) = (2pi)^{-1/2} int f(x) e^{-i xi x} dx,
 The last line telescopes from a + b = 1.  Its terms are nonnegative, so the
 scaling factor keeps full relative accuracy however small it is, as does
 |psi^|^2 ~ xi^{2N} (Daubechies, Ten Lectures on Wavelets, ch. 6-7).  The
-products stop once every factor is exactly 1.0 in double precision.
+products stop once every factor is exactly 1.0 in double precision.  Step i
+of the products at xi reads the symbol at xi 2^-i, so the products on a set
+of points come from one table of the symbol at the points times 2^-r,
+r = 1, 2, ..., read one slice of rows per step.
 
 Both integrals are evaluated over SHELLS dyadic shells
 [eps 2^{-(m+1)}, eps 2^{-m}] shrinking toward 0; divergence is declared when
-the last three shell sums fail to decay geometrically (ratio > 0.95).  The
-integrand on the shells does not depend on s, so ``critical_order`` and
-``criterion_sweep`` evaluate it once per spectrum and eps and pay one
-weighted trapezoid per shell for each s.
+the last three shell sums fail to decay geometrically (ratio > 0.95).  Shell
+m's grid is exactly the outermost one times 2^-m, so one symbol table per
+spectrum and eps serves every shell.  The integrand on the shells does not
+depend on s, so ``critical_order`` and ``criterion_sweep`` evaluate it once
+and pay one trapezoid over all shells for each s.
 Every criterion takes the family and integrates its own generator's spectrum.
 
 The critical regularity order of a family is located by bisection on the
@@ -73,6 +77,45 @@ class SobolevError(ValueError):
 # spectra from the two-scale symbol
 
 
+#: rows of the first symbol table: the products of every designed family stop
+#: within 43 rows of the shells at eps = pi; a table that runs out doubles
+TABLE_ROWS = 48
+
+
+def _symbol_products(symbol, base: np.ndarray, height: int, first: int):
+    """(b(xi/2), power, factor) on the rows xi = base 2^-m, m = 0..height-1.
+
+    Table row r - 1 holds the symbol at base 2^-r.  From step ``first`` on,
+    step i multiplies a(xi 2^-(i+1)) into power after adding power *
+    b(xi 2^-(i+1)) to factor: on row m it reads table row m + i, so each step
+    is one slice of rows.  The table doubles (one more symbol call) whenever
+    the products run past it.
+    """
+    xi = a = b = np.empty((0,) + base.shape)
+    power, factor = np.ones((height,) + base.shape), np.zeros((height,) + base.shape)
+    i = first
+    while True:
+        while i + height > len(xi):  # TABLE_ROWS rows at first, then twice as many
+            r = np.arange(len(xi) + 1, len(xi) + max(len(xi), TABLE_ROWS) + 1)
+            more = np.ldexp(base, -r.reshape((-1,) + (1,) * base.ndim))
+            xi, a, b = (np.concatenate(pair) for pair in zip((xi, a, b), (more, *symbol(more))))
+        step = slice(i, i + height)
+        factor += power * b[step]
+        power = power * a[step]
+        if np.all(a[step] == 1.0):
+            return b[:height], power, factor
+        if not np.any(xi[step]):  # every xi underflowed: the factors stay a(0) != 1
+            raise SobolevError(f"the symbol's a(0) = {float(np.ravel(a[step])[0])!r} is not 1")
+        i += 1
+
+
+def _frequencies(xi) -> np.ndarray:
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not np.all(np.isfinite(xi)):
+        raise SobolevError("frequencies must be finite")
+    return xi
+
+
 @dataclass(frozen=True)
 class SymbolSpectrum:
     """|phi^| or |psi^| of a family, as infinite products of its symbol."""
@@ -80,32 +123,20 @@ class SymbolSpectrum:
     symbol: Callable
     which: str
 
-    def _products(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(2pi |phi^(xi)|^2, 1 - 2pi |phi^(xi)|^2), the latter as a sum."""
-        if not np.all(np.isfinite(xi)):
-            raise SobolevError("frequencies must be finite")
-        power, factor = np.ones_like(xi), np.zeros_like(xi)
-        while True:
-            xi = xi / 2.0
-            a, b = self.symbol(xi)
-            factor += power * b
-            power = power * a
-            if np.all(a == 1.0):
-                return power, factor
-            if not np.any(xi):  # every xi underflowed: the factors stay a(0) != 1
-                raise SobolevError(f"the symbol's a(0) = {float(np.ravel(a)[0])!r} is not 1")
+    def _magnitude(self, base: np.ndarray, height: int) -> np.ndarray:
+        """|phi^| or |psi^| on the rows xi = base 2^-m, m = 0..height-1."""
+        if self.which == "phi":
+            return np.sqrt(_symbol_products(self.symbol, base, height, 0)[1] / (2.0 * math.pi))
+        b, power, _ = _symbol_products(self.symbol, base, height, 1)
+        return np.sqrt(b * power / (2.0 * math.pi))
 
     def evaluate(self, xi) -> np.ndarray:
         """|phi^(xi)| or |psi^(xi)| (vectorized); no criterion needs the phase."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.which == "phi":
-            return np.sqrt(self._products(xi)[0] / (2.0 * math.pi))
-        power = self._products(xi / 2.0)[0]
-        return np.sqrt(self.symbol(xi / 2.0)[1] * power / (2.0 * math.pi))
+        return self._magnitude(_frequencies(xi), 1)[0]
 
     def scaling_factor(self, xi) -> np.ndarray:
         """1 - 2pi |phi^(xi)|^2, summed from nonnegative terms."""
-        return self._products(np.atleast_1d(np.asarray(xi, dtype=float)))[1]
+        return _symbol_products(self.symbol, _frequencies(xi), 1, 0)[2][0]
 
 
 def family_spectrum(fam: MRAFamily, which: str = "psi") -> SymbolSpectrum:
@@ -119,13 +150,24 @@ def family_spectrum(fam: MRAFamily, which: str = "psi") -> SymbolSpectrum:
 # sampled Fourier transform (the cross-check of tabulated generators)
 
 
+def sampled_transform(f: SampledFunction, xi) -> np.ndarray:
+    """(2pi)^{-1/2} int f(x) exp(-i xi x) dx by the trapezoid rule on the
+    samples of f, at arbitrary frequencies (vectorized, no FFT)."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    x = f.grid.points()
+    w = np.full(x.size, f.grid.spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return ((f.values * w) @ np.exp(-1j * np.outer(x, xi))) / math.sqrt(2.0 * math.pi)
+
+
 @dataclass
 class SampledSpectrum:
     """Unitary Fourier transform of sampled values on a symmetric grid.
 
     ``values[i]`` approximates ``(2pi)^{-1/2} int f(x) exp(-i xi[i] x) dx``;
-    ``evaluate`` forms the transform of the ``source`` samples at arbitrary
-    frequencies by direct quadrature.
+    ``evaluate`` reads the transform of the ``source`` samples at arbitrary
+    frequencies from ``sampled_transform``.
     """
 
     xi: np.ndarray
@@ -140,14 +182,7 @@ class SampledSpectrum:
 
     def evaluate(self, xi) -> np.ndarray:
         """Transform values at arbitrary frequencies (vectorized)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        x = self.source.grid.points()
-        w = np.full(x.size, self.source.grid.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return ((self.source.values * w) @ np.exp(-1j * np.outer(x, xi))) / math.sqrt(
-            2.0 * math.pi
-        )
+        return sampled_transform(self.source, xi)
 
 
 def fourier_transform(f: SampledFunction) -> SampledSpectrum:
@@ -239,38 +274,29 @@ def _assemble(s, epsilon, shell_sums) -> IntegralResult:
     )
 
 
-def _criterion(name: str):
-    """(generator, (spectrum, xi) -> integrand) of a criterion name."""
-    if name == "wavelet":
-        return "psi", lambda spec, xi: spec.evaluate(xi) ** 2
-    if name == "scaling":
-        return "phi", lambda spec, xi: spec.scaling_factor(xi)
-    raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {name!r}")
-
-
 def _shell_integral(
     fam: MRAFamily, criterion: str, epsilon: float
 ) -> Callable[[float], IntegralResult]:
     """s -> int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
 
-    The shell grids and the integrand on them do not depend on s, so they are
-    evaluated here once; each s then costs one weighted trapezoid per shell.
+    Shell m's grid is exactly base 2^-m, so the integrand on every shell comes
+    from one symbol table of the base grid; it does not depend on s, and each
+    s then costs one weighted trapezoid over the (SHELLS, SHELL_POINTS) block.
     """
-    which, integrand = _criterion(criterion)
-    spec = family_spectrum(fam, which)
+    if criterion not in ("wavelet", "scaling"):
+        raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {criterion!r}")
+    spec = family_spectrum(fam, "psi" if criterion == "wavelet" else "phi")
     check_settings(epsilon)
-    grids = [
-        np.linspace(epsilon * 2.0 ** -(m + 1), epsilon * 2.0**-m, SHELL_POINTS)
-        for m in range(SHELLS)
-    ]
-    values = np.split(integrand(spec, np.concatenate(grids)), SHELLS)
+    base = np.linspace(epsilon / 2.0, epsilon, SHELL_POINTS)
+    grids = np.ldexp(base, -np.arange(SHELLS)[:, None])
+    if criterion == "wavelet":
+        values = spec._magnitude(base, SHELLS) ** 2
+    else:
+        values = _symbol_products(spec.symbol, base, SHELLS, 0)[2]
 
     def integral(s: float) -> IntegralResult:
         check_settings(epsilon, (s,))
-        sums = [
-            float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g))
-            for g, v in zip(grids, values)
-        ]
+        sums = np.trapezoid(2.0 * values * grids ** -(2.0 * s + 1.0), grids, axis=-1)
         return _assemble(s, epsilon, sums)
 
     return integral

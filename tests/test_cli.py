@@ -89,6 +89,15 @@ class TestParsing:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("function", ["gaussian", "cusp"])
+    def test_negative_window_parses_in_both_forms(self, function, tmp_path):
+        argv = f"rate --family daubechies:2 --function {function} --j 3..9".split()
+        spaced, glued, default = (tmp_path / f"{n}.json" for n in ("spaced", "glued", "default"))
+        assert main(argv + ["--window", "-0.5,0.5", "--out", str(spaced)]) == 0
+        assert main(argv + ["--window=-0.5,0.5", "--out", str(glued)]) == 0
+        assert main(argv + ["--out", str(default)]) == 0
+        assert spaced.read_bytes() == glued.read_bytes() != default.read_bytes()
+
     def test_rate_json(self, tmp_path, capsys):
         out = tmp_path / "rate.json"
         code = main(

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import json
@@ -11,6 +12,8 @@ from waverate import DyadicGrid, make_family, sample
 from waverate.families import refined_tables
 from waverate.grids import DecayHint, SampledFunction
 from waverate.sobolev import (
+    SHELL_POINTS,
+    SHELLS,
     CriticalOrder,
     SampledSpectrum,
     SobolevError,
@@ -23,9 +26,11 @@ from waverate.sobolev import (
     fourier_transform,
     hermitian_defect,
     plancherel_defect,
+    sampled_transform,
     scaling_criterion,
     wavelet_criterion,
 )
+from waverate.sobolev import _assemble
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,7 @@ class TestFourierTransform:
         sp = fourier_transform(f)
         xs = np.linspace(-8.0, 8.0, 65)
         assert np.max(np.abs(sp.evaluate(xs) - np.exp(-(xs**2) / 2))) < 1e-6
+        assert np.array_equal(sp.evaluate(xs), sampled_transform(f, xs))
 
     def test_haar_wavelet_quadratic_origin(self, haar_psi_spec):
         # |psi^|^2 / xi^2 constant within 2% on [0.01, 0.1]
@@ -121,10 +127,10 @@ class TestSymbolSpectrum:
         level = fam.phi.grid.level + 3
         phi, psi = (refined_tables(fam, gen, level) for gen in ("phi", "psi"))
         xi = np.linspace(0.05, 3.0, 40)
-        psi_dft = np.abs(fourier_transform(psi).evaluate(xi)) ** 2
+        psi_dft = np.abs(sampled_transform(psi, xi)) ** 2
         psi_sym = family_spectrum(fam, "psi").evaluate(xi) ** 2
         assert np.max(np.abs(psi_dft / psi_sym - 1.0)) <= 1e-5
-        phi_dft = 2 * np.pi * np.abs(fourier_transform(phi).evaluate(xi)) ** 2
+        phi_dft = 2 * np.pi * np.abs(sampled_transform(phi, xi)) ** 2
         phi_sym = 2 * np.pi * family_spectrum(fam, "phi").evaluate(xi) ** 2
         assert np.max(np.abs(phi_dft - phi_sym)) <= 1e-6
 
@@ -138,18 +144,35 @@ class TestSymbolSpectrum:
         # under the 5 s alarm
         symbol = pollen_cosine_symbol(0.8)
         assert symbol(np.zeros(1))[0][0] - 1.0 == pytest.approx(-4.4e-16, rel=0.01)
+        with stops_within_alarm():
+            SymbolSpectrum(symbol, which).evaluate([1.0])
 
-        def stop(signum, frame):
-            raise TimeoutError("the symbol products did not stop")
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    def test_symbol_off_one_at_zero_raises_on_shells(self, criterion):
+        # the shell table grows until every xi has underflowed, then raises
+        fam = dataclasses.replace(built("haar", 0), symbol=pollen_cosine_symbol(0.8))
+        with stops_within_alarm():
+            criterion_sweep(fam, [0.5, 1.5], 1.0, criterion)
+        with stops_within_alarm():
+            critical_order(fam, 1.0, criterion)
 
-        previous = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
-            with pytest.raises(SobolevError, match=r"a\(0\) = 0\.9999999999999996 is not 1"):
-                SymbolSpectrum(symbol, which).evaluate([1.0])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+
+@contextlib.contextmanager
+def stops_within_alarm(seconds=5.0):
+    """Expect the SobolevError that names a(0) of the off-one symbol within
+    `seconds` under a SIGALRM guard."""
+
+    def stop(signum, frame):
+        raise TimeoutError("the symbol products did not stop")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with pytest.raises(SobolevError, match=r"a\(0\) = 0\.9999999999999996 is not 1"):
+            yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestWaveletCriterion:
@@ -317,6 +340,134 @@ class TestShellIntegrand:
     def test_haar_wavelet_finite_below_one(self, haar):
         sweep = criterion_sweep(haar, [0.3, 0.5])
         assert not any(r.diverged for r in sweep)
+
+
+def products_oracle(symbol, xi):
+    """(2pi |phi^(xi)|^2, 1 - 2pi |phi^(xi)|^2), one halving of xi per step."""
+    power, factor = np.ones_like(xi), np.zeros_like(xi)
+    while True:
+        xi = xi / 2.0
+        a, b = symbol(xi)
+        factor += power * b
+        power = power * a
+        if np.all(a == 1.0):
+            return power, factor
+
+
+def spectrum_oracle(symbol, which, xi):
+    """|phi^(xi)| or |psi^(xi)| from ``products_oracle``."""
+    if which == "phi":
+        return np.sqrt(products_oracle(symbol, xi)[0] / (2.0 * math.pi))
+    power = products_oracle(symbol, xi / 2.0)[0]
+    return np.sqrt(symbol(xi / 2.0)[1] * power / (2.0 * math.pi))
+
+
+@functools.cache
+def shell_oracle(name, param, criterion, eps):
+    """The shell grids and the criterion integrand on them, one symbol call per
+    halving over all shells concatenated."""
+    symbol = built(name, param).symbol
+    grids = [
+        np.linspace(eps * 2.0 ** -(m + 1), eps * 2.0**-m, SHELL_POINTS) for m in range(SHELLS)
+    ]
+    xi = np.concatenate(grids)
+    if criterion == "wavelet":
+        values = spectrum_oracle(symbol, "psi", xi) ** 2
+    else:
+        values = products_oracle(symbol, xi)[1]
+    return grids, np.split(values, SHELLS)
+
+
+def integral_oracle(name, param, criterion, eps, s):
+    """The criterion at s, one trapezoid per shell."""
+    grids, values = shell_oracle(name, param, criterion, eps)
+    sums = [
+        float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g)) for g, v in zip(grids, values)
+    ]
+    return _assemble(s, eps, sums)
+
+
+def bisection_oracle(name, param, criterion, eps):
+    """The (s, diverged) evaluations of the critical-order bisection, or None
+    when the search interval holds no sign change."""
+    evaluations = []
+
+    def verdict(s):
+        d = integral_oracle(name, param, criterion, eps, s).diverged
+        evaluations.append((s, d))
+        return d
+
+    lo, hi = 0.1, 15.9
+    if verdict(lo) or not verdict(hi):
+        return None
+    while hi - lo > 0.05:
+        mid = 0.5 * (lo + hi)
+        if verdict(mid):
+            hi = mid
+        else:
+            lo = mid
+    return tuple(evaluations)
+
+
+DESIGNED = (
+    [("haar", 0)]
+    + [("daubechies", n) for n in range(1, 11)]
+    + [("battle_lemarie", k) for k in range(1, 5)]
+    + [("shannon", 0)]
+)
+
+
+class TestShellTable:
+    """The one-table shells and products against one halving per step."""
+
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    @pytest.mark.parametrize("name,param", DESIGNED)
+    def test_shells_equal_per_shell_oracle(self, name, param, criterion):
+        fam = built(name, param)
+        for eps in (0.25, 0.5, 1.0, 2.0, math.pi):
+            s_values = (0.1, 0.5, 1.0, 1.9, 2.5, 4.0, 8.0, 15.9)
+            swept = criterion_sweep(fam, s_values, eps, criterion)
+            for s, got in zip(s_values, swept):
+                want = integral_oracle(name, param, criterion, eps, s)
+                assert got.shells == want.shells
+                assert got.value == want.value
+                assert got.diverged == want.diverged
+                assert got == want
+                assert _SINGLE[criterion](fam, s, eps) == want
+
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    @pytest.mark.parametrize("name,param", DESIGNED)
+    def test_bisection_equals_oracle(self, name, param, criterion):
+        want = bisection_oracle(name, param, criterion, 1.0)
+        if want is None:
+            with pytest.raises(SobolevError):
+                critical_order(built(name, param), 1.0, criterion)
+        else:
+            assert critical_order(built(name, param), 1.0, criterion).evaluations == want
+
+    @pytest.mark.parametrize("name,param", DESIGNED)
+    def test_spectra_equal_oracle(self, name, param):
+        fam = built(name, param)
+        for xi in (
+            np.linspace(0.05, 3.0, 40),
+            np.linspace(0.01, 0.1, 25),
+            np.array([1e-3, 1e-2, 0.05]),
+            np.array([1e-9, 1e-6, 1e-3]),
+            # haar and daubechies take more halvings to a = 1 than the first table has rows
+            np.array([1.0, 1e3, 1e9]),
+        ):
+            for which in ("phi", "psi"):
+                got = family_spectrum(fam, which).evaluate(xi)
+                assert np.array_equal(got, spectrum_oracle(fam.symbol, which, xi))
+            got = family_spectrum(fam, "phi").scaling_factor(xi)
+            assert np.array_equal(got, products_oracle(fam.symbol, xi)[1])
+
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    @pytest.mark.parametrize("name,param", DESIGNED)
+    def test_one_symbol_call_per_shell_integral(self, name, param, criterion):
+        fam, calls = counted_symbol(built(name, param))
+        _SINGLE[criterion](fam, 1.0, 1.0)
+        assert len(calls) == 1
 
 
 class TestExports:
