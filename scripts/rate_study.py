@@ -2,8 +2,8 @@
 """Convergence-rate study: sup-norm slopes vs. critical regularity orders.
 
 For each family, fits the log2 error decay of P_j f against j for a smooth
-target and compares the slope with the bisected critical order s*, printing
-one table row per family and optionally exporting the RateReports.
+target and compares the slope with the critical order s* of the shells,
+printing one table row per family and optionally exporting the RateReports.
 
 Usage: python3 scripts/rate_study.py [--outdir DIR]
 """

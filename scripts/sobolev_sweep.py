@@ -2,8 +2,9 @@
 """Sweep the frequency-domain regularity criteria across orders s.
 
 For each family, evaluates the wavelet-side divergence criterion on a grid
-of s values, prints where the verdict flips, and compares against the
-bisected critical order from both the wavelet and scaling criteria.
+of s values, prints where the verdict flips, and compares it with the
+critical order s* of the wavelet and scaling criteria: the shells' decay
+exponent, printed with the last two local exponents it was extrapolated from.
 
 Usage: python3 scripts/sobolev_sweep.py [--outdir DIR] [--step 0.1]
 """
@@ -35,7 +36,10 @@ def main():
     parser.add_argument("--step", type=float, default=0.1)
     args = parser.parse_args()
 
-    print(f"{'family':<18} {'flip at':>8} {'s* (wav)':>9} {'s* (scal)':>10}")
+    print(
+        f"{'family':<18} {'flip at':>8} {'s* (wav)':>14} {'local exponents (wav)':>29} "
+        f"{'s* (scal)':>14}"
+    )
     for name, param in FAMILIES:
         fam = make_family(name, param)
         s_values = np.arange(args.step, 4.0 + args.step / 2, args.step)
@@ -44,7 +48,11 @@ def main():
         flip = min(flips) if flips else float("nan")
         wav = critical_order(fam, criterion="wavelet")
         scal = critical_order(fam, criterion="scaling")
-        print(f"{fam.label:<18} {flip:>8.2f} {wav.s_star:>9.3f} {scal.s_star:>10.3f}")
+        e_prev, e_last = wav.local_exponents
+        print(
+            f"{fam.label:<18} {flip:>8.2f} {wav.s_star:>14.10f} {e_prev:>14.10f} {e_last:>14.10f} "
+            f"{scal.s_star:>14.10f}"
+        )
         if args.outdir:
             tag = fam.label.replace(":", "-")
             export_sweep_csv(results, os.path.join(args.outdir, f"sweep_{tag}.csv"))

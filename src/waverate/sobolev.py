@@ -24,17 +24,23 @@ of points come from one table of the symbol at the points times 2^-r,
 r = 1, 2, ..., read one slice of rows per step.
 
 Both integrals are evaluated over SHELLS dyadic shells
-[eps 2^{-(m+1)}, eps 2^{-m}] shrinking toward 0; divergence is declared when
-the last three shell sums fail to decay geometrically (ratio > 0.95).  Shell
-m's grid is exactly the outermost one times 2^-m, so one symbol table per
-spectrum and eps serves every shell.  The integrand on the shells does not
-depend on s, so ``critical_order`` and ``criterion_sweep`` evaluate it once
-and pay one trapezoid over all shells for each s.
+[eps 2^{-(m+1)}, eps 2^{-m}] shrinking toward 0.  Shell m's grid is exactly
+the outermost one times 2^-m, so one symbol table per spectrum and eps serves
+every shell.  The integrand on the shells does not depend on s, so
+``critical_order`` and ``criterion_sweep`` evaluate it once and pay one
+trapezoid over all shells for each s.
 Every criterion takes the family and integrates its own generator's spectrum.
 
-The critical regularity order of a family is located by bisection on the
-finite/diverged verdict and equals the number of vanishing moments for the
-standard constructions.  ``fourier_transform`` (a dense DFT of sampled
+An integral of this kind converges exactly when s lies below the decay
+exponent s* of the integrand at 0 (both integrands behave like xi^{2 s*}).
+The shells measure that exponent directly: with S_m the s = 0 sum on shell m,
+the local exponents e_m = log2(S_m / S_{m+1}) / 2 tend to s* with an error
+that falls 4-fold per shell, and one Richardson step on the last two gives
+s* = (4 e_last - e_prev) / 3, to within |e_last - s*|.  An integral diverges
+iff s >= s*, read within that accuracy since the divergence at s* itself is
+only logarithmic; the sweep and ``critical_order`` read this one onset, so
+the verdict is monotone in s.  For the standard constructions s* equals the
+number of vanishing moments.  ``fourier_transform`` (a dense DFT of sampled
 values) is kept as an independent check of the tabulated generators against
 the symbol route; no criterion uses it.
 """
@@ -62,11 +68,6 @@ SHELLS = 12
 PAD_FACTOR = 8
 #: points per shell for the trapezoid rule
 SHELL_POINTS = 65
-#: shell sums must shrink by at least 5% or the integral is declared divergent
-DECAY_RATIO = 0.95
-
-_BISECT_LO, _BISECT_HI = 0.1, 15.9
-_BRACKET_WIDTH = 0.05
 
 
 class SobolevError(ValueError):
@@ -152,13 +153,18 @@ def family_spectrum(fam: MRAFamily, which: str = "psi") -> SymbolSpectrum:
 
 def sampled_transform(f: SampledFunction, xi) -> np.ndarray:
     """(2pi)^{-1/2} int f(x) exp(-i xi x) dx by the trapezoid rule on the
-    samples of f, at arbitrary frequencies (vectorized, no FFT)."""
+    samples of f, at arbitrary frequencies (vectorized, no FFT), summed over
+    blocks of about 2^20 exponentials so that memory stays bounded."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = f.grid.points()
-    w = np.full(x.size, f.grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return ((f.values * w) @ np.exp(-1j * np.outer(x, xi))) / math.sqrt(2.0 * math.pi)
+    fw = f.values * f.grid.spacing
+    fw[0] *= 0.5
+    fw[-1] *= 0.5
+    rows = max(1, 2**20 // xi.size)
+    total = np.zeros(xi.size, dtype=complex)
+    for i in range(0, x.size, rows):
+        total += fw[i : i + rows] @ np.exp(-1j * np.outer(x[i : i + rows], xi))
+    return total / math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -257,12 +263,26 @@ def check_settings(epsilon: float, s_values=()) -> None:
             raise SobolevError(f"regularity order s must lie in (0, 16], got {s}")
 
 
-def _assemble(s, epsilon, shell_sums) -> IntegralResult:
+def _decay_onset(zero_sums) -> tuple[float, tuple, float]:
+    """(s*, (e_prev, e_last), onset) from the s = 0 shell sums S_m.
+
+    s* = (4 e_last - e_prev) / 3 from the last two local exponents
+    e_m = log2(S_m / S_{m+1}) / 2; an s at or above onset = s* - |e_last - s*|
+    reads as diverged.  Shells that vanish (Shannon) have no onset: s* is inf
+    and every s reads finite.
+    """
+    tail = [float(v) for v in zero_sums[-3:]]
+    if not all(v > 0.0 for v in tail):
+        return math.inf, (math.inf, math.inf), math.inf
+    e_prev, e_last = (0.5 * math.log2(a / b) for a, b in zip(tail, tail[1:]))
+    s_star = (4.0 * e_last - e_prev) / 3.0
+    return s_star, (e_prev, e_last), s_star - abs(e_last - s_star)
+
+
+def _assemble(s, epsilon, shell_sums, onset) -> IntegralResult:
     shells = tuple(float(v) for v in shell_sums)
     trace = tuple(np.cumsum(shells))
-    tail = shells[-3:]
-    ratios = [b / a if a > 0 else (1.0 if b > 0 else 0.0) for a, b in zip(shells[-4:-1], tail)]
-    diverged = len(ratios) == 3 and all(r > DECAY_RATIO for r in ratios)
+    diverged = s >= onset
     value = math.inf if diverged else float(trace[-1])
     return IntegralResult(
         s=float(s),
@@ -276,12 +296,14 @@ def _assemble(s, epsilon, shell_sums) -> IntegralResult:
 
 def _shell_integral(
     fam: MRAFamily, criterion: str, epsilon: float
-) -> Callable[[float], IntegralResult]:
-    """s -> int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
+) -> tuple[Callable[[float], IntegralResult], float, tuple]:
+    """(s -> IntegralResult, s*, local exponents) of
+    int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
 
     Shell m's grid is exactly base 2^-m, so the integrand on every shell comes
     from one symbol table of the base grid; it does not depend on s, and each
     s then costs one weighted trapezoid over the (SHELLS, SHELL_POINTS) block.
+    The block's s = 0 sums give s* and the onset every verdict reads.
     """
     if criterion not in ("wavelet", "scaling"):
         raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {criterion!r}")
@@ -294,22 +316,26 @@ def _shell_integral(
     else:
         values = _symbol_products(spec.symbol, base, SHELLS, 0)[2]
 
+    def sums(s: float) -> np.ndarray:
+        return np.trapezoid(2.0 * values * grids ** -(2.0 * s + 1.0), grids, axis=-1)
+
+    s_star, exponents, onset = _decay_onset(sums(0.0))
+
     def integral(s: float) -> IntegralResult:
         check_settings(epsilon, (s,))
-        sums = np.trapezoid(2.0 * values * grids ** -(2.0 * s + 1.0), grids, axis=-1)
-        return _assemble(s, epsilon, sums)
+        return _assemble(s, epsilon, sums(s), onset)
 
-    return integral
+    return integral, s_star, exponents
 
 
 def wavelet_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(fam, "wavelet", epsilon)(s)
+    return _shell_integral(fam, "wavelet", epsilon)[0](s)
 
 
 def scaling_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} (1 - 2pi |phi^(xi)|^2) |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(fam, "scaling", epsilon)(s)
+    return _shell_integral(fam, "scaling", epsilon)[0](s)
 
 
 # ---------------------------------------------------------------------------
@@ -318,59 +344,30 @@ def scaling_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> Integra
 
 @dataclass(frozen=True)
 class CriticalOrder:
+    """The decay exponent s* of a criterion's integrand, and the last two
+    local exponents it was extrapolated from (its accuracy evidence)."""
+
     family: str
     s_star: float
-    bracket: tuple
     criterion: str
-    evaluations: tuple
+    local_exponents: tuple
 
 
 def critical_order(
     fam: MRAFamily, epsilon: float = 1.0, criterion: str = "wavelet"
 ) -> CriticalOrder:
-    """Bisect for the regularity order where the criterion flips to divergent.
+    """The regularity order s* where the criterion becomes divergent.
 
-    Searches s in [0.1, 15.9], whose first midpoint is 8, and returns the
-    midpoint of the final bracket of width <= 0.05.  Raises if the verdict is
-    not monotone in s (finite must precede diverged) or if no sign change
-    exists in the search interval.
+    s* is the decay exponent of the integrand at 0, extrapolated from the
+    shells' last two local exponents.  Raises unless it lies in the (0, 16]
+    that ``check_settings`` accepts for s; Shannon, whose shells vanish, has
+    no onset.
     """
-    integral = _shell_integral(fam, criterion, epsilon)
-    evaluations = []
-
-    def verdict(s: float) -> bool:
-        d = integral(s).diverged
-        evaluations.append((s, d))
-        return d
-
-    lo, hi = _BISECT_LO, _BISECT_HI
-    if verdict(lo):
-        raise SobolevError(
-            f"{fam.label}: criterion already divergent at s = {lo}; no finite range"
-        )
-    if not verdict(hi):
-        raise SobolevError(
-            f"{fam.label}: criterion still finite at s = {hi}; no divergence onset"
-        )
-    while hi - lo > _BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if verdict(mid):
-            hi = mid
-        else:
-            lo = mid
-    for (s1, d1) in evaluations:
-        for (s2, d2) in evaluations:
-            if s1 < s2 and d1 and not d2:
-                raise SobolevError(
-                    f"{fam.label}: verdict non-monotone in s "
-                    f"(diverged at {s1}, finite at {s2})"
-                )
+    _, s_star, exponents = _shell_integral(fam, criterion, epsilon)
+    if not 0.0 < s_star <= 16.0:
+        raise SobolevError(f"{fam.label}: no divergence onset in (0, 16] (s* = {s_star:.6g})")
     return CriticalOrder(
-        family=fam.label,
-        s_star=0.5 * (lo + hi),
-        bracket=(lo, hi),
-        criterion=criterion,
-        evaluations=tuple(evaluations),
+        family=fam.label, s_star=s_star, criterion=criterion, local_exponents=exponents
     )
 
 
@@ -381,7 +378,7 @@ def criterion_sweep(
     criterion: str = "wavelet",
 ) -> list[IntegralResult]:
     """The criterion at each s."""
-    integral = _shell_integral(fam, criterion, epsilon)
+    integral = _shell_integral(fam, criterion, epsilon)[0]
     return [integral(float(s)) for s in s_values]
 
 
@@ -406,7 +403,7 @@ def export_critical_json(co: CriticalOrder, path: str) -> None:
         {
             "family": co.family,
             "s_star": co.s_star,
-            "bracket": list(co.bracket),
+            "local_exponents": list(co.local_exponents),
             "criterion": co.criterion,
         },
     )

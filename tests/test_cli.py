@@ -129,6 +129,13 @@ class TestCommands:
         assert "DIVERGED" not in by_s[0.9]
         assert "DIVERGED" in by_s[1.1]
 
+    def test_sobolev_shannon_exits_2(self, tmp_path, capsys):
+        # the Shannon shells vanish: no divergence onset, a computational error
+        out = tmp_path / "sobolev.json"
+        assert main(["sobolev", "--family", "shannon", "--out", str(out)]) == 2
+        assert "no divergence onset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_j_range_exits_1_without_files(self, tmp_path, capsys):
         out = tmp_path / "kernel.json"
         code = main(
@@ -519,3 +526,35 @@ class TestImportGraph:
             "sobolev --family daubechies:6 --criterion wavelet",
         ]
         assert self.run_studies(studies, "mpmath", tmp_path) == "[0, 0] False"
+
+
+class TestScripts:
+    def test_sobolev_sweep_script(self, tmp_path):
+        # the script runs against the library as it is: one critical-order
+        # file per family, with the local exponents s* was read from
+        script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts",
+                              "sobolev_sweep.py")
+        src = os.path.dirname(os.path.dirname(waverate.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, script, "--outdir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        docs = {
+            name: json.loads((tmp_path / name).read_text())
+            for name in os.listdir(tmp_path)
+            if name.startswith("critical_")
+        }
+        assert sorted(docs) == [
+            "critical_battle_lemarie-2.json",
+            "critical_daubechies-2.json",
+            "critical_daubechies-3.json",
+            "critical_haar.json",
+        ]
+        for doc in docs.values():
+            assert len(doc["local_exponents"]) == 2

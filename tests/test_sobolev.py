@@ -254,7 +254,8 @@ class TestCriticalOrder:
         fam = make_family(name, param) if param else make_family(name)
         co = critical_order(fam)
         assert abs(co.s_star - target) <= tol
-        assert co.bracket[1] - co.bracket[0] <= 0.05 + 1e-12
+        # the extrapolation moved the last local exponent by less than 1e-6
+        assert abs(co.local_exponents[1] - co.s_star) <= 1e-6
 
     def test_matches_vanishing_moments(self):
         for spec in [("haar", 0), ("daubechies", 2), ("daubechies", 3), ("battle_lemarie", 2)]:
@@ -262,15 +263,38 @@ class TestCriticalOrder:
             co = critical_order(fam)
             assert abs(co.s_star - fam.vanishing_moments) <= 0.15
 
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0, math.pi])
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
     @pytest.mark.parametrize(
-        "name,param",
-        [("daubechies", n) for n in range(1, 11)]
-        + [("battle_lemarie", k) for k in range(1, 5)],
+        "name,param,moments",
+        [("haar", 0, 1)]
+        + [("daubechies", n, n) for n in range(1, 11)]
+        + [("battle_lemarie", k, k) for k in range(1, 5)],
     )
-    def test_every_family_vanishing_moments(self, name, param, criterion):
-        co = critical_order(built(name, param), criterion=criterion)
-        assert abs(co.s_star - param) <= 0.15
+    def test_every_family_vanishing_moments(self, name, param, moments, criterion, eps):
+        fam = built(name, param)
+        co = critical_order(fam, eps, criterion)
+        assert abs(co.s_star - moments) <= 0.15
+        assert abs(co.s_star - moments) <= 1e-6
+        # the sweep reads the same onset: diverged at N, finite just below
+        below, at = criterion_sweep(fam, [moments - 0.01, moments], eps, criterion)
+        assert not below.diverged and np.isfinite(below.value)
+        assert at.render_value() == "DIVERGED"
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_daubechies_order_equals_filter_sum_rules(self, n):
+        # sum_k (-1)^k k^m h_k = 0 for m < N: count the sum rules of the
+        # stored lowpass, relative to sum_k |k^m h_k|
+        fam = built("daubechies", n)
+        h = fam.filter.lowpass
+        k = np.arange(h.size, dtype=float)
+        rel = [
+            abs(np.sum((-1.0) ** k * k**m * h)) / np.sum(np.abs(k**m * h)) for m in range(12)
+        ]
+        rules = next(m for m, r in enumerate(rel) if r > 1e-12)
+        assert rel[rules] > 1e-4  # 8 decades above the tolerance: no borderline count
+        for criterion in ("wavelet", "scaling"):
+            assert abs(critical_order(fam, 1.0, criterion).s_star - rules) <= 1e-6
 
     def test_wavelet_scaling_agreement(self):
         for spec in [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)]:
@@ -279,9 +303,14 @@ class TestCriticalOrder:
             b = critical_order(fam, criterion="scaling").s_star
             assert abs(a - b) <= 0.15
 
-    def test_shannon_has_no_bracket(self):
-        with pytest.raises(SobolevError):
-            critical_order(make_family("shannon"))
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    def test_shannon_has_no_onset(self, criterion):
+        # its shells vanish: finite at every s, and no critical order
+        shannon = built("shannon", 0)
+        sweep = criterion_sweep(shannon, [0.1, 4.0, 16.0], 1.0, criterion)
+        assert not any(r.diverged for r in sweep)
+        with pytest.raises(SobolevError, match="no divergence onset"):
+            critical_order(shannon, criterion=criterion)
 
     def test_bad_criterion_name(self, haar):
         with pytest.raises(SobolevError):
@@ -318,8 +347,8 @@ class TestShellIntegrand:
         _SINGLE[criterion](fam, 1.0, 0.5)
         one = list(calls)
         calls.clear()
-        co = critical_order(fam, 0.5, criterion)
-        assert len(co.evaluations) > 10 and calls == one
+        critical_order(fam, 0.5, criterion)
+        assert calls == one
         calls.clear()
         criterion_sweep(fam, np.arange(0.1, 2.01, 0.1), 0.5, criterion)
         assert calls == one
@@ -330,12 +359,11 @@ class TestShellIntegrand:
     def test_verdicts_equal_single_order_criteria(self, name, param, criterion, eps):
         fam = built(name, param)
         single = _SINGLE[criterion]
-        co = critical_order(fam, eps, criterion)
-        for s, diverged in co.evaluations:
-            assert single(fam, s, eps).diverged == diverged
-        s_values = [s for s, _ in co.evaluations] + [0.3, 1.7, 2.9]
+        s_star = critical_order(fam, eps, criterion).s_star
+        s_values = [s_star - 0.01, s_star, s_star + 0.01, 0.3, 1.7, 2.9]
         swept = criterion_sweep(fam, s_values, eps, criterion)
         assert swept == [single(fam, s, eps) for s in s_values]
+        assert [r.diverged for r in swept[:3]] == [False, True, True]
 
     def test_haar_wavelet_finite_below_one(self, haar):
         sweep = criterion_sweep(haar, [0.3, 0.5])
@@ -378,35 +406,29 @@ def shell_oracle(name, param, criterion, eps):
     return grids, np.split(values, SHELLS)
 
 
-def integral_oracle(name, param, criterion, eps, s):
-    """The criterion at s, one trapezoid per shell."""
+def onset_oracle(zero_sums):
+    """(s*, (e_prev, e_last), onset) of the s = 0 shell sums: one Richardson
+    step on the last two local exponents, s* - |e_last - s*| the onset."""
+    tail = zero_sums[-3:]
+    if min(tail) == 0.0:
+        return math.inf, (math.inf, math.inf), math.inf
+    e_prev, e_last = (math.log2(a / b) / 2.0 for a, b in zip(tail, tail[1:]))
+    s_star = (4.0 * e_last - e_prev) / 3.0
+    return s_star, (e_prev, e_last), s_star - abs(e_last - s_star)
+
+
+def shell_sums_oracle(name, param, criterion, eps, s):
+    """The shell sums at s, one trapezoid per shell."""
     grids, values = shell_oracle(name, param, criterion, eps)
-    sums = [
+    return [
         float(np.trapezoid(2.0 * v * g ** -(2.0 * s + 1.0), g)) for g, v in zip(grids, values)
     ]
-    return _assemble(s, eps, sums)
 
 
-def bisection_oracle(name, param, criterion, eps):
-    """The (s, diverged) evaluations of the critical-order bisection, or None
-    when the search interval holds no sign change."""
-    evaluations = []
-
-    def verdict(s):
-        d = integral_oracle(name, param, criterion, eps, s).diverged
-        evaluations.append((s, d))
-        return d
-
-    lo, hi = 0.1, 15.9
-    if verdict(lo) or not verdict(hi):
-        return None
-    while hi - lo > 0.05:
-        mid = 0.5 * (lo + hi)
-        if verdict(mid):
-            hi = mid
-        else:
-            lo = mid
-    return tuple(evaluations)
+def integral_oracle(name, param, criterion, eps, s):
+    """The criterion at s, diverged from the oracle onset on."""
+    onset = onset_oracle(shell_sums_oracle(name, param, criterion, eps, 0.0))[2]
+    return _assemble(s, eps, shell_sums_oracle(name, param, criterion, eps, s), onset)
 
 
 DESIGNED = (
@@ -437,13 +459,14 @@ class TestShellTable:
 
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
     @pytest.mark.parametrize("name,param", DESIGNED)
-    def test_bisection_equals_oracle(self, name, param, criterion):
-        want = bisection_oracle(name, param, criterion, 1.0)
-        if want is None:
+    def test_critical_order_equals_oracle(self, name, param, criterion):
+        s_star, exponents, _ = onset_oracle(shell_sums_oracle(name, param, criterion, 1.0, 0.0))
+        if not math.isfinite(s_star):
             with pytest.raises(SobolevError):
                 critical_order(built(name, param), 1.0, criterion)
         else:
-            assert critical_order(built(name, param), 1.0, criterion).evaluations == want
+            co = critical_order(built(name, param), 1.0, criterion)
+            assert (co.s_star, co.local_exponents) == (s_star, exponents)
 
     @pytest.mark.parametrize("name,param", DESIGNED)
     def test_spectra_equal_oracle(self, name, param):
@@ -485,5 +508,6 @@ class TestExports:
         path = tmp_path / "co.json"
         export_critical_json(co, str(path))
         doc = json.loads(path.read_text())
+        assert sorted(doc) == ["criterion", "family", "local_exponents", "s_star"]
         assert doc["family"] == "haar"
-        assert doc["bracket"][0] <= doc["s_star"] <= doc["bracket"][1]
+        assert [abs(e - doc["s_star"]) <= 1e-6 for e in doc["local_exponents"]] == [True, True]
