@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 bad configuration, 2 computational error,
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import math
@@ -21,6 +20,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,26 +110,6 @@ def _config_errors(*kinds):
         yield
     except kinds as exc:
         raise ConfigError(str(exc)) from None
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2; bad config must be exit 1.
-
-    argparse reads a value that starts with '-' and is not a plain number
-    (``--window -0.5,0.5``) as an option, so such a value is glued to the
-    option before it (``--window=-0.5,0.5``)."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        glued = []
-        for token in sys.argv[1:] if args is None else args:
-            if glued and re.fullmatch(r"--[^=]+", glued[-1]) and re.match(r"-\.?\d", token):
-                glued[-1] += "=" + token
-            else:
-                glued.append(token)
-        return super().parse_known_args(glued, namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -714,64 +694,138 @@ def run_suite(args) -> tuple[str, int]:
 # argument wiring
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="waverate", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+#: the default of an option that must be given
+REQUIRED = object()
 
-    def add(name, level=False, **kwargs):
-        # only the studies that tabulate f read --level; the others reject it
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--out", help="output file path")
-        if level:
-            p.add_argument(
-                "--level", type=int, default=12, help="tabulation level (default 12)"
-            )
-        return p
+_OUT = {"--out": (str, None, "output file path")}
+# only the studies that tabulate f read --level; the others reject it
+_LEVEL = {"--level": (int, 12, "tabulation level")}
+_FAMILY = {"--family": (str, REQUIRED, "name or name:param, e.g. daubechies:2")}
+_FUNCTION = {"--function": (str, REQUIRED, "test function name, e.g. gaussian")}
+_FORMAT = {"--format": (("json", "csv"), "json", "output file format")}
 
-    p = add("family", help="build a family and check its invariants")
-    p.add_argument("--family", required=True, help="name or name:param, e.g. daubechies:2")
+#: command -> (help line, {option: (converter, default, help)}).  A converter
+#: is str, int, float, a tuple of the accepted values, or bool for a flag.
+COMMANDS = {
+    "family": ("build a family and check its invariants", {**_OUT, **_FAMILY}),
+    "expand": ("compute expansion coefficients", {
+        **_OUT, **_LEVEL, **_FAMILY, **_FUNCTION,
+        "--j": (str, REQUIRED, "level range, e.g. 0..6"),
+    }),
+    "kernel": ("projection-kernel convolution bound", {
+        **_OUT, **_FAMILY,
+        "--j": (str, REQUIRED, "scale range, e.g. 0..6"),
+        "--fit-decay": (("exponential",), None, "fit a decay model"),
+    }),
+    "rate": ("sup-norm convergence-rate regression", {
+        **_OUT, **_LEVEL, **_FAMILY, **_FUNCTION,
+        "--j": (str, REQUIRED, "level range, e.g. 3..9"),
+        "--window": (str, None, "assertion window lo,hi (default -1.0,1.0)"),
+        **_FORMAT,
+    }),
+    "sobolev": ("regularity criteria and critical order", {
+        **_OUT, **_FAMILY,
+        "--sweep-s": (str, None, "sweep lo..hi:step, e.g. 0.1..2.0:0.1"),
+        "--criterion": (("wavelet", "scaling"), "wavelet", "the spectrum the shells read"),
+        "--epsilon": (float, 1.0, "outer edge of the outermost shell, in (0, pi]"),
+    }),
+    "spline": ("best-L2 spline mesh-refinement study", {
+        **_OUT, **_LEVEL, **_FUNCTION,
+        "--order": (int, REQUIRED, f"spline order k in 1..{MAX_ORDER}"),
+        "--mesh-exponents": (str, REQUIRED, "m range with h = 2^-m, e.g. 2..6"),
+        **_FORMAT,
+        "--check-optimality": (bool, False, "perturbing the finest fit must worsen it"),
+        "--seed": (int, PERTURBATION_SEED, "seed of the perturbations"),
+    }),
+    "suite": ("run the acceptance battery", {
+        "--out": (str, None, "report directory (default suite_report)"),
+        "--only": (str, None, "run only criteria whose id or name matches"),
+        "--jobs": (int, 1, "worker threads"),
+    }),
+}
 
-    p = add("expand", level=True, help="compute expansion coefficients")
-    p.add_argument("--family", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--j", required=True, help="level range, e.g. 0..6")
 
-    p = add("kernel", help="projection-kernel convolution bound")
-    p.add_argument("--family", required=True)
-    p.add_argument("--j", required=True, help="scale range, e.g. 0..6")
-    p.add_argument("--fit-decay", choices=["exponential"], help="fit a decay model")
+def _help(command=None) -> str:
+    """Usage of waverate, or of one command with each option's default."""
+    if command is None:
+        lines = [f"usage: waverate {{{','.join(COMMANDS)}}} [--option VALUE ...]", "",
+                 __doc__.splitlines()[0], "", "commands:"]
+        lines += [f"  {name:<9} {doc}" for name, (doc, _) in COMMANDS.items()]
+        return "\n".join(lines)
+    doc, options = COMMANDS[command]
+    lines = [f"usage: waverate {command} [--option VALUE ...]", "", doc, "", "options:"]
+    for name, (convert, default, text) in options.items():
+        if convert is not bool:
+            name += f" {{{','.join(convert)}}}" if isinstance(convert, tuple) else " VALUE"
+            if default is not None:
+                text += " (required)" if default is REQUIRED else f" (default {default})"
+        lines.append(f"  {name:<24} {text}")
+    return "\n".join(lines + [f"  {'-h, --help':<24} show this help and exit"])
 
-    p = add("rate", level=True, help="sup-norm convergence-rate regression")
-    p.add_argument("--family", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--j", required=True, help="level range, e.g. 3..9")
-    p.add_argument("--window", help="assertion window lo,hi (default -1.0,1.0)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = add("sobolev", help="regularity criteria and critical order")
-    p.add_argument("--family", required=True)
-    p.add_argument("--sweep-s", help="sweep lo..hi:step, e.g. 0.1..2.0:0.1")
-    p.add_argument("--criterion", choices=["wavelet", "scaling"], default="wavelet")
-    p.add_argument("--epsilon", type=float, default=1.0)
+def _option(token: str, names) -> str:
+    """The option `token` names: itself, or the one option it is a prefix of."""
+    if token in names:
+        return token
+    prefix = len(token) > 2 and token.startswith("--")
+    found = [name for name in names if prefix and name.startswith(token)]
+    if len(found) != 1:
+        what = f"ambiguous (could be {', '.join(found)})" if found else "unknown"
+        raise ConfigError(f"{what} option {token}")
+    return found[0]
 
-    p = add("spline", level=True, help="best-L2 spline mesh-refinement study")
-    p.add_argument("--function", required=True)
-    p.add_argument(
-        "--order", type=int, required=True, help=f"spline order k in 1..{MAX_ORDER}"
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read a command line against COMMANDS: the command, and each of its
+    options under its name without dashes (``--fit-decay`` -> ``fit_decay``).
+
+    ``--opt value`` and ``--opt=value`` both work, an unambiguous prefix
+    names an option, and the last repeat wins.  A value may be a lone ``-``
+    or begin with ``-`` and a digit or point (``--window -0.5,0.5``).
+    ``-h``/``--help`` prints usage and exits 0; anything malformed raises
+    ConfigError."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] and argv[0][:1] == "-":
+        _option(argv[0], ("-h", "--help"))  # only help may precede the command
+        print(_help())
+        sys.exit(0)
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "none"
+        raise ConfigError(f"expected a command ({', '.join(COMMANDS)}), got {got}")
+    command, options = argv[0], COMMANDS[argv[0]][1]
+    values = {name: default for name, (_, default, _) in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        key, glued, value = token.partition("=")
+        name = _option(key, (*options, "-h", "--help"))
+        convert = options[name][0] if name in options else bool
+        if convert is bool:
+            if glued:
+                raise ConfigError(f"{name} takes no value, got {value!r}")
+            if name not in options:
+                print(_help(command))
+                sys.exit(0)
+            values[name] = True
+            continue
+        if not glued:
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and not re.match(r"-(\.?\d|$)", value)):
+                raise ConfigError(f"{name} expects a value")
+        if isinstance(convert, tuple):
+            if value not in convert:
+                raise ConfigError(f"{name} must be {' or '.join(convert)}, got {value!r}")
+        else:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise ConfigError(f"bad {convert.__name__} for {name}: {value!r}") from None
+        values[name] = value
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise ConfigError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(
+        command=command, **{name[2:].replace("-", "_"): v for name, v in values.items()}
     )
-    p.add_argument(
-        "--mesh-exponents", required=True, help="m range with h = 2^-m, e.g. 2..6"
-    )
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--check-optimality", action="store_true")
-    p.add_argument("--seed", type=int, default=PERTURBATION_SEED)
-
-    p = sub.add_parser("suite", help="run the acceptance battery")
-    p.add_argument("--out", help="report directory (default suite_report)")
-    p.add_argument("--only", help="run only criteria whose id or name matches")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
-
-    return parser
 
 
 _RUNNERS = {
@@ -785,9 +839,8 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         if args.command == "suite":
             summary, code = run_suite(args)
         else:

@@ -1,17 +1,22 @@
+import argparse
 import csv
 import dataclasses
 import json
 import math
 import os
+import re
+import runpy
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import waverate
-from waverate import DyadicGrid, make_family
+from waverate import DyadicGrid, cli, make_family
 from waverate.cli import (
     MAX_SWEEP_POINTS,
     ConfigError,
@@ -23,21 +28,100 @@ from waverate.cli import (
 )
 from waverate.convergence import TestFunction, test_function
 from waverate.expansion import project
-from waverate.splines import MAX_ORDER
+from waverate.splines import MAX_ORDER, PERTURBATION_SEED
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(argv, cwd, **env):
-    """`python -m waverate.cli argv` in a fresh process importing this waverate."""
+def run_cli(argv, cwd, module="waverate.cli", **env):
+    """`python -m module argv` in a fresh process importing this waverate."""
     src = os.path.dirname(os.path.dirname(waverate.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "waverate.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         timeout=300,
         check=False,
     )
+
+
+BAD_FAMILY_SPECS = ["mystery:3", "haar:3", "shannon:7"]
+
+BAD_FAMILY_PARAMETERS = [
+    # int() would read ' 2' and '+2' as 2 and relabel them daubechies:2
+    *(
+        (spec, f"family parameter must be decimal digits, got {spec!r}")
+        for spec in ("daubechies:2.5", "daubechies:", "daubechies: 2", "daubechies:+2")
+    ),
+    ("daubechies:0", "daubechies moments must be in 1..10, got 0"),
+    ("daubechies:11", "daubechies moments must be in 1..10, got 11"),
+    ("battle_lemarie:5", "battle_lemarie order must be in 1..4"),
+]
+
+BAD_STUDIES = [
+    "spline --function sine --order 0 --mesh-exponents 2..6",
+    f"spline --function sine --order {MAX_ORDER + 1} --mesh-exponents 4..8",
+    # 8 * 0.25 at each end swallows the 3.25-wide window
+    "spline --function sine --order 8 --mesh-exponents 2..4",
+    "spline --function sine --order 2 --mesh-exponents 2..10",
+    "spline --function sine --order 2 --mesh-exponents 1..5",
+    "spline --function sine --order 2 --mesh-exponents 3..3",
+    # 13 intervals at level 2, and Haar's lattice is not refined
+    "rate --family haar --function sine --level 2 --j 3..9 --window=0.5,2.5",
+    "expand --family haar --function sine --level 2 --j 0..3",
+    "rate --family haar --function sine --level 1 --j 3..9",
+    "rate --family haar --function gaussian --j 3..9 --window=0.3,0.7",
+    # the window must lie inside f's window, and the fit needs 4 levels >= 3
+    "rate --family haar --function gaussian --j 3..9 --window=-5,5",
+    "rate --family haar --function gaussian --j 1..4",
+    # --level belongs to the studies that tabulate f
+    "family --family daubechies:2 --level 6",
+    "kernel --family haar --j 0..2 --level 6",
+    "sobolev --family haar --level 6",
+    # tables finer than MAX_TABLE_LEVEL (18): level + 3, or j itself
+    "expand --family daubechies:2 --function gaussian --level 16 --j 0..6",
+    "expand --family haar --function gaussian --level 40 --j 0..6",
+    "expand --family daubechies:2 --function gaussian --j 0..40",
+    "rate --family daubechies:2 --function gaussian --j 3..30",
+    "rate --family daubechies:2 --function gaussian --level 2000 --j 3..9",
+    "spline --function sine --order 2 --mesh-exponents 2..6 --level 40",
+    # analysed scales must stay below f's quadrature lattice (level + 3,
+    # level for haar): expand analyses j0..j1 - 1, rate j0..j1
+    "expand --family haar --function gaussian --j 0..13",
+    "rate --family haar --function gaussian --j 3..15",
+    "rate --family daubechies:2 --function gaussian --level 6 --j 3..9",
+    "expand --family daubechies:2 --function gaussian --level 2 --j 0..6",
+    # analysis needs two levels j0 < j1; the perturbation rng a seed >= 0
+    "expand --family haar --function gaussian --j 5..5",
+    "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality --seed -1",
+]
+
+BAD_KERNEL_SCALES = [
+    # the scale-j profile grid has level j + 6: 2^1024 overflows
+    "kernel --family haar --j 1016..1018",
+    "kernel --family haar --j -1..3",
+    # profile collapse is judged over three scales or more
+    "kernel --family haar --j 0..1",
+]
+
+BAD_SOBOLEV_SETTINGS = [
+    # epsilon outside (0, pi], or shells below the frequency floor
+    "sobolev --family daubechies:2 --epsilon 5",
+    "sobolev --family daubechies:2 --epsilon 0",
+    "sobolev --family daubechies:2 --epsilon 0.001",
+    "sobolev --family haar --epsilon 0.001 --sweep-s 0.5..1.5:0.5",
+    # s outside (0, 16]
+    "sobolev --family haar --sweep-s 0.0..2.0:0.5",
+    "sobolev --family haar --sweep-s 15.0..17.0:1.0",
+    # non-finite sweeps, and sweeps past MAX_SWEEP_POINTS (never built)
+    "sobolev --family haar --sweep-s nan..2:0.1",
+    "sobolev --family haar --sweep-s 0.1..inf:0.1",
+    "sobolev --family haar --sweep-s 0.1..2:inf",
+    "sobolev --family haar --sweep-s 0.1..16:1e-12",
+    "sobolev --family haar --sweep-s 0.001..16:0.001",
+]
 
 
 class TestParsing:
@@ -148,25 +232,13 @@ class TestCommands:
     def test_unknown_function_exits_1(self):
         assert main(["rate", "--family", "haar", "--function", "nope", "--j", "3..9"]) == 1
 
-    @pytest.mark.parametrize("spec", ["mystery:3", "haar:3", "shannon:7"])
+    @pytest.mark.parametrize("spec", BAD_FAMILY_SPECS)
     def test_bad_family_spec_exits_1(self, spec, capsys):
         # haar and shannon take no parameter: one given is not dropped
         assert main(["family", "--family", spec]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "spec, message",
-        [
-            # int() would read ' 2' and '+2' as 2 and relabel them daubechies:2
-            *(
-                (spec, f"family parameter must be decimal digits, got {spec!r}")
-                for spec in ("daubechies:2.5", "daubechies:", "daubechies: 2", "daubechies:+2")
-            ),
-            ("daubechies:0", "daubechies moments must be in 1..10, got 0"),
-            ("daubechies:11", "daubechies moments must be in 1..10, got 11"),
-            ("battle_lemarie:5", "battle_lemarie order must be in 1..4"),
-        ],
-    )
+    @pytest.mark.parametrize("spec, message", BAD_FAMILY_PARAMETERS)
     def test_bad_family_parameter_message(self, spec, message, capsys):
         assert main(["family", "--family", spec]) == 1
         assert f"error: {message}\n" in capsys.readouterr().err
@@ -188,46 +260,7 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "spline --function sine --order 0 --mesh-exponents 2..6",
-            f"spline --function sine --order {MAX_ORDER + 1} --mesh-exponents 4..8",
-            # 8 * 0.25 at each end swallows the 3.25-wide window
-            "spline --function sine --order 8 --mesh-exponents 2..4",
-            "spline --function sine --order 2 --mesh-exponents 2..10",
-            "spline --function sine --order 2 --mesh-exponents 1..5",
-            "spline --function sine --order 2 --mesh-exponents 3..3",
-            # 13 intervals at level 2, and Haar's lattice is not refined
-            "rate --family haar --function sine --level 2 --j 3..9 --window=0.5,2.5",
-            "expand --family haar --function sine --level 2 --j 0..3",
-            "rate --family haar --function sine --level 1 --j 3..9",
-            "rate --family haar --function gaussian --j 3..9 --window=0.3,0.7",
-            # the window must lie inside f's window, and the fit needs 4 levels >= 3
-            "rate --family haar --function gaussian --j 3..9 --window=-5,5",
-            "rate --family haar --function gaussian --j 1..4",
-            # --level belongs to the studies that tabulate f
-            "family --family daubechies:2 --level 6",
-            "kernel --family haar --j 0..2 --level 6",
-            "sobolev --family haar --level 6",
-            # tables finer than MAX_TABLE_LEVEL (18): level + 3, or j itself
-            "expand --family daubechies:2 --function gaussian --level 16 --j 0..6",
-            "expand --family haar --function gaussian --level 40 --j 0..6",
-            "expand --family daubechies:2 --function gaussian --j 0..40",
-            "rate --family daubechies:2 --function gaussian --j 3..30",
-            "rate --family daubechies:2 --function gaussian --level 2000 --j 3..9",
-            "spline --function sine --order 2 --mesh-exponents 2..6 --level 40",
-            # analysed scales must stay below f's quadrature lattice (level + 3,
-            # level for haar): expand analyses j0..j1 - 1, rate j0..j1
-            "expand --family haar --function gaussian --j 0..13",
-            "rate --family haar --function gaussian --j 3..15",
-            "rate --family daubechies:2 --function gaussian --level 6 --j 3..9",
-            "expand --family daubechies:2 --function gaussian --level 2 --j 0..6",
-            # analysis needs two levels j0 < j1; the perturbation rng a seed >= 0
-            "expand --family haar --function gaussian --j 5..5",
-            "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality --seed -1",
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_STUDIES)
     def test_bad_study_exits_1_before_compute(
         self, argv, tmp_path, capsys, monkeypatch
     ):
@@ -240,16 +273,7 @@ class TestCommands:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # the scale-j profile grid has level j + 6: 2^1024 overflows
-            "kernel --family haar --j 1016..1018",
-            "kernel --family haar --j -1..3",
-            # profile collapse is judged over three scales or more
-            "kernel --family haar --j 0..1",
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_KERNEL_SCALES)
     def test_bad_kernel_scales_exit_1_before_compute(
         self, argv, tmp_path, capsys, monkeypatch
     ):
@@ -270,25 +294,7 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["j_set"] == list(range(14)) and doc["passes"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # epsilon outside (0, pi], or shells below the frequency floor
-            "sobolev --family daubechies:2 --epsilon 5",
-            "sobolev --family daubechies:2 --epsilon 0",
-            "sobolev --family daubechies:2 --epsilon 0.001",
-            "sobolev --family haar --epsilon 0.001 --sweep-s 0.5..1.5:0.5",
-            # s outside (0, 16]
-            "sobolev --family haar --sweep-s 0.0..2.0:0.5",
-            "sobolev --family haar --sweep-s 15.0..17.0:1.0",
-            # non-finite sweeps, and sweeps past MAX_SWEEP_POINTS (never built)
-            "sobolev --family haar --sweep-s nan..2:0.1",
-            "sobolev --family haar --sweep-s 0.1..inf:0.1",
-            "sobolev --family haar --sweep-s 0.1..2:inf",
-            "sobolev --family haar --sweep-s 0.1..16:1e-12",
-            "sobolev --family haar --sweep-s 0.001..16:0.001",
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_SOBOLEV_SETTINGS)
     def test_bad_sobolev_settings_exit_1_before_compute(
         self, argv, tmp_path, capsys, monkeypatch
     ):
@@ -475,6 +481,325 @@ class TestSuiteCommand:
         assert "--jobs" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# the argparse front end that `cli.COMMANDS` replaced, kept unchanged as the
+# verification oracle of `cli.parse_args`
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse defaults to exit code 2; bad config must be exit 1.
+
+    argparse reads a value that starts with '-' and is not a plain number
+    (``--window -0.5,0.5``) as an option, so such a value is glued to the
+    option before it (``--window=-0.5,0.5``)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        glued = []
+        for token in sys.argv[1:] if args is None else args:
+            if glued and re.fullmatch(r"--[^=]+", glued[-1]) and re.match(r"-\.?\d", token):
+                glued[-1] += "=" + token
+            else:
+                glued.append(token)
+        return super().parse_known_args(glued, namespace)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="waverate", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, level=False, **kwargs):
+        # only the studies that tabulate f read --level; the others reject it
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--out", help="output file path")
+        if level:
+            p.add_argument(
+                "--level", type=int, default=12, help="tabulation level (default 12)"
+            )
+        return p
+
+    p = add("family", help="build a family and check its invariants")
+    p.add_argument("--family", required=True, help="name or name:param, e.g. daubechies:2")
+
+    p = add("expand", level=True, help="compute expansion coefficients")
+    p.add_argument("--family", required=True)
+    p.add_argument("--function", required=True)
+    p.add_argument("--j", required=True, help="level range, e.g. 0..6")
+
+    p = add("kernel", help="projection-kernel convolution bound")
+    p.add_argument("--family", required=True)
+    p.add_argument("--j", required=True, help="scale range, e.g. 0..6")
+    p.add_argument("--fit-decay", choices=["exponential"], help="fit a decay model")
+
+    p = add("rate", level=True, help="sup-norm convergence-rate regression")
+    p.add_argument("--family", required=True)
+    p.add_argument("--function", required=True)
+    p.add_argument("--j", required=True, help="level range, e.g. 3..9")
+    p.add_argument("--window", help="assertion window lo,hi (default -1.0,1.0)")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+    p = add("sobolev", help="regularity criteria and critical order")
+    p.add_argument("--family", required=True)
+    p.add_argument("--sweep-s", help="sweep lo..hi:step, e.g. 0.1..2.0:0.1")
+    p.add_argument("--criterion", choices=["wavelet", "scaling"], default="wavelet")
+    p.add_argument("--epsilon", type=float, default=1.0)
+
+    p = add("spline", level=True, help="best-L2 spline mesh-refinement study")
+    p.add_argument("--function", required=True)
+    p.add_argument(
+        "--order", type=int, required=True, help=f"spline order k in 1..{MAX_ORDER}"
+    )
+    p.add_argument(
+        "--mesh-exponents", required=True, help="m range with h = 2^-m, e.g. 2..6"
+    )
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--check-optimality", action="store_true")
+    p.add_argument("--seed", type=int, default=PERTURBATION_SEED)
+
+    p = sub.add_parser("suite", help="run the acceptance battery")
+    p.add_argument("--out", help="report directory (default suite_report)")
+    p.add_argument("--only", help="run only criteria whose id or name matches")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads")
+
+    return parser
+
+
+def readme_argvs() -> list[list[str]]:
+    """The argument lists of the README's `waverate ...` quickstart lines."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Quickstart (CLI)", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [words[1:] for words in lines if words[:1] == ["waverate"]]
+
+
+def benchmark_argvs() -> list[list[str]]:
+    """The argument lists of every study the benchmark's workloads run."""
+    studies = runpy.run_path(str(ROOT / "benchmarks" / "studies.py"))
+    return [
+        list(study.argv)
+        for workload in studies["WORKLOADS"]
+        for smoke in (False, True)
+        for study in studies["studies"](workload, seed=3, smoke=smoke)
+    ]
+
+
+RATE = "rate --family haar --function gaussian --j 3..9"
+SPLINE = "spline --function sine --order 2 --mesh-exponents 2..6"
+
+#: the argvs the tests pass to `main`, with "OUT" for a temporary path
+TEST_ARGVS = [
+    *(f"{a} --out OUT" for a in BAD_STUDIES + BAD_KERNEL_SCALES + BAD_SOBOLEV_SETTINGS),
+    *(f"family --family {spec}" for spec in BAD_FAMILY_SPECS),
+    *(["family", "--family", spec] for spec, _ in BAD_FAMILY_PARAMETERS),
+    *(f"rate --family daubechies:2 --function {f} --j 3..9 {tail}"
+      for f in ("gaussian", "cusp")
+      for tail in ("--window -0.5,0.5 --out OUT", "--window=-0.5,0.5 --out OUT", "--out OUT")),
+    "sobolev --family haar --sweep-s 0.1..2.0:0.1 --out OUT",
+    "sobolev --family shannon --out OUT",
+    "kernel --family haar --j 6..0 --out OUT",
+    "rate --family haar --function nope --j 3..9",
+    "rate --family haar --function step --j 3..9 --window=-1.0,1.0",
+    "kernel --family haar --j 0..13 --out OUT",
+    "expand --family haar --function gaussian --j 0..12 --out OUT",
+    "expand --family haar --function gaussian --level 6 --j 0..6 --out OUT",
+    "expand --family battle_lemarie:3 --function gaussian --j 0..6 --out OUT",
+    "family --family haar",
+    "spline --function sine --order 2 --mesh-exponents 2..5 --format csv --out OUT",
+    "spline --function sine --order 2 --mesh-exponents=2..3000000 --out OUT",
+    "spline --function sine --order 2 --mesh-exponents=-3000000..4 --out OUT",
+    f"{SPLINE} --check-optimality",
+    "spline --function sine --order 6 --mesh-exponents 2..6 --out OUT",
+    "family --family daubechies:2 --out f.json",
+    "family --family daubechies:10",
+    "sobolev --family daubechies:6 --criterion wavelet",
+    "suite --only kernel --out OUT",
+    "suite --only bogus --out OUT",
+    "suite --jobs 0 --out OUT",
+    "suite --jobs -1 --out OUT",
+    "suite --only 11 --out suite_report",
+    "suite --out OUT",
+    "suite --out OUT --jobs 2",
+]
+
+#: well-formed command lines in every form the parser accepts
+FORMS = [
+    # --opt=value, in every converter's kind
+    "family --family=haar --out=family.json",
+    f"{RATE} --level=10 --window=-0.5,0.5 --format=csv --out=rate.csv",
+    "sobolev --family=haar --criterion=scaling --epsilon=0.5 --sweep-s=0.1..1:0.1",
+    f"{SPLINE} --seed=7 --level=13",
+    "kernel --family haar --j=0..6 --fit-decay=exponential",
+    # unambiguous prefixes, spaced and glued
+    "family --fam haar --o family.json",
+    "rate --fam haar --fu gaussian --j 3..9 --win -0.5,0.5 --fo csv --le 10",
+    "expand --fam=haar --func=gaussian --j=0..6",
+    "sobolev --fam haar --crit scaling --eps 2 --sw 0.5..1.5:0.5",
+    "spline --fun sine --ord 2 --mesh 2..6 --check --se 3",
+    "kernel --fam haar --j 0..6 --fit exponential",
+    "suite --j 2 --on 1 --ou report",
+    # a value that begins with '-' and a digit or point, and a lone '-'
+    "expand --family haar --function gaussian --j -3..1",
+    "suite --jobs -1",
+    "sobolev --family haar --epsilon -.5",
+    "sobolev --family haar --epsilon -1e-3",
+    f"{RATE} --window -.5,.5",
+    f"{RATE} --level -2",
+    f"{SPLINE} --seed -1",
+    f"{SPLINE} --order -3",
+    "family --family haar --out -",
+    "suite --only -",
+    # '=' inside a value, and values that look like options after '='
+    "family --family haar --out a=b.json",
+    "family --family haar --out=a=b",
+    "family --family haar --out=--x",
+    "suite --only=-x",
+    # empty values
+    "family --family haar --out=",
+    "suite --out=",
+    ["family", "--family", "haar", "--out", ""],
+    ["family", "--family", ""],
+    # the converters' own spellings
+    f"{RATE} --level 010",
+    "suite --jobs +2",
+    f"{SPLINE} --seed 1_0",
+    ["spline", "--function", "sine", "--order", " 2 ", "--mesh-exponents", "2..6"],
+    "sobolev --family haar --epsilon 1e0",
+    "sobolev --family haar --epsilon inf",
+    "sobolev --family haar --epsilon=-inf --epsilon 3",
+    "sobolev --family haar --epsilon=-inf",
+    # the last repeat wins
+    "family --family haar --family daubechies:2",
+    f"{SPLINE} --check-optimality --check-optimality",
+    "suite --jobs 1 --jobs 2 --j 3",
+    f"{RATE} --format csv --format json --level 10 --le 11",
+    # options in any order
+    "rate --out rate.json --j 3..9 --function gaussian --family haar",
+]
+
+#: malformed command lines: each must raise ConfigError before any compute
+MALFORMED = [
+    # no, an unknown or an abbreviated command, or an option before it
+    [],
+    "bogus",
+    "ra --family haar",
+    "Rate --family haar --function gaussian --j 3..9",
+    "--family haar",
+    "--",
+    f"-- {RATE}",
+    # unknown options, stray values and the end-of-options marker
+    "family --family haar --bogus",
+    "family --family haar --bogus=1",
+    "family --family haar -x",
+    "family --family haar extra",
+    "family --family haar --level 6",
+    "suite -j 2",
+    f"{RATE} --",
+    f"{RATE} -- --out x",
+    f"{RATE} ---out x",
+    # ambiguous prefixes
+    "rate --f haar --function gaussian --j 3..9",
+    f"{RATE} --fo",
+    "suite --o report",
+    # missing options
+    "family",
+    "rate --family haar --function gaussian",
+    "spline --function sine --order 2",
+    "kernel --j 0..6",
+    # missing values
+    "family --family",
+    "family --family haar --out",
+    "family --family --out x",
+    "family --family -x",
+    "family --family -h=1",
+    f"{RATE} --window -a,b",
+    "sobolev --family haar --epsilon -inf",
+    # bad int, float or choice
+    f"{SPLINE} --order two",
+    "suite --jobs 1.5",
+    f"{RATE} --level=",
+    f"{RATE} --level=1e3",
+    f"{SPLINE} --seed 0x10",
+    "sobolev --family haar --epsilon one",
+    "sobolev --family haar --epsilon=",
+    "sobolev --family haar --epsilon 1,0",
+    f"{RATE} --format xml",
+    f"{RATE} --format JSON",
+    "sobolev --family haar --criterion wave",
+    "kernel --family haar --j 0..6 --fit-decay linear",
+    # a value given to a flag
+    f"{SPLINE} --check-optimality=yes",
+    f"{SPLINE} --check-optimality=",
+    f"{SPLINE} --check-optimality yes",
+    f"{SPLINE} --check-optimality -1",
+    "family --family haar --help=1",
+]
+
+
+def argvs(lines) -> list[list[str]]:
+    """Each distinct command line once, as an argument list."""
+    split = (line.split() if isinstance(line, str) else line for line in lines)
+    return [list(argv) for argv in dict.fromkeys(map(tuple, split))]
+
+
+def parsed(parse, argv):
+    """The options `parse` reads from argv, or ConfigError if it rejects them."""
+    try:
+        return vars(parse(argv))
+    except ConfigError:
+        return ConfigError
+
+
+ORACLE = build_parser()
+WELL_FORMED = argvs(readme_argvs() + benchmark_argvs() + FORMS)
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("argv", argvs(WELL_FORMED + TEST_ARGVS), ids=shlex.join)
+    def test_same_namespace_as_argparse(self, argv):
+        assert parsed(cli.parse_args, argv) == parsed(ORACLE.parse_args, argv)
+
+    def test_well_formed_corpus_parses(self):
+        # the README, benchmark and form corpus compares namespaces, not errors
+        assert all(parsed(ORACLE.parse_args, argv) is not ConfigError for argv in WELL_FORMED)
+
+    @pytest.mark.parametrize("argv", argvs(MALFORMED), ids=shlex.join)
+    def test_malformed_raises_config_error(self, argv):
+        assert parsed(cli.parse_args, argv) is parsed(ORACLE.parse_args, argv) is ConfigError
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]])
+    def test_no_or_unknown_command_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error: expected a command" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    def test_help_names_every_command(self, tmp_path):
+        proc = run_cli(["--help"], tmp_path, module="waverate")
+        assert proc.returncode == 0, proc.stderr
+        commands = [line.split()[0] for line in proc.stdout.decode().splitlines()
+                    if line.startswith("  ")]
+        assert commands == ["family", "expand", "kernel", "rate", "sobolev", "spline", "suite"]
+
+    def test_rate_help_names_every_option_with_its_default(self, tmp_path):
+        proc = run_cli(["rate", "--help"], tmp_path, module="waverate")
+        assert proc.returncode == 0, proc.stderr
+        shown = {line.split()[0]: line for line in proc.stdout.decode().splitlines()
+                 if line.startswith("  --")}
+        assert list(shown) == ["--out", "--level", "--family", "--function", "--j",
+                               "--window", "--format"]
+        for option, default in {"--level": "(default 12)", "--family": "(required)",
+                                "--function": "(required)", "--j": "(required)",
+                                "--window": "(default -1.0,1.0)",
+                                "--format": "(default json)"}.items():
+            assert shown[option].endswith(default)
+
+    def test_module_exits_with_the_code_of_main(self, tmp_path):
+        proc = run_cli(["bogus"], tmp_path, module="waverate")
+        assert proc.returncode == 1 and proc.stderr.startswith(b"error: ")
+
+
 class TestImportGraph:
     @staticmethod
     def run_studies(studies, module, cwd) -> str:
@@ -517,6 +842,22 @@ class TestImportGraph:
             "suite --only 11 --out suite_report",
         ]
         assert self.run_studies(studies, "numpy.polynomial", tmp_path) == "[0, 0] False"
+
+    @pytest.mark.parametrize("module", ["argparse", "gettext"])
+    def test_quickstart_commands_do_not_import_argparse(self, module, tmp_path):
+        # the option table replaced argparse, whose cold import (gettext and
+        # locale with it) each CLI call paid before any work
+        first = {}
+        for argv in readme_argvs():
+            first.setdefault(argv[0], " ".join(argv))
+        codes = ", ".join("0" * len(first))
+        assert self.run_studies(first.values(), module, tmp_path) == f"[{codes}] False"
+
+    def test_spline_check_does_not_import_numpy_random(self, tmp_path):
+        # the perturbations come from the stdlib generator numpy has already
+        # imported: no study pays for the cold numpy.random import
+        studies = [f"{SPLINE} --check-optimality"]
+        assert self.run_studies(studies, "numpy.random", tmp_path) == "[0] False"
 
     def test_daubechies_studies_do_not_import_mpmath(self, tmp_path):
         # the Daubechies filters are stored doubles: no study factors the

@@ -371,6 +371,17 @@ class TestBestApproximation:
         f, approx = sine_fit
         assert perturbation_optimality(f, approx)
 
+    def test_perturbation_optimality_holds_for_every_seed(self, suite):
+        # the fit `spline --check-optimality` checks: any --seed reads optimal
+        meshes = [2.0**-m for m in range(2, 7)]
+        _, f, fits = spline_convergence_study(suite["sine"], 2, meshes)
+        assert all(perturbation_optimality(f, fits[-1], seed=seed) for seed in range(32))
+
+    def test_perturbation_optimality_catches_a_moved_fit(self, sine_fit):
+        f, approx = sine_fit
+        moved = SplineApproximation(approx.space, approx.coefficients + 1e-2)
+        assert not perturbation_optimality(f, moved)
+
     def test_rejects_coarse_tabulation(self):
         f = tabulate(np.sin, 0.0, 2.0, level=4)  # 16 samples per unit
         with pytest.raises(SplineError):
