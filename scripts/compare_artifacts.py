@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Run the README studies under two source trees and compare their outputs.
+"""Run the README and benchmark studies under two source trees and compare
+their outputs.
 
 Every `waverate` command of the README's CLI quickstart (the suite with
-`--jobs 2`), and each `--study`, runs twice in fresh processes, once
-importing `waverate` from BASE_SRC and once from this checkout's `src/`, each
-in its own temporary directory.  Every file a study writes, its standard
-output and its exit code are compared byte for byte, and each is printed as
-identical or differing.  A differing text artifact is followed by its unified
-diff, capped at DIFF_LINES lines, so the moved digits can be quoted.
+`--jobs 2`), every distinct study of the benchmark's workloads (read from
+`benchmarks/studies.py`, spline seed 3), and each `--study`, runs twice in
+fresh processes, once importing `waverate` from BASE_SRC and once from this
+checkout's `src/`, each in its own temporary directory.  Every file a study
+writes, its standard output and its exit code are compared byte for byte,
+and each is printed as identical or differing.  A differing text artifact is
+followed by its unified diff, capped at DIFF_LINES lines, so the moved digits
+can be quoted.
 
 Usage: python3 scripts/compare_artifacts.py BASE_SRC
            [--study "kernel --family shannon --j 0..6 --out kernel.json" ...]
@@ -18,6 +21,7 @@ Exits 1 if any artifact differs.
 import argparse
 import difflib
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -42,6 +46,18 @@ def readme_studies() -> list[list[str]]:
                 argv += ["--jobs", "2"]
             studies.append(argv)
     return studies
+
+
+def benchmark_studies() -> list[list[str]]:
+    """The distinct argument lists of the benchmark's full and smoke studies."""
+    studies = runpy.run_path(str(ROOT / "benchmarks" / "studies.py"))
+    argvs = [
+        list(study.argv)
+        for workload in studies["WORKLOADS"]
+        for smoke in (False, True)
+        for study in studies["studies"](workload, seed=3, smoke=smoke)
+    ]
+    return [argv for i, argv in enumerate(argvs) if argv not in argvs[:i]]
 
 
 def run_study(src: str, argv: list[str]) -> dict[str, bytes]:
@@ -81,7 +97,7 @@ def main() -> int:
         "--study", action="append", default=[], help="one more waverate argument string"
     )
     args = parser.parse_args()
-    studies = readme_studies() + [shlex.split(s) for s in args.study]
+    studies = readme_studies() + benchmark_studies() + [shlex.split(s) for s in args.study]
     differing = 0
     for argv in studies:
         base = run_study(os.path.abspath(args.base_src), argv)

@@ -11,7 +11,6 @@ Usage: python3 scripts/spline_vs_projection.py [--outdir DIR]
 """
 
 import argparse
-import math
 import os
 
 import numpy as np
@@ -50,7 +49,7 @@ def main():
         for j in (3, 4, 5):
             pj = project(f_quad, fam, j, xs)
             approx = best_l2_spline(f, make_space(order, 2.0**-j, gaussian.window))
-            sj = approx.on_lattice(xs.level, round(math.ldexp(xs.left, xs.level)), xs.count)
+            sj = approx.on_lattice(xs.level, xs.start, xs.count)
             gap = float(np.max(np.abs(sj - pj.values)))
             print(f"  k={order} h = 2^-{j}: sup difference {gap:.3e}")
 

@@ -593,7 +593,7 @@ def crit_spline_convergence():
     for j in (2, 3, 4):
         pj = project(f, haar, j, xs)
         approx = best_l2_spline(f, make_space(1, 2.0**-j, tf.window))
-        sj = approx.on_lattice(xs.level, round(math.ldexp(xs.left, xs.level)), xs.count)
+        sj = approx.on_lattice(xs.level, xs.start, xs.count)
         haar_gap = max(haar_gap, float(np.max(np.abs(sj - pj.values))))
     # the sine study's level-12 table and its mesh-0.25 fit serve the
     # orthogonality check

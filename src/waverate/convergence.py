@@ -47,6 +47,7 @@ from .expansion import (
 from .families import MRAFamily
 from .grids import NO_DECAY, DyadicGrid, SampledFunction
 from .serialize import write_csv, write_json
+from .splines import ROUNDOFF_FLOOR_EPS
 
 #: default tabulation level for test functions and error grids
 STUDY_LEVEL = 12
@@ -113,12 +114,6 @@ class TestFunction:
         else:
             vals = np.asarray(self.sampler(x), dtype=float)
         return SampledFunction(grid, vals, NO_DECAY)
-
-    def truth_on(self, grid: DyadicGrid) -> np.ndarray:
-        """Reference values on a grid (cell averages for measure functions)."""
-        if self.cumulative_measure is not None:
-            return self.tabulate(grid.level).restrict(grid.left, grid.right).values
-        return np.asarray(self.sampler(grid.points()), dtype=float)
 
 
 def quadrature_sample(tf: TestFunction, fam: MRAFamily, level: int = STUDY_LEVEL):
@@ -321,11 +316,19 @@ def rate_report(family: str, function: str, j_values, errors, fitted, truth,
     )
 
 
-def _window_grid(window, level):
-    return DyadicGrid(float(window[0]), float(window[1]), level)
-
-
-def _check_jump_margin(tf: TestFunction, window, margin: float) -> None:
+def _check_reach(tf: TestFunction, fam: MRAFamily, window, j_min: int) -> None:
+    """Reject a window within reach of a jump of f or, for a compactly
+    supported family, of an end of f's table: max(|left|, |right|) of phi's
+    table times 2^-j_min.  The other families' tables run to +-20..+-64
+    units, so they keep a 2^-j_min jump margin and no edge rule."""
+    margin = 2.0**-j_min
+    if fam.phi.decay_hint.kind == "compact":
+        margin *= max(abs(fam.phi.grid.left), abs(fam.phi.grid.right))
+        if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
+            raise ConvergenceError(
+                f"window {window} comes within {margin:.3g} of an end of the "
+                f"tabulated window {tf.window} of {tf.name}"
+            )
     for mp in tf.marked_points:
         if mp.kind == "jump" and window[0] - margin < mp.x < window[1] + margin:
             raise ConvergenceError(
@@ -358,13 +361,16 @@ def sup_error_rates(
     window,
     level: int = STUDY_LEVEL,
 ) -> RateReport:
-    """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit."""
+    """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit;
+    it needs two fitted levels above the floor ROUNDOFF_FLOOR_EPS eps max|f|."""
     js = sorted(j_range)
-    _check_jump_margin(tf, window, 2.0 ** -min(js))
+    _check_reach(tf, fam, window, min(js))
     check_rate_study(tf, js, window)
-    errors = lp_error_trace(tf, fam, math.inf, js, window, level)[:, 1].tolist()
+    f, truth, errors = _window_errors(tf, fam, math.inf, js, window, level)
     fitted = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
-    truth = tf.truth_on(_window_grid(window, level))
+    floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
+    if sum(errors[i] > floor for i in fitted) < 2:
+        raise ConvergenceError(f"fewer than two fitted sup errors above roundoff {floor:.3g}")
     return rate_report(fam.label, tf.name, js, errors, fitted, truth)
 
 
@@ -382,18 +388,22 @@ def lp_error_trace(
     js = sorted(j_range)
     if len(js) < 4:
         raise ConvergenceError("need at least 4 levels")
-    xs = _window_grid(window, level)
+    return np.array(list(zip(js, _window_errors(tf, fam, p, js, window, level)[2])))
+
+
+def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
+    """(f, truth, errors) of a study: f sampled once by ``quadrature_sample``,
+    the truth read off f's own table on the level-`level` window grid, and
+    ||P_j f - f||_p on that grid for each j in js."""
+    xs = DyadicGrid(float(window[0]), float(window[1]), level)
     f = quadrature_sample(tf, fam, level)
-    truth = tf.truth_on(xs)
-    rows = []
+    truth = f.on_lattice(level, xs.start, xs.count)
+    errors = []
     for j in js:
         d = np.abs(project(f, fam, j, xs).values - truth)
-        if p == math.inf:
-            err = float(np.max(d))
-        else:
-            err = float(np.trapezoid(d**p, dx=xs.spacing)) ** (1.0 / p)
-        rows.append((j, err))
-    return np.array(rows)
+        errors.append(float(np.max(d)) if p == math.inf
+                      else float(np.trapezoid(d**p, dx=xs.spacing)) ** (1.0 / p))
+    return f, truth, errors
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ COEFFICIENT_BOUND_SLACK = 1e-6
 def _quad_refine(fam: MRAFamily) -> int:
     """Levels by which f is sampled finer than the grid its errors are read
     on: 3 for families whose tables are rough between lattice points, 0 for
-    the piecewise-constant closed forms, already exact on f's lattice."""
+    the piecewise-constant closed forms, already exact on f's lattice.  With
+    3, gaussian sup errors (j = 3..9, level 12) lie within 7.1e-4 of those
+    from f 6 levels finer, against up to 3.1e-2 with none (db2..4, bl2, bl4)."""
     return 0 if uses_haar_tables(fam.name, fam.param) else 3
 
 
@@ -210,7 +212,7 @@ def dyadic_analysis(
     g = np.zeros((len(ks) + width - 1) * per)
     # f's odd sample 1 + 2i lands at g index first + step i, inside g for i0 <= i < i1
     step = 2 ** (level - qlevel + 1)
-    first = (round(math.ldexp(f.grid.left, qlevel)) + 1) * step // 2 - (ks.start + beta) * per
+    first = (f.grid.start + 1) * step // 2 - (ks.start + beta) * per
     i0 = max(0, -(first // step))
     i1 = max(i0, min(n // 2, -((first - g.size) // step)))
     out = g[first + i0 * step :: step][: i1 - i0]
@@ -230,7 +232,7 @@ def dyadic_synthesis(coef, fam: MRAFamily, gen: str, j: int, ks, xs: DyadicGrid)
     # block i from the first translate's first block is sum_d dense[i - d] blocks[d]
     toeplitz = sliding_window_view(np.pad(dense, width - 1), width)[:, ::-1]
     # the product is P_j f on the level-`level` lattice from index (ks[0] + beta) per
-    first = round(math.ldexp(xs.left, level)) - (ks[0] + beta) * per
+    first = xs.start * 2 ** (level - xs.level) - (ks[0] + beta) * per
     return strided_read((toeplitz @ blocks).ravel(), first, 2 ** (level - xs.level), xs.count)
 
 

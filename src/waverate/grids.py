@@ -74,6 +74,11 @@ class DyadicGrid:
     def count(self) -> int:
         return int(round((self.right - self.left) * 2**self.level)) + 1
 
+    @property
+    def start(self) -> int:
+        """Lattice index of left: left = start 2^-level."""
+        return round(math.ldexp(self.left, self.level))
+
     def points(self) -> np.ndarray:
         # left + i*2^-level, exact in binary arithmetic
         return self.left + np.arange(self.count) * self.spacing
@@ -168,7 +173,7 @@ class SampledFunction:
                 f"the level-{level} lattice is finer than the level-{grid.level} table"
             )
         stride = 2 ** (grid.level - level)
-        first = start * stride - round(math.ldexp(grid.left, grid.level))
+        first = start * stride - grid.start
         return strided_read(self.values, first, stride, count)
 
     def integral(self) -> float:
@@ -182,12 +187,6 @@ class SampledFunction:
 
     def norm_sup(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def restrict(self, left: float, right: float) -> "SampledFunction":
-        i0 = self.grid.index_of(left)
-        i1 = self.grid.index_of(right)
-        sub = DyadicGrid(left, right, self.grid.level)
-        return SampledFunction(sub, self.values[i0 : i1 + 1].copy(), NO_DECAY)
 
 
 def strided_read(values: np.ndarray, first: int, stride: int, count: int) -> np.ndarray:

@@ -172,7 +172,12 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
 
     Passes iff the envelope is a plausible L1 radial majorant: profiles
     collapse onto it and the estimated tail is under 10% of the sampled
-    mass.  This is the numerical content of the convolution bound.
+    mass.  This is the numerical content of the convolution bound.  Every
+    scale is read on the one RADII_LEVEL_* radii table, so P_j / 2^j on the
+    rescaled lattice is P_0 up to the rounding of 2^(j/2): the collapse
+    defect is roundoff (2.2e-16 for haar, db2 and shannon on j = 0..6, 2.6e-16
+    for bl2), and j_set moves the report only through its own entry and that
+    rounding.
     """
     j_set = sorted(j_set)
     if len(j_set) < 3:

@@ -40,8 +40,8 @@ s* = (4 e_last - e_prev) / 3, to within |e_last - s*|.  An integral diverges
 iff s >= s*, read within that accuracy since the divergence at s* itself is
 only logarithmic; the sweep and ``critical_order`` read this one onset, so
 the verdict is monotone in s.  For the standard constructions s* equals the
-number of vanishing moments.  ``fourier_transform`` (a dense DFT of sampled
-values) is kept as an independent check of the tabulated generators against
+number of vanishing moments.  ``sampled_transform``, a direct quadrature of
+sampled values at chosen frequencies, checks the tabulated generators against
 the symbol route; no criterion uses it.
 """
 
@@ -63,9 +63,6 @@ from .serialize import fmt, write_csv, write_json
 XI_FLOOR = 1e-4
 #: number of dyadic shells for both integrals (eps=1 reaches ~2.4e-4)
 SHELLS = 12
-#: zero padding of ``fourier_transform``: frequency spacing 2 pi / (8 width),
-#: dense enough for Plancherel-level accuracy
-PAD_FACTOR = 8
 #: points per shell for the trapezoid rule
 SHELL_POINTS = 65
 
@@ -167,24 +164,11 @@ def sampled_transform(f: SampledFunction, xi) -> np.ndarray:
     return total / math.sqrt(2.0 * math.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampledSpectrum:
-    """Unitary Fourier transform of sampled values on a symmetric grid.
+    """The unitary Fourier transform of the ``source`` samples."""
 
-    ``values[i]`` approximates ``(2pi)^{-1/2} int f(x) exp(-i xi[i] x) dx``;
-    ``evaluate`` reads the transform of the ``source`` samples at arbitrary
-    frequencies from ``sampled_transform``.
-    """
-
-    xi: np.ndarray
-    values: np.ndarray
     source: SampledFunction
-
-    def __post_init__(self):
-        if self.xi.ndim != 1 or self.xi.shape != self.values.shape:
-            raise SobolevError("xi and values must be 1-d arrays of equal length")
-        if np.max(np.abs(self.xi + self.xi[::-1])) > 1e-9 * np.max(np.abs(self.xi)):
-            raise SobolevError("frequency grid must be symmetric about 0")
 
     def evaluate(self, xi) -> np.ndarray:
         """Transform values at arbitrary frequencies (vectorized)."""
@@ -192,35 +176,8 @@ class SampledSpectrum:
 
 
 def fourier_transform(f: SampledFunction) -> SampledSpectrum:
-    """Unitary FFT-based transform of a sampled function, zero padded to
-    PAD_FACTOR times its length (rounded up to a power of two)."""
-    n = f.grid.count
-    size = 1
-    while size < PAD_FACTOR * n:
-        size *= 2
-    vals = np.zeros(size)
-    vals[:n] = f.values
-    vals[0] *= 0.5
-    vals[n - 1] *= 0.5
-    h = f.grid.spacing
-    raw = np.fft.fftshift(np.fft.fft(vals))
-    xi = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(size, d=h))
-    # drop the unpaired -Nyquist bin so the grid is symmetric about 0
-    xi, raw = xi[1:], raw[1:]
-    phase = np.exp(-1j * xi * f.grid.left)
-    values = raw * phase * (h / math.sqrt(2.0 * math.pi))
-    return SampledSpectrum(xi=xi, values=values, source=f)
-
-
-def plancherel_defect(spec: SampledSpectrum) -> float:
-    """| ||F||_2^2 - ||f||_2^2 |; an accuracy certificate for the transform."""
-    lhs = float(np.trapezoid(np.abs(spec.values) ** 2, spec.xi))
-    return abs(lhs - spec.source.norm_l2() ** 2)
-
-
-def hermitian_defect(spec: SampledSpectrum) -> float:
-    """max |F(-xi) - conj(F(xi))|; zero for transforms of real functions."""
-    return float(np.max(np.abs(spec.values[::-1] - np.conj(spec.values))))
+    """The transform of a sampled function, read by ``sampled_transform``."""
+    return SampledSpectrum(f)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@ PERTURBATION_SEED = 20260823
 #: 2-norm of each
 PERTURBATION_TRIALS = 20
 PERTURBATION_SIZE = 1e-3
-#: sup errors at or below this many eps * max|f| are roundoff and are not
-#: fitted.  Once the mesh resolves f the errors of orders 5..8 plateau at
+#: sup errors at or below this many eps * max|f| are roundoff: a spline study
+#: does not fit them, and a projection rate study needs two levels above them.
+#: Once the mesh resolves f the errors of orders 5..8 plateau at
 #: 5..32 eps max|f| (sine and gaussian, level 12), and a 1e-15 change of
 #: the Gram moves an error by up to 13 eps (order 5, mesh 2^-6: 8.09e-14 to
 #: 7.81e-14), 1.3% of an error at this floor
@@ -343,15 +344,6 @@ def _check_resolution(mesh: float, spacing: float) -> None:
         raise SplineError("mesh must be an even integer multiple of f's grid spacing")
 
 
-def _window_table(f: SampledFunction, window) -> tuple[tuple, np.ndarray]:
-    """The lattice (level, start, count) of f's grid points on a window whose
-    ends are nodes of that grid, and f's values there."""
-    grid = f.grid
-    i0, i1 = grid.index_of(window[0]), grid.index_of(window[1])
-    start = i0 + round(math.ldexp(grid.left, grid.level))
-    return (grid.level, start, i1 - i0 + 1), f.values[i0 : i1 + 1]
-
-
 def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximation:
     """Solve the banded Gram system for the best L^2 spline approximation."""
     if f.grid.left > space.window[0] + 1e-12 or f.grid.right < space.window[1] - 1e-12:
@@ -363,15 +355,10 @@ def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximatio
 
 def residual_orthogonality(f: SampledFunction, approx: SplineApproximation) -> float:
     """max_i |<f - s, B_i>|; < 1e-8 ||f||_2 certifies best approximation."""
-    space = approx.space
-    lattice, fv = _window_table(f, space.window)
-    diff = SampledFunction(
-        DyadicGrid(space.window[0], space.window[1], f.grid.level),
-        fv - approx.on_lattice(*lattice),
-        NO_DECAY,
-    )
-    b = _load_vector(diff, space)
-    return float(np.max(np.abs(b)))
+    grid = DyadicGrid(*approx.space.window, f.grid.level)
+    lattice = (grid.level, grid.start, grid.count)
+    diff = SampledFunction(grid, f.on_lattice(*lattice) - approx.on_lattice(*lattice), NO_DECAY)
+    return float(np.max(np.abs(_load_vector(diff, approx.space))))
 
 
 def perturbation_optimality(
@@ -384,7 +371,9 @@ def perturbation_optimality(
     than the check."""
     rng = random.Random(seed)
     space = approx.space
-    lattice, fv = _window_table(f, space.window)
+    grid = DyadicGrid(*space.window, f.grid.level)
+    lattice = (grid.level, grid.start, grid.count)
+    fv = f.on_lattice(*lattice)
 
     def residual(coef):
         resid = fv - SplineApproximation(space, coef).on_lattice(*lattice)
@@ -451,9 +440,10 @@ def spline_convergence_study(tf, order: int, meshes, level: int = 12):
     f = tf.tabulate(level)
     fits = [best_l2_spline(f, make_space(order, h, tf.window)) for h in hs]
     shrink = order * hs[0]
-    lo = math.ceil((tf.window[0] + shrink) * 2**level) / 2**level
-    hi = math.floor((tf.window[1] - shrink) * 2**level) / 2**level
-    lattice, truth = _window_table(f, (lo, hi))
+    lo = math.ceil((tf.window[0] + shrink) * 2**level)
+    hi = math.floor((tf.window[1] - shrink) * 2**level)
+    lattice = (level, lo, hi - lo + 1)
+    truth = f.on_lattice(*lattice)
     errors = [float(np.max(np.abs(fit.on_lattice(*lattice) - truth))) for fit in fits]
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
     fitted = [i for i, e in enumerate(errors) if e > floor]

@@ -179,8 +179,15 @@ class TestCommands:
         spaced, glued, default = (tmp_path / f"{n}.json" for n in ("spaced", "glued", "default"))
         assert main(argv + ["--window", "-0.5,0.5", "--out", str(spaced)]) == 0
         assert main(argv + ["--window=-0.5,0.5", "--out", str(glued)]) == 0
-        assert main(argv + ["--out", str(default)]) == 0
-        assert spaced.read_bytes() == glued.read_bytes() != default.read_bytes()
+        code = main(argv + ["--out", str(default)])
+        if function == "cusp":
+            # the default (-1, 1) is cusp's whole table: db2's atoms at j = 3
+            # reach 3 * 2^-3 past the window, off the table
+            assert code == 2 and not default.exists()
+            assert spaced.read_bytes() == glued.read_bytes()
+        else:
+            assert code == 0
+            assert spaced.read_bytes() == glued.read_bytes() != default.read_bytes()
 
     def test_rate_json(self, tmp_path, capsys):
         out = tmp_path / "rate.json"
@@ -259,6 +266,23 @@ class TestCommands:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # cusp's default window is its whole table; db4's atoms at j = 3
+            # reach 0.875 from the step's jump; sine's table starts at 0
+            ("daubechies:2 --function cusp", "of an end of the tabulated window"),
+            ("daubechies:4 --function step --window 0.25,1.0", "of the jump at 0.0"),
+            ("daubechies:2 --function sine --window 0.0,1.0", "of an end of the tabulated window"),
+            # seven errors of at most 3.3e-15: no rate above roundoff
+            ("daubechies:2 --function step --window 0.5,1.0", "above roundoff"),
+        ],
+    )
+    def test_meaningless_rate_exits_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "rate.json"
+        assert main(f"rate --j 3..9 --out {out} --family {argv}".split()) == 2
+        assert message in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.parametrize("argv", BAD_STUDIES)
     def test_bad_study_exits_1_before_compute(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverate import DyadicGrid, make_family
+from waverate import convergence
 from waverate.convergence import (
     STUDY_LEVEL,
     ConvergenceError,
@@ -25,12 +27,21 @@ from waverate.convergence import (
 )
 from waverate.expansion import (
     SummationSchedule,
+    _quad_refine,
     analyze,
     interleaved_schedule,
     level_by_level_schedule,
     partial_sum,
+    project,
 )
+from waverate.grids import NO_DECAY, SampledFunction
 from waverate.sobolev import critical_order
+from waverate.splines import ROUNDOFF_FLOOR_EPS
+
+
+@functools.cache
+def family(*spec):
+    return make_family(*spec)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +145,42 @@ class TestSupErrorRates:
         with pytest.raises(ConvergenceError):
             sup_error_rates(suite["step"], haar, range(3, 8), (-1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "famspec,fname,window",
+        [
+            (("daubechies", 2), "cusp", (-1.0, 1.0)),  # cusp's whole table
+            (("daubechies", 4), "step", (0.25, 1.0)),  # db4 reaches 0.875 at j = 3
+            (("daubechies", 2), "sine", (0.0, 1.0)),  # sine's table starts at 0
+        ],
+    )
+    def test_window_within_reach_rejected_before_tabulation(
+        self, suite, monkeypatch, famspec, fname, window
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(convergence.TestFunction, "tabulate", refuse)
+        with pytest.raises(ConvergenceError, match="comes within"):
+            sup_error_rates(suite[fname], family(*famspec), range(3, 10), window)
+
+    @pytest.mark.parametrize("fname,window", [("step", (0.25, 1.0)), ("cusp", (-1.0, 1.0))])
+    def test_wide_families_keep_the_jump_margin(self, suite, monkeypatch, fname, window):
+        # battle_lemarie tables run to +-20 units: only a 2^-3 margin from the
+        # jump applies, and no edge rule, so the study reaches tabulation
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(convergence.TestFunction, "tabulate", refuse)
+        with pytest.raises(AssertionError, match="tabulated"):
+            sup_error_rates(suite[fname], family("battle_lemarie", 2), range(3, 10), window)
+
+    def test_pure_roundoff_has_no_rate(self, suite, db2):
+        # db2 reproduces the constant 1 on (0.5, 1): every error is roundoff
+        tr = lp_error_trace(suite["step"], db2, math.inf, range(3, 10), (0.5, 1.0))
+        assert np.max(tr[:, 1]) <= ROUNDOFF_FLOOR_EPS * np.finfo(float).eps
+        with pytest.raises(ConvergenceError, match="roundoff"):
+            sup_error_rates(suite["step"], db2, range(3, 10), (0.5, 1.0))
+
     def test_too_few_levels_rejected(self, suite, haar):
         with pytest.raises(ConvergenceError):
             sup_error_rates(suite["gaussian"], haar, range(0, 6), (-1.0, 1.0))
@@ -157,6 +204,74 @@ class TestSupErrorRates:
         assert slope == pytest.approx(-2.0) and intercept == pytest.approx(1.5)
         assert r2 == pytest.approx(1.0)
         assert line_fit(x, np.ones_like(x))[2] == 0.0
+
+
+#: a window per sampled corpus function, clear of its jumps and table ends by
+#: db2's reach at j = 3, 3 * 2^-3
+SAMPLED_WINDOWS = {
+    "gaussian": (-1.0, 1.0),
+    "ramp": (-1.0, 0.5),
+    "step": (0.5, 1.0),
+    "cusp": (-0.5, 0.5),
+    "sine": (1.0, 2.0),
+}
+
+
+class TestOneSample:
+    """A study samples f once and reads its truth off the table it projects."""
+
+    @pytest.mark.parametrize("famspec", [("haar",), ("daubechies", 2), ("battle_lemarie", 2)])
+    @pytest.mark.parametrize("fname", sorted(SAMPLED_WINDOWS))
+    def test_truth_is_the_sampler_bit_for_bit(self, suite, monkeypatch, famspec, fname):
+        fam, tf, window = family(*famspec), suite[fname], SAMPLED_WINDOWS[fname]
+        calls, reads = [], []
+        counted = dataclasses.replace(tf, sampler=lambda x: calls.append(x) or tf.sampler(x))
+        read = SampledFunction.on_lattice
+
+        def spy(self, *lattice):
+            reads.append(read(self, *lattice))
+            return reads[-1]
+
+        # P_j f is a constant 2 that reads no table, so every table read is the truth's
+        monkeypatch.setattr(SampledFunction, "on_lattice", spy)
+        monkeypatch.setattr(
+            convergence, "project",
+            lambda f, fam, j, xs: SampledFunction(xs, np.full(xs.count, 2.0), NO_DECAY),
+        )
+        studies = (
+            lambda level: sup_error_rates(counted, fam, range(3, 8), window, level),
+            lambda level: lp_error_trace(counted, fam, 2, range(3, 8), window, level),
+        )
+        for level in (10, 12):
+            want = np.asarray(tf.sampler(DyadicGrid(*window, level).points()), dtype=float)
+            for study in studies:
+                calls.clear()
+                reads.clear()
+                study(level)
+                assert len(calls) == 1
+                assert [r.tobytes() for r in reads] == [want.tobytes()]
+
+
+class TestQuadratureRefinement:
+    @pytest.mark.parametrize("famspec", [("daubechies", 2), ("battle_lemarie", 2)])
+    def test_three_levels_settle_the_sup_errors(self, suite, famspec):
+        # gaussian sup errors on the level-12 grid of (-1, 1), j = 3..9: f
+        # sampled 3 levels finer agrees with 6 levels finer within 1e-3, and
+        # f on the error grid itself misses by more than 1e-2
+        fam, tf = family(*famspec), suite["gaussian"]
+        xs = DyadicGrid(-1.0, 1.0, STUDY_LEVEL)
+        assert _quad_refine(fam) == 3
+
+        def errors(level):
+            f = tf.tabulate(level)
+            truth = f.on_lattice(xs.level, xs.start, xs.count)
+            return np.array(
+                [np.max(np.abs(project(f, fam, j, xs).values - truth)) for j in range(3, 10)]
+            )
+
+        reference = errors(STUDY_LEVEL + 6)
+        assert np.max(np.abs(errors(STUDY_LEVEL + 3) / reference - 1.0)) <= 1e-3
+        assert np.max(np.abs(errors(STUDY_LEVEL) / reference - 1.0)) > 1e-2
 
 
 class TestLpErrorTrace:

@@ -45,6 +45,11 @@ class TestDyadicGrid:
         with pytest.raises(ValueError):
             g.index_of(0.51)
 
+    def test_start_is_the_lattice_index_of_left(self):
+        for left, level in ((-1.0, 3), (0.375, 3), (-4.0, 15), (0.0, 0), (-0.0009765625, 13)):
+            start = DyadicGrid(left, left + 1.0, level).start
+            assert isinstance(start, int) and start == left * 2**level
+
     def test_refine_keeps_endpoints(self):
         g = DyadicGrid(-0.5, 0.5, 2).refine(3)
         assert g.level == 5
@@ -84,13 +89,6 @@ class TestSampledFunction:
         assert f.norm_l1() == pytest.approx(1.0, abs=1e-12)
         assert f.norm_l2() == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-5)
         assert f.norm_sup() == 1.0
-
-    def test_restrict(self):
-        g = DyadicGrid(-1.0, 1.0, 3)
-        f = sample(lambda x: x, g, DecayHint("none"))
-        sub = f.restrict(0.0, 0.5)
-        assert sub.grid.left == 0.0 and sub.grid.right == 0.5
-        assert sub.values[0] == 0.0 and sub.values[-1] == 0.5
 
 
 def _bits(a) -> np.ndarray:

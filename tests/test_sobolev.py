@@ -15,7 +15,6 @@ from waverate.sobolev import (
     SHELL_POINTS,
     SHELLS,
     CriticalOrder,
-    SampledSpectrum,
     SobolevError,
     SymbolSpectrum,
     criterion_sweep,
@@ -24,8 +23,6 @@ from waverate.sobolev import (
     export_sweep_csv,
     family_spectrum,
     fourier_transform,
-    hermitian_defect,
-    plancherel_defect,
     sampled_transform,
     scaling_criterion,
     wavelet_criterion,
@@ -82,12 +79,6 @@ class TestFourierTransform:
                 want *= math.sin(xi / 2) / (xi / 2)
             assert abs(sp.evaluate(xi)[0] - want) < 1e-4
 
-    def test_plancherel(self):
-        assert plancherel_defect(fourier_transform(box_function())) < 1e-4
-
-    def test_hermitian_symmetry(self):
-        assert hermitian_defect(fourier_transform(box_function())) < 1e-10
-
     def test_gaussian_self_transform(self):
         g = DyadicGrid(-16.0, 16.0, 8)
         f = sample(lambda x: np.exp(-(x**2) / 2), g, DecayHint("none"))
@@ -101,13 +92,6 @@ class TestFourierTransform:
         xi = np.linspace(0.01, 0.1, 25)
         ratio = np.abs(haar_psi_spec.evaluate(xi)) ** 2 / xi**2
         assert (ratio.max() - ratio.min()) / ratio.mean() < 0.02
-
-    def test_rejects_asymmetric_grid(self):
-        with pytest.raises(SobolevError):
-            SampledSpectrum(
-                xi=np.array([0.0, 1.0, 3.0]), values=np.zeros(3, complex),
-                source=box_function(),
-            )
 
 
 @functools.cache
