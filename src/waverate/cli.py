@@ -172,13 +172,13 @@ def _family(spec: str):
 def _check_grids(fam, tf: TestFunction, level: int, js: range, window=None) -> None:
     """Reject analysed scales js that reach f's quadrature lattice, tables finer
     than MAX_TABLE_LEVEL, an odd quadrature lattice and, for a rate study, a
-    window that is not dyadic or not inside f's window and too few levels to
-    fit, before any compute."""
+    window that is not dyadic, not inside f's window or within reach of a jump
+    or of f's table end, and too few levels to fit, before any compute."""
     with _config_errors(ValueError):
         check_table_level(check_analysed_scale(fam, level, js[-1]))
         if window is not None:
             DyadicGrid(window[0], window[1], level)
-            check_rate_study(tf, js, window)
+            check_rate_study(tf, fam, js, window)
         check_quadrature_lattice(fam, DyadicGrid(tf.window[0], tf.window[1], level))
 
 

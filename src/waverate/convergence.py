@@ -316,12 +316,27 @@ def rate_report(family: str, function: str, j_values, errors, fitted, truth,
     )
 
 
-def _check_reach(tf: TestFunction, fam: MRAFamily, window, j_min: int) -> None:
-    """Reject a window within reach of a jump of f or, for a compactly
-    supported family, of an end of f's table: max(|left|, |right|) of phi's
-    table times 2^-j_min.  The other families' tables run to +-20..+-64
-    units, so they keep a 2^-j_min jump margin and no edge rule."""
-    margin = 2.0**-j_min
+def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window) -> None:
+    """Reject a sup-norm rate study before f is tabulated.
+
+    The window must lie inside f's tabulated window, and the fit needs at
+    least four levels j >= REGRESSION_MIN_J.  The window must also stay out
+    of reach of a jump of f and, for a compactly supported family, of an end
+    of f's table: max(|left|, |right|) of phi's table times 2^-min(js).  The
+    other families' tables run to +-20..+-64 units, so they keep a
+    2^-min(js) jump margin and no edge rule.
+    """
+    if window[0] < tf.window[0] or window[1] > tf.window[1]:
+        raise ConvergenceError(
+            f"window {tuple(window)} is not inside the tabulated window {tf.window} "
+            f"of {tf.name}"
+        )
+    usable = sum(j >= REGRESSION_MIN_J for j in js)
+    if usable < 4:
+        raise ConvergenceError(
+            f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
+        )
+    margin = 2.0 ** -min(js)
     if fam.phi.decay_hint.kind == "compact":
         margin *= max(abs(fam.phi.grid.left), abs(fam.phi.grid.right))
         if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
@@ -336,24 +351,6 @@ def _check_reach(tf: TestFunction, fam: MRAFamily, window, j_min: int) -> None:
             )
 
 
-def check_rate_study(tf: TestFunction, js, window) -> None:
-    """Reject a sup-norm rate study before f is tabulated.
-
-    The window must lie inside f's tabulated window, and the fit needs at
-    least four levels j >= REGRESSION_MIN_J.
-    """
-    if window[0] < tf.window[0] or window[1] > tf.window[1]:
-        raise ConvergenceError(
-            f"window {tuple(window)} is not inside the tabulated window {tf.window} "
-            f"of {tf.name}"
-        )
-    usable = sum(j >= REGRESSION_MIN_J for j in js)
-    if usable < 4:
-        raise ConvergenceError(
-            f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
-        )
-
-
 def sup_error_rates(
     tf: TestFunction,
     fam: MRAFamily,
@@ -364,8 +361,7 @@ def sup_error_rates(
     """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit;
     it needs two fitted levels above the floor ROUNDOFF_FLOOR_EPS eps max|f|."""
     js = sorted(j_range)
-    _check_reach(tf, fam, window, min(js))
-    check_rate_study(tf, js, window)
+    check_rate_study(tf, fam, js, window)
     f, truth, errors = _window_errors(tf, fam, math.inf, js, window, level)
     fitted = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()

@@ -19,12 +19,14 @@ Every family also carries its two-scale power symbol
 w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
 `waverate.sobolev` are infinite products of it.  Each family also carries
 its tabulator, (gen, level) -> the table of phi or psi at that level, chosen
-once by `make_family`: the stored tables and every finer table
-(`refined_tables`) come from it, built on each read and never held.
+once by `make_family`: the FAMILY_LEVEL pair is built and verified on first
+read, then held; every finer table (`refined_tables`) also comes from it,
+built on each read and never held.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -61,8 +63,6 @@ class ConstructionError(RuntimeError):
 class MRAFamily:
     name: str
     filter: FilterPair | None
-    phi: SampledFunction
-    psi: SampledFunction
     vanishing_moments: int
     #: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized
     symbol: Callable = field(repr=False, compare=False)
@@ -75,6 +75,25 @@ class MRAFamily:
         if self.param is None:
             return self.name
         return f"{self.name}:{self.param}"
+
+    @property
+    def phi(self) -> SampledFunction:
+        return self._verified()[0]
+
+    @property
+    def psi(self) -> SampledFunction:
+        return self._verified()[1]
+
+    def _verified(self) -> tuple:
+        """(phi, psi, invariant defects): both generators tabulated at
+        FAMILY_LEVEL and checked on first read, then held.  No lock: threads
+        that race on one family build identical tables."""
+        held = self.__dict__.get("_tables")
+        if held is None:
+            tables = (self.tabulate("phi", FAMILY_LEVEL), self.tabulate("psi", FAMILY_LEVEL))
+            held = (*tables, check_family_invariants(self, tables))
+            self.__dict__["_tables"] = held
+        return held
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +235,12 @@ def _shannon_table(gen: str, level: int) -> SampledFunction:
 
 def _subdivision_tabulator(filter: FilterPair) -> Callable:
     """Tables of a Daubechies family: phi subdivided from its level-FAMILY_LEVEL
-    table, psi derived from phi at the level asked for."""
-    base = subdivision_scaling(filter)
+    table, built on the first call and kept, psi derived from phi at the
+    level asked for."""
+    base = functools.cache(lambda: subdivision_scaling(filter))
 
     def tabulate(gen: str, level: int) -> SampledFunction:
-        phi = refine_scaling(filter, base, level - base.grid.level)
+        phi = refine_scaling(filter, base(), level - FAMILY_LEVEL)
         return phi if gen == "phi" else derive_wavelet(filter, phi)
 
     return tabulate
@@ -280,17 +300,24 @@ def _decay_rate(order: int) -> float:
 def _series_tabulator(order: int) -> Callable:
     """Tables of a Battle-Lemarie family: the series polyphase at the level
     asked for, x = i + r 2^-level reading M_k(t + r 2^-level) for t = 0..k-1
-    against the coefficient of index i - t + k//2; phi and psi share one grid."""
+    against the coefficient of index i - t + k//2; phi and psi share one grid.
+    The series, the table's ends and its decay hint are built on the first
+    call and kept."""
     k, shift = order, order // 2
-    c, d = battle_lemarie_series(k)
-    index = np.arange(c.size) - c.size // 2
-    nc = index[np.abs(c) > _BL_TRUNCATION]
-    nd = index[np.abs(d) > _BL_TRUNCATION]
-    left = min(nc[0] - shift, (nd[0] - shift) // 2)
-    right = max(nc[-1] - shift + k, -((shift - k - nd[-1]) // 2))
-    hint = DecayHint("exponential", a=_decay_rate(k), truncation=_BL_TRUNCATION)
+
+    @functools.cache
+    def series():
+        c, d = battle_lemarie_series(k)
+        index = np.arange(c.size) - c.size // 2
+        nc = index[np.abs(c) > _BL_TRUNCATION]
+        nd = index[np.abs(d) > _BL_TRUNCATION]
+        left = min(nc[0] - shift, (nd[0] - shift) // 2)
+        right = max(nc[-1] - shift + k, -((shift - k - nd[-1]) // 2))
+        hint = DecayHint("exponential", a=_decay_rate(k), truncation=_BL_TRUNCATION)
+        return c, d, left, right, hint
 
     def tabulate(gen: str, level: int) -> SampledFunction:
+        c, d, left, right, hint = series()
         grid = DyadicGrid(float(left), float(right), level)
         step = 2**level
         # rows are the integer parts of scale * x; psi reads M_k one level coarser
@@ -348,10 +375,12 @@ def _shannon_symbol(omega):
 _INVARIANT_CHECK_REFINE = 3
 
 
-def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
+def check_family_invariants(fam: MRAFamily, tables: tuple | None = None) -> dict[str, float]:
     """Evaluate the four family invariants; raise ConstructionError on failure.
 
-    Returns the measured defects.  For non-compact families the declared
+    Returns the measured defects of `tables`, the (phi, psi) pair of fam at
+    FAMILY_LEVEL; without it, those measured when fam's pair was first read
+    (read now if it has not been).  For non-compact families the declared
     truncation error inflates the tolerances.  Battle-Lemarie families are
     checked exactly from their series coefficients.  Daubechies families
     are checked on phi subdivided a few levels finer by the exact two-scale
@@ -359,10 +388,12 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
     error on products of Hoelder-rough scaling functions decays like
     h^(2*alpha) and would otherwise swamp the 1e-6 orthonormality tolerance.
     """
+    if tables is None:
+        return dict(fam._verified()[2])
     if fam.name == "battle_lemarie":
         defects = _series_defects(fam.param)
     else:
-        phi, psi = fam.phi, fam.psi
+        phi, psi = tables
         if fam.name == "daubechies" and fam.param != 1:
             phi = refined_tables(fam, "phi", FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
             psi = derive_wavelet(fam.filter, phi)
@@ -372,9 +403,8 @@ def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
             "partition_of_unity": partition_of_unity_defect(phi),
             "translate_orthonormality": translate_orthonormality_defect(phi),
         }
-    slack = 0.0
-    if fam.phi.decay_hint.kind != "compact":
-        slack = 20.0 * fam.phi.decay_hint.truncation
+    hint = tables[0].decay_hint
+    slack = 0.0 if hint.kind == "compact" else 20.0 * hint.truncation
     for key, tol, what in _INVARIANT_TOLERANCES:
         _require(defects[key] <= tol + slack, fam, what)
     return defects
@@ -452,7 +482,8 @@ def _require(cond: bool, fam: MRAFamily, what: str) -> None:
 
 
 def make_family(name: str, param: int = 0) -> MRAFamily:
-    """Build a named family at FAMILY_LEVEL and verify its invariants."""
+    """A named family: its filter, symbol and tabulator.  Its FAMILY_LEVEL
+    tables are built and verified on first read (`MRAFamily.phi`)."""
     if name not in FAMILY_NAMES:
         raise FamilyError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
@@ -470,26 +501,23 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
         symbol, tabulate = _battle_lemarie_symbol(param), _series_tabulator(param)
     else:  # shannon
         moments, symbol, tabulate = 1, _shannon_symbol, _shannon_table
-    fam = MRAFamily(
+    return MRAFamily(
         name=name,
         filter=filt,
-        phi=tabulate("phi", FAMILY_LEVEL),
-        psi=tabulate("psi", FAMILY_LEVEL),
         vanishing_moments=moments,
         symbol=symbol,
         tabulate=tabulate,
         param=param,
     )
-    check_family_invariants(fam)
-    return fam
 
 
 def refined_tables(fam: MRAFamily, gen: str, level: int) -> SampledFunction:
     """fam's generator gen ("phi" or "psi") tabulated at least at `level`.
 
-    At or below FAMILY_LEVEL the stored table serves; a finer level comes
-    from the family's tabulator, exact, so every lattice an atom is read on
-    holds samples.  Nothing is held: each read builds its one table.
+    At or below FAMILY_LEVEL the held table serves, built and verified on
+    first read; a finer level comes from the family's tabulator, exact, so
+    every lattice an atom is read on holds samples.  A finer table is not
+    held: each read builds its one table.
     """
     if level <= FAMILY_LEVEL:
         return getattr(fam, gen)

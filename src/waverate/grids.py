@@ -182,9 +182,6 @@ class SampledFunction:
     def norm_l1(self) -> float:
         return float(np.trapezoid(np.abs(self.values), dx=self.dx))
 
-    def norm_l2(self) -> float:
-        return float(np.sqrt(np.trapezoid(self.values**2, dx=self.dx)))
-
     def norm_sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 

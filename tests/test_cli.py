@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import waverate
-from waverate import DyadicGrid, cli, make_family
+from waverate import DyadicGrid, cli, families, make_family
 from waverate.cli import (
     MAX_SWEEP_POINTS,
     ConfigError,
@@ -96,6 +96,13 @@ BAD_STUDIES = [
     # analysis needs two levels j0 < j1; the perturbation rng a seed >= 0
     "expand --family haar --function gaussian --j 5..5",
     "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality --seed -1",
+    # a rate window within reach of a jump or of f's table end: cusp's
+    # default window is its whole table; db4's atoms at j = 3 reach 0.875
+    # from the step's jump; sine's table starts at 0; the step jumps inside
+    "rate --family daubechies:2 --function cusp --j 3..9",
+    "rate --family daubechies:4 --function step --j 3..9 --window 0.25,1.0",
+    "rate --family daubechies:2 --function sine --j 3..9 --window 0.0,1.0",
+    "rate --family haar --function step --j 3..9 --window=-1.0,1.0",
 ]
 
 BAD_KERNEL_SCALES = [
@@ -183,7 +190,7 @@ class TestCommands:
         if function == "cusp":
             # the default (-1, 1) is cusp's whole table: db2's atoms at j = 3
             # reach 3 * 2^-3 past the window, off the table
-            assert code == 2 and not default.exists()
+            assert code == 1 and not default.exists()
             assert spaced.read_bytes() == glued.read_bytes()
         else:
             assert code == 0
@@ -251,19 +258,9 @@ class TestCommands:
         assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_computational_error_exits_2(self, capsys):
-        # window touches the step's jump: a module-level diagnostic, not config
-        code = main(
-            [
-                "rate",
-                "--family",
-                "haar",
-                "--function",
-                "step",
-                "--j",
-                "3..9",
-                "--window=-1.0,1.0",
-            ]
-        )
+        # Haar reproduces the step off its jump: only the computed errors
+        # show that there is no rate above roundoff, a diagnostic, not config
+        code = main("rate --family haar --function step --j 3..9 --window 0.5,1.0".split())
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -275,14 +272,19 @@ class TestCommands:
             ("daubechies:2 --function cusp", "of an end of the tabulated window"),
             ("daubechies:4 --function step --window 0.25,1.0", "of the jump at 0.0"),
             ("daubechies:2 --function sine --window 0.0,1.0", "of an end of the tabulated window"),
-            # seven errors of at most 3.3e-15: no rate above roundoff
-            ("daubechies:2 --function step --window 0.5,1.0", "above roundoff"),
         ],
     )
-    def test_meaningless_rate_exits_2(self, argv, message, tmp_path, capsys):
+    def test_window_within_reach_exits_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "rate.json"
-        assert main(f"rate --j 3..9 --out {out} --family {argv}".split()) == 2
+        assert main(f"rate --j 3..9 --out {out} --family {argv}".split()) == 1
         assert message in capsys.readouterr().err and not out.exists()
+
+    def test_meaningless_rate_exits_2(self, tmp_path, capsys):
+        # seven errors of at most 3.3e-15: no rate above roundoff
+        out = tmp_path / "rate.json"
+        argv = "daubechies:2 --function step --window 0.5,1.0"
+        assert main(f"rate --j 3..9 --out {out} --family {argv}".split()) == 2
+        assert "above roundoff" in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.parametrize("argv", BAD_STUDIES)
     def test_bad_study_exits_1_before_compute(
@@ -625,6 +627,7 @@ TEST_ARGVS = [
     "kernel --family haar --j 6..0 --out OUT",
     "rate --family haar --function nope --j 3..9",
     "rate --family haar --function step --j 3..9 --window=-1.0,1.0",
+    "rate --family haar --function step --j 3..9 --window 0.5,1.0",
     "kernel --family haar --j 0..13 --out OUT",
     "expand --family haar --function gaussian --j 0..12 --out OUT",
     "expand --family haar --function gaussian --level 6 --j 0..6 --out OUT",
@@ -923,3 +926,75 @@ class TestScripts:
         ]
         for doc in docs.values():
             assert len(doc["local_exponents"]) == 2
+
+
+def counted_families(monkeypatch, module, read_first=False):
+    """Make `module.make_family` give families whose tabulator records each
+    read in the returned list; with read_first, their tables are built first."""
+    reads = []
+
+    def build(*spec):
+        made = make_family(*spec)
+
+        def tabulate(gen, level):
+            reads.append((made.label, gen, level))
+            return made.tabulate(gen, level)
+
+        fam = dataclasses.replace(made, tabulate=tabulate)
+        if read_first:
+            families.check_family_invariants(fam)
+        return fam
+
+    monkeypatch.setattr(module, "make_family", build)
+    return reads
+
+
+def sobolev_benchmark_argvs() -> list[list[str]]:
+    """The benchmark's sobolev studies: 6 families x 2 criteria, and the Haar sweep."""
+    return [argv for argv in argvs(benchmark_argvs()) if argv[0] == "sobolev"]
+
+
+class TestTablesOnFirstRead:
+    @pytest.mark.parametrize("argv", sobolev_benchmark_argvs(), ids=shlex.join)
+    def test_sobolev_builds_no_table(self, argv, tmp_path, monkeypatch, capsys):
+        outcomes = []
+        for read_first in (False, True):
+            cwd = tmp_path / str(read_first)
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            reads = counted_families(monkeypatch, families, read_first)
+            code = main(argv)
+            artifact = [p.read_bytes() for p in cwd.iterdir()]
+            outcomes.append((code, artifact, capsys.readouterr()))
+            assert bool(reads) == read_first
+        # the same critical order or sweep, or the same diagnostic
+        assert outcomes[0] == outcomes[1]
+
+    def test_critical_order_criterion_builds_no_table(self, tmp_path, monkeypatch):
+        reads = counted_families(monkeypatch, cli)
+        assert main(["suite", "--only", "8", "--out", str(tmp_path / "rep")]) == 0
+        assert reads == []
+
+    @pytest.mark.parametrize("spec", ["haar", "daubechies:2"])
+    @pytest.mark.parametrize("argv", [
+        "family", "expand --function gaussian --j 0..6", "kernel --j 0..6",
+        "rate --function gaussian --j 3..9",
+    ])
+    def test_broken_table_exits_2_without_artifact(self, spec, argv, tmp_path, monkeypatch,
+                                                   capsys):
+        def doubled_phi(*spec):
+            fam = make_family(*spec)
+
+            def tabulate(gen, level):
+                table = fam.tabulate(gen, level)
+                if gen == "psi":
+                    return table
+                return dataclasses.replace(table, values=2.0 * table.values)
+
+            return dataclasses.replace(fam, tabulate=tabulate)
+
+        monkeypatch.setattr(families, "make_family", doubled_phi)
+        out = tmp_path / "out.json"
+        assert main(f"{argv} --family {spec} --out {out}".split()) == 2
+        assert "phi integral != 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverate import DyadicGrid, make_family
+from waverate import DyadicGrid, check_family_invariants, make_family
 from waverate import convergence
 from waverate.convergence import (
     STUDY_LEVEL,
@@ -227,6 +227,7 @@ class TestOneSample:
         calls, reads = [], []
         counted = dataclasses.replace(tf, sampler=lambda x: calls.append(x) or tf.sampler(x))
         read = SampledFunction.on_lattice
+        check_family_invariants(fam)  # the family's tables are built before the spy
 
         def spy(self, *lattice):
             reads.append(read(self, *lattice))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waverate import families
 from waverate import (
     DyadicGrid,
     SampledFunction,
@@ -24,6 +25,7 @@ from waverate import (
 from waverate.families import (
     FAMILY_LEVEL,
     _INVARIANT_CHECK_REFINE,
+    ConstructionError,
     FamilyError,
     _haar_table,
     _two_scale,
@@ -338,13 +340,17 @@ class TestInvariantDefects:
 
 
 def family_state(fam):
-    """vars(fam), each table as its grid and bytes and each dict copied."""
-    state = {}
-    for key, value in vars(fam).items():
+    """vars(fam), each table as its grid and bytes and each dict copied, also
+    inside the held (phi, psi, defects) tuple."""
+
+    def frozen(value):
         if isinstance(value, SampledFunction):
-            value = (value.grid, value.values.tobytes())
-        state[key] = dict(value) if isinstance(value, dict) else value
-    return state
+            return (value.grid, value.values.tobytes())
+        if isinstance(value, tuple):
+            return tuple(map(frozen, value))
+        return dict(value) if isinstance(value, dict) else value
+
+    return {key: frozen(value) for key, value in vars(fam).items()}
 
 
 def both_tables(fam, level):
@@ -378,6 +384,7 @@ class TestRefinedTables:
                                       ("shannon", 0)])
     def test_reads_leave_the_family_unchanged(self, spec):
         fam = make_family(*spec)
+        check_family_invariants(fam)  # the held tables are part of the state
         before = family_state(fam)
         for level in range(FAMILY_LEVEL, FAMILY_LEVEL + 4):
             both_tables(fam, level)
@@ -393,7 +400,8 @@ class TestRefinedTables:
             return fam.tabulate(gen, level)
 
         check_family_invariants(dataclasses.replace(fam, tabulate=counted))
-        assert reads == [("phi", FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)]
+        finer = [read for read in reads if read[1] > FAMILY_LEVEL]
+        assert finer == [("phi", FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)]
 
     def test_threads_get_serial_tables(self):
         # more threads than cores, switching often: each must get the serial
@@ -448,6 +456,88 @@ class TestRefinedTables:
             want_psi = np.where(u == 0.0, 1.0, 2 * np.sinc(2 * u) - np.sinc(u))
         np.testing.assert_allclose(phi.values[idx], want_phi, rtol=0, atol=1e-14)
         np.testing.assert_allclose(psi.values[idx], want_psi, rtol=0, atol=1e-14)
+
+
+def counting(fam):
+    """fam with a tabulator that records each (gen, level) asked of it."""
+    reads = []
+
+    def counted(gen, level):
+        reads.append((gen, level))
+        return fam.tabulate(gen, level)
+
+    return dataclasses.replace(fam, tabulate=counted), reads
+
+
+def doubled_phi(fam):
+    """fam with phi doubled at every level: its integral is 2."""
+
+    def tabulate(gen, level):
+        table = fam.tabulate(gen, level)
+        if gen == "psi":
+            return table
+        return SampledFunction(table.grid, 2.0 * table.values, table.decay_hint)
+
+    return dataclasses.replace(fam, tabulate=tabulate)
+
+
+ALL_SPECS = [("haar", 0), ("daubechies", 1), ("daubechies", 4), ("battle_lemarie", 1),
+             ("battle_lemarie", 3), ("shannon", 0)]
+
+
+class TestTablesOnFirstRead:
+    def test_make_family_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        for name in ("subdivision_scaling", "battle_lemarie_series", "_haar_table",
+                     "_shannon_table", "check_family_invariants"):
+            monkeypatch.setattr(families, name, refuse)
+        for spec in ALL_SPECS:
+            make_family(*spec)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_first_read_builds_and_checks_once(self, spec):
+        fam, reads = counting(make_family(*spec))
+        defects = check_family_invariants(fam)
+        assert reads[:2] == [("phi", FAMILY_LEVEL), ("psi", FAMILY_LEVEL)]
+        built = list(reads)
+        assert check_family_invariants(fam) == defects
+        assert fam.phi.grid.level == fam.psi.grid.level == FAMILY_LEVEL
+        assert reads == built
+        assert defects == check_family_invariants(make_family(*spec))
+
+    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 2), ("shannon", 0)])
+    @pytest.mark.parametrize("gen", ["phi", "psi"])
+    def test_broken_table_raises_on_first_read(self, spec, gen):
+        fam = doubled_phi(make_family(*spec))
+        for _ in range(2):  # nothing is held: each read checks again
+            with pytest.raises(ConstructionError, match="phi integral != 1"):
+                getattr(fam, gen)
+        with pytest.raises(ConstructionError):
+            check_family_invariants(fam)
+
+    def test_threads_racing_on_first_read_get_serial_tables(self):
+        # no lock: threads that race on one family's first read each build
+        # the serial tables
+        serial = make_family("daubechies", 3)
+        fam = make_family("daubechies", 3)
+        gens = ["phi", "psi"] * 3
+        start = threading.Barrier(len(gens))
+
+        def ask(gen):
+            start.wait(timeout=30)
+            return getattr(fam, gen)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(gens)) as pool:
+                got = list(pool.map(ask, gens, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for gen, table in zip(gens, got):
+            assert table.values.tobytes() == getattr(serial, gen).values.tobytes()
 
 
 class TestEulerFrobenius:
