@@ -20,6 +20,9 @@ FAMILIES = (
     ("daubechies", 2),
     ("daubechies", 3),
     ("daubechies", 4),
+    ("daubechies", 6),
+    ("daubechies", 8),
+    ("daubechies", 10),
     ("battle_lemarie", 2),
     ("battle_lemarie", 4),
 )

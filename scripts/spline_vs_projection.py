@@ -16,9 +16,14 @@ import os
 import numpy as np
 
 from waverate import DyadicGrid, make_family
-from waverate.convergence import export_rate_json, quadrature_sample, test_function
+from waverate.convergence import (
+    export_rate_json,
+    quadrature_sample,
+    spline_convergence_study,
+    test_function,
+)
 from waverate.expansion import project
-from waverate.splines import best_l2_spline, make_space, spline_convergence_study
+from waverate.splines import best_l2_spline, make_space
 
 
 def main():

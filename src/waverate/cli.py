@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .convergence import (
+    STUDY_LEVEL,
     ConvergenceError,
     TestFunction,
     check_rate_study,
@@ -35,6 +36,7 @@ from .convergence import (
     order_robustness,
     pointwise_trace,
     quadrature_sample,
+    spline_convergence_study,
     sup_error_rates,
     test_function,
 )
@@ -82,7 +84,6 @@ from .splines import (
     make_space,
     perturbation_optimality,
     residual_orthogonality,
-    spline_convergence_study,
 )
 
 #: exceptions signalling a computational (not configuration) failure
@@ -333,7 +334,7 @@ def crit_mra_invariants():
     )
 
 
-def _haar_cell_average_defects(haar, tf, js, level: int = 12) -> list[float]:
+def _haar_cell_average_defects(haar, tf, js, level: int = STUDY_LEVEL) -> list[float]:
     """Sup distance between project(f, haar, j) and a direct cell-average
     oracle for each j in js, from one sample of f.
 
@@ -699,7 +700,7 @@ REQUIRED = object()
 
 _OUT = {"--out": (str, None, "output file path")}
 # only the studies that tabulate f read --level; the others reject it
-_LEVEL = {"--level": (int, 12, "tabulation level")}
+_LEVEL = {"--level": (int, STUDY_LEVEL, "tabulation level")}
 _FAMILY = {"--family": (str, REQUIRED, "name or name:param, e.g. daubechies:2")}
 _FUNCTION = {"--function": (str, REQUIRED, "test function name, e.g. gaussian")}
 _FORMAT = {"--format": (("json", "csv"), "json", "output file format")}

@@ -1,9 +1,10 @@
-"""Empirical pointwise/L^p convergence studies for multiresolution projections.
+"""Empirical pointwise/L^p convergence studies for projections and splines.
 
 A small corpus of test functions with certified marked points (continuity
 points, Lebesgue points of discontinuous functions, jumps) is driven through
 the projection machinery to measure pointwise traces, sup-norm rates on
 jump-free windows, L^p error decay, and independence of the summation order.
+Best-L^2 spline studies halve the mesh, with -log2 h as the level j.
 
 Conventions
 -----------
@@ -20,7 +21,8 @@ Conventions
 * Sup norms are grid suprema at the tabulation level L; the quantization
   error is reported as 2^{-L} times a local Lipschitz estimate.
 * Rate slopes are positive decay exponents: sup_error ~ C 2^{-slope j},
-  regressed on levels j >= 3 only (earlier levels are preasymptotic).
+  fitted by ``rate_report`` on the candidate levels above roundoff (j >= 3
+  for a projection, as earlier levels are preasymptotic; every spline mesh).
 * A jump at a dyadic rational is degenerate for Haar-type families: once the
   level resolves it, the jump lies on a cell boundary and is reproduced with
   zero error.  ``midcell_step`` places the jump at the center of a level-j
@@ -47,12 +49,18 @@ from .expansion import (
 from .families import MRAFamily
 from .grids import NO_DECAY, DyadicGrid, SampledFunction
 from .serialize import write_csv, write_json
-from .splines import ROUNDOFF_FLOOR_EPS
+from .splines import best_l2_spline, check_study, make_space
 
 #: default tabulation level for test functions and error grids
 STUDY_LEVEL = 12
 #: levels below this are discarded before fitting rate slopes
 REGRESSION_MIN_J = 3
+#: sup errors at or below this many eps * max|f| are roundoff, and no rate
+#: fit reads them.  Once the mesh resolves f the spline errors of orders 5..8
+#: plateau at 5..32 eps max|f| (sine and gaussian, level 12), and a 1e-15
+#: change of the Gram moves an error by up to 13 eps (order 5, mesh 2^-6:
+#: 8.09e-14 to 7.81e-14), 1.3% of an error at this floor
+ROUNDOFF_FLOOR_EPS = 1000
 #: prefix fractions probed by order_robustness
 PREFIX_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
@@ -290,18 +298,24 @@ def line_fit(x, y) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r_squared(y, np.polyval(coef, x))
 
 
-def rate_report(family: str, function: str, j_values, errors, fitted, truth,
-                fitted_meshes=None) -> RateReport:
-    """The RateReport of a study: a log2 line through the errors at `fitted`.
-
-    `fitted` lists the indices of the levels the rate is fitted on; the slope
-    is the decay exponent of sup_error ~ C 2^{-slope j}.  `truth` is the
-    reference on the level-L assertion grid, and the quantization bound
-    2^-L times its grid Lipschitz estimate is its largest step.
+def rate_report(family: str, function: str, j_values, errors, candidates, f, truth,
+                meshes=None) -> RateReport:
+    """The RateReport of a study: a log2 line through the errors at exactly
+    those `candidates` (indices of levels) above the roundoff floor
+    ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two raise
+    ConvergenceError.  `truth` is the reference on the level-L assertion
+    grid, and the quantization bound 2^-L times its grid Lipschitz estimate
+    is its largest step.  A spline study's fitted `meshes` are recorded too.
     """
+    floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
+    fitted = [i for i in candidates if errors[i] > floor]
+    if len(fitted) < 2:
+        raise ConvergenceError(
+            f"{len(fitted)} sup error(s) above roundoff; a rate fit needs two "
+            f"above the roundoff floor {floor:.3g}"
+        )
     slope, intercept, r2 = line_fit(
-        [j_values[i] for i in fitted],
-        np.log2(np.maximum([errors[i] for i in fitted], 1e-300)),
+        [j_values[i] for i in fitted], np.log2([errors[i] for i in fitted])
     )
     return RateReport(
         family=family,
@@ -312,7 +326,7 @@ def rate_report(family: str, function: str, j_values, errors, fitted, truth,
         intercept=intercept,
         r_squared=r2,
         quantization_bound=float(np.max(np.abs(np.diff(truth)))),
-        fitted_meshes=fitted_meshes,
+        fitted_meshes=None if meshes is None else tuple(meshes[i] for i in fitted),
     )
 
 
@@ -358,16 +372,13 @@ def sup_error_rates(
     window,
     level: int = STUDY_LEVEL,
 ) -> RateReport:
-    """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit;
-    it needs two fitted levels above the floor ROUNDOFF_FLOOR_EPS eps max|f|."""
+    """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit
+    on the levels j >= REGRESSION_MIN_J that `rate_report` reads."""
     js = sorted(j_range)
     check_rate_study(tf, fam, js, window)
     f, truth, errors = _window_errors(tf, fam, math.inf, js, window, level)
-    fitted = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
-    floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
-    if sum(errors[i] > floor for i in fitted) < 2:
-        raise ConvergenceError(f"fewer than two fitted sup errors above roundoff {floor:.3g}")
-    return rate_report(fam.label, tf.name, js, errors, fitted, truth)
+    candidates = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
+    return rate_report(fam.label, tf.name, js, errors, candidates, f, truth)
 
 
 def lp_error_trace(
@@ -400,6 +411,29 @@ def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
         errors.append(float(np.max(d)) if p == math.inf
                       else float(np.trapezoid(d**p, dx=xs.spacing)) ** (1.0 / p))
     return f, truth, errors
+
+
+def spline_convergence_study(tf, order: int, meshes, level: int = STUDY_LEVEL):
+    """Sup errors of best L^2 splines on a boundary-shrunk window as the mesh halves.
+
+    Returns (report, f, fits): the RateReport with -log2 h in the role of the
+    level and every mesh a candidate, f = tf tabulated at `level`, and
+    fits[i] the best L^2 spline of f on meshes[i], for checks that read them.
+    """
+    hs = check_study(tf.window, order, meshes, level)
+    f = tf.tabulate(level)
+    fits = [best_l2_spline(f, make_space(order, h, tf.window)) for h in hs]
+    shrink = order * hs[0]
+    lo = math.ceil((tf.window[0] + shrink) * 2**level)
+    hi = math.floor((tf.window[1] - shrink) * 2**level)
+    lattice = (level, lo, hi - lo + 1)
+    truth = f.on_lattice(*lattice)
+    errors = [float(np.max(np.abs(fit.on_lattice(*lattice) - truth))) for fit in fits]
+    js = [-math.log2(h) for h in hs]
+    report = rate_report(
+        f"spline:k={order}", tf.name, js, errors, range(len(hs)), f, truth, meshes=hs
+    )
+    return report, f, fits
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,11 @@ def battle_lemarie_series(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.fftshift(c), np.fft.fftshift(d)
 
 
+#: order -> battle_lemarie_series(order), built once: the tables and the exact
+#: invariant check of every family of that order read the same c and d
+_series = functools.cache(lambda order: battle_lemarie_series(order))
+
+
 def _decay_rate(order: int) -> float:
     """-ln|z_1|, z_1 the root of z^{k-1} Pi(z) inside the unit circle nearest to it."""
     b = cardinal_autocorrelation(order)
@@ -307,7 +312,7 @@ def _series_tabulator(order: int) -> Callable:
 
     @functools.cache
     def series():
-        c, d = battle_lemarie_series(k)
+        c, d = _series(k)
         index = np.arange(c.size) - c.size // 2
         nc = index[np.abs(c) > _BL_TRUNCATION]
         nd = index[np.abs(d) > _BL_TRUNCATION]
@@ -426,7 +431,7 @@ def _series_defects(order: int) -> dict[str, float]:
     integral is sum_p d_p / 2; <phi, phi(. - m)> is
     sum_{n,n'} c_n c_n' B_{2k}(m + n' - n).
     """
-    c, d = battle_lemarie_series(order)
+    c, d = _series(order)
     b = cardinal_autocorrelation(order)
     overlap = np.convolve(np.convolve(c, c[::-1]), b[:0:-1] + b)
     overlap[overlap.size // 2] -= 1.0

@@ -3,9 +3,11 @@
 Order-k B-splines (piecewise degree k-1, smoothness C^{k-2}) on the uniform
 knots {window.left + i h} span a nonorthonormal basis; the best L^2
 approximation of f solves the banded Gram system G c = b with
-b_i = <f, B_i>.  Mesh-refinement studies with h halving realize the same
-log2-rate regressions as the dyadic projection studies, with -log2 h playing
-the role of the level j.
+b_i = <f, B_i>.  This module is the spline layer only: spaces, Gram, solve
+and reads, and `check_study`, which rejects a mesh-halving study before f is
+tabulated.  The studies themselves (`convergence.spline_convergence_study`)
+fit their rates by the one roundoff rule of `convergence.rate_report` that
+the projection studies use, with -log2 h playing the role of the level j.
 
 Boundary handling: the knot sequence is extended k-1 ghost knots beyond the
 window and the corresponding B-splines are truncated to the window, so the
@@ -57,13 +59,6 @@ PERTURBATION_SEED = 20260823
 #: 2-norm of each
 PERTURBATION_TRIALS = 20
 PERTURBATION_SIZE = 1e-3
-#: sup errors at or below this many eps * max|f| are roundoff: a spline study
-#: does not fit them, and a projection rate study needs two levels above them.
-#: Once the mesh resolves f the errors of orders 5..8 plateau at
-#: 5..32 eps max|f| (sine and gaussian, level 12), and a 1e-15 change of
-#: the Gram moves an error by up to 13 eps (order 5, mesh 2^-6: 8.09e-14 to
-#: 7.81e-14), 1.3% of an error at this floor
-ROUNDOFF_FLOOR_EPS = 1000
 
 
 class SplineError(ValueError):
@@ -389,7 +384,7 @@ def perturbation_optimality(
 
 
 # ---------------------------------------------------------------------------
-# convergence studies
+# study checks
 
 
 def check_study(window, order: int, meshes, level: int) -> list:
@@ -422,39 +417,3 @@ def check_study(window, order: int, meshes, level: int) -> list:
             "to nothing; start from a finer mesh"
         )
     return hs
-
-
-def spline_convergence_study(tf, order: int, meshes, level: int = 12):
-    """Sup errors on a boundary-shrunk window as the mesh halves.
-
-    Returns (report, f, fits): the shared RateReport with -log2 h in the
-    role of the level, f = tf tabulated at `level`, and fits[i] the best L^2
-    spline of f on meshes[i], for checks that read the same fits.  The rate
-    is fitted on the meshes whose error lies above the roundoff floor
-    ROUNDOFF_FLOOR_EPS * eps * max|f|, recorded as `fitted_meshes`; fewer
-    than two such meshes raise SplineError.
-    """
-    from .convergence import rate_report
-
-    hs = check_study(tf.window, order, meshes, level)
-    f = tf.tabulate(level)
-    fits = [best_l2_spline(f, make_space(order, h, tf.window)) for h in hs]
-    shrink = order * hs[0]
-    lo = math.ceil((tf.window[0] + shrink) * 2**level)
-    hi = math.floor((tf.window[1] - shrink) * 2**level)
-    lattice = (level, lo, hi - lo + 1)
-    truth = f.on_lattice(*lattice)
-    errors = [float(np.max(np.abs(fit.on_lattice(*lattice) - truth))) for fit in fits]
-    floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
-    fitted = [i for i, e in enumerate(errors) if e > floor]
-    if len(fitted) < 2:
-        raise SplineError(
-            f"only {len(fitted)} mesh(es) have a sup error above the roundoff floor "
-            f"{floor:.3g}; a rate fit needs two"
-        )
-    js = [-math.log2(h) for h in hs]
-    report = rate_report(
-        f"spline:k={order}", tf.name, js, errors, fitted, truth,
-        fitted_meshes=tuple(hs[i] for i in fitted),
-    )
-    return report, f, fits

@@ -412,7 +412,7 @@ class TestCommands:
             tables.append(level)
             return tabulate(tf, level)
 
-        for module in (cli, splines):
+        for module in (cli, convergence):
             monkeypatch.setattr(module, "best_l2_spline", counting_fit)
         monkeypatch.setattr(convergence.TestFunction, "tabulate", counting_tabulate)
         argv = "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from waverate import DyadicGrid, check_family_invariants, make_family
 from waverate import convergence
 from waverate.convergence import (
+    ROUNDOFF_FLOOR_EPS,
     STUDY_LEVEL,
     ConvergenceError,
     MarkedPoint,
@@ -36,7 +37,6 @@ from waverate.expansion import (
 )
 from waverate.grids import NO_DECAY, SampledFunction
 from waverate.sobolev import critical_order
-from waverate.splines import ROUNDOFF_FLOOR_EPS
 
 
 @functools.cache
@@ -127,11 +127,13 @@ class TestSupErrorRates:
     @pytest.mark.parametrize(
         "famspec", [("daubechies", 3), ("daubechies", 4), ("daubechies", 5),
                     ("battle_lemarie", 3), ("battle_lemarie", 4)]
+        + [("daubechies", n) for n in range(6, 11)]
     )
     def test_slope_tracks_vanishing_moments(self, suite, famspec):
         # f sampled on the quadrature lattice leaves the errors no floor
-        # above roundoff.  daubechies:6 reaches roundoff (4.7e-15, 2.1e-15 at
-        # j = 8, 9), so its slope needs a fit window above a measured floor
+        # above roundoff.  From daubechies:6 on the finest levels reach
+        # roundoff (db6: 4.7e-15, 2.1e-15 at j = 8, 9), and the fit reads
+        # only the levels above the roundoff floor
         fam = make_family(*famspec)
         r = sup_error_rates(suite["gaussian"], fam, range(3, 10), (-1.0, 1.0))
         assert abs(r.slope - fam.vanishing_moments) <= 0.25

@@ -605,6 +605,25 @@ class TestBattleLemarieSeries:
         assert worst <= 2e-5
 
     @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_first_read_builds_the_series_once(self, k, monkeypatch):
+        # the tables and the exact invariant check read one c and d, and a
+        # second family of the same order builds none
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return battle_lemarie_series(order)
+
+        monkeypatch.setattr(families, "battle_lemarie_series", counted)
+        families._series.cache_clear()
+        fam = make_family("battle_lemarie", k)
+        fam.phi
+        assert calls == [k]
+        check_family_invariants(fam)
+        make_family("battle_lemarie", k).psi
+        assert calls == [k]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_exact_invariants_from_coefficients(self, k):
         defects = check_family_invariants(make_family("battle_lemarie", k))
         assert max(defects.values()) <= 1e-13

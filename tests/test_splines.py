@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverate import DyadicGrid, make_family, sample, splines
-from waverate.convergence import TestFunction, builtin_suite
+from waverate.convergence import (
+    ROUNDOFF_FLOOR_EPS,
+    ConvergenceError,
+    TestFunction,
+    builtin_suite,
+    spline_convergence_study,
+)
 from waverate.expansion import project
 from waverate.grids import DecayHint
 from waverate.splines import (
     MAX_ORDER,
-    ROUNDOFF_FLOOR_EPS,
     SplineApproximation,
     SplineError,
     best_l2_spline,
@@ -21,7 +26,6 @@ from waverate.splines import (
     make_space,
     perturbation_optimality,
     residual_orthogonality,
-    spline_convergence_study,
 )
 
 
@@ -450,7 +454,7 @@ class TestConvergenceStudies:
     def test_fewer_than_two_fitted_meshes_raise(self):
         # linear splines reproduce a line: every error is roundoff
         line = TestFunction("line", lambda x: 0.5 * np.asarray(x) + 1.0, (0.0, 2.0), (), 1.0)
-        with pytest.raises(SplineError, match="roundoff floor"):
+        with pytest.raises(ConvergenceError, match="roundoff floor"):
             spline_convergence_study(line, 2, [0.25, 0.125, 0.0625])
 
     def test_order_one_gaussian_first_order(self, suite):
