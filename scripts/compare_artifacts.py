@@ -10,7 +10,9 @@ checkout's `src/`, each in its own temporary directory.  Every file a study
 writes, its standard output and its exit code are compared byte for byte,
 and each is printed as identical or differing.  A differing text artifact is
 followed by its unified diff, capped at DIFF_LINES lines, so the moved digits
-can be quoted.
+can be quoted; a differing JSON artifact also by how many of the numeric
+fields both sides share moved (numbers, and strings that read as numbers)
+and by the largest relative change among them.
 
 Usage: python3 scripts/compare_artifacts.py BASE_SRC
            [--study "kernel --family shannon --j 0..6 --out kernel.json" ...]
@@ -20,6 +22,7 @@ Exits 1 if any artifact differs.
 
 import argparse
 import difflib
+import json
 import os
 import runpy
 import shlex
@@ -90,6 +93,41 @@ def text_diff(name: str, base: bytes, head: bytes) -> list[str]:
     return lines
 
 
+def numeric_fields(doc, path=()):
+    """(path, value) of every number in a parsed JSON document, strings that
+    read as numbers included."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from numeric_fields(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from numeric_fields(value, path + (i,))
+    elif isinstance(doc, (int, float, str)) and not isinstance(doc, bool):
+        try:
+            yield path, float(doc)
+        except ValueError:
+            pass
+
+
+def numeric_moves(base: bytes, head: bytes) -> str | None:
+    """How many shared numeric fields of two JSON artifacts moved, and the
+    largest relative change among them; None if either is not JSON."""
+    try:
+        a = dict(numeric_fields(json.loads(base)))
+        b = dict(numeric_fields(json.loads(head)))
+    except ValueError:
+        return None
+    shared = a.keys() & b.keys()
+    moved = [path for path in shared if a[path] != b[path]]
+    largest = max(
+        (abs(a[p] - b[p]) / max(abs(a[p]), abs(b[p])) for p in moved), default=0.0
+    )
+    return (
+        f"{len(moved)} of {len(shared)} shared numeric fields moved, "
+        f"largest relative change {largest:.3g}"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", help="the src/ directory of the reference tree")
@@ -111,6 +149,9 @@ def main() -> int:
             differing += verdict != "identical"
             print(f"  {name}: {verdict}")
             if verdict == "differing":
+                moves = name.endswith(".json") and numeric_moves(base[name], head[name])
+                if moves:
+                    print(f"    {moves}")
                 for line in text_diff(name, base[name], head[name]):
                     print(f"    {line}")
     print(f"{differing} differing artifact(s)")

@@ -155,6 +155,8 @@ def parse_window(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"window {text!r} must have finite ends")
     if hi <= lo:
         raise ConfigError(f"window {text!r} is empty")
     return lo, hi

@@ -47,7 +47,7 @@ from .expansion import (
     validate_schedule,
 )
 from .families import MRAFamily
-from .grids import NO_DECAY, DyadicGrid, SampledFunction
+from .grids import NO_DECAY, DyadicGrid, SampledFunction, sample
 from .serialize import write_csv, write_json
 from .splines import best_l2_spline, check_study, make_space
 
@@ -107,21 +107,17 @@ class TestFunction:
     cumulative_measure: Callable | None = None
 
     def tabulate(self, level: int = STUDY_LEVEL) -> SampledFunction:
+        """self on the level-`level` grid of its window, by `grids.sample`:
+        one table, filled SAMPLE_CHUNK points per sampler call."""
         grid = DyadicGrid(self.window[0], self.window[1], level)
-        x = grid.points()
-        if self.cumulative_measure is not None:
-            # density smoothed by a width-4h box: the jump-robust product
-            # quadrature reduces to the midpoint rule on the 2h lattice, and
-            # 4h is the smallest box every parity of that rule integrates
-            # exactly (narrower kernels lose sub-cell mass sitting on even
-            # lattice points)
-            h = grid.spacing
-            vals = (
-                self.cumulative_measure(x + 2 * h) - self.cumulative_measure(x - 2 * h)
-            ) / (4 * h)
-        else:
-            vals = np.asarray(self.sampler(x), dtype=float)
-        return SampledFunction(grid, vals, NO_DECAY)
+        if self.cumulative_measure is None:
+            return sample(self.sampler, grid, NO_DECAY)
+        # density smoothed by a width-4h box: the jump-robust product
+        # quadrature reduces to the midpoint rule on the 2h lattice, and 4h
+        # is the smallest box every parity of that rule integrates exactly
+        # (narrower kernels lose sub-cell mass sitting on even lattice points)
+        m, h = self.cumulative_measure, grid.spacing
+        return sample(lambda x: (m(x + 2 * h) - m(x - 2 * h)) / (4 * h), grid, NO_DECAY)
 
 
 def quadrature_sample(tf: TestFunction, fam: MRAFamily, level: int = STUDY_LEVEL):
@@ -282,6 +278,8 @@ class RateReport:
     quantization_bound: float
     #: the meshes a spline study fitted (None for projection studies)
     fitted_meshes: tuple | None = None
+    #: the levels a projection study fitted (None for spline studies)
+    fitted_levels: tuple | None = None
 
 
 def r_squared(data: np.ndarray, pred: np.ndarray) -> float:
@@ -305,7 +303,8 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
     ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two raise
     ConvergenceError.  `truth` is the reference on the level-L assertion
     grid, and the quantization bound 2^-L times its grid Lipschitz estimate
-    is its largest step.  A spline study's fitted `meshes` are recorded too.
+    is its largest step.  A spline study's fitted `meshes` are recorded, or
+    else a projection study's fitted levels.
     """
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
     fitted = [i for i in candidates if errors[i] > floor]
@@ -327,6 +326,7 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
         r_squared=r2,
         quantization_bound=float(np.max(np.abs(np.diff(truth)))),
         fitted_meshes=None if meshes is None else tuple(meshes[i] for i in fitted),
+        fitted_levels=None if meshes is not None else tuple(j_values[i] for i in fitted),
     )
 
 
@@ -513,4 +513,6 @@ def export_rate_json(report: RateReport, path: str) -> None:
     }
     if report.fitted_meshes is not None:
         doc["fitted_meshes"] = list(report.fitted_meshes)
+    if report.fitted_levels is not None:
+        doc["fitted_levels"] = list(report.fitted_levels)
     write_json(path, doc)

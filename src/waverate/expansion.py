@@ -6,13 +6,16 @@ every translate samples one level-(L-j) lattice of g, shifted 2^{L-j} points
 per unit of k.  `_atom_blocks` alone picks a table: it asks `refined_tables`
 for g on exactly that lattice and slices it once, in unit blocks.
 Analysis reads f on its own lattice, sampled `_quad_refine` levels finer than
-the error grid, by the jump-robust rule 2T(h) - T(2h) of `product_quad`, on
-even-aligned slices the midpoint rule (weight 2h on odd offsets): f's odd
-samples, one strided slice, correlated with the blocks, one matrix product
-summed along block diagonals.  Synthesis is the transpose, Toeplitz
-coefficients times blocks, read on the evaluation grid as one strided slice;
-`atom_rows` gathers the dense (k x points) matrix at any lattice points.  The
-filter-bank recursion is a test-only cross-check.
+the error grid, at scales j below it only, by the jump-robust rule
+2T(h) - T(2h) of `product_quad`, on even-aligned slices the midpoint rule
+(weight 2h on odd offsets): f's odd samples, one strided slice written
+contiguously into a buffer that keeps only the parity class of block columns
+they fall on, correlated with those columns, one matrix product summed along
+block diagonals.  Synthesis is the transpose, Toeplitz coefficients times
+blocks, read on the evaluation grid as one strided slice; `atom_rows` reads
+the dense (k x points) matrix at any lattice points as one column take of a
+strided Toeplitz view of the zero-padded blocks.  The filter-bank recursion
+is a test-only cross-check.
 """
 
 from __future__ import annotations
@@ -157,13 +160,8 @@ def _atom_blocks(fam: MRAFamily, gen: str, j: int, level: int):
     beta = math.floor(table.grid.left)
     width = math.floor(table.grid.right) - beta + 1
     u = table.on_lattice(level - j, beta * per, width * per)
-    return beta, (2.0 ** (j / 2.0) * u).reshape(width, per)
-
-
-def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values[idx], reading 0 where idx falls outside values (for `atom_rows`)."""
-    inside = (idx >= 0) & (idx < len(values))
-    return np.append(values, 0.0)[np.where(inside, idx, len(values))]
+    u *= 2.0 ** (j / 2.0)
+    return beta, u.reshape(width, per)
 
 
 def _even_intervals(grid: DyadicGrid) -> int:
@@ -188,37 +186,45 @@ def check_analysed_scale(fam: MRAFamily, level: int, j_max: int) -> int:
     f is sampled if the study analyses a scale j_max on or past that lattice,
     whose atoms f's samples no longer resolve."""
     qlevel = level + _quad_refine(fam)
-    if j_max >= qlevel:
+    _scale_below(j_max, qlevel)
+    return qlevel
+
+
+def _scale_below(j: int, qlevel: int) -> None:
+    """Raise unless scale j lies below f's level-`qlevel` quadrature lattice."""
+    if j >= qlevel:
         raise ExpansionError(
-            f"scale j = {j_max} reaches the level-{qlevel} quadrature lattice of f; "
+            f"scale j = {j} reaches the level-{qlevel} quadrature lattice of f; "
             f"analysed scales must stay below it"
         )
-    return qlevel
 
 
 def dyadic_analysis(
     f: SampledFunction, fam: MRAFamily, gen: str, j: int, ks: range
 ) -> np.ndarray:
     """<f, 2^{j/2} g(2^j . - k)> for k in ks, g fam's generator gen, by the
-    midpoint rule on f's own lattice.
+    midpoint rule on f's own lattice, which j must lie below.
 
-    Only the blocks that the translates in ks meet are touched.
+    Only the blocks that the translates in ks meet are touched, and of them
+    only the one parity class of columns that f's odd samples fall on.
     """
     n = _even_intervals(f.grid)
     qlevel = f.grid.level
-    level = max(qlevel, j)  # atoms finer than the lattice are read at level j
-    beta, blocks = _atom_blocks(fam, gen, j, level)
-    width, per = blocks.shape
-    g = np.zeros((len(ks) + width - 1) * per)
-    # f's odd sample 1 + 2i lands at g index first + step i, inside g for i0 <= i < i1
-    step = 2 ** (level - qlevel + 1)
-    first = (f.grid.start + 1) * step // 2 - (ks.start + beta) * per
-    i0 = max(0, -(first // step))
-    i1 = max(i0, min(n // 2, -((first - g.size) // step)))
-    out = g[first + i0 * step :: step][: i1 - i0]
-    np.ldexp(f.values[1 + 2 * i0 : 2 * i1 : 2], 1 - qlevel, out=out)
+    _scale_below(j, qlevel)
+    # f's odd sample 1 + 2i meets the first translate's blocks at flat index
+    # start + 1 + 2i - (ks.start + beta) per, in a column of parity p; it is
+    # index c0 + i of the buffer g, which keeps only the columns of parity p
+    parity = (f.grid.start + 1) % 2
+    beta, blocks = _atom_blocks(fam, gen, j, qlevel)
+    blocks = np.ascontiguousarray(blocks[:, parity::2])
+    width, half = blocks.shape
+    g = np.zeros((len(ks) + width - 1, half))
+    c0 = (f.grid.start + 1 - parity) // 2 - (ks.start + beta) * half
+    i0 = max(0, -c0)
+    i1 = max(i0, min(n // 2, g.size - c0))
+    np.ldexp(f.values[1 + 2 * i0 : 2 * i1 : 2], 1 - qlevel, out=g.ravel()[c0 + i0 : c0 + i1])
     # translate ks[i] meets its block d in row i + d of the product
-    prod = g.reshape(-1, per) @ blocks.T
+    prod = g @ blocks.T
     return np.einsum("kdd->k", sliding_window_view(prod, width, axis=0))
 
 
@@ -237,11 +243,21 @@ def dyadic_synthesis(coef, fam: MRAFamily, gen: str, j: int, ks, xs: DyadicGrid)
 
 
 def atom_rows(fam: MRAFamily, gen: str, j: int, ks, x: np.ndarray, level: int) -> np.ndarray:
-    """Rows 2^{j/2} g(2^j x - k), g fam's generator gen, k in ks, at lattice points x."""
+    """Rows 2^{j/2} g(2^j x - k), g fam's generator gen, k in ks (consecutive,
+    ascending), at lattice points x.
+
+    Row i reads the blocks at t - i 2^(level-j), t the points' indices for
+    ks[0]: one strided Toeplitz view of the zero-padded blocks, stepping back
+    one block a row, and one take of its columns at t.
+    """
     level = max(level, j)
     beta, blocks = _atom_blocks(fam, gen, j, level)
-    pos = np.rint(np.ldexp(x, level)).astype(np.int64)
-    return _gather(blocks.ravel(), pos - (np.asarray(ks)[:, None] + beta) * blocks.shape[1])
+    per = blocks.shape[1]
+    t = np.rint(np.ldexp(x, level)).astype(np.int64) - (ks[0] + beta) * per
+    lo, back = int(t.min()), (len(ks) - 1) * per
+    span = int(t.max()) - lo + 1
+    padded = strided_read(blocks.ravel(), lo - back, 1, span + back)
+    return sliding_window_view(padded, span)[back::-per][:, t - lo]
 
 
 # ---------------------------------------------------------------------------

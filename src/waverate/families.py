@@ -19,9 +19,10 @@ Every family also carries its two-scale power symbol
 w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
 `waverate.sobolev` are infinite products of it.  Each family also carries
 its tabulator, (gen, level) -> the table of phi or psi at that level, chosen
-once by `make_family`: the FAMILY_LEVEL pair is built and verified on first
-read, then held; every finer table (`refined_tables`) also comes from it,
-built on each read and never held.
+once by `make_family`: each generator's FAMILY_LEVEL table is built and
+verified on its own first read, then held, so a study that reads only phi
+never builds psi; every finer table (`refined_tables`) also comes from the
+tabulator, built on each read and never held.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ import numpy as np
 from .filters import FilterPair, daubechies_filter, haar_filter, half_band_coefficients
 from .grids import (
     COMPACT,
+    SAMPLE_CHUNK,
     DecayHint,
     DyadicGrid,
     SampledFunction,
     product_quad,
+    sample,
 )
 from .splines import cardinal_autocorrelation, cardinal_bspline
 
@@ -78,21 +81,21 @@ class MRAFamily:
 
     @property
     def phi(self) -> SampledFunction:
-        return self._verified()[0]
+        return self._verified("phi")[0]
 
     @property
     def psi(self) -> SampledFunction:
-        return self._verified()[1]
+        return self._verified("psi")[0]
 
-    def _verified(self) -> tuple:
-        """(phi, psi, invariant defects): both generators tabulated at
-        FAMILY_LEVEL and checked on first read, then held.  No lock: threads
-        that race on one family build identical tables."""
-        held = self.__dict__.get("_tables")
+    def _verified(self, gen: str) -> tuple:
+        """(table, defects) of generator gen: tabulated at FAMILY_LEVEL and
+        checked (`_generator_defects`) on its own first read, then held.  No
+        lock: threads that race on one family build identical tables."""
+        held = self.__dict__.get("_" + gen)
         if held is None:
-            tables = (self.tabulate("phi", FAMILY_LEVEL), self.tabulate("psi", FAMILY_LEVEL))
-            held = (*tables, check_family_invariants(self, tables))
-            self.__dict__["_tables"] = held
+            table = self.tabulate(gen, FAMILY_LEVEL)
+            held = (table, _generator_defects(self, gen, table))
+            self.__dict__["_" + gen] = held
         return held
 
 
@@ -216,21 +219,22 @@ def _haar_table(gen: str, level: int) -> SampledFunction:
 
 def _shannon_table(gen: str, level: int) -> SampledFunction:
     grid = DyadicGrid(-SHANNON_RADIUS, SHANNON_RADIUS, level)
-    u = grid.points()
-    if gen == "phi":
-        vals = np.sinc(u)  # sin(pi x)/(pi x)
-    else:
-        # (sin 2 pi u - sin pi u) / (pi u), u = x - 1/2, in place: fine levels are large
-        u -= 0.5
-        on_half = u == 0.0
-        vals = np.sin(2 * np.pi * u)
-        u *= np.pi
-        vals -= np.sin(u)
-        u[on_half] = 1.0
-        vals /= u
-        vals[on_half] = 1.0  # limit of (sin 2u - sin u)/u at 0
     hint = DecayHint("algebraic", N=1.05, truncation=1.0 / (np.pi * SHANNON_RADIUS))
-    return SampledFunction(grid, vals, hint)
+    # sin(pi x)/(pi x) or its wavelet, a chunk at a time: fine levels are large
+    return sample(np.sinc if gen == "phi" else _shannon_wavelet, grid, hint)
+
+
+def _shannon_wavelet(x: np.ndarray) -> np.ndarray:
+    """(sin 2 pi u - sin pi u) / (pi u), u = x - 1/2, with its limit 1 at u = 0."""
+    u = x - 0.5
+    on_half = u == 0.0
+    vals = np.sin(2 * np.pi * u)
+    u *= np.pi
+    vals -= np.sin(u)
+    u[on_half] = 1.0
+    vals /= u
+    vals[on_half] = 1.0
+    return vals
 
 
 def _subdivision_tabulator(filter: FilterPair) -> Callable:
@@ -329,7 +333,14 @@ def _series_tabulator(order: int) -> Callable:
         coef, scale = (c, 1) if gen == "phi" else (d, 2)
         samples = cardinal_bspline(k, np.arange(k)[:, None] + np.arange(0, step, scale) / step)
         rows = np.arange(scale * left, scale * right + 1) + shift + coef.size // 2
-        vals = sum(coef[rows - t][:, None] * samples[t] for t in range(k))
+        # sum over t of coef[rows - t] x samples[t], accumulated in place a
+        # block of rows at a time, so each term is at most SAMPLE_CHUNK long
+        vals = np.zeros((rows.size, samples.shape[1]))
+        per_block = max(1, SAMPLE_CHUNK // samples.shape[1])
+        for lo in range(0, rows.size, per_block):
+            block = vals[lo : lo + per_block]
+            for t in range(k):
+                block += coef[rows[lo : lo + per_block] - t][:, None] * samples[t]
         return SampledFunction(grid, vals.ravel()[: grid.count], hint)
 
     return tabulate
@@ -380,39 +391,12 @@ def _shannon_symbol(omega):
 _INVARIANT_CHECK_REFINE = 3
 
 
-def check_family_invariants(fam: MRAFamily, tables: tuple | None = None) -> dict[str, float]:
-    """Evaluate the four family invariants; raise ConstructionError on failure.
-
-    Returns the measured defects of `tables`, the (phi, psi) pair of fam at
-    FAMILY_LEVEL; without it, those measured when fam's pair was first read
-    (read now if it has not been).  For non-compact families the declared
-    truncation error inflates the tolerances.  Battle-Lemarie families are
-    checked exactly from their series coefficients.  Daubechies families
-    are checked on phi subdivided a few levels finer by the exact two-scale
-    relation (`refined_tables`), and psi derived from it: the quadrature
-    error on products of Hoelder-rough scaling functions decays like
-    h^(2*alpha) and would otherwise swamp the 1e-6 orthonormality tolerance.
-    """
-    if tables is None:
-        return dict(fam._verified()[2])
-    if fam.name == "battle_lemarie":
-        defects = _series_defects(fam.param)
-    else:
-        phi, psi = tables
-        if fam.name == "daubechies" and fam.param != 1:
-            phi = refined_tables(fam, "phi", FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
-            psi = derive_wavelet(fam.filter, phi)
-        defects = {
-            "phi_integral": abs(phi.integral() - 1.0),
-            "psi_integral": abs(psi.integral()),
-            "partition_of_unity": partition_of_unity_defect(phi),
-            "translate_orthonormality": translate_orthonormality_defect(phi),
-        }
-    hint = tables[0].decay_hint
-    slack = 0.0 if hint.kind == "compact" else 20.0 * hint.truncation
-    for key, tol, what in _INVARIANT_TOLERANCES:
-        _require(defects[key] <= tol + slack, fam, what)
-    return defects
+def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
+    """The four family invariant defects of fam, those measured when its phi
+    and psi were first read (each read now if it has not been); a failed
+    check raises ConstructionError."""
+    defects = {**fam._verified("phi")[1], **fam._verified("psi")[1]}
+    return {key: defects[key] for key, _, _ in _INVARIANT_TOLERANCES}
 
 
 _INVARIANT_TOLERANCES = (
@@ -423,8 +407,43 @@ _INVARIANT_TOLERANCES = (
 )
 
 
-def _series_defects(order: int) -> dict[str, float]:
-    """The invariants of a Battle-Lemarie pair, exactly from its coefficients.
+def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict[str, float]:
+    """The invariants of fam's generator gen, `table` its FAMILY_LEVEL table:
+    for phi its integral, partition of unity and translate orthonormality,
+    for psi its integral.  Raise ConstructionError on failure.
+
+    For non-compact families the declared truncation error inflates the
+    tolerances.  Battle-Lemarie families are checked exactly from their
+    series coefficients.  Daubechies families are checked on the generator
+    subdivided a few levels finer by the exact two-scale relation
+    (`refined_tables`; psi derived from that phi): the quadrature error on
+    products of Hoelder-rough scaling functions decays like h^(2*alpha) and
+    would otherwise swamp the 1e-6 orthonormality tolerance.
+    """
+    if fam.name == "battle_lemarie":
+        defects = _series_defects(fam.param, gen)
+    else:
+        checked = table
+        if fam.name == "daubechies" and fam.param != 1:
+            checked = refined_tables(fam, gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
+        if gen == "phi":
+            defects = {
+                "phi_integral": abs(checked.integral() - 1.0),
+                "partition_of_unity": partition_of_unity_defect(checked),
+                "translate_orthonormality": translate_orthonormality_defect(checked),
+            }
+        else:
+            defects = {"psi_integral": abs(checked.integral())}
+    hint = table.decay_hint
+    slack = 0.0 if hint.kind == "compact" else 20.0 * hint.truncation
+    for key, tol, what in _INVARIANT_TOLERANCES:
+        if key in defects:
+            _require(defects[key] <= tol + slack, fam, what)
+    return defects
+
+
+def _series_defects(order: int, gen: str) -> dict[str, float]:
+    """The invariants of a Battle-Lemarie generator, exactly from its coefficients.
 
     M_k has unit mass and its integer translates sum to 1, so both the phi
     integral and the translate sum of phi are sum_n c_n, and the psi
@@ -432,13 +451,14 @@ def _series_defects(order: int) -> dict[str, float]:
     sum_{n,n'} c_n c_n' B_{2k}(m + n' - n).
     """
     c, d = _series(order)
+    if gen == "psi":
+        return {"psi_integral": abs(float(np.sum(d))) / 2.0}
     b = cardinal_autocorrelation(order)
     overlap = np.convolve(np.convolve(c, c[::-1]), b[:0:-1] + b)
     overlap[overlap.size // 2] -= 1.0
     mass = abs(float(np.sum(c)) - 1.0)
     return {
         "phi_integral": mass,
-        "psi_integral": abs(float(np.sum(d))) / 2.0,
         "partition_of_unity": mass,
         "translate_orthonormality": float(np.max(np.abs(overlap))),
     }
@@ -487,8 +507,9 @@ def _require(cond: bool, fam: MRAFamily, what: str) -> None:
 
 
 def make_family(name: str, param: int = 0) -> MRAFamily:
-    """A named family: its filter, symbol and tabulator.  Its FAMILY_LEVEL
-    tables are built and verified on first read (`MRAFamily.phi`)."""
+    """A named family: its filter, symbol and tabulator.  Each FAMILY_LEVEL
+    table is built and verified on its own first read (`MRAFamily.phi`,
+    `MRAFamily.psi`)."""
     if name not in FAMILY_NAMES:
         raise FamilyError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
@@ -520,7 +541,7 @@ def refined_tables(fam: MRAFamily, gen: str, level: int) -> SampledFunction:
     """fam's generator gen ("phi" or "psi") tabulated at least at `level`.
 
     At or below FAMILY_LEVEL the held table serves, built and verified on
-    first read; a finer level comes from the family's tabulator, exact, so
+    its first read; a finer level comes from the family's tabulator, exact, so
     every lattice an atom is read on holds samples.  A finer table is not
     held: each read builds its one table.
     """

@@ -23,12 +23,16 @@ import numpy as np
 #: finest lattice level a study may read a table at.  Family tables are
 #: tabulated exactly at the level read, one generator per read; the widest,
 #: shannon on 128 units, holds 33.6 M points (268 MB) per generator at level
-#: 18.  On a 2-core Xeon, expand --family shannon --function gaussian --j 0..6
-#: --level 13 reads level 16 and peaks at 300 MB in 1.6-1.8 s (166 MB in
-#: 1.2 s at --level 12), each level more nearly doubling the memory; rate
-#: --family daubechies:10 --function gaussian --j 3..9 --level 15 (f at
-#: level 18, tables to level 15) peaks at 109 MB in 0.45-0.5 s
+#: 18.  On a 2-core Xeon (fresh process, CPython 3.11, cli.main timed),
+#: expand --family shannon --function gaussian --j 0..6 --level 13 reads
+#: level 16 and peaks at 143 MB in 1.1-1.5 s (85 MB in 0.65-0.7 s at
+#: --level 12), each level nearly doubling the memory; rate --family
+#: daubechies:10 --function gaussian --j 3..9 --level 15 (f at level 18,
+#: tables to level 15) peaks at 63 MB in 0.12-0.14 s
 MAX_TABLE_LEVEL = 18
+#: points per call of the callable that `sample` tabulates, and per block of
+#: a Battle-Lemarie series table
+SAMPLE_CHUNK = 2**14
 
 
 def check_table_level(level: int) -> None:
@@ -79,9 +83,15 @@ class DyadicGrid:
         """Lattice index of left: left = start 2^-level."""
         return round(math.ldexp(self.left, self.level))
 
-    def points(self) -> np.ndarray:
-        # left + i*2^-level, exact in binary arithmetic
-        return self.left + np.arange(self.count) * self.spacing
+    def points(self, first: int = 0, count: int | None = None) -> np.ndarray:
+        """The `count` points from index `first` (all by default), built in place:
+        left + i*2^-level, exact in binary arithmetic."""
+        if count is None:
+            count = self.count - first
+        x = np.arange(first, first + count, dtype=float)
+        x *= self.spacing
+        x += self.left
+        return x
 
     def index_of(self, x: float) -> int:
         """Index of a grid point, or raise if x is off-grid."""
@@ -183,7 +193,8 @@ class SampledFunction:
         return float(np.trapezoid(np.abs(self.values), dx=self.dx))
 
     def norm_sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        # max |v| read off the two extremes: no |values| temporary
+        return float(abs(max(self.values.max(), -self.values.min())))
 
 
 def strided_read(values: np.ndarray, first: int, stride: int, count: int) -> np.ndarray:
@@ -221,6 +232,11 @@ def product_quad(values_f: np.ndarray, values_g: np.ndarray, dx: float) -> float
 
 
 def sample(func, grid: DyadicGrid, decay_hint: DecayHint = COMPACT) -> SampledFunction:
-    """Tabulate a callable on a grid."""
-    vals = np.asarray(func(grid.points()), dtype=float)
+    """Tabulate a vectorized callable on a grid: one table, filled
+    SAMPLE_CHUNK points per call, so func's temporaries stay one chunk long
+    at any level."""
+    vals = np.empty(grid.count)
+    for first in range(0, grid.count, SAMPLE_CHUNK):
+        x = grid.points(first, min(SAMPLE_CHUNK, grid.count - first))
+        vals[first : first + x.size] = func(x)
     return SampledFunction(grid, vals, decay_hint)

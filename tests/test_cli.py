@@ -103,6 +103,9 @@ BAD_STUDIES = [
     "rate --family daubechies:4 --function step --j 3..9 --window 0.25,1.0",
     "rate --family daubechies:2 --function sine --j 3..9 --window 0.0,1.0",
     "rate --family haar --function step --j 3..9 --window=-1.0,1.0",
+    # a window needs finite ends
+    "rate --family daubechies:2 --function gaussian --j 3..9 --window nan,1",
+    "rate --family daubechies:2 --function gaussian --j 3..9 --window=-1,inf",
 ]
 
 BAD_KERNEL_SCALES = [
@@ -177,6 +180,9 @@ class TestParsing:
         for bad in ("1.0", "1.0,-1.0", "a,b"):
             with pytest.raises(ConfigError):
                 parse_window(bad)
+        for bad in ("nan,1", "-1,inf", "-inf,0", "0,nan"):
+            with pytest.raises(ConfigError, match=f"window '{bad}' must have finite ends"):
+                parse_window(bad)
 
 
 class TestCommands:
@@ -214,6 +220,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out.read_text())
         assert abs(doc["slope"] - 2.0) <= 0.2
+        assert doc["fitted_levels"] == list(range(3, 10))
         assert "slope=" in capsys.readouterr().out
 
     def test_sobolev_sweep_verdict_flip(self, tmp_path):
@@ -969,6 +976,16 @@ class TestTablesOnFirstRead:
             assert bool(reads) == read_first
         # the same critical order or sweep, or the same diagnostic
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv in argvs(benchmark_argvs()) if argv[0] in ("rate", "kernel")],
+        ids=shlex.join,
+    )
+    def test_phi_only_studies_build_no_psi(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        reads = counted_families(monkeypatch, families)
+        assert main(argv) == 0
+        assert reads and all(gen == "phi" for _, gen, _ in reads)
 
     def test_critical_order_criterion_builds_no_table(self, tmp_path, monkeypatch):
         reads = counted_families(monkeypatch, cli)

@@ -114,30 +114,44 @@ class TestPointwiseTrace:
             pointwise_trace(suite["gaussian"], haar, 3.99, range(0, 5))
 
 
+#: how many of the levels j = 3..9 each gaussian rate fit on (-1, 1) rests on:
+#: those whose sup error lies above the roundoff floor
+GAUSSIAN_FITTED_LEVELS = {
+    ("daubechies", 1): 7, ("daubechies", 3): 7, ("daubechies", 4): 7,
+    ("daubechies", 5): 6, ("daubechies", 6): 4, ("daubechies", 7): 4,
+    ("daubechies", 8): 3, ("daubechies", 9): 2, ("daubechies", 10): 2,
+    ("battle_lemarie", 3): 7, ("battle_lemarie", 4): 7,
+}
+
+
 class TestSupErrorRates:
     def test_haar_gaussian_first_order(self, suite, haar):
         r = sup_error_rates(suite["gaussian"], haar, range(3, 10), (-1.0, 1.0))
         assert 0.85 <= r.slope <= 1.1
         assert r.quantization_bound < 1e-3
+        assert r.fitted_levels == tuple(range(3, 10))
 
     def test_db2_gaussian_second_order(self, suite, db2):
         r = sup_error_rates(suite["gaussian"], db2, range(3, 10), (-1.0, 1.0))
         assert 1.8 <= r.slope <= 2.2
+        assert r.fitted_levels == tuple(range(3, 10))
 
     @pytest.mark.parametrize(
         "famspec", [("daubechies", 3), ("daubechies", 4), ("daubechies", 5),
                     ("battle_lemarie", 3), ("battle_lemarie", 4)]
-        + [("daubechies", n) for n in range(6, 11)]
+        + [("daubechies", n) for n in range(6, 11)] + [("daubechies", 1)]
     )
     def test_slope_tracks_vanishing_moments(self, suite, famspec):
         # f sampled on the quadrature lattice leaves the errors no floor
-        # above roundoff.  From daubechies:6 on the finest levels reach
+        # above roundoff.  From daubechies:5 on the finest levels reach
         # roundoff (db6: 4.7e-15, 2.1e-15 at j = 8, 9), and the fit reads
-        # only the levels above the roundoff floor
+        # only the levels above the roundoff floor: for db9 and db10 that is
+        # j = 3, 4, where R^2 is 1 by construction
         fam = make_family(*famspec)
         r = sup_error_rates(suite["gaussian"], fam, range(3, 10), (-1.0, 1.0))
         assert abs(r.slope - fam.vanishing_moments) <= 0.25
         assert r.r_squared > 0.99
+        assert r.fitted_levels == tuple(range(3, 3 + GAUSSIAN_FITTED_LEVELS[famspec]))
 
     def test_haar_cusp_smoothness_capped(self, suite, haar):
         r = sup_error_rates(suite["cusp"], haar, range(3, 10), (-0.5, 0.5))
@@ -247,12 +261,30 @@ class TestOneSample:
         )
         for level in (10, 12):
             want = np.asarray(tf.sampler(DyadicGrid(*window, level).points()), dtype=float)
+            table = DyadicGrid(*tf.window, level + _quad_refine(fam)).points()
             for study in studies:
                 calls.clear()
                 reads.clear()
                 study(level)
-                assert len(calls) == 1
+                # every point of f's table is sampled, each exactly once
+                assert np.array_equal(np.concatenate(calls), table)
                 assert [r.tobytes() for r in reads] == [want.tobytes()]
+
+
+class TestTabulate:
+    @pytest.mark.parametrize("level", [10, 12, 13, 15])
+    @pytest.mark.parametrize("name", [tf.name for tf in builtin_suite()])
+    def test_chunks_equal_one_sampler_call(self, suite, name, level):
+        # the table filled chunk by chunk is the sampler called once on the
+        # whole grid, byte for byte
+        tf = suite[name]
+        h = 2.0**-level
+        x = tf.window[0] + np.arange(DyadicGrid(*tf.window, level).count) * h
+        if tf.cumulative_measure is None:
+            want = np.asarray(tf.sampler(x), dtype=float)
+        else:
+            want = (tf.cumulative_measure(x + 2 * h) - tf.cumulative_measure(x - 2 * h)) / (4 * h)
+        assert tf.tabulate(level).values.tobytes() == want.tobytes()
 
 
 class TestQuadratureRefinement:
@@ -407,6 +439,7 @@ class TestExports:
 
         doc = json.loads((tmp_path / "rate.json").read_text())
         assert doc["family"] == "haar" and 0.85 <= doc["slope"] <= 1.1
+        assert doc["fitted_levels"] == list(range(3, 10))
         assert (tmp_path / "rate.csv").read_text().splitlines()[0] == (
             "family,function,kind,j,sup_error"
         )

@@ -391,7 +391,8 @@ class TestRefinedTables:
         assert family_state(fam) == before
 
     def test_invariant_check_subdivides_once(self):
-        # psi of the check is derived from the one subdivided phi
+        # each generator's check reads its one subdivided table, psi derived
+        # from phi subdivided as far
         fam = make_family("daubechies", 3)
         reads = []
 
@@ -401,7 +402,7 @@ class TestRefinedTables:
 
         check_family_invariants(dataclasses.replace(fam, tabulate=counted))
         finer = [read for read in reads if read[1] > FAMILY_LEVEL]
-        assert finer == [("phi", FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)]
+        assert finer == [(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE) for gen in ("phi", "psi")]
 
     def test_threads_get_serial_tables(self):
         # more threads than cores, switching often: each must get the serial
@@ -458,6 +459,28 @@ class TestRefinedTables:
         np.testing.assert_allclose(psi.values[idx], want_psi, rtol=0, atol=1e-14)
 
 
+    @pytest.mark.parametrize("level", [10, 12])
+    def test_shannon_phi_is_numpy_sinc(self, level):
+        # sampled a chunk at a time, byte for byte np.sinc on the whole grid
+        table = make_family("shannon").tabulate("phi", level)
+        assert table.values.tobytes() == np.sinc(table.x()).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("level", [10, 13])
+    def test_series_table_blocks_are_the_whole_sum(self, k, level):
+        # accumulated a block of rows at a time, each series table is the sum
+        # over t of its whole-table terms, byte for byte
+        fam = make_family("battle_lemarie", k)
+        for gen, coef, scale in zip(("phi", "psi"), battle_lemarie_series(k), (1, 2)):
+            table = fam.tabulate(gen, level)
+            step = 2**level
+            samples = cardinal_bspline(k, np.arange(k)[:, None] + np.arange(0, step, scale) / step)
+            ends = scale * np.array([table.grid.left, table.grid.right], dtype=int)
+            rows = np.arange(ends[0], ends[1] + 1) + k // 2 + coef.size // 2
+            want = sum(coef[rows - t][:, None] * samples[t] for t in range(k))
+            assert table.values.tobytes() == want.ravel()[: table.grid.count].tobytes()
+
+
 def counting(fam):
     """fam with a tabulator that records each (gen, level) asked of it."""
     reads = []
@@ -500,7 +523,8 @@ class TestTablesOnFirstRead:
     def test_first_read_builds_and_checks_once(self, spec):
         fam, reads = counting(make_family(*spec))
         defects = check_family_invariants(fam)
-        assert reads[:2] == [("phi", FAMILY_LEVEL), ("psi", FAMILY_LEVEL)]
+        held = [read for read in reads if read[1] == FAMILY_LEVEL]
+        assert held == [("phi", FAMILY_LEVEL), ("psi", FAMILY_LEVEL)]
         built = list(reads)
         assert check_family_invariants(fam) == defects
         assert fam.phi.grid.level == fam.psi.grid.level == FAMILY_LEVEL
@@ -512,10 +536,18 @@ class TestTablesOnFirstRead:
     def test_broken_table_raises_on_first_read(self, spec, gen):
         fam = doubled_phi(make_family(*spec))
         for _ in range(2):  # nothing is held: each read checks again
+            if gen == "psi":
+                fam.psi  # each generator is checked on its own read: psi is sound
             with pytest.raises(ConstructionError, match="phi integral != 1"):
-                getattr(fam, gen)
-        with pytest.raises(ConstructionError):
+                fam.phi
+        with pytest.raises(ConstructionError, match="phi integral != 1"):
             check_family_invariants(fam)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + [("daubechies", 3), ("battle_lemarie", 2)])
+    def test_phi_read_builds_no_psi(self, spec):
+        fam, reads = counting(make_family(*spec))
+        fam.phi
+        assert reads and all(gen == "phi" for gen, _ in reads)
 
     def test_threads_racing_on_first_read_get_serial_tables(self):
         # no lock: threads that race on one family's first read each build

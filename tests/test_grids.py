@@ -73,6 +73,10 @@ class TestDyadicGrid:
         # every point must be exactly representable at this level
         scaled = pts * 2.0**level
         assert np.all(scaled == np.floor(scaled))
+        # a run of points is the same run of the whole array, byte for byte
+        first, count = g.count // 3, g.count - g.count // 3 - 1
+        assert g.points(first, count).tobytes() == pts[first : first + count].tobytes()
+        assert pts.tobytes() == (g.left + np.arange(g.count) * g.spacing).tobytes()
 
 
 class TestSampledFunction:

@@ -442,6 +442,7 @@ class TestConvergenceStudies:
     def test_order_two_fits_every_mesh(self, suite):
         rep = spline_convergence_study(suite["sine"], 2, self.MESHES)[0]
         assert rep.fitted_meshes == tuple(self.MESHES)
+        assert rep.fitted_levels is None
         assert rep.slope == pytest.approx(1.9997461482093464, abs=1e-12)
 
     def test_roundoff_errors_are_not_fitted(self, suite):
