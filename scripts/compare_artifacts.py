@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Run the README and benchmark studies under two source trees and compare
-their outputs.
+"""Run the README and benchmark studies and the experiment scripts under two
+source trees and compare their outputs.
 
 Every `waverate` command of the README's CLI quickstart (the suite with
 `--jobs 2`), every distinct study of the benchmark's workloads (read from
 `benchmarks/studies.py`, spline seed 3), and each `--study`, runs twice in
 fresh processes, once importing `waverate` from BASE_SRC and once from this
-checkout's `src/`, each in its own temporary directory.  Every file a study
-writes, its standard output and its exit code are compared byte for byte,
-and each is printed as identical or differing.  A differing text artifact is
-followed by its unified diff, capped at DIFF_LINES lines, so the moved digits
-can be quoted; a differing JSON artifact also by how many of the numeric
-fields both sides share moved (numbers, and strings that read as numbers)
-and by the largest relative change among them.
+checkout's `src/`, each in its own temporary directory.  So does each
+experiment script (EXPERIMENT_SCRIPTS, with `--outdir`), each tree running
+its own copy: the base tree's from the `scripts/` beside BASE_SRC, skipped
+with a note when there is none.  Every file a run writes, its standard
+output and its exit code are compared byte for byte, and each is printed as
+identical or differing.  A differing text artifact is followed by its
+unified diff, capped at DIFF_LINES lines, so the moved digits can be quoted;
+a differing JSON artifact also by how many of the numeric fields both sides
+share moved (numbers, and strings that read as numbers) and by the largest
+relative change among them.
 
 Usage: python3 scripts/compare_artifacts.py BASE_SRC
            [--study "kernel --family shannon --j 0..6 --out kernel.json" ...]
@@ -34,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: most diff lines printed per differing artifact
 DIFF_LINES = 40
+#: the scripts of scripts/ that run an experiment, each with --outdir
+EXPERIMENT_SCRIPTS = ("rate_study.py", "spline_vs_projection.py", "sobolev_sweep.py")
 
 
 def readme_studies() -> list[list[str]]:
@@ -63,14 +68,12 @@ def benchmark_studies() -> list[list[str]]:
     return [argv for i, argv in enumerate(argvs) if argv not in argvs[:i]]
 
 
-def run_study(src: str, argv: list[str]) -> dict[str, bytes]:
-    """Artifacts of one study: each written file, stdout and the exit code."""
+def run(src: str, command: list[str]) -> dict[str, bytes]:
+    """Artifacts of one command run in a fresh temporary directory, importing
+    `waverate` from src: each written file, stdout and the exit code."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run(
-            [sys.executable, "-m", "waverate.cli", *argv],
-            cwd=tmp, env=env, capture_output=True, check=False,
-        )
+        proc = subprocess.run(command, cwd=tmp, env=env, capture_output=True, check=False)
         out = {
             str(path.relative_to(tmp)): path.read_bytes()
             for path in sorted(Path(tmp).rglob("*"))
@@ -128,6 +131,27 @@ def numeric_moves(base: bytes, head: bytes) -> str | None:
     )
 
 
+def compare(label: str, base: dict[str, bytes], head: dict[str, bytes]) -> int:
+    """Print each artifact of two runs as identical or differing, with the
+    diff of a differing one; return how many are not identical."""
+    print(label)
+    differing = 0
+    for name in sorted(set(base) | set(head)):
+        if name not in base or name not in head:
+            verdict = f"only in {'head' if name in head else 'base'}"
+        else:
+            verdict = "identical" if base[name] == head[name] else "differing"
+        differing += verdict != "identical"
+        print(f"  {name}: {verdict}")
+        if verdict == "differing":
+            moves = name.endswith(".json") and numeric_moves(base[name], head[name])
+            if moves:
+                print(f"    {moves}")
+            for line in text_diff(name, base[name], head[name]):
+                print(f"    {line}")
+    return differing
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", help="the src/ directory of the reference tree")
@@ -135,25 +159,22 @@ def main() -> int:
         "--study", action="append", default=[], help="one more waverate argument string"
     )
     args = parser.parse_args()
+    base_src, head_src = os.path.abspath(args.base_src), str(ROOT / "src")
     studies = readme_studies() + benchmark_studies() + [shlex.split(s) for s in args.study]
     differing = 0
     for argv in studies:
-        base = run_study(os.path.abspath(args.base_src), argv)
-        head = run_study(str(ROOT / "src"), argv)
-        print(f"waverate {shlex.join(argv)}")
-        for name in sorted(set(base) | set(head)):
-            if name not in base or name not in head:
-                verdict = f"only in {'head' if name in head else 'base'}"
-            else:
-                verdict = "identical" if base[name] == head[name] else "differing"
-            differing += verdict != "identical"
-            print(f"  {name}: {verdict}")
-            if verdict == "differing":
-                moves = name.endswith(".json") and numeric_moves(base[name], head[name])
-                if moves:
-                    print(f"    {moves}")
-                for line in text_diff(name, base[name], head[name]):
-                    print(f"    {line}")
+        command = [sys.executable, "-m", "waverate.cli", *argv]
+        differing += compare(
+            f"waverate {shlex.join(argv)}", run(base_src, command), run(head_src, command)
+        )
+    base_scripts = Path(base_src).parent / "scripts"
+    if not base_scripts.is_dir():
+        print(f"{base_scripts} does not exist: the experiment scripts are skipped")
+    else:
+        for name in EXPERIMENT_SCRIPTS:
+            base = run(base_src, [sys.executable, str(base_scripts / name), "--outdir", "."])
+            head = run(head_src, [sys.executable, str(ROOT / "scripts" / name), "--outdir", "."])
+            differing += compare(f"scripts/{name} --outdir DIR", base, head)
     print(f"{differing} differing artifact(s)")
     return 1 if differing else 0
 

@@ -12,7 +12,8 @@ import argparse
 import os
 
 from waverate import make_family
-from waverate.convergence import export_rate_json, sup_error_rates, test_function
+from waverate.convergence import sup_error_rates, test_function
+from waverate.serialize import write_record
 from waverate.sobolev import critical_order
 
 FAMILIES = (
@@ -45,8 +46,8 @@ def main():
             f"{s_star:>7.3f} {gap:>11.3f}"
         )
         if args.outdir:
-            export_rate_json(
-                report, os.path.join(args.outdir, f"rate_{fam.label.replace(':', '-')}.json")
+            write_record(
+                os.path.join(args.outdir, f"rate_{fam.label.replace(':', '-')}.json"), report
             )
 
 

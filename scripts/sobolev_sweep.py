@@ -15,12 +15,8 @@ import os
 import numpy as np
 
 from waverate import make_family
-from waverate.sobolev import (
-    criterion_sweep,
-    critical_order,
-    export_critical_json,
-    export_sweep_csv,
-)
+from waverate.serialize import write_record
+from waverate.sobolev import criterion_sweep, critical_order, export_sweep_csv
 
 FAMILIES = (
     ("haar", 0),
@@ -56,7 +52,7 @@ def main():
         if args.outdir:
             tag = fam.label.replace(":", "-")
             export_sweep_csv(results, os.path.join(args.outdir, f"sweep_{tag}.csv"))
-            export_critical_json(wav, os.path.join(args.outdir, f"critical_{tag}.json"))
+            write_record(os.path.join(args.outdir, f"critical_{tag}.json"), wav)
 
 
 if __name__ == "__main__":

@@ -16,13 +16,9 @@ import os
 import numpy as np
 
 from waverate import DyadicGrid, make_family
-from waverate.convergence import (
-    export_rate_json,
-    quadrature_sample,
-    spline_convergence_study,
-    test_function,
-)
+from waverate.convergence import quadrature_sample, spline_convergence_study, test_function
 from waverate.expansion import project
+from waverate.serialize import write_record
 from waverate.splines import best_l2_spline, make_space
 
 
@@ -41,7 +37,7 @@ def main():
             f"{report.sup_errors[-1]:>13.3e}"
         )
         if args.outdir:
-            export_rate_json(report, os.path.join(args.outdir, f"spline_k{order}.json"))
+            write_record(os.path.join(args.outdir, f"spline_k{order}.json"), report)
 
     gaussian = test_function("gaussian")
     f = gaussian.tabulate(12)

@@ -30,7 +30,6 @@ from .convergence import (
     TestFunction,
     check_rate_study,
     export_rate_csv,
-    export_rate_json,
     lp_error_trace,
     midcell_step,
     order_robustness,
@@ -65,13 +64,12 @@ from .kernels import (
     profile_grid,
     verify_convolution_bound,
 )
-from .serialize import family_to_dict, write_csv, write_json
+from .serialize import family_to_dict, write_csv, write_json, write_record
 from .sobolev import (
     SobolevError,
     check_settings,
     criterion_sweep,
     critical_order,
-    export_critical_json,
     export_sweep_csv,
 )
 from .splines import (
@@ -238,8 +236,10 @@ def run_kernel(args) -> str:
 
 def _export_rate(report, args) -> None:
     """Write a rate or spline study's RateReport as --format asks."""
-    if args.out:
-        (export_rate_csv if args.format == "csv" else export_rate_json)(report, args.out)
+    if args.out and args.format == "csv":
+        export_rate_csv(report, args.out)
+    elif args.out:
+        write_record(args.out, report)
 
 
 def run_rate(args) -> str:
@@ -269,7 +269,7 @@ def run_sobolev(args) -> str:
         )
     co = critical_order(fam, args.epsilon, args.criterion)
     if args.out:
-        export_critical_json(co, args.out)
+        write_record(args.out, co)
     return f"sobolev {fam.label} s_star={co.s_star:.4f} criterion={args.criterion}"
 
 
@@ -336,9 +336,9 @@ def crit_mra_invariants():
     )
 
 
-def _haar_cell_average_defects(haar, tf, js, level: int = STUDY_LEVEL) -> list[float]:
+def _haar_cell_average_defects(haar, tf, js) -> list[float]:
     """Sup distance between project(f, haar, j) and a direct cell-average
-    oracle for each j in js, from one sample of f.
+    oracle for each j in js, from one sample of f at STUDY_LEVEL.
 
     The oracle averages the sampler at cell-interior midpoints, which never
     touch the dyadic lattice where jump values follow the midpoint
@@ -347,13 +347,13 @@ def _haar_cell_average_defects(haar, tf, js, level: int = STUDY_LEVEL) -> list[f
     (n_cells, per) midpoint array is cell c; one sampler call and one
     row mean give every cell average.
     """
-    f = quadrature_sample(tf, haar, level)
-    xs = DyadicGrid(tf.window[0], tf.window[1], level)
+    f = quadrature_sample(tf, haar)
+    xs = DyadicGrid(tf.window[0], tf.window[1], STUDY_LEVEL)
     h = xs.spacing
     defects = []
     for j in js:
         pj = project(f, haar, j, xs)
-        per = 2 ** (level - j)
+        per = 2 ** (STUDY_LEVEL - j)
         n_cells = (xs.count - 1) // per
         lefts = xs.left + np.arange(n_cells) * per * h
         mids = lefts[:, None] + (np.arange(per) + 0.5) * h
@@ -632,7 +632,7 @@ def crit_determinism():
     with tempfile.TemporaryDirectory() as tmp:
         for tag in ("a", "b"):
             path = os.path.join(tmp, f"{tag}.json")
-            export_rate_json(rep, path)
+            write_record(path, rep)
             with open(path, "rb") as fh:
                 renders.append(fh.read())
     ok = renders[0] == renders[1]

@@ -47,8 +47,8 @@ from .expansion import (
     validate_schedule,
 )
 from .families import MRAFamily
-from .grids import NO_DECAY, DyadicGrid, SampledFunction, sample
-from .serialize import write_csv, write_json
+from .grids import NO_DECAY, DyadicGrid, SampledFunction, line_fit, sample
+from .serialize import write_csv
 from .splines import best_l2_spline, check_study, make_space
 
 #: default tabulation level for test functions and error grids
@@ -61,8 +61,6 @@ REGRESSION_MIN_J = 3
 #: change of the Gram moves an error by up to 13 eps (order 5, mesh 2^-6:
 #: 8.09e-14 to 7.81e-14), 1.3% of an error at this floor
 ROUNDOFF_FLOOR_EPS = 1000
-#: prefix fractions probed by order_robustness
-PREFIX_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 POINT_KINDS = ("continuity", "lebesgue_discontinuous", "jump")
 
@@ -282,20 +280,6 @@ class RateReport:
     fitted_levels: tuple | None = None
 
 
-def r_squared(data: np.ndarray, pred: np.ndarray) -> float:
-    """Coefficient of determination of pred for data; 0 for constant data."""
-    ss_res = float(np.sum((data - pred) ** 2))
-    ss_tot = float(np.sum((data - np.mean(data)) ** 2))
-    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-
-
-def line_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line y ~ slope x + intercept: (slope, intercept, R^2)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    coef = np.polyfit(x, y, 1)
-    return float(coef[0]), float(coef[1]), r_squared(y, np.polyval(coef, x))
-
-
 def rate_report(family: str, function: str, j_values, errors, candidates, f, truth,
                 meshes=None) -> RateReport:
     """The RateReport of a study: a log2 line through the errors at exactly
@@ -441,12 +425,12 @@ def spline_convergence_study(tf, order: int, meshes, level: int = STUDY_LEVEL):
 
 
 def order_robustness(coeffs: ExpansionCoefficients, schedules, x_points) -> dict:
-    """Partial sums of `coeffs` under different summation orders at fixed points.
+    """Sums of `coeffs` in different summation orders at fixed points.
 
     Every schedule must be complete for the coefficient set and satisfy its
-    declared bounded range; the final values must agree (they are the same
-    finite sum), while intermediate prefixes may disperse.  The points are
-    snapped right on the STUDY_LEVEL lattice, where the atoms are read.
+    declared bounded range; the final values must agree, as they are the same
+    finite sum, summed in each schedule's order.  The points are snapped right
+    on the STUDY_LEVEL lattice, where the atoms are read.
     """
     for sched in schedules:
         ok, report = validate_schedule(sched)
@@ -464,26 +448,12 @@ def order_robustness(coeffs: ExpansionCoefficients, schedules, x_points) -> dict
         rows = atom_rows(coeffs.family, gen, j, [t[-1] for t in terms], pts, STUDY_LEVEL)
         values.update((term, c * row) for (term, c), row in zip(terms.items(), rows))
 
-    finals = []
-    prefixes = {rho: [] for rho in PREFIX_FRACTIONS}
-    for sched in schedules:
-        terms = list(sched.terms())
-        cumulative = np.cumsum([values[t] for t in terms], axis=0)
-        for rho in PREFIX_FRACTIONS:
-            n = max(1, math.ceil(rho * len(terms)))
-            prefixes[rho].append(cumulative[n - 1])
-        finals.append(cumulative[-1])
-
-    finals = np.array(finals)
-    dispersion = {
-        rho: float(np.max(np.ptp(np.array(vals), axis=0))) if len(vals) > 1 else 0.0
-        for rho, vals in prefixes.items()
-    }
+    finals = np.array([np.sum([values[t] for t in sched.terms()], axis=0)
+                       for sched in schedules])
     return {
         "x_points": pts,
         "final_values": finals,
         "final_agreement": float(np.max(np.ptp(finals, axis=0))) if len(finals) > 1 else 0.0,
-        "prefix_dispersion": dispersion,
     }
 
 
@@ -498,21 +468,3 @@ def export_rate_csv(report: RateReport, path: str) -> None:
         for j, e in zip(report.j_values, report.sup_errors)
     ]
     write_csv(path, header, rows)
-
-
-def export_rate_json(report: RateReport, path: str) -> None:
-    doc = {
-        "family": report.family,
-        "function": report.function,
-        "j_values": list(report.j_values),
-        "sup_errors": list(report.sup_errors),
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "r_squared": report.r_squared,
-        "quantization_bound": report.quantization_bound,
-    }
-    if report.fitted_meshes is not None:
-        doc["fitted_meshes"] = list(report.fitted_meshes)
-    if report.fitted_levels is not None:
-        doc["fitted_levels"] = list(report.fitted_levels)
-    write_json(path, doc)

@@ -54,9 +54,6 @@ class ExpansionCoefficients:
     b: dict[int, float] = field(repr=False)
     a: dict[tuple[int, int], float] = field(repr=False)
 
-    def l2_mass(self) -> float:
-        return sum(v * v for v in self.b.values()) + sum(v * v for v in self.a.values())
-
     def levels(self) -> list[tuple[int, dict[tuple, float]]]:
         """(j, {term: coefficient}) in k order: scaling level, then wavelet levels."""
         out = [(self.base_level, {("b", k): v for k, v in sorted(self.b.items())})]
@@ -85,9 +82,10 @@ class SummationSchedule:
             yield from group
 
 
-def level_by_level_schedule(coeffs: ExpansionCoefficients, bounded_range: int = 1):
+def level_by_level_schedule(coeffs: ExpansionCoefficients):
+    """Each level's terms in one group, so no two levels are open at once."""
     groups = tuple(tuple(terms) for _, terms in coeffs.levels())
-    return SummationSchedule(groups, bounded_range)
+    return SummationSchedule(groups, 1)
 
 
 def interleaved_schedule(coeffs: ExpansionCoefficients, width: int = 2):

@@ -231,6 +231,20 @@ def product_quad(values_f: np.ndarray, values_g: np.ndarray, dx: float) -> float
     return float(2.0 * fine - coarse)
 
 
+def r_squared(data: np.ndarray, pred: np.ndarray) -> float:
+    """Coefficient of determination of pred for data; 0 for constant data."""
+    ss_res = float(np.sum((data - pred) ** 2))
+    ss_tot = float(np.sum((data - np.mean(data)) ** 2))
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+
+
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, R^2)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    coef = np.polyfit(x, y, 1)
+    return float(coef[0]), float(coef[1]), r_squared(y, np.polyval(coef, x))
+
+
 def sample(func, grid: DyadicGrid, decay_hint: DecayHint = COMPACT) -> SampledFunction:
     """Tabulate a vectorized callable on a grid: one table, filled
     SAMPLE_CHUNK points per call, so func's temporaries stay one chunk long

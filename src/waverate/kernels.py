@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convergence import line_fit
 from .expansion import atom_rows, translate_range
 from .families import MRAFamily
-from .grids import DyadicGrid
+from .grids import DyadicGrid, line_fit
 from .serialize import write_json
 
 # rescaled-radius resolution 2^-RADII_LEVEL, shared across scales within a
@@ -39,7 +38,6 @@ class KernelError(ValueError):
 
 @dataclass(frozen=True)
 class KernelEvaluation:
-    family: MRAFamily
     j: int
     xs: DyadicGrid
     ys: DyadicGrid
@@ -63,7 +61,6 @@ class DecayFit:
     constant: float
     rate: float  # a
     r2: float
-    n_points: int
     flagged: bool  # model mismatch: nonpositive rate or degenerate range
 
 
@@ -79,10 +76,10 @@ def kernel_matrix(
     ky = translate_range(fam, j, (ys.left, ys.right))
     ks = range(max(kx.start, ky.start), min(kx.stop, ky.stop))
     if not ks:
-        return KernelEvaluation(fam, j, xs, ys, np.zeros((xs.count, ys.count)))
+        return KernelEvaluation(j, xs, ys, np.zeros((xs.count, ys.count)))
     ax = atom_rows(fam, "phi", j, ks, xs.points(), xs.level)
     ay = atom_rows(fam, "phi", j, ks, ys.points(), ys.level)
-    return KernelEvaluation(fam, j, xs, ys, ax.T @ ay)
+    return KernelEvaluation(j, xs, ys, ax.T @ ay)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +193,7 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
         "family": fam.label,
         "j_set": list(j_set),
         "collapse_defect": defect,
-        "constant": float(env[0]),
+        "C": float(env[0]),
         "l1_mass": mass,
         "tail_estimate": tail,
         "passes": passes,
@@ -220,7 +217,7 @@ def fit_decay(rb: RadialBound) -> DecayFit:
     slope, intercept, r2 = line_fit(u, np.log(rb.majorant[keep]))
     a = -2.0 * slope
     # a below 1e-9 is numerically zero: constant profile, model mismatch
-    return DecayFit(float(np.exp(intercept)), a, r2, len(u), bool(a < 1e-9))
+    return DecayFit(float(np.exp(intercept)), a, r2, bool(a < 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +225,8 @@ def fit_decay(rb: RadialBound) -> DecayFit:
 
 
 def export_bound_report(report: dict, fit: DecayFit | None, path: str) -> None:
-    doc = {
-        "family": report["family"],
-        "j_set": report["j_set"],
-        "collapse_defect": report["collapse_defect"],
-        "C": report["constant"],
-        "l1_mass": report["l1_mass"],
-        "tail_estimate": report["tail_estimate"],
-        "passes": report["passes"],
-    }
+    """The report of ``verify_convolution_bound`` without its envelope, and the fit."""
+    doc = {key: value for key, value in report.items() if key != "envelope"}
     if fit is not None:
         doc["fit"] = {
             "model": "exponential",

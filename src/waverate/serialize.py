@@ -2,13 +2,15 @@
 
 Floats are rendered with 17 significant digits ('.' decimal, comma-delimited
 CSV with minimal quoting, LF line endings) so identical runs produce
-byte-identical files.  All
+byte-identical files.  A record (a study's report dataclass) is written by
+``write_record``: its JSON is its fields, those that are None left out.  All
 writes are atomic: temp file in the target directory, then rename.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -55,6 +57,12 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 def write_json(path: str, payload) -> None:
     atomic_write_text(path, dumps_json(payload) + "\n")
+
+
+def write_record(path: str, record) -> None:
+    """The JSON of a record dataclass: its fields, leaving out any that is None."""
+    fields = dataclasses.asdict(record)
+    write_json(path, {name: value for name, value in fields.items() if value is not None})
 
 
 def dumps_json(payload) -> str:

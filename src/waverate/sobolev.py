@@ -55,7 +55,7 @@ import numpy as np
 
 from .families import MRAFamily
 from .grids import SampledFunction
-from .serialize import fmt, write_csv, write_json
+from .serialize import fmt, write_csv
 
 #: shells reach down to XI_FLOOR / 4, where |xi|^{-(2s+1)} <= 1e153 for
 #: s <= 16 and |psi^|^2 ~ xi^{2N} >= 1e-93 for N <= 10: far from overflow
@@ -188,10 +188,9 @@ def fourier_transform(f: SampledFunction) -> SampledSpectrum:
 class IntegralResult:
     """Outcome of a singular-weight shell integral.
 
-    ``value`` is +inf when ``diverged``.  ``refinement_trace`` lists the
-    cumulative totals after each shell (monotone increasing, as both
-    integrands are nonnegative); ``shells`` the individual shell sums,
-    outermost first.
+    ``value`` is +inf when ``diverged``, and otherwise the last cumulative
+    total of ``shells``, the individual shell sums (nonnegative, as both
+    integrands are), outermost first.
     """
 
     s: float
@@ -199,7 +198,6 @@ class IntegralResult:
     value: float
     diverged: bool
     shells: tuple
-    refinement_trace: tuple
 
     def render_value(self) -> str:
         return "DIVERGED" if self.diverged else fmt(self.value)
@@ -238,16 +236,10 @@ def _decay_onset(zero_sums) -> tuple[float, tuple, float]:
 
 def _assemble(s, epsilon, shell_sums, onset) -> IntegralResult:
     shells = tuple(float(v) for v in shell_sums)
-    trace = tuple(np.cumsum(shells))
     diverged = s >= onset
-    value = math.inf if diverged else float(trace[-1])
+    value = math.inf if diverged else float(np.cumsum(shells)[-1])
     return IntegralResult(
-        s=float(s),
-        epsilon=float(epsilon),
-        value=value,
-        diverged=diverged,
-        shells=shells,
-        refinement_trace=trace,
+        s=float(s), epsilon=float(epsilon), value=value, diverged=diverged, shells=shells
     )
 
 
@@ -352,15 +344,3 @@ def export_sweep_csv(results: list[IntegralResult], path: str) -> None:
         row += list(r.shells) + [""] * (n - len(r.shells))
         rows.append(row)
     write_csv(path, header, rows)
-
-
-def export_critical_json(co: CriticalOrder, path: str) -> None:
-    write_json(
-        path,
-        {
-            "family": co.family,
-            "s_star": co.s_star,
-            "local_exponents": list(co.local_exponents),
-            "criterion": co.criterion,
-        },
-    )

@@ -26,8 +26,9 @@ from waverate.cli import (
     parse_sweep,
     parse_window,
 )
-from waverate.convergence import TestFunction, test_function
+from waverate.convergence import RateReport, TestFunction, test_function
 from waverate.expansion import project
+from waverate.sobolev import CriticalOrder
 from waverate.splines import MAX_ORDER, PERTURBATION_SEED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -836,15 +837,9 @@ class TestEntryPoint:
 
 class TestImportGraph:
     @staticmethod
-    def run_studies(studies, module, cwd) -> str:
-        """Run each CLI argv in one fresh interpreter; return its exit codes and
-        whether `module` was imported, as the line the script prints."""
-        script = (
-            "import sys\n"
-            "from waverate.cli import main\n"
-            f"codes = [main(argv.split()) for argv in {list(studies)!r}]\n"
-            f"print(codes, {module!r} in sys.modules)\n"
-        )
+    def run_script(script: str, cwd) -> str:
+        """Run `script` in a fresh interpreter importing this waverate; return
+        the last line it prints."""
         src = os.path.dirname(os.path.dirname(waverate.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
@@ -858,6 +853,24 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
+
+    @classmethod
+    def run_studies(cls, studies, module, cwd) -> str:
+        """Run each CLI argv in one fresh interpreter; return its exit codes and
+        whether `module` was imported, as the line the script prints."""
+        script = (
+            "import sys\n"
+            "from waverate.cli import main\n"
+            f"codes = [main(argv.split()) for argv in {list(studies)!r}]\n"
+            f"print(codes, {module!r} in sys.modules)\n"
+        )
+        return cls.run_script(script, cwd)
+
+    def test_kernels_do_not_import_convergence(self, tmp_path):
+        # the decay fit reads grids.line_fit: importing kernels loads neither
+        # the study corpus nor the spline studies
+        script = "import sys, waverate.kernels\nprint('waverate.convergence' in sys.modules)\n"
+        assert self.run_script(script, tmp_path) == "False"
 
     def test_spline_studies_do_not_import_scipy(self, tmp_path):
         # a cold scipy import costs a few tenths of a second; the spline layer
@@ -903,16 +916,20 @@ class TestImportGraph:
         assert self.run_studies(studies, "mpmath", tmp_path) == "[0, 0] False"
 
 
+def record_keys(record_type, none_field) -> list[str]:
+    """The JSON keys of a record whose field `none_field` is None."""
+    return sorted(f.name for f in dataclasses.fields(record_type) if f.name != none_field)
+
+
 class TestScripts:
-    def test_sobolev_sweep_script(self, tmp_path):
-        # the script runs against the library as it is: one critical-order
-        # file per family, with the local exponents s* was read from
-        script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts",
-                              "sobolev_sweep.py")
+    @staticmethod
+    def run_script(name, outdir) -> dict:
+        """Run scripts/`name` --outdir `outdir` against this waverate; return
+        each JSON file it wrote, parsed, by name."""
         src = os.path.dirname(os.path.dirname(waverate.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, script, "--outdir", str(tmp_path)],
+            [sys.executable, str(ROOT / "scripts" / name), "--outdir", str(outdir)],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -920,11 +937,34 @@ class TestScripts:
             check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        docs = {
-            name: json.loads((tmp_path / name).read_text())
-            for name in os.listdir(tmp_path)
-            if name.startswith("critical_")
+        return {
+            file: json.loads((outdir / file).read_text())
+            for file in os.listdir(outdir)
+            if file.endswith(".json")
         }
+
+    def test_rate_study_script(self, tmp_path):
+        # one projection RateReport per family: its fitted levels, no meshes
+        docs = self.run_script("rate_study.py", tmp_path)
+        assert sorted(docs) == sorted(
+            f"rate_{label}.json"
+            for label in ("haar", "battle_lemarie-2", "battle_lemarie-4")
+            + tuple(f"daubechies-{n}" for n in (2, 3, 4, 6, 8, 10))
+        )
+        for doc in docs.values():
+            assert sorted(doc) == record_keys(RateReport, "fitted_meshes")
+
+    def test_spline_vs_projection_script(self, tmp_path):
+        # one spline RateReport per order: its fitted meshes, no levels
+        docs = self.run_script("spline_vs_projection.py", tmp_path)
+        assert sorted(docs) == ["spline_k1.json", "spline_k2.json", "spline_k3.json"]
+        for doc in docs.values():
+            assert sorted(doc) == record_keys(RateReport, "fitted_levels")
+
+    def test_sobolev_sweep_script(self, tmp_path):
+        # the script runs against the library as it is: one critical-order
+        # file per family, with the local exponents s* was read from
+        docs = self.run_script("sobolev_sweep.py", tmp_path)
         assert sorted(docs) == [
             "critical_battle_lemarie-2.json",
             "critical_daubechies-2.json",
@@ -932,8 +972,8 @@ class TestScripts:
             "critical_haar.json",
         ]
         for doc in docs.values():
+            assert sorted(doc) == record_keys(CriticalOrder, None)
             assert len(doc["local_exponents"]) == 2
-
 
 def counted_families(monkeypatch, module, read_first=False):
     """Make `module.make_family` give families whose tabulator records each

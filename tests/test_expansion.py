@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -99,9 +100,10 @@ class TestAnalyze:
     def test_parseval_mass_bounded_by_l2(self, haar, gauss):
         coeffs = analyze(gauss, haar, 0, 8)
         l2sq = norm_l2(gauss) ** 2
-        assert coeffs.l2_mass() <= l2sq + 1e-6
+        mass = sum(v * v for v in (*coeffs.b.values(), *coeffs.a.values()))
+        assert mass <= l2sq + 1e-6
         # at level 8 the expansion has captured nearly everything
-        assert coeffs.l2_mass() == pytest.approx(l2sq, abs=1e-3)
+        assert mass == pytest.approx(l2sq, abs=1e-3)
 
 
 class TestProject:
@@ -213,7 +215,7 @@ class TestSchedules:
     def test_straggler_schedule_rejected(self, haar, gauss):
         # hold back one j=0 term until all deeper levels are done
         coeffs = analyze(gauss, haar, 0, 5)
-        base = level_by_level_schedule(coeffs, bounded_range=2)
+        base = dataclasses.replace(level_by_level_schedule(coeffs), bounded_range=2)
         groups = list(base.groups)
         first_detail = groups[1]
         held, rest = first_detail[0], first_detail[1:]

@@ -175,7 +175,7 @@ class TestRadialProfile:
         xs = DyadicGrid(0.0, (nx - 1) / 8, 3)
         ys = DyadicGrid(-0.5, -0.5 + (ny - 1) / 8, 3)
         values = np.random.default_rng(nx * ny).standard_normal((nx, ny))
-        ke = KernelEvaluation(db2, 0, xs, ys, values)
+        ke = KernelEvaluation(0, xs, ys, values)
         got, want = radial_profile(ke), outer_difference_profile(ke)
         assert np.array_equal(got.majorant, want.majorant)
 
@@ -304,3 +304,8 @@ class TestExports:
 
         doc = json.loads(open(tmp_path / "r.json").read())
         assert doc["passes"] and "fit" in doc
+        # the report's own keys, the envelope aside
+        assert sorted(doc) == sorted(
+            ["C", "collapse_defect", "family", "fit", "j_set", "l1_mass", "passes",
+             "tail_estimate"]
+        )

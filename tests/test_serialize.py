@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from waverate import DyadicGrid, make_family, sample
+from waverate.convergence import spline_convergence_study, sup_error_rates, test_function
 from waverate.expansion import analyze
 from waverate.grids import DecayHint
 from waverate.serialize import (
@@ -16,6 +17,7 @@ from waverate.serialize import (
     fmt,
     write_csv,
     write_json,
+    write_record,
 )
 
 
@@ -52,6 +54,25 @@ class TestAtomicWrites:
         write_json(p1, payload)
         write_json(p2, {"a": [0.25], "b": 1.5})
         assert open(p1).read() == open(p2).read()
+
+
+class TestWriteRecord:
+    def test_none_fields_are_left_out(self, tmp_path):
+        # a projection study fits levels, a spline study meshes: each record's
+        # JSON holds the one it has
+        projection = sup_error_rates(
+            test_function("gaussian"), make_family("haar"), range(3, 8), (-1.0, 1.0)
+        )
+        spline = spline_convergence_study(test_function("sine"), 2, [0.25, 0.125, 0.0625])[0]
+        for name, report, kept, left_out in (
+            ("projection", projection, "fitted_levels", "fitted_meshes"),
+            ("spline", spline, "fitted_meshes", "fitted_levels"),
+        ):
+            path = tmp_path / f"{name}.json"
+            write_record(str(path), report)
+            doc = json.loads(path.read_text())
+            assert doc[kept] == list(getattr(report, kept))
+            assert left_out not in doc
 
 
 class TestFamilyRoundTrip:

@@ -19,7 +19,6 @@ from waverate.sobolev import (
     SymbolSpectrum,
     criterion_sweep,
     critical_order,
-    export_critical_json,
     export_sweep_csv,
     family_spectrum,
     fourier_transform,
@@ -28,6 +27,7 @@ from waverate.sobolev import (
     wavelet_criterion,
 )
 from waverate.sobolev import _assemble
+from waverate.serialize import write_record
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +171,13 @@ class TestWaveletCriterion:
         assert r.value == math.inf
 
     def test_trace_monotone_increasing(self, haar):
+        # the cumulative totals over the shells rise, and a finite value is
+        # the last of them, bit for bit
         for s in (0.3, 0.8, 1.2, 2.5):
-            t = wavelet_criterion(haar, s).refinement_trace
+            r = wavelet_criterion(haar, s)
+            t = np.cumsum(r.shells)
             assert all(b >= a for a, b in zip(t, t[1:]))
+            assert r.diverged or r.value == t[-1]
 
     def test_epsilon_independent_verdicts(self, haar):
         for s in (0.5, 1.5):
@@ -490,7 +494,7 @@ class TestExports:
     def test_critical_json(self, haar, tmp_path):
         co = critical_order(haar)
         path = tmp_path / "co.json"
-        export_critical_json(co, str(path))
+        write_record(str(path), co)
         doc = json.loads(path.read_text())
         assert sorted(doc) == ["criterion", "family", "local_exponents", "s_star"]
         assert doc["family"] == "haar"
