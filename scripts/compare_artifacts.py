@@ -4,13 +4,14 @@ source trees and compare their outputs.
 
 Every `waverate` command of the README's CLI quickstart (the suite with
 `--jobs 2`), every distinct study of the benchmark's workloads (read from
-`benchmarks/studies.py`, spline seed 3), and each `--study`, runs twice in
-fresh processes, once importing `waverate` from BASE_SRC and once from this
-checkout's `src/`, each in its own temporary directory.  So does each
-experiment script (EXPERIMENT_SCRIPTS, with `--outdir`), each tree running
-its own copy: the base tree's from the `scripts/` beside BASE_SRC, skipped
-with a note when there is none.  Every file a run writes, its standard
-output and its exit code are compared byte for byte, and each is printed as
+`benchmarks/studies.py`, spline seed 3), each bad configuration of
+REJECTIONS and each `--study` runs twice in fresh processes, once importing
+`waverate` from BASE_SRC and once from this checkout's `src/`, each in its
+own temporary directory.  So does each experiment script
+(EXPERIMENT_SCRIPTS, with `--outdir`), each tree running its own copy: the
+base tree's from the `scripts/` beside BASE_SRC, skipped with a note when
+there is none.  Every file a run writes, its standard output, its standard
+error and its exit code are compared byte for byte, and each is printed as
 identical or differing.  A differing text artifact is followed by its
 unified diff, capped at DIFF_LINES lines, so the moved digits can be quoted;
 a differing JSON artifact also by how many of the numeric fields both sides
@@ -39,6 +40,22 @@ ROOT = Path(__file__).resolve().parent.parent
 DIFF_LINES = 40
 #: the scripts of scripts/ that run an experiment, each with --outdir
 EXPERIMENT_SCRIPTS = ("rate_study.py", "spline_vs_projection.py", "sobolev_sweep.py")
+#: one bad configuration per input check: each must exit 1 with the same
+#: `error:` line under both trees
+REJECTIONS = (
+    "expand --family haar --function sine --level 2 --j 0..1",  # odd lattice
+    "rate --family haar --function gaussian --j 3..15",  # scale past the lattice
+    "rate --family daubechies:4 --function step --j 3..9 --window 0.25,1.0",  # reach
+    "rate --family haar --function gaussian --j 1..4",  # too few levels
+    "spline --function sine --order 9 --mesh-exponents 4..8",  # order out of range
+    "spline --function sine --order 8 --mesh-exponents 2..4",  # window shrunk to nothing
+    "kernel --family haar --j 0..1",
+    "kernel --family haar --j 1016..1018",
+    "sobolev --family daubechies:2 --epsilon 5",
+    "sobolev --family haar --sweep-s 15.0..17.0:1.0",
+    "family --family daubechies:11",
+    "family --family mystery:3",
+)
 
 
 def readme_studies() -> list[list[str]]:
@@ -70,7 +87,7 @@ def benchmark_studies() -> list[list[str]]:
 
 def run(src: str, command: list[str]) -> dict[str, bytes]:
     """Artifacts of one command run in a fresh temporary directory, importing
-    `waverate` from src: each written file, stdout and the exit code."""
+    `waverate` from src: each written file, stdout, stderr and the exit code."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run(command, cwd=tmp, env=env, capture_output=True, check=False)
@@ -80,6 +97,7 @@ def run(src: str, command: list[str]) -> dict[str, bytes]:
             if path.is_file()
         }
     out["<stdout>"] = proc.stdout
+    out["<stderr>"] = proc.stderr
     out["<exit code>"] = str(proc.returncode).encode()
     return out
 
@@ -160,7 +178,8 @@ def main() -> int:
     )
     args = parser.parse_args()
     base_src, head_src = os.path.abspath(args.base_src), str(ROOT / "src")
-    studies = readme_studies() + benchmark_studies() + [shlex.split(s) for s in args.study]
+    extra = REJECTIONS + tuple(args.study)
+    studies = readme_studies() + benchmark_studies() + [shlex.split(s) for s in extra]
     differing = 0
     for argv in studies:
         command = [sys.executable, "-m", "waverate.cli", *argv]

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 bad configuration, 2 computational error,
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -27,8 +26,6 @@ import numpy as np
 from .convergence import (
     STUDY_LEVEL,
     ConvergenceError,
-    TestFunction,
-    check_rate_study,
     export_rate_csv,
     lp_error_trace,
     midcell_step,
@@ -43,31 +40,28 @@ from .expansion import (
     ExpansionError,
     SummationSchedule,
     analyze,
-    check_analysed_scale,
-    check_quadrature_lattice,
+    check_analysis,
     interleaved_schedule,
     level_by_level_schedule,
     project,
 )
 from .families import (
     ConstructionError,
-    FamilyError,
     check_family_invariants,
     make_family,
     parse_family_spec,
 )
-from .grids import DyadicGrid, check_table_level
+from .filters import FilterError
+from .grids import ConfigError, DyadicGrid
 from .kernels import (
     KernelError,
     export_bound_report,
     fit_decay,
-    profile_grid,
     verify_convolution_bound,
 )
 from .serialize import family_to_dict, write_csv, write_json, write_record
 from .sobolev import (
     SobolevError,
-    check_settings,
     criterion_sweep,
     critical_order,
     export_sweep_csv,
@@ -78,7 +72,6 @@ from .splines import (
     PERTURBATION_SEED,
     SplineError,
     best_l2_spline,
-    check_study,
     make_space,
     perturbation_optimality,
     residual_orthogonality,
@@ -89,6 +82,7 @@ COMPUTATIONAL_ERRORS = (
     ConstructionError,
     ConvergenceError,
     ExpansionError,
+    FilterError,
     KernelError,
     SobolevError,
     SplineError,
@@ -96,19 +90,6 @@ COMPUTATIONAL_ERRORS = (
 
 #: a Haar verdict costs well under 1 ms, so the longest sweep takes seconds
 MAX_SWEEP_POINTS = 10_000
-
-
-class ConfigError(ValueError):
-    """Invalid command-line configuration (exit code 1)."""
-
-
-@contextlib.contextmanager
-def _config_errors(*kinds):
-    """Re-raise a check's rejection (an exception of `kinds`) as ConfigError."""
-    try:
-        yield
-    except kinds as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -160,35 +141,12 @@ def parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def lookup_function(name: str) -> TestFunction:
-    with _config_errors(ConvergenceError):
-        return test_function(name)
-
-
-def _family(spec: str):
-    with _config_errors(FamilyError, ValueError):
-        return parse_family_spec(spec)
-
-
-def _check_grids(fam, tf: TestFunction, level: int, js: range, window=None) -> None:
-    """Reject analysed scales js that reach f's quadrature lattice, tables finer
-    than MAX_TABLE_LEVEL, an odd quadrature lattice and, for a rate study, a
-    window that is not dyadic, not inside f's window or within reach of a jump
-    or of f's table end, and too few levels to fit, before any compute."""
-    with _config_errors(ValueError):
-        check_table_level(check_analysed_scale(fam, level, js[-1]))
-        if window is not None:
-            DyadicGrid(window[0], window[1], level)
-            check_rate_study(tf, fam, js, window)
-        check_quadrature_lattice(fam, DyadicGrid(tf.window[0], tf.window[1], level))
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners (each returns the one-line stdout summary)
 
 
 def run_family(args) -> str:
-    fam = _family(args.family)
+    fam = parse_family_spec(args.family)
     defects = check_family_invariants(fam)
     if args.out:
         doc = family_to_dict(fam)
@@ -199,12 +157,12 @@ def run_family(args) -> str:
 
 
 def run_expand(args) -> str:
-    tf = lookup_function(args.function)
+    tf = test_function(args.function)
     jr = parse_int_range(args.j)
     if len(jr) < 2:
         raise ConfigError(f"expand needs at least 2 levels j0..j1, got {args.j!r}")
-    fam = _family(args.family)
-    _check_grids(fam, tf, args.level, range(jr.start, jr.stop - 1))  # the wavelet scales
+    fam = parse_family_spec(args.family)
+    check_analysis(fam, tf.window, args.level, jr[-2])  # the finest wavelet scale
     coeffs = analyze(quadrature_sample(tf, fam, args.level), fam, jr.start, jr.stop - 1)
     if args.out:
         from .serialize import coefficients_to_dict
@@ -216,11 +174,7 @@ def run_expand(args) -> str:
 
 def run_kernel(args) -> str:
     jr = parse_int_range(args.j)
-    if jr.start < 0 or len(jr) < 3:
-        raise ConfigError(f"kernel needs at least 3 scales j >= 0, got {args.j!r}")
-    fam = _family(args.family)
-    with _config_errors(ValueError):
-        profile_grid(fam, jr[-1])  # the finest: its level must be a finite power of 2
+    fam = parse_family_spec(args.family)
     report = verify_convolution_bound(fam, jr)
     fit = None
     if args.fit_decay:
@@ -243,11 +197,10 @@ def _export_rate(report, args) -> None:
 
 
 def run_rate(args) -> str:
-    tf = lookup_function(args.function)
+    tf = test_function(args.function)
     jr = parse_int_range(args.j)
     window = parse_window(args.window) if args.window else (-1.0, 1.0)
-    fam = _family(args.family)
-    _check_grids(fam, tf, args.level, jr, window)
+    fam = parse_family_spec(args.family)
     report = sup_error_rates(tf, fam, jr, window, level=args.level)
     _export_rate(report, args)
     return f"rate {fam.label} {tf.name} slope={report.slope:.4f} r2={report.r_squared:.4f}"
@@ -255,9 +208,7 @@ def run_rate(args) -> str:
 
 def run_sobolev(args) -> str:
     s_values = parse_sweep(args.sweep_s) if args.sweep_s else ()
-    with _config_errors(SobolevError):
-        check_settings(args.epsilon, s_values)
-    fam = _family(args.family)
+    fam = parse_family_spec(args.family)
     if args.sweep_s:
         results = criterion_sweep(fam, s_values, args.epsilon, args.criterion)
         if args.out:
@@ -274,7 +225,7 @@ def run_sobolev(args) -> str:
 
 
 def run_spline(args) -> str:
-    tf = lookup_function(args.function)
+    tf = test_function(args.function)
     exponents = parse_int_range(args.mesh_exponents)
     # bound the range by its ends before its meshes exist: coarser meshes
     # overflow the window, finer ones span too few cells of the --level grid
@@ -285,8 +236,6 @@ def run_spline(args) -> str:
     meshes = [2.0**-m for m in exponents]
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    with _config_errors(SplineError):
-        check_study(tf.window, args.order, meshes, args.level)
     report, f, fits = spline_convergence_study(tf, args.order, meshes, level=args.level)
     optimal = ""
     if args.check_optimality:
@@ -622,15 +571,17 @@ def crit_spline_convergence():
 
 
 def crit_determinism():
-    # artifact-level check: the same report must render to identical bytes
-    # twice (the acceptance test additionally compares two full suite runs)
-    haar = make_family("haar")
-    rep = sup_error_rates(test_function("gaussian"), haar, range(3, 8), (-1.0, 1.0))
+    # artifact-level check: one study computed twice, each on its own fresh
+    # family, must render to identical bytes (the acceptance test
+    # additionally compares two full suite runs)
     import tempfile
 
     renders = []
     with tempfile.TemporaryDirectory() as tmp:
         for tag in ("a", "b"):
+            rep = sup_error_rates(
+                test_function("gaussian"), make_family("haar"), range(3, 8), (-1.0, 1.0)
+            )
             path = os.path.join(tmp, f"{tag}.json")
             write_record(path, rep)
             with open(path, "rb") as fh:

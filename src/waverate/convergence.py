@@ -42,12 +42,13 @@ from .expansion import (
     ExpansionCoefficients,
     _quad_refine,
     atom_rows,
+    check_analysis,
     complete_schedule_check,
     project,
     validate_schedule,
 )
 from .families import MRAFamily
-from .grids import NO_DECAY, DyadicGrid, SampledFunction, line_fit, sample
+from .grids import NO_DECAY, ConfigError, DyadicGrid, SampledFunction, line_fit, sample
 from .serialize import write_csv
 from .splines import best_l2_spline, check_study, make_space
 
@@ -66,7 +67,7 @@ POINT_KINDS = ("continuity", "lebesgue_discontinuous", "jump")
 
 
 class ConvergenceError(ValueError):
-    """Raised for invalid study windows, points, or schedules."""
+    """No rate above roundoff, or a schedule that is incomplete or breaks its range."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ class MarkedPoint:
 
     def __post_init__(self):
         if self.kind not in POINT_KINDS:
-            raise ConvergenceError(f"unknown point kind {self.kind!r}")
+            raise ConfigError(f"unknown point kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def test_function(name: str) -> TestFunction:
     for tf in suite:
         if tf.name == name:
             return tf
-    raise ConvergenceError(
+    raise ConfigError(
         f"unknown function {name!r}; choose from {sorted(tf.name for tf in suite)}"
     )
 
@@ -241,11 +242,11 @@ def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.n
     """(j, P_j f(x)) pairs on the STUDY_LEVEL lattice, read right-continuously."""
     js = list(j_range)
     if not js:
-        raise ConvergenceError("empty level range")
+        raise ConfigError("empty level range")
     halfwidth = max(abs(fam.phi.grid.left), abs(fam.phi.grid.right))
     margin = halfwidth * 2.0 ** -min(js)
     if not tf.window[0] + margin <= x <= tf.window[1] - margin:
-        raise ConvergenceError(
+        raise ConfigError(
             f"point {x} too close to the window edge for level {min(js)} "
             f"(needs margin {margin:.3g})"
         )
@@ -314,37 +315,40 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
     )
 
 
-def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window) -> None:
+def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -> None:
     """Reject a sup-norm rate study before f is tabulated.
 
-    The window must lie inside f's tabulated window, and the fit needs at
-    least four levels j >= REGRESSION_MIN_J.  The window must also stay out
-    of reach of a jump of f and, for a compactly supported family, of an end
-    of f's table: max(|left|, |right|) of phi's table times 2^-min(js).  The
-    other families' tables run to +-20..+-64 units, so they keep a
-    2^-min(js) jump margin and no edge rule.
+    The scales js must pass `check_analysis` on f's window, the window must
+    be dyadic at `level` and lie inside f's tabulated window, and the fit
+    needs at least four levels j >= REGRESSION_MIN_J.  The window must also
+    stay out of reach of a jump of f and, for a compactly supported family,
+    of an end of f's table: max(|left|, |right|) of phi's table times
+    2^-min(js).  The other families' tables run to +-20..+-64 units, so they
+    keep a 2^-min(js) jump margin and no edge rule.
     """
+    check_analysis(fam, tf.window, level, max(js, default=0))
+    DyadicGrid(window[0], window[1], level)
     if window[0] < tf.window[0] or window[1] > tf.window[1]:
-        raise ConvergenceError(
+        raise ConfigError(
             f"window {tuple(window)} is not inside the tabulated window {tf.window} "
             f"of {tf.name}"
         )
     usable = sum(j >= REGRESSION_MIN_J for j in js)
     if usable < 4:
-        raise ConvergenceError(
+        raise ConfigError(
             f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
         )
     margin = 2.0 ** -min(js)
     if fam.phi.decay_hint.kind == "compact":
         margin *= max(abs(fam.phi.grid.left), abs(fam.phi.grid.right))
         if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
-            raise ConvergenceError(
+            raise ConfigError(
                 f"window {window} comes within {margin:.3g} of an end of the "
                 f"tabulated window {tf.window} of {tf.name}"
             )
     for mp in tf.marked_points:
         if mp.kind == "jump" and window[0] - margin < mp.x < window[1] + margin:
-            raise ConvergenceError(
+            raise ConfigError(
                 f"window {window} comes within {margin:.3g} of the jump at {mp.x}"
             )
 
@@ -359,7 +363,7 @@ def sup_error_rates(
     """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit
     on the levels j >= REGRESSION_MIN_J that `rate_report` reads."""
     js = sorted(j_range)
-    check_rate_study(tf, fam, js, window)
+    check_rate_study(tf, fam, js, window, level)
     f, truth, errors = _window_errors(tf, fam, math.inf, js, window, level)
     candidates = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
     return rate_report(fam.label, tf.name, js, errors, candidates, f, truth)
@@ -375,10 +379,10 @@ def lp_error_trace(
 ) -> np.ndarray:
     """(j, ||P_j f - f||_p) pairs on the window grid; jumps are allowed."""
     if p not in (1, 2, math.inf):
-        raise ConvergenceError(f"p must be 1, 2 or inf, got {p}")
+        raise ConfigError(f"p must be 1, 2 or inf, got {p}")
     js = sorted(j_range)
     if len(js) < 4:
-        raise ConvergenceError("need at least 4 levels")
+        raise ConfigError("need at least 4 levels")
     return np.array(list(zip(js, _window_errors(tf, fam, p, js, window, level)[2])))
 
 

@@ -28,7 +28,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import MRAFamily, refined_tables, uses_haar_tables
-from .grids import NO_DECAY, DyadicGrid, SampledFunction, strided_read
+from .grids import (
+    NO_DECAY,
+    ConfigError,
+    DyadicGrid,
+    SampledFunction,
+    check_table_level,
+    strided_read,
+)
 
 COEFFICIENT_BOUND_SLACK = 1e-6
 
@@ -43,7 +50,7 @@ def _quad_refine(fam: MRAFamily) -> int:
 
 
 class ExpansionError(ValueError):
-    pass
+    """A computed coefficient that breaks its bound."""
 
 
 @dataclass(frozen=True)
@@ -166,32 +173,28 @@ def _even_intervals(grid: DyadicGrid) -> int:
     """Intervals of f's quadrature lattice, its own grid, which must be even."""
     n = grid.count - 1
     if n % 2:
-        raise ExpansionError(
+        raise ConfigError(
             f"the level-{grid.level} quadrature lattice of f has an odd number of "
             f"intervals ({n}); tabulate f one level finer"
         )
     return n
 
 
-def check_quadrature_lattice(fam: MRAFamily, grid: DyadicGrid) -> None:
-    """Raise the odd-lattice error of a study with errors on grid, before f is sampled."""
-    _even_intervals(grid.refine(_quad_refine(fam)))
-
-
-def check_analysed_scale(fam: MRAFamily, level: int, j_max: int) -> int:
-    """Level of f's quadrature lattice for a study with errors on a
-    level-`level` grid, the finest at which it reads a table.  Raises before
-    f is sampled if the study analyses a scale j_max on or past that lattice,
-    whose atoms f's samples no longer resolve."""
+def check_analysis(fam: MRAFamily, window, level: int, j_max: int) -> None:
+    """Reject, before f is sampled, a study of f on `window` with errors on
+    level-`level` grids that analyses scales up to j_max: a scale on or past
+    f's quadrature lattice, whose atoms f's samples no longer resolve, tables
+    finer than MAX_TABLE_LEVEL, and a lattice with an odd number of intervals."""
     qlevel = level + _quad_refine(fam)
     _scale_below(j_max, qlevel)
-    return qlevel
+    check_table_level(qlevel)
+    _even_intervals(DyadicGrid(window[0], window[1], level).refine(qlevel - level))
 
 
 def _scale_below(j: int, qlevel: int) -> None:
     """Raise unless scale j lies below f's level-`qlevel` quadrature lattice."""
     if j >= qlevel:
-        raise ExpansionError(
+        raise ConfigError(
             f"scale j = {j} reaches the level-{qlevel} quadrature lattice of f; "
             f"analysed scales must stay below it"
         )
@@ -266,7 +269,7 @@ def analyze(f: SampledFunction, fam: MRAFamily, j0: int, j1: int) -> ExpansionCo
     """Scaling coefficients at j0 and wavelet coefficients for j0 <= j < j1,
     over every translate that meets f's grid, by quadrature at f's level."""
     if j1 <= j0:
-        raise ExpansionError(f"need j1 > j0, got {j0}..{j1}")
+        raise ConfigError(f"need j1 > j0, got {j0}..{j1}")
     window = (f.grid.left, f.grid.right)
 
     sup_f = f.norm_sup()
@@ -297,7 +300,7 @@ def project(
 ) -> SampledFunction:
     """(P_j f)(x) = sum_k <f, phi_jk> phi_jk(x) tabulated on xs."""
     if xs.left < f.grid.left or xs.right > f.grid.right:
-        raise ExpansionError("evaluation grid outside tabulated support of f")
+        raise ConfigError("evaluation grid outside tabulated support of f")
     ks = translate_range(fam, j, (xs.left, xs.right))
     coef = dyadic_analysis(f, fam, "phi", j, ks)
     return SampledFunction(xs, dyadic_synthesis(coef, fam, "phi", j, ks, xs), NO_DECAY)
@@ -314,7 +317,7 @@ def partial_sum(
     levels = coeffs.levels()
     absent = set(counts).difference(*(terms for _, terms in levels))
     if absent:
-        raise ExpansionError(f"schedule references absent coefficients {sorted(absent)}")
+        raise ConfigError(f"schedule references absent coefficients {sorted(absent)}")
     out = np.zeros(xs.count)
     for (j, terms), gen in zip(levels, ["phi"] + ["psi"] * (len(levels) - 1)):
         coef = [counts[term] * v for term, v in terms.items()]

@@ -38,6 +38,7 @@ from .filters import FilterPair, daubechies_filter, haar_filter, half_band_coeff
 from .grids import (
     COMPACT,
     SAMPLE_CHUNK,
+    ConfigError,
     DecayHint,
     DyadicGrid,
     SampledFunction,
@@ -52,10 +53,6 @@ FAMILY_NAMES = ("haar", "daubechies", "battle_lemarie", "shannon")
 FAMILY_LEVEL = 10
 BATTLE_LEMARIE_MAX_ORDER = 4
 SHANNON_RADIUS = 64.0
-
-
-class FamilyError(ValueError):
-    """Unknown family name or parameter out of range."""
 
 
 class ConstructionError(RuntimeError):
@@ -511,10 +508,10 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
     table is built and verified on its own first read (`MRAFamily.phi`,
     `MRAFamily.psi`)."""
     if name not in FAMILY_NAMES:
-        raise FamilyError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
+        raise ConfigError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
     if name == "battle_lemarie" and not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
-        raise FamilyError(f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}")
+        raise ConfigError(f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}")
     param = param if name in ("daubechies", "battle_lemarie") else None
 
     filt, moments = None, param
@@ -555,8 +552,12 @@ def parse_family_spec(spec: str) -> MRAFamily:
     if ":" in spec:
         name, raw = spec.split(":", 1)
         if name in ("haar", "shannon"):
-            raise FamilyError(f"{name} takes no parameter, got {spec!r}")
+            raise ConfigError(f"{name} takes no parameter, got {spec!r}")
         if not (raw.isascii() and raw.isdigit()):
-            raise FamilyError(f"family parameter must be decimal digits, got {spec!r}")
-        return make_family(name, int(raw))
+            raise ConfigError(f"family parameter must be decimal digits, got {spec!r}")
+        try:
+            param = int(raw)
+        except ValueError as exc:  # more digits than int() converts
+            raise ConfigError(str(exc)) from None
+        return make_family(name, param)
     return make_family(spec)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import ConfigError
+
 SUM_TOL = 1e-12
 ORTHO_TOL = 1e-12
 
@@ -21,7 +23,7 @@ MAX_DAUBECHIES = 10
 
 
 class FilterError(ValueError):
-    pass
+    """A filter pair that is not orthonormal: no stored filter is."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,7 @@ def daubechies_filter(n_moments: int) -> FilterPair:
     """Extremal-phase Daubechies lowpass with `n_moments` vanishing moments: the
     doubles nearest the 60-digit spectral factorization of the half-band P_N."""
     if not 1 <= n_moments <= MAX_DAUBECHIES:
-        raise FilterError(
-            f"daubechies moments must be in 1..{MAX_DAUBECHIES}, got {n_moments}"
-        )
+        raise ConfigError(f"daubechies moments must be in 1..{MAX_DAUBECHIES}, got {n_moments}")
     if n_moments == 1:
         return haar_filter()
     return from_lowpass(_DAUBECHIES_LOWPASS[n_moments])

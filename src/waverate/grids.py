@@ -35,10 +35,17 @@ MAX_TABLE_LEVEL = 18
 SAMPLE_CHUNK = 2**14
 
 
+class ConfigError(ValueError):
+    """Caller input that a study rejects before any compute (CLI exit code 1).
+
+    Every library check on a study's arguments raises it; each module's own
+    error class signals a computation that failed (exit code 2)."""
+
+
 def check_table_level(level: int) -> None:
-    """Raise ValueError if a study would read tables finer than MAX_TABLE_LEVEL."""
+    """Raise ConfigError if a study would read tables finer than MAX_TABLE_LEVEL."""
     if level > MAX_TABLE_LEVEL:
-        raise ValueError(
+        raise ConfigError(
             f"the study reads tables at level {level}; the finest allowed is "
             f"{MAX_TABLE_LEVEL}"
         )
@@ -59,14 +66,14 @@ class DyadicGrid:
 
     def __post_init__(self):
         if self.level < 0:
-            raise ValueError("grid level must be >= 0")
+            raise ConfigError("grid level must be >= 0")
         if self.level >= sys.float_info.max_exp:
-            raise ValueError(f"grid level {self.level}: 2^{self.level} is not a finite double")
+            raise ConfigError(f"grid level {self.level}: 2^{self.level} is not a finite double")
         if not self.right > self.left:
-            raise ValueError("grid requires right > left")
+            raise ConfigError("grid requires right > left")
         for endpoint in (self.left, self.right):
             if not _is_dyadic(endpoint, self.level):
-                raise ValueError(
+                raise ConfigError(
                     f"endpoint {endpoint} is not a dyadic rational at level {self.level}"
                 )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .expansion import atom_rows, translate_range
 from .families import MRAFamily
-from .grids import DyadicGrid, line_fit
+from .grids import ConfigError, DyadicGrid, line_fit
 from .serialize import write_json
 
 # rescaled-radius resolution 2^-RADII_LEVEL, shared across scales within a
@@ -33,7 +33,7 @@ MIN_FIT_POINTS = 20
 
 
 class KernelError(ValueError):
-    pass
+    """A majorant with too few radii above PROFILE_FLOOR to fit."""
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,6 @@ class RadialBound:
 
     radii: np.ndarray = field(repr=False)
     majorant: np.ndarray = field(repr=False)
-    constant: float
-    l1_mass: float
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
     """
     xs, ys, j = ke.xs, ke.ys, ke.j
     if xs.level != ys.level:
-        raise KernelError("a radial profile needs both grids on one lattice")
+        raise ConfigError("a radial profile needs both grids on one lattice")
     nx, ny = ke.values.shape
     w = nx + ny - 1  # the diagonals
     buf = np.zeros(nx * w)
@@ -117,9 +115,7 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
     np.maximum.at(peak, steps[keep], diag[keep] / 2.0**j)
     # suffix max from the largest radius inward
     maj = np.maximum.accumulate(peak[::-1])[::-1]
-    radii = np.arange(n) * du
-    mass = 2.0 * float(np.trapezoid(maj, dx=du))
-    return RadialBound(radii, maj, float(maj[0]), mass)
+    return RadialBound(np.arange(n) * du, maj)
 
 
 def profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
@@ -174,11 +170,14 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
     rescaled lattice is P_0 up to the rounding of 2^(j/2): the collapse
     defect is roundoff (2.2e-16 for haar, db2 and shannon on j = 0..6, 2.6e-16
     for bl2), and j_set moves the report only through its own entry and that
-    rounding.
+    rounding.  Fewer than 3 scales, a negative one, or a finest profile grid
+    whose 2^level overflows are rejected before any profile.
     """
     j_set = sorted(j_set)
-    if len(j_set) < 3:
-        raise KernelError("need at least 3 scales to test profile collapse")
+    if len(j_set) < 3 or j_set[0] < 0:
+        span = f"{j_set[0]}..{j_set[-1]}" if j_set else ""
+        raise ConfigError(f"kernel needs at least 3 scales j >= 0, got {span!r}")
+    profile_grid(fam, j_set[-1])
     profiles = scale_profiles(fam, j_set)
     # every scale reads the same rescaled grid: one radii lattice for all
     radii = profiles[0].radii
@@ -197,7 +196,7 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
         "l1_mass": mass,
         "tail_estimate": tail,
         "passes": passes,
-        "envelope": RadialBound(radii, env, float(env[0]), mass),
+        "envelope": RadialBound(radii, env),
     }
 
 

@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .families import MRAFamily
-from .grids import SampledFunction
+from .grids import ConfigError, SampledFunction
 from .serialize import fmt, write_csv
 
 #: shells reach down to XI_FLOOR / 4, where |xi|^{-(2s+1)} <= 1e153 for
@@ -68,7 +68,7 @@ SHELL_POINTS = 65
 
 
 class SobolevError(ValueError):
-    """Raised for invalid regularity parameters or unusable spectra."""
+    """A spectrum with no divergence onset, or a symbol with a(0) != 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def _symbol_products(symbol, base: np.ndarray, height: int, first: int):
 def _frequencies(xi) -> np.ndarray:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not np.all(np.isfinite(xi)):
-        raise SobolevError("frequencies must be finite")
+        raise ConfigError("frequencies must be finite")
     return xi
 
 
@@ -132,15 +132,11 @@ class SymbolSpectrum:
         """|phi^(xi)| or |psi^(xi)| (vectorized); no criterion needs the phase."""
         return self._magnitude(_frequencies(xi), 1)[0]
 
-    def scaling_factor(self, xi) -> np.ndarray:
-        """1 - 2pi |phi^(xi)|^2, summed from nonnegative terms."""
-        return _symbol_products(self.symbol, _frequencies(xi), 1, 0)[2][0]
-
 
 def family_spectrum(fam: MRAFamily, which: str = "psi") -> SymbolSpectrum:
     """Spectrum of a family generator, from the family's two-scale symbol."""
     if which not in ("phi", "psi"):
-        raise SobolevError(f"which must be 'phi' or 'psi', got {which!r}")
+        raise ConfigError(f"which must be 'phi' or 'psi', got {which!r}")
     return SymbolSpectrum(fam.symbol, which)
 
 
@@ -204,18 +200,18 @@ class IntegralResult:
 
 
 def check_settings(epsilon: float, s_values=()) -> None:
-    """Raise SobolevError unless eps lies in (0, pi], its shells stay above
+    """Raise ConfigError unless eps lies in (0, pi], its shells stay above
     XI_FLOOR / 4 and every s lies in (0, 16]; needs no family."""
     if not 0.0 < epsilon <= math.pi:
-        raise SobolevError(f"epsilon must lie in (0, pi], got {epsilon}")
+        raise ConfigError(f"epsilon must lie in (0, pi], got {epsilon}")
     if epsilon * 2.0**-SHELLS < XI_FLOOR / 4.0:
-        raise SobolevError(
+        raise ConfigError(
             f"shells would reach xi = {epsilon * 2.0 ** -SHELLS:.2g}, "
             f"below the frequency floor {XI_FLOOR:g}"
         )
     for s in s_values:
         if not 0.0 < s <= 16.0:
-            raise SobolevError(f"regularity order s must lie in (0, 16], got {s}")
+            raise ConfigError(f"regularity order s must lie in (0, 16], got {s}")
 
 
 def _decay_onset(zero_sums) -> tuple[float, tuple, float]:
@@ -244,20 +240,22 @@ def _assemble(s, epsilon, shell_sums, onset) -> IntegralResult:
 
 
 def _shell_integral(
-    fam: MRAFamily, criterion: str, epsilon: float
+    fam: MRAFamily, criterion: str, epsilon: float, s_values=()
 ) -> tuple[Callable[[float], IntegralResult], float, tuple]:
     """(s -> IntegralResult, s*, local exponents) of
     int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
 
-    Shell m's grid is exactly base 2^-m, so the integrand on every shell comes
-    from one symbol table of the base grid; it does not depend on s, and each
-    s then costs one weighted trapezoid over the (SHELLS, SHELL_POINTS) block.
-    The block's s = 0 sums give s* and the onset every verdict reads.
+    The criterion, eps and every s a study reads (`s_values`) are checked
+    first, before any symbol call.  Shell m's grid is exactly base 2^-m, so
+    the integrand on every shell comes from one symbol table of the base
+    grid; it does not depend on s, and each s then costs one weighted
+    trapezoid over the (SHELLS, SHELL_POINTS) block.  The block's s = 0 sums
+    give s* and the onset every verdict reads.
     """
     if criterion not in ("wavelet", "scaling"):
-        raise SobolevError(f"criterion must be 'wavelet' or 'scaling', got {criterion!r}")
+        raise ConfigError(f"criterion must be 'wavelet' or 'scaling', got {criterion!r}")
+    check_settings(epsilon, s_values)
     spec = family_spectrum(fam, "psi" if criterion == "wavelet" else "phi")
-    check_settings(epsilon)
     base = np.linspace(epsilon / 2.0, epsilon, SHELL_POINTS)
     grids = np.ldexp(base, -np.arange(SHELLS)[:, None])
     if criterion == "wavelet":
@@ -271,7 +269,6 @@ def _shell_integral(
     s_star, exponents, onset = _decay_onset(sums(0.0))
 
     def integral(s: float) -> IntegralResult:
-        check_settings(epsilon, (s,))
         return _assemble(s, epsilon, sums(s), onset)
 
     return integral, s_star, exponents
@@ -279,12 +276,12 @@ def _shell_integral(
 
 def wavelet_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} |psi^(xi)|^2 |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(fam, "wavelet", epsilon)[0](s)
+    return _shell_integral(fam, "wavelet", epsilon, (s,))[0](s)
 
 
 def scaling_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> IntegralResult:
     """Shell evaluation of int_{|xi|<eps} (1 - 2pi |phi^(xi)|^2) |xi|^{-(2s+1)} dxi."""
-    return _shell_integral(fam, "scaling", epsilon)[0](s)
+    return _shell_integral(fam, "scaling", epsilon, (s,))[0](s)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +324,9 @@ def criterion_sweep(
     criterion: str = "wavelet",
 ) -> list[IntegralResult]:
     """The criterion at each s."""
-    integral = _shell_integral(fam, criterion, epsilon)[0]
-    return [integral(float(s)) for s in s_values]
+    s_values = [float(s) for s in s_values]
+    integral = _shell_integral(fam, criterion, epsilon, s_values)[0]
+    return [integral(s) for s in s_values]
 
 
 # ---------------------------------------------------------------------------

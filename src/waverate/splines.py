@@ -46,7 +46,7 @@ from operator import mul, sub
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import NO_DECAY, DyadicGrid, SampledFunction, check_table_level
+from .grids import NO_DECAY, ConfigError, DyadicGrid, SampledFunction, check_table_level
 
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
@@ -62,7 +62,7 @@ PERTURBATION_SIZE = 1e-3
 
 
 class SplineError(ValueError):
-    """Raised for invalid spline spaces or unusable tabulations."""
+    """A Gram matrix that is not positive definite: a bug, as no uniform mesh gives one."""
 
 
 def cardinal_bspline(k: int, x) -> np.ndarray:
@@ -99,19 +99,19 @@ class SplineSpace:
 
 def make_space(order: int, mesh: float, window) -> SplineSpace:
     if not 1 <= order <= MAX_ORDER:
-        raise SplineError(f"spline order must be in 1..{MAX_ORDER}, got {order}")
+        raise ConfigError(f"spline order must be in 1..{MAX_ORDER}, got {order}")
     if mesh <= 0:
-        raise SplineError(f"mesh must be positive, got {mesh}")
+        raise ConfigError(f"mesh must be positive, got {mesh}")
     width = window[1] - window[0]
     cells = width / mesh
     if abs(cells - round(cells)) > 1e-9 or round(cells) < 1:
-        raise SplineError(
+        raise ConfigError(
             f"window width {width} is not a positive multiple of mesh {mesh}"
         )
     n = int(round(cells))
     count = n + order - 1
     if count < order:
-        raise SplineError(f"need at least {order} basis functions, got {count}")
+        raise ConfigError(f"need at least {order} basis functions, got {count}")
     return SplineSpace(order, float(mesh), (float(window[0]), float(window[1])), count)
 
 
@@ -251,7 +251,7 @@ class SplineApproximation:
 
         The lattice must split each mesh cell into m = mesh 2^level points, a
         positive integer, with the window's left end among them; otherwise
-        SplineError.  Point q lies r = g mod m points into cell g // m, where
+        ConfigError.  Point q lies r = g mod m points into cell g // m, where
         g counts lattice points from the window's left end, and there basis
         cell + t takes the piece value M_k(k - 1 - t + r/m), t = -1..k-1: one
         table of the pieces serves the read, and the k+1 shifted products are
@@ -263,7 +263,7 @@ class SplineApproximation:
         m = math.ldexp(self.space.mesh, level)
         origin = math.ldexp(self.space.window[0], level)
         if not (m >= 1 and m.is_integer() and origin.is_integer()):
-            raise SplineError(
+            raise ConfigError(
                 f"the level-{level} lattice does not split the mesh {self.space.mesh} "
                 f"of the window {self.space.window} into whole cells"
             )
@@ -284,7 +284,7 @@ class SplineApproximation:
         k, n, coef = self.space.order, self.space.basis_count, self.coefficients
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.isfinite(x).all():
-            raise SplineError("spline evaluation points must be finite")
+            raise ConfigError("spline evaluation points must be finite")
         u = (x - self.space.window[0]) / self.space.mesh
         cell = np.floor(np.clip(u, -k - 1, n + 1)).astype(np.int64)
         out = np.zeros_like(x)
@@ -330,19 +330,19 @@ def _load_vector(f: SampledFunction, space: SplineSpace) -> np.ndarray:
 
 def _check_resolution(mesh: float, spacing: float) -> None:
     if spacing > mesh / MIN_SAMPLES_PER_CELL:
-        raise SplineError(
+        raise ConfigError(
             f"quadrature resolution insufficient: f spacing {spacing:.3g} "
             f"exceeds mesh/{MIN_SAMPLES_PER_CELL} = {mesh / MIN_SAMPLES_PER_CELL:.3g}"
         )
     ratio = mesh / spacing
     if abs(ratio - round(ratio)) > 1e-9 or int(round(ratio)) % 2:
-        raise SplineError("mesh must be an even integer multiple of f's grid spacing")
+        raise ConfigError("mesh must be an even integer multiple of f's grid spacing")
 
 
 def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximation:
     """Solve the banded Gram system for the best L^2 spline approximation."""
     if f.grid.left > space.window[0] + 1e-12 or f.grid.right < space.window[1] - 1e-12:
-        raise SplineError("f is not tabulated on the full spline window")
+        raise ConfigError("f is not tabulated on the full spline window")
     _check_resolution(space.mesh, f.grid.spacing)
     u = _cholesky(gram_matrix(space))
     return SplineApproximation(space, _solve(u, _load_vector(f, space)))
@@ -396,23 +396,20 @@ def check_study(window, order: int, meshes, level: int) -> list:
     for the finest mesh, and a window that the boundary shrink of
     order * h_0 at each end leaves empty.
     """
-    try:
-        check_table_level(level)
-    except ValueError as exc:
-        raise SplineError(str(exc)) from None
+    check_table_level(level)
     hs = [float(h) for h in meshes]
     if len(hs) < 2:
-        raise SplineError("need at least two meshes")
+        raise ConfigError("need at least two meshes")
     for a, b in zip(hs, hs[1:]):
         if not b < a:
-            raise SplineError("meshes must be strictly decreasing")
+            raise ConfigError("meshes must be strictly decreasing")
         if abs(b - a / 2) > 1e-12 * a:
-            raise SplineError("each mesh must halve the previous one")
+            raise ConfigError("each mesh must halve the previous one")
     for h in hs:
         make_space(order, h, window)
         _check_resolution(h, 2.0**-level)
     if 2 * order * hs[0] >= window[1] - window[0]:
-        raise SplineError(
+        raise ConfigError(
             f"order {order} at mesh {hs[0]} shrinks the window {tuple(window)} "
             "to nothing; start from a finer mesh"
         )

@@ -265,6 +265,11 @@ class TestCommands:
         assert main(["family", "--family", spec]) == 1
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    def test_overlong_family_parameter_exits_1(self, capsys):
+        # more digits than int() converts is bad input too, not a traceback
+        assert main(["family", "--family", "daubechies:" + "9" * 5000]) == 1
+        assert "error: Exceeds the limit" in capsys.readouterr().err
+
     def test_computational_error_exits_2(self, capsys):
         # Haar reproduces the step off its jump: only the computed errors
         # show that there is no rate above roundoff, a diagnostic, not config
@@ -314,7 +319,7 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("the kernel was computed")
 
-        monkeypatch.setattr("waverate.cli.verify_convolution_bound", refuse)
+        monkeypatch.setattr("waverate.kernels.scale_profiles", refuse)
         out = tmp_path / "kernel.json"
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()
@@ -333,9 +338,9 @@ class TestCommands:
         self, argv, tmp_path, capsys, monkeypatch
     ):
         def refuse(*args, **kwargs):
-            raise AssertionError("the family was built")
+            raise AssertionError("the spectrum was computed")
 
-        monkeypatch.setattr("waverate.cli.parse_family_spec", refuse)
+        monkeypatch.setattr("waverate.sobolev.family_spectrum", refuse)
         out = tmp_path / "sobolev.json"
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()
@@ -428,6 +433,27 @@ class TestCommands:
         assert "optimal=True" in capsys.readouterr().out
         assert fits == [2.0**-m for m in range(2, 7)]
         assert tables == [12]
+
+    @pytest.mark.parametrize("argv, check", [
+        ("rate --family daubechies:2 --function gaussian --j 3..9", "check_rate_study"),
+        ("spline --function sine --order 2 --mesh-exponents 2..6", "check_study"),
+    ])
+    def test_study_checks_itself_once(self, argv, check, monkeypatch):
+        # the study checks its own input; the CLI runs no second copy
+        from waverate import convergence
+
+        calls = []
+        original = getattr(convergence, check)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (cli, convergence):
+            if hasattr(module, check):
+                monkeypatch.setattr(module, check, counting)
+        assert main(argv.split()) == 0
+        assert len(calls) == 1
 
     def test_spline_json_records_fitted_meshes(self, tmp_path):
         # the errors at h = 2^-5 and 2^-6 (3.2e-14, 1.7e-15) are roundoff

@@ -34,7 +34,7 @@ from waverate.expansion import (
     partial_sum,
     project,
 )
-from waverate.grids import NO_DECAY, SampledFunction
+from waverate.grids import NO_DECAY, ConfigError, SampledFunction
 from waverate.serialize import write_record
 from waverate.sobolev import critical_order
 
@@ -81,11 +81,11 @@ class TestBuiltinSuite:
         for name in suite:
             assert test_function(name).name == name
         assert test_function("sine").window == (0.0, 3.25)
-        with pytest.raises(ConvergenceError, match="choose from"):
+        with pytest.raises(ConfigError, match="choose from"):
             test_function("nope")
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError):
             MarkedPoint(0.0, "sideways", None)
 
 
@@ -110,7 +110,7 @@ class TestPointwiseTrace:
         assert np.max(np.abs(tr[:, 1] - 1.0)) < 1e-9
 
     def test_point_near_edge_rejected(self, suite, haar):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError):
             pointwise_trace(suite["gaussian"], haar, 3.99, range(0, 5))
 
 
@@ -158,7 +158,7 @@ class TestSupErrorRates:
         assert 0.2 <= r.slope <= 0.4
 
     def test_window_touching_jump_rejected(self, suite, haar):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError):
             sup_error_rates(suite["step"], haar, range(3, 8), (-1.0, 1.0))
 
     @pytest.mark.parametrize(
@@ -176,7 +176,7 @@ class TestSupErrorRates:
             raise AssertionError("f was tabulated")
 
         monkeypatch.setattr(convergence.TestFunction, "tabulate", refuse)
-        with pytest.raises(ConvergenceError, match="comes within"):
+        with pytest.raises(ConfigError, match="comes within"):
             sup_error_rates(suite[fname], family(*famspec), range(3, 10), window)
 
     @pytest.mark.parametrize("fname,window", [("step", (0.25, 1.0)), ("cusp", (-1.0, 1.0))])
@@ -198,7 +198,7 @@ class TestSupErrorRates:
             sup_error_rates(suite["step"], db2, range(3, 10), (0.5, 1.0))
 
     def test_too_few_levels_rejected(self, suite, haar):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError):
             sup_error_rates(suite["gaussian"], haar, range(0, 6), (-1.0, 1.0))
 
     @pytest.mark.parametrize(
@@ -211,8 +211,34 @@ class TestSupErrorRates:
             raise AssertionError("f was tabulated")
 
         monkeypatch.setattr(type(tf), "tabulate", refuse)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError):
             sup_error_rates(tf, haar, j_range, window)
+
+    @pytest.mark.parametrize(
+        "famspec,fname,j_range,window,level,message",
+        [
+            # scales on or past f's quadrature lattice (level 12 for haar, 9 for db2)
+            (("haar",), "gaussian", range(3, 16), (-1.0, 1.0), 12, "must stay below"),
+            (("daubechies", 2), "gaussian", range(3, 10), (-1.0, 1.0), 6, "must stay below"),
+            # tables finer than MAX_TABLE_LEVEL
+            (("daubechies", 2), "gaussian", range(3, 10), (-1.0, 1.0), 2000, "finest allowed"),
+            # 13 intervals at level 2, and haar's lattice is not refined
+            (("haar",), "sine", range(0, 2), (0.5, 2.5), 2, "odd number of intervals"),
+            # a window that is not dyadic at the error level
+            (("haar",), "gaussian", range(3, 10), (0.3, 0.7), 12, "not a dyadic rational"),
+        ],
+    )
+    def test_study_checks_its_grids_before_tabulation(
+        self, suite, monkeypatch, famspec, fname, j_range, window, level, message
+    ):
+        # the checks the CLI used to run on its own: the study alone rejects
+        # every configuration that `rate` rejects
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(convergence.TestFunction, "tabulate", refuse)
+        with pytest.raises(ConfigError, match=message):
+            sup_error_rates(suite[fname], family(*famspec), j_range, window, level=level)
 
     def test_line_fit(self):
         x = np.arange(3.0, 10.0)
@@ -327,7 +353,7 @@ class TestLpErrorTrace:
         assert raw_slope <= -2.0 + 0.2
 
     def test_rejects_bad_p(self, suite, haar):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError):
             lp_error_trace(suite["gaussian"], haar, 3, range(3, 8), (-1.0, 1.0))
 
 

@@ -10,13 +10,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from waverate import DyadicGrid, make_family, sample
 from waverate.expansion import (
-    ExpansionError,
     SummationSchedule,
     _atom_blocks,
     _quad_refine,
     analyze,
     atom_rows,
-    check_quadrature_lattice,
+    check_analysis,
     complete_schedule_check,
     dyadic_analysis,
     dyadic_synthesis,
@@ -29,7 +28,7 @@ from waverate.expansion import (
 )
 from waverate.convergence import quadrature_sample, test_function
 from waverate.families import evaluate_dilate, refined_tables
-from waverate.grids import DecayHint, SampledFunction, product_quad
+from waverate.grids import ConfigError, DecayHint, SampledFunction, product_quad
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +85,7 @@ class TestAnalyze:
         assert np.max(np.abs(list(coeffs.b.values()))) < 1e-12
 
     def test_rejects_bad_levels(self, haar, gauss):
-        with pytest.raises(ExpansionError):
+        with pytest.raises(ConfigError):
             analyze(gauss, haar, 3, 3)
 
     def test_coefficient_bound_invariant(self, haar, gauss):
@@ -190,7 +189,7 @@ class TestPartialSum:
         coeffs = analyze(gauss, haar, 0, 2)
         sched = level_by_level_schedule(coeffs)
         bad = sched.groups + ((("a", 7, 0),),)
-        with pytest.raises(ExpansionError):
+        with pytest.raises(ConfigError):
             partial_sum(coeffs, SummationSchedule(bad, 1), DyadicGrid(0.0, 1.0, 4))
 
 
@@ -291,7 +290,7 @@ class TestLatticeEngine:
         ks = translate_range(fam, j, (-1.5, 1.0))
         for gen, table in zip(("phi", "psi"), tables):
             if j >= f.grid.level:
-                with pytest.raises(ExpansionError, match="analysed scales must stay below"):
+                with pytest.raises(ConfigError, match="analysed scales must stay below"):
                     dyadic_analysis(f, fam, gen, j, ks)
                 continue
             got = dyadic_analysis(f, fam, gen, j, ks)
@@ -315,18 +314,17 @@ class TestLatticeEngine:
     def test_odd_interval_lattice_rejected(self, haar):
         # 13 intervals at level 2: the midpoint rule has no pair for the last one
         f = sample(np.sin, DyadicGrid(0.0, 3.25, 2), DecayHint("none"))
-        with pytest.raises(ExpansionError, match="odd number of intervals"):
+        with pytest.raises(ConfigError, match="odd number of intervals"):
             analyze(f, haar, 0, 2)
-        with pytest.raises(ExpansionError, match="odd number of intervals"):
+        with pytest.raises(ConfigError, match="odd number of intervals"):
             project(f, haar, 3, DyadicGrid(0.5, 2.5, 2))
 
     def test_odd_interval_lattice_detected_from_grid(self, haar, db2):
         # the same verdict from the grid alone, before f is tabulated
-        grid = DyadicGrid(0.0, 3.25, 2)
-        with pytest.raises(ExpansionError, match="odd number of intervals"):
-            check_quadrature_lattice(haar, grid)
-        check_quadrature_lattice(haar, DyadicGrid(0.0, 3.25, 3))
-        check_quadrature_lattice(db2, grid)  # refined 3 levels: always even
+        with pytest.raises(ConfigError, match="odd number of intervals"):
+            check_analysis(haar, (0.0, 3.25), 2, 0)
+        check_analysis(haar, (0.0, 3.25), 3, 0)
+        check_analysis(db2, (0.0, 3.25), 2, 0)  # refined 3 levels: always even
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +393,7 @@ class TestStridedReads:
         ks = translate_range(fam, j, window)
         for gen in ("phi", "psi"):
             if j >= f.grid.level:
-                with pytest.raises(ExpansionError, match="analysed scales must stay below"):
+                with pytest.raises(ConfigError, match="analysed scales must stay below"):
                     dyadic_analysis(f, fam, gen, j, ks)
                 continue
             got = dyadic_analysis(f, fam, gen, j, ks)

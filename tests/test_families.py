@@ -26,7 +26,6 @@ from waverate.families import (
     FAMILY_LEVEL,
     _INVARIANT_CHECK_REFINE,
     ConstructionError,
-    FamilyError,
     _haar_table,
     _two_scale,
     battle_lemarie_series,
@@ -36,7 +35,7 @@ from waverate.families import (
     refined_tables,
     translate_orthonormality_defect,
 )
-from waverate.grids import COMPACT, product_quad
+from waverate.grids import COMPACT, ConfigError, product_quad
 from waverate.splines import cardinal_bspline
 
 
@@ -193,11 +192,11 @@ class TestMakeFamily:
         assert fam.symbol(np.zeros(1)) == (1.0, 0.0)
 
     def test_unknown_family(self):
-        with pytest.raises(FamilyError):
+        with pytest.raises(ConfigError):
             make_family("meyer")
 
     def test_bad_battle_lemarie_order(self):
-        with pytest.raises(FamilyError):
+        with pytest.raises(ConfigError):
             make_family("battle_lemarie", 9)
 
     def test_db1_routes_to_haar_tables(self):

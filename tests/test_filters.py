@@ -15,6 +15,7 @@ from waverate.filters import (
     haar_filter,
     mirror_highpass,
 )
+from waverate.grids import ConfigError
 
 # published extremal-phase DB2 lowpass: (1 +- sqrt(3)) pattern over 4 sqrt(2)
 S3 = np.sqrt(3.0)
@@ -100,7 +101,7 @@ class TestDaubechies:
 
     @pytest.mark.parametrize("n", [0, 11, -3])
     def test_rejects_out_of_range(self, n):
-        with pytest.raises(FilterError):
+        with pytest.raises(ConfigError):
             daubechies_filter(n)
 
 

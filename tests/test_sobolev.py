@@ -10,7 +10,7 @@ import pytest
 
 from waverate import DyadicGrid, make_family, sample
 from waverate.families import refined_tables
-from waverate.grids import DecayHint, SampledFunction
+from waverate.grids import ConfigError, DecayHint, SampledFunction
 from waverate.sobolev import (
     SHELL_POINTS,
     SHELLS,
@@ -26,7 +26,7 @@ from waverate.sobolev import (
     scaling_criterion,
     wavelet_criterion,
 )
-from waverate.sobolev import _assemble
+from waverate.sobolev import _assemble, _symbol_products
 from waverate.serialize import write_record
 
 
@@ -119,7 +119,7 @@ class TestSymbolSpectrum:
         assert np.max(np.abs(phi_dft - phi_sym)) <= 1e-6
 
     def test_rejects_nonfinite_frequency(self, haar_psi_spec):
-        with pytest.raises(SobolevError):
+        with pytest.raises(ConfigError):
             haar_psi_spec.evaluate(np.inf)
 
     @pytest.mark.parametrize("which", ["phi", "psi"])
@@ -188,11 +188,11 @@ class TestWaveletCriterion:
             assert len(verdicts) == 1
 
     def test_rejects_bad_parameters(self, haar):
-        with pytest.raises(SobolevError):
+        with pytest.raises(ConfigError):
             wavelet_criterion(haar, -1.0)
-        with pytest.raises(SobolevError):
+        with pytest.raises(ConfigError):
             wavelet_criterion(haar, 1.0, epsilon=0.0)
-        with pytest.raises(SobolevError):
+        with pytest.raises(ConfigError):
             # the SHELLS shells of eps = 0.05 reach below XI_FLOOR / 4
             wavelet_criterion(haar, 1.0, epsilon=0.05)
 
@@ -211,7 +211,8 @@ class TestScalingCriterion:
         # 1 - sinc^2(xi/2) = xi^2/12 - xi^4/360 + O(xi^6), far below 1e-16 at 1e-9
         xi = np.array([1e-9, 1e-6, 1e-3])
         series = xi**2 / 12.0 - xi**4 / 360.0
-        assert np.max(np.abs(haar_phi_spec.scaling_factor(xi) / series - 1.0)) < 1e-9
+        factor = _symbol_products(haar_phi_spec.symbol, xi, 1, 0)[2][0]
+        assert np.max(np.abs(factor / series - 1.0)) < 1e-9
 
     def test_shannon_identically_zero(self):
         shannon = make_family("shannon")
@@ -301,10 +302,23 @@ class TestCriticalOrder:
             critical_order(shannon, criterion=criterion)
 
     def test_bad_criterion_name(self, haar):
-        with pytest.raises(SobolevError):
+        with pytest.raises(ConfigError):
             critical_order(haar, criterion="bogus")
-        with pytest.raises(SobolevError):
+        with pytest.raises(ConfigError):
             criterion_sweep(haar, [0.5], criterion="bogus")
+
+    @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
+    @pytest.mark.parametrize(
+        "s_values, epsilon", [([0.5, 17.0], 1.0), ([0.0, 1.0], 1.0), ([0.5], 5.0)]
+    )
+    def test_sweep_checks_every_order_before_the_symbol(
+        self, haar, criterion, s_values, epsilon
+    ):
+        # a bad s anywhere in the sweep is rejected before the shell table
+        fam, calls = counted_symbol(haar)
+        with pytest.raises(ConfigError):
+            criterion_sweep(fam, s_values, epsilon, criterion)
+        assert calls == []
 
     def test_verdict_monotone_on_sweep(self, haar):
         # finite verdicts must precede diverged ones on a 0.1-spaced sweep
@@ -470,7 +484,7 @@ class TestShellTable:
             for which in ("phi", "psi"):
                 got = family_spectrum(fam, which).evaluate(xi)
                 assert np.array_equal(got, spectrum_oracle(fam.symbol, which, xi))
-            got = family_spectrum(fam, "phi").scaling_factor(xi)
+            got = _symbol_products(fam.symbol, xi, 1, 0)[2][0]
             assert np.array_equal(got, products_oracle(fam.symbol, xi)[1])
 
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])

@@ -14,7 +14,7 @@ from waverate.convergence import (
     spline_convergence_study,
 )
 from waverate.expansion import project
-from waverate.grids import DecayHint
+from waverate.grids import ConfigError, DecayHint
 from waverate.splines import (
     MAX_ORDER,
     SplineApproximation,
@@ -141,13 +141,13 @@ class TestMakeSpace:
 
     @pytest.mark.parametrize("order", [0, MAX_ORDER + 1])
     def test_rejects_bad_order(self, order):
-        with pytest.raises(SplineError):
+        with pytest.raises(ConfigError):
             make_space(order, 0.5, (0.0, 1.0))
 
     def test_rejects_bad_mesh(self):
-        with pytest.raises(SplineError):
+        with pytest.raises(ConfigError):
             make_space(2, -0.5, (0.0, 1.0))
-        with pytest.raises(SplineError):
+        with pytest.raises(ConfigError):
             make_space(2, 0.3, (0.0, 1.0))  # width not a multiple of mesh
 
 
@@ -277,7 +277,7 @@ class TestLocalEvaluation:
     def test_rejects_nonfinite_points(self, k, bad):
         sp = make_space(k, 0.25, (-1.0, 1.0))
         approx = SplineApproximation(sp, np.ones(sp.basis_count))
-        with pytest.raises(SplineError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             approx(np.array([0.0, bad]))
 
 
@@ -326,7 +326,7 @@ class TestLatticeRead:
     def test_rejects_lattice_that_does_not_split_the_mesh(self, window, level):
         sp = make_space(2, 0.25, window)
         approx = SplineApproximation(sp, np.ones(sp.basis_count))
-        with pytest.raises(SplineError, match="whole cells"):
+        with pytest.raises(ConfigError, match="whole cells"):
             approx.on_lattice(level, 0, 5)
 
     @pytest.mark.parametrize("k", [1, 4, MAX_ORDER])
@@ -388,12 +388,12 @@ class TestBestApproximation:
 
     def test_rejects_coarse_tabulation(self):
         f = tabulate(np.sin, 0.0, 2.0, level=4)  # 16 samples per unit
-        with pytest.raises(SplineError):
+        with pytest.raises(ConfigError):
             best_l2_spline(f, make_space(2, 0.25, (0.0, 2.0)))
 
     def test_rejects_window_not_covered(self):
         f = tabulate(np.sin, 0.0, 1.0)
-        with pytest.raises(SplineError):
+        with pytest.raises(ConfigError):
             best_l2_spline(f, make_space(2, 0.25, (0.0, 2.0)))
 
 
@@ -470,12 +470,32 @@ class TestConvergenceStudies:
 
     def test_rejects_bad_meshes(self, suite):
         for bad in ([0.25], [0.25, 0.3], [0.25, 0.2], [0.25, 0.125, 0.1]):
-            with pytest.raises(SplineError):
+            with pytest.raises(ConfigError):
                 spline_convergence_study(suite["gaussian"], 1, bad)
+
+    @pytest.mark.parametrize(
+        "order,exponents,level",
+        [
+            (0, range(2, 7), 12),
+            (MAX_ORDER + 1, range(4, 9), 12),
+            (8, range(2, 5), 12),  # 8 * 0.25 at each end swallows the window
+            (2, range(2, 11), 12),  # mesh 2^-10 spans 4 samples of the level-12 grid
+            (2, range(3, 4), 12),  # one mesh
+            (2, range(2, 7), 40),  # tables finer than MAX_TABLE_LEVEL
+        ],
+    )
+    def test_rejected_before_tabulation(self, suite, monkeypatch, order, exponents, level):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(TestFunction, "tabulate", refuse)
+        meshes = [2.0**-m for m in exponents]
+        with pytest.raises(ConfigError):
+            spline_convergence_study(suite["sine"], order, meshes, level=level)
 
     def test_rejects_window_swallowed_by_shrink(self, suite):
         # 8 * 0.25 at each end of the 3.25-wide window leaves no point to assert on
-        with pytest.raises(SplineError, match="shrinks the window"):
+        with pytest.raises(ConfigError, match="shrinks the window"):
             spline_convergence_study(suite["sine"], 8, [0.25, 0.125, 0.0625])
 
 
@@ -488,6 +508,6 @@ class TestCheckStudy:
 
     @pytest.mark.parametrize("order", [0, -1, MAX_ORDER + 1])
     def test_rejects_order_outside_range(self, order):
-        with pytest.raises(SplineError, match=f"1..{MAX_ORDER}"):
+        with pytest.raises(ConfigError, match=f"1..{MAX_ORDER}"):
             check_study(self.WINDOW, order, self.MESHES, 12)
 
