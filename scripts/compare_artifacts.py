@@ -51,6 +51,8 @@ REJECTIONS = (
     "spline --function sine --order 8 --mesh-exponents 2..4",  # window shrunk to nothing
     "kernel --family haar --j 0..1",
     "kernel --family haar --j 1016..1018",
+    "rate --family haar --function gaussian --j 3..1000000000",  # rejected by its ends
+    "kernel --family haar --j 0..1000000000",
     "sobolev --family daubechies:2 --epsilon 5",
     "sobolev --family haar --sweep-s 15.0..17.0:1.0",
     "family --family daubechies:11",

@@ -101,7 +101,10 @@ def parse_int_range(text: str) -> range:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if not m:
         raise ConfigError(f"expected an integer range like 3..9, got {text!r}")
-    a, b = int(m.group(1)), int(m.group(2))
+    try:
+        a, b = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:  # more digits than int() converts
+        raise ConfigError(str(exc)) from None
     if b < a:
         raise ConfigError(f"empty range {text!r} (end before start)")
     return range(a, b + 1)

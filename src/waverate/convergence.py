@@ -45,6 +45,7 @@ from .expansion import (
     check_analysis,
     complete_schedule_check,
     project,
+    scale_span,
     validate_schedule,
 )
 from .families import MRAFamily
@@ -326,7 +327,8 @@ def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -
     2^-min(js).  The other families' tables run to +-20..+-64 units, so they
     keep a 2^-min(js) jump margin and no edge rule.
     """
-    check_analysis(fam, tf.window, level, max(js, default=0))
+    lo, hi = scale_span(js) if len(js) else (0, 0)
+    check_analysis(fam, tf.window, level, hi)
     DyadicGrid(window[0], window[1], level)
     if window[0] < tf.window[0] or window[1] > tf.window[1]:
         raise ConfigError(
@@ -338,7 +340,7 @@ def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -
         raise ConfigError(
             f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
         )
-    margin = 2.0 ** -min(js)
+    margin = 2.0 ** -lo
     if fam.phi.decay_hint.kind == "compact":
         margin *= max(abs(fam.phi.grid.left), abs(fam.phi.grid.right))
         if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
@@ -362,8 +364,8 @@ def sup_error_rates(
 ) -> RateReport:
     """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit
     on the levels j >= REGRESSION_MIN_J that `rate_report` reads."""
+    check_rate_study(tf, fam, j_range, window, level)
     js = sorted(j_range)
-    check_rate_study(tf, fam, js, window, level)
     f, truth, errors = _window_errors(tf, fam, math.inf, js, window, level)
     candidates = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
     return rate_report(fam.label, tf.name, js, errors, candidates, f, truth)

@@ -191,6 +191,12 @@ def check_analysis(fam: MRAFamily, window, level: int, j_max: int) -> None:
     _even_intervals(DyadicGrid(window[0], window[1], level).refine(qlevel - level))
 
 
+def scale_span(js) -> tuple[int, int]:
+    """(min, max) of nonempty scales js, off a range's ends: a huge range is not walked."""
+    ends = (js[0], js[-1]) if isinstance(js, range) else js
+    return min(ends), max(ends)
+
+
 def _scale_below(j: int, qlevel: int) -> None:
     """Raise unless scale j lies below f's level-`qlevel` quadrature lattice."""
     if j >= qlevel:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expansion import atom_rows, translate_range
+from .expansion import atom_rows, scale_span, translate_range
 from .families import MRAFamily
 from .grids import ConfigError, DyadicGrid, line_fit
 from .serialize import write_json
@@ -171,13 +171,14 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
     defect is roundoff (2.2e-16 for haar, db2 and shannon on j = 0..6, 2.6e-16
     for bl2), and j_set moves the report only through its own entry and that
     rounding.  Fewer than 3 scales, a negative one, or a finest profile grid
-    whose 2^level overflows are rejected before any profile.
+    whose 2^level overflows are rejected, off j_set's ends, before any profile.
     """
-    j_set = sorted(j_set)
-    if len(j_set) < 3 or j_set[0] < 0:
-        span = f"{j_set[0]}..{j_set[-1]}" if j_set else ""
+    lo, hi = scale_span(j_set) if len(j_set) else (0, 0)
+    if len(j_set) < 3 or lo < 0:
+        span = f"{lo}..{hi}" if len(j_set) else ""
         raise ConfigError(f"kernel needs at least 3 scales j >= 0, got {span!r}")
-    profile_grid(fam, j_set[-1])
+    profile_grid(fam, hi)
+    j_set = sorted(j_set)
     profiles = scale_profiles(fam, j_set)
     # every scale reads the same rescaled grid: one radii lattice for all
     radii = profiles[0].radii

@@ -245,12 +245,11 @@ def _shell_integral(
     """(s -> IntegralResult, s*, local exponents) of
     int_{|xi|<eps} integrand(xi) |xi|^{-(2s+1)} dxi for the even integrand.
 
-    The criterion, eps and every s a study reads (`s_values`) are checked
-    first, before any symbol call.  Shell m's grid is exactly base 2^-m, so
-    the integrand on every shell comes from one symbol table of the base
-    grid; it does not depend on s, and each s then costs one weighted
-    trapezoid over the (SHELLS, SHELL_POINTS) block.  The block's s = 0 sums
-    give s* and the onset every verdict reads.
+    The criterion, eps and every s in `s_values` are checked before any symbol
+    call.  Shell m's grid is exactly base 2^-m, so every shell's integrand comes
+    from one symbol table of the base grid; it does not depend on s, and each s
+    costs one weighted trapezoid over the (SHELLS, SHELL_POINTS) block, whose
+    s = 0 sums give s* and the onset every verdict reads.
     """
     if criterion not in ("wavelet", "scaling"):
         raise ConfigError(f"criterion must be 'wavelet' or 'scaling', got {criterion!r}")

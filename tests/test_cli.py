@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import runpy
 import shlex
 import subprocess
@@ -34,7 +35,7 @@ from waverate.splines import MAX_ORDER, PERTURBATION_SEED
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(argv, cwd, module="waverate.cli", **env):
+def run_cli(argv, cwd, module="waverate.cli", preexec_fn=None, **env):
     """`python -m module argv` in a fresh process importing this waverate."""
     src = os.path.dirname(os.path.dirname(waverate.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -45,6 +46,7 @@ def run_cli(argv, cwd, module="waverate.cli", **env):
         capture_output=True,
         timeout=300,
         check=False,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -115,6 +117,12 @@ BAD_KERNEL_SCALES = [
     "kernel --family haar --j -1..3",
     # profile collapse is judged over three scales or more
     "kernel --family haar --j 0..1",
+]
+
+#: scale ranges rejected by their ends alone: a list of either takes gigabytes
+HUGE_SCALE_RANGES = [
+    "rate --family haar --function gaussian --j 3..1000000000",
+    "kernel --family haar --j 0..1000000000",
 ]
 
 BAD_SOBOLEV_SETTINGS = [
@@ -265,9 +273,17 @@ class TestCommands:
         assert main(["family", "--family", spec]) == 1
         assert f"error: {message}\n" in capsys.readouterr().err
 
-    def test_overlong_family_parameter_exits_1(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--family", "daubechies:" + "9" * 5000],
+            ["rate", "--family", "haar", "--function", "gaussian", "--j", "9" * 5000 + "..1"],
+        ],
+        ids=["family", "range"],
+    )
+    def test_overlong_integer_exits_1(self, argv, capsys):
         # more digits than int() converts is bad input too, not a traceback
-        assert main(["family", "--family", "daubechies:" + "9" * 5000]) == 1
+        assert main(argv) == 1
         assert "error: Exceeds the limit" in capsys.readouterr().err
 
     def test_computational_error_exits_2(self, capsys):
@@ -325,6 +341,18 @@ class TestCommands:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", HUGE_SCALE_RANGES)
+    def test_huge_scale_range_exits_1_unlisted(self, argv, tmp_path):
+        # the process may map 1 GB: a study that listed the range would end
+        # in a MemoryError traceback instead of exhausting the machine
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = run_cli(argv.split(), tmp_path, preexec_fn=cap, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 1
+        err = proc.stderr.decode()
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_fine_kernel_scales_run(self, tmp_path):
         # every scale-j profile reads the family's tables at level 6
