@@ -53,6 +53,8 @@ REJECTIONS = (
     "kernel --family haar --j 1016..1018",
     "rate --family haar --function gaussian --j 3..1000000000",  # rejected by its ends
     "kernel --family haar --j 0..1000000000",
+    "rate --family battle_lemarie:2 --function gaussian --j -2000..9",  # coarsest scale
+    "expand --family daubechies:2 --function gaussian --j -5..-1",  # tables at level 20
     "sobolev --family daubechies:2 --epsilon 5",
     "sobolev --family haar --sweep-s 15.0..17.0:1.0",
     "family --family daubechies:11",

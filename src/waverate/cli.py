@@ -165,7 +165,7 @@ def run_expand(args) -> str:
     if len(jr) < 2:
         raise ConfigError(f"expand needs at least 2 levels j0..j1, got {args.j!r}")
     fam = parse_family_spec(args.family)
-    check_analysis(fam, tf.window, args.level, jr[-2])  # the finest wavelet scale
+    check_analysis(fam, tf.window, args.level, jr[:-1])  # scales j0..j1 - 1
     coeffs = analyze(quadrature_sample(tf, fam, args.level), fam, jr.start, jr.stop - 1)
     if args.out:
         from .serialize import coefficients_to_dict

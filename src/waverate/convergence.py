@@ -49,7 +49,7 @@ from .expansion import (
     validate_schedule,
 )
 from .families import MRAFamily
-from .grids import NO_DECAY, ConfigError, DyadicGrid, SampledFunction, line_fit, sample
+from .grids import ConfigError, DyadicGrid, SampledFunction, line_fit, sample
 from .serialize import write_csv
 from .splines import best_l2_spline, check_study, make_space
 
@@ -111,13 +111,13 @@ class TestFunction:
         one table, filled SAMPLE_CHUNK points per sampler call."""
         grid = DyadicGrid(self.window[0], self.window[1], level)
         if self.cumulative_measure is None:
-            return sample(self.sampler, grid, NO_DECAY)
+            return sample(self.sampler, grid)
         # density smoothed by a width-4h box: the jump-robust product
         # quadrature reduces to the midpoint rule on the 2h lattice, and 4h
         # is the smallest box every parity of that rule integrates exactly
         # (narrower kernels lose sub-cell mass sitting on even lattice points)
         m, h = self.cumulative_measure, grid.spacing
-        return sample(lambda x: (m(x + 2 * h) - m(x - 2 * h)) / (4 * h), grid, NO_DECAY)
+        return sample(lambda x: (m(x + 2 * h) - m(x - 2 * h)) / (4 * h), grid)
 
 
 def quadrature_sample(tf: TestFunction, fam: MRAFamily, level: int = STUDY_LEVEL):
@@ -242,10 +242,8 @@ def _snap_right(x: float, level: int) -> float:
 def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.ndarray:
     """(j, P_j f(x)) pairs on the STUDY_LEVEL lattice, read right-continuously."""
     js = list(j_range)
-    if not js:
-        raise ConfigError("empty level range")
-    halfwidth = max(abs(fam.phi.grid.left), abs(fam.phi.grid.right))
-    margin = halfwidth * 2.0 ** -min(js)
+    check_analysis(fam, tf.window, STUDY_LEVEL, js)
+    margin = max(map(abs, fam.support)) * 2.0 ** -min(js)
     if not tf.window[0] + margin <= x <= tf.window[1] - margin:
         raise ConfigError(
             f"point {x} too close to the window edge for level {min(js)} "
@@ -323,12 +321,11 @@ def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -
     be dyadic at `level` and lie inside f's tabulated window, and the fit
     needs at least four levels j >= REGRESSION_MIN_J.  The window must also
     stay out of reach of a jump of f and, for a compactly supported family,
-    of an end of f's table: max(|left|, |right|) of phi's table times
+    of an end of f's table: max(|left|, |right|) of the family's support times
     2^-min(js).  The other families' tables run to +-20..+-64 units, so they
     keep a 2^-min(js) jump margin and no edge rule.
     """
-    lo, hi = scale_span(js) if len(js) else (0, 0)
-    check_analysis(fam, tf.window, level, hi)
+    check_analysis(fam, tf.window, level, js)
     DyadicGrid(window[0], window[1], level)
     if window[0] < tf.window[0] or window[1] > tf.window[1]:
         raise ConfigError(
@@ -340,9 +337,9 @@ def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -
         raise ConfigError(
             f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
         )
-    margin = 2.0 ** -lo
-    if fam.phi.decay_hint.kind == "compact":
-        margin *= max(abs(fam.phi.grid.left), abs(fam.phi.grid.right))
+    margin = 2.0 ** -scale_span(js)[0]
+    if fam.decay.kind == "compact":
+        margin *= max(map(abs, fam.support))
         if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
             raise ConfigError(
                 f"window {window} comes within {margin:.3g} of an end of the "
@@ -385,6 +382,7 @@ def lp_error_trace(
     js = sorted(j_range)
     if len(js) < 4:
         raise ConfigError("need at least 4 levels")
+    check_analysis(fam, tf.window, level, js)
     return np.array(list(zip(js, _window_errors(tf, fam, p, js, window, level)[2])))
 
 

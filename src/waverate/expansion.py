@@ -29,7 +29,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import MRAFamily, refined_tables, uses_haar_tables
 from .grids import (
-    NO_DECAY,
     ConfigError,
     DyadicGrid,
     SampledFunction,
@@ -142,14 +141,11 @@ def validate_schedule(schedule: SummationSchedule):
 def translate_range(fam: MRAFamily, j: int, window: tuple[float, float]):
     """Integer translates k whose scaled support meets the window.
 
-    The tabulated grid already extends to the declared decay tail, so its
-    endpoints play the role of the truncation margin.
+    The family's support, the ends of every table, already extends to the
+    declared decay tail, so it plays the role of the truncation margin.
     """
-    s0, s1 = fam.phi.grid.left, fam.phi.grid.right
-    w0, w1 = window
-    kmin = int(np.ceil(w0 * 2**j - s1))
-    kmax = int(np.floor(w1 * 2**j - s0))
-    return range(kmin, kmax + 1)
+    (s0, s1), (w0, w1) = fam.support, window
+    return range(int(np.ceil(w0 * 2**j - s1)), int(np.floor(w1 * 2**j - s0)) + 1)
 
 
 def _atom_blocks(fam: MRAFamily, gen: str, j: int, level: int):
@@ -180,14 +176,18 @@ def _even_intervals(grid: DyadicGrid) -> int:
     return n
 
 
-def check_analysis(fam: MRAFamily, window, level: int, j_max: int) -> None:
+def check_analysis(fam: MRAFamily, window, level: int, js) -> None:
     """Reject, before f is sampled, a study of f on `window` with errors on
-    level-`level` grids that analyses scales up to j_max: a scale on or past
-    f's quadrature lattice, whose atoms f's samples no longer resolve, tables
-    finer than MAX_TABLE_LEVEL, and a lattice with an odd number of intervals."""
+    level-`level` grids that analyses the scales js (read off their ends): none,
+    one on or past f's quadrature lattice, whose atoms f's samples no longer
+    resolve, a lattice or a coarsest scale j reading tables finer than
+    MAX_TABLE_LEVEL (j reads them at qlevel - j), an odd-interval lattice."""
+    if not len(js):
+        raise ConfigError("empty level range")
+    j_min, j_max = scale_span(js)
     qlevel = level + _quad_refine(fam)
     _scale_below(j_max, qlevel)
-    check_table_level(qlevel)
+    check_table_level(qlevel - min(j_min, 0))
     _even_intervals(DyadicGrid(window[0], window[1], level).refine(qlevel - level))
 
 
@@ -309,7 +309,7 @@ def project(
         raise ConfigError("evaluation grid outside tabulated support of f")
     ks = translate_range(fam, j, (xs.left, xs.right))
     coef = dyadic_analysis(f, fam, "phi", j, ks)
-    return SampledFunction(xs, dyadic_synthesis(coef, fam, "phi", j, ks, xs), NO_DECAY)
+    return SampledFunction(xs, dyadic_synthesis(coef, fam, "phi", j, ks, xs))
 
 
 def partial_sum(
@@ -328,7 +328,7 @@ def partial_sum(
     for (j, terms), gen in zip(levels, ["phi"] + ["psi"] * (len(levels) - 1)):
         coef = [counts[term] * v for term, v in terms.items()]
         out += dyadic_synthesis(coef, coeffs.family, gen, j, [t[-1] for t in terms], xs)
-    return SampledFunction(xs, out, NO_DECAY)
+    return SampledFunction(xs, out)
 
 
 def complete_schedule_check(coeffs: ExpansionCoefficients, schedule: SummationSchedule):

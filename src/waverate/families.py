@@ -22,7 +22,8 @@ its tabulator, (gen, level) -> the table of phi or psi at that level, chosen
 once by `make_family`: each generator's FAMILY_LEVEL table is built and
 verified on its own first read, then held, so a study that reads only phi
 never builds psi; every finer table (`refined_tables`) also comes from the
-tabulator, built on each read and never held.
+tabulator, built on each read and never held.  Its support and tail class
+(`MRAFamily.support`, `MRAFamily.decay`) are family data, read without a table.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 
 from .filters import FilterPair, daubechies_filter, haar_filter, half_band_coefficients
 from .grids import (
-    COMPACT,
     SAMPLE_CHUNK,
     ConfigError,
     DecayHint,
@@ -54,6 +54,14 @@ FAMILY_LEVEL = 10
 BATTLE_LEMARIE_MAX_ORDER = 4
 SHANNON_RADIUS = 64.0
 
+# supports and tail classes; Daubechies tables run a level-FAMILY_LEVEL cell past
+# [0, len(h) - 1]: their ends stay zero, the support's keep full trapezoid weight
+_COMPACT = DecayHint("compact")
+_HAAR_SUPPORT = (-1.0, 2.0)
+_DAUBECHIES_PAD = 2.0**-FAMILY_LEVEL
+_SHANNON_SUPPORT = (-SHANNON_RADIUS, SHANNON_RADIUS)
+_SHANNON_DECAY = DecayHint("algebraic", N=1.05, truncation=1.0 / (np.pi * SHANNON_RADIUS))
+
 
 class ConstructionError(RuntimeError):
     """Invariant failure during family construction."""
@@ -68,6 +76,8 @@ class MRAFamily:
     symbol: Callable = field(repr=False, compare=False)
     #: (gen, level) -> generator gen ("phi" or "psi") tabulated at that level
     tabulate: Callable = field(repr=False, compare=False)
+    #: () -> (support, decay), read without building a table
+    geometry: Callable = field(repr=False, compare=False)
     param: int | None = None
 
     @property
@@ -75,6 +85,16 @@ class MRAFamily:
         if self.param is None:
             return self.name
         return f"{self.name}:{self.param}"
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """(left, right), the ends of every phi and psi table at every level."""
+        return self.geometry()[0]
+
+    @property
+    def decay(self) -> DecayHint:
+        """The tail class of phi and psi, which the kernel bound rests on."""
+        return self.geometry()[1]
 
     @property
     def phi(self) -> SampledFunction:
@@ -149,13 +169,10 @@ def subdivision_scaling(filter: FilterPair) -> SampledFunction:
     system[-1] = 1.0
     vals = np.linalg.solve(system, np.eye(len(h))[-1])
     vals[0] = vals[-1] = 0.0  # phi vanishes at both ends of its support
-    integers = SampledFunction(DyadicGrid(0.0, float(width), 0), vals, COMPACT)
+    integers = SampledFunction(DyadicGrid(0.0, float(width), 0), vals)
     phi = refine_scaling(filter, integers, FAMILY_LEVEL)
-    # pad one cell past the support: endpoint values stay zero (compact
-    # convention) while support-boundary values keep full trapezoid weight
-    step_x = 2.0**-FAMILY_LEVEL
-    grid = DyadicGrid(-step_x, width + step_x, FAMILY_LEVEL)
-    return SampledFunction(grid, np.concatenate(([0.0], phi.values, [0.0])), COMPACT)
+    grid = DyadicGrid(-_DAUBECHIES_PAD, width + _DAUBECHIES_PAD, FAMILY_LEVEL)
+    return SampledFunction(grid, np.concatenate(([0.0], phi.values, [0.0])))
 
 
 def refine_scaling(
@@ -175,7 +192,7 @@ def refine_scaling(
         vals = _two_scale(filter.lowpass, vals, first, 1, 2 * vals.size - 1, step)
         grid = grid.refine(1)
     vals[0] = vals[-1] = 0.0
-    return SampledFunction(grid, vals, COMPACT)
+    return SampledFunction(grid, vals)
 
 
 def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
@@ -184,7 +201,7 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
     first = int(round(phi.grid.left * step))
     vals = _two_scale(filter.highpass, phi.values, first, 2, phi.grid.count, step)
     vals[0] = vals[-1] = 0.0
-    return SampledFunction(phi.grid, vals, COMPACT)
+    return SampledFunction(phi.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +214,8 @@ def uses_haar_tables(name: str, param: int | None) -> bool:
 
 
 def _haar_table(gen: str, level: int) -> SampledFunction:
-    """The indicator of (0, 1) or its Haar wavelet, on [-1, 2]."""
-    grid = DyadicGrid(-1.0, 2.0, level)
+    """The indicator of (0, 1) or its Haar wavelet, on _HAAR_SUPPORT."""
+    grid = DyadicGrid(*_HAAR_SUPPORT, level)
     x = grid.points()
     if gen == "phi":
         vals = np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
@@ -211,14 +228,13 @@ def _haar_table(gen: str, level: int) -> SampledFunction:
     # midpoint values at the jumps keep trapezoid quadrature exact
     for at, value in jumps.items():
         vals[grid.index_of(at)] = value
-    return SampledFunction(grid, vals, COMPACT)
+    return SampledFunction(grid, vals)
 
 
 def _shannon_table(gen: str, level: int) -> SampledFunction:
-    grid = DyadicGrid(-SHANNON_RADIUS, SHANNON_RADIUS, level)
-    hint = DecayHint("algebraic", N=1.05, truncation=1.0 / (np.pi * SHANNON_RADIUS))
+    grid = DyadicGrid(*_SHANNON_SUPPORT, level)
     # sin(pi x)/(pi x) or its wavelet, a chunk at a time: fine levels are large
-    return sample(np.sinc if gen == "phi" else _shannon_wavelet, grid, hint)
+    return sample(np.sinc if gen == "phi" else _shannon_wavelet, grid)
 
 
 def _shannon_wavelet(x: np.ndarray) -> np.ndarray:
@@ -303,28 +319,32 @@ def _decay_rate(order: int) -> float:
     return -math.log(max(abs(z) for z in roots if abs(z) < 1.0))
 
 
+@functools.cache
+def _series_geometry(order: int) -> tuple:
+    """(support, decay) of order-k Battle-Lemarie tables: the integers past which
+    each series coefficient is below _BL_TRUNCATION, and the coefficients' decay."""
+    c, d = _series(order)
+    shift = order // 2
+    index = np.arange(c.size) - c.size // 2
+    nc = index[np.abs(c) > _BL_TRUNCATION]
+    nd = index[np.abs(d) > _BL_TRUNCATION]
+    left = min(nc[0] - shift, (nd[0] - shift) // 2)
+    right = max(nc[-1] - shift + order, -((shift - order - nd[-1]) // 2))
+    decay = DecayHint("exponential", a=_decay_rate(order), truncation=_BL_TRUNCATION)
+    return (float(left), float(right)), decay
+
+
 def _series_tabulator(order: int) -> Callable:
     """Tables of a Battle-Lemarie family: the series polyphase at the level
     asked for, x = i + r 2^-level reading M_k(t + r 2^-level) for t = 0..k-1
-    against the coefficient of index i - t + k//2; phi and psi share one grid.
-    The series, the table's ends and its decay hint are built on the first
-    call and kept."""
+    against the coefficient of index i - t + k//2; phi and psi share one grid,
+    whose ends are `_series_geometry`'s."""
     k, shift = order, order // 2
 
-    @functools.cache
-    def series():
-        c, d = _series(k)
-        index = np.arange(c.size) - c.size // 2
-        nc = index[np.abs(c) > _BL_TRUNCATION]
-        nd = index[np.abs(d) > _BL_TRUNCATION]
-        left = min(nc[0] - shift, (nd[0] - shift) // 2)
-        right = max(nc[-1] - shift + k, -((shift - k - nd[-1]) // 2))
-        hint = DecayHint("exponential", a=_decay_rate(k), truncation=_BL_TRUNCATION)
-        return c, d, left, right, hint
-
     def tabulate(gen: str, level: int) -> SampledFunction:
-        c, d, left, right, hint = series()
-        grid = DyadicGrid(float(left), float(right), level)
+        c, d = _series(k)
+        grid = DyadicGrid(*_series_geometry(k)[0], level)
+        left, right = int(grid.left), int(grid.right)
         step = 2**level
         # rows are the integer parts of scale * x; psi reads M_k one level coarser
         coef, scale = (c, 1) if gen == "phi" else (d, 2)
@@ -338,7 +358,7 @@ def _series_tabulator(order: int) -> Callable:
             block = vals[lo : lo + per_block]
             for t in range(k):
                 block += coef[rows[lo : lo + per_block] - t][:, None] * samples[t]
-        return SampledFunction(grid, vals.ravel()[: grid.count], hint)
+        return SampledFunction(grid, vals.ravel()[: grid.count])
 
     return tabulate
 
@@ -407,22 +427,26 @@ _INVARIANT_TOLERANCES = (
 def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict[str, float]:
     """The invariants of fam's generator gen, `table` its FAMILY_LEVEL table:
     for phi its integral, partition of unity and translate orthonormality,
-    for psi its integral.  Raise ConstructionError on failure.
+    for psi its integral.  Raise ConstructionError on failure, or if a
+    compactly supported table does not vanish at both ends.
 
     For non-compact families the declared truncation error inflates the
     tolerances.  Battle-Lemarie families are checked exactly from their
     series coefficients.  Daubechies families are checked on the generator
-    subdivided a few levels finer by the exact two-scale relation
-    (`refined_tables`; psi derived from that phi): the quadrature error on
+    subdivided a few levels finer by the exact two-scale relation (the
+    tabulator's; psi derived from that phi): the quadrature error on
     products of Hoelder-rough scaling functions decays like h^(2*alpha) and
     would otherwise swamp the 1e-6 orthonormality tolerance.
     """
+    ends = table.values[[0, -1]]
+    _require(fam.decay.kind != "compact" or not ends.any(), fam, f"{gen} table does not "
+             "vanish at the ends of its compact support")
     if fam.name == "battle_lemarie":
         defects = _series_defects(fam.param, gen)
     else:
         checked = table
         if fam.name == "daubechies" and fam.param != 1:
-            checked = refined_tables(fam, gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
+            checked = fam.tabulate(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
         if gen == "phi":
             defects = {
                 "phi_integral": abs(checked.integral() - 1.0),
@@ -431,8 +455,7 @@ def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict
             }
         else:
             defects = {"psi_integral": abs(checked.integral())}
-    hint = table.decay_hint
-    slack = 0.0 if hint.kind == "compact" else 20.0 * hint.truncation
+    slack = 20.0 * fam.decay.truncation  # 0 for a compact family
     for key, tol, what in _INVARIANT_TOLERANCES:
         if key in defects:
             _require(defects[key] <= tol + slack, fam, what)
@@ -504,9 +527,9 @@ def _require(cond: bool, fam: MRAFamily, what: str) -> None:
 
 
 def make_family(name: str, param: int = 0) -> MRAFamily:
-    """A named family: its filter, symbol and tabulator.  Each FAMILY_LEVEL
-    table is built and verified on its own first read (`MRAFamily.phi`,
-    `MRAFamily.psi`)."""
+    """A named family: its filter, symbol, tabulator and geometry.  Each
+    FAMILY_LEVEL table is built and verified on its own first read
+    (`MRAFamily.phi`, `MRAFamily.psi`), a Battle-Lemarie geometry on its own."""
     if name not in FAMILY_NAMES:
         raise ConfigError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
@@ -517,19 +540,25 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
     filt, moments = None, param
     if uses_haar_tables(name, param):
         filt, moments, symbol, tabulate = haar_filter(), 1, _daubechies_symbol(1), _haar_table
+        geometry = lambda: (_HAAR_SUPPORT, _COMPACT)
     elif name == "daubechies":
         filt, symbol = daubechies_filter(param), _daubechies_symbol(param)
         tabulate = _subdivision_tabulator(filt)
+        ends = (-_DAUBECHIES_PAD, len(filt.lowpass) - 1 + _DAUBECHIES_PAD)
+        geometry = lambda: (ends, _COMPACT)
     elif name == "battle_lemarie":
         symbol, tabulate = _battle_lemarie_symbol(param), _series_tabulator(param)
+        geometry = functools.partial(_series_geometry, param)
     else:  # shannon
         moments, symbol, tabulate = 1, _shannon_symbol, _shannon_table
+        geometry = lambda: (_SHANNON_SUPPORT, _SHANNON_DECAY)
     return MRAFamily(
         name=name,
         filter=filt,
         vanishing_moments=moments,
         symbol=symbol,
         tabulate=tabulate,
+        geometry=geometry,
         param=param,
     )
 
@@ -537,14 +566,12 @@ def make_family(name: str, param: int = 0) -> MRAFamily:
 def refined_tables(fam: MRAFamily, gen: str, level: int) -> SampledFunction:
     """fam's generator gen ("phi" or "psi") tabulated at least at `level`.
 
-    At or below FAMILY_LEVEL the held table serves, built and verified on
-    its first read; a finer level comes from the family's tabulator, exact, so
-    every lattice an atom is read on holds samples.  A finer table is not
-    held: each read builds its one table.
+    The held table, read either way so that any study verifies gen, serves
+    at or below FAMILY_LEVEL; a finer level comes from the family's tabulator,
+    exact, so every lattice an atom is read on holds samples, and not held.
     """
-    if level <= FAMILY_LEVEL:
-        return getattr(fam, gen)
-    return fam.tabulate(gen, level)
+    held = getattr(fam, gen)
+    return held if level <= FAMILY_LEVEL else fam.tabulate(gen, level)
 
 
 def parse_family_spec(spec: str) -> MRAFamily:

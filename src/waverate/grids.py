@@ -114,10 +114,9 @@ class DyadicGrid:
 
 @dataclass(frozen=True)
 class DecayHint:
-    """Declared tail behaviour of a sampled function.
+    """Declared tail behaviour of a family's generators (`MRAFamily.decay`).
 
-    kind is one of 'compact', 'exponential', 'algebraic', 'none'.
-    `a` is the exponential rate, `N` the algebraic order (N > 1).
+    kind is 'compact', 'exponential' (at rate `a`) or 'algebraic' (order `N` > 1).
     `truncation` records the magnitude at which tails were cut off; it is
     folded into invariant tolerances for non-compact families.
     """
@@ -128,7 +127,7 @@ class DecayHint:
     truncation: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("compact", "exponential", "algebraic", "none"):
+        if self.kind not in ("compact", "exponential", "algebraic"):
             raise ValueError(f"unknown decay kind {self.kind!r}")
         if self.kind == "exponential" and not (self.a is not None and self.a > 0):
             raise ValueError("exponential decay requires a > 0")
@@ -136,17 +135,12 @@ class DecayHint:
             raise ValueError("algebraic decay requires N > 1")
 
 
-COMPACT = DecayHint("compact")
-NO_DECAY = DecayHint("none")
-
-
 @dataclass(frozen=True)
 class SampledFunction:
-    """Real-valued function tabulated on a dyadic grid."""
+    """A dyadic grid and a real function's values on it."""
 
     grid: DyadicGrid
     values: np.ndarray = field(repr=False)
-    decay_hint: DecayHint = COMPACT
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -157,9 +151,6 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("sampled values must be finite")
-        if self.decay_hint.kind == "compact":
-            if vals[0] != 0.0 or vals[-1] != 0.0:
-                raise ValueError("compact support requires vanishing endpoint values")
 
     def x(self) -> np.ndarray:
         return self.grid.points()
@@ -252,7 +243,7 @@ def line_fit(x, y) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r_squared(y, np.polyval(coef, x))
 
 
-def sample(func, grid: DyadicGrid, decay_hint: DecayHint = COMPACT) -> SampledFunction:
+def sample(func, grid: DyadicGrid) -> SampledFunction:
     """Tabulate a vectorized callable on a grid: one table, filled
     SAMPLE_CHUNK points per call, so func's temporaries stay one chunk long
     at any level."""
@@ -260,4 +251,4 @@ def sample(func, grid: DyadicGrid, decay_hint: DecayHint = COMPACT) -> SampledFu
     for first in range(0, grid.count, SAMPLE_CHUNK):
         x = grid.points(first, min(SAMPLE_CHUNK, grid.count - first))
         vals[first : first + x.size] = func(x)
-    return SampledFunction(grid, vals, decay_hint)
+    return SampledFunction(grid, vals)

@@ -122,9 +122,8 @@ def profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
     """The scale-j profile grid, of fixed rescaled spacing 2^-RADII_LEVEL so
     that profiles across j share one radii lattice: it reads the family's
     tables at level RADII_LEVEL for every j."""
-    compact = fam.phi.decay_hint.kind == "compact"
-    radii_level = RADII_LEVEL_COMPACT if compact else RADII_LEVEL_WIDE
-    width_scaled = min(U_CAP, fam.phi.grid.right - fam.phi.grid.left + 1.0)
+    radii_level = RADII_LEVEL_COMPACT if fam.decay.kind == "compact" else RADII_LEVEL_WIDE
+    width_scaled = min(U_CAP, fam.support[1] - fam.support[0] + 1.0)
     width = np.ldexp(np.ceil(width_scaled), -j)
     return DyadicGrid(0.0, float(width), j + radii_level)
 
@@ -142,8 +141,8 @@ def scale_profiles(fam: MRAFamily, j_set) -> list[RadialBound]:
 
 
 def _tail_estimate(fam: MRAFamily, radii, maj) -> float:
-    """Mass beyond the last sampled radius, estimated from phi's decay hint."""
-    decay = fam.phi.decay_hint
+    """Mass beyond the last sampled radius, estimated from the family's decay."""
+    decay = fam.decay
     if decay.kind == "compact":
         return 0.0
     # anchor at 90% of the sampled range: the very last bins hold only a few
@@ -155,9 +154,7 @@ def _tail_estimate(fam: MRAFamily, radii, maj) -> float:
         return 0.0
     if decay.kind == "exponential":
         return 2.0 * m0 / decay.a
-    if decay.kind == "algebraic":
-        return 2.0 * m0 * (1.0 + u0) / (decay.N - 1.0)
-    return float("inf")
+    return 2.0 * m0 * (1.0 + u0) / (decay.N - 1.0)  # algebraic
 
 
 def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:

@@ -90,7 +90,7 @@ def family_to_dict(fam) -> dict:
         "name": fam.name,
         "params": fam.param,
         "vanishing_moments": fam.vanishing_moments,
-        "decay": _decay_to_dict(fam.phi.decay_hint),
+        "decay": _decay_to_dict(fam.decay),
         "grid": {
             "left": fmt(fam.phi.grid.left),
             "right": fmt(fam.phi.grid.right),

@@ -46,7 +46,7 @@ from operator import mul, sub
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import NO_DECAY, ConfigError, DyadicGrid, SampledFunction, check_table_level
+from .grids import ConfigError, DyadicGrid, SampledFunction, check_table_level
 
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
@@ -88,9 +88,6 @@ class SplineSpace:
     mesh: float
     window: tuple
     basis_count: int
-
-    def knot(self, i: int) -> float:
-        return self.window[0] + (i - (self.order - 1)) * self.mesh
 
     def basis(self, i: int, x) -> np.ndarray:
         u = (np.asarray(x, dtype=float) - self.window[0]) / self.mesh
@@ -352,7 +349,7 @@ def residual_orthogonality(f: SampledFunction, approx: SplineApproximation) -> f
     """max_i |<f - s, B_i>|; < 1e-8 ||f||_2 certifies best approximation."""
     grid = DyadicGrid(*approx.space.window, f.grid.level)
     lattice = (grid.level, grid.start, grid.count)
-    diff = SampledFunction(grid, f.on_lattice(*lattice) - approx.on_lattice(*lattice), NO_DECAY)
+    diff = SampledFunction(grid, f.on_lattice(*lattice) - approx.on_lattice(*lattice))
     return float(np.max(np.abs(_load_vector(diff, approx.space))))
 
 

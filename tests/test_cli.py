@@ -35,19 +35,42 @@ from waverate.splines import MAX_ORDER, PERTURBATION_SEED
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(argv, cwd, module="waverate.cli", preexec_fn=None, **env):
-    """`python -m module argv` in a fresh process importing this waverate."""
+def run_python(args, cwd, preexec_fn=None, timeout=300, **env):
+    """`python args` in a fresh process importing this waverate."""
     src = os.path.dirname(os.path.dirname(waverate.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, *args],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
-        timeout=300,
+        timeout=timeout,
         check=False,
         preexec_fn=preexec_fn,
     )
+
+
+def run_cli(argv, cwd, module="waverate.cli", preexec_fn=None, **env):
+    """`python -m module argv` in a fresh process importing this waverate."""
+    return run_python(["-m", module, *argv], cwd, preexec_fn, **env)
+
+
+def cap_address_space():
+    """Let the calling process map at most 1 GB: a study that allocated
+    without bound ends in a MemoryError traceback, not an exhausted machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def run_capped(argvs, cwd):
+    """The exit codes of `main` on each argument list, all run in one fresh
+    process under the 1 GB cap and a 60 s wall bound, and its standard error,
+    which holds no traceback."""
+    script = f"from waverate.cli import main\nprint([main(argv) for argv in {argvs!r}])\n"
+    proc = run_python(["-c", script], cwd, preexec_fn=cap_address_space, timeout=60,
+                      OPENBLAS_NUM_THREADS="1")
+    err = proc.stderr.decode()
+    assert proc.returncode == 0 and "Traceback" not in err, err
+    return json.loads(proc.stdout.decode().splitlines()[-1]), err
 
 
 BAD_FAMILY_SPECS = ["mystery:3", "haar:3", "shannon:7"]
@@ -106,9 +129,22 @@ BAD_STUDIES = [
     "rate --family daubechies:4 --function step --j 3..9 --window 0.25,1.0",
     "rate --family daubechies:2 --function sine --j 3..9 --window 0.0,1.0",
     "rate --family haar --function step --j 3..9 --window=-1.0,1.0",
+    # the coarsest scale j reads tables at level qlevel - j: 15 + 2000 for
+    # battle_lemarie, and 20 for db2 (level 17 for haar's -5..-1 is allowed)
+    "rate --family battle_lemarie:2 --function gaussian --j -2000..9",
+    "expand --family daubechies:2 --function gaussian --j -5..-1",
     # a window needs finite ends
     "rate --family daubechies:2 --function gaussian --j 3..9 --window nan,1",
     "rate --family daubechies:2 --function gaussian --j 3..9 --window=-1,inf",
+]
+
+#: rate windows within reach of f's table end or jump, and the reason given:
+#: cusp's default window is its whole table; db4's atoms at j = 3 reach 0.875
+#: from the step's jump; sine's table starts at 0
+WINDOWS_WITHIN_REACH = [
+    ("daubechies:2 --function cusp", "of an end of the tabulated window"),
+    ("daubechies:4 --function step --window 0.25,1.0", "of the jump at 0.0"),
+    ("daubechies:2 --function sine --window 0.0,1.0", "of an end of the tabulated window"),
 ]
 
 BAD_KERNEL_SCALES = [
@@ -123,6 +159,14 @@ BAD_KERNEL_SCALES = [
 HUGE_SCALE_RANGES = [
     "rate --family haar --function gaussian --j 3..1000000000",
     "kernel --family haar --j 0..1000000000",
+]
+
+#: coarsest scales whose tables lie past level 18: a study that read them
+#: would take gigabytes (2.3 GB at level 25 for -10), or fail to allocate
+COARSE_SCALE_RANGES = [
+    "expand --family daubechies:2 --function gaussian --j -10..4",
+    "expand --family daubechies:2 --function gaussian --j -2000..9",
+    "expand --family daubechies:2 --function gaussian --j -1000000000..3",
 ]
 
 BAD_SOBOLEV_SETTINGS = [
@@ -293,16 +337,7 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            # cusp's default window is its whole table; db4's atoms at j = 3
-            # reach 0.875 from the step's jump; sine's table starts at 0
-            ("daubechies:2 --function cusp", "of an end of the tabulated window"),
-            ("daubechies:4 --function step --window 0.25,1.0", "of the jump at 0.0"),
-            ("daubechies:2 --function sine --window 0.0,1.0", "of an end of the tabulated window"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, message", WINDOWS_WITHIN_REACH)
     def test_window_within_reach_exits_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "rate.json"
         assert main(f"rate --j 3..9 --out {out} --family {argv}".split()) == 1
@@ -342,14 +377,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    def test_coarse_scales_exit_1_unread(self, tmp_path):
+        # a study that read tables past level 18 would end in a MemoryError
+        # traceback under the cap
+        codes, err = run_capped([argv.split() for argv in COARSE_SCALE_RANGES], tmp_path)
+        assert codes == [1] * len(COARSE_SCALE_RANGES)
+        assert err.count("error: the study reads tables at level") == len(codes)
+
     @pytest.mark.parametrize("argv", HUGE_SCALE_RANGES)
     def test_huge_scale_range_exits_1_unlisted(self, argv, tmp_path):
-        # the process may map 1 GB: a study that listed the range would end
-        # in a MemoryError traceback instead of exhausting the machine
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        proc = run_cli(argv.split(), tmp_path, preexec_fn=cap, OPENBLAS_NUM_THREADS="1")
+        # a study that listed the range would end in a MemoryError traceback
+        # under the cap
+        proc = run_cli(argv.split(), tmp_path, preexec_fn=cap_address_space,
+                       OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 1
         err = proc.stderr.decode()
         assert err.startswith("error:") and "Traceback" not in err
@@ -960,6 +1000,16 @@ class TestImportGraph:
         studies = [f"{SPLINE} --check-optimality"]
         assert self.run_studies(studies, "numpy.random", tmp_path) == "[0] False"
 
+    def test_battle_lemarie_sobolev_does_not_import_numpy_fft(self, tmp_path):
+        # a Battle-Lemarie family's support and decay read its series on their
+        # first read, not in make_family: a study of the symbol alone pays for
+        # neither the series nor the cold numpy.fft import
+        studies = [
+            "sobolev --family battle_lemarie:2",
+            "sobolev --family battle_lemarie:2 --criterion scaling",
+        ]
+        assert self.run_studies(studies, "numpy.fft", tmp_path) == "[0, 0] False"
+
     def test_daubechies_studies_do_not_import_mpmath(self, tmp_path):
         # the Daubechies filters are stored doubles: no study factors the
         # half-band polynomial, so none pays for the extended-precision import
@@ -1081,6 +1131,16 @@ class TestTablesOnFirstRead:
         assert main(argv) == 0
         assert reads and all(gen == "phi" for _, gen, _ in reads)
 
+    @pytest.mark.parametrize("argv", [
+        *BAD_STUDIES, *BAD_KERNEL_SCALES, *BAD_SOBOLEV_SETTINGS,
+        *(f"rate --j 3..9 --family {argv}" for argv, _ in WINDOWS_WITHIN_REACH),
+    ])
+    def test_admission_rejection_builds_no_table(self, argv, monkeypatch):
+        # each check reads the family's support and decay, never its tables
+        reads = counted_families(monkeypatch, families)
+        assert main(argv.split()) == 1
+        assert reads == []
+
     def test_critical_order_criterion_builds_no_table(self, tmp_path, monkeypatch):
         reads = counted_families(monkeypatch, cli)
         assert main(["suite", "--only", "8", "--out", str(tmp_path / "rep")]) == 0
@@ -1109,3 +1169,65 @@ class TestTablesOnFirstRead:
         assert main(f"{argv} --family {spec} --out {out}".split()) == 2
         assert "phi integral != 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+#: the base line of each command that has no README line
+CONTRACT_BASES = ["expand --family haar --function gaussian --j 0..6"]
+
+#: the boundary values fed to each option with an int or a float converter
+BOUNDARY_VALUES = {
+    int: ["-1", "0", "9" * 5000],
+    float: ["nan", "inf", "-inf", "0", "-1", "1e308"],
+}
+
+
+def contract_cases():
+    """(bases, cheap, heavy): each command's base line, its first README line,
+    and that line with one option set, glued, to one boundary value of its
+    converter.  A range option (a base value like 0..6) is fed a reversed
+    and a single range, and, as the heavy cases, an end of a billion either
+    way, which a study that listed or read it would allocate for."""
+    bases = {}
+    for argv in readme_argvs() + [line.split() for line in CONTRACT_BASES]:
+        bases.setdefault(argv[0], argv)
+    cheap, heavy = [], []
+    for command, argv in bases.items():
+        given = dict(zip(argv[1::2], argv[2::2]))
+        for name, (convert, _, _) in cli.COMMANDS[command][1].items():
+            if isinstance(convert, tuple):
+                values = ["bogus"]
+            elif convert in BOUNDARY_VALUES:
+                values = BOUNDARY_VALUES[convert]
+            elif re.fullmatch(r"-?\d+\.\.-?\d+", given.get(name, "")):
+                a, b = given[name].split("..")
+                values = [f"{b}..{a}", f"{a}..{a}"]
+                heavy += [argv + [f"{name}={a}..{10**9}"], argv + [f"{name}=-{10**9}..{b}"]]
+            else:
+                continue
+            cheap += [argv + [f"{name}={value}"] for value in values]
+    return bases, cheap, heavy
+
+
+CONTRACT_BASES_BY_COMMAND, CONTRACT_CHEAP, CONTRACT_HEAVY = contract_cases()
+
+
+def contract_id(argv) -> str:
+    return " ".join(word if len(word) <= 24 else f"{word[:12]}...({len(word)})" for word in argv)
+
+
+class TestContract:
+    """Every option of every command, at its converter's boundary values,
+    ends in exit 0, 1 or 2, never in a traceback."""
+
+    def test_every_command_has_a_base_line(self):
+        assert sorted(CONTRACT_BASES_BY_COMMAND) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", CONTRACT_CHEAP, ids=contract_id)
+    def test_boundary_value_exits_cleanly(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_billion_range_ends_exit_cleanly_under_the_cap(self, tmp_path):
+        codes, _ = run_capped(CONTRACT_HEAVY, tmp_path)
+        assert len(codes) == len(CONTRACT_HEAVY) == 8 and set(codes) <= {0, 1, 2}

@@ -34,7 +34,7 @@ from waverate.expansion import (
     partial_sum,
     project,
 )
-from waverate.grids import NO_DECAY, ConfigError, SampledFunction
+from waverate.grids import ConfigError, SampledFunction
 from waverate.serialize import write_record
 from waverate.sobolev import critical_order
 
@@ -190,6 +190,23 @@ class TestSupErrorRates:
         with pytest.raises(AssertionError, match="tabulated"):
             sup_error_rates(suite[fname], family("battle_lemarie", 2), range(3, 10), window)
 
+    @pytest.mark.parametrize("trace, message", [
+        # j = 12..15 reach Haar's level-12 quadrature lattice; j = -7 reads
+        # its tables at level 19
+        (lambda tf, fam: lp_error_trace(tf, fam, 1, range(10, 16), (-1, 1)),
+         "reaches the level-12 quadrature lattice"),
+        (lambda tf, fam: pointwise_trace(tf, fam, 0.0, range(10, 16)),
+         "reaches the level-12 quadrature lattice"),
+        (lambda tf, fam: lp_error_trace(tf, fam, 1, range(-7, 4), (-1, 1)), "at level 19;"),
+    ], ids=["lp_error_trace", "pointwise_trace", "coarsest_scale"])
+    def test_traces_check_their_scales_before_tabulation(self, suite, haar, monkeypatch,
+                                                         trace, message):
+        calls = []
+        monkeypatch.setattr(convergence.TestFunction, "tabulate", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match=message):
+            trace(suite["gaussian"], haar)
+        assert calls == []
+
     def test_pure_roundoff_has_no_rate(self, suite, db2):
         # db2 reproduces the constant 1 on (0.5, 1): every error is roundoff
         tr = lp_error_trace(suite["step"], db2, math.inf, range(3, 10), (0.5, 1.0))
@@ -279,7 +296,7 @@ class TestOneSample:
         monkeypatch.setattr(SampledFunction, "on_lattice", spy)
         monkeypatch.setattr(
             convergence, "project",
-            lambda f, fam, j, xs: SampledFunction(xs, np.full(xs.count, 2.0), NO_DECAY),
+            lambda f, fam, j, xs: SampledFunction(xs, np.full(xs.count, 2.0)),
         )
         studies = (
             lambda level: sup_error_rates(counted, fam, range(3, 8), window, level),

@@ -28,7 +28,7 @@ from waverate.expansion import (
 )
 from waverate.convergence import quadrature_sample, test_function
 from waverate.families import evaluate_dilate, refined_tables
-from waverate.grids import ConfigError, DecayHint, SampledFunction, product_quad
+from waverate.grids import ConfigError, SampledFunction, product_quad
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def db2():
 @pytest.fixture(scope="module")
 def gauss():
     g = DyadicGrid(-2.0, 2.0, 12)
-    return sample(lambda x: np.exp(-(x**2)), g, DecayHint("none"))
+    return sample(lambda x: np.exp(-(x**2)), g)
 
 
 def norm_l2(f: SampledFunction) -> float:
@@ -133,7 +133,7 @@ class TestProject:
         # window wide enough that P_j f decays below tolerance at the edges;
         # otherwise re-projecting the truncated tabulation loses boundary mass
         xs = DyadicGrid(-6.0, 6.0, 12)
-        f = sample(lambda x: np.exp(-(x**2)), xs, DecayHint("none"))
+        f = sample(lambda x: np.exp(-(x**2)), xs)
         once = project(f, fam, j, xs)
         twice = project(once, fam, j, xs)
         assert np.max(np.abs(twice.values - once.values)) < 1e-6
@@ -227,8 +227,7 @@ class TestSchedules:
     def test_scaling_straggler_rejected(self, haar):
         # hold back one base-level scaling term until every wavelet level is
         # done: the scaling terms are a level of their own, below level 0
-        gaussian = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-4.0, 4.0, 12),
-                          DecayHint("none"))
+        gaussian = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-4.0, 4.0, 12))
         coeffs = analyze(gaussian, haar, 0, 6)
         groups = list(level_by_level_schedule(coeffs).groups)
         groups[0] = tuple(term for term in groups[0] if term != ("b", -6))
@@ -279,8 +278,7 @@ class TestLatticeEngine:
     def engine(self, spec):
         fam = engine_family(spec)
         grid = self.xs.refine(_quad_refine(fam))
-        f = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-2.0, 2.0, grid.level),
-                   DecayHint("none"))
+        f = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-2.0, 2.0, grid.level))
         return fam, f, [refined_tables(fam, gen, grid.level) for gen in ("phi", "psi")]
 
     @pytest.mark.parametrize("j", [0, 3, 6])
@@ -313,7 +311,7 @@ class TestLatticeEngine:
 
     def test_odd_interval_lattice_rejected(self, haar):
         # 13 intervals at level 2: the midpoint rule has no pair for the last one
-        f = sample(np.sin, DyadicGrid(0.0, 3.25, 2), DecayHint("none"))
+        f = sample(np.sin, DyadicGrid(0.0, 3.25, 2))
         with pytest.raises(ConfigError, match="odd number of intervals"):
             analyze(f, haar, 0, 2)
         with pytest.raises(ConfigError, match="odd number of intervals"):
@@ -322,9 +320,21 @@ class TestLatticeEngine:
     def test_odd_interval_lattice_detected_from_grid(self, haar, db2):
         # the same verdict from the grid alone, before f is tabulated
         with pytest.raises(ConfigError, match="odd number of intervals"):
-            check_analysis(haar, (0.0, 3.25), 2, 0)
-        check_analysis(haar, (0.0, 3.25), 3, 0)
-        check_analysis(db2, (0.0, 3.25), 2, 0)  # refined 3 levels: always even
+            check_analysis(haar, (0.0, 3.25), 2, [0])
+        check_analysis(haar, (0.0, 3.25), 3, [0])
+        check_analysis(db2, (0.0, 3.25), 2, [0])  # refined 3 levels: always even
+
+    def test_coarsest_scale_bounded_by_table_level(self, haar, db2):
+        # scale j reads the tables at level qlevel - j: db2's lattice at
+        # level 12 is refined to 15, so j = -3 reads level 18, j = -4 level 19
+        check_analysis(db2, (-4.0, 4.0), 12, range(-3, 5))
+        with pytest.raises(ConfigError, match="at level 19;"):
+            check_analysis(db2, (-4.0, 4.0), 12, range(-4, 5))
+        check_analysis(haar, (-4.0, 4.0), 12, range(-6, 5))
+        with pytest.raises(ConfigError, match="at level 19;"):
+            check_analysis(haar, (-4.0, 4.0), 12, [-7, 0])
+        with pytest.raises(ConfigError, match="empty level range"):
+            check_analysis(haar, (-4.0, 4.0), 12, [])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +390,7 @@ class TestStridedReads:
     @staticmethod
     def gaussian(fam):
         grid = DyadicGrid(-2.0, 2.0, 5 + _quad_refine(fam))
-        return sample(lambda x: np.exp(-(x**2)), grid, DecayHint("none"))
+        return sample(lambda x: np.exp(-(x**2)), grid)
 
     # the second window runs the translates past both ends of f's grid; the
     # third meets none of f's samples

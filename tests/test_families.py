@@ -35,7 +35,7 @@ from waverate.families import (
     refined_tables,
     translate_orthonormality_defect,
 )
-from waverate.grids import COMPACT, ConfigError, product_quad
+from waverate.grids import ConfigError, product_quad
 from waverate.splines import cardinal_bspline
 
 
@@ -62,7 +62,7 @@ def integer_values_oracle(filt):
 def haar_box(level: int) -> SampledFunction:
     """The Haar box subdivided from its level-0 table on [-1, 2]: phi(0) =
     phi(1) = 1/2, the midpoint values at the jumps."""
-    table = SampledFunction(DyadicGrid(-1.0, 2.0, 0), np.array([0.0, 0.5, 0.5, 0.0]), COMPACT)
+    table = SampledFunction(DyadicGrid(-1.0, 2.0, 0), np.array([0.0, 0.5, 0.5, 0.0]))
     return refine_scaling(haar_filter(), table, level)
 
 
@@ -218,9 +218,9 @@ class TestMakeFamily:
         assert make_family("haar").vanishing_moments == 1
 
     def test_decay_metadata(self):
-        assert make_family("daubechies", 2).phi.decay_hint.kind == "compact"
-        assert make_family("battle_lemarie", 2).phi.decay_hint.kind == "exponential"
-        assert make_family("shannon").phi.decay_hint.kind == "algebraic"
+        assert make_family("daubechies", 2).decay.kind == "compact"
+        assert make_family("battle_lemarie", 2).decay.kind == "exponential"
+        assert make_family("shannon").decay.kind == "algebraic"
 
 
 def interpolated_partition_defect(phi) -> float:
@@ -498,7 +498,7 @@ def doubled_phi(fam):
         table = fam.tabulate(gen, level)
         if gen == "psi":
             return table
-        return SampledFunction(table.grid, 2.0 * table.values, table.decay_hint)
+        return SampledFunction(table.grid, 2.0 * table.values)
 
     return dataclasses.replace(fam, tabulate=tabulate)
 
@@ -541,6 +541,39 @@ class TestTablesOnFirstRead:
                 fam.phi
         with pytest.raises(ConstructionError, match="phi integral != 1"):
             check_family_invariants(fam)
+
+    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 3)])
+    @pytest.mark.parametrize("gen", ["phi", "psi"])
+    def test_compact_requires_zero_endpoints(self, spec, gen):
+        # a compact family's tables vanish at both ends of its support: a
+        # table that does not is rejected on its first read
+        made = make_family(*spec)
+
+        def tabulate(g, level):
+            table = made.tabulate(g, level)
+            if g != gen:
+                return table
+            values = table.values.copy()
+            values[-1] = 1.0
+            return SampledFunction(table.grid, values)
+
+        fam = dataclasses.replace(made, tabulate=tabulate)
+        with pytest.raises(ConstructionError, match="does not vanish at the ends"):
+            getattr(fam, gen)
+
+    @pytest.mark.parametrize("spec", [("haar", 0), *(("daubechies", n) for n in range(1, 11)),
+                                      *(("battle_lemarie", k) for k in range(1, 5)),
+                                      ("shannon", 0)])
+    def test_support_is_every_table_end(self, spec):
+        # reading the support or the decay builds no table; the support is
+        # the ends of every phi and psi table, held or refined
+        fam, reads = counting(make_family(*spec))
+        support, _ = fam.support, fam.decay
+        assert reads == []
+        for level in (FAMILY_LEVEL, FAMILY_LEVEL + 1):
+            for gen in ("phi", "psi"):
+                grid = refined_tables(fam, gen, level).grid
+                assert (grid.left, grid.right) == support
 
     @pytest.mark.parametrize("spec", ALL_SPECS + [("daubechies", 3), ("battle_lemarie", 2)])
     def test_phi_read_builds_no_psi(self, spec):
@@ -661,7 +694,7 @@ class TestBattleLemarieSeries:
 
     def test_cubic_decay_rate(self):
         # the root of z^2 + 4z + 1 inside the unit circle is sqrt(3) - 2
-        a = make_family("battle_lemarie", 2).phi.decay_hint.a
+        a = make_family("battle_lemarie", 2).decay.a
         assert abs(a - math.log(2.0 + math.sqrt(3.0))) < 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -669,4 +702,4 @@ class TestBattleLemarieSeries:
         c, _ = battle_lemarie_series(k)
         n = np.arange(10, 31)
         slope = np.polyfit(n, np.log(np.abs(c[c.size // 2 + n])), 1)[0]
-        assert abs(-slope - make_family("battle_lemarie", k).phi.decay_hint.a) < 0.05
+        assert abs(-slope - make_family("battle_lemarie", k).decay.a) < 0.05

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from waverate import make_family
 from waverate.grids import (
-    COMPACT,
     MAX_TABLE_LEVEL,
-    NO_DECAY,
     DecayHint,
     DyadicGrid,
     SampledFunction,
@@ -80,14 +78,9 @@ class TestDyadicGrid:
 
 
 class TestSampledFunction:
-    def test_compact_requires_zero_endpoints(self):
-        g = DyadicGrid(0.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            SampledFunction(g, np.ones(g.count), COMPACT)
-
     def test_interpolation_and_zero_extension(self):
         g = DyadicGrid(0.0, 1.0, 1)
-        f = SampledFunction(g, np.array([0.0, 1.0, 0.0]), COMPACT)
+        f = SampledFunction(g, np.array([0.0, 1.0, 0.0]))
         assert f(0.25) == 0.5
         assert f(2.0) == 0.0 and f(-1.0) == 0.0
 
@@ -171,7 +164,7 @@ class TestEvaluationOracle:
     def test_signed_zero_node_values(self):
         # a node holding -0.0 is read back as -0.0, as np.interp does
         g = DyadicGrid(0.0, 1.0, 2)
-        f = SampledFunction(g, np.array([1.0, -0.0, 2.0, -0.0, 0.0]), NO_DECAY)
+        f = SampledFunction(g, np.array([1.0, -0.0, 2.0, -0.0, 0.0]))
         pts = np.array([0.25, 0.75, 0.5, 0.3])
         assert np.array_equal(_bits(f(pts)), _bits(_interp(f, pts)))
         assert np.array_equal(_bits(f.on_lattice(2, 0, 5)), _bits(_interp(f, np.arange(5) / 4)))

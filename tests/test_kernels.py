@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from waverate import DyadicGrid, make_family, sample
-from waverate.grids import NO_DECAY, ConfigError, DecayHint, SampledFunction
+from waverate.grids import ConfigError, SampledFunction
 from waverate.kernels import (
     U_CAP,
     KernelError,
@@ -37,7 +37,7 @@ def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
     w = np.full(ys.count, ys.spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return SampledFunction(ke.xs, ke.values @ (fy * w), NO_DECAY)
+    return SampledFunction(ke.xs, ke.values @ (fy * w))
 
 
 def outer_difference_profile(ke) -> RadialBound:
@@ -103,7 +103,7 @@ class TestKernelMatrix:
         xs = DyadicGrid(0.0, 1.0, 5)
         ys = DyadicGrid(-4.0, 5.0, 8)
         ke = kernel_matrix(db2, 2, xs, ys)
-        one = sample(lambda y: np.ones_like(y), ys, DecayHint("none"))
+        one = sample(lambda y: np.ones_like(y), ys)
         rows = apply_kernel(ke, one)
         assert np.max(np.abs(rows.values - 1.0)) < 1e-4
 
@@ -135,7 +135,7 @@ class TestKernelMatrix:
 
     def test_delta_convergence(self, haar, db2):
         ys = DyadicGrid(-2.0, 2.0, 10)
-        f = sample(lambda y: np.exp(-(y**2)), ys, DecayHint("none"))
+        f = sample(lambda y: np.exp(-(y**2)), ys)
         xs = DyadicGrid(-1.0, 1.0, 6)
         for fam in (haar, db2):
             errs = []

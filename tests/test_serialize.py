@@ -76,7 +76,8 @@ class TestWriteRecord:
 
 
 class TestFamilyRoundTrip:
-    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 2), ("shannon", 0)])
+    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2),
+                                      ("shannon", 0)])
     def test_bit_exact(self, spec):
         fam = make_family(*spec)
         doc = json.loads(dumps_json(family_to_dict(fam)))
@@ -89,14 +90,17 @@ class TestFamilyRoundTrip:
         if fam.filter is not None:
             lowpass = [float(h) for h in doc["filter"]["lowpass"]]
             assert np.array_equal(lowpass, fam.filter.lowpass)
-        assert doc["decay"]["kind"] == fam.phi.decay_hint.kind
+        # the family's decay, every field of it
+        decay = {key: value if key == "kind" else float(value)
+                 for key, value in doc["decay"].items()}
+        assert DecayHint(**decay) == fam.decay
 
 
 class TestCoefficientRoundTrip:
     def test_bit_exact(self):
         fam = make_family("haar")
         g = DyadicGrid(-1.0, 1.0, 9)
-        f = sample(lambda x: np.cos(x), g, DecayHint("none"))
+        f = sample(lambda x: np.cos(x), g)
         coeffs = analyze(f, fam, 0, 3)
         doc = json.loads(dumps_json(coefficients_to_dict(coeffs)))
         assert (doc["j0"], doc["j1"]) == (0, 3)

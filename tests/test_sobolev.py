@@ -10,7 +10,7 @@ import pytest
 
 from waverate import DyadicGrid, make_family, sample
 from waverate.families import refined_tables
-from waverate.grids import ConfigError, DecayHint, SampledFunction
+from waverate.grids import ConfigError, SampledFunction
 from waverate.sobolev import (
     SHELL_POINTS,
     SHELLS,
@@ -81,7 +81,7 @@ class TestFourierTransform:
 
     def test_gaussian_self_transform(self):
         g = DyadicGrid(-16.0, 16.0, 8)
-        f = sample(lambda x: np.exp(-(x**2) / 2), g, DecayHint("none"))
+        f = sample(lambda x: np.exp(-(x**2) / 2), g)
         sp = fourier_transform(f)
         xs = np.linspace(-8.0, 8.0, 65)
         assert np.max(np.abs(sp.evaluate(xs) - np.exp(-(xs**2) / 2))) < 1e-6

@@ -14,7 +14,7 @@ from waverate.convergence import (
     spline_convergence_study,
 )
 from waverate.expansion import project
-from waverate.grids import ConfigError, DecayHint
+from waverate.grids import ConfigError
 from waverate.splines import (
     MAX_ORDER,
     SplineApproximation,
@@ -30,7 +30,7 @@ from waverate.splines import (
 
 
 def tabulate(func, lo, hi, level=12):
-    return sample(func, DyadicGrid(lo, hi, level), DecayHint("none"))
+    return sample(func, DyadicGrid(lo, hi, level))
 
 
 def recursive_bspline(k, x):
@@ -136,8 +136,12 @@ class TestMakeSpace:
     def test_counts_and_knots(self):
         sp = make_space(3, 0.5, (0.0, 2.0))
         assert sp.basis_count == 4 + 2  # cells + (k - 1)
-        assert sp.knot(0) == pytest.approx(-1.0)  # ghost knots extend left
-        assert sp.knot(2) == pytest.approx(0.0)
+        # basis i lives on (t_i, t_i + k h), t_i = (i - (k - 1)) h: ghost
+        # knots extend left of the window
+        for i, t in ((0, -1.0), (2, 0.0)):
+            inside = t + np.linspace(0.0, 1.5, 13)[1:-1]
+            assert np.all(sp.basis(i, inside) > 0.0)
+            assert np.all(sp.basis(i, [t - 0.25, t, t + 1.5, t + 1.75]) == 0.0)
 
     @pytest.mark.parametrize("order", [0, MAX_ORDER + 1])
     def test_rejects_bad_order(self, order):
