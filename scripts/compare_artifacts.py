@@ -54,7 +54,10 @@ REJECTIONS = (
     "rate --family haar --function gaussian --j 3..1000000000",  # rejected by its ends
     "kernel --family haar --j 0..1000000000",
     "rate --family battle_lemarie:2 --function gaussian --j -2000..9",  # coarsest scale
+    "spline --function sine --order 2 --mesh-exponents 2..1000000000",  # by its ends
     "expand --family daubechies:2 --function gaussian --j -5..-1",  # tables at level 20
+    "expand --family haar --function gaussian --j 0..6 --level=-1",  # negative level
+    "spline --function sine --order 2 --mesh-exponents 2..6 --level=-1",
     "sobolev --family daubechies:2 --epsilon 5",
     "sobolev --family haar --sweep-s 15.0..17.0:1.0",
     "family --family daubechies:11",

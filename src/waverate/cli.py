@@ -68,7 +68,6 @@ from .sobolev import (
 )
 from .splines import (
     MAX_ORDER,
-    MIN_SAMPLES_PER_CELL,
     PERTURBATION_SEED,
     SplineError,
     best_l2_spline,
@@ -230,16 +229,9 @@ def run_sobolev(args) -> str:
 def run_spline(args) -> str:
     tf = test_function(args.function)
     exponents = parse_int_range(args.mesh_exponents)
-    # bound the range by its ends before its meshes exist: coarser meshes
-    # overflow the window, finer ones span too few cells of the --level grid
-    lo = math.ceil(-math.log2(tf.window[1] - tf.window[0]))
-    hi = args.level - int(math.log2(MIN_SAMPLES_PER_CELL))
-    if not lo <= exponents[0] <= exponents[-1] <= hi:
-        raise ConfigError(f"mesh exponents must lie in {lo}..{hi} at --level {args.level}")
-    meshes = [2.0**-m for m in exponents]
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    report, f, fits = spline_convergence_study(tf, args.order, meshes, level=args.level)
+    report, f, fits = spline_convergence_study(tf, args.order, exponents, level=args.level)
     optimal = ""
     if args.check_optimality:
         optimal = f" optimal={perturbation_optimality(f, fits[-1], seed=args.seed)}"
@@ -552,8 +544,7 @@ def crit_spline_convergence():
         haar_gap = max(haar_gap, float(np.max(np.abs(sj - pj.values))))
     # the sine study's level-12 table and its mesh-0.25 fit serve the
     # orthogonality check
-    meshes = [2.0**-m for m in range(2, 7)]
-    rep, sine_f, fits = spline_convergence_study(test_function("sine"), 2, meshes)
+    rep, sine_f, fits = spline_convergence_study(test_function("sine"), 2, range(2, 7))
     ratios = [a / b for a, b in zip(rep.sup_errors, rep.sup_errors[1:])]
     norm = float(np.sqrt(np.trapezoid(sine_f.values**2, dx=sine_f.grid.spacing)))
     orth = residual_orthogonality(sine_f, fits[0]) / norm

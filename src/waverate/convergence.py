@@ -45,7 +45,6 @@ from .expansion import (
     check_analysis,
     complete_schedule_check,
     project,
-    scale_span,
     validate_schedule,
 )
 from .families import MRAFamily
@@ -241,12 +240,11 @@ def _snap_right(x: float, level: int) -> float:
 
 def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.ndarray:
     """(j, P_j f(x)) pairs on the STUDY_LEVEL lattice, read right-continuously."""
-    js = list(j_range)
-    check_analysis(fam, tf.window, STUDY_LEVEL, js)
-    margin = max(map(abs, fam.support)) * 2.0 ** -min(js)
+    j_min = check_analysis(fam, tf.window, STUDY_LEVEL, j_range)[0]
+    margin = max(map(abs, fam.support)) * 2.0 ** -j_min
     if not tf.window[0] + margin <= x <= tf.window[1] - margin:
         raise ConfigError(
-            f"point {x} too close to the window edge for level {min(js)} "
+            f"point {x} too close to the window edge for level {j_min} "
             f"(needs margin {margin:.3g})"
         )
     f = quadrature_sample(tf, fam)
@@ -254,7 +252,7 @@ def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.n
     h = 2.0**-STUDY_LEVEL
     xs = DyadicGrid(x_eval - h, x_eval + h, STUDY_LEVEL)
     rows = []
-    for j in js:
+    for j in j_range:
         p = project(f, fam, j, xs)
         rows.append((j, float(p.values[1])))
     return np.array(rows)
@@ -325,19 +323,19 @@ def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -
     2^-min(js).  The other families' tables run to +-20..+-64 units, so they
     keep a 2^-min(js) jump margin and no edge rule.
     """
-    check_analysis(fam, tf.window, level, js)
+    j_min, j_max = check_analysis(fam, tf.window, level, js)
     DyadicGrid(window[0], window[1], level)
     if window[0] < tf.window[0] or window[1] > tf.window[1]:
         raise ConfigError(
             f"window {tuple(window)} is not inside the tabulated window {tf.window} "
             f"of {tf.name}"
         )
-    usable = sum(j >= REGRESSION_MIN_J for j in js)
+    usable = max(0, j_max + 1 - max(j_min, REGRESSION_MIN_J))
     if usable < 4:
         raise ConfigError(
             f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
         )
-    margin = 2.0 ** -scale_span(js)[0]
+    margin = 2.0 ** -j_min
     if fam.decay.kind == "compact":
         margin *= max(map(abs, fam.support))
         if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
@@ -362,10 +360,9 @@ def sup_error_rates(
     """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit
     on the levels j >= REGRESSION_MIN_J that `rate_report` reads."""
     check_rate_study(tf, fam, j_range, window, level)
-    js = sorted(j_range)
-    f, truth, errors = _window_errors(tf, fam, math.inf, js, window, level)
-    candidates = [i for i, j in enumerate(js) if j >= REGRESSION_MIN_J]
-    return rate_report(fam.label, tf.name, js, errors, candidates, f, truth)
+    f, truth, errors = _window_errors(tf, fam, math.inf, j_range, window, level)
+    candidates = [i for i, j in enumerate(j_range) if j >= REGRESSION_MIN_J]
+    return rate_report(fam.label, tf.name, j_range, errors, candidates, f, truth)
 
 
 def lp_error_trace(
@@ -379,11 +376,10 @@ def lp_error_trace(
     """(j, ||P_j f - f||_p) pairs on the window grid; jumps are allowed."""
     if p not in (1, 2, math.inf):
         raise ConfigError(f"p must be 1, 2 or inf, got {p}")
-    js = sorted(j_range)
-    if len(js) < 4:
+    j_min, j_max = check_analysis(fam, tf.window, level, j_range)
+    if j_max - j_min < 3:
         raise ConfigError("need at least 4 levels")
-    check_analysis(fam, tf.window, level, js)
-    return np.array(list(zip(js, _window_errors(tf, fam, p, js, window, level)[2])))
+    return np.column_stack((j_range, _window_errors(tf, fam, p, j_range, window, level)[2]))
 
 
 def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
@@ -401,14 +397,15 @@ def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
     return f, truth, errors
 
 
-def spline_convergence_study(tf, order: int, meshes, level: int = STUDY_LEVEL):
-    """Sup errors of best L^2 splines on a boundary-shrunk window as the mesh halves.
+def spline_convergence_study(tf, order: int, exponents, level: int = STUDY_LEVEL):
+    """Sup errors of best L^2 splines on a boundary-shrunk window on the meshes
+    2^-m, m in the range `exponents` (checked by `check_study`).
 
-    Returns (report, f, fits): the RateReport with -log2 h in the role of the
-    level and every mesh a candidate, f = tf tabulated at `level`, and
-    fits[i] the best L^2 spline of f on meshes[i], for checks that read them.
-    """
-    hs = check_study(tf.window, order, meshes, level)
+    Returns (report, f, fits): the RateReport with m in the role of the level
+    and every mesh a candidate, f = tf tabulated at `level`, and fits[i] the
+    best L^2 spline of f on the i-th mesh, for checks that read them."""
+    check_study(tf.window, order, exponents, level)
+    hs = [2.0**-m for m in exponents]
     f = tf.tabulate(level)
     fits = [best_l2_spline(f, make_space(order, h, tf.window)) for h in hs]
     shrink = order * hs[0]
@@ -417,7 +414,7 @@ def spline_convergence_study(tf, order: int, meshes, level: int = STUDY_LEVEL):
     lattice = (level, lo, hi - lo + 1)
     truth = f.on_lattice(*lattice)
     errors = [float(np.max(np.abs(fit.on_lattice(*lattice) - truth))) for fit in fits]
-    js = [-math.log2(h) for h in hs]
+    js = [float(m) for m in exponents]
     report = rate_report(
         f"spline:k={order}", tf.name, js, errors, range(len(hs)), f, truth, meshes=hs
     )

@@ -32,7 +32,9 @@ from .grids import (
     ConfigError,
     DyadicGrid,
     SampledFunction,
+    check_study_level,
     check_table_level,
+    scale_span,
     strided_read,
 )
 
@@ -176,25 +178,20 @@ def _even_intervals(grid: DyadicGrid) -> int:
     return n
 
 
-def check_analysis(fam: MRAFamily, window, level: int, js) -> None:
+def check_analysis(fam: MRAFamily, window, level: int, js) -> tuple[int, int]:
     """Reject, before f is sampled, a study of f on `window` with errors on
-    level-`level` grids that analyses the scales js (read off their ends): none,
+    level-`level` grids that analyses the scales js, and return their ends
+    (`scale_span`): a negative level, scales that are not one nonempty range,
     one on or past f's quadrature lattice, whose atoms f's samples no longer
     resolve, a lattice or a coarsest scale j reading tables finer than
     MAX_TABLE_LEVEL (j reads them at qlevel - j), an odd-interval lattice."""
-    if not len(js):
-        raise ConfigError("empty level range")
+    check_study_level(level)
     j_min, j_max = scale_span(js)
     qlevel = level + _quad_refine(fam)
     _scale_below(j_max, qlevel)
     check_table_level(qlevel - min(j_min, 0))
     _even_intervals(DyadicGrid(window[0], window[1], level).refine(qlevel - level))
-
-
-def scale_span(js) -> tuple[int, int]:
-    """(min, max) of nonempty scales js, off a range's ends: a huge range is not walked."""
-    ends = (js[0], js[-1]) if isinstance(js, range) else js
-    return min(ends), max(ends)
+    return j_min, j_max
 
 
 def _scale_below(j: int, qlevel: int) -> None:

@@ -431,21 +431,23 @@ def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict
     compactly supported table does not vanish at both ends.
 
     For non-compact families the declared truncation error inflates the
-    tolerances.  Battle-Lemarie families are checked exactly from their
-    series coefficients.  Daubechies families are checked on the generator
-    subdivided a few levels finer by the exact two-scale relation (the
-    tabulator's; psi derived from that phi): the quadrature error on
+    tolerances.  The aliases of Haar (`uses_haar_tables`) are checked on the
+    Haar tables they serve.  Other Battle-Lemarie families are checked
+    exactly from their series coefficients, other Daubechies families on the
+    generator subdivided a few levels finer by the exact two-scale relation
+    (the tabulator's; psi derived from that phi): the quadrature error on
     products of Hoelder-rough scaling functions decays like h^(2*alpha) and
     would otherwise swamp the 1e-6 orthonormality tolerance.
     """
     ends = table.values[[0, -1]]
     _require(fam.decay.kind != "compact" or not ends.any(), fam, f"{gen} table does not "
              "vanish at the ends of its compact support")
-    if fam.name == "battle_lemarie":
+    haar = uses_haar_tables(fam.name, fam.param)
+    if fam.name == "battle_lemarie" and not haar:
         defects = _series_defects(fam.param, gen)
     else:
         checked = table
-        if fam.name == "daubechies" and fam.param != 1:
+        if fam.name == "daubechies" and not haar:
             checked = fam.tabulate(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
         if gen == "phi":
             defects = {

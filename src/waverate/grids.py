@@ -42,6 +42,20 @@ class ConfigError(ValueError):
     error class signals a computation that failed (exit code 2)."""
 
 
+def check_study_level(level: int) -> None:
+    """Raise ConfigError for a negative study level, before any scale rule reads it."""
+    if level < 0:
+        raise ConfigError(f"level {level} is negative; a study tabulates f at level 0 or finer")
+
+
+def scale_span(js) -> tuple[int, int]:
+    """The ends (first, last) of a study's scales js, their one reader: js must be
+    a nonempty range of step 1, so a huge range is bounded before it is walked."""
+    if not (isinstance(js, range) and js.step == 1 and js):
+        raise ConfigError(f"need a nonempty level range of step 1, got {js!r}")
+    return js[0], js[-1]
+
+
 def check_table_level(level: int) -> None:
     """Raise ConfigError if a study would read tables finer than MAX_TABLE_LEVEL."""
     if level > MAX_TABLE_LEVEL:

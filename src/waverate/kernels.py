@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expansion import atom_rows, scale_span, translate_range
+from .expansion import atom_rows, translate_range
 from .families import MRAFamily
-from .grids import ConfigError, DyadicGrid, line_fit
+from .grids import ConfigError, DyadicGrid, line_fit, scale_span
 from .serialize import write_json
 
 # rescaled-radius resolution 2^-RADII_LEVEL, shared across scales within a
@@ -129,11 +129,12 @@ def profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
 
 
 def scale_profiles(fam: MRAFamily, j_set) -> list[RadialBound]:
-    """Radial profiles of P_j, j in j_set, from the rows x in [0, 2^-j]: as
-    P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x), they meet every distance
-    and value of the square profile grid."""
+    """Radial profiles of P_j, j in the range j_set, from the rows x in
+    [0, 2^-j]: as P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x), they meet
+    every distance and value of the square profile grid."""
+    scale_span(j_set)
     out = []
-    for j in sorted(j_set):
+    for j in j_set:
         g = profile_grid(fam, j)
         period = DyadicGrid(0.0, 2.0**-j, g.level)
         out.append(radial_profile(kernel_matrix(fam, j, period, g)))
@@ -167,15 +168,14 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
     rescaled lattice is P_0 up to the rounding of 2^(j/2): the collapse
     defect is roundoff (2.2e-16 for haar, db2 and shannon on j = 0..6, 2.6e-16
     for bl2), and j_set moves the report only through its own entry and that
-    rounding.  Fewer than 3 scales, a negative one, or a finest profile grid
-    whose 2^level overflows are rejected, off j_set's ends, before any profile.
+    rounding.  Scales that are not one range, fewer than 3, a negative one, or
+    a finest profile grid whose 2^level overflows are rejected off j_set's
+    ends before any profile.
     """
-    lo, hi = scale_span(j_set) if len(j_set) else (0, 0)
-    if len(j_set) < 3 or lo < 0:
-        span = f"{lo}..{hi}" if len(j_set) else ""
-        raise ConfigError(f"kernel needs at least 3 scales j >= 0, got {span!r}")
+    lo, hi = scale_span(j_set)
+    if hi - lo < 2 or lo < 0:
+        raise ConfigError(f"kernel needs at least 3 scales j >= 0, got '{lo}..{hi}'")
     profile_grid(fam, hi)
-    j_set = sorted(j_set)
     profiles = scale_profiles(fam, j_set)
     # every scale reads the same rescaled grid: one radii lattice for all
     radii = profiles[0].radii
@@ -188,7 +188,7 @@ def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
     passes = bool(np.isfinite(mass) and np.isfinite(tail) and tail < 0.1 * mass)
     return {
         "family": fam.label,
-        "j_set": list(j_set),
+        "j_set": j_set,
         "collapse_defect": defect,
         "C": float(env[0]),
         "l1_mass": mass,

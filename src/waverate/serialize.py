@@ -78,6 +78,8 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, range):  # a study's scales
+        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

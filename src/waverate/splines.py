@@ -46,7 +46,8 @@ from operator import mul, sub
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import ConfigError, DyadicGrid, SampledFunction, check_table_level
+from .grids import (ConfigError, DyadicGrid, SampledFunction, check_study_level,
+                    check_table_level, scale_span)
 
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
@@ -325,7 +326,11 @@ def _load_vector(f: SampledFunction, space: SplineSpace) -> np.ndarray:
     return b * step / 3.0
 
 
-def _check_resolution(mesh: float, spacing: float) -> None:
+def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximation:
+    """Solve the banded Gram system for the best L^2 spline approximation."""
+    if f.grid.left > space.window[0] + 1e-12 or f.grid.right < space.window[1] - 1e-12:
+        raise ConfigError("f is not tabulated on the full spline window")
+    mesh, spacing = space.mesh, f.grid.spacing
     if spacing > mesh / MIN_SAMPLES_PER_CELL:
         raise ConfigError(
             f"quadrature resolution insufficient: f spacing {spacing:.3g} "
@@ -334,13 +339,6 @@ def _check_resolution(mesh: float, spacing: float) -> None:
     ratio = mesh / spacing
     if abs(ratio - round(ratio)) > 1e-9 or int(round(ratio)) % 2:
         raise ConfigError("mesh must be an even integer multiple of f's grid spacing")
-
-
-def best_l2_spline(f: SampledFunction, space: SplineSpace) -> SplineApproximation:
-    """Solve the banded Gram system for the best L^2 spline approximation."""
-    if f.grid.left > space.window[0] + 1e-12 or f.grid.right < space.window[1] - 1e-12:
-        raise ConfigError("f is not tabulated on the full spline window")
-    _check_resolution(space.mesh, f.grid.spacing)
     u = _cholesky(gram_matrix(space))
     return SplineApproximation(space, _solve(u, _load_vector(f, space)))
 
@@ -384,30 +382,27 @@ def perturbation_optimality(
 # study checks
 
 
-def check_study(window, order: int, meshes, level: int) -> list:
-    """Validate a mesh-refinement study before f is tabulated; return the meshes.
-
-    Rejects every configuration that would otherwise fail part-way or exhaust
-    memory: an order outside 1..MAX_ORDER, a level above MAX_TABLE_LEVEL,
-    meshes that do not halve or do not tile the window, a level too coarse
-    for the finest mesh, and a window that the boundary shrink of
-    order * h_0 at each end leaves empty.
-    """
+def check_study(window, order: int, exponents, level: int) -> None:
+    """Reject a study on the meshes 2^-m, m in the range `exponents`, before
+    f is tabulated at `level` and before any mesh exists: a negative level or
+    one above MAX_TABLE_LEVEL, an order outside 1..MAX_ORDER, fewer than two
+    exponents.  The meshes are nested and dyadic, so the ends (`scale_span`)
+    decide them all: the coarsest must tile the window and survive the
+    boundary shrink of order * h_0 at each end, the finest must span
+    MIN_SAMPLES_PER_CELL points of the level grid."""
+    check_study_level(level)
+    coarse, fine = scale_span(exponents)
+    lo = math.ceil(-math.log2(window[1] - window[0]))
+    hi = level - int(math.log2(MIN_SAMPLES_PER_CELL))
+    if not lo <= coarse <= fine <= hi:
+        raise ConfigError(f"mesh exponents must lie in {lo}..{hi} at --level {level}")
     check_table_level(level)
-    hs = [float(h) for h in meshes]
-    if len(hs) < 2:
-        raise ConfigError("need at least two meshes")
-    for a, b in zip(hs, hs[1:]):
-        if not b < a:
-            raise ConfigError("meshes must be strictly decreasing")
-        if abs(b - a / 2) > 1e-12 * a:
-            raise ConfigError("each mesh must halve the previous one")
-    for h in hs:
-        make_space(order, h, window)
-        _check_resolution(h, 2.0**-level)
-    if 2 * order * hs[0] >= window[1] - window[0]:
+    if fine == coarse:
+        raise ConfigError("need at least two mesh exponents")
+    h0 = 2.0**-coarse
+    make_space(order, h0, window)
+    if 2 * order * h0 >= window[1] - window[0]:
         raise ConfigError(
-            f"order {order} at mesh {hs[0]} shrinks the window {tuple(window)} "
+            f"order {order} at mesh {h0} shrinks the window {tuple(window)} "
             "to nothing; start from a finer mesh"
         )
-    return hs

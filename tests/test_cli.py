@@ -161,6 +161,13 @@ HUGE_SCALE_RANGES = [
     "kernel --family haar --j 0..1000000000",
 ]
 
+#: a negative --level, rejected by its own rule before any scale rule reads it
+NEGATIVE_LEVELS = [
+    "expand --family haar --function gaussian --j 0..6 --level=-1",
+    "spline --function sine --order 2 --mesh-exponents 2..6 --level=-1",
+    "rate --family haar --function gaussian --j 3..9 --level=-1",
+]
+
 #: coarsest scales whose tables lie past level 18: a study that read them
 #: would take gigabytes (2.3 GB at level 25 for -10), or fail to allocate
 COARSE_SCALE_RANGES = [
@@ -393,6 +400,40 @@ class TestCommands:
         assert proc.returncode == 1
         err = proc.stderr.decode()
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_huge_trace_ranges_raise_config_error_unlisted(self, tmp_path):
+        # a trace that listed range(0, 10**9) before its check would end in a
+        # MemoryError under the cap
+        script = "\n".join([
+            "from waverate import make_family",
+            "from waverate.convergence import lp_error_trace, pointwise_trace, test_function",
+            "from waverate.grids import ConfigError",
+            "gaussian, haar, huge = test_function('gaussian'), make_family('haar'), range(10**9)",
+            "for trace in (lambda: lp_error_trace(gaussian, haar, 1, huge, (-1, 1)),",
+            "              lambda: pointwise_trace(gaussian, haar, 0.0, huge)):",
+            "    try:",
+            "        trace()",
+            "    except ConfigError as exc:",
+            "        print('ConfigError:', exc)",
+        ])
+        proc = run_python(["-c", script], tmp_path, preexec_fn=cap_address_space, timeout=60,
+                          OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr.decode()
+        lines = proc.stdout.decode().splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("ConfigError: scale j = 999999999 reaches") for line in lines)
+
+    @pytest.mark.parametrize("argv", NEGATIVE_LEVELS)
+    def test_negative_level_exits_1_by_its_own_rule(self, argv, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(TestFunction, "tabulate", refuse)
+        out = tmp_path / "out.json"
+        assert main(argv.split() + ["--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: level -1 is negative; a study tabulates f at level 0 or finer\n"
 
     def test_fine_kernel_scales_run(self, tmp_path):
         # every scale-j profile reads the family's tables at level 6

@@ -320,9 +320,9 @@ class TestLatticeEngine:
     def test_odd_interval_lattice_detected_from_grid(self, haar, db2):
         # the same verdict from the grid alone, before f is tabulated
         with pytest.raises(ConfigError, match="odd number of intervals"):
-            check_analysis(haar, (0.0, 3.25), 2, [0])
-        check_analysis(haar, (0.0, 3.25), 3, [0])
-        check_analysis(db2, (0.0, 3.25), 2, [0])  # refined 3 levels: always even
+            check_analysis(haar, (0.0, 3.25), 2, range(0, 1))
+        check_analysis(haar, (0.0, 3.25), 3, range(0, 1))
+        check_analysis(db2, (0.0, 3.25), 2, range(0, 1))  # refined 3 levels: always even
 
     def test_coarsest_scale_bounded_by_table_level(self, haar, db2):
         # scale j reads the tables at level qlevel - j: db2's lattice at
@@ -332,9 +332,9 @@ class TestLatticeEngine:
             check_analysis(db2, (-4.0, 4.0), 12, range(-4, 5))
         check_analysis(haar, (-4.0, 4.0), 12, range(-6, 5))
         with pytest.raises(ConfigError, match="at level 19;"):
-            check_analysis(haar, (-4.0, 4.0), 12, [-7, 0])
+            check_analysis(haar, (-4.0, 4.0), 12, range(-7, 1))
         with pytest.raises(ConfigError, match="empty level range"):
-            check_analysis(haar, (-4.0, 4.0), 12, [])
+            check_analysis(haar, (-4.0, 4.0), 12, range(0))
 
 
 # ---------------------------------------------------------------------------

@@ -687,6 +687,17 @@ class TestBattleLemarieSeries:
         make_family("battle_lemarie", k).psi
         assert calls == [k]
 
+    def test_haar_aliases_check_the_haar_tables(self, monkeypatch):
+        # battle_lemarie:1 serves Haar's tables, so its first read checks
+        # those and builds no order-1 series
+        def refuse(*args):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(families, "_series", refuse)
+        haar, db1, bl1 = (check_family_invariants(make_family(*spec))
+                          for spec in (("haar", 0), ("daubechies", 1), ("battle_lemarie", 1)))
+        assert haar == db1 == bl1
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_exact_invariants_from_coefficients(self, k):
         defects = check_family_invariants(make_family("battle_lemarie", k))

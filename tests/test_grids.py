@@ -8,10 +8,13 @@ from waverate.grids import (
     MAX_TABLE_LEVEL,
     DecayHint,
     DyadicGrid,
+    ConfigError,
     SampledFunction,
+    check_study_level,
     check_table_level,
     product_quad,
     sample,
+    scale_span,
 )
 
 
@@ -174,6 +177,27 @@ def test_check_table_level():
     check_table_level(MAX_TABLE_LEVEL)
     with pytest.raises(ValueError, match="finest allowed"):
         check_table_level(MAX_TABLE_LEVEL + 1)
+
+
+def test_check_study_level():
+    check_study_level(0)
+    with pytest.raises(ConfigError, match="level -1 is negative"):
+        check_study_level(-1)
+
+
+class TestScaleSpan:
+    def test_reads_the_ends(self):
+        assert scale_span(range(3, 10)) == (3, 9)
+        assert scale_span(range(-2, -1)) == (-2, -2)
+        # no list of a billion or a googol scales is made
+        assert scale_span(range(0, 10**9)) == (0, 10**9 - 1)
+        assert scale_span(range(-(10**100), 4)) == (-(10**100), 3)
+
+    @pytest.mark.parametrize("js", [range(0), range(5, 3), range(0, 7, 2), range(6, 0, -1),
+                                    [0, 1, 2], (0, 1, 2), 3])
+    def test_rejects_anything_but_one_nonempty_range(self, js):
+        with pytest.raises(ConfigError, match="nonempty level range of step 1"):
+            scale_span(js)
 
 
 class TestDecayHint:

@@ -182,7 +182,7 @@ class TestRadialProfile:
         # period meet every distance and value of the square profile grid
         fam = make_family(name, param)
         g = profile_grid(fam, j)
-        got = scale_profiles(fam, [j])[0]
+        got = scale_profiles(fam, range(j, j + 1))[0]
         want = outer_difference_profile(kernel_matrix(fam, j, g, g))
         assert np.array_equal(got.radii, want.radii)
         assert np.max(np.abs(got.majorant - want.majorant)) <= 1e-15 * want.majorant[0]
@@ -197,18 +197,18 @@ class TestRadialProfile:
         assert profile_grid(make_family("shannon"), 12).level == 16
 
     def test_haar_box_profile(self, haar):
-        profile = scale_profiles(haar, [3])[0]
+        profile = scale_profiles(haar, range(3, 4))[0]
         r, m = profile.radii, profile.majorant
         # 1 on [0,1) and 0 beyond, up to one-bin quantization at the edge
         assert np.max(np.abs(m[r < 1.0 - 2.0 / 64] - 1.0)) < 1e-12
         assert np.all(m[r > 1.0] == 0.0)
 
     def test_majorant_nonincreasing(self, db2):
-        for profile in scale_profiles(db2, [0, 2, 4]):
+        for profile in scale_profiles(db2, range(0, 5)):
             assert np.all(np.diff(profile.majorant) <= 0)
 
     def test_db2_support_bound(self, db2):
-        profile = scale_profiles(db2, [2])[0]
+        profile = scale_profiles(db2, range(2, 3))[0]
         beyond = profile.majorant[profile.radii >= 5.0]
         assert np.max(beyond, initial=0.0) < 1e-10
 
@@ -233,7 +233,7 @@ class TestConvolutionBound:
 
     def test_needs_three_scales(self, haar):
         with pytest.raises(ConfigError):
-            verify_convolution_bound(haar, [0, 1])
+            verify_convolution_bound(haar, range(0, 2))
 
 
 class TestMainTheorem:

@@ -63,7 +63,7 @@ class TestWriteRecord:
         projection = sup_error_rates(
             test_function("gaussian"), make_family("haar"), range(3, 8), (-1.0, 1.0)
         )
-        spline = spline_convergence_study(test_function("sine"), 2, [0.25, 0.125, 0.0625])[0]
+        spline = spline_convergence_study(test_function("sine"), 2, range(2, 5))[0]
         for name, report, kept, left_out in (
             ("projection", projection, "fitted_levels", "fitted_meshes"),
             ("spline", spline, "fitted_meshes", "fitted_levels"),

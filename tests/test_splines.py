@@ -381,8 +381,7 @@ class TestBestApproximation:
 
     def test_perturbation_optimality_holds_for_every_seed(self, suite):
         # the fit `spline --check-optimality` checks: any --seed reads optimal
-        meshes = [2.0**-m for m in range(2, 7)]
-        _, f, fits = spline_convergence_study(suite["sine"], 2, meshes)
+        _, f, fits = spline_convergence_study(suite["sine"], 2, range(2, 7))
         assert all(perturbation_optimality(f, fits[-1], seed=seed) for seed in range(32))
 
     def test_perturbation_optimality_catches_a_moved_fit(self, sine_fit):
@@ -433,10 +432,11 @@ class TestSplineCorollary:
 
 
 class TestConvergenceStudies:
-    MESHES = [2.0**-m for m in range(2, 7)]
+    EXPONENTS = range(2, 7)
+    MESHES = [2.0**-m for m in EXPONENTS]
 
     def test_order_two_sine_second_order(self, suite):
-        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)[0]
+        rep = spline_convergence_study(suite["sine"], 2, self.EXPONENTS)[0]
         assert rep.family == "spline:k=2"
         assert 1.8 <= rep.slope <= 2.2
         assert rep.r_squared > 0.99
@@ -444,13 +444,14 @@ class TestConvergenceStudies:
         assert all(3.4 <= r <= 4.6 for r in ratios)
 
     def test_order_two_fits_every_mesh(self, suite):
-        rep = spline_convergence_study(suite["sine"], 2, self.MESHES)[0]
+        rep = spline_convergence_study(suite["sine"], 2, self.EXPONENTS)[0]
+        assert rep.j_values == tuple(float(m) for m in self.EXPONENTS)
         assert rep.fitted_meshes == tuple(self.MESHES)
         assert rep.fitted_levels is None
         assert rep.slope == pytest.approx(1.9997461482093464, abs=1e-12)
 
     def test_roundoff_errors_are_not_fitted(self, suite):
-        rep = spline_convergence_study(suite["sine"], 6, self.MESHES)[0]
+        rep = spline_convergence_study(suite["sine"], 6, self.EXPONENTS)[0]
         floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps
         fitted = [h for h, e in zip(self.MESHES, rep.sup_errors) if e > floor]
         assert rep.fitted_meshes == tuple(fitted) == tuple(self.MESHES[:3])
@@ -460,10 +461,10 @@ class TestConvergenceStudies:
         # linear splines reproduce a line: every error is roundoff
         line = TestFunction("line", lambda x: 0.5 * np.asarray(x) + 1.0, (0.0, 2.0), (), 1.0)
         with pytest.raises(ConvergenceError, match="roundoff floor"):
-            spline_convergence_study(line, 2, [0.25, 0.125, 0.0625])
+            spline_convergence_study(line, 2, range(2, 5))
 
     def test_order_one_gaussian_first_order(self, suite):
-        rep = spline_convergence_study(suite["gaussian"], 1, self.MESHES)[0]
+        rep = spline_convergence_study(suite["gaussian"], 1, self.EXPONENTS)[0]
         assert 0.85 <= rep.slope <= 1.1
 
     def test_step_trace_converges_off_knot(self, suite):
@@ -473,7 +474,8 @@ class TestConvergenceStudies:
         assert abs(approx(0.3)[0] - 1.0) < 1e-2
 
     def test_rejects_bad_meshes(self, suite):
-        for bad in ([0.25], [0.25, 0.3], [0.25, 0.2], [0.25, 0.125, 0.1]):
+        # one mesh, and exponents that are not one range of step 1
+        for bad in (range(2, 3), [2, 3, 4], range(2, 7, 2)):
             with pytest.raises(ConfigError):
                 spline_convergence_study(suite["gaussian"], 1, bad)
 
@@ -493,25 +495,36 @@ class TestConvergenceStudies:
             raise AssertionError("f was tabulated")
 
         monkeypatch.setattr(TestFunction, "tabulate", refuse)
-        meshes = [2.0**-m for m in exponents]
         with pytest.raises(ConfigError):
-            spline_convergence_study(suite["sine"], order, meshes, level=level)
+            spline_convergence_study(suite["sine"], order, exponents, level=level)
 
     def test_rejects_window_swallowed_by_shrink(self, suite):
         # 8 * 0.25 at each end of the 3.25-wide window leaves no point to assert on
         with pytest.raises(ConfigError, match="shrinks the window"):
-            spline_convergence_study(suite["sine"], 8, [0.25, 0.125, 0.0625])
+            spline_convergence_study(suite["sine"], 8, range(2, 5))
 
 
 class TestCheckStudy:
     WINDOW = (0.0, 3.25)
-    MESHES = [2.0**-m for m in range(2, 7)]
+    EXPONENTS = range(2, 7)
 
     def test_accepts_readme_study(self):
-        assert check_study(self.WINDOW, 2, self.MESHES, 12) == self.MESHES
+        check_study(self.WINDOW, 2, self.EXPONENTS, 12)
+
+    @pytest.mark.parametrize("exponents, level, message", [
+        # the bound of both ends, read off them: no mesh of 2^-1e9 is made
+        (range(2, 10**9), 12, r"must lie in -1\.\.9 at --level 12"),
+        (range(-3, 4), 12, r"must lie in -1\.\.9 at --level 12"),
+        # the coarsest mesh 0.5 does not tile the 3.25-wide window
+        (range(1, 5), 12, "not a positive multiple of mesh 0.5"),
+        (range(2, 7), -1, "level -1 is negative"),
+    ])
+    def test_rejects_by_the_ends(self, exponents, level, message):
+        with pytest.raises(ConfigError, match=message):
+            check_study(self.WINDOW, 2, exponents, level)
 
     @pytest.mark.parametrize("order", [0, -1, MAX_ORDER + 1])
     def test_rejects_order_outside_range(self, order):
         with pytest.raises(ConfigError, match=f"1..{MAX_ORDER}"):
-            check_study(self.WINDOW, order, self.MESHES, 12)
+            check_study(self.WINDOW, order, self.EXPONENTS, 12)
 
