@@ -33,8 +33,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .expansion import (
     validate_schedule,
 )
 from .families import MRAFamily
-from .grids import ConfigError, DyadicGrid, SampledFunction, line_fit, sample
+from .grids import ConfigError, DyadicGrid, Record, SampledFunction, _set, line_fit, sample
 from .serialize import write_csv
 from .splines import best_l2_spline, check_study, make_space
 
@@ -74,19 +73,18 @@ class ConvergenceError(ValueError):
 # test functions
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
-    x: float
-    kind: str
-    reference: float | None
+class MarkedPoint(Record):
+    __slots__ = _fields = ("x", "kind", "reference")
 
-    def __post_init__(self):
-        if self.kind not in POINT_KINDS:
-            raise ConfigError(f"unknown point kind {self.kind!r}")
+    def __init__(self, x: float, kind: str, reference: float | None):
+        if kind not in POINT_KINDS:
+            raise ConfigError(f"unknown point kind {kind!r}")
+        _set(self, "x", x)
+        _set(self, "kind", kind)
+        _set(self, "reference", reference)
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """A named function with certified marked points.
 
     ``sampler`` returns exact pointwise values (midpoint convention at
@@ -262,8 +260,7 @@ def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.n
 # rates
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     family: str
     function: str
     j_values: tuple

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,13 +54,12 @@ class ExpansionError(ValueError):
     """A computed coefficient that breaks its bound."""
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
+class ExpansionCoefficients(NamedTuple):
     family: MRAFamily
     base_level: int
     top_level: int
-    b: dict[int, float] = field(repr=False)
-    a: dict[tuple[int, int], float] = field(repr=False)
+    b: dict[int, float]
+    a: dict[tuple[int, int], float]
 
     def levels(self) -> list[tuple[int, dict[tuple, float]]]:
         """(j, {term: coefficient}) in k order: scaling level, then wavelet levels."""
@@ -71,8 +70,7 @@ class ExpansionCoefficients:
         return out
 
 
-@dataclass(frozen=True)
-class SummationSchedule:
+class SummationSchedule(NamedTuple):
     """Ordered groups of expansion terms.
 
     A term is ("b", k) for a scaling coefficient at the base level or

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,6 +40,7 @@ from .grids import (
     ConfigError,
     DecayHint,
     DyadicGrid,
+    Record,
     SampledFunction,
     product_quad,
     sample,
@@ -67,18 +67,27 @@ class ConstructionError(RuntimeError):
     """Invariant failure during family construction."""
 
 
-@dataclass(frozen=True)
-class MRAFamily:
-    name: str
-    filter: FilterPair | None
-    vanishing_moments: int
-    #: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized
-    symbol: Callable = field(repr=False, compare=False)
-    #: (gen, level) -> generator gen ("phi" or "psi") tabulated at that level
-    tabulate: Callable = field(repr=False, compare=False)
-    #: () -> (support, decay), read without building a table
-    geometry: Callable = field(repr=False, compare=False)
-    param: int | None = None
+class MRAFamily(Record):
+    """A family's name, filter and moments, and the callables behind it:
+
+    - ``symbol``: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized;
+    - ``tabulate``: (gen, level) -> generator gen ("phi" or "psi") tabulated
+      at that level;
+    - ``geometry``: () -> (support, decay), read without building a table.
+
+    Its fields and its verified tables live in its own ``__dict__``.
+    """
+
+    _fields = ("name", "filter", "vanishing_moments", "symbol", "tabulate", "geometry",
+               "param")
+
+    def __init__(self, name: str, filter: FilterPair | None, vanishing_moments: int,
+                 symbol: Callable, tabulate: Callable, geometry: Callable,
+                 param: int | None = None):
+        vars(self).update(
+            name=name, filter=filter, vanishing_moments=vanishing_moments, symbol=symbol,
+            tabulate=tabulate, geometry=geometry, param=param,
+        )
 
     @property
     def label(self) -> str:

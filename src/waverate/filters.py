@@ -10,11 +10,10 @@ doubles nearest their exact values; every filter re-validates its orthonormality
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ConfigError
+from .grids import ConfigError, Record, _set
 
 SUM_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -26,21 +25,19 @@ class FilterError(ValueError):
     """A filter pair that is not orthonormal: no stored filter is."""
 
 
-@dataclass(frozen=True)
-class FilterPair:
+class FilterPair(Record):
     """Lowpass/highpass coefficients h_0..h_{M-1}, g_0..g_{M-1}."""
 
-    lowpass: np.ndarray = field(repr=False)
-    highpass: np.ndarray = field(repr=False)
-    offset: int = 0
+    __slots__ = _fields = ("lowpass", "highpass", "offset")
 
-    def __post_init__(self):
-        h = np.asarray(self.lowpass, dtype=float)
-        g = np.asarray(self.highpass, dtype=float)
-        object.__setattr__(self, "lowpass", h)
-        object.__setattr__(self, "highpass", g)
+    def __init__(self, lowpass: np.ndarray, highpass: np.ndarray, offset: int = 0):
+        h = np.asarray(lowpass, dtype=float)
+        g = np.asarray(highpass, dtype=float)
         if h.ndim != 1 or g.shape != h.shape:
             raise FilterError("lowpass/highpass must be 1-d arrays of equal length")
+        _set(self, "lowpass", h)
+        _set(self, "highpass", g)
+        _set(self, "offset", offset)
         self.validate()
 
     def validate(self) -> None:

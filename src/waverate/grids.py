@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,26 +69,69 @@ def _is_dyadic(x: float, level: int) -> bool:
     return scaled == np.floor(scaled)
 
 
-@dataclass(frozen=True)
-class DyadicGrid:
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record that checks its fields as it is built.
+
+    Subclasses name their fields in order in ``_fields``, set each once in
+    ``__init__`` through ``_set`` after checking it, and compare by value.
+    ``_asdict`` and ``_replace`` work as on the NamedTuple records, and
+    ``_replace`` runs the checks again.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name}: {type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class DyadicGrid(Record):
     """Uniform grid on [left, right] with spacing 2**-level."""
 
-    left: float
-    right: float
-    level: int
+    __slots__ = _fields = ("left", "right", "level")
 
-    def __post_init__(self):
-        if self.level < 0:
+    def __init__(self, left: float, right: float, level: int):
+        if level < 0:
             raise ConfigError("grid level must be >= 0")
-        if self.level >= sys.float_info.max_exp:
-            raise ConfigError(f"grid level {self.level}: 2^{self.level} is not a finite double")
-        if not self.right > self.left:
+        if level >= sys.float_info.max_exp:
+            raise ConfigError(f"grid level {level}: 2^{level} is not a finite double")
+        if not right > left:
             raise ConfigError("grid requires right > left")
-        for endpoint in (self.left, self.right):
-            if not _is_dyadic(endpoint, self.level):
+        for endpoint in (left, right):
+            if not _is_dyadic(endpoint, level):
                 raise ConfigError(
-                    f"endpoint {endpoint} is not a dyadic rational at level {self.level}"
+                    f"endpoint {endpoint} is not a dyadic rational at level {level}"
                 )
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "level", level)
 
     @property
     def spacing(self) -> float:
@@ -126,8 +168,7 @@ class DyadicGrid:
         return DyadicGrid(self.left, self.right, self.level + extra_levels)
 
 
-@dataclass(frozen=True)
-class DecayHint:
+class DecayHint(Record):
     """Declared tail behaviour of a family's generators (`MRAFamily.decay`).
 
     kind is 'compact', 'exponential' (at rate `a`) or 'algebraic' (order `N` > 1).
@@ -135,36 +176,35 @@ class DecayHint:
     folded into invariant tolerances for non-compact families.
     """
 
-    kind: str
-    a: float | None = None
-    N: float | None = None
-    truncation: float = 0.0
+    __slots__ = _fields = ("kind", "a", "N", "truncation")
 
-    def __post_init__(self):
-        if self.kind not in ("compact", "exponential", "algebraic"):
-            raise ValueError(f"unknown decay kind {self.kind!r}")
-        if self.kind == "exponential" and not (self.a is not None and self.a > 0):
+    def __init__(self, kind: str, a: float | None = None, N: float | None = None,
+                 truncation: float = 0.0):
+        if kind not in ("compact", "exponential", "algebraic"):
+            raise ValueError(f"unknown decay kind {kind!r}")
+        if kind == "exponential" and not (a is not None and a > 0):
             raise ValueError("exponential decay requires a > 0")
-        if self.kind == "algebraic" and not (self.N is not None and self.N > 1):
+        if kind == "algebraic" and not (N is not None and N > 1):
             raise ValueError("algebraic decay requires N > 1")
+        _set(self, "kind", kind)
+        _set(self, "a", a)
+        _set(self, "N", N)
+        _set(self, "truncation", truncation)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(Record):
     """A dyadic grid and a real function's values on it."""
 
-    grid: DyadicGrid
-    values: np.ndarray = field(repr=False)
+    __slots__ = _fields = ("grid", "values")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.count,):
-            raise ValueError(
-                f"values length {vals.shape} does not match grid count {self.grid.count}"
-            )
+    def __init__(self, grid: DyadicGrid, values: np.ndarray):
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (grid.count,):
+            raise ValueError(f"values length {vals.shape} does not match grid count {grid.count}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sampled values must be finite")
+        _set(self, "grid", grid)
+        _set(self, "values", vals)
 
     def x(self) -> np.ndarray:
         return self.grid.points()

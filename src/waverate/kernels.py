@@ -13,7 +13,7 @@ the rows of one period, as P_j is symmetric and invariant under 2^-j shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,24 +36,21 @@ class KernelError(ValueError):
     """A majorant with too few radii above PROFILE_FLOOR to fit."""
 
 
-@dataclass(frozen=True)
-class KernelEvaluation:
+class KernelEvaluation(NamedTuple):
     j: int
     xs: DyadicGrid
     ys: DyadicGrid
-    values: np.ndarray = field(repr=False)  # shape (xs.count, ys.count)
+    values: np.ndarray  # shape (xs.count, ys.count)
 
 
-@dataclass(frozen=True)
-class RadialBound:
+class RadialBound(NamedTuple):
     """Nonincreasing majorant M(u) of |P_j(x,y)|/2^j over u = 2^j |x-y|."""
 
-    radii: np.ndarray = field(repr=False)
-    majorant: np.ndarray = field(repr=False)
+    radii: np.ndarray
+    majorant: np.ndarray
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """The fit log M(u) = log C - a u / 2 of a radial majorant."""
 
     constant: float

@@ -2,7 +2,7 @@
 
 Floats are rendered with 17 significant digits ('.' decimal, comma-delimited
 CSV with minimal quoting, LF line endings) so identical runs produce
-byte-identical files.  A record (a study's report dataclass) is written by
+byte-identical files.  A record (a study's report, a NamedTuple) is written by
 ``write_record``: its JSON is its fields, those that are None left out.  All
 writes are atomic: temp file in the target directory, then rename.
 """
@@ -10,7 +10,6 @@ writes are atomic: temp file in the target directory, then rename.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -60,8 +59,8 @@ def write_json(path: str, payload) -> None:
 
 
 def write_record(path: str, record) -> None:
-    """The JSON of a record dataclass: its fields, leaving out any that is None."""
-    fields = dataclasses.asdict(record)
+    """The JSON of a record: its fields, leaving out any that is None."""
+    fields = record._asdict()
     write_json(path, {name: value for name, value in fields.items() if value is not None})
 
 

@@ -48,8 +48,7 @@ the symbol route; no criterion uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -114,8 +113,7 @@ def _frequencies(xi) -> np.ndarray:
     return xi
 
 
-@dataclass(frozen=True)
-class SymbolSpectrum:
+class SymbolSpectrum(NamedTuple):
     """|phi^| or |psi^| of a family, as infinite products of its symbol."""
 
     symbol: Callable
@@ -160,8 +158,7 @@ def sampled_transform(f: SampledFunction, xi) -> np.ndarray:
     return total / math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class SampledSpectrum:
+class SampledSpectrum(NamedTuple):
     """The unitary Fourier transform of the ``source`` samples."""
 
     source: SampledFunction
@@ -180,8 +177,7 @@ def fourier_transform(f: SampledFunction) -> SampledSpectrum:
 # shell integrals
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Outcome of a singular-weight shell integral.
 
     ``value`` is +inf when ``diverged``, and otherwise the last cumulative
@@ -287,8 +283,7 @@ def scaling_criterion(fam: MRAFamily, s: float, epsilon: float = 1.0) -> Integra
 # critical order
 
 
-@dataclass(frozen=True)
-class CriticalOrder:
+class CriticalOrder(NamedTuple):
     """The decay exponent s* of a criterion's integrand, and the last two
     local exponents it was extrapolated from (its accuracy evidence)."""
 

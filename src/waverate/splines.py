@@ -39,9 +39,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, sub
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,8 +76,7 @@ def cardinal_bspline(k: int, x) -> np.ndarray:
     return m[0]
 
 
-@dataclass(frozen=True)
-class SplineSpace:
+class SplineSpace(NamedTuple):
     """Order-k B-splines on uniform knots over a window.
 
     Basis index i = 0..basis_count-1 has leftmost knot
@@ -239,8 +238,7 @@ def _solve(u: list, b) -> np.ndarray:
 # best L^2 approximation
 
 
-@dataclass(frozen=True)
-class SplineApproximation:
+class SplineApproximation(NamedTuple):
     space: SplineSpace
     coefficients: np.ndarray
 
@@ -395,7 +393,7 @@ def check_study(window, order: int, exponents, level: int) -> None:
     lo = math.ceil(-math.log2(window[1] - window[0]))
     hi = level - int(math.log2(MIN_SAMPLES_PER_CELL))
     if not lo <= coarse <= fine <= hi:
-        raise ConfigError(f"mesh exponents must lie in {lo}..{hi} at --level {level}")
+        raise ConfigError(f"mesh exponents must lie in {lo}..{hi} at level {level}")
     check_table_level(level)
     if fine == coarse:
         raise ConfigError("need at least two mesh exponents")

@@ -1,7 +1,8 @@
 """Acceptance battery: every criterion prints one pass/fail line.
 
-The criteria are implemented once, in waverate.cli, so the command-line
-``suite`` subcommand and this test module always agree.  Run with ``-s`` (or
+The criteria are implemented once, in waverate.suite, and both the
+command-line ``suite`` subcommand and this test module read them from
+``waverate.cli.CRITERIA``, so the two always agree.  Run with ``-s`` (or
 read captured output) to see the per-criterion lines.
 """
 

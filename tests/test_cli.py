@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -10,6 +9,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 import waverate
-from waverate import DyadicGrid, cli, families, make_family
+from waverate import DyadicGrid, cli, families, make_family, suite
 from waverate.cli import (
     MAX_SWEEP_POINTS,
     ConfigError,
-    _haar_cell_average_defects,
     main,
     parse_int_range,
     parse_sweep,
@@ -31,6 +30,7 @@ from waverate.convergence import RateReport, TestFunction, test_function
 from waverate.expansion import project
 from waverate.sobolev import CriticalOrder
 from waverate.splines import MAX_ORDER, PERTURBATION_SEED
+from waverate.suite import _haar_cell_average_defects
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -521,7 +521,7 @@ class TestCommands:
 
     def test_spline_check_fits_each_mesh_once(self, monkeypatch, capsys):
         # the optimality check reads the study's own table and finest fit
-        from waverate import cli, convergence, splines
+        from waverate import convergence, splines
 
         fits, tables = [], []
         fit, tabulate = splines.best_l2_spline, convergence.TestFunction.tabulate
@@ -534,8 +534,7 @@ class TestCommands:
             tables.append(level)
             return tabulate(tf, level)
 
-        for module in (cli, convergence):
-            monkeypatch.setattr(module, "best_l2_spline", counting_fit)
+        monkeypatch.setattr(convergence, "best_l2_spline", counting_fit)
         monkeypatch.setattr(convergence.TestFunction, "tabulate", counting_tabulate)
         argv = "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality"
         assert main(argv.split()) == 0
@@ -549,7 +548,7 @@ class TestCommands:
     ])
     def test_study_checks_itself_once(self, argv, check, monkeypatch):
         # the study checks its own input; the CLI runs no second copy
-        from waverate import convergence
+        from waverate import convergence, splines
 
         calls = []
         original = getattr(convergence, check)
@@ -603,7 +602,7 @@ class TestHaarCellAverageOracle:
     def test_one_pass_equals_per_cell_loop(self, name):
         haar, tf = make_family("haar"), test_function(name)
         if tf.sampler is None:  # tabulated from its measure; sample its set
-            tf = dataclasses.replace(tf, sampler=oscillating_set_indicator)
+            tf = tf._replace(sampler=oscillating_set_indicator)
         got = _haar_cell_average_defects(haar, tf, range(0, 9))
         assert got == [per_cell_average_defect(haar, tf, j) for j in range(0, 9)]
 
@@ -648,6 +647,33 @@ class TestSuiteCommand:
         assert main(["suite", "--jobs", jobs, "--out", str(tmp_path / "rep")]) == 1
         assert not (tmp_path / "rep").exists()
         assert "--jobs" in capsys.readouterr().err
+
+    def test_threads_share_the_slope_studies(self, monkeypatch):
+        # criteria 7 and 9, twice each on four threads that switch often:
+        # every thread but the first to read the sup-norm studies waits for
+        # its result, so each family's study runs once
+        from concurrent.futures import ThreadPoolExecutor
+
+        calls, study = [], suite.sup_error_rates
+
+        def slow_study(*args, **kwargs):
+            calls.append(args[1].label)
+            time.sleep(0.05)
+            return study(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "sup_error_rates", slow_study)
+        criteria = 2 * (suite.crit_rate_slopes, suite.crit_rate_criterion_consistency)
+        interval = sys.getswitchinterval()
+        suite.forget_shared_studies()
+        try:
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                rows = list(pool.map(lambda criterion: criterion(), criteria, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+            suite.forget_shared_studies()
+        assert len(rows) == 4
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1035,6 +1061,18 @@ class TestImportGraph:
         codes = ", ".join("0" * len(first))
         assert self.run_studies(first.values(), module, tmp_path) == f"[{codes}] False"
 
+    @pytest.mark.parametrize("module", ["concurrent.futures", "logging", "dataclasses"])
+    def test_quickstart_commands_do_not_import_the_pool_or_dataclasses(self, module, tmp_path):
+        # the thread pool (logging with it) is imported by `suite` alone, and
+        # the records are built without generated code
+        studies = [" ".join(argv) for argv in readme_argvs() if argv[0] != "suite"]
+        codes = ", ".join("0" * len(studies))
+        assert self.run_studies(studies, module, tmp_path) == f"[{codes}] False"
+
+    def test_suite_imports_the_pool(self, tmp_path):
+        studies = ["suite --jobs 2 --only 12"]
+        assert self.run_studies(studies, "concurrent.futures", tmp_path) == "[0] True"
+
     def test_spline_check_does_not_import_numpy_random(self, tmp_path):
         # the perturbations come from the stdlib generator numpy has already
         # imported: no study pays for the cold numpy.random import
@@ -1063,7 +1101,7 @@ class TestImportGraph:
 
 def record_keys(record_type, none_field) -> list[str]:
     """The JSON keys of a record whose field `none_field` is None."""
-    return sorted(f.name for f in dataclasses.fields(record_type) if f.name != none_field)
+    return sorted(f for f in record_type._fields if f != none_field)
 
 
 class TestScripts:
@@ -1132,7 +1170,7 @@ def counted_families(monkeypatch, module, read_first=False):
             reads.append((made.label, gen, level))
             return made.tabulate(gen, level)
 
-        fam = dataclasses.replace(made, tabulate=tabulate)
+        fam = made._replace(tabulate=tabulate)
         if read_first:
             families.check_family_invariants(fam)
         return fam
@@ -1183,7 +1221,7 @@ class TestTablesOnFirstRead:
         assert reads == []
 
     def test_critical_order_criterion_builds_no_table(self, tmp_path, monkeypatch):
-        reads = counted_families(monkeypatch, cli)
+        reads = counted_families(monkeypatch, suite)
         assert main(["suite", "--only", "8", "--out", str(tmp_path / "rep")]) == 0
         assert reads == []
 
@@ -1201,9 +1239,9 @@ class TestTablesOnFirstRead:
                 table = fam.tabulate(gen, level)
                 if gen == "psi":
                     return table
-                return dataclasses.replace(table, values=2.0 * table.values)
+                return table._replace(values=2.0 * table.values)
 
-            return dataclasses.replace(fam, tabulate=tabulate)
+            return fam._replace(tabulate=tabulate)
 
         monkeypatch.setattr(families, "make_family", doubled_phi)
         out = tmp_path / "out.json"

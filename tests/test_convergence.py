@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -284,7 +283,7 @@ class TestOneSample:
     def test_truth_is_the_sampler_bit_for_bit(self, suite, monkeypatch, famspec, fname):
         fam, tf, window = family(*famspec), suite[fname], SAMPLED_WINDOWS[fname]
         calls, reads = [], []
-        counted = dataclasses.replace(tf, sampler=lambda x: calls.append(x) or tf.sampler(x))
+        counted = tf._replace(sampler=lambda x: calls.append(x) or tf.sampler(x))
         read = SampledFunction.on_lattice
         check_family_invariants(fam)  # the family's tables are built before the spy
 
@@ -446,8 +445,7 @@ class TestOrderRobustness:
         full = partial_sum(coeffs, sched, lattice)
         want = full.values[[lattice.index_of(x) for x in rep["x_points"]]]
         assert np.max(np.abs(rep["final_values"][0] - want)) < 1e-12
-        doubled = dataclasses.replace(
-            coeffs,
+        doubled = coeffs._replace(
             b={k: 2.0 * v for k, v in coeffs.b.items()},
             a={t: 2.0 * v for t, v in coeffs.a.items()},
         )

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import tracemalloc
 
@@ -214,7 +213,7 @@ class TestSchedules:
     def test_straggler_schedule_rejected(self, haar, gauss):
         # hold back one j=0 term until all deeper levels are done
         coeffs = analyze(gauss, haar, 0, 5)
-        base = dataclasses.replace(level_by_level_schedule(coeffs), bounded_range=2)
+        base = level_by_level_schedule(coeffs)._replace(bounded_range=2)
         groups = list(base.groups)
         first_detail = groups[1]
         held, rest = first_detail[0], first_detail[1:]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -399,7 +398,7 @@ class TestRefinedTables:
             reads.append((gen, level))
             return fam.tabulate(gen, level)
 
-        check_family_invariants(dataclasses.replace(fam, tabulate=counted))
+        check_family_invariants(fam._replace(tabulate=counted))
         finer = [read for read in reads if read[1] > FAMILY_LEVEL]
         assert finer == [(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE) for gen in ("phi", "psi")]
 
@@ -488,7 +487,7 @@ def counting(fam):
         reads.append((gen, level))
         return fam.tabulate(gen, level)
 
-    return dataclasses.replace(fam, tabulate=counted), reads
+    return fam._replace(tabulate=counted), reads
 
 
 def doubled_phi(fam):
@@ -500,7 +499,7 @@ def doubled_phi(fam):
             return table
         return SampledFunction(table.grid, 2.0 * table.values)
 
-    return dataclasses.replace(fam, tabulate=tabulate)
+    return fam._replace(tabulate=tabulate)
 
 
 ALL_SPECS = [("haar", 0), ("daubechies", 1), ("daubechies", 4), ("battle_lemarie", 1),
@@ -557,7 +556,7 @@ class TestTablesOnFirstRead:
             values[-1] = 1.0
             return SampledFunction(table.grid, values)
 
-        fam = dataclasses.replace(made, tabulate=tabulate)
+        fam = made._replace(tabulate=tabulate)
         with pytest.raises(ConstructionError, match="does not vanish at the ends"):
             getattr(fam, gen)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -278,7 +277,7 @@ class TestFitDecay:
     @staticmethod
     def radii_up_to(rb: RadialBound, u: float) -> RadialBound:
         keep = rb.radii <= u
-        return dataclasses.replace(rb, radii=rb.radii[keep], majorant=rb.majorant[keep])
+        return rb._replace(radii=rb.radii[keep], majorant=rb.majorant[keep])
 
     def test_haar_degenerate_flat_profile(self, haar_report):
         # constant profile on the support: slope 0, flagged as mismatch

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -134,7 +133,7 @@ class TestSymbolSpectrum:
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
     def test_symbol_off_one_at_zero_raises_on_shells(self, criterion):
         # the shell table grows until every xi has underflowed, then raises
-        fam = dataclasses.replace(built("haar", 0), symbol=pollen_cosine_symbol(0.8))
+        fam = built("haar", 0)._replace(symbol=pollen_cosine_symbol(0.8))
         with stops_within_alarm():
             criterion_sweep(fam, [0.5, 1.5], 1.0, criterion)
         with stops_within_alarm():
@@ -335,7 +334,7 @@ def counted_symbol(fam):
         calls.append(omega.size)
         return fam.symbol(omega)
 
-    return dataclasses.replace(fam, symbol=symbol), calls
+    return fam._replace(symbol=symbol), calls
 
 
 _SINGLE = {"wavelet": wavelet_criterion, "scaling": scaling_criterion}

@@ -513,8 +513,8 @@ class TestCheckStudy:
 
     @pytest.mark.parametrize("exponents, level, message", [
         # the bound of both ends, read off them: no mesh of 2^-1e9 is made
-        (range(2, 10**9), 12, r"must lie in -1\.\.9 at --level 12"),
-        (range(-3, 4), 12, r"must lie in -1\.\.9 at --level 12"),
+        (range(2, 10**9), 12, r"must lie in -1\.\.9 at level 12"),
+        (range(-3, 4), 12, r"must lie in -1\.\.9 at level 12"),
         # the coarsest mesh 0.5 does not tile the 3.25-wide window
         (range(1, 5), 12, "not a positive multiple of mesh 0.5"),
         (range(2, 7), -1, "level -1 is negative"),
