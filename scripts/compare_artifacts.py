@@ -5,9 +5,9 @@ source trees and compare their outputs.
 Every `waverate` command of the README's CLI quickstart (the suite with
 `--jobs 2`), every distinct study of the benchmark's workloads (read from
 `benchmarks/studies.py`, spline seed 3), each bad configuration of
-REJECTIONS and each `--study` runs twice in fresh processes, once importing
-`waverate` from BASE_SRC and once from this checkout's `src/`, each in its
-own temporary directory.  So does each experiment script
+REJECTIONS, each failed computation of FAILURES and each `--study` runs
+twice in fresh processes, once importing `waverate` from BASE_SRC and once
+from this checkout's `src/`, each in its own temporary directory.  So does each experiment script
 (EXPERIMENT_SCRIPTS, with `--outdir`), each tree running its own copy: the
 base tree's from the `scripts/` beside BASE_SRC, skipped with a note when
 there is none.  Every file a run writes, its standard output, its standard
@@ -62,6 +62,19 @@ REJECTIONS = (
     "sobolev --family haar --sweep-s 15.0..17.0:1.0",
     "family --family daubechies:11",
     "family --family mystery:3",
+    # a sup-norm window that holds a jump
+    "rate --family haar --function oscillating_indicator --j 3..9 --window -0.5,0.5",
+    "spline --function step --order 1 --mesh-exponents 2..6",
+    "spline --function step --order 2 --mesh-exponents 2..6",
+    "spline --function ramp --order 2 --mesh-exponents 2..6",
+)
+#: one computation per kind that fails its own check: each must exit 2 with
+#: the same `error:` line under both trees
+FAILURES = (
+    "sobolev --family shannon",  # no divergence onset
+    "sobolev --family shannon --criterion scaling",
+    "rate --family haar --function step --j 3..9 --window 0.5,1.0",  # no rate above roundoff
+    "rate --family daubechies:2 --function step --j 3..9 --window 0.5,1.0",
 )
 
 
@@ -185,7 +198,7 @@ def main() -> int:
     )
     args = parser.parse_args()
     base_src, head_src = os.path.abspath(args.base_src), str(ROOT / "src")
-    extra = REJECTIONS + tuple(args.study)
+    extra = REJECTIONS + FAILURES + tuple(args.study)
     studies = readme_studies() + benchmark_studies() + [shlex.split(s) for s in extra]
     differing = 0
     for argv in studies:

@@ -20,33 +20,20 @@ from types import SimpleNamespace
 
 from .convergence import (
     STUDY_LEVEL,
-    ConvergenceError,
     export_rate_csv,
     quadrature_sample,
     spline_convergence_study,
     sup_error_rates,
     test_function,
 )
-from .expansion import ExpansionError, analyze, check_analysis
-from .families import ConstructionError, check_family_invariants, parse_family_spec
-from .filters import FilterError
-from .grids import ConfigError
-from .kernels import KernelError, export_bound_report, fit_decay, verify_convolution_bound
+from .expansion import analyze, check_analysis
+from .families import check_family_invariants, parse_family_spec
+from .grids import ComputationError, ConfigError
+from .kernels import export_bound_report, fit_decay, verify_convolution_bound
 from .serialize import family_to_dict, write_csv, write_json, write_record
-from .sobolev import SobolevError, criterion_sweep, critical_order, export_sweep_csv
-from .splines import MAX_ORDER, PERTURBATION_SEED, SplineError, perturbation_optimality
+from .sobolev import criterion_sweep, critical_order, export_sweep_csv
+from .splines import MAX_ORDER, PERTURBATION_SEED, perturbation_optimality
 from .suite import CRITERIA, forget_shared_studies
-
-#: exceptions signalling a computational (not configuration) failure
-COMPUTATIONAL_ERRORS = (
-    ConstructionError,
-    ConvergenceError,
-    ExpansionError,
-    FilterError,
-    KernelError,
-    SobolevError,
-    SplineError,
-)
 
 #: a Haar verdict costs well under 1 ms, so the longest sweep takes seconds
 MAX_SWEEP_POINTS = 10_000
@@ -105,10 +92,10 @@ def parse_window(text: str) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners (each returns the one-line stdout summary)
+# subcommand runners (each returns the one-line stdout summary and the exit code)
 
 
-def run_family(args) -> str:
+def run_family(args) -> tuple[str, int]:
     fam = parse_family_spec(args.family)
     defects = check_family_invariants(fam)
     if args.out:
@@ -116,10 +103,10 @@ def run_family(args) -> str:
         doc["invariant_defects"] = defects
         write_json(args.out, doc)
     worst = max(defects.values())
-    return f"family {fam.label} max_invariant_defect={worst:.3g}"
+    return f"family {fam.label} max_invariant_defect={worst:.3g}", 0
 
 
-def run_expand(args) -> str:
+def run_expand(args) -> tuple[str, int]:
     tf = test_function(args.function)
     jr = parse_int_range(args.j)
     if len(jr) < 2:
@@ -132,10 +119,10 @@ def run_expand(args) -> str:
 
         write_json(args.out, coefficients_to_dict(coeffs))
     n = len(coeffs.b) + len(coeffs.a)
-    return f"expand {fam.label} {tf.name} j={jr.start}..{jr.stop - 1} terms={n}"
+    return f"expand {fam.label} {tf.name} j={jr.start}..{jr.stop - 1} terms={n}", 0
 
 
-def run_kernel(args) -> str:
+def run_kernel(args) -> tuple[str, int]:
     jr = parse_int_range(args.j)
     fam = parse_family_spec(args.family)
     report = verify_convolution_bound(fam, jr)
@@ -148,7 +135,7 @@ def run_kernel(args) -> str:
     return (
         f"kernel {fam.label} collapse={report['collapse_defect']:.3g} "
         f"mass={report['l1_mass']:.4g} bound={verdict}"
-    )
+    ), 0
 
 
 def _export_rate(report, args) -> None:
@@ -159,17 +146,17 @@ def _export_rate(report, args) -> None:
         write_record(args.out, report)
 
 
-def run_rate(args) -> str:
+def run_rate(args) -> tuple[str, int]:
     tf = test_function(args.function)
     jr = parse_int_range(args.j)
     window = parse_window(args.window) if args.window else (-1.0, 1.0)
     fam = parse_family_spec(args.family)
     report = sup_error_rates(tf, fam, jr, window, level=args.level)
     _export_rate(report, args)
-    return f"rate {fam.label} {tf.name} slope={report.slope:.4f} r2={report.r_squared:.4f}"
+    return f"rate {fam.label} {tf.name} slope={report.slope:.4f} r2={report.r_squared:.4f}", 0
 
 
-def run_sobolev(args) -> str:
+def run_sobolev(args) -> tuple[str, int]:
     s_values = parse_sweep(args.sweep_s) if args.sweep_s else ()
     fam = parse_family_spec(args.family)
     if args.sweep_s:
@@ -180,14 +167,14 @@ def run_sobolev(args) -> str:
         return (
             f"sobolev {fam.label} sweep n={len(results)} diverged={n_div} "
             f"criterion={args.criterion}"
-        )
+        ), 0
     co = critical_order(fam, args.epsilon, args.criterion)
     if args.out:
         write_record(args.out, co)
-    return f"sobolev {fam.label} s_star={co.s_star:.4f} criterion={args.criterion}"
+    return f"sobolev {fam.label} s_star={co.s_star:.4f} criterion={args.criterion}", 0
 
 
-def run_spline(args) -> str:
+def run_spline(args) -> tuple[str, int]:
     tf = test_function(args.function)
     exponents = parse_int_range(args.mesh_exponents)
     if args.seed < 0:
@@ -197,7 +184,7 @@ def run_spline(args) -> str:
     if args.check_optimality:
         optimal = f" optimal={perturbation_optimality(f, fits[-1], seed=args.seed)}"
     _export_rate(report, args)
-    return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}"
+    return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}", 0
 
 
 def run_suite(args) -> tuple[str, int]:
@@ -245,31 +232,32 @@ _FAMILY = {"--family": (str, REQUIRED, "name or name:param, e.g. daubechies:2")}
 _FUNCTION = {"--function": (str, REQUIRED, "test function name, e.g. gaussian")}
 _FORMAT = {"--format": (("json", "csv"), "json", "output file format")}
 
-#: command -> (help line, {option: (converter, default, help)}).  A converter
-#: is str, int, float, a tuple of the accepted values, or bool for a flag.
+#: command -> (help line, {option: (converter, default, help)}, runner).  A
+#: converter is str, int, float, a tuple of the accepted values, or bool for
+#: a flag.
 COMMANDS = {
-    "family": ("build a family and check its invariants", {**_OUT, **_FAMILY}),
+    "family": ("build a family and check its invariants", {**_OUT, **_FAMILY}, run_family),
     "expand": ("compute expansion coefficients", {
         **_OUT, **_LEVEL, **_FAMILY, **_FUNCTION,
         "--j": (str, REQUIRED, "level range, e.g. 0..6"),
-    }),
+    }, run_expand),
     "kernel": ("projection-kernel convolution bound", {
         **_OUT, **_FAMILY,
         "--j": (str, REQUIRED, "scale range, e.g. 0..6"),
         "--fit-decay": (("exponential",), None, "fit a decay model"),
-    }),
+    }, run_kernel),
     "rate": ("sup-norm convergence-rate regression", {
         **_OUT, **_LEVEL, **_FAMILY, **_FUNCTION,
         "--j": (str, REQUIRED, "level range, e.g. 3..9"),
         "--window": (str, None, "assertion window lo,hi (default -1.0,1.0)"),
         **_FORMAT,
-    }),
+    }, run_rate),
     "sobolev": ("regularity criteria and critical order", {
         **_OUT, **_FAMILY,
         "--sweep-s": (str, None, "sweep lo..hi:step, e.g. 0.1..2.0:0.1"),
         "--criterion": (("wavelet", "scaling"), "wavelet", "the spectrum the shells read"),
         "--epsilon": (float, 1.0, "outer edge of the outermost shell, in (0, pi]"),
-    }),
+    }, run_sobolev),
     "spline": ("best-L2 spline mesh-refinement study", {
         **_OUT, **_LEVEL, **_FUNCTION,
         "--order": (int, REQUIRED, f"spline order k in 1..{MAX_ORDER}"),
@@ -277,12 +265,12 @@ COMMANDS = {
         **_FORMAT,
         "--check-optimality": (bool, False, "perturbing the finest fit must worsen it"),
         "--seed": (int, PERTURBATION_SEED, "seed of the perturbations"),
-    }),
+    }, run_spline),
     "suite": ("run the acceptance battery", {
         "--out": (str, None, "report directory (default suite_report)"),
         "--only": (str, None, "run only criteria whose id or name matches"),
         "--jobs": (int, 1, "worker threads"),
-    }),
+    }, run_suite),
 }
 
 
@@ -291,9 +279,9 @@ def _help(command=None) -> str:
     if command is None:
         lines = [f"usage: waverate {{{','.join(COMMANDS)}}} [--option VALUE ...]", "",
                  __doc__.splitlines()[0], "", "commands:"]
-        lines += [f"  {name:<9} {doc}" for name, (doc, _) in COMMANDS.items()]
+        lines += [f"  {name:<9} {doc}" for name, (doc, *_) in COMMANDS.items()]
         return "\n".join(lines)
-    doc, options = COMMANDS[command]
+    doc, options, _ = COMMANDS[command]
     lines = [f"usage: waverate {command} [--option VALUE ...]", "", doc, "", "options:"]
     for name, (convert, default, text) in options.items():
         if convert is not bool:
@@ -369,28 +357,14 @@ def parse_args(argv=None) -> SimpleNamespace:
     )
 
 
-_RUNNERS = {
-    "family": run_family,
-    "expand": run_expand,
-    "kernel": run_kernel,
-    "rate": run_rate,
-    "sobolev": run_sobolev,
-    "spline": run_spline,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        if args.command == "suite":
-            summary, code = run_suite(args)
-        else:
-            summary = _RUNNERS[args.command](args)
-            code = 0
+        summary, code = COMMANDS[args.command][2](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except COMPUTATIONAL_ERRORS as exc:
+    except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(summary)

@@ -47,7 +47,8 @@ from .expansion import (
     validate_schedule,
 )
 from .families import MRAFamily
-from .grids import ConfigError, DyadicGrid, Record, SampledFunction, _set, line_fit, sample
+from .grids import (ComputationError, ConfigError, DyadicGrid, Record, SampledFunction, _set,
+                    line_fit, sample)
 from .serialize import write_csv
 from .splines import best_l2_spline, check_study, make_space
 
@@ -63,10 +64,6 @@ REGRESSION_MIN_J = 3
 ROUNDOFF_FLOOR_EPS = 1000
 
 POINT_KINDS = ("continuity", "lebesgue_discontinuous", "jump")
-
-
-class ConvergenceError(ValueError):
-    """No rate above roundoff, or a schedule that is incomplete or breaks its range."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +134,14 @@ def oscillating_measure(t) -> np.ndarray:
     return total
 
 
+#: the oscillating indicator's marked points, built once: its Lebesgue point
+#: 0, and its jumps at the ends of each interval of E (`oscillating_measure`)
+_OSCILLATING_POINTS = (
+    MarkedPoint(0.0, "lebesgue_discontinuous", 0.0),
+    *(MarkedPoint(x, "jump", None) for n in range(1, 40) for x in (2.0**-n, 2.0**-n + 8.0**-n)),
+)
+
+
 def _step_sampler(x0: float) -> Callable:
     return lambda x: 0.5 * (np.sign(np.asarray(x, dtype=float) - x0) + 1.0)
 
@@ -179,7 +184,7 @@ def builtin_suite() -> list:
             "oscillating_indicator",
             None,
             (-1.0, 1.0),
-            (MarkedPoint(0.0, "lebesgue_discontinuous", 0.0),),
+            _OSCILLATING_POINTS,
             0.0,
             cumulative_measure=oscillating_measure,
         ),
@@ -231,6 +236,21 @@ def midcell_step(j: int) -> TestFunction:
 # pointwise traces
 
 
+def reach(fam: MRAFamily, j: int) -> float:
+    """How far a level-j atom of fam reaches from its lattice point:
+    max(|left|, |right|) of the family's support times 2^-j."""
+    return max(map(abs, fam.support)) * 2.0**-j
+
+
+def check_jumps(tf: TestFunction, window, margin: float) -> None:
+    """Raise ConfigError if a jump of tf lies within margin of the window."""
+    for mp in tf.marked_points:
+        if mp.kind == "jump" and window[0] - margin < mp.x < window[1] + margin:
+            raise ConfigError(
+                f"window {window} comes within {margin:.3g} of the jump at {mp.x}"
+            )
+
+
 def _snap_right(x: float, level: int) -> float:
     """Nearest lattice point strictly right of x (right-continuous reading)."""
     return (math.floor(x * 2.0**level + 0.5) + 1) * 2.0**-level
@@ -239,7 +259,7 @@ def _snap_right(x: float, level: int) -> float:
 def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.ndarray:
     """(j, P_j f(x)) pairs on the STUDY_LEVEL lattice, read right-continuously."""
     j_min = check_analysis(fam, tf.window, STUDY_LEVEL, j_range)[0]
-    margin = max(map(abs, fam.support)) * 2.0 ** -j_min
+    margin = reach(fam, j_min)
     if not tf.window[0] + margin <= x <= tf.window[1] - margin:
         raise ConfigError(
             f"point {x} too close to the window edge for level {j_min} "
@@ -280,7 +300,7 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
     """The RateReport of a study: a log2 line through the errors at exactly
     those `candidates` (indices of levels) above the roundoff floor
     ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two raise
-    ConvergenceError.  `truth` is the reference on the level-L assertion
+    ComputationError.  `truth` is the reference on the level-L assertion
     grid, and the quantization bound 2^-L times its grid Lipschitz estimate
     is its largest step.  A spline study's fitted `meshes` are recorded, or
     else a projection study's fitted levels.
@@ -288,7 +308,7 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
     fitted = [i for i in candidates if errors[i] > floor]
     if len(fitted) < 2:
-        raise ConvergenceError(
+        raise ComputationError(
             f"{len(fitted)} sup error(s) above roundoff; a rate fit needs two "
             f"above the roundoff floor {floor:.3g}"
         )
@@ -316,9 +336,9 @@ def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -
     be dyadic at `level` and lie inside f's tabulated window, and the fit
     needs at least four levels j >= REGRESSION_MIN_J.  The window must also
     stay out of reach of a jump of f and, for a compactly supported family,
-    of an end of f's table: max(|left|, |right|) of the family's support times
-    2^-min(js).  The other families' tables run to +-20..+-64 units, so they
-    keep a 2^-min(js) jump margin and no edge rule.
+    of an end of f's table: the `reach` of its coarsest atoms.  The other
+    families' tables run to +-20..+-64 units, so they keep a 2^-min(js) jump
+    margin and no edge rule.
     """
     j_min, j_max = check_analysis(fam, tf.window, level, js)
     DyadicGrid(window[0], window[1], level)
@@ -332,19 +352,14 @@ def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -
         raise ConfigError(
             f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
         )
-    margin = 2.0 ** -j_min
-    if fam.decay.kind == "compact":
-        margin *= max(map(abs, fam.support))
-        if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
-            raise ConfigError(
-                f"window {window} comes within {margin:.3g} of an end of the "
-                f"tabulated window {tf.window} of {tf.name}"
-            )
-    for mp in tf.marked_points:
-        if mp.kind == "jump" and window[0] - margin < mp.x < window[1] + margin:
-            raise ConfigError(
-                f"window {window} comes within {margin:.3g} of the jump at {mp.x}"
-            )
+    compact = fam.decay.kind == "compact"
+    margin = reach(fam, j_min) if compact else 2.0**-j_min
+    if compact and (window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]):
+        raise ConfigError(
+            f"window {window} comes within {margin:.3g} of an end of the "
+            f"tabulated window {tf.window} of {tf.name}"
+        )
+    check_jumps(tf, window, margin)
 
 
 def sup_error_rates(
@@ -396,18 +411,22 @@ def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
 
 def spline_convergence_study(tf, order: int, exponents, level: int = STUDY_LEVEL):
     """Sup errors of best L^2 splines on a boundary-shrunk window on the meshes
-    2^-m, m in the range `exponents` (checked by `check_study`).
+    2^-m, m in the range `exponents` (checked by `check_study`).  The window
+    is f's shrunk by order * 2^-min(m) at each end, and must stay that far
+    from every jump of f (`check_jumps`).
 
     Returns (report, f, fits): the RateReport with m in the role of the level
     and every mesh a candidate, f = tf tabulated at `level`, and fits[i] the
     best L^2 spline of f on the i-th mesh, for checks that read them."""
     check_study(tf.window, order, exponents, level)
     hs = [2.0**-m for m in exponents]
+    shrink = order * hs[0]
+    window = (tf.window[0] + shrink, tf.window[1] - shrink)
+    check_jumps(tf, window, shrink)
     f = tf.tabulate(level)
     fits = [best_l2_spline(f, make_space(order, h, tf.window)) for h in hs]
-    shrink = order * hs[0]
-    lo = math.ceil((tf.window[0] + shrink) * 2**level)
-    hi = math.floor((tf.window[1] - shrink) * 2**level)
+    lo = math.ceil(window[0] * 2**level)
+    hi = math.floor(window[1] * 2**level)
     lattice = (level, lo, hi - lo + 1)
     truth = f.on_lattice(*lattice)
     errors = [float(np.max(np.abs(fit.on_lattice(*lattice) - truth))) for fit in fits]
@@ -426,18 +445,16 @@ def order_robustness(coeffs: ExpansionCoefficients, schedules, x_points) -> dict
     """Sums of `coeffs` in different summation orders at fixed points.
 
     Every schedule must be complete for the coefficient set and satisfy its
-    declared bounded range; the final values must agree, as they are the same
+    declared bounded range (ConfigError otherwise); the final values must agree, as they are the same
     finite sum, summed in each schedule's order.  The points are snapped right
     on the STUDY_LEVEL lattice, where the atoms are read.
     """
     for sched in schedules:
         ok, report = validate_schedule(sched)
         if not ok:
-            raise ConvergenceError(
-                f"schedule violates its bounded range: {report}"
-            )
+            raise ConfigError(f"schedule violates its bounded range: {report}")
         if not complete_schedule_check(coeffs, sched):
-            raise ConvergenceError("schedule is not complete for the coefficient set")
+            raise ConfigError("schedule is not complete for the coefficient set")
 
     pts = np.array([_snap_right(x, STUDY_LEVEL) for x in x_points])
     levels = coeffs.levels()

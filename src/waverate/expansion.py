@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import MRAFamily, refined_tables, uses_haar_tables
 from .grids import (
+    ComputationError,
     ConfigError,
     DyadicGrid,
     SampledFunction,
@@ -48,10 +49,6 @@ def _quad_refine(fam: MRAFamily) -> int:
     3, gaussian sup errors (j = 3..9, level 12) lie within 7.1e-4 of those
     from f 6 levels finer, against up to 3.1e-2 with none (db2..4, bl2, bl4)."""
     return 0 if uses_haar_tables(fam.name, fam.param) else 3
-
-
-class ExpansionError(ValueError):
-    """A computed coefficient that breaks its bound."""
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -288,7 +285,7 @@ def analyze(f: SampledFunction, fam: MRAFamily, j0: int, j1: int) -> ExpansionCo
         vals = dyadic_analysis(f, fam, "psi", j, ks)
         over = np.flatnonzero(np.abs(vals) > bound)
         if over.size:
-            raise ExpansionError(
+            raise ComputationError(
                 f"coefficient bound violated at (j={j}, k={ks[over[0]]}): "
                 f"|{vals[over[0]]:.6g}| > {bound:.6g}"
             )

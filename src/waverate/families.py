@@ -37,6 +37,7 @@ import numpy as np
 from .filters import FilterPair, daubechies_filter, haar_filter, half_band_coefficients
 from .grids import (
     SAMPLE_CHUNK,
+    ComputationError,
     ConfigError,
     DecayHint,
     DyadicGrid,
@@ -61,10 +62,6 @@ _HAAR_SUPPORT = (-1.0, 2.0)
 _DAUBECHIES_PAD = 2.0**-FAMILY_LEVEL
 _SHANNON_SUPPORT = (-SHANNON_RADIUS, SHANNON_RADIUS)
 _SHANNON_DECAY = DecayHint("algebraic", N=1.05, truncation=1.0 / (np.pi * SHANNON_RADIUS))
-
-
-class ConstructionError(RuntimeError):
-    """Invariant failure during family construction."""
 
 
 class MRAFamily(Record):
@@ -420,7 +417,7 @@ _INVARIANT_CHECK_REFINE = 3
 def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
     """The four family invariant defects of fam, those measured when its phi
     and psi were first read (each read now if it has not been); a failed
-    check raises ConstructionError."""
+    check raises ComputationError."""
     defects = {**fam._verified("phi")[1], **fam._verified("psi")[1]}
     return {key: defects[key] for key, _, _ in _INVARIANT_TOLERANCES}
 
@@ -436,7 +433,7 @@ _INVARIANT_TOLERANCES = (
 def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict[str, float]:
     """The invariants of fam's generator gen, `table` its FAMILY_LEVEL table:
     for phi its integral, partition of unity and translate orthonormality,
-    for psi its integral.  Raise ConstructionError on failure, or if a
+    for psi its integral.  Raise ComputationError on failure, or if a
     compactly supported table does not vanish at both ends.
 
     For non-compact families the declared truncation error inflates the
@@ -530,7 +527,7 @@ def translate_orthonormality_defect(phi: SampledFunction) -> float:
 
 def _require(cond: bool, fam: MRAFamily, what: str) -> None:
     if not cond:
-        raise ConstructionError(f"{fam.label}: {what}")
+        raise ComputationError(f"{fam.label}: {what}")
 
 
 # ---------------------------------------------------------------------------

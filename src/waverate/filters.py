@@ -13,16 +13,12 @@ import math
 
 import numpy as np
 
-from .grids import ConfigError, Record, _set
+from .grids import ComputationError, ConfigError, Record, _set
 
 SUM_TOL = 1e-12
 ORTHO_TOL = 1e-12
 
 MAX_DAUBECHIES = 10
-
-
-class FilterError(ValueError):
-    """A filter pair that is not orthonormal: no stored filter is."""
 
 
 class FilterPair(Record):
@@ -34,7 +30,7 @@ class FilterPair(Record):
         h = np.asarray(lowpass, dtype=float)
         g = np.asarray(highpass, dtype=float)
         if h.ndim != 1 or g.shape != h.shape:
-            raise FilterError("lowpass/highpass must be 1-d arrays of equal length")
+            raise ComputationError("lowpass/highpass must be 1-d arrays of equal length")
         _set(self, "lowpass", h)
         _set(self, "highpass", g)
         _set(self, "offset", offset)
@@ -44,16 +40,16 @@ class FilterPair(Record):
         h = self.lowpass
         m = len(h)
         if abs(h.sum() - np.sqrt(2.0)) > SUM_TOL:
-            raise FilterError(f"sum(h) = {h.sum()!r} != sqrt(2)")
+            raise ComputationError(f"sum(h) = {h.sum()!r} != sqrt(2)")
         for shift in range(0, m, 2):
             target = 1.0 if shift == 0 else 0.0
             val = float(np.dot(h[: m - shift], h[shift:]))
             if abs(val - target) > ORTHO_TOL:
-                raise FilterError(
+                raise ComputationError(
                     f"translate orthonormality fails at shift {shift}: {val!r}"
                 )
         if np.max(np.abs(self.highpass - mirror_highpass(h))) > 1e-14:
-            raise FilterError("highpass is not the conjugate mirror of lowpass")
+            raise ComputationError("highpass is not the conjugate mirror of lowpass")
 
 
 def mirror_highpass(h: np.ndarray) -> np.ndarray:

@@ -37,8 +37,13 @@ SAMPLE_CHUNK = 2**14
 class ConfigError(ValueError):
     """Caller input that a study rejects before any compute (CLI exit code 1).
 
-    Every library check on a study's arguments raises it; each module's own
-    error class signals a computation that failed (exit code 2)."""
+    Every library check on a caller's argument raises it."""
+
+
+class ComputationError(RuntimeError):
+    """A computed or stored value that fails its own check (CLI exit code 2).
+
+    Not a ValueError, so no parser's ``except ValueError`` can catch it."""
 
 
 def check_study_level(level: int) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .expansion import atom_rows, translate_range
 from .families import MRAFamily
-from .grids import ConfigError, DyadicGrid, line_fit, scale_span
+from .grids import ComputationError, ConfigError, DyadicGrid, line_fit, scale_span
 from .serialize import write_json
 
 # rescaled-radius resolution 2^-RADII_LEVEL, shared across scales within a
@@ -30,10 +30,6 @@ RADII_LEVEL_WIDE = 4
 U_CAP = 64.0  # off-diagonal evaluation radius; tails beyond are model-estimated
 PROFILE_FLOOR = 1e-12
 MIN_FIT_POINTS = 20
-
-
-class KernelError(ValueError):
-    """A majorant with too few radii above PROFILE_FLOOR to fit."""
 
 
 class KernelEvaluation(NamedTuple):
@@ -205,7 +201,7 @@ def fit_decay(rb: RadialBound) -> DecayFit:
     keep = rb.majorant > PROFILE_FLOOR
     u = rb.radii[keep]
     if len(u) < MIN_FIT_POINTS:
-        raise KernelError(
+        raise ComputationError(
             f"only {len(u)} usable radii; need {MIN_FIT_POINTS} for a fit"
         )
     slope, intercept, r2 = line_fit(u, np.log(rb.majorant[keep]))

@@ -1,10 +1,13 @@
 """JSON/CSV export with a bit-exact float contract.
 
-Floats are rendered with 17 significant digits ('.' decimal, comma-delimited
-CSV with minimal quoting, LF line endings) so identical runs produce
-byte-identical files.  A record (a study's report, a NamedTuple) is written by
-``write_record``: its JSON is its fields, those that are None left out.  All
-writes are atomic: temp file in the target directory, then rename.
+CSV cells and ``fmt`` strings render floats with 17 significant digits; a
+float left a number in a JSON document (``write_json``, ``write_record``)
+takes ``json.dumps``'s shortest repr that round-trips (0.1 stays 0.1).
+Either way ('.' decimal, comma-delimited CSV with minimal quoting, LF line
+endings) identical runs produce byte-identical files.  A record (a study's
+report, a NamedTuple) is written by ``write_record``: its JSON is its
+fields, those that are None left out.  All writes are atomic: temp file in
+the target directory, then rename.
 """
 
 from __future__ import annotations

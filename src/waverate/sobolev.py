@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .families import MRAFamily
-from .grids import ConfigError, SampledFunction
+from .grids import ComputationError, ConfigError, SampledFunction
 from .serialize import fmt, write_csv
 
 #: shells reach down to XI_FLOOR / 4, where |xi|^{-(2s+1)} <= 1e153 for
@@ -64,10 +64,6 @@ XI_FLOOR = 1e-4
 SHELLS = 12
 #: points per shell for the trapezoid rule
 SHELL_POINTS = 65
-
-
-class SobolevError(ValueError):
-    """A spectrum with no divergence onset, or a symbol with a(0) != 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,7 @@ def _symbol_products(symbol, base: np.ndarray, height: int, first: int):
         if np.all(a[step] == 1.0):
             return b[:height], power, factor
         if not np.any(xi[step]):  # every xi underflowed: the factors stay a(0) != 1
-            raise SobolevError(f"the symbol's a(0) = {float(np.ravel(a[step])[0])!r} is not 1")
+            raise ComputationError(f"the symbol's a(0) = {float(np.ravel(a[step])[0])!r} is not 1")
         i += 1
 
 
@@ -305,7 +301,7 @@ def critical_order(
     """
     _, s_star, exponents = _shell_integral(fam, criterion, epsilon)
     if not 0.0 < s_star <= 16.0:
-        raise SobolevError(f"{fam.label}: no divergence onset in (0, 16] (s* = {s_star:.6g})")
+        raise ComputationError(f"{fam.label}: no divergence onset in (0, 16] (s* = {s_star:.6g})")
     return CriticalOrder(
         family=fam.label, s_star=s_star, criterion=criterion, local_exponents=exponents
     )

@@ -46,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import (ConfigError, DyadicGrid, SampledFunction, check_study_level,
-                    check_table_level, scale_span)
+from .grids import (ComputationError, ConfigError, DyadicGrid, SampledFunction,
+                    check_study_level, check_table_level, scale_span)
 
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
@@ -60,10 +60,6 @@ PERTURBATION_SEED = 20260823
 #: 2-norm of each
 PERTURBATION_TRIALS = 20
 PERTURBATION_SIZE = 1e-3
-
-
-class SplineError(ValueError):
-    """A Gram matrix that is not positive definite: a bug, as no uniform mesh gives one."""
 
 
 def cardinal_bspline(k: int, x) -> np.ndarray:
@@ -201,7 +197,7 @@ def _cholesky(ab: np.ndarray) -> list:
     LINPACK's dpbfa, on Python floats (a k <= 8 band is too short for numpy
     calls to pay): row j of the result holds column j of U,
     u[j][s] = U[j - (k-1) + s, j], its diagonal last.  A pivot that is not
-    positive (G not positive definite) raises SplineError.
+    positive (G not positive definite) raises ComputationError.
     """
     k, n = ab.shape
     u = ab.T.tolist()
@@ -211,7 +207,7 @@ def _cholesky(ab: np.ndarray) -> list:
             uj[s] = (uj[s] - sum(map(mul, uj[:s], ui[k - 1 - s : k - 1]))) / ui[k - 1]
         pivot = uj[k - 1] - sum(map(mul, uj[: k - 1], uj[: k - 1]))
         if not pivot > 0:
-            raise SplineError(
+            raise ComputationError(
                 f"Gram matrix not positive definite (pivot {pivot:.3g} at column {j}); "
                 "uniform meshes should never do this - this signals a bug"
             )

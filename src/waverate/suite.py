@@ -19,7 +19,6 @@ import numpy as np
 
 from .convergence import (
     STUDY_LEVEL,
-    ConvergenceError,
     lp_error_trace,
     midcell_step,
     order_robustness,
@@ -37,7 +36,7 @@ from .expansion import (
     project,
 )
 from .families import check_family_invariants, make_family
-from .grids import DyadicGrid
+from .grids import ConfigError, DyadicGrid
 from .kernels import fit_decay, verify_convolution_bound
 from .serialize import write_record
 from .sobolev import criterion_sweep, critical_order
@@ -197,7 +196,7 @@ def crit_summation_order():
     try:
         order_robustness(coeffs, [straggler], np.linspace(-1.0, 1.0, 10))
         rejected = False
-    except ConvergenceError:
+    except ConfigError:
         rejected = True
     ok = rep["final_agreement"] < 1e-10 and rejected
     return _row(

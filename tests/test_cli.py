@@ -1,8 +1,10 @@
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import resource
 import runpy
@@ -20,6 +22,7 @@ import waverate
 from waverate import DyadicGrid, cli, families, make_family, suite
 from waverate.cli import (
     MAX_SWEEP_POINTS,
+    ComputationError,
     ConfigError,
     main,
     parse_int_range,
@@ -129,6 +132,13 @@ BAD_STUDIES = [
     "rate --family daubechies:4 --function step --j 3..9 --window 0.25,1.0",
     "rate --family daubechies:2 --function sine --j 3..9 --window 0.0,1.0",
     "rate --family haar --function step --j 3..9 --window=-1.0,1.0",
+    # the oscillating indicator jumps at 2^-n and 2^-n + 8^-n; a spline
+    # study's shrunk window comes within order * 2^-min(m) of every jump
+    # inside f's window
+    "rate --family haar --function oscillating_indicator --j 3..9 --window=-0.5,0.5",
+    "spline --function step --order 1 --mesh-exponents 2..6",
+    "spline --function step --order 2 --mesh-exponents 2..6",
+    "spline --function ramp --order 2 --mesh-exponents 2..6",
     # the coarsest scale j reads tables at level qlevel - j: 15 + 2000 for
     # battle_lemarie, and 20 for db2 (level 17 for haar's -5..-1 is allowed)
     "rate --family battle_lemarie:2 --function gaussian --j -2000..9",
@@ -140,11 +150,13 @@ BAD_STUDIES = [
 
 #: rate windows within reach of f's table end or jump, and the reason given:
 #: cusp's default window is its whole table; db4's atoms at j = 3 reach 0.875
-#: from the step's jump; sine's table starts at 0
+#: from the step's jump; sine's table starts at 0; haar's atoms at j = 3
+#: reach 0.25 past 0.5, where the oscillating indicator jumps
 WINDOWS_WITHIN_REACH = [
     ("daubechies:2 --function cusp", "of an end of the tabulated window"),
     ("daubechies:4 --function step --window 0.25,1.0", "of the jump at 0.0"),
     ("daubechies:2 --function sine --window 0.0,1.0", "of an end of the tabulated window"),
+    ("haar --function oscillating_indicator --window=-0.5,0.5", "of the jump at 0.5"),
 ]
 
 BAD_KERNEL_SCALES = [
@@ -571,6 +583,53 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["fitted_meshes"] == [0.25, 0.125, 0.0625]
         assert abs(doc["slope"] - 6.0) <= 0.1
+
+
+#: each command's line and the study of `cli` its runner calls (the suite's
+#: criteria for `suite`)
+FAILED_STUDIES = [
+    ("family --family haar", "check_family_invariants"),
+    ("expand --family haar --function gaussian --j 0..6", "analyze"),
+    ("kernel --family haar --j 0..6", "verify_convolution_bound"),
+    ("rate --family haar --function gaussian --j 3..9", "sup_error_rates"),
+    ("sobolev --family haar", "critical_order"),
+    ("sobolev --family haar --sweep-s 0.1..2.0:0.1", "criterion_sweep"),
+    ("spline --function sine --order 2 --mesh-exponents 2..6", "spline_convergence_study"),
+    ("suite", "CRITERIA"),
+]
+
+
+class TestComputationError:
+    def test_the_library_defines_two_exception_classes(self):
+        # bad input and a failed computation, each one type, so that main
+        # maps every failure to its exit code by type alone
+        found = set()
+        for info in pkgutil.iter_modules(waverate.__path__):
+            module = importlib.import_module(f"waverate.{info.name}")
+            found.update(
+                obj for obj in vars(module).values()
+                if isinstance(obj, type) and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+            )
+        assert found == {ConfigError, ComputationError}
+
+    def test_computation_error_is_no_value_error(self):
+        # the parsers catch ValueError to report bad input
+        assert not issubclass(ComputationError, ValueError)
+
+    @pytest.mark.parametrize("argv, study", FAILED_STUDIES)
+    def test_failed_study_exits_2_without_artifact(self, argv, study, tmp_path, monkeypatch,
+                                                   capsys):
+        def fail(*args, **kwargs):
+            raise ComputationError("the study failed its own check")
+
+        monkeypatch.setattr(cli, study, (("1", fail),) if study == "CRITERIA" else fail)
+        out = tmp_path / "out"
+        assert main(argv.split() + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the study failed its own check\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def per_cell_average_defect(haar, tf, j: int, level: int = 12) -> float:

@@ -11,7 +11,6 @@ from waverate import convergence
 from waverate.convergence import (
     ROUNDOFF_FLOOR_EPS,
     STUDY_LEVEL,
-    ConvergenceError,
     MarkedPoint,
     builtin_suite,
     export_rate_csv,
@@ -33,7 +32,7 @@ from waverate.expansion import (
     partial_sum,
     project,
 )
-from waverate.grids import ConfigError, SampledFunction
+from waverate.grids import ComputationError, ConfigError, SampledFunction
 from waverate.serialize import write_record
 from waverate.sobolev import critical_order
 
@@ -210,7 +209,7 @@ class TestSupErrorRates:
         # db2 reproduces the constant 1 on (0.5, 1): every error is roundoff
         tr = lp_error_trace(suite["step"], db2, math.inf, range(3, 10), (0.5, 1.0))
         assert np.max(tr[:, 1]) <= ROUNDOFF_FLOOR_EPS * np.finfo(float).eps
-        with pytest.raises(ConvergenceError, match="roundoff"):
+        with pytest.raises(ComputationError, match=r"sup error\(s\) above roundoff"):
             sup_error_rates(suite["step"], db2, range(3, 10), (0.5, 1.0))
 
     def test_too_few_levels_rejected(self, suite, haar):
@@ -459,13 +458,13 @@ class TestOrderRobustness:
         groups[1] = groups[1][1:]
         groups.append((held,))
         bad = SummationSchedule(tuple(groups), 1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError, match="schedule violates its bounded range"):
             order_robustness(coeffs, [bad], np.linspace(-1, 1, 10))
 
     def test_incomplete_schedule_rejected(self, coeffs):
         base = level_by_level_schedule(coeffs)
         trimmed = SummationSchedule(base.groups[:-1], base.bounded_range)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError, match="schedule is not complete"):
             order_robustness(coeffs, [trimmed], np.linspace(-1, 1, 10))
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from waverate.filters import (
     _DAUBECHIES_LOWPASS,
     MAX_DAUBECHIES,
-    FilterError,
     FilterPair,
     daubechies_filter,
     from_lowpass,
@@ -15,7 +14,7 @@ from waverate.filters import (
     haar_filter,
     mirror_highpass,
 )
-from waverate.grids import ConfigError
+from waverate.grids import ComputationError, ConfigError
 
 # published extremal-phase DB2 lowpass: (1 +- sqrt(3)) pattern over 4 sqrt(2)
 S3 = np.sqrt(3.0)
@@ -121,16 +120,16 @@ class TestDaubechiesTable:
 
 class TestFilterPairValidation:
     def test_rejects_bad_sum(self):
-        with pytest.raises(FilterError):
+        with pytest.raises(ComputationError, match=r"sum\(h\) = .+ != sqrt\(2\)"):
             from_lowpass([0.5, 0.5])
 
     def test_rejects_broken_orthonormality(self):
-        with pytest.raises(FilterError):
+        with pytest.raises(ComputationError, match="translate orthonormality fails at shift 0"):
             from_lowpass([np.sqrt(2.0) / 3] * 3)
 
     def test_rejects_non_mirror_highpass(self):
         s = 1 / np.sqrt(2.0)
-        with pytest.raises(FilterError):
+        with pytest.raises(ComputationError, match="not the conjugate mirror"):
             FilterPair(np.array([s, s]), np.array([s, s]))
 
     def test_mirror_highpass_shape(self):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from waverate import DyadicGrid, make_family, sample
-from waverate.grids import ConfigError, SampledFunction
+from waverate.grids import ComputationError, ConfigError, SampledFunction
 from waverate.kernels import (
     U_CAP,
-    KernelError,
     KernelEvaluation,
     RadialBound,
     export_bound_report,
@@ -286,7 +285,7 @@ class TestFitDecay:
         assert fit.flagged
 
     def test_too_few_radii(self, haar_report):
-        with pytest.raises(KernelError):
+        with pytest.raises(ComputationError, match="usable radii; need 20 for a fit"):
             fit_decay(self.radii_up_to(haar_report["envelope"], 0.1))
 
 

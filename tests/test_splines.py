@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from waverate import DyadicGrid, make_family, sample, splines
 from waverate.convergence import (
     ROUNDOFF_FLOOR_EPS,
-    ConvergenceError,
     TestFunction,
     builtin_suite,
     spline_convergence_study,
 )
 from waverate.expansion import project
-from waverate.grids import ConfigError
+from waverate.grids import ComputationError, ConfigError
 from waverate.splines import (
     MAX_ORDER,
     SplineApproximation,
-    SplineError,
     best_l2_spline,
     cardinal_bspline,
     check_study,
@@ -232,7 +230,7 @@ class TestFactor:
             return ab
 
         monkeypatch.setattr(splines, "gram_matrix", negated)
-        with pytest.raises(SplineError, match="not positive definite"):
+        with pytest.raises(ComputationError, match="not positive definite"):
             best_l2_spline(tabulate(np.sin, -1.0, 1.0), sp)
 
 
@@ -460,7 +458,7 @@ class TestConvergenceStudies:
     def test_fewer_than_two_fitted_meshes_raise(self):
         # linear splines reproduce a line: every error is roundoff
         line = TestFunction("line", lambda x: 0.5 * np.asarray(x) + 1.0, (0.0, 2.0), (), 1.0)
-        with pytest.raises(ConvergenceError, match="roundoff floor"):
+        with pytest.raises(ComputationError, match=r"sup error\(s\) above roundoff"):
             spline_convergence_study(line, 2, range(2, 5))
 
     def test_order_one_gaussian_first_order(self, suite):
@@ -497,6 +495,34 @@ class TestConvergenceStudies:
         monkeypatch.setattr(TestFunction, "tabulate", refuse)
         with pytest.raises(ConfigError):
             spline_convergence_study(suite["sine"], order, exponents, level=level)
+
+    @pytest.mark.parametrize("name, order, jump", [
+        ("step", 1, 0.0), ("step", 2, 0.0), ("ramp", 2, 1.0),
+    ])
+    def test_rejects_window_holding_a_jump(self, suite, monkeypatch, name, order, jump):
+        # the shrunk window (-2 + order/4, 2 - order/4) is within order/4 of
+        # the jump: the sup error there measures the jump, not the mesh
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(TestFunction, "tabulate", refuse)
+        message = f"comes within {order / 4:.3g} of the jump at {jump}"
+        with pytest.raises(ConfigError, match=message):
+            spline_convergence_study(suite[name], order, range(2, 7))
+
+    @pytest.mark.parametrize("name, order, jump", [
+        ("step", 1, 0.0), ("step", 2, 0.0), ("ramp", 2, 1.0),
+    ])
+    def test_rejects_window_holding_a_jump(self, suite, monkeypatch, name, order, jump):
+        # the shrunk window (-2 + order/4, 2 - order/4) is within order/4 of
+        # the jump: the sup error there measures the jump, not the mesh
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was tabulated")
+
+        monkeypatch.setattr(TestFunction, "tabulate", refuse)
+        message = f"comes within {order / 4:.3g} of the jump at {jump}"
+        with pytest.raises(ConfigError, match=message):
+            spline_convergence_study(suite[name], order, range(2, 7))
 
     def test_rejects_window_swallowed_by_shrink(self, suite):
         # 8 * 0.25 at each end of the 3.25-wide window leaves no point to assert on
