@@ -3,10 +3,10 @@
 source trees and compare their outputs.
 
 Every `waverate` command of the README's CLI quickstart (the suite with
-`--jobs 2`), every distinct study of the benchmark's workloads (read from
-`benchmarks/studies.py`, spline seed 3), each bad configuration of
-REJECTIONS, each failed computation of FAILURES and each `--study` runs
-twice in fresh processes, once importing `waverate` from BASE_SRC and once
+`--jobs 1` and with `--jobs 2`), every distinct study of the benchmark's
+workloads (read from `benchmarks/studies.py`, spline seed 3), each bad
+configuration of REJECTIONS, each failed computation of FAILURES and each
+`--study` runs twice in fresh processes, once importing `waverate` from BASE_SRC and once
 from this checkout's `src/`, each in its own temporary directory.  So does each experiment script
 (EXPERIMENT_SCRIPTS, with `--outdir`), each tree running its own copy: the
 base tree's from the `scripts/` beside BASE_SRC, skipped with a note when
@@ -87,9 +87,10 @@ def readme_studies() -> list[list[str]]:
         words = shlex.split(line, comments=True)
         if words[:1] == ["waverate"]:
             argv = words[1:]
-            if argv[0] == "suite":
-                argv += ["--jobs", "2"]
-            studies.append(argv)
+            if argv[0] == "suite":  # in this process, and in forked workers
+                studies += [argv + ["--jobs", "1"], argv + ["--jobs", "2"]]
+            else:
+                studies.append(argv)
     return studies
 
 

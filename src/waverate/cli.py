@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import re
 import sys
 from types import SimpleNamespace
@@ -33,7 +34,7 @@ from .kernels import export_bound_report, fit_decay, verify_convolution_bound
 from .serialize import family_to_dict, write_csv, write_json, write_record
 from .sobolev import criterion_sweep, critical_order, export_sweep_csv
 from .splines import MAX_ORDER, PERTURBATION_SEED, perturbation_optimality
-from .suite import CRITERIA, forget_shared_studies
+from .suite import CRITERIA, forget_shared_studies, units
 
 #: a Haar verdict costs well under 1 ms, so the longest sweep takes seconds
 MAX_SWEEP_POINTS = 10_000
@@ -187,6 +188,105 @@ def run_spline(args) -> tuple[str, int]:
     return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}", 0
 
 
+def _serve(criteria, groups, task_fd, result_fd, pipes) -> None:
+    """A forked worker: run each group of `criteria` the parent sends, send
+    back its rows or the exception it raised, and exit when the task pipe
+    closes.  Never returns."""
+    code = 1
+    try:
+        for inherited in pipes:  # the parent's ends, this worker's included
+            for pipe in inherited:
+                pipe.close()
+        tasks, results = os.fdopen(task_fd, "rb"), os.fdopen(result_fd, "wb")
+        while True:
+            try:
+                index = pickle.load(tasks)
+            except EOFError:
+                break
+            try:
+                out = [criteria[i][1]() for i in groups[index]]
+            except Exception as exc:  # sent back, with the worker's traceback
+                import traceback
+
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
+                out = exc
+            pickle.dump(out, results)
+            results.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_rows(criteria, groups, n_workers) -> list:
+    """The rows of the (id, runner) `criteria`, each group of positions run
+    in one of `n_workers` processes forked from this one.  A worker is sent
+    the next group in report order when it returns one.  Once a group has
+    raised, no group is started, and the exception of the earliest in report
+    order re-raises here.  Every worker is reaped before this returns, and
+    killed first if this raises.  The CLI runs no other thread, which fork
+    does not copy."""
+    import select
+    import signal
+
+    pids, pipes = [], []  # pipes[w]: (task pipe, result pipe) of worker w
+    busy = {}  # result pipe -> (task pipe, group index)
+    results = [None] * len(groups)
+    todo = iter(range(n_workers, len(groups)))
+    failed = False
+    try:
+        for index in range(n_workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            tasks, done = os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")
+            pipes.append((tasks, done))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(criteria, groups, task_r, result_w, pipes)
+            finally:
+                os.close(task_r)
+                os.close(result_w)
+            pids.append(pid)
+            pickle.dump(index, tasks)
+            tasks.flush()
+            busy[done] = (tasks, index)
+        while busy:
+            for done in select.select(list(busy), [], [])[0]:
+                tasks, index = busy.pop(done)
+                try:
+                    results[index] = pickle.load(done)
+                except (EOFError, pickle.UnpicklingError):  # it died mid-unit
+                    ids = ", ".join(criteria[i][0] for i in groups[index])
+                    raise ComputationError(
+                        f"the worker of criteria {ids} ended without their rows"
+                    ) from None
+                failed |= isinstance(results[index], BaseException)
+                index = None if failed else next(todo, None)
+                if index is None:
+                    tasks.close()  # the worker reads the end of its tasks and exits
+                    continue
+                pickle.dump(index, tasks)
+                tasks.flush()
+                busy[done] = (tasks, index)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for tasks, done in pipes:
+            tasks.close()
+            done.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    rows = [None] * len(criteria)
+    for group, result in zip(groups, results):
+        if isinstance(result, BaseException):
+            raise result
+        for i, row in zip(group, result):
+            rows[i] = row
+    return rows
+
+
 def run_suite(args) -> tuple[str, int]:
     selected = [
         (cid, fn)
@@ -197,11 +297,13 @@ def run_suite(args) -> tuple[str, int]:
         raise ConfigError(f"--only {args.only!r} matches no criteria")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    from concurrent.futures import ThreadPoolExecutor
-
     forget_shared_studies()
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(lambda item: item[1](), selected))
+    groups = units([cid for cid, _ in selected])
+    n_workers = min(args.jobs, len(groups))
+    if n_workers == 1:
+        rows = [fn() for _, fn in selected]
+    else:
+        rows = _forked_rows(selected, groups, n_workers)
     out_dir = args.out or "suite_report"
     write_csv(
         os.path.join(out_dir, "summary.csv"),
@@ -269,7 +371,7 @@ COMMANDS = {
     "suite": ("run the acceptance battery", {
         "--out": (str, None, "report directory (default suite_report)"),
         "--only": (str, None, "run only criteria whose id or name matches"),
-        "--jobs": (int, 1, "worker threads"),
+        "--jobs": (int, 1, "worker processes"),
     }, run_suite),
 }
 

@@ -60,11 +60,12 @@ class ExpansionCoefficients(NamedTuple):
 
     def levels(self) -> list[tuple[int, dict[tuple, float]]]:
         """(j, {term: coefficient}) in k order: scaling level, then wavelet levels."""
-        out = [(self.base_level, {("b", k): v for k, v in sorted(self.b.items())})]
-        for j in range(self.base_level, self.top_level):
-            terms = {("a", jj, k): v for (jj, k), v in sorted(self.a.items()) if jj == j}
-            out.append((j, terms))
-        return out
+        wavelet = {j: {} for j in range(self.base_level, self.top_level)}
+        for (j, k), v in sorted(self.a.items()):  # one pass, grouped by level
+            if j in wavelet:
+                wavelet[j][("a", j, k)] = v
+        scaling = {("b", k): v for k, v in sorted(self.b.items())}
+        return [(self.base_level, scaling), *wavelet.items()]
 
 
 class SummationSchedule(NamedTuple):
@@ -112,13 +113,19 @@ def validate_schedule(schedule: SummationSchedule):
     levels = [term[1] if term[0] == "a" else base for term in terms]
     totals = Counter(levels)
     seen: Counter = Counter()
-    worst_span = worst_prefix = 0
+    started: set[int] = set()  # levels begun and not finished
+    span = worst_span = worst_prefix = 0
     # the span must hold at every term prefix: a level finishing within a
-    # group may still have straddled a wide range mid-group
+    # group may still have straddled a wide range mid-group.  It changes only
+    # when a level starts or finishes.
     for n_terms, level in enumerate(levels, 1):
         seen[level] += 1
-        partial = [j for j, c in seen.items() if c < totals[j]]
-        span = (max(partial) - min(partial) + 1) if partial else 0
+        if seen[level] in (1, totals[level]):
+            if seen[level] == totals[level]:
+                started.discard(level)
+            else:
+                started.add(level)
+            span = (max(started) - min(started) + 1) if started else 0
         if span > worst_span:
             worst_span, worst_prefix = span, n_terms
     ok = worst_span <= schedule.bounded_range

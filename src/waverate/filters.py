@@ -40,7 +40,7 @@ class FilterPair(Record):
         h = self.lowpass
         m = len(h)
         if abs(h.sum() - np.sqrt(2.0)) > SUM_TOL:
-            raise ComputationError(f"sum(h) = {h.sum()!r} != sqrt(2)")
+            raise ComputationError(f"sum(h) = {float(h.sum())!r} != sqrt(2)")
         for shift in range(0, m, 2):
             target = 1.0 if shift == 0 else 0.0
             val = float(np.dot(h[: m - shift], h[shift:]))

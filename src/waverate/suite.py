@@ -4,7 +4,8 @@ one contract of the toolkit and returns one row of the suite's summary.csv.
 ``CRITERIA`` lists them in report order; ``waverate suite`` (`cli.run_suite`)
 runs them, and tests/test_acceptance.py runs each on its own.  Criteria 7, 8
 and 9 share their sup-norm studies and critical orders, computed once per
-suite run whatever the number of threads.
+suite run: `units` keeps them in one unit, which ``suite --jobs`` runs in one
+worker process.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 import time
 
 import numpy as np
@@ -208,22 +208,6 @@ def crit_summation_order():
     )
 
 
-def _shared(study):
-    """study() computed once and held until `forget_shared_studies`: a lock
-    around the cached call makes a second thread wait for the first one's
-    result instead of computing its own."""
-    cached = functools.cache(study)
-    lock = threading.Lock()
-
-    @functools.wraps(study)
-    def shared():
-        with lock:
-            return cached()
-
-    shared.cache_clear = cached.cache_clear
-    return shared
-
-
 #: the families of criteria 7, 8 and 9: label -> make_family arguments
 _BATTERY_FAMILIES = {
     "haar": ("haar", 0),
@@ -238,7 +222,7 @@ _SLOPE_TARGETS = {
 }
 
 
-@_shared
+@functools.cache
 def _slope_reports():
     """Criterion 7's sup-norm studies, shared with criterion 9 within one
     suite run (`cli.run_suite` forgets them first)."""
@@ -273,7 +257,7 @@ _CRITICAL_TARGETS = {
 }
 
 
-@_shared
+@functools.cache
 def _critical_orders():
     """Criterion 8's (family, wavelet critical order at eps = 1) pairs,
     shared with criterion 9 like `_slope_reports`."""
@@ -409,6 +393,21 @@ def forget_shared_studies() -> None:
     """Drop the studies criteria 7-9 share, so that the next run computes them."""
     _slope_reports.cache_clear()
     _critical_orders.cache_clear()
+
+
+#: ids of criteria that read the same cached studies
+SHARED_STUDIES = (("7", "8", "9"),)
+
+
+def units(ids) -> list[list[int]]:
+    """The positions of `ids` grouped into the units that one worker runs:
+    the selected members of each SHARED_STUDIES group form one unit, at the
+    place of its first, and every other criterion is a unit alone."""
+    grouped: dict[tuple, list[int]] = {}
+    for i, cid in enumerate(ids):
+        group = next((g for g in SHARED_STUDIES if cid in g), (cid,))
+        grouped.setdefault(group, []).append(i)
+    return list(grouped.values())
 
 
 #: ordered acceptance battery: (id, runner)

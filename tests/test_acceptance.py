@@ -25,9 +25,9 @@ def test_criterion(cid, runner):
 
 
 def test_criterion_12_full_suite_determinism(tmp_path):
-    # two consecutive complete suite runs, and a run on two threads, must
-    # write byte-identical reports
-    runs = {"a": [], "b": [], "jobs2": ["--jobs", "2"]}
+    # two consecutive complete suite runs, and runs in two and in three
+    # forked workers, must write byte-identical reports
+    runs = {"a": [], "b": [], "jobs2": ["--jobs", "2"], "jobs3": ["--jobs", "3"]}
     for tag, extra in runs.items():
         assert main(["suite", "--out", str(tmp_path / tag), *extra]) == 0
     reports = {(tmp_path / tag / "summary.csv").read_bytes() for tag in runs}

@@ -707,32 +707,142 @@ class TestSuiteCommand:
         assert not (tmp_path / "rep").exists()
         assert "--jobs" in capsys.readouterr().err
 
-    def test_threads_share_the_slope_studies(self, monkeypatch):
-        # criteria 7 and 9, twice each on four threads that switch often:
-        # every thread but the first to read the sup-norm studies waits for
-        # its result, so each family's study runs once
-        from concurrent.futures import ThreadPoolExecutor
+    def test_criteria_7_to_9_form_one_unit(self):
+        # they share their studies, so one worker runs them; every other
+        # criterion is a unit alone
+        ids = [cid for cid, _ in cli.CRITERIA]
+        groups = suite.units(ids)
+        assert len(groups) == 11
+        assert [[ids[i] for i in g] for g in groups if len(g) > 1] == [["7", "8", "9"]]
+        assert sorted(i for g in groups for i in g) == list(range(len(ids)))
+        assert suite.units(["9", "1", "7"]) == [[0, 2], [1]]
 
-        calls, study = [], suite.sup_error_rates
+    def test_workers_run_each_slope_study_once(self, tmp_path, monkeypatch):
+        # the forked workers append each sup-norm study they run to one file
+        log, study = tmp_path / "studies", suite.sup_error_rates
 
-        def slow_study(*args, **kwargs):
-            calls.append(args[1].label)
-            time.sleep(0.05)
-            return study(*args, **kwargs)
+        def logged_study(tf, fam, js, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{fam.label} {js.start}..{js.stop - 1}\n")
+            return study(tf, fam, js, *args, **kwargs)
 
-        monkeypatch.setattr(suite, "sup_error_rates", slow_study)
-        criteria = 2 * (suite.crit_rate_slopes, suite.crit_rate_criterion_consistency)
-        interval = sys.getswitchinterval()
-        suite.forget_shared_studies()
-        try:
-            sys.setswitchinterval(1e-5)
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                rows = list(pool.map(lambda criterion: criterion(), criteria, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-            suite.forget_shared_studies()
-        assert len(rows) == 4
-        assert len(calls) == 3
+        monkeypatch.setattr(suite, "sup_error_rates", logged_study)
+        assert main(["suite", "--jobs", "2", "--out", str(tmp_path / "rep")]) == 0
+        # criteria 7 and 9 read 3..9, criterion 12 runs its own 3..7 twice
+        assert sorted(log.read_text().splitlines()) == [
+            "battle_lemarie:2 3..9", "daubechies:2 3..9", "haar 3..7", "haar 3..7", "haar 3..9",
+        ]
+
+
+def quick_criteria(**raising):
+    """cli.CRITERIA's ids, each with a runner that returns a PASS row at
+    once, or with raising[f"c{id}"] where that is given (c3b for "3b")."""
+    def runner(cid):
+        return raising.get(f"c{cid}") or (lambda: suite._row(cid, "quick", "", "", True))
+
+    return tuple((cid, runner(cid)) for cid, _ in cli.CRITERIA)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSuiteWorkers:
+    @pytest.mark.parametrize("jobs, forks", [("1", 0), ("2", 2), ("1000000", 11)])
+    def test_workers_are_capped_by_the_units(self, jobs, forks, tmp_path, monkeypatch):
+        started, fork = [], os.fork
+
+        def counted_fork():
+            started.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria())
+        assert main(["suite", "--jobs", jobs, "--out", str(tmp_path / "rep")]) == 0
+        assert len(started) == forks
+        assert_no_child_left()
+
+    def test_one_unit_runs_in_this_process(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert main(["suite", "--jobs", "2", "--only", "12", "--out", str(tmp_path)]) == 0
+
+    def test_rows_keep_report_order(self, tmp_path, monkeypatch):
+        def slow():
+            time.sleep(0.2)
+            return suite._row("1", "slow", "", "", True)
+
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c1=slow))
+        reports = []
+        for jobs in ("1", "3"):
+            assert main(["suite", "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+            reports.append((tmp_path / jobs / "summary.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert [line.split(b",")[0] for line in reports[0].splitlines()[1:]] == [
+            cid.encode() for cid, _ in cli.CRITERIA
+        ]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("raising", [
+        {"c5": "criterion 5 failed"},
+        # a later unit fails first; the earlier one's error is the one reported
+        {"c1": "criterion 1 failed", "c2": "criterion 2 failed"},
+        {"c3b": "criterion 3b failed", "c10": "criterion 10 failed"},
+    ])
+    def test_failed_criterion_exits_2_as_in_one_process(self, raising, tmp_path, monkeypatch,
+                                                        capsys):
+        def fail(message, delay):
+            def runner():
+                time.sleep(delay)
+                raise ComputationError(message)
+            return runner
+
+        first = next(iter(raising))
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(**{
+            cid: fail(message, 0.2 if cid == first else 0.0) for cid, message in raising.items()
+        }))
+        errors = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["suite", "--jobs", jobs, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            errors.append(captured.err)
+            assert_no_child_left()
+        assert errors == [f"error: {raising[first]}\n"] * 2
+
+    def test_an_unexpected_error_carries_the_worker_traceback(self, tmp_path, monkeypatch):
+        def broken_criterion():
+            raise KeyError("no such study")
+
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c6=broken_criterion))
+        with pytest.raises(KeyError, match="no such study") as info:
+            main(["suite", "--jobs", "2", "--out", str(tmp_path)])
+        assert "in broken_criterion" in info.value.__notes__[-1]
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_is_a_failed_computation(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c4=lambda: os._exit(3)))
+        assert main(["suite", "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: the worker of criteria 4 ended without their rows\n"
+        assert_no_child_left()
+
+    def test_workers_are_killed_when_the_parent_raises(self, tmp_path, monkeypatch):
+        import select
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(select, "select", interrupted)
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c1=lambda: time.sleep(60)))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["suite", "--jobs", "2", "--out", str(tmp_path)])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -1122,15 +1232,17 @@ class TestImportGraph:
 
     @pytest.mark.parametrize("module", ["concurrent.futures", "logging", "dataclasses"])
     def test_quickstart_commands_do_not_import_the_pool_or_dataclasses(self, module, tmp_path):
-        # the thread pool (logging with it) is imported by `suite` alone, and
-        # the records are built without generated code
+        # no command imports a pool (logging with it), and the records are
+        # built without generated code
         studies = [" ".join(argv) for argv in readme_argvs() if argv[0] != "suite"]
         codes = ", ".join("0" * len(studies))
         assert self.run_studies(studies, module, tmp_path) == f"[{codes}] False"
 
-    def test_suite_imports_the_pool(self, tmp_path):
-        studies = ["suite --jobs 2 --only 12"]
-        assert self.run_studies(studies, "concurrent.futures", tmp_path) == "[0] True"
+    @pytest.mark.parametrize("module", ["concurrent.futures", "multiprocessing"])
+    def test_suite_workers_import_no_pool(self, module, tmp_path):
+        # one unit runs in this process, two in forked workers
+        studies = ["suite --jobs 2 --only 12", "suite --jobs 2 --only kernel"]
+        assert self.run_studies(studies, module, tmp_path) == "[0, 0] False"
 
     def test_spline_check_does_not_import_numpy_random(self, tmp_path):
         # the perturbations come from the stdlib generator numpy has already

@@ -1,5 +1,7 @@
 import functools
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -234,6 +236,85 @@ class TestSchedules:
         ok, report = validate_schedule(SummationSchedule(tuple(groups), 1))
         assert not ok
         assert report["worst_span"] == 7
+
+
+def levels_by_scan(coeffs):
+    """ExpansionCoefficients.levels as first written: every wavelet level
+    sorts and scans all the wavelet terms."""
+    out = [(coeffs.base_level, {("b", k): v for k, v in sorted(coeffs.b.items())})]
+    for j in range(coeffs.base_level, coeffs.top_level):
+        terms = {("a", jj, k): v for (jj, k), v in sorted(coeffs.a.items()) if jj == j}
+        out.append((j, terms))
+    return out
+
+
+def validate_by_rescan(schedule):
+    """validate_schedule as first written: the open levels rebuilt after
+    every term."""
+    terms = list(schedule.terms())
+    base = min((term[1] for term in terms if term[0] == "a"), default=0) - 1
+    levels = [term[1] if term[0] == "a" else base for term in terms]
+    totals = Counter(levels)
+    seen = Counter()
+    worst_span = worst_prefix = 0
+    for n_terms, level in enumerate(levels, 1):
+        seen[level] += 1
+        partial = [j for j, c in seen.items() if c < totals[j]]
+        span = (max(partial) - min(partial) + 1) if partial else 0
+        if span > worst_span:
+            worst_span, worst_prefix = span, n_terms
+    ok = worst_span <= schedule.bounded_range
+    return ok, {"ok": ok, "bounded_range": schedule.bounded_range,
+                "worst_span": worst_span, "worst_prefix_terms": worst_prefix}
+
+
+def random_schedule(terms, rng):
+    """Some of `terms`, part-shuffled by random swaps over short distances,
+    in random groups."""
+    terms = [t for t in terms if rng.random() < 0.9]
+    reach = rng.choice((2, 8, 32, len(terms)))
+    for _ in range(rng.randrange(len(terms) // 4 + 1)):
+        i = rng.randrange(len(terms))
+        k = min(i + rng.randint(1, reach), len(terms) - 1)
+        terms[i], terms[k] = terms[k], terms[i]
+    groups, start = [], 0
+    while start < len(terms):
+        size = rng.randint(1, 6)
+        groups.append(tuple(terms[start : start + size]))
+        start += size
+    return SummationSchedule(tuple(groups), rng.randint(1, 8))
+
+
+class TestScheduleBookkeeping:
+    @pytest.fixture(scope="class")
+    def suite_coeffs(self, haar):
+        # criterion 6's coefficients
+        return analyze(quadrature_sample(test_function("gaussian"), haar), haar, 0, 6)
+
+    def test_levels_match_the_scan(self, suite_coeffs, gauss, db2):
+        shuffled = suite_coeffs._replace(  # levels() sorts whatever order it is given
+            b=dict(reversed(suite_coeffs.b.items())), a=dict(reversed(suite_coeffs.a.items()))
+        )
+        for coeffs in (suite_coeffs, shuffled, analyze(gauss, db2, -1, 3)):
+            got = [(j, list(terms.items())) for j, terms in coeffs.levels()]
+            assert got == [(j, list(terms.items())) for j, terms in levels_by_scan(coeffs)]
+
+    def test_suite_schedules_match_the_rescan(self, suite_coeffs):
+        groups = list(level_by_level_schedule(suite_coeffs).groups)
+        groups.append((groups[1][0],))
+        groups[1] = groups[1][1:]
+        for sched in (level_by_level_schedule(suite_coeffs),
+                      interleaved_schedule(suite_coeffs, 2),
+                      SummationSchedule(tuple(groups), 1)):
+            assert validate_schedule(sched) == validate_by_rescan(sched)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_schedules_match_the_rescan(self, seed, haar, gauss):
+        rng = random.Random(seed)
+        terms = list(level_by_level_schedule(analyze(gauss, haar, 0, 4)).terms())
+        for _ in range(100):
+            sched = random_schedule(terms, rng)
+            assert validate_schedule(sched) == validate_by_rescan(sched)
 
 
 # ---------------------------------------------------------------------------
