@@ -34,7 +34,7 @@ from .kernels import export_bound_report, fit_decay, verify_convolution_bound
 from .serialize import family_to_dict, write_csv, write_json, write_record
 from .sobolev import criterion_sweep, critical_order, export_sweep_csv
 from .splines import MAX_ORDER, PERTURBATION_SEED, perturbation_optimality
-from .suite import CRITERIA, forget_shared_studies, units
+from .suite import CRITERIA, NAMES, forget_shared_studies, units
 
 #: a Haar verdict costs well under 1 ms, so the longest sweep takes seconds
 MAX_SWEEP_POINTS = 10_000
@@ -188,29 +188,24 @@ def run_spline(args) -> tuple[str, int]:
     return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}", 0
 
 
-def _serve(criteria, groups, task_fd, result_fd, pipes) -> None:
-    """A forked worker: run each group of `criteria` the parent sends, send
-    back its rows or the exception it raised, and exit when the task pipe
-    closes.  Never returns."""
+def _serve(criteria, groups, tasks, result_fd, parent) -> None:
+    """A forked worker: read the index of the next group of `criteria` from
+    the shared task pipe, run the group and send back (index, its rows or
+    the exception it raised), until the pipe is empty or the parent is gone.
+    Never returns."""
     code = 1
     try:
-        for inherited in pipes:  # the parent's ends, this worker's included
-            for pipe in inherited:
-                pipe.close()
-        tasks, results = os.fdopen(task_fd, "rb"), os.fdopen(result_fd, "wb")
-        while True:
+        results = os.fdopen(result_fd, "wb")
+        while os.getppid() == parent and (task := os.read(tasks, 1)):
             try:
-                index = pickle.load(tasks)
-            except EOFError:
-                break
-            try:
-                out = [criteria[i][1]() for i in groups[index]]
+                out = [criteria[i][1]() for i in groups[task[0]]]
             except Exception as exc:  # sent back, with the worker's traceback
                 import traceback
 
+                os.read(tasks, len(groups))  # take every index left: none starts
                 exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
                 out = exc
-            pickle.dump(out, results)
+            pickle.dump((task[0], out), results)
             results.flush()
         code = 0
     finally:
@@ -219,67 +214,50 @@ def _serve(criteria, groups, task_fd, result_fd, pipes) -> None:
 
 def _forked_rows(criteria, groups, n_workers) -> list:
     """The rows of the (id, runner) `criteria`, each group of positions run
-    in one of `n_workers` processes forked from this one.  A worker is sent
-    the next group in report order when it returns one.  Once a group has
-    raised, no group is started, and the exception of the earliest in report
-    order re-raises here.  Every worker is reaped before this returns, and
-    killed first if this raises.  The CLI runs no other thread, which fork
-    does not copy."""
-    import select
+    in one of `n_workers` processes forked from this one, which take the
+    groups in report order from one task pipe.  Once a group has raised, no
+    group starts, and the earliest group in report order that raised or
+    whose worker died re-raises here.  Every worker is reaped before this
+    returns, and killed first if this raises.  The CLI runs no other thread,
+    which fork does not copy."""
     import signal
 
-    pids, pipes = [], []  # pipes[w]: (task pipe, result pipe) of worker w
-    busy = {}  # result pipe -> (task pipe, group index)
-    results = [None] * len(groups)
-    todo = iter(range(n_workers, len(groups)))
-    failed = False
+    tasks, queue = os.pipe()
+    os.write(queue, bytes(range(len(groups))))  # under PIPE_BUF: whole, never blocking
+    os.close(queue)
+    parent, pids, pipes, results = os.getpid(), [], [], [None] * len(groups)
     try:
-        for index in range(n_workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            tasks, done = os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")
-            pipes.append((tasks, done))
+        for _ in range(n_workers):
+            done, result_w = os.pipe()
+            pipes.append(os.fdopen(done, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(criteria, groups, task_r, result_w, pipes)
+                    _serve(criteria, groups, tasks, result_w, parent)
             finally:
-                os.close(task_r)
                 os.close(result_w)
             pids.append(pid)
-            pickle.dump(index, tasks)
-            tasks.flush()
-            busy[done] = (tasks, index)
-        while busy:
-            for done in select.select(list(busy), [], [])[0]:
-                tasks, index = busy.pop(done)
-                try:
-                    results[index] = pickle.load(done)
-                except (EOFError, pickle.UnpicklingError):  # it died mid-unit
-                    ids = ", ".join(criteria[i][0] for i in groups[index])
-                    raise ComputationError(
-                        f"the worker of criteria {ids} ended without their rows"
-                    ) from None
-                failed |= isinstance(results[index], BaseException)
-                index = None if failed else next(todo, None)
-                if index is None:
-                    tasks.close()  # the worker reads the end of its tasks and exits
-                    continue
-                pickle.dump(index, tasks)
-                tasks.flush()
-                busy[done] = (tasks, index)
+        for done in pipes:  # no worker waits on another: each to its end in turn
+            try:
+                while True:
+                    index, results[index] = pickle.load(done)
+            except (EOFError, pickle.UnpicklingError):  # exited, or died mid-write
+                pass
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for tasks, done in pipes:
-            tasks.close()
+        os.close(tasks)
+        for done in pipes:
             done.close()
         for pid in pids:
             os.waitpid(pid, 0)
     rows = [None] * len(criteria)
     for group, result in zip(groups, results):
+        if result is None:  # its worker died (a group unrun after a failure follows it)
+            ids = ", ".join(criteria[i][0] for i in group)
+            raise ComputationError(f"the worker of criteria {ids} ended without their rows")
         if isinstance(result, BaseException):
             raise result
         for i, row in zip(group, result):
@@ -288,11 +266,8 @@ def _forked_rows(criteria, groups, n_workers) -> list:
 
 
 def run_suite(args) -> tuple[str, int]:
-    selected = [
-        (cid, fn)
-        for cid, fn in CRITERIA
-        if not args.only or args.only in cid or args.only in fn.__name__
-    ]
+    only = args.only or ""  # "" selects every criterion
+    selected = [(cid, fn) for cid, fn in CRITERIA if only in cid or only in NAMES[cid]]
     if not selected:
         raise ConfigError(f"--only {args.only!r} matches no criteria")
     if args.jobs < 1:
@@ -459,9 +434,21 @@ def parse_args(argv=None) -> SimpleNamespace:
     )
 
 
+def _check_out(args) -> None:
+    """Raise ConfigError if the directory --out writes into lies under a file,
+    that is, if its nearest existing ancestor is not a directory."""
+    out = args.out or ""
+    path = (out or "suite_report") if args.command == "suite" else os.path.dirname(out)
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ConfigError(f"--out: {path} is not a directory")
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
+        _check_out(args)
         summary, code = COMMANDS[args.command][2](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,7 +73,7 @@ def crit_mra_invariants():
     ok = time.monotonic() - start < 30.0
     return _row(
         "1",
-        "mra-invariants",
+        NAMES["1"],
         "4 families pass in < 30 s",
         f"max_defect={worst:.3g}",
         ok,
@@ -117,7 +117,7 @@ def crit_haar_projection_oracle():
     )
     return _row(
         "2",
-        "haar-projection-oracle",
+        NAMES["2"],
         "cell-average defect < 1e-6 (ramp, gaussian; j 0..8)",
         f"max_defect={worst:.3g}",
         worst < 1e-6,
@@ -138,7 +138,7 @@ def crit_kernel_bound():
     )
     return _row(
         "3",
-        "kernel-convolution-bound",
+        NAMES["3"],
         "collapse < 0.05, tails < 10% mass, haar mass 2 +- 0.05",
         f"collapse={collapse:.3g} haar_mass={mass:.4g}",
         ok,
@@ -149,7 +149,7 @@ def crit_kernel_bound_shannon():
     rep = verify_convolution_bound(make_family("shannon"), range(0, 5))
     return _row(
         "3b",
-        "kernel-bound-shannon",
+        NAMES["3b"],
         "sinc kernel has no L1 radial majorant",
         f"passes={rep['passes']} tail={rep['tail_estimate']:.3g}",
         rep["passes"],
@@ -163,7 +163,7 @@ def crit_exponential_decay_fit():
     ok = fit.rate > 0 and fit.r2 > 0.98 and not fit.flagged
     return _row(
         "4",
-        "exponential-decay-fit",
+        NAMES["4"],
         "a > 0 and R^2 > 0.98",
         f"a={fit.rate:.4f} r2={fit.r2:.4f}",
         ok,
@@ -176,7 +176,7 @@ def crit_lebesgue_point():
     margin = max(abs(v) / ((8.0 / 7.0) * 4.0**-j) for j, v in tr)
     return _row(
         "5",
-        "lebesgue-point-convergence",
+        NAMES["5"],
         "|P_j f(0)| <= (8/7) 4^-j (1 + 0.05) for j 2..10",
         f"max_ratio={margin:.4f}",
         margin <= 1.05,
@@ -201,7 +201,7 @@ def crit_summation_order():
     ok = rep["final_agreement"] < 1e-10 and rejected
     return _row(
         "6",
-        "summation-order-robustness",
+        NAMES["6"],
         "schedules agree within 1e-10; unbounded-range schedule rejected",
         f"agreement={rep['final_agreement']:.3g} rejected={rejected}",
         ok,
@@ -243,7 +243,7 @@ def crit_rate_slopes():
     observed = " ".join(f"{label}={r.slope:.3f}" for label, r in reports.items())
     return _row(
         "7",
-        "rate-slopes",
+        NAMES["7"],
         "haar in [0.85,1.1]; db2, bl2 in [1.8,2.2]; R^2 > 0.99",
         observed,
         ok,
@@ -283,7 +283,7 @@ def crit_critical_orders():
     observed = " ".join(f"{label}={co.s_star:.3f}" for label, (_, co) in results.items())
     return _row(
         "8",
-        "critical-orders",
+        NAMES["8"],
         "haar 1.0 +- 0.1; db2, bl2 2.0 +- 0.15; eps-independent verdicts",
         f"{observed} eps_independent={eps_ok}",
         ok,
@@ -302,7 +302,7 @@ def crit_rate_criterion_consistency():
         pieces.append(f"{label}:|slope-s*|={gap:.3f},|w-s|={abs(a - b):.3f}")
     return _row(
         "9",
-        "rate-criterion-consistency",
+        NAMES["9"],
         "|slope - s*| <= 0.25; wavelet vs scaling thresholds within 0.15",
         " ".join(pieces),
         ok,
@@ -321,7 +321,7 @@ def crit_lp_convergence():
     ok = worst_rel <= 0.10 and sup_floor >= 0.4
     return _row(
         "10",
-        "lp-convergence",
+        NAMES["10"],
         "L1 error 2^-(j+1) within 10% (j 2..8); sup error >= 0.4",
         f"max_rel_l1={worst_rel:.3g} sup_floor={sup_floor:.3f}",
         ok,
@@ -354,7 +354,7 @@ def crit_spline_convergence():
     )
     return _row(
         "11",
-        "spline-convergence",
+        NAMES["11"],
         "k=1 equals haar within 1e-8; sine halving ratio in [3.4,4.6]; "
         "orthogonality < 1e-8 rel",
         f"haar_gap={haar_gap:.3g} ratios=[{min(ratios):.2f},{max(ratios):.2f}] "
@@ -382,7 +382,7 @@ def crit_determinism():
     ok = renders[0] == renders[1]
     return _row(
         "12",
-        "determinism",
+        NAMES["12"],
         "identical config renders byte-identical artifacts",
         f"byte_identical={ok}",
         ok,
@@ -409,6 +409,16 @@ def units(ids) -> list[list[int]]:
         grouped.setdefault(group, []).append(i)
     return list(grouped.values())
 
+
+#: the name of each criterion's row, by id; ``suite --only`` matches it
+NAMES = {
+    "1": "mra-invariants", "2": "haar-projection-oracle",
+    "3": "kernel-convolution-bound", "3b": "kernel-bound-shannon",
+    "4": "exponential-decay-fit", "5": "lebesgue-point-convergence",
+    "6": "summation-order-robustness", "7": "rate-slopes", "8": "critical-orders",
+    "9": "rate-criterion-consistency", "10": "lp-convergence",
+    "11": "spline-convergence", "12": "determinism",
+}
 
 #: ordered acceptance battery: (id, runner)
 CRITERIA = (

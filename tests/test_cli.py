@@ -697,6 +697,20 @@ class TestSuiteCommand:
         assert main(["suite", "--only", "bogus", "--out", str(tmp_path / "rep")]) == 1
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("cid, name", [
+        ("1", "mra-invariants"), ("2", "haar-projection-oracle"),
+        ("3", "kernel-convolution-bound"), ("3b", "kernel-bound-shannon"),
+        ("4", "exponential-decay-fit"), ("5", "lebesgue-point-convergence"),
+        ("6", "summation-order-robustness"), ("7", "rate-slopes"), ("8", "critical-orders"),
+        ("9", "rate-criterion-consistency"), ("10", "lp-convergence"),
+        ("11", "spline-convergence"), ("12", "determinism"),
+    ])
+    def test_only_matches_the_row_name(self, cid, name, tmp_path):
+        assert main(["suite", "--only", name, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["criterion"], r["name"]) for r in rows] == [(cid, name)]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_bad_jobs_exits_1_before_compute(self, jobs, tmp_path, capsys, monkeypatch):
         def refuse():
@@ -830,19 +844,83 @@ class TestSuiteWorkers:
         assert capsys.readouterr().err == "error: the worker of criteria 4 ended without their rows\n"
         assert_no_child_left()
 
-    def test_workers_are_killed_when_the_parent_raises(self, tmp_path, monkeypatch):
-        import select
+    def test_no_unit_starts_after_a_failure(self, tmp_path, monkeypatch):
+        # criterion 1 fails while criterion 2 runs; no other criterion starts
+        started = tmp_path / "started"
 
+        def fail():
+            raise ComputationError("criterion 1 failed")
+
+        def slow():
+            time.sleep(0.3)
+            return suite._row("2", "slow", "", "", True)
+
+        def logged(cid):
+            def runner():
+                with open(started, "a") as fh:
+                    fh.write(f"{cid}\n")
+                return suite._row(cid, "quick", "", "", True)
+            return runner
+
+        others = {f"c{cid}": logged(cid) for cid, _ in cli.CRITERIA[2:]}
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c1=fail, c2=slow, **others))
+        assert main(["suite", "--jobs", "2", "--out", str(tmp_path / "rep")]) == 2
+        assert not started.exists()
+        assert_no_child_left()
+
+    def test_workers_are_killed_when_the_parent_raises(self, tmp_path, monkeypatch):
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(select, "select", interrupted)
+        monkeypatch.setattr("pickle.load", interrupted)
         monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c1=lambda: time.sleep(60)))
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             main(["suite", "--jobs", "2", "--out", str(tmp_path)])
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+
+#: each command with its required options; every one takes --out
+OUT_COMMANDS = {
+    "family": "family --family haar",
+    "expand": "expand --family haar --function gaussian --j 0..6",
+    "kernel": "kernel --family haar --j 0..6",
+    "rate": "rate --family haar --function gaussian --j 3..9",
+    "sobolev": "sobolev --family haar",
+    "spline": "spline --function sine --order 2 --mesh-exponents 2..6",
+    "suite": "suite --only 12",
+}
+
+
+class TestOutUnderAFile:
+    def test_every_command_is_covered(self):
+        assert set(OUT_COMMANDS) == set(cli.COMMANDS)
+        assert all("--out" in options for _, options, _ in cli.COMMANDS.values())
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_exits_1_before_compute(self, command, tmp_path, monkeypatch, capsys):
+        def refuse(args):
+            raise AssertionError("computed")
+
+        monkeypatch.setitem(cli.COMMANDS, command, (*cli.COMMANDS[command][:2], refuse))
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        outs = [blocker / "x.json", blocker / "a" / "b" / "x.json"]
+        if command == "suite":  # the report directory itself
+            outs.append(blocker)
+        for out in outs:
+            argv = OUT_COMMANDS[command].split() + ["--out", str(out)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: --out: {blocker} is not a directory\n"
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["family", "suite"])
+    def test_missing_directories_are_made(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = OUT_COMMANDS[command].split() + ["--out", "new/dirs/out.json"]
+        assert main(argv) == 0
+        assert (tmp_path / "new" / "dirs" / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------
