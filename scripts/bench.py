@@ -9,8 +9,9 @@ in PAIRS pairs of the same kind, after one untimed warm-up in each tree:
 `python -c pass`, `python -c "import numpy"` and
 `python -c "import waverate.cli"` (so that start-up splits into
 interpreter, numpy and waverate), and every `waverate` command of the
-README's CLI quickstart as `python -m waverate`, the suite also with
-`--jobs 2`, each in a fresh temporary directory.
+README's CLI quickstart (`compare_artifacts.readme_commands`, the suite
+also with `--jobs 2`) as `python -m waverate`, each in a fresh temporary
+directory.
 
 The file records the machine, each tree's revision (its git HEAD and
 whether its working tree differs from it), `PYTHONDONTWRITEBYTECODE`, the
@@ -33,26 +34,13 @@ import tempfile
 import time
 from pathlib import Path
 
+from compare_artifacts import readme_commands  # this script's directory is on sys.path
+
 ROOT = Path(__file__).resolve().parent.parent
 #: pairs of parent and change runs per workload and per timed command
 PAIRS = 10
 #: a benchmark run or a timed command that takes longer is an error
 TIMEOUT_S = 600
-
-
-def readme_commands() -> list[list[str]]:
-    """The argument lists of the README's `waverate ...` quickstart lines,
-    the suite also with --jobs 2."""
-    text = (ROOT / "README.md").read_text()
-    block = text.split("## Quickstart (CLI)", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = []
-    for line in block.splitlines():
-        words = shlex.split(line, comments=True)
-        if words[:1] == ["waverate"]:
-            commands.append(words[1:])
-            if words[1] == "suite":
-                commands.append(words[1:] + ["--jobs", "2"])
-    return commands
 
 
 def revision(tree: Path) -> dict:

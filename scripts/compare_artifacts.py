@@ -2,8 +2,8 @@
 """Run the README and benchmark studies and the experiment scripts under two
 source trees and compare their outputs.
 
-Every `waverate` command of the README's CLI quickstart (the suite with
-`--jobs 1` and with `--jobs 2`), every distinct study of the benchmark's
+Every `waverate` command of the README's CLI quickstart (`readme_commands`,
+the suite also with `--jobs 2`), every distinct study of the benchmark's
 workloads (read from `benchmarks/studies.py`, spline seed 3), each bad
 configuration of REJECTIONS, each failed computation of FAILURES and each
 `--study` runs twice in fresh processes, once importing `waverate` from BASE_SRC and once
@@ -67,6 +67,9 @@ REJECTIONS = (
     "spline --function step --order 1 --mesh-exponents 2..6",
     "spline --function step --order 2 --mesh-exponents 2..6",
     "spline --function ramp --order 2 --mesh-exponents 2..6",
+    # an --out that names a directory
+    "rate --family haar --function gaussian --j 3..9 --out .",
+    "family --family haar --out new/",
 )
 #: one computation per kind that fails its own check: each must exit 2 with
 #: the same `error:` line under both trees
@@ -78,20 +81,19 @@ FAILURES = (
 )
 
 
-def readme_studies() -> list[list[str]]:
-    """The argument lists of the README's `waverate ...` quickstart lines."""
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the README's `waverate ...` quickstart lines,
+    the suite also with --jobs 2 (in forked workers, not in this process)."""
     text = (ROOT / "README.md").read_text()
     block = text.split("## Quickstart (CLI)", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    studies = []
+    commands = []
     for line in block.splitlines():
         words = shlex.split(line, comments=True)
         if words[:1] == ["waverate"]:
-            argv = words[1:]
-            if argv[0] == "suite":  # in this process, and in forked workers
-                studies += [argv + ["--jobs", "1"], argv + ["--jobs", "2"]]
-            else:
-                studies.append(argv)
-    return studies
+            commands.append(words[1:])
+            if words[1] == "suite":
+                commands.append(words[1:] + ["--jobs", "2"])
+    return commands
 
 
 def benchmark_studies() -> list[list[str]]:
@@ -200,7 +202,7 @@ def main() -> int:
     args = parser.parse_args()
     base_src, head_src = os.path.abspath(args.base_src), str(ROOT / "src")
     extra = REJECTIONS + FAILURES + tuple(args.study)
-    studies = readme_studies() + benchmark_studies() + [shlex.split(s) for s in extra]
+    studies = readme_commands() + benchmark_studies() + [shlex.split(s) for s in extra]
     differing = 0
     for argv in studies:
         command = [sys.executable, "-m", "waverate.cli", *argv]

@@ -34,10 +34,13 @@ from .kernels import export_bound_report, fit_decay, verify_convolution_bound
 from .serialize import family_to_dict, write_csv, write_json, write_record
 from .sobolev import criterion_sweep, critical_order, export_sweep_csv
 from .splines import MAX_ORDER, PERTURBATION_SEED, perturbation_optimality
-from .suite import CRITERIA, NAMES, forget_shared_studies, units
+from .suite import CRITERIA, NAMES
 
 #: a Haar verdict costs well under 1 ms, so the longest sweep takes seconds
 MAX_SWEEP_POINTS = 10_000
+
+#: the directory `suite` writes its report into when --out is not given
+REPORT_DIR = "suite_report"
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +191,21 @@ def run_spline(args) -> tuple[str, int]:
     return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}", 0
 
 
-def _serve(criteria, groups, tasks, result_fd, parent) -> None:
-    """A forked worker: read the index of the next group of `criteria` from
-    the shared task pipe, run the group and send back (index, its rows or
-    the exception it raised), until the pipe is empty or the parent is gone.
-    Never returns."""
+def _serve(units, tasks, result_fd, parent) -> None:
+    """A forked worker: read the index of the next of the (id, runner)
+    `units` from the shared task pipe, run it and send back (index, its rows
+    or the exception it raised), until the pipe is empty or the parent is
+    gone.  Never returns."""
     code = 1
     try:
         results = os.fdopen(result_fd, "wb")
         while os.getppid() == parent and (task := os.read(tasks, 1)):
             try:
-                out = [criteria[i][1]() for i in groups[task[0]]]
+                out = units[task[0]][1]()
             except Exception as exc:  # sent back, with the worker's traceback
                 import traceback
 
-                os.read(tasks, len(groups))  # take every index left: none starts
+                os.read(tasks, len(units))  # take every index left: none starts
                 exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
                 out = exc
             pickle.dump((task[0], out), results)
@@ -212,20 +215,20 @@ def _serve(criteria, groups, tasks, result_fd, parent) -> None:
         os._exit(code)
 
 
-def _forked_rows(criteria, groups, n_workers) -> list:
-    """The rows of the (id, runner) `criteria`, each group of positions run
-    in one of `n_workers` processes forked from this one, which take the
-    groups in report order from one task pipe.  Once a group has raised, no
-    group starts, and the earliest group in report order that raised or
-    whose worker died re-raises here.  Every worker is reaped before this
-    returns, and killed first if this raises.  The CLI runs no other thread,
-    which fork does not copy."""
+def _forked_rows(units, n_workers) -> list:
+    """The rows of each of the (id, runner) `units`, run in `n_workers`
+    processes forked from this one, which take the units in report order
+    from one task pipe.  Once a unit has raised, no unit starts, and the
+    earliest unit in report order that raised or whose worker died
+    re-raises here.  Every worker is reaped before this returns, and killed
+    first if this raises.  The CLI runs no other thread, which fork does not
+    copy."""
     import signal
 
     tasks, queue = os.pipe()
-    os.write(queue, bytes(range(len(groups))))  # under PIPE_BUF: whole, never blocking
+    os.write(queue, bytes(range(len(units))))  # under PIPE_BUF: whole, never blocking
     os.close(queue)
-    parent, pids, pipes, results = os.getpid(), [], [], [None] * len(groups)
+    parent, pids, pipes, results = os.getpid(), [], [], [None] * len(units)
     try:
         for _ in range(n_workers):
             done, result_w = os.pipe()
@@ -233,7 +236,7 @@ def _forked_rows(criteria, groups, n_workers) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(criteria, groups, tasks, result_w, parent)
+                    _serve(units, tasks, result_w, parent)
             finally:
                 os.close(result_w)
             pids.append(pid)
@@ -253,33 +256,34 @@ def _forked_rows(criteria, groups, n_workers) -> list:
             done.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    rows = [None] * len(criteria)
-    for group, result in zip(groups, results):
-        if result is None:  # its worker died (a group unrun after a failure follows it)
-            ids = ", ".join(criteria[i][0] for i in group)
+    for (uid, _), result in zip(units, results):
+        if result is None:  # its worker died (a unit unrun after a failure follows it)
+            ids = ", ".join(NAMES[uid])
             raise ComputationError(f"the worker of criteria {ids} ended without their rows")
         if isinstance(result, BaseException):
             raise result
-        for i, row in zip(group, result):
-            rows[i] = row
-    return rows
+    return results
 
 
 def run_suite(args) -> tuple[str, int]:
-    only = args.only or ""  # "" selects every criterion
-    selected = [(cid, fn) for cid, fn in CRITERIA if only in cid or only in NAMES[cid]]
+    only = args.only or ""  # "" selects every row
+    chosen = {
+        cid for rows in NAMES.values() for cid, name in rows.items()
+        if only in cid or only in name
+    }
+    # a unit runs whole when any of its rows is chosen
+    selected = [(uid, fn) for uid, fn in CRITERIA if chosen & NAMES[uid].keys()]
     if not selected:
         raise ConfigError(f"--only {args.only!r} matches no criteria")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    forget_shared_studies()
-    groups = units([cid for cid, _ in selected])
-    n_workers = min(args.jobs, len(groups))
+    n_workers = min(args.jobs, len(selected))
     if n_workers == 1:
-        rows = [fn() for _, fn in selected]
+        results = [fn() for _, fn in selected]
     else:
-        rows = _forked_rows(selected, groups, n_workers)
-    out_dir = args.out or "suite_report"
+        results = _forked_rows(selected, n_workers)
+    rows = [row for result in results for row in result if row["id"] in chosen]
+    out_dir = args.out or REPORT_DIR
     write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["criterion", "name", "expected", "observed", "status"],
@@ -344,8 +348,8 @@ COMMANDS = {
         "--seed": (int, PERTURBATION_SEED, "seed of the perturbations"),
     }, run_spline),
     "suite": ("run the acceptance battery", {
-        "--out": (str, None, "report directory (default suite_report)"),
-        "--only": (str, None, "run only criteria whose id or name matches"),
+        "--out": (str, None, f"report directory (default {REPORT_DIR})"),
+        "--only": (str, None, "report only the rows whose id or name matches"),
         "--jobs": (int, 1, "worker processes"),
     }, run_suite),
 }
@@ -435,10 +439,14 @@ def parse_args(argv=None) -> SimpleNamespace:
 
 
 def _check_out(args) -> None:
-    """Raise ConfigError if the directory --out writes into lies under a file,
-    that is, if its nearest existing ancestor is not a directory."""
-    out = args.out or ""
-    path = (out or "suite_report") if args.command == "suite" else os.path.dirname(out)
+    """Raise ConfigError if a command's --out file names a directory (it is
+    one, or ends in a separator, ``.`` or ``..``), or if the directory --out
+    writes into lies under a file, that is, if its nearest existing ancestor
+    is not a directory."""
+    out, suite = args.out or "", args.command == "suite"
+    if out and not suite and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
+        raise ConfigError(f"--out: {out} names a directory, not a file")
+    path = (out or REPORT_DIR) if suite else os.path.dirname(out)
     while path and not os.path.exists(path):
         path = os.path.dirname(path)
     if path and not os.path.isdir(path):

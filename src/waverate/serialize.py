@@ -72,14 +72,6 @@ def dumps_json(payload) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, range):  # a study's scales
         return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -1,16 +1,16 @@
 """The acceptance battery: each criterion checks one claim of the paper or
-one contract of the toolkit and returns one row of the suite's summary.csv.
+one contract of the toolkit and is one row of the suite's summary.csv.
 
-``CRITERIA`` lists them in report order; ``waverate suite`` (`cli.run_suite`)
-runs them, and tests/test_acceptance.py runs each on its own.  Criteria 7, 8
-and 9 share their sup-norm studies and critical orders, computed once per
-suite run: `units` keeps them in one unit, which ``suite --jobs`` runs in one
-worker process.
+``CRITERIA`` lists the battery's units in report order, each a runner that
+returns the tuple of its rows, and ``NAMES`` each unit's row ids and names.
+Every unit is one row but the one of criteria 7, 8 and 9, which read the
+same sup-norm studies and critical orders and so compute them once, as
+locals.  ``waverate suite`` (`cli.run_suite`) runs the units, and
+tests/test_acceptance.py runs each on its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -50,18 +50,16 @@ _STANDARD_FAMILIES = (
 )
 
 
-def _row(cid, name, expected, observed, ok, expected_fail=False):
+def _row(cid, expected, observed, ok, expected_fail=False) -> tuple[dict]:
+    """Row `cid` of summary.csv, named from NAMES, as the one-row tuple that
+    a unit of one row returns; a unit of several rows adds theirs up."""
     if expected_fail:
         status = "expected-fail" if not ok else "PASS"
     else:
         status = "PASS" if ok else "FAIL"
-    return {
-        "id": cid,
-        "name": name,
-        "expected": expected,
-        "observed": observed,
-        "status": status,
-    }
+    name = next(rows[cid] for rows in NAMES.values() if cid in rows)
+    return ({"id": cid, "name": name, "expected": expected, "observed": observed,
+             "status": status},)
 
 
 def crit_mra_invariants():
@@ -73,7 +71,6 @@ def crit_mra_invariants():
     ok = time.monotonic() - start < 30.0
     return _row(
         "1",
-        NAMES["1"],
         "4 families pass in < 30 s",
         f"max_defect={worst:.3g}",
         ok,
@@ -117,7 +114,6 @@ def crit_haar_projection_oracle():
     )
     return _row(
         "2",
-        NAMES["2"],
         "cell-average defect < 1e-6 (ramp, gaussian; j 0..8)",
         f"max_defect={worst:.3g}",
         worst < 1e-6,
@@ -138,7 +134,6 @@ def crit_kernel_bound():
     )
     return _row(
         "3",
-        NAMES["3"],
         "collapse < 0.05, tails < 10% mass, haar mass 2 +- 0.05",
         f"collapse={collapse:.3g} haar_mass={mass:.4g}",
         ok,
@@ -149,7 +144,6 @@ def crit_kernel_bound_shannon():
     rep = verify_convolution_bound(make_family("shannon"), range(0, 5))
     return _row(
         "3b",
-        NAMES["3b"],
         "sinc kernel has no L1 radial majorant",
         f"passes={rep['passes']} tail={rep['tail_estimate']:.3g}",
         rep["passes"],
@@ -163,7 +157,6 @@ def crit_exponential_decay_fit():
     ok = fit.rate > 0 and fit.r2 > 0.98 and not fit.flagged
     return _row(
         "4",
-        NAMES["4"],
         "a > 0 and R^2 > 0.98",
         f"a={fit.rate:.4f} r2={fit.r2:.4f}",
         ok,
@@ -176,7 +169,6 @@ def crit_lebesgue_point():
     margin = max(abs(v) / ((8.0 / 7.0) * 4.0**-j) for j, v in tr)
     return _row(
         "5",
-        NAMES["5"],
         "|P_j f(0)| <= (8/7) 4^-j (1 + 0.05) for j 2..10",
         f"max_ratio={margin:.4f}",
         margin <= 1.05,
@@ -201,7 +193,6 @@ def crit_summation_order():
     ok = rep["final_agreement"] < 1e-10 and rejected
     return _row(
         "6",
-        NAMES["6"],
         "schedules agree within 1e-10; unbounded-range schedule rejected",
         f"agreement={rep['final_agreement']:.3g} rejected={rejected}",
         ok,
@@ -221,35 +212,6 @@ _SLOPE_TARGETS = {
     "bl2": (1.8, 2.2),
 }
 
-
-@functools.cache
-def _slope_reports():
-    """Criterion 7's sup-norm studies, shared with criterion 9 within one
-    suite run (`cli.run_suite` forgets them first)."""
-    gaussian = test_function("gaussian")
-    return {
-        label: sup_error_rates(gaussian, make_family(*spec), range(3, 10), (-1.0, 1.0))
-        for label, spec in _BATTERY_FAMILIES.items()
-    }
-
-
-def crit_rate_slopes():
-    reports = _slope_reports()
-    ok = all(
-        _SLOPE_TARGETS[label][0] <= r.slope <= _SLOPE_TARGETS[label][1]
-        and r.r_squared > 0.99
-        for label, r in reports.items()
-    )
-    observed = " ".join(f"{label}={r.slope:.3f}" for label, r in reports.items())
-    return _row(
-        "7",
-        NAMES["7"],
-        "haar in [0.85,1.1]; db2, bl2 in [1.8,2.2]; R^2 > 0.99",
-        observed,
-        ok,
-    )
-
-
 _CRITICAL_TARGETS = {
     "haar": (1.0, 0.1),
     "db2": (2.0, 0.15),
@@ -257,55 +219,56 @@ _CRITICAL_TARGETS = {
 }
 
 
-@functools.cache
-def _critical_orders():
-    """Criterion 8's (family, wavelet critical order at eps = 1) pairs,
-    shared with criterion 9 like `_slope_reports`."""
+def crit_rate_and_critical_orders():
+    """Rows 7, 8 and 9, one claim of the paper read off one set of studies:
+    each family's sup-norm rate on the gaussian (7) and its wavelet critical
+    order s*, whose verdicts must not depend on eps (8), must agree, and so
+    must its wavelet and scaling critical orders (9)."""
+    gaussian = test_function("gaussian")
     fams = {label: make_family(*spec) for label, spec in _BATTERY_FAMILIES.items()}
-    return {label: (fam, critical_order(fam)) for label, fam in fams.items()}
-
-
-def crit_critical_orders():
-    results = _critical_orders()
+    reports = {
+        label: sup_error_rates(gaussian, fam, range(3, 10), (-1.0, 1.0))
+        for label, fam in fams.items()
+    }
+    s_star = {label: critical_order(fam).s_star for label, fam in fams.items()}
     eps_ok = True
-    for fam, co in results.values():
-        around = (co.s_star - 0.3, co.s_star + 0.3)
+    for label, fam in fams.items():
+        around = (s_star[label] - 0.3, s_star[label] + 0.3)
         by_eps = [
             [r.diverged for r in criterion_sweep(fam, around, eps)]
             for eps in (0.5, 1.0, 2.0)
         ]
         # one verdict per s across every eps
         eps_ok &= all(len(set(verdicts)) == 1 for verdicts in zip(*by_eps))
-    ok = eps_ok and all(
-        abs(results[label][1].s_star - target) <= tol
-        for label, (target, tol) in _CRITICAL_TARGETS.items()
-    )
-    observed = " ".join(f"{label}={co.s_star:.3f}" for label, (_, co) in results.items())
+    gaps = {
+        label: (
+            abs(reports[label].slope - s),
+            abs(s - critical_order(fams[label], criterion="scaling").s_star),
+        )
+        for label, s in s_star.items()
+    }
     return _row(
+        "7",
+        "haar in [0.85,1.1]; db2, bl2 in [1.8,2.2]; R^2 > 0.99",
+        " ".join(f"{label}={r.slope:.3f}" for label, r in reports.items()),
+        all(
+            lo <= reports[label].slope <= hi and reports[label].r_squared > 0.99
+            for label, (lo, hi) in _SLOPE_TARGETS.items()
+        ),
+    ) + _row(
         "8",
-        NAMES["8"],
         "haar 1.0 +- 0.1; db2, bl2 2.0 +- 0.15; eps-independent verdicts",
-        f"{observed} eps_independent={eps_ok}",
-        ok,
-    )
-
-
-def crit_rate_criterion_consistency():
-    reports = _slope_reports()
-    ok = True
-    pieces = []
-    for label, (fam, co) in _critical_orders().items():
-        a = co.s_star
-        b = critical_order(fam, criterion="scaling").s_star
-        gap = abs(reports[label].slope - a)
-        ok &= gap <= 0.25 and abs(a - b) <= 0.15
-        pieces.append(f"{label}:|slope-s*|={gap:.3f},|w-s|={abs(a - b):.3f}")
-    return _row(
+        " ".join(f"{label}={s:.3f}" for label, s in s_star.items())
+        + f" eps_independent={eps_ok}",
+        eps_ok
+        and all(abs(s_star[label] - target) <= tol
+                for label, (target, tol) in _CRITICAL_TARGETS.items()),
+    ) + _row(
         "9",
-        NAMES["9"],
         "|slope - s*| <= 0.25; wavelet vs scaling thresholds within 0.15",
-        " ".join(pieces),
-        ok,
+        " ".join(f"{label}:|slope-s*|={gap:.3f},|w-s|={ws:.3f}"
+                 for label, (gap, ws) in gaps.items()),
+        all(gap <= 0.25 and ws <= 0.15 for gap, ws in gaps.values()),
     )
 
 
@@ -321,7 +284,6 @@ def crit_lp_convergence():
     ok = worst_rel <= 0.10 and sup_floor >= 0.4
     return _row(
         "10",
-        NAMES["10"],
         "L1 error 2^-(j+1) within 10% (j 2..8); sup error >= 0.4",
         f"max_rel_l1={worst_rel:.3g} sup_floor={sup_floor:.3f}",
         ok,
@@ -354,7 +316,6 @@ def crit_spline_convergence():
     )
     return _row(
         "11",
-        NAMES["11"],
         "k=1 equals haar within 1e-8; sine halving ratio in [3.4,4.6]; "
         "orthogonality < 1e-8 rel",
         f"haar_gap={haar_gap:.3g} ratios=[{min(ratios):.2f},{max(ratios):.2f}] "
@@ -382,45 +343,29 @@ def crit_determinism():
     ok = renders[0] == renders[1]
     return _row(
         "12",
-        NAMES["12"],
         "identical config renders byte-identical artifacts",
         f"byte_identical={ok}",
         ok,
     )
 
 
-def forget_shared_studies() -> None:
-    """Drop the studies criteria 7-9 share, so that the next run computes them."""
-    _slope_reports.cache_clear()
-    _critical_orders.cache_clear()
-
-
-#: ids of criteria that read the same cached studies
-SHARED_STUDIES = (("7", "8", "9"),)
-
-
-def units(ids) -> list[list[int]]:
-    """The positions of `ids` grouped into the units that one worker runs:
-    the selected members of each SHARED_STUDIES group form one unit, at the
-    place of its first, and every other criterion is a unit alone."""
-    grouped: dict[tuple, list[int]] = {}
-    for i, cid in enumerate(ids):
-        group = next((g for g in SHARED_STUDIES if cid in g), (cid,))
-        grouped.setdefault(group, []).append(i)
-    return list(grouped.values())
-
-
-#: the name of each criterion's row, by id; ``suite --only`` matches it
+#: each unit's rows in report order, {row id: row name}, by the unit's id
+#: (its first row's); ``suite --only`` matches a row's id or name
 NAMES = {
-    "1": "mra-invariants", "2": "haar-projection-oracle",
-    "3": "kernel-convolution-bound", "3b": "kernel-bound-shannon",
-    "4": "exponential-decay-fit", "5": "lebesgue-point-convergence",
-    "6": "summation-order-robustness", "7": "rate-slopes", "8": "critical-orders",
-    "9": "rate-criterion-consistency", "10": "lp-convergence",
-    "11": "spline-convergence", "12": "determinism",
+    "1": {"1": "mra-invariants"},
+    "2": {"2": "haar-projection-oracle"},
+    "3": {"3": "kernel-convolution-bound"},
+    "3b": {"3b": "kernel-bound-shannon"},
+    "4": {"4": "exponential-decay-fit"},
+    "5": {"5": "lebesgue-point-convergence"},
+    "6": {"6": "summation-order-robustness"},
+    "7": {"7": "rate-slopes", "8": "critical-orders", "9": "rate-criterion-consistency"},
+    "10": {"10": "lp-convergence"},
+    "11": {"11": "spline-convergence"},
+    "12": {"12": "determinism"},
 }
 
-#: ordered acceptance battery: (id, runner)
+#: ordered acceptance battery: (unit id, runner returning the unit's rows)
 CRITERIA = (
     ("1", crit_mra_invariants),
     ("2", crit_haar_projection_oracle),
@@ -429,12 +374,8 @@ CRITERIA = (
     ("4", crit_exponential_decay_fit),
     ("5", crit_lebesgue_point),
     ("6", crit_summation_order),
-    ("7", crit_rate_slopes),
-    ("8", crit_critical_orders),
-    ("9", crit_rate_criterion_consistency),
+    ("7", crit_rate_and_critical_orders),
     ("10", crit_lp_convergence),
     ("11", crit_spline_convergence),
     ("12", crit_determinism),
 )
-
-

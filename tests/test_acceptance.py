@@ -2,18 +2,33 @@
 
 The criteria are implemented once, in waverate.suite, and both the
 command-line ``suite`` subcommand and this test module read them from
-``waverate.cli.CRITERIA``, so the two always agree.  Run with ``-s`` (or
-read captured output) to see the per-criterion lines.
+``waverate.cli.CRITERIA``, so the two always agree.  Each row of
+summary.csv is one test, and a unit of several rows runs once for all of
+them.  Run with ``-s`` (or read captured output) to see the per-criterion
+lines.
 """
+
+import functools
 
 import pytest
 
-from waverate.cli import CRITERIA, main
+from waverate.cli import CRITERIA, NAMES, main
+
+#: (unit id, row id) of every row of summary.csv, in report order
+ROWS = [(uid, cid) for uid, _ in CRITERIA for cid in NAMES[uid]]
 
 
-@pytest.mark.parametrize("cid,runner", CRITERIA, ids=[cid for cid, _ in CRITERIA])
-def test_criterion(cid, runner):
-    row = runner()
+@functools.cache
+def unit_rows(uid):
+    """The rows unit `uid` returns, run once for all of its rows' tests."""
+    rows = dict(CRITERIA)[uid]()
+    assert [row["id"] for row in rows] == list(NAMES[uid])
+    return rows
+
+
+@pytest.mark.parametrize("uid,cid", ROWS, ids=[cid for _, cid in ROWS])
+def test_criterion(uid, cid):
+    row = next(row for row in unit_rows(uid) if row["id"] == cid)
     print(
         f"[criterion {row['id']}] {row['name']}: expected {row['expected']}; "
         f"observed {row['observed']} -> {row['status']}"

@@ -721,15 +721,41 @@ class TestSuiteCommand:
         assert not (tmp_path / "rep").exists()
         assert "--jobs" in capsys.readouterr().err
 
-    def test_criteria_7_to_9_form_one_unit(self):
-        # they share their studies, so one worker runs them; every other
-        # criterion is a unit alone
-        ids = [cid for cid, _ in cli.CRITERIA]
-        groups = suite.units(ids)
-        assert len(groups) == 11
-        assert [[ids[i] for i in g] for g in groups if len(g) > 1] == [["7", "8", "9"]]
-        assert sorted(i for g in groups for i in g) == list(range(len(ids)))
-        assert suite.units(["9", "1", "7"]) == [[0, 2], [1]]
+    def test_units_hold_the_13_rows_in_report_order(self):
+        # criteria 7-9 read the same studies, so they are one unit; every
+        # other criterion is a unit alone
+        assert [uid for uid, _ in cli.CRITERIA] == list(suite.NAMES)
+        assert len(cli.CRITERIA) == 11
+        assert [cid for uid, _ in cli.CRITERIA for cid in suite.NAMES[uid]] == [
+            "1", "2", "3", "3b", "4", "5", "6", "7", "8", "9", "10", "11", "12",
+        ]
+        assert [list(rows) for rows in suite.NAMES.values() if len(rows) > 1] == [
+            ["7", "8", "9"],
+        ]
+
+    @pytest.mark.parametrize("only, ids", [
+        ("rate", ["7", "9"]), ("crit", ["8", "9"]), ("criti", ["8"]),
+        ("1", ["1", "10", "11", "12"]),
+    ])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_only_selects_rows_across_a_unit(self, only, ids, jobs, tmp_path, monkeypatch):
+        # a unit runs whole when any of its rows is chosen; the report holds
+        # only the chosen rows
+        ran = tmp_path / "ran"
+
+        def logged(uid):
+            def runner():
+                with open(ran, "a") as fh:
+                    fh.write(f"{uid}\n")
+                return quick_rows(uid)
+            return runner
+
+        monkeypatch.setattr(cli, "CRITERIA", tuple((uid, logged(uid)) for uid, _ in cli.CRITERIA))
+        assert main(["suite", "--jobs", jobs, "--only", only, "--out", str(tmp_path / "rep")]) == 0
+        with open(tmp_path / "rep" / "summary.csv", newline="") as fh:
+            assert [r["criterion"] for r in csv.DictReader(fh)] == ids
+        units = [uid for uid in suite.NAMES if set(suite.NAMES[uid]) & set(ids)]
+        assert sorted(ran.read_text().split()) == sorted(units)
 
     def test_workers_run_each_slope_study_once(self, tmp_path, monkeypatch):
         # the forked workers append each sup-norm study they run to one file
@@ -742,19 +768,24 @@ class TestSuiteCommand:
 
         monkeypatch.setattr(suite, "sup_error_rates", logged_study)
         assert main(["suite", "--jobs", "2", "--out", str(tmp_path / "rep")]) == 0
-        # criteria 7 and 9 read 3..9, criterion 12 runs its own 3..7 twice
+        # the unit of criteria 7-9 reads 3..9, criterion 12 runs its own 3..7 twice
         assert sorted(log.read_text().splitlines()) == [
             "battle_lemarie:2 3..9", "daubechies:2 3..9", "haar 3..7", "haar 3..7", "haar 3..9",
         ]
 
 
-def quick_criteria(**raising):
-    """cli.CRITERIA's ids, each with a runner that returns a PASS row at
-    once, or with raising[f"c{id}"] where that is given (c3b for "3b")."""
-    def runner(cid):
-        return raising.get(f"c{cid}") or (lambda: suite._row(cid, "quick", "", "", True))
+def quick_rows(uid):
+    """PASS rows for each row of unit `uid`."""
+    return sum((suite._row(cid, "", "", True) for cid in suite.NAMES[uid]), ())
 
-    return tuple((cid, runner(cid)) for cid, _ in cli.CRITERIA)
+
+def quick_criteria(**raising):
+    """cli.CRITERIA's unit ids, each with a runner that returns PASS rows at
+    once, or with raising[f"c{id}"] where that is given (c3b for "3b")."""
+    def runner(uid):
+        return raising.get(f"c{uid}") or (lambda: quick_rows(uid))
+
+    return tuple((uid, runner(uid)) for uid, _ in cli.CRITERIA)
 
 
 def assert_no_child_left():
@@ -787,7 +818,7 @@ class TestSuiteWorkers:
     def test_rows_keep_report_order(self, tmp_path, monkeypatch):
         def slow():
             time.sleep(0.2)
-            return suite._row("1", "slow", "", "", True)
+            return suite._row("1", "", "", True)
 
         monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c1=slow))
         reports = []
@@ -796,7 +827,7 @@ class TestSuiteWorkers:
             reports.append((tmp_path / jobs / "summary.csv").read_bytes())
         assert reports[0] == reports[1]
         assert [line.split(b",")[0] for line in reports[0].splitlines()[1:]] == [
-            cid.encode() for cid, _ in cli.CRITERIA
+            cid.encode() for rows in suite.NAMES.values() for cid in rows
         ]
         assert_no_child_left()
 
@@ -838,10 +869,14 @@ class TestSuiteWorkers:
         assert "in broken_criterion" in info.value.__notes__[-1]
         assert_no_child_left()
 
-    def test_a_worker_that_dies_is_a_failed_computation(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c4=lambda: os._exit(3)))
+    # the message names every row of the dead worker's unit
+    @pytest.mark.parametrize("uid, ids", [("4", "4"), ("7", "7, 8, 9")])
+    def test_a_worker_that_dies_is_a_failed_computation(self, uid, ids, tmp_path, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(cli, "CRITERIA", quick_criteria(**{f"c{uid}": lambda: os._exit(3)}))
         assert main(["suite", "--jobs", "2", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: the worker of criteria 4 ended without their rows\n"
+        err = capsys.readouterr().err
+        assert err == f"error: the worker of criteria {ids} ended without their rows\n"
         assert_no_child_left()
 
     def test_no_unit_starts_after_a_failure(self, tmp_path, monkeypatch):
@@ -853,16 +888,16 @@ class TestSuiteWorkers:
 
         def slow():
             time.sleep(0.3)
-            return suite._row("2", "slow", "", "", True)
+            return suite._row("2", "", "", True)
 
-        def logged(cid):
+        def logged(uid):
             def runner():
                 with open(started, "a") as fh:
-                    fh.write(f"{cid}\n")
-                return suite._row(cid, "quick", "", "", True)
+                    fh.write(f"{uid}\n")
+                return quick_rows(uid)
             return runner
 
-        others = {f"c{cid}": logged(cid) for cid, _ in cli.CRITERIA[2:]}
+        others = {f"c{uid}": logged(uid) for uid, _ in cli.CRITERIA[2:]}
         monkeypatch.setattr(cli, "CRITERIA", quick_criteria(c1=fail, c2=slow, **others))
         assert main(["suite", "--jobs", "2", "--out", str(tmp_path / "rep")]) == 2
         assert not started.exists()
@@ -921,6 +956,23 @@ class TestOutUnderAFile:
         argv = OUT_COMMANDS[command].split() + ["--out", "new/dirs/out.json"]
         assert main(argv) == 0
         assert (tmp_path / "new" / "dirs" / "out.json").exists()
+
+
+class TestOutNamingADirectory:
+    @pytest.mark.parametrize("command", [c for c in OUT_COMMANDS if c != "suite"])
+    def test_exits_1_before_compute(self, command, tmp_path, monkeypatch, capsys):
+        def refuse(args):
+            raise AssertionError("computed")
+
+        monkeypatch.setitem(cli.COMMANDS, command, (*cli.COMMANDS[command][:2], refuse))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "D").mkdir()
+        for out in ["D", "D/", "new/", ".", "..", "D/.", str(tmp_path / "D")]:
+            argv = OUT_COMMANDS[command].split() + ["--out", out]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: --out: {out} names a directory, not a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
+        assert list((tmp_path / "D").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1469,9 +1521,14 @@ class TestTablesOnFirstRead:
         assert main(argv.split()) == 1
         assert reads == []
 
-    def test_critical_order_criterion_builds_no_table(self, tmp_path, monkeypatch):
-        reads = counted_families(monkeypatch, suite)
-        assert main(["suite", "--only", "8", "--out", str(tmp_path / "rep")]) == 0
+    def test_critical_order_criterion_builds_no_table(self, monkeypatch):
+        # criteria 8 and 9 read each spectrum off the family's construction;
+        # their unit's rate studies read the tables
+        reads = counted_families(monkeypatch, families)
+        for spec in suite._BATTERY_FAMILIES.values():
+            fam = families.make_family(*spec)
+            for criterion in ("wavelet", "scaling"):
+                suite.critical_order(fam, criterion=criterion)
         assert reads == []
 
     @pytest.mark.parametrize("spec", ["haar", "daubechies:2"])
