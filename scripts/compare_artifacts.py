@@ -4,13 +4,14 @@ source trees and compare their outputs.
 
 Every `waverate` command of the README's CLI quickstart (`readme_commands`,
 the suite also with `--jobs 2`), every distinct study of the benchmark's
-workloads (read from `benchmarks/studies.py`, spline seed 3), each bad
-configuration of REJECTIONS, each failed computation of FAILURES and each
-`--study` runs twice in fresh processes, once importing `waverate` from BASE_SRC and once
-from this checkout's `src/`, each in its own temporary directory.  So does each experiment script
-(EXPERIMENT_SCRIPTS, with `--outdir`), each tree running its own copy: the
-base tree's from the `scripts/` beside BASE_SRC, skipped with a note when
-there is none.  Every file a run writes, its standard output, its standard
+workloads (read from `benchmarks/studies.py`, spline seed 3), the family
+table of each source (FAMILY_TABLES), each bad configuration of REJECTIONS,
+each failed computation of FAILURES and each `--study` runs twice in fresh
+processes, once importing `waverate` from BASE_SRC and once from this
+checkout's `src/`, each in its own temporary directory.  So does each
+experiment script (EXPERIMENT_SCRIPTS, with `--outdir`), each tree running
+its own copy: the base tree's from the `scripts/` beside BASE_SRC, skipped
+with a note when there is none.  Every file a run writes, its standard output, its standard
 error and its exit code are compared byte for byte, and each is printed as
 identical or differing.  A differing text artifact is followed by its
 unified diff, capped at DIFF_LINES lines, so the moved digits can be quoted;
@@ -70,6 +71,12 @@ REJECTIONS = (
     # an --out that names a directory
     "rate --family haar --function gaussian --j 3..9 --out .",
     "family --family haar --out new/",
+)
+#: the family table of one family per source: its phi and psi values,
+#: filter and decay
+FAMILY_TABLES = tuple(
+    f"family --family {spec} --out family.json"
+    for spec in ("haar", "daubechies:3", "battle_lemarie:2", "shannon")
 )
 #: one computation per kind that fails its own check: each must exit 2 with
 #: the same `error:` line under both trees
@@ -201,7 +208,7 @@ def main() -> int:
     )
     args = parser.parse_args()
     base_src, head_src = os.path.abspath(args.base_src), str(ROOT / "src")
-    extra = REJECTIONS + FAILURES + tuple(args.study)
+    extra = FAMILY_TABLES + REJECTIONS + FAILURES + tuple(args.study)
     studies = readme_commands() + benchmark_studies() + [shlex.split(s) for s in extra]
     differing = 0
     for argv in studies:

@@ -17,7 +17,7 @@ from waverate.serialize import write_record
 from waverate.sobolev import critical_order
 
 FAMILIES = (
-    ("haar", 0),
+    ("haar", None),
     ("daubechies", 2),
     ("daubechies", 3),
     ("daubechies", 4),

@@ -19,7 +19,7 @@ from waverate.serialize import write_record
 from waverate.sobolev import criterion_sweep, critical_order, export_sweep_csv
 
 FAMILIES = (
-    ("haar", 0),
+    ("haar", None),
     ("daubechies", 2),
     ("daubechies", 3),
     ("battle_lemarie", 2),

@@ -39,7 +39,6 @@ import numpy as np
 
 from .expansion import (
     ExpansionCoefficients,
-    _quad_refine,
     atom_rows,
     check_analysis,
     complete_schedule_check,
@@ -116,7 +115,7 @@ class TestFunction(NamedTuple):
 
 def quadrature_sample(tf: TestFunction, fam: MRAFamily, level: int = STUDY_LEVEL):
     """tf sampled where analysis on fam reads it, for errors on level-`level` grids."""
-    return tf.tabulate(level + _quad_refine(fam))
+    return tf.tabulate(level + fam.quad_refine)
 
 
 def oscillating_measure(t) -> np.ndarray:

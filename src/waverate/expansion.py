@@ -5,7 +5,7 @@ x_m = m 2^-L the atom 2^{j/2} g(2^j x - k) reads g at (m - k 2^{L-j}) 2^{j-L}:
 every translate samples one level-(L-j) lattice of g, shifted 2^{L-j} points
 per unit of k.  `_atom_blocks` alone picks a table: it asks `refined_tables`
 for g on exactly that lattice and slices it once, in unit blocks.
-Analysis reads f on its own lattice, sampled `_quad_refine` levels finer than
+Analysis reads f on its own lattice, sampled `fam.quad_refine` levels finer than
 the error grid, at scales j below it only, by the jump-robust rule
 2T(h) - T(2h) of `product_quad`, on even-aligned slices the midpoint rule
 (weight 2h on odd offsets): f's odd samples, one strided slice written
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import MRAFamily, refined_tables, uses_haar_tables
+from .families import MRAFamily, refined_tables
 from .grids import (
     ComputationError,
     ConfigError,
@@ -40,15 +40,6 @@ from .grids import (
 )
 
 COEFFICIENT_BOUND_SLACK = 1e-6
-
-
-def _quad_refine(fam: MRAFamily) -> int:
-    """Levels by which f is sampled finer than the grid its errors are read
-    on: 3 for families whose tables are rough between lattice points, 0 for
-    the piecewise-constant closed forms, already exact on f's lattice.  With
-    3, gaussian sup errors (j = 3..9, level 12) lie within 7.1e-4 of those
-    from f 6 levels finer, against up to 3.1e-2 with none (db2..4, bl2, bl4)."""
-    return 0 if uses_haar_tables(fam.name, fam.param) else 3
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -189,7 +180,7 @@ def check_analysis(fam: MRAFamily, window, level: int, js) -> tuple[int, int]:
     MAX_TABLE_LEVEL (j reads them at qlevel - j), an odd-interval lattice."""
     check_study_level(level)
     j_min, j_max = scale_span(js)
-    qlevel = level + _quad_refine(fam)
+    qlevel = level + fam.quad_refine
     _scale_below(j_max, qlevel)
     check_table_level(qlevel - min(j_min, 0))
     _even_intervals(DyadicGrid(window[0], window[1], level).refine(qlevel - level))

@@ -1,29 +1,29 @@
 """Concrete multiresolution families: Haar, Daubechies, Battle-Lemarie, Shannon.
 
-Construction routes:
-  * Haar (= DB1): closed forms with midpoint samples at the jumps, grid
-    extended one cell past [0,1] so trapezoid quadrature is exact.
-  * Daubechies N>=2: phi on the integers from the eigenvector of the
-    two-scale matrix, then exact dyadic subdivision to FAMILY_LEVEL; the
-    wavelet from the mirror filter.
-  * Battle-Lemarie order k >= 2: an exact spline series on integer knots,
-    phi = sum_n c_n M_k(x - n + k//2) and psi = sum_p d_p M_k(2x - p + k//2),
-    with c and d the Fourier coefficients of the orthonormalizing symbols
-    built from the Euler-Frobenius polynomial; its invariants are checked
-    exactly from the coefficients.  Order 1 is Haar.
-  * Shannon: truncated sinc closed form, shipped as an algebraic-decay
-    stress case (its natural majorant is ~1/|x| and is not integrable, so
-    only inflated, truncation-aware tolerances apply to it).
+`make_family` looks a family's name up and calls its source's constructor,
+which checks its own parameter:
+  * the box (`_box`: haar, daubechies:1, battle_lemarie:1): closed forms
+    with midpoint samples at the jumps, grid extended one cell past [0,1]
+    so trapezoid quadrature is exact.
+  * subdivision (`_subdivision`: daubechies:N, N >= 2): phi on the integers
+    from the eigenvector of the two-scale matrix, then exact dyadic
+    subdivision to FAMILY_LEVEL; the wavelet from the mirror filter.
+  * the spline series (`_spline_series`: battle_lemarie:k, k >= 2): an exact
+    spline series on integer knots, phi = sum_n c_n M_k(x - n + k//2) and
+    psi = sum_p d_p M_k(2x - p + k//2), with c and d the Fourier coefficients
+    of the orthonormalizing symbols built from the Euler-Frobenius polynomial.
+  * the sinc (`_sinc`: shannon): truncated sinc closed form, shipped as an
+    algebraic-decay stress case (its natural majorant is ~1/|x| and is not
+    integrable, so only inflated, truncation-aware tolerances apply to it).
 
-Every family also carries its two-scale power symbol
-w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form; the spectra of
-`waverate.sobolev` are infinite products of it.  Each family also carries
-its tabulator, (gen, level) -> the table of phi or psi at that level, chosen
-once by `make_family`: each generator's FAMILY_LEVEL table is built and
-verified on its own first read, then held, so a study that reads only phi
-never builds psi; every finer table (`refined_tables`) also comes from the
-tabulator, built on each read and never held.  Its support and tail class
-(`MRAFamily.support`, `MRAFamily.decay`) are family data, read without a table.
+The `MRAFamily` a source returns holds everything later code asks of it;
+past `make_family` its name and parameter are only its label.  It holds its
+power symbol w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form, whose infinite
+products are the spectra of `waverate.sobolev`; its tabulator, (gen, level)
+-> the table of phi or psi, whose FAMILY_LEVEL tables are built and verified
+on their own first read and held, finer ones (`refined_tables`) built on each
+read; its support and tail class, read without a table; its invariant route
+and its quadrature refinement.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .grids import (
 )
 from .splines import cardinal_autocorrelation, cardinal_bspline
 
-FAMILY_NAMES = ("haar", "daubechies", "battle_lemarie", "shannon")
-
 #: level at which every family tabulates phi and psi
 FAMILY_LEVEL = 10
 BATTLE_LEMARIE_MAX_ORDER = 4
@@ -65,25 +63,31 @@ _SHANNON_DECAY = DecayHint("algebraic", N=1.05, truncation=1.0 / (np.pi * SHANNO
 
 
 class MRAFamily(Record):
-    """A family's name, filter and moments, and the callables behind it:
+    """A family's name, filter and moments, and what its source decided:
 
     - ``symbol``: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized;
     - ``tabulate``: (gen, level) -> generator gen ("phi" or "psi") tabulated
       at that level;
-    - ``geometry``: () -> (support, decay), read without building a table.
+    - ``geometry``: () -> (support, decay), read without building a table;
+    - ``invariants``: (gen, table, tabulate) -> the invariant defects of gen,
+      `table` its FAMILY_LEVEL table, measured on the source's own route;
+    - ``quad_refine``: the levels by which a study samples f finer than the
+      grid its errors are read on (`expansion.check_analysis`).
 
-    Its fields and its verified tables live in its own ``__dict__``.
+    ``name`` and ``param`` only label the family.  Its fields and its
+    verified tables live in its own ``__dict__``.
     """
 
     _fields = ("name", "filter", "vanishing_moments", "symbol", "tabulate", "geometry",
-               "param")
+               "invariants", "quad_refine", "param")
 
     def __init__(self, name: str, filter: FilterPair | None, vanishing_moments: int,
                  symbol: Callable, tabulate: Callable, geometry: Callable,
-                 param: int | None = None):
+                 invariants: Callable, quad_refine: int, param: int | None = None):
         vars(self).update(
             name=name, filter=filter, vanishing_moments=vanishing_moments, symbol=symbol,
-            tabulate=tabulate, geometry=geometry, param=param,
+            tabulate=tabulate, geometry=geometry, invariants=invariants,
+            quad_refine=quad_refine, param=param,
         )
 
     @property
@@ -212,11 +216,6 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-
-def uses_haar_tables(name: str, param: int | None) -> bool:
-    """Haar, daubechies:1 and battle_lemarie:1 are one family: the box pair."""
-    return name == "haar" or param == 1
 
 
 def _haar_table(gen: str, level: int) -> SampledFunction:
@@ -431,38 +430,17 @@ _INVARIANT_TOLERANCES = (
 
 
 def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict[str, float]:
-    """The invariants of fam's generator gen, `table` its FAMILY_LEVEL table:
-    for phi its integral, partition of unity and translate orthonormality,
-    for psi its integral.  Raise ComputationError on failure, or if a
+    """The invariants of fam's generator gen, `table` its FAMILY_LEVEL table,
+    measured on fam's own route (`MRAFamily.invariants`): for phi its
+    integral, partition of unity and translate orthonormality, for psi its
+    integral.  Raise ComputationError if one exceeds its tolerance, which a
+    non-compact family's declared truncation error inflates, or if a
     compactly supported table does not vanish at both ends.
-
-    For non-compact families the declared truncation error inflates the
-    tolerances.  The aliases of Haar (`uses_haar_tables`) are checked on the
-    Haar tables they serve.  Other Battle-Lemarie families are checked
-    exactly from their series coefficients, other Daubechies families on the
-    generator subdivided a few levels finer by the exact two-scale relation
-    (the tabulator's; psi derived from that phi): the quadrature error on
-    products of Hoelder-rough scaling functions decays like h^(2*alpha) and
-    would otherwise swamp the 1e-6 orthonormality tolerance.
     """
     ends = table.values[[0, -1]]
     _require(fam.decay.kind != "compact" or not ends.any(), fam, f"{gen} table does not "
              "vanish at the ends of its compact support")
-    haar = uses_haar_tables(fam.name, fam.param)
-    if fam.name == "battle_lemarie" and not haar:
-        defects = _series_defects(fam.param, gen)
-    else:
-        checked = table
-        if fam.name == "daubechies" and not haar:
-            checked = fam.tabulate(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE)
-        if gen == "phi":
-            defects = {
-                "phi_integral": abs(checked.integral() - 1.0),
-                "partition_of_unity": partition_of_unity_defect(checked),
-                "translate_orthonormality": translate_orthonormality_defect(checked),
-            }
-        else:
-            defects = {"psi_integral": abs(checked.integral())}
+    defects = fam.invariants(gen, table, fam.tabulate)
     slack = 20.0 * fam.decay.truncation  # 0 for a compact family
     for key, tol, what in _INVARIANT_TOLERANCES:
         if key in defects:
@@ -470,8 +448,30 @@ def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict
     return defects
 
 
-def _series_defects(order: int, gen: str) -> dict[str, float]:
-    """The invariants of a Battle-Lemarie generator, exactly from its coefficients.
+def _table_defects(gen: str, table: SampledFunction, tabulate: Callable) -> dict[str, float]:
+    """The invariants of generator gen read on `table` itself: the route of
+    the box and the sinc."""
+    if gen == "phi":
+        return {
+            "phi_integral": abs(table.integral() - 1.0),
+            "partition_of_unity": partition_of_unity_defect(table),
+            "translate_orthonormality": translate_orthonormality_defect(table),
+        }
+    return {"psi_integral": abs(table.integral())}
+
+
+def _subdivided_defects(gen: str, table: SampledFunction, tabulate: Callable) -> dict:
+    """The invariants of a subdivision generator, read on it subdivided
+    _INVARIANT_CHECK_REFINE levels finer by the exact two-scale relation (psi
+    derived from that phi): the quadrature error on products of
+    Hoelder-rough scaling functions decays like h^(2*alpha) and would
+    otherwise swamp the 1e-6 orthonormality tolerance."""
+    return _table_defects(gen, tabulate(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE), tabulate)
+
+
+def _series_defects(order: int, gen: str, table: SampledFunction,
+                    tabulate: Callable) -> dict[str, float]:
+    """The invariants of a spline-series generator, exactly from its coefficients.
 
     M_k has unit mass and its integer translates sum to 1, so both the phi
     integral and the translate sum of phi are sum_n c_n, and the psi
@@ -534,41 +534,66 @@ def _require(cond: bool, fam: MRAFamily, what: str) -> None:
 # factory
 
 
-def make_family(name: str, param: int = 0) -> MRAFamily:
-    """A named family: its filter, symbol, tabulator and geometry.  Each
+#: levels by which a study samples f finer than its error grid, for tables
+#: rough between lattice points (the box's are exact on f's lattice).  Gaussian
+#: sup errors (j = 3..9, level 12) then lie within 7.1e-4 of those from f 6
+#: levels finer, against up to 3.1e-2 with none (db2..4, bl2, bl4)
+_QUAD_REFINE = 3
+
+
+def _box(param=None) -> MRAFamily:
+    """haar: the box and its wavelet in closed form, which daubechies:1 and
+    battle_lemarie:1 also are, under their own labels."""
+    if param is not None:
+        raise ConfigError(f"haar takes no parameter, got {param!r}")
+    return MRAFamily("haar", haar_filter(), 1, _daubechies_symbol(1), _haar_table,
+                     lambda: (_HAAR_SUPPORT, _COMPACT), _table_defects, 0)
+
+
+def _subdivision(param) -> MRAFamily:
+    """daubechies:N: phi subdivided from its integer values, its invariants
+    read on tables subdivided finer; N = 1 is the box."""
+    filt = daubechies_filter(param)  # checks N
+    if param == 1:
+        return _box()._replace(name="daubechies", param=1)
+    ends = (-_DAUBECHIES_PAD, len(filt.lowpass) - 1 + _DAUBECHIES_PAD)
+    return MRAFamily("daubechies", filt, param, _daubechies_symbol(param),
+                     _subdivision_tabulator(filt), lambda: (ends, _COMPACT),
+                     _subdivided_defects, _QUAD_REFINE, param)
+
+
+def _spline_series(param) -> MRAFamily:
+    """battle_lemarie:k: the order-k series, its invariants exact from its
+    coefficients; k = 1 is the box."""
+    if type(param) is not int or not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
+        raise ConfigError(f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}")
+    if param == 1:
+        return _box()._replace(name="battle_lemarie", param=1)
+    return MRAFamily("battle_lemarie", None, param, _battle_lemarie_symbol(param),
+                     _series_tabulator(param), functools.partial(_series_geometry, param),
+                     functools.partial(_series_defects, param), _QUAD_REFINE, param)
+
+
+def _sinc(param=None) -> MRAFamily:
+    """shannon: the truncated sinc and its wavelet in closed form."""
+    if param is not None:
+        raise ConfigError(f"shannon takes no parameter, got {param!r}")
+    return MRAFamily("shannon", None, 1, _shannon_symbol, _shannon_table,
+                     lambda: (_SHANNON_SUPPORT, _SHANNON_DECAY), _table_defects, _QUAD_REFINE)
+
+
+_SOURCES = {"haar": _box, "daubechies": _subdivision, "battle_lemarie": _spline_series,
+            "shannon": _sinc}
+
+
+def make_family(name: str, param: int | None = None) -> MRAFamily:
+    """A named family, from its source's constructor: its filter, symbol,
+    tabulator, geometry, invariant route and quadrature refinement.  Each
     FAMILY_LEVEL table is built and verified on its own first read
     (`MRAFamily.phi`, `MRAFamily.psi`), a Battle-Lemarie geometry on its own."""
-    if name not in FAMILY_NAMES:
-        raise ConfigError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
-
-    if name == "battle_lemarie" and not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
-        raise ConfigError(f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}")
-    param = param if name in ("daubechies", "battle_lemarie") else None
-
-    filt, moments = None, param
-    if uses_haar_tables(name, param):
-        filt, moments, symbol, tabulate = haar_filter(), 1, _daubechies_symbol(1), _haar_table
-        geometry = lambda: (_HAAR_SUPPORT, _COMPACT)
-    elif name == "daubechies":
-        filt, symbol = daubechies_filter(param), _daubechies_symbol(param)
-        tabulate = _subdivision_tabulator(filt)
-        ends = (-_DAUBECHIES_PAD, len(filt.lowpass) - 1 + _DAUBECHIES_PAD)
-        geometry = lambda: (ends, _COMPACT)
-    elif name == "battle_lemarie":
-        symbol, tabulate = _battle_lemarie_symbol(param), _series_tabulator(param)
-        geometry = functools.partial(_series_geometry, param)
-    else:  # shannon
-        moments, symbol, tabulate = 1, _shannon_symbol, _shannon_table
-        geometry = lambda: (_SHANNON_SUPPORT, _SHANNON_DECAY)
-    return MRAFamily(
-        name=name,
-        filter=filt,
-        vanishing_moments=moments,
-        symbol=symbol,
-        tabulate=tabulate,
-        geometry=geometry,
-        param=param,
-    )
+    if name not in _SOURCES:
+        raise ConfigError(f"unknown family {name!r}; expected one of {tuple(_SOURCES)}")
+    return _SOURCES[name](param)
 
 
 def refined_tables(fam: MRAFamily, gen: str, level: int) -> SampledFunction:

@@ -1,6 +1,6 @@
 """Orthonormal two-scale filter pairs.
 
-The highpass sequence is the conjugate mirror of the lowpass one,
+A pair is its lowpass: the highpass is derived, the conjugate mirror
 g_k = (-1)^k h_{M-1-k}, which in one dimension yields the orthonormal
 complement generator.  Daubechies lowpass filters are the extremal-phase
 coefficients (Daubechies, Ten Lectures on Wavelets, Table 6.1), stored as the
@@ -22,25 +22,18 @@ MAX_DAUBECHIES = 10
 
 
 class FilterPair(Record):
-    """Lowpass/highpass coefficients h_0..h_{M-1}, g_0..g_{M-1}."""
+    """A lowpass h_0..h_{M-1} and the mirror highpass g_0..g_{M-1} it derives."""
 
-    __slots__ = _fields = ("lowpass", "highpass", "offset")
+    __slots__ = ("lowpass", "highpass")
+    _fields = ("lowpass",)
 
-    def __init__(self, lowpass: np.ndarray, highpass: np.ndarray, offset: int = 0):
+    def __init__(self, lowpass: np.ndarray):
         h = np.asarray(lowpass, dtype=float)
-        g = np.asarray(highpass, dtype=float)
-        if h.ndim != 1 or g.shape != h.shape:
-            raise ComputationError("lowpass/highpass must be 1-d arrays of equal length")
-        _set(self, "lowpass", h)
-        _set(self, "highpass", g)
-        _set(self, "offset", offset)
-        self.validate()
-
-    def validate(self) -> None:
-        h = self.lowpass
-        m = len(h)
+        if h.ndim != 1:
+            raise ComputationError("lowpass must be a 1-d array")
         if abs(h.sum() - np.sqrt(2.0)) > SUM_TOL:
             raise ComputationError(f"sum(h) = {float(h.sum())!r} != sqrt(2)")
+        m = len(h)
         for shift in range(0, m, 2):
             target = 1.0 if shift == 0 else 0.0
             val = float(np.dot(h[: m - shift], h[shift:]))
@@ -48,8 +41,8 @@ class FilterPair(Record):
                 raise ComputationError(
                     f"translate orthonormality fails at shift {shift}: {val!r}"
                 )
-        if np.max(np.abs(self.highpass - mirror_highpass(h))) > 1e-14:
-            raise ComputationError("highpass is not the conjugate mirror of lowpass")
+        _set(self, "lowpass", h)
+        _set(self, "highpass", mirror_highpass(h))
 
 
 def mirror_highpass(h: np.ndarray) -> np.ndarray:
@@ -57,14 +50,9 @@ def mirror_highpass(h: np.ndarray) -> np.ndarray:
     return np.array([(-1) ** k * h[m - 1 - k] for k in range(m)])
 
 
-def from_lowpass(h, offset: int = 0) -> FilterPair:
-    h = np.asarray(h, dtype=float)
-    return FilterPair(h, mirror_highpass(h), offset)
-
-
 def haar_filter() -> FilterPair:
     s = np.sqrt(2.0)
-    return from_lowpass([1.0 / s, 1.0 / s])
+    return FilterPair([1.0 / s, 1.0 / s])
 
 
 def half_band_coefficients(n: int) -> list[int]:
@@ -79,11 +67,13 @@ def half_band_coefficients(n: int) -> list[int]:
 def daubechies_filter(n_moments: int) -> FilterPair:
     """Extremal-phase Daubechies lowpass with `n_moments` vanishing moments: the
     doubles nearest the 60-digit spectral factorization of the half-band P_N."""
-    if not 1 <= n_moments <= MAX_DAUBECHIES:
-        raise ConfigError(f"daubechies moments must be in 1..{MAX_DAUBECHIES}, got {n_moments}")
+    if type(n_moments) is not int or not 1 <= n_moments <= MAX_DAUBECHIES:
+        raise ConfigError(
+            f"daubechies moments must be in 1..{MAX_DAUBECHIES}, got {n_moments!r}"
+        )
     if n_moments == 1:
         return haar_filter()
-    return from_lowpass(_DAUBECHIES_LOWPASS[n_moments])
+    return FilterPair(_DAUBECHIES_LOWPASS[n_moments])
 
 
 _DAUBECHIES_LOWPASS = {

@@ -19,17 +19,13 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .grids import DecayHint
 
 
 def fmt(x) -> str:
     """17-significant-digit decimal rendering; round-trips any double."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return format(float(x), ".17g")
 
 
@@ -96,10 +92,7 @@ def family_to_dict(fam) -> dict:
         "psi_values": [fmt(v) for v in fam.psi.values],
     }
     if fam.filter is not None:
-        doc["filter"] = {
-            "lowpass": [fmt(h) for h in fam.filter.lowpass],
-            "offset": fam.filter.offset,
-        }
+        doc["filter"] = {"lowpass": [fmt(h) for h in fam.filter.lowpass]}
     return doc
 
 

@@ -43,7 +43,7 @@ from .sobolev import criterion_sweep, critical_order
 from .splines import best_l2_spline, make_space, residual_orthogonality
 
 _STANDARD_FAMILIES = (
-    ("haar", 0),
+    ("haar", None),
     ("daubechies", 2),
     ("daubechies", 3),
     ("battle_lemarie", 2),
@@ -123,7 +123,7 @@ def crit_haar_projection_oracle():
 def crit_kernel_bound():
     reports = {
         label: verify_convolution_bound(make_family(*spec), range(0, 7))
-        for label, spec in (("haar", ("haar", 0)), ("db2", ("daubechies", 2)))
+        for label, spec in (("haar", ("haar", None)), ("db2", ("daubechies", 2)))
     }
     collapse = max(r["collapse_defect"] for r in reports.values())
     mass = reports["haar"]["l1_mass"]
@@ -201,7 +201,7 @@ def crit_summation_order():
 
 #: the families of criteria 7, 8 and 9: label -> make_family arguments
 _BATTERY_FAMILIES = {
-    "haar": ("haar", 0),
+    "haar": ("haar", None),
     "db2": ("daubechies", 2),
     "bl2": ("battle_lemarie", 2),
 }

@@ -25,7 +25,6 @@ from waverate.convergence import (
 )
 from waverate.expansion import (
     SummationSchedule,
-    _quad_refine,
     analyze,
     interleaved_schedule,
     level_by_level_schedule,
@@ -302,7 +301,7 @@ class TestOneSample:
         )
         for level in (10, 12):
             want = np.asarray(tf.sampler(DyadicGrid(*window, level).points()), dtype=float)
-            table = DyadicGrid(*tf.window, level + _quad_refine(fam)).points()
+            table = DyadicGrid(*tf.window, level + fam.quad_refine).points()
             for study in studies:
                 calls.clear()
                 reads.clear()
@@ -336,7 +335,7 @@ class TestQuadratureRefinement:
         # f on the error grid itself misses by more than 1e-2
         fam, tf = family(*famspec), suite["gaussian"]
         xs = DyadicGrid(-1.0, 1.0, STUDY_LEVEL)
-        assert _quad_refine(fam) == 3
+        assert fam.quad_refine == 3
 
         def errors(level):
             f = tf.tabulate(level)
@@ -373,7 +372,7 @@ class TestLpErrorTrace:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("famspec", [("haar", 0), ("daubechies", 2), ("daubechies", 3)])
+    @pytest.mark.parametrize("famspec", [("haar", None), ("daubechies", 2), ("daubechies", 3)])
     @pytest.mark.parametrize("fname", ["gaussian", "ramp", "oscillating_indicator"])
     def test_marked_point_convergence(self, suite, famspec, fname):
         # |P_j f - reference| < 1e-2 by j = 10 at continuity/Lebesgue points
@@ -385,7 +384,7 @@ class TestInvariants:
             tr = pointwise_trace(tf, fam, mp.x, range(3, 11))
             assert abs(tr[-1][1] - mp.reference) < 1e-2
 
-    @pytest.mark.parametrize("famspec", [("haar", 0), ("daubechies", 2), ("daubechies", 3)])
+    @pytest.mark.parametrize("famspec", [("haar", None), ("daubechies", 2), ("daubechies", 3)])
     @pytest.mark.xfail(
         strict=True,
         reason="|x|^0.3 converges like 2^(-0.3 j): the error at j=10 is "
@@ -399,7 +398,7 @@ class TestInvariants:
         assert abs(tr[-1][1] - 0.0) < 1e-2
 
     @pytest.mark.parametrize(
-        "famspec", [("haar", 0), ("daubechies", 2), ("daubechies", 3), ("battle_lemarie", 2)]
+        "famspec", [("haar", None), ("daubechies", 2), ("daubechies", 3), ("battle_lemarie", 2)]
     )
     def test_rate_matches_critical_order(self, suite, famspec):
         fam = make_family(*famspec)

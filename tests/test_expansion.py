@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from waverate import DyadicGrid, make_family, sample
+from waverate import DyadicGrid, make_family, parse_family_spec, sample
 from waverate.expansion import (
     SummationSchedule,
     _atom_blocks,
-    _quad_refine,
     analyze,
     atom_rows,
     check_analysis,
@@ -122,7 +121,7 @@ class TestProject:
 
     def test_db2_projection_identity_on_v0(self, db2):
         # f = phi on the quadrature lattice, errors on the level-12 grid
-        f = refined_tables(db2, "phi", 12 + _quad_refine(db2))
+        f = refined_tables(db2, "phi", 12 + db2.quad_refine)
         phi = refined_tables(db2, "phi", 12)
         p = project(f, db2, 0, phi.grid)
         assert np.max(np.abs(p.values - phi.values)) < 1e-6
@@ -168,7 +167,7 @@ class TestProject:
 
 class TestPartialSum:
     @pytest.mark.parametrize(
-        "famspec", [("haar", 0), ("daubechies", 2)], ids=["haar", "daubechies:2"]
+        "famspec", [("haar", None), ("daubechies", 2)], ids=["haar", "daubechies:2"]
     )
     def test_complete_schedule_matches_projection(self, famspec, gauss):
         # the phi and psi tables telescope: P_0 f + sum_{j<6} Q_j f = P_6 f
@@ -344,8 +343,7 @@ ENGINE_FAMILIES = ["haar", "daubechies:2", "daubechies:4", "battle_lemarie:2", "
 
 @functools.lru_cache(maxsize=None)
 def engine_family(spec):
-    name, _, param = spec.partition(":")
-    return make_family(name, int(param or 0))
+    return parse_family_spec(spec)
 
 
 class TestLatticeEngine:
@@ -357,7 +355,7 @@ class TestLatticeEngine:
 
     def engine(self, spec):
         fam = engine_family(spec)
-        grid = self.xs.refine(_quad_refine(fam))
+        grid = self.xs.refine(fam.quad_refine)
         f = sample(lambda x: np.exp(-(x**2)), DyadicGrid(-2.0, 2.0, grid.level))
         return fam, f, [refined_tables(fam, gen, grid.level) for gen in ("phi", "psi")]
 
@@ -465,11 +463,11 @@ def gather_rows(fam, gen, j, ks, x, level):
 
 
 class TestStridedReads:
-    # f on (-2, 2) at level 5 + _quad_refine: haar's j = 6 lies past f's
+    # f on (-2, 2) at level 5 + fam.quad_refine: haar's j = 6 lies past f's
     # lattice, and analysis there is rejected
     @staticmethod
     def gaussian(fam):
-        grid = DyadicGrid(-2.0, 2.0, 5 + _quad_refine(fam))
+        grid = DyadicGrid(-2.0, 2.0, 5 + fam.quad_refine)
         return sample(lambda x: np.exp(-(x**2)), grid)
 
     # the second window runs the translates past both ends of f's grid; the

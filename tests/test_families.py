@@ -21,6 +21,7 @@ from waverate import (
     parse_family_spec,
     subdivision_scaling,
 )
+from waverate.convergence import sup_error_rates, test_function
 from waverate.families import (
     FAMILY_LEVEL,
     _INVARIANT_CHECK_REFINE,
@@ -169,14 +170,14 @@ class TestMakeFamily:
     @pytest.mark.parametrize(
         "name,param",
         [
-            ("haar", 0),
+            ("haar", None),
             ("daubechies", 1),
             ("daubechies", 2),
             ("daubechies", 3),
             ("battle_lemarie", 1),
             ("battle_lemarie", 2),
             ("battle_lemarie", 3),
-            ("shannon", 0),
+            ("shannon", None),
         ],
     )
     def test_invariants_pass(self, name, param):
@@ -196,6 +197,35 @@ class TestMakeFamily:
     def test_bad_battle_lemarie_order(self):
         with pytest.raises(ConfigError):
             make_family("battle_lemarie", 9)
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [("haar", 5), ("haar", 0), ("haar", 1), ("shannon", 3), ("shannon", 0),
+         ("daubechies", 2.0), ("daubechies", True), ("daubechies", None), ("daubechies", "3"),
+         ("battle_lemarie", 2.5), ("battle_lemarie", True), ("battle_lemarie", None),
+         ("battle_lemarie", 0)],
+    )
+    def test_each_source_accepts_only_its_own_parameter(self, name, param):
+        # haar and shannon take none, the others an int in range: anything
+        # else is bad input, not a family built under a label it is not
+        with pytest.raises(ConfigError):
+            make_family(name, param)
+
+    @pytest.mark.parametrize("spec", [("haar", None), ("daubechies", 1), ("battle_lemarie", 1),
+                                      ("daubechies", 3), ("battle_lemarie", 2),
+                                      ("shannon", None)])
+    def test_renamed_family_behaves_the_same(self, spec):
+        # the source decides every algorithm, not the name: the family under
+        # another name and no parameter checks, refines and converges the same
+        fam = make_family(*spec)
+        renamed = fam._replace(name="renamed", param=None)
+        assert renamed.label == "renamed"
+        assert check_family_invariants(renamed) == check_family_invariants(fam)
+        assert renamed.quad_refine == fam.quad_refine
+        gaussian = test_function("gaussian")
+        errors = [sup_error_rates(gaussian, f, range(3, 10), (-1.0, 1.0)).sup_errors
+                  for f in (fam, renamed)]
+        assert errors[0] == errors[1]
 
     def test_db1_routes_to_haar_tables(self):
         db1 = make_family("daubechies", 1)
@@ -311,8 +341,8 @@ class TestTwoScale:
 
 class TestInvariantDefects:
     @pytest.mark.parametrize(
-        "name,param,extra", [("haar", 0, 0), ("daubechies", 2, 3), ("daubechies", 3, 0),
-                             ("battle_lemarie", 3, 0), ("shannon", 0, 0)]
+        "name,param,extra", [("haar", None, 0), ("daubechies", 2, 3), ("daubechies", 3, 0),
+                             ("battle_lemarie", 3, 0), ("shannon", None, 0)]
     )
     def test_shifted_reads_equal_interpolation(self, name, param, extra):
         fam = make_family(name, param)
@@ -323,8 +353,8 @@ class TestInvariantDefects:
 
     @pytest.mark.parametrize(
         "name,param",
-        [("haar", 0), *(("daubechies", n) for n in range(1, 11)),
-         *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", 0)],
+        [("haar", None), *(("daubechies", n) for n in range(1, 11)),
+         *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", None)],
     )
     def test_overlap_lags_match_shifted_copies(self, name, param):
         # on the tables the invariant check reads
@@ -377,8 +407,8 @@ class TestRefinedTables:
         assert np.max(np.abs(phi.values[::8] - fam.phi.values)) < 1e-14
         assert np.max(np.abs(psi.values[::8] - fam.psi.values)) < 1e-14
 
-    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 3), ("battle_lemarie", 2),
-                                      ("shannon", 0)])
+    @pytest.mark.parametrize("spec", [("haar", None), ("daubechies", 3), ("battle_lemarie", 2),
+                                      ("shannon", None)])
     def test_reads_leave_the_family_unchanged(self, spec):
         fam = make_family(*spec)
         check_family_invariants(fam)  # the held tables are part of the state
@@ -428,7 +458,7 @@ class TestRefinedTables:
                 assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("spec", [("battle_lemarie", 2), ("battle_lemarie", 4),
-                                      ("shannon", 0)])
+                                      ("shannon", None)])
     @pytest.mark.parametrize("extra", [1, 3])
     def test_series_and_closed_form_tables(self, spec, extra):
         # finer Battle-Lemarie and Shannon tables hold their series or closed
@@ -501,8 +531,8 @@ def doubled_phi(fam):
     return fam._replace(tabulate=tabulate)
 
 
-ALL_SPECS = [("haar", 0), ("daubechies", 1), ("daubechies", 4), ("battle_lemarie", 1),
-             ("battle_lemarie", 3), ("shannon", 0)]
+ALL_SPECS = [("haar", None), ("daubechies", 1), ("daubechies", 4), ("battle_lemarie", 1),
+             ("battle_lemarie", 3), ("shannon", None)]
 
 
 class TestTablesOnFirstRead:
@@ -528,7 +558,7 @@ class TestTablesOnFirstRead:
         assert reads == built
         assert defects == check_family_invariants(make_family(*spec))
 
-    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 2), ("shannon", 0)])
+    @pytest.mark.parametrize("spec", [("haar", None), ("daubechies", 2), ("shannon", None)])
     @pytest.mark.parametrize("gen", ["phi", "psi"])
     def test_broken_table_raises_on_first_read(self, spec, gen):
         fam = doubled_phi(make_family(*spec))
@@ -540,7 +570,7 @@ class TestTablesOnFirstRead:
         with pytest.raises(ComputationError, match="phi integral != 1"):
             check_family_invariants(fam)
 
-    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 3)])
+    @pytest.mark.parametrize("spec", [("haar", None), ("daubechies", 3)])
     @pytest.mark.parametrize("gen", ["phi", "psi"])
     def test_compact_requires_zero_endpoints(self, spec, gen):
         # a compact family's tables vanish at both ends of its support: a
@@ -559,9 +589,9 @@ class TestTablesOnFirstRead:
         with pytest.raises(ComputationError, match="does not vanish at the ends"):
             getattr(fam, gen)
 
-    @pytest.mark.parametrize("spec", [("haar", 0), *(("daubechies", n) for n in range(1, 11)),
+    @pytest.mark.parametrize("spec", [("haar", None), *(("daubechies", n) for n in range(1, 11)),
                                       *(("battle_lemarie", k) for k in range(1, 5)),
-                                      ("shannon", 0)])
+                                      ("shannon", None)])
     def test_support_is_every_table_end(self, spec):
         # reading the support or the decay builds no table; the support is
         # the ends of every phi and psi table, held or refined
@@ -693,7 +723,7 @@ class TestBattleLemarieSeries:
 
         monkeypatch.setattr(families, "_series", refuse)
         haar, db1, bl1 = (check_family_invariants(make_family(*spec))
-                          for spec in (("haar", 0), ("daubechies", 1), ("battle_lemarie", 1)))
+                          for spec in (("haar", None), ("daubechies", 1), ("battle_lemarie", 1)))
         assert haar == db1 == bl1
 
     @pytest.mark.parametrize("k", [2, 3, 4])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverate import make_family
+from waverate import make_family, parse_family_spec
 from waverate.grids import (
     MAX_TABLE_LEVEL,
     DecayHint,
@@ -107,8 +107,7 @@ def _interp(f: SampledFunction, x) -> np.ndarray:
 
 @pytest.fixture(scope="module", params=["haar", "daubechies:2", "battle_lemarie:3", "shannon"])
 def table(request):
-    name, _, param = request.param.partition(":")
-    return make_family(name, int(param or 0)).phi
+    return parse_family_spec(request.param).phi
 
 
 class TestEvaluationOracle:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from waverate import DyadicGrid, make_family, sample
+from waverate import DyadicGrid, make_family, parse_family_spec, sample
 from waverate.grids import ComputationError, ConfigError, SampledFunction
 from waverate.kernels import (
     U_CAP,
@@ -22,7 +22,7 @@ from waverate.families import _decay_rate
 
 #: every family the code accepts, shannon aside
 ACCEPTED_FAMILIES = (
-    [("haar", 0)]
+    [("haar", None)]
     + [("daubechies", n) for n in range(1, 11)]
     + [("battle_lemarie", k) for k in range(1, 5)]
 )
@@ -147,8 +147,7 @@ class TestRadialProfile:
     @pytest.mark.parametrize("spec", ["haar", "daubechies:2", "shannon"])
     @pytest.mark.parametrize("j", [1, 4])
     def test_matches_outer_difference_oracle(self, spec, j):
-        name, _, param = spec.partition(":")
-        fam = make_family(name, int(param or 0))
+        fam = parse_family_spec(spec)
         g = profile_grid(fam, j)
         ke = kernel_matrix(fam, j, g, g)
         got, want = radial_profile(ke), outer_difference_profile(ke)
@@ -173,7 +172,7 @@ class TestRadialProfile:
         got, want = radial_profile(ke), outer_difference_profile(ke)
         assert np.array_equal(got.majorant, want.majorant)
 
-    @pytest.mark.parametrize("name,param", ACCEPTED_FAMILIES + [("shannon", 0)])
+    @pytest.mark.parametrize("name,param", ACCEPTED_FAMILIES + [("shannon", None)])
     @pytest.mark.parametrize("j", [0, 3, 6])
     def test_one_period_of_rows_matches_square(self, name, param, j):
         # P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x): the rows of one

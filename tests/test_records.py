@@ -21,7 +21,7 @@ def _nothing(*args):
 GRID = DyadicGrid(0.0, 1.0, 3)
 TABLE = SampledFunction(GRID, np.zeros(9))
 HAAR = np.array([2**-0.5, 2**-0.5])
-FAMILY = MRAFamily("haar", None, 1, _nothing, _nothing, _nothing)
+FAMILY = MRAFamily("haar", None, 1, _nothing, _nothing, _nothing, _nothing, 0)
 SPACE = SplineSpace(1, 0.5, (0.0, 1.0), 2)
 
 #: (record type, its required fields in order, its defaulted fields and defaults)
@@ -29,9 +29,10 @@ RECORDS = [
     (DyadicGrid, {"left": 0.0, "right": 1.0, "level": 3}, {}),
     (DecayHint, {"kind": "compact"}, {"a": None, "N": None, "truncation": 0.0}),
     (SampledFunction, {"grid": GRID, "values": np.zeros(9)}, {}),
-    (FilterPair, {"lowpass": HAAR, "highpass": HAAR * [1.0, -1.0]}, {"offset": 0}),
+    (FilterPair, {"lowpass": HAAR}, {}),
     (MRAFamily, {"name": "haar", "filter": None, "vanishing_moments": 1,
-                 "symbol": _nothing, "tabulate": _nothing, "geometry": _nothing},
+                 "symbol": _nothing, "tabulate": _nothing, "geometry": _nothing,
+                 "invariants": _nothing, "quad_refine": 0},
      {"param": None}),
     (ExpansionCoefficients, {"family": FAMILY, "base_level": 0, "top_level": 1,
                              "b": {}, "a": {}}, {}),

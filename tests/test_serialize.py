@@ -28,7 +28,6 @@ class TestFmt:
 
     def test_integers_render_plainly(self):
         assert fmt(3) == "3"
-        assert fmt(True) == "True"
 
     def test_no_locale_surprises(self):
         assert fmt(0.5) == "0.5"
@@ -76,8 +75,8 @@ class TestWriteRecord:
 
 
 class TestFamilyRoundTrip:
-    @pytest.mark.parametrize("spec", [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2),
-                                      ("shannon", 0)])
+    @pytest.mark.parametrize("spec", [("haar", None), ("daubechies", 2), ("battle_lemarie", 2),
+                                      ("shannon", None)])
     def test_bit_exact(self, spec):
         fam = make_family(*spec)
         doc = json.loads(dumps_json(family_to_dict(fam)))

@@ -100,7 +100,7 @@ def built(name, param):
 class TestSymbolSpectrum:
     @pytest.mark.parametrize(
         "name,param",
-        [("haar", 0), ("daubechies", 2), ("daubechies", 4), ("battle_lemarie", 2),
+        [("haar", None), ("daubechies", 2), ("daubechies", 4), ("battle_lemarie", 2),
          ("battle_lemarie", 3)],
     )
     def test_matches_sampled_transform_of_tables(self, name, param):
@@ -132,7 +132,7 @@ class TestSymbolSpectrum:
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
     def test_symbol_off_one_at_zero_raises_on_shells(self, criterion):
         # the shell table grows until every xi has underflowed, then raises
-        fam = built("haar", 0)._replace(symbol=pollen_cosine_symbol(0.8))
+        fam = built("haar", None)._replace(symbol=pollen_cosine_symbol(0.8))
         with stops_within_alarm():
             criterion_sweep(fam, [0.5, 1.5], 1.0, criterion)
         with stops_within_alarm():
@@ -232,7 +232,7 @@ class TestCriticalOrder:
     @pytest.mark.parametrize(
         "name,param,target,tol",
         [
-            ("haar", 0, 1.0, 0.1),
+            ("haar", None, 1.0, 0.1),
             ("daubechies", 2, 2.0, 0.15),
             ("battle_lemarie", 2, 2.0, 0.15),
         ],
@@ -245,7 +245,7 @@ class TestCriticalOrder:
         assert abs(co.local_exponents[1] - co.s_star) <= 1e-6
 
     def test_matches_vanishing_moments(self):
-        for spec in [("haar", 0), ("daubechies", 2), ("daubechies", 3), ("battle_lemarie", 2)]:
+        for spec in [("haar", None), ("daubechies", 2), ("daubechies", 3), ("battle_lemarie", 2)]:
             fam = make_family(spec[0], spec[1]) if spec[1] else make_family(spec[0])
             co = critical_order(fam)
             assert abs(co.s_star - fam.vanishing_moments) <= 0.15
@@ -254,7 +254,7 @@ class TestCriticalOrder:
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
     @pytest.mark.parametrize(
         "name,param,moments",
-        [("haar", 0, 1)]
+        [("haar", None, 1)]
         + [("daubechies", n, n) for n in range(1, 11)]
         + [("battle_lemarie", k, k) for k in range(1, 5)],
     )
@@ -284,7 +284,7 @@ class TestCriticalOrder:
             assert abs(critical_order(fam, 1.0, criterion).s_star - rules) <= 1e-6
 
     def test_wavelet_scaling_agreement(self):
-        for spec in [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)]:
+        for spec in [("haar", None), ("daubechies", 2), ("battle_lemarie", 2)]:
             fam = make_family(spec[0], spec[1]) if spec[1] else make_family(spec[0])
             a = critical_order(fam, criterion="wavelet").s_star
             b = critical_order(fam, criterion="scaling").s_star
@@ -293,7 +293,7 @@ class TestCriticalOrder:
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
     def test_shannon_has_no_onset(self, criterion):
         # its shells vanish: finite at every s, and no critical order
-        shannon = built("shannon", 0)
+        shannon = built("shannon", None)
         sweep = criterion_sweep(shannon, [0.1, 4.0, 16.0], 1.0, criterion)
         assert not any(r.diverged for r in sweep)
         with pytest.raises(ComputationError, match="no divergence onset"):
@@ -341,7 +341,7 @@ _SINGLE = {"wavelet": wavelet_criterion, "scaling": scaling_criterion}
 
 class TestShellIntegrand:
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
-    @pytest.mark.parametrize("name,param", [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)])
+    @pytest.mark.parametrize("name,param", [("haar", None), ("daubechies", 2), ("battle_lemarie", 2)])
     def test_one_product_loop_per_spectrum_and_epsilon(self, name, param, criterion):
         fam, calls = counted_symbol(built(name, param))
         _SINGLE[criterion](fam, 1.0, 0.5)
@@ -354,7 +354,7 @@ class TestShellIntegrand:
         assert calls == one
 
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
-    @pytest.mark.parametrize("name,param", [("haar", 0), ("daubechies", 2), ("battle_lemarie", 2)])
+    @pytest.mark.parametrize("name,param", [("haar", None), ("daubechies", 2), ("battle_lemarie", 2)])
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_verdicts_equal_single_order_criteria(self, name, param, criterion, eps):
         fam = built(name, param)
@@ -432,10 +432,10 @@ def integral_oracle(name, param, criterion, eps, s):
 
 
 DESIGNED = (
-    [("haar", 0)]
+    [("haar", None)]
     + [("daubechies", n) for n in range(1, 11)]
     + [("battle_lemarie", k) for k in range(1, 5)]
-    + [("shannon", 0)]
+    + [("shannon", None)]
 )
 
 
