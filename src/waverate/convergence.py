@@ -298,7 +298,8 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
                 meshes=None) -> RateReport:
     """The RateReport of a study: a log2 line through the errors at exactly
     those `candidates` (indices of levels) above the roundoff floor
-    ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two raise
+    ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two, or
+    a fitted slope that is not positive (errors that do not fall), raise
     ComputationError.  `truth` is the reference on the level-L assertion
     grid, and the quantization bound 2^-L times its grid Lipschitz estimate
     is its largest step.  A spline study's fitted `meshes` are recorded, or
@@ -314,6 +315,10 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
     slope, intercept, r2 = line_fit(
         [j_values[i] for i in fitted], np.log2([errors[i] for i in fitted])
     )
+    if slope >= 0.0:
+        raise ComputationError(
+            f"fitted slope {-slope:.4f} is not positive: the sup errors do not fall"
+        )
     return RateReport(
         family=family,
         function=function,

@@ -22,8 +22,9 @@ power symbol w -> (|m0(w)|^2, |m0(w + pi)|^2) in closed form, whose infinite
 products are the spectra of `waverate.sobolev`; its tabulator, (gen, level)
 -> the table of phi or psi, whose FAMILY_LEVEL tables are built and verified
 on their own first read and held, finer ones (`refined_tables`) built on each
-read; its support and tail class, read without a table; its invariant route
-and its quadrature refinement.
+read; its support and tail class, read without a table; the one invariant
+its source decides (every other is read on the FAMILY_LEVEL table, so no
+check builds a finer one); and its quadrature refinement.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class MRAFamily(Record):
     - ``tabulate``: (gen, level) -> generator gen ("phi" or "psi") tabulated
       at that level;
     - ``geometry``: () -> (support, decay), read without building a table;
-    - ``invariants``: (gen, table, tabulate) -> the invariant defects of gen,
-      `table` its FAMILY_LEVEL table, measured on the source's own route;
+    - ``invariants``: phi's FAMILY_LEVEL table -> the orthonormality defect
+      of its integer translates, the one invariant the source decides;
     - ``quad_refine``: the levels by which a study samples f finer than the
       grid its errors are read on (`expansion.check_analysis`).
 
@@ -166,23 +167,41 @@ def _two_scale(
 def subdivision_scaling(filter: FilterPair) -> SampledFunction:
     """phi at FAMILY_LEVEL, exact up to roundoff, by subdivision of phi(0..M-1).
 
-    On the integers phi = T phi with T_{nk} = sqrt(2) h_{2n-k}.  Every column
-    of T sums to 1, so the eigenvector at eigenvalue 1 with sum_n phi(n) = 1
-    solves T - I with its last row replaced by ones.  For Haar T = I: the box
-    keeps its closed form (`_haar_table`).
+    On the integers phi(n) = sqrt(2) sum_k h_{2n-k} phi(k) and sum phi(n) = 1
+    (`_fixed_point`); Haar has many such phi, so the box keeps its closed form.
     """
     h = filter.lowpass
     width = len(h) - 1
-    taps = 2 * np.arange(len(h))[:, None] - np.arange(len(h))
-    system = np.where((taps >= 0) & (taps <= width), np.sqrt(2.0) * h[taps % len(h)], 0.0)
-    system -= np.eye(len(h))
-    system[-1] = 1.0
-    vals = np.linalg.solve(system, np.eye(len(h))[-1])
+    vals = _fixed_point(np.sqrt(2.0) * h)
     vals[0] = vals[-1] = 0.0  # phi vanishes at both ends of its support
     integers = SampledFunction(DyadicGrid(0.0, float(width), 0), vals)
     phi = refine_scaling(filter, integers, FAMILY_LEVEL)
     grid = DyadicGrid(-_DAUBECHIES_PAD, width + _DAUBECHIES_PAD, FAMILY_LEVEL)
     return SampledFunction(grid, np.concatenate(([0.0], phi.values, [0.0])))
+
+
+def _fixed_point(taps: np.ndarray) -> np.ndarray:
+    """The v with v_n = sum_k t_{2n-k} v_k and sum v = 1, n, k and the tap
+    indices on one range.  Both parity classes of sqrt(2) h and of h*h sum to
+    1, so every column of T does and v solves T - I with its last row
+    replaced by ones.  That matrix's determinant is the product of lambda - 1
+    over T's other eigenvalues (Daubechies: 0.19..0.29), 0 unless eigenvalue
+    1 is simple and v unique: then raise ComputationError."""
+    n = len(taps)
+    at = 2 * np.arange(n)[:, None] - np.arange(n)
+    system = np.where((at >= 0) & (at < n), taps[at % n], 0.0)
+    system -= np.eye(n)
+    system[-1] = 1.0
+    if abs(np.linalg.det(system)) < 1e-8:
+        raise ComputationError("eigenvalue 1 of the two-scale matrix is not simple")
+    return np.linalg.solve(system, np.eye(n)[-1])
+
+
+def autocorrelation_lags(filter: FilterPair) -> np.ndarray:
+    """a_k = <phi, phi(. - k)>, |k| < len(h), exact from the filter alone (Lawton,
+    J. Math. Phys. 32, 1991): a_k = sum_l (h*h)_{2k-l} a_l and sum a = 1."""
+    h = filter.lowpass
+    return _fixed_point(np.correlate(h, h, "full"))
 
 
 def refine_scaling(
@@ -410,9 +429,6 @@ def _shannon_symbol(omega):
 # invariants
 
 
-_INVARIANT_CHECK_REFINE = 3
-
-
 def check_family_invariants(fam: MRAFamily) -> dict[str, float]:
     """The four family invariant defects of fam, those measured when its phi
     and psi were first read (each read now if it has not been); a failed
@@ -430,17 +446,25 @@ _INVARIANT_TOLERANCES = (
 
 
 def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict[str, float]:
-    """The invariants of fam's generator gen, `table` its FAMILY_LEVEL table,
-    measured on fam's own route (`MRAFamily.invariants`): for phi its
-    integral, partition of unity and translate orthonormality, for psi its
-    integral.  Raise ComputationError if one exceeds its tolerance, which a
-    non-compact family's declared truncation error inflates, or if a
-    compactly supported table does not vanish at both ends.
+    """The invariants of fam's generator gen on `table`, its FAMILY_LEVEL
+    table, where they are exact up to roundoff or the declared truncation:
+    for psi its integral, for phi its integral, its partition of unity and
+    the translate orthonormality its source decides (`MRAFamily.invariants`).
+    Raise ComputationError if one exceeds its tolerance, which a non-compact
+    family's declared truncation error inflates, or if a compactly supported
+    table does not vanish at both ends.
     """
     ends = table.values[[0, -1]]
     _require(fam.decay.kind != "compact" or not ends.any(), fam, f"{gen} table does not "
              "vanish at the ends of its compact support")
-    defects = fam.invariants(gen, table, fam.tabulate)
+    if gen == "phi":
+        defects = {
+            "phi_integral": abs(table.integral() - 1.0),
+            "partition_of_unity": partition_of_unity_defect(table),
+            "translate_orthonormality": fam.invariants(table),
+        }
+    else:
+        defects = {"psi_integral": abs(table.integral())}
     slack = 20.0 * fam.decay.truncation  # 0 for a compact family
     for key, tol, what in _INVARIANT_TOLERANCES:
         if key in defects:
@@ -448,48 +472,21 @@ def _generator_defects(fam: MRAFamily, gen: str, table: SampledFunction) -> dict
     return defects
 
 
-def _table_defects(gen: str, table: SampledFunction, tabulate: Callable) -> dict[str, float]:
-    """The invariants of generator gen read on `table` itself: the route of
-    the box and the sinc."""
-    if gen == "phi":
-        return {
-            "phi_integral": abs(table.integral() - 1.0),
-            "partition_of_unity": partition_of_unity_defect(table),
-            "translate_orthonormality": translate_orthonormality_defect(table),
-        }
-    return {"psi_integral": abs(table.integral())}
+def _lawton_defect(filter: FilterPair, phi: SampledFunction) -> float:
+    """max_k |<phi, phi(. - k)> - delta_k| of a subdivision source, from its filter."""
+    lags = autocorrelation_lags(filter)
+    lags[lags.size // 2] -= 1.0
+    return float(np.max(np.abs(lags)))
 
 
-def _subdivided_defects(gen: str, table: SampledFunction, tabulate: Callable) -> dict:
-    """The invariants of a subdivision generator, read on it subdivided
-    _INVARIANT_CHECK_REFINE levels finer by the exact two-scale relation (psi
-    derived from that phi): the quadrature error on products of
-    Hoelder-rough scaling functions decays like h^(2*alpha) and would
-    otherwise swamp the 1e-6 orthonormality tolerance."""
-    return _table_defects(gen, tabulate(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE), tabulate)
-
-
-def _series_defects(order: int, gen: str, table: SampledFunction,
-                    tabulate: Callable) -> dict[str, float]:
-    """The invariants of a spline-series generator, exactly from its coefficients.
-
-    M_k has unit mass and its integer translates sum to 1, so both the phi
-    integral and the translate sum of phi are sum_n c_n, and the psi
-    integral is sum_p d_p / 2; <phi, phi(. - m)> is
-    sum_{n,n'} c_n c_n' B_{2k}(m + n' - n).
-    """
-    c, d = _series(order)
-    if gen == "psi":
-        return {"psi_integral": abs(float(np.sum(d))) / 2.0}
+def _series_defect(order: int, phi: SampledFunction) -> float:
+    """max_m |<phi, phi(. - m)> - delta_m| of a spline-series source, exactly
+    from its coefficients: sum_{n,n'} c_n c_n' B_{2k}(m + n' - n)."""
+    c, _ = _series(order)
     b = cardinal_autocorrelation(order)
     overlap = np.convolve(np.convolve(c, c[::-1]), b[:0:-1] + b)
     overlap[overlap.size // 2] -= 1.0
-    mass = abs(float(np.sum(c)) - 1.0)
-    return {
-        "phi_integral": mass,
-        "partition_of_unity": mass,
-        "translate_orthonormality": float(np.max(np.abs(overlap))),
-    }
+    return float(np.max(np.abs(overlap)))
 
 
 def partition_of_unity_defect(phi: SampledFunction) -> float:
@@ -547,31 +544,31 @@ def _box(param=None) -> MRAFamily:
     if param is not None:
         raise ConfigError(f"haar takes no parameter, got {param!r}")
     return MRAFamily("haar", haar_filter(), 1, _daubechies_symbol(1), _haar_table,
-                     lambda: (_HAAR_SUPPORT, _COMPACT), _table_defects, 0)
+                     lambda: (_HAAR_SUPPORT, _COMPACT), translate_orthonormality_defect, 0)
 
 
 def _subdivision(param) -> MRAFamily:
-    """daubechies:N: phi subdivided from its integer values, its invariants
-    read on tables subdivided finer; N = 1 is the box."""
+    """daubechies:N: phi subdivided from its integer values, its translates'
+    orthonormality from the filter (Lawton); N = 1 is the box."""
     filt = daubechies_filter(param)  # checks N
     if param == 1:
         return _box()._replace(name="daubechies", param=1)
     ends = (-_DAUBECHIES_PAD, len(filt.lowpass) - 1 + _DAUBECHIES_PAD)
     return MRAFamily("daubechies", filt, param, _daubechies_symbol(param),
                      _subdivision_tabulator(filt), lambda: (ends, _COMPACT),
-                     _subdivided_defects, _QUAD_REFINE, param)
+                     functools.partial(_lawton_defect, filt), _QUAD_REFINE, param)
 
 
 def _spline_series(param) -> MRAFamily:
-    """battle_lemarie:k: the order-k series, its invariants exact from its
-    coefficients; k = 1 is the box."""
+    """battle_lemarie:k: the order-k series, its translates' orthonormality
+    exact from its coefficients; k = 1 is the box."""
     if type(param) is not int or not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
         raise ConfigError(f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}")
     if param == 1:
         return _box()._replace(name="battle_lemarie", param=1)
     return MRAFamily("battle_lemarie", None, param, _battle_lemarie_symbol(param),
                      _series_tabulator(param), functools.partial(_series_geometry, param),
-                     functools.partial(_series_defects, param), _QUAD_REFINE, param)
+                     functools.partial(_series_defect, param), _QUAD_REFINE, param)
 
 
 def _sinc(param=None) -> MRAFamily:
@@ -579,7 +576,8 @@ def _sinc(param=None) -> MRAFamily:
     if param is not None:
         raise ConfigError(f"shannon takes no parameter, got {param!r}")
     return MRAFamily("shannon", None, 1, _shannon_symbol, _shannon_table,
-                     lambda: (_SHANNON_SUPPORT, _SHANNON_DECAY), _table_defects, _QUAD_REFINE)
+                     lambda: (_SHANNON_SUPPORT, _SHANNON_DECAY), translate_orthonormality_defect,
+                     _QUAD_REFINE)
 
 
 _SOURCES = {"haar": _box, "daubechies": _subdivision, "battle_lemarie": _spline_series,

@@ -85,10 +85,6 @@ class SplineSpace(NamedTuple):
     window: tuple
     basis_count: int
 
-    def basis(self, i: int, x) -> np.ndarray:
-        u = (np.asarray(x, dtype=float) - self.window[0]) / self.mesh
-        return cardinal_bspline(self.order, u - (i - (self.order - 1)))
-
 
 def make_space(order: int, mesh: float, window) -> SplineSpace:
     if not 1 <= order <= MAX_ORDER:

@@ -369,6 +369,17 @@ class TestCommands:
         assert main(f"rate --j 3..9 --out {out} --family {argv}".split()) == 2
         assert "above roundoff" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("argv, slope", [
+        ("shannon --function gaussian", "-1.8543"),
+        ("shannon --function sine --window 1,2", "-0.6814"),
+    ])
+    def test_rising_errors_exit_2(self, argv, slope, tmp_path, capsys):
+        # the fitted slope is not positive: the errors do not fall
+        out = tmp_path / "rate.json"
+        assert main(f"rate --j 3..9 --out {out} --family {argv}".split()) == 2
+        err = capsys.readouterr().err
+        assert f"error: fitted slope {slope} is not positive" in err and not out.exists()
+
     @pytest.mark.parametrize("argv", BAD_STUDIES)
     def test_bad_study_exits_1_before_compute(
         self, argv, tmp_path, capsys, monkeypatch

@@ -211,6 +211,23 @@ class TestSupErrorRates:
         with pytest.raises(ComputationError, match=r"sup error\(s\) above roundoff"):
             sup_error_rates(suite["step"], db2, range(3, 10), (0.5, 1.0))
 
+    @pytest.mark.parametrize("fname, window, slope", [("gaussian", (-1.0, 1.0), "-1.8543"),
+                                                      ("sine", (1.0, 2.0), "-0.6814")])
+    def test_rising_errors_have_no_rate(self, suite, fname, window, slope):
+        # the cut sinc's errors grow with j: no fitted law is a rate
+        shannon = make_family("shannon")
+        with pytest.raises(ComputationError, match=f"fitted slope {slope} is not positive"):
+            sup_error_rates(suite[fname], shannon, range(3, 10), window)
+
+    @pytest.mark.parametrize("meshes", [None, [1, 2, 3]])
+    @pytest.mark.parametrize("errors", [[1.0, 1.0, 1.0], [1e-3, 2e-3, 4e-3]])
+    def test_rate_report_rejects_a_slope_that_is_not_positive(self, errors, meshes):
+        # one rule for projection and spline studies: flat or rising errors
+        f = SampledFunction(DyadicGrid(0.0, 1.0, 2), np.ones(5))
+        with pytest.raises(ComputationError, match="is not positive"):
+            convergence.rate_report("fam", "f", [3, 4, 5], errors, [0, 1, 2], f, f.values,
+                                    meshes)
+
     def test_too_few_levels_rejected(self, suite, haar):
         with pytest.raises(ConfigError):
             sup_error_rates(suite["gaussian"], haar, range(0, 6), (-1.0, 1.0))
@@ -289,11 +306,12 @@ class TestOneSample:
             reads.append(read(self, *lattice))
             return reads[-1]
 
-        # P_j f is a constant 2 that reads no table, so every table read is the truth's
+        # P_j f is the constant 2 + 2^-j, which reads no table, so every table
+        # read is the truth's; its errors fall, as a rate fit requires
         monkeypatch.setattr(SampledFunction, "on_lattice", spy)
         monkeypatch.setattr(
             convergence, "project",
-            lambda f, fam, j, xs: SampledFunction(xs, np.full(xs.count, 2.0)),
+            lambda f, fam, j, xs: SampledFunction(xs, np.full(xs.count, 2.0 + 2.0**-j)),
         )
         studies = (
             lambda level: sup_error_rates(counted, fam, range(3, 8), window, level),

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from waverate import families
 from waverate import (
     DyadicGrid,
+    FilterPair,
     SampledFunction,
     check_family_invariants,
     daubechies_filter,
@@ -21,12 +23,13 @@ from waverate import (
     parse_family_spec,
     subdivision_scaling,
 )
-from waverate.convergence import sup_error_rates, test_function
+from waverate.convergence import lp_error_trace, test_function
 from waverate.families import (
     FAMILY_LEVEL,
-    _INVARIANT_CHECK_REFINE,
+    _BL_TRUNCATION,
     _haar_table,
     _two_scale,
+    autocorrelation_lags,
     battle_lemarie_series,
     euler_frobenius,
     partition_of_unity_defect,
@@ -63,6 +66,11 @@ def haar_box(level: int) -> SampledFunction:
     phi(1) = 1/2, the midpoint values at the jumps."""
     table = SampledFunction(DyadicGrid(-1.0, 2.0, 0), np.array([0.0, 0.5, 0.5, 0.0]))
     return refine_scaling(haar_filter(), table, level)
+
+
+#: every family the code accepts
+EVERY_SPEC = [("haar", None), *(("daubechies", n) for n in range(1, 11)),
+              *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", None)]
 
 
 class TestSubdivisionScaling:
@@ -222,10 +230,12 @@ class TestMakeFamily:
         assert renamed.label == "renamed"
         assert check_family_invariants(renamed) == check_family_invariants(fam)
         assert renamed.quad_refine == fam.quad_refine
+        # the sup errors of a rate study, read without its fit, which
+        # shannon's errors (rising from j = 3 to 9) fail
         gaussian = test_function("gaussian")
-        errors = [sup_error_rates(gaussian, f, range(3, 10), (-1.0, 1.0)).sup_errors
+        errors = [lp_error_trace(gaussian, f, math.inf, range(3, 10), (-1.0, 1.0))
                   for f in (fam, renamed)]
-        assert errors[0] == errors[1]
+        assert errors[0].tobytes() == errors[1].tobytes()
 
     def test_db1_routes_to_haar_tables(self):
         db1 = make_family("daubechies", 1)
@@ -339,6 +349,72 @@ class TestTwoScale:
         assert chained.values.tobytes() == direct.values.tobytes()
 
 
+#: levels above FAMILY_LEVEL of the Daubechies tables whose lag sums are the
+#: oracle for `autocorrelation_lags`: their quadrature error decays like
+#: h^(2 alpha), alpha phi's Hoelder exponent, and is 2.8e-7 on db2 there
+LAG_ORACLE_REFINE = 3
+#: that error bound per Daubechies order (db2 2.76e-7, db3 7.1e-11, db4 1.7e-13)
+LAG_ORACLE_ERROR = {2: 3e-7, 3: 1e-10, 4: 1e-12}
+
+
+def bordered_solve_oracle(filt):
+    """phi(0..M-1) by a bordered solve of T - I, T_{nk} = sqrt(2) h_{2n-k},
+    with its last row replaced by ones, built for phi alone."""
+    h = filt.lowpass
+    taps = 2 * np.arange(len(h))[:, None] - np.arange(len(h))
+    system = np.where((taps >= 0) & (taps < len(h)), np.sqrt(2.0) * h[taps % len(h)], 0.0)
+    system -= np.eye(len(h))
+    system[-1] = 1.0
+    return np.linalg.solve(system, np.eye(len(h))[-1])
+
+
+class TestLawton:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_lags_match_finer_table_quadrature(self, n):
+        # a_k from the filter against the lag sums of phi LAG_ORACLE_REFINE
+        # levels finer, within that table's quadrature error
+        filt = daubechies_filter(n)
+        lags = autocorrelation_lags(filt)
+        phi = refined_tables(make_family("daubechies", n), "phi", FAMILY_LEVEL + LAG_ORACLE_REFINE)
+        v, step = phi.values, 2**phi.grid.level
+        width = len(filt.lowpass) - 1
+        assert lags.size == 2 * width + 1
+        for k in range(width + 1):
+            s = k * step
+            quad = product_quad(v[s:], v[: v.size - s], phi.dx) if s < v.size else 0.0
+            assert abs(lags[width + k] - quad) <= LAG_ORACLE_ERROR.get(n, 1e-12)
+            assert lags[width + k] == pytest.approx(lags[width - k], abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_designed_filters_are_orthonormal_to_roundoff(self, n):
+        lags = autocorrelation_lags(daubechies_filter(n))
+        assert np.max(np.abs(lags - np.eye(1, lags.size, lags.size // 2)[0])) <= 1e-14
+        if n > 1:
+            defects = check_family_invariants(make_family("daubechies", n))
+            assert defects["translate_orthonormality"] <= 1e-14
+
+    @pytest.mark.parametrize("h", [(1, 0, 0, 1), (1, 0, 0, 0, 0, 1)])
+    def test_rejects_a_filter_whose_fixed_point_is_not_unique(self, h):
+        # the filter passes FilterPair's sum and orthonormality checks, but
+        # phi is a box of width 3 or 5 whose translates are not orthonormal:
+        # delta and its true lags are both fixed points
+        filt = FilterPair(np.array(h) / np.sqrt(2.0))
+        with pytest.raises(ComputationError, match="eigenvalue 1 .* not simple"):
+            autocorrelation_lags(filt)
+        fam = make_family("daubechies", 2)._replace(
+            invariants=functools.partial(families._lawton_defect, filt))
+        with pytest.raises(ComputationError, match="not simple"):
+            fam.phi
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_integer_values_are_the_bordered_solve(self, n):
+        # the fixed point shared with the orthonormality check gives phi's
+        # integer values bitwise as a solve built for phi alone
+        filt = daubechies_filter(n)
+        got = families._fixed_point(np.sqrt(2.0) * filt.lowpass)
+        assert got.tobytes() == bordered_solve_oracle(filt).tobytes()
+
+
 class TestInvariantDefects:
     @pytest.mark.parametrize(
         "name,param,extra", [("haar", None, 0), ("daubechies", 2, 3), ("daubechies", 3, 0),
@@ -351,17 +427,14 @@ class TestInvariantDefects:
         got = translate_orthonormality_defect(phi)
         assert got == interpolated_orthonormality_defect(phi)
 
-    @pytest.mark.parametrize(
-        "name,param",
-        [("haar", None), *(("daubechies", n) for n in range(1, 11)),
-         *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", None)],
-    )
+    @pytest.mark.parametrize("name,param", EVERY_SPEC)
     def test_overlap_lags_match_shifted_copies(self, name, param):
-        # on the tables the invariant check reads
+        # on the held tables, and on the finer Daubechies tables whose lag
+        # sums are the oracle of `autocorrelation_lags`
         fam = make_family(name, param)
         phi = fam.phi
         if name == "daubechies" and param != 1:
-            phi = refined_tables(fam, "phi", phi.grid.level + _INVARIANT_CHECK_REFINE)
+            phi = refined_tables(fam, "phi", phi.grid.level + LAG_ORACLE_REFINE)
         got = translate_orthonormality_defect(phi)
         assert abs(got - shifted_copy_orthonormality_defect(phi)) <= 1e-15
 
@@ -417,10 +490,11 @@ class TestRefinedTables:
             both_tables(fam, level)
         assert family_state(fam) == before
 
-    def test_invariant_check_subdivides_once(self):
-        # each generator's check reads its one subdivided table, psi derived
-        # from phi subdivided as far
-        fam = make_family("daubechies", 3)
+    @pytest.mark.parametrize("spec", EVERY_SPEC)
+    def test_invariant_check_reads_no_finer_table(self, spec):
+        # every invariant is read on the FAMILY_LEVEL tables or decided by
+        # the source: no check tabulates a finer lattice
+        fam = make_family(*spec)
         reads = []
 
         def counted(gen, level):
@@ -428,8 +502,7 @@ class TestRefinedTables:
             return fam.tabulate(gen, level)
 
         check_family_invariants(fam._replace(tabulate=counted))
-        finer = [read for read in reads if read[1] > FAMILY_LEVEL]
-        assert finer == [(gen, FAMILY_LEVEL + _INVARIANT_CHECK_REFINE) for gen in ("phi", "psi")]
+        assert reads == [("phi", FAMILY_LEVEL), ("psi", FAMILY_LEVEL)]
 
     def test_threads_get_serial_tables(self):
         # more threads than cores, switching often: each must get the serial
@@ -589,9 +662,7 @@ class TestTablesOnFirstRead:
         with pytest.raises(ComputationError, match="does not vanish at the ends"):
             getattr(fam, gen)
 
-    @pytest.mark.parametrize("spec", [("haar", None), *(("daubechies", n) for n in range(1, 11)),
-                                      *(("battle_lemarie", k) for k in range(1, 5)),
-                                      ("shannon", None)])
+    @pytest.mark.parametrize("spec", EVERY_SPEC)
     def test_support_is_every_table_end(self, spec):
         # reading the support or the decay builds no table; the support is
         # the ends of every phi and psi table, held or refined
@@ -728,8 +799,11 @@ class TestBattleLemarieSeries:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_exact_invariants_from_coefficients(self, k):
+        # the orthonormality from the coefficients is exact; the integrals
+        # and the partition of unity read on the tables carry the series cut
         defects = check_family_invariants(make_family("battle_lemarie", k))
-        assert max(defects.values()) <= 1e-13
+        assert defects.pop("translate_orthonormality") <= 1e-15
+        assert max(defects.values()) <= _BL_TRUNCATION
 
     def test_cubic_decay_rate(self):
         # the root of z^2 + 4z + 1 inside the unit circle is sqrt(3) - 2

@@ -40,12 +40,19 @@ def recursive_bspline(k, x):
     return (x * prev + (k - x) * shifted) / (k - 1)
 
 
+def basis(space, i, x):
+    """B_i(x), the order-k B-spline of `space` with leftmost knot
+    window.left + (i - (k - 1)) h: the oracle for every evaluation path."""
+    u = (np.asarray(x, dtype=float) - space.window[0]) / space.mesh
+    return cardinal_bspline(space.order, u - (i - (space.order - 1)))
+
+
 def full_sum(approx, x):
     """sum_i c_i B_i(x) over every basis function, in increasing i."""
     out = np.zeros_like(x)
     for i, c in enumerate(approx.coefficients):
         if c != 0.0:
-            out += c * approx.space.basis(i, x)
+            out += c * basis(approx.space, i, x)
     return out
 
 
@@ -138,8 +145,8 @@ class TestMakeSpace:
         # knots extend left of the window
         for i, t in ((0, -1.0), (2, 0.0)):
             inside = t + np.linspace(0.0, 1.5, 13)[1:-1]
-            assert np.all(sp.basis(i, inside) > 0.0)
-            assert np.all(sp.basis(i, [t - 0.25, t, t + 1.5, t + 1.75]) == 0.0)
+            assert np.all(basis(sp, i, inside) > 0.0)
+            assert np.all(basis(sp, i, [t - 0.25, t, t + 1.5, t + 1.75]) == 0.0)
 
     @pytest.mark.parametrize("order", [0, MAX_ORDER + 1])
     def test_rejects_bad_order(self, order):
@@ -162,7 +169,7 @@ def dense_gauss_gram(space):
     G = np.zeros((n, n))
     for m in range(int(round((right - left) / h))):
         x = left + (m + 0.5 * (nodes + 1.0)) * h
-        vals = np.array([space.basis(i, x) for i in range(n)])
+        vals = np.array([basis(space, i, x) for i in range(n)])
         G += 0.5 * h * (vals * weights) @ vals.T
     return G
 
@@ -351,7 +358,7 @@ class TestBestApproximation:
         # f = B_j itself must come back as the unit coefficient vector
         sp = make_space(3, 0.25, (-1.0, 1.0))
         j = sp.basis_count // 2
-        f = tabulate(lambda x: sp.basis(j, x), -1.0, 1.0)
+        f = tabulate(lambda x: basis(sp, j, x), -1.0, 1.0)
         approx = best_l2_spline(f, sp)
         want = np.zeros(sp.basis_count)
         want[j] = 1.0
