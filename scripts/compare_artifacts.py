@@ -72,11 +72,12 @@ REJECTIONS = (
     "rate --family haar --function gaussian --j 3..9 --out .",
     "family --family haar --out new/",
 )
-#: the family table of one family per source: its phi and psi values,
-#: filter and decay
+#: the family table of one family per source, and of every spline series
+#: order: its phi and psi values, filter and decay
 FAMILY_TABLES = tuple(
     f"family --family {spec} --out family.json"
-    for spec in ("haar", "daubechies:3", "daubechies:10", "battle_lemarie:2", "shannon")
+    for spec in ("haar", "daubechies:3", "daubechies:10", "battle_lemarie:2",
+                 "battle_lemarie:3", "battle_lemarie:4", "shannon")
 )
 #: one computation per kind that fails its own check: each must exit 2 with
 #: the same `error:` line under both trees
@@ -87,6 +88,12 @@ FAILURES = (
     "rate --family daubechies:2 --function step --j 3..9 --window 0.5,1.0",
     "rate --family shannon --function gaussian --j 3..9",  # errors that do not fall
     "rate --family shannon --function sine --j 3..9 --window 1,2",
+    # fitted errors that rise at one level
+    "rate --family battle_lemarie:2 --function ramp --j 3..9 --window -0.5,0.5",
+    "rate --family battle_lemarie:3 --function step --j 3..9 --window 0.5,1.0",
+    "rate --family shannon --function ramp --j 3..9 --window -0.5,0.5",
+    "rate --family shannon --function step --j 3..9 --window 0.5,1.0",
+    "spline --function sine --order 8 --mesh-exponents 3..7",
 )
 
 

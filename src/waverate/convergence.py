@@ -298,12 +298,12 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
                 meshes=None) -> RateReport:
     """The RateReport of a study: a log2 line through the errors at exactly
     those `candidates` (indices of levels) above the roundoff floor
-    ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two, or
-    a fitted slope that is not positive (errors that do not fall), raise
-    ComputationError.  `truth` is the reference on the level-L assertion
-    grid, and the quantization bound 2^-L times its grid Lipschitz estimate
-    is its largest step.  A spline study's fitted `meshes` are recorded, or
-    else a projection study's fitted levels.
+    ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two, a
+    fitted slope that is not positive, or a fitted error that does not fall
+    below the one before, raise ComputationError.  `truth` is the reference
+    on the level-L assertion grid, and the quantization bound 2^-L times its
+    grid Lipschitz estimate is its largest step.  A spline study's fitted
+    `meshes` are recorded, or else a projection study's fitted levels.
     """
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
     fitted = [i for i in candidates if errors[i] > floor]
@@ -319,6 +319,10 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
         raise ComputationError(
             f"fitted slope {-slope:.4f} is not positive: the sup errors do not fall"
         )
+    for prev, i in zip(fitted, fitted[1:]):
+        if not errors[i] < errors[prev]:
+            raise ComputationError(f"the sup error at fitted level {j_values[i]:g}, "
+                                   f"{errors[i]:.3g}, does not fall below {errors[prev]:.3g}")
     return RateReport(
         family=family,
         function=function,

@@ -2,7 +2,7 @@
 
 `make_family` looks a family's name up and calls its source's constructor,
 which checks its own parameter:
-  * the box (`_box`: haar, daubechies:1, battle_lemarie:1): closed forms
+  * the box (`_box`: haar, daubechies:1, battle_lemarie:1): order-1 splines
     with midpoint samples at the jumps, grid extended one cell past [0,1]
     so trapezoid quadrature is exact.
   * subdivision (`_subdivision`: daubechies:N, N >= 2): phi on the integers
@@ -24,7 +24,9 @@ products are the spectra of `waverate.sobolev`; its tabulator, (gen, level)
 on their own first read and held, finer ones (`refined_tables`) built on each
 read; its support and tail class, read without a table; the one invariant
 its source decides (every other is read on the FAMILY_LEVEL table, so no
-check builds a finer one); and its quadrature refinement.
+check builds a finer one); and its quadrature refinement.  Three engines
+build the tables: the spline read (`SplineApproximation.on_lattice`, for the
+box and the series), subdivision and the sampled sinc.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 
 from .filters import FilterPair, daubechies_filter, haar_filter, half_band_coefficients
 from .grids import (
-    SAMPLE_CHUNK,
     ComputationError,
     ConfigError,
     DecayHint,
@@ -47,7 +48,7 @@ from .grids import (
     product_quad,
     sample,
 )
-from .splines import cardinal_autocorrelation, cardinal_bspline
+from .splines import SplineApproximation, cardinal_autocorrelation, make_space
 
 #: level at which every family tabulates phi and psi
 FAMILY_LEVEL = 10
@@ -68,7 +69,8 @@ class MRAFamily(Record):
 
     - ``symbol``: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized;
     - ``tabulate``: (gen, level) -> generator gen ("phi" or "psi") tabulated
-      at that level;
+      at exactly that level, or ConfigError: Daubechies tables start at
+      FAMILY_LEVEL (their support pad), a spline psi at level 1, the rest at 0;
     - ``geometry``: () -> (support, decay), read without building a table;
     - ``invariants``: phi's FAMILY_LEVEL table -> the orthonormality defect
       of its integer translates, the one invariant the source decides;
@@ -168,7 +170,7 @@ def subdivision_scaling(filter: FilterPair) -> SampledFunction:
     """phi at FAMILY_LEVEL, exact up to roundoff, by subdivision of phi(0..M-1).
 
     On the integers phi(n) = sqrt(2) sum_k h_{2n-k} phi(k) and sum phi(n) = 1
-    (`_fixed_point`); Haar has many such phi, so the box keeps its closed form.
+    (`_fixed_point`); Haar has many such phi, so the box is its order-1 spline.
     """
     h = filter.lowpass
     width = len(h) - 1
@@ -234,25 +236,7 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-
-def _haar_table(gen: str, level: int) -> SampledFunction:
-    """The indicator of (0, 1) or its Haar wavelet, on _HAAR_SUPPORT."""
-    grid = DyadicGrid(*_HAAR_SUPPORT, level)
-    x = grid.points()
-    if gen == "phi":
-        vals = np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
-        jumps = {0.0: 0.5, 1.0: 0.5}
-    else:
-        vals = np.where((x > 0.0) & (x < 0.5), 1.0, 0.0) - np.where(
-            (x > 0.5) & (x < 1.0), 1.0, 0.0
-        )
-        jumps = {0.0: 0.5, 0.5: 0.0, 1.0: -0.5}
-    # midpoint values at the jumps keep trapezoid quadrature exact
-    for at, value in jumps.items():
-        vals[grid.index_of(at)] = value
-    return SampledFunction(grid, vals)
+# the sinc and subdivision tables
 
 
 def _shannon_table(gen: str, level: int) -> SampledFunction:
@@ -281,6 +265,8 @@ def _subdivision_tabulator(filter: FilterPair) -> Callable:
     base = functools.cache(lambda: subdivision_scaling(filter))
 
     def tabulate(gen: str, level: int) -> SampledFunction:
+        if level < FAMILY_LEVEL:
+            raise ConfigError(f"Daubechies tables start at level {FAMILY_LEVEL}, got {level}")
         phi = refine_scaling(filter, base(), level - FAMILY_LEVEL)
         return phi if gen == "phi" else derive_wavelet(filter, phi)
 
@@ -358,31 +344,37 @@ def _series_geometry(order: int) -> tuple:
     return (float(left), float(right)), decay
 
 
-def _series_tabulator(order: int) -> Callable:
-    """Tables of a Battle-Lemarie family: the series polyphase at the level
-    asked for, x = i + r 2^-level reading M_k(t + r 2^-level) for t = 0..k-1
-    against the coefficient of index i - t + k//2; phi and psi share one grid,
-    whose ends are `_series_geometry`'s."""
-    k, shift = order, order // 2
+def _series_basis(order: int, gen: str) -> tuple:
+    """(support, coefficients) of an order-k Battle-Lemarie generator: the
+    slice of c (phi, mesh 1) or d (psi, mesh 1/2) over the support's B-splines,
+    B_i(x) = M_k(scale x - n + k//2) with n = i + scale left + k//2 - k + 1."""
+    (left, right), _ = _series_geometry(order)
+    scale = 1 if gen == "phi" else 2
+    coef = _series(order)[scale - 1]
+    first = coef.size // 2 + scale * int(left) + order // 2 - order + 1
+    return (left, right), coef[first : first + scale * int(right - left) + order - 1]
+
+
+# ---------------------------------------------------------------------------
+# spline tables: the box is order 1, Battle-Lemarie order k on integer knots
+
+#: the indicator of (0, 1) and its Haar wavelet on _HAAR_SUPPORT, order-1
+#: splines on meshes 1 and 1/2 with midpoint values at their jumps
+_BOX_COEFFICIENTS = {"phi": np.array([0.0, 1.0, 0.0]),
+                     "psi": np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])}
+
+
+def _spline_tabulator(order: int, basis: Callable) -> Callable:
+    """Tables of a spline family: phi the order-k spline on mesh 1, psi the one
+    on mesh 1/2, each with the support and coefficients `basis(gen)` gives,
+    read on the level's lattice (ConfigError at level 0 for psi)."""
 
     def tabulate(gen: str, level: int) -> SampledFunction:
-        c, d = _series(k)
-        grid = DyadicGrid(*_series_geometry(k)[0], level)
-        left, right = int(grid.left), int(grid.right)
-        step = 2**level
-        # rows are the integer parts of scale * x; psi reads M_k one level coarser
-        coef, scale = (c, 1) if gen == "phi" else (d, 2)
-        samples = cardinal_bspline(k, np.arange(k)[:, None] + np.arange(0, step, scale) / step)
-        rows = np.arange(scale * left, scale * right + 1) + shift + coef.size // 2
-        # sum over t of coef[rows - t] x samples[t], accumulated in place a
-        # block of rows at a time, so each term is at most SAMPLE_CHUNK long
-        vals = np.zeros((rows.size, samples.shape[1]))
-        per_block = max(1, SAMPLE_CHUNK // samples.shape[1])
-        for lo in range(0, rows.size, per_block):
-            block = vals[lo : lo + per_block]
-            for t in range(k):
-                block += coef[rows[lo : lo + per_block] - t][:, None] * samples[t]
-        return SampledFunction(grid, vals.ravel()[: grid.count])
+        support, coef = basis(gen)
+        grid = DyadicGrid(*support, level)
+        space = make_space(order, 1.0 if gen == "phi" else 0.5, support)
+        values = SplineApproximation(space, coef).on_lattice(level, grid.start, grid.count)
+        return SampledFunction(grid, values)
 
     return tabulate
 
@@ -490,16 +482,13 @@ def _series_defect(order: int, phi: SampledFunction) -> float:
 
 
 def partition_of_unity_defect(phi: SampledFunction) -> float:
-    """max over interior x in [0,1) of |sum_k phi(x-k) - 1|."""
-    level = phi.grid.level
-    step = 2**level
-    kmin = int(np.floor(phi.grid.left)) - 1
-    kmax = int(np.ceil(phi.grid.right)) + 1
-    # row k - kmin is phi on [k, k + 1): one period, read at its nodes
-    blocks = phi.on_lattice(level, kmin * step, (kmax - kmin + 1) * step).reshape(-1, step)
+    """max over interior x in [0,1) of |sum_k phi(x-k) - 1|, the table's units
+    [k, k + 1) added in place in increasing k."""
+    step, values = 2**phi.grid.level, phi.values
     total = np.zeros(step)
-    for block in blocks:
-        total += block
+    for i in range(-(phi.grid.start % step), values.size, step):  # x = k at index i
+        unit = values[max(i, 0) : i + step]
+        total[max(-i, 0) : max(-i, 0) + unit.size] += unit
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -539,11 +528,12 @@ _QUAD_REFINE = 3
 
 
 def _box(param=None) -> MRAFamily:
-    """haar: the box and its wavelet in closed form, which daubechies:1 and
+    """haar: the box and its wavelet, order-1 splines, which daubechies:1 and
     battle_lemarie:1 also are, under their own labels."""
     if param is not None:
         raise ConfigError(f"haar takes no parameter, got {param!r}")
-    return MRAFamily("haar", haar_filter(), 1, _daubechies_symbol(1), _haar_table,
+    return MRAFamily("haar", haar_filter(), 1, _daubechies_symbol(1),
+                     _spline_tabulator(1, lambda gen: (_HAAR_SUPPORT, _BOX_COEFFICIENTS[gen])),
                      lambda: (_HAAR_SUPPORT, _COMPACT), translate_orthonormality_defect, 0)
 
 
@@ -567,7 +557,8 @@ def _spline_series(param) -> MRAFamily:
     if param == 1:
         return _box()._replace(name="battle_lemarie", param=1)
     return MRAFamily("battle_lemarie", None, param, _battle_lemarie_symbol(param),
-                     _series_tabulator(param), functools.partial(_series_geometry, param),
+                     _spline_tabulator(param, functools.partial(_series_basis, param)),
+                     functools.partial(_series_geometry, param),
                      functools.partial(_series_defect, param), _QUAD_REFINE, param)
 
 

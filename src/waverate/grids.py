@@ -30,7 +30,7 @@ import numpy as np
 #: tables to level 15) peaks at 63 MB in 0.12-0.14 s
 MAX_TABLE_LEVEL = 18
 #: points per call of the callable that `sample` tabulates, and per block of
-#: a Battle-Lemarie series table
+#: cells of a spline lattice read (`splines.SplineApproximation.on_lattice`)
 SAMPLE_CHUNK = 2**14
 
 

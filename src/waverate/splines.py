@@ -24,12 +24,12 @@ cells, so a point in cell floor((x - left)/h) sums just the k+1 basis
 functions i = cell-1..cell+k-1 (cell-1 for the order-1 midpoint value 1/2 at
 a knot); every other term is an exact zero, and the candidates are added in
 increasing i, so the values are bitwise those of the full per-basis sum.
-Every study reads a dyadic lattice that splits each cell into m points, at
-which the k+1 candidates take the piece values M_k(p + r/m), p = 0..k,
-r = 0..m-1: `SplineApproximation.on_lattice` builds that one table per read
-and adds k+1 shifted products of it with the coefficients, the transpose of
-the load vector's per-cell moments; `__call__` evaluates M_k at arbitrary
-points and is the oracle for the read.  M_k itself is built bottom-up,
+Every study and the box and Battle-Lemarie tables read a dyadic lattice
+that splits each cell into m points, at which the k+1 candidates take the
+piece values M_k(p + r/m), p = 0..k, r = 0..m-1: `SplineApproximation.on_lattice`
+builds that one table per read and adds k+1 shifted products of it with the
+coefficients, the transpose of the load vector's per-cell moments; `__call__`
+evaluates M_k at arbitrary points and is the oracle for the read.  M_k itself is built bottom-up,
 k(k+1)/2 arrays instead of the recursion's 2^k - 1 calls, with the same
 arithmetic.
 """
@@ -46,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import (ComputationError, ConfigError, DyadicGrid, SampledFunction,
-                    check_study_level, check_table_level, scale_span)
+from .grids import (SAMPLE_CHUNK, ComputationError, ConfigError, DyadicGrid,
+                    SampledFunction, check_study_level, check_table_level, scale_span)
 
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
@@ -243,9 +243,10 @@ class SplineApproximation(NamedTuple):
         g counts lattice points from the window's left end, and there basis
         cell + t takes the piece value M_k(k - 1 - t + r/m), t = -1..k-1: one
         table of the pieces serves the read, and the k+1 shifted products are
-        added in increasing basis index over zero-padded coefficients.  For a
-        power-of-two m (a dyadic mesh) the table's arguments are __call__'s
-        exactly, so the values are bitwise __call__'s.
+        added in increasing basis index over zero-padded coefficients, in place
+        SAMPLE_CHUNK points (or one cell) at a time.  For a power-of-two m (a
+        dyadic mesh) the table's arguments are __call__'s exactly, so the
+        values are bitwise __call__'s.
         """
         k, n, coef = self.space.order, self.space.basis_count, self.coefficients
         m = math.ldexp(self.space.mesh, level)
@@ -263,8 +264,11 @@ class SplineApproximation(NamedTuple):
         padded[i0 - lo + 1 : i1 - lo + 1] = coef[i0:i1]
         pieces = cardinal_bspline(k, np.arange(k + 1)[:, None] + np.arange(m) / m)
         out = np.zeros((cells, m))
-        for t in range(-1, k):
-            out += padded[t + 1 : t + 1 + cells, None] * pieces[k - 1 - t]
+        per_block = max(1, SAMPLE_CHUNK // m)
+        for c in range(0, cells, per_block):
+            block = out[c : c + per_block]
+            for t in range(-1, k):
+                block += padded[c + t + 1 : c + t + 1 + len(block), None] * pieces[k - 1 - t]
         return out.ravel()[first - lo * m : first - lo * m + count]
 
     def __call__(self, x) -> np.ndarray:

@@ -380,6 +380,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"error: fitted slope {slope} is not positive" in err and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        "rate --j 3..9 --family battle_lemarie:2 --function ramp --window -0.5,0.5",
+        "rate --j 3..9 --family battle_lemarie:3 --function step --window 0.5,1.0",
+        "rate --j 3..9 --family shannon --function ramp --window -0.5,0.5",
+        "rate --j 3..9 --family shannon --function step --window 0.5,1.0",
+        "spline --function sine --order 8 --mesh-exponents 3..7",
+    ])
+    def test_errors_that_do_not_fall_strictly_exit_2(self, argv, tmp_path, capsys):
+        # each fits a positive slope through errors that rise at one level
+        out = tmp_path / "study.json"
+        assert main(argv.split() + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "does not fall below" in err and not out.exists()
+
     @pytest.mark.parametrize("argv", BAD_STUDIES)
     def test_bad_study_exits_1_before_compute(
         self, argv, tmp_path, capsys, monkeypatch

@@ -228,6 +228,20 @@ class TestSupErrorRates:
             convergence.rate_report("fam", "f", [3, 4, 5], errors, [0, 1, 2], f, f.values,
                                     meshes)
 
+    @pytest.mark.parametrize("spline", [False, True])
+    @pytest.mark.parametrize("errors, level", [([1e-3, 1e-3, 1e-3], 4),
+                                               ([1e-3, 2e-3, 1e-5, 1e-6], 4),
+                                               ([1e-3, 1e-4, 1e-5, 1e-5], 6)])
+    def test_rate_report_rejects_errors_that_do_not_fall_strictly(self, errors, level, spline):
+        # flat errors fit a slope of about -1e-16, which would print as
+        # slope=0.0000; a rise after a fall can still fit a positive slope
+        f = SampledFunction(DyadicGrid(0.0, 1.0, 2), np.ones(5))
+        levels = range(3, 3 + len(errors))
+        meshes = [2.0**-j for j in levels] if spline else None
+        with pytest.raises(ComputationError, match=f"at fitted level {level}, .* does not fall"):
+            convergence.rate_report("fam", "f", list(levels), errors, range(len(errors)), f,
+                                    f.values, meshes)
+
     def test_too_few_levels_rejected(self, suite, haar):
         with pytest.raises(ConfigError):
             sup_error_rates(suite["gaussian"], haar, range(0, 6), (-1.0, 1.0))

@@ -27,7 +27,6 @@ from waverate.convergence import lp_error_trace, test_function
 from waverate.families import (
     FAMILY_LEVEL,
     _BL_TRUNCATION,
-    _haar_table,
     _two_scale,
     autocorrelation_lags,
     battle_lemarie_series,
@@ -38,7 +37,7 @@ from waverate.families import (
     translate_orthonormality_defect,
 )
 from waverate.grids import ComputationError, ConfigError, product_quad
-from waverate.splines import cardinal_bspline
+from waverate.splines import SplineApproximation, cardinal_bspline, make_space
 
 
 def integer_values_oracle(filt):
@@ -75,9 +74,15 @@ EVERY_SPEC = [("haar", None), *(("daubechies", n) for n in range(1, 11)),
 
 class TestSubdivisionScaling:
     def test_haar_box_from_integer_table(self):
+        # subdivided from its integer values, the box and its wavelet are the
+        # order-1 spline tables, midpoint values at the jumps included
         phi = haar_box(6)
-        assert phi.grid == _haar_table("phi", 6).grid
-        assert phi.values.tobytes() == _haar_table("phi", 6).values.tobytes()
+        psi = derive_wavelet(haar_filter(), phi)
+        haar = make_family("haar")
+        for want, gen in ((phi, "phi"), (psi, "psi")):
+            table = haar.tabulate(gen, 6)
+            assert want.grid == table.grid
+            assert want.values.tobytes() == table.values.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_integer_values_match_transfer_matrix(self, n):
@@ -319,7 +324,7 @@ class TestTwoScale:
     def test_strided_passes_equal_fancy_index_oracle(self, n):
         filt = daubechies_filter(n)
         step = 2**FAMILY_LEVEL
-        phi = _haar_table("phi", FAMILY_LEVEL) if n == 1 else subdivision_scaling(filt)
+        phi = make_family("haar").phi if n == 1 else subdivision_scaling(filt)
         first = int(round(phi.grid.left * step))
         integers = np.append(integer_values_oracle(filt), 0.0)  # phi(0..M-1)
         patterns = [
@@ -568,8 +573,9 @@ class TestRefinedTables:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("level", [10, 13])
     def test_series_table_blocks_are_the_whole_sum(self, k, level):
-        # accumulated a block of rows at a time, each series table is the sum
-        # over t of its whole-table terms, byte for byte
+        # accumulated a block of cells at a time, each series table is the sum
+        # of its whole-table terms in increasing coefficient index (t falling),
+        # byte for byte
         fam = make_family("battle_lemarie", k)
         for gen, coef, scale in zip(("phi", "psi"), battle_lemarie_series(k), (1, 2)):
             table = fam.tabulate(gen, level)
@@ -577,8 +583,68 @@ class TestRefinedTables:
             samples = cardinal_bspline(k, np.arange(k)[:, None] + np.arange(0, step, scale) / step)
             ends = scale * np.array([table.grid.left, table.grid.right], dtype=int)
             rows = np.arange(ends[0], ends[1] + 1) + k // 2 + coef.size // 2
-            want = sum(coef[rows - t][:, None] * samples[t] for t in range(k))
+            want = sum(coef[rows - t][:, None] * samples[t] for t in reversed(range(k)))
             assert table.values.tobytes() == want.ravel()[: table.grid.count].tobytes()
+
+
+#: the families whose tables are splines: the box (order 1) and Battle-Lemarie
+SPLINE_SPECS = [("haar", None), *(("battle_lemarie", k) for k in range(1, 5))]
+
+
+def spline_oracle(fam, gen):
+    """fam's generator gen as a SplineApproximation built here: the box's exact
+    coefficients, or the Battle-Lemarie series' on its support, evaluated by
+    the per-point `__call__`."""
+    order = fam.vanishing_moments
+    mesh, scale = (1.0, 1) if gen == "phi" else (0.5, 2)
+    space = make_space(order, mesh, fam.support)
+    if order == 1:
+        coef = [0, 1, 0] if gen == "phi" else [0, 0, 1, -1, 0, 0]
+    else:
+        series = battle_lemarie_series(order)[gen == "psi"]
+        # space basis i is M_k(scale x - n + k//2) for this n
+        n = np.arange(space.basis_count) + scale * fam.support[0] + order // 2 - order + 1
+        coef = series[series.size // 2 + n.astype(int)]
+    return SplineApproximation(space, np.array(coef, dtype=float))
+
+
+class TestSplineTables:
+    @pytest.mark.parametrize("spec", SPLINE_SPECS)
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_tables_are_the_spline_read_pointwise(self, spec, extra):
+        # each table is bitwise the spline's per-point oracle at its nodes
+        fam = make_family(*spec)
+        for gen in ("phi", "psi"):
+            table = fam.tabulate(gen, FAMILY_LEVEL + extra)
+            assert table.grid == DyadicGrid(*fam.support, FAMILY_LEVEL + extra)
+            want = spline_oracle(fam, gen)(table.x())
+            assert table.values.tobytes() == want.tobytes()
+
+
+class TestTabulatorLevels:
+    @pytest.mark.parametrize("spec", EVERY_SPEC)
+    def test_every_level_is_the_level_asked_for(self, spec):
+        # below FAMILY_LEVEL a table is the held one read on the coarser
+        # lattice, or ConfigError: Daubechies tables end a level-10 cell past
+        # their support, and a spline psi's mesh of 1/2 has no whole cells at
+        # level 0, where its half-integer samples would be labelled integers
+        fam = make_family(*spec)
+        first = FAMILY_LEVEL if spec[0] == "daubechies" and spec[1] != 1 else 0
+        for gen in ("phi", "psi"):
+            held = getattr(fam, gen)
+            for level in range(-1, FAMILY_LEVEL + 1):
+                refusal = ("level" if level < 0
+                           else f"start at level {first}" if level < first
+                           else "whole cells" if (level, gen) == (0, "psi") and spec[0] != "shannon"
+                           else None)
+                if refusal:
+                    with pytest.raises(ConfigError, match=refusal):
+                        fam.tabulate(gen, level)
+                    continue
+                table = fam.tabulate(gen, level)
+                assert table.grid == DyadicGrid(*fam.support, level), (gen, level)
+                want = held.on_lattice(level, table.grid.start, table.grid.count)
+                assert table.values.tobytes() == want.tobytes(), (gen, level)
 
 
 def counting(fam):
@@ -613,7 +679,7 @@ class TestTablesOnFirstRead:
         def refuse(*args):
             raise AssertionError("a table was built")
 
-        for name in ("subdivision_scaling", "battle_lemarie_series", "_haar_table",
+        for name in ("subdivision_scaling", "battle_lemarie_series", "SplineApproximation",
                      "_shannon_table", "check_family_invariants"):
             monkeypatch.setattr(families, name, refuse)
         for spec in ALL_SPECS:
@@ -737,7 +803,7 @@ class TestBattleLemarieSeries:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_tables_match_pointwise_series(self, k):
-        # the polyphase tables against the full sums over all coefficients
+        # the spline tables against the full sums over all coefficients
         fam = make_family("battle_lemarie", k)
         c, d = battle_lemarie_series(k)
         n = np.arange(c.size) - c.size // 2

@@ -321,6 +321,27 @@ class TestLatticeRead:
             assert same_bits(approx.on_lattice(*lat), want), name
             assert same_bits(full_sum(approx, x), want), name
 
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    @pytest.mark.parametrize("mesh, window, read", [
+        # 257 cells of 256 points: five blocks of 64 cells
+        (2.0**-6, (-1.0, 1.0), (-2.0, 2.0, 14)),
+        # one cell of 2^15 points per block, past SAMPLE_CHUNK
+        (1.0, (-2.0, 2.0), (-2.5, 2.5, 15)),
+    ], ids=["blocks-of-cells", "one-cell-blocks"])
+    def test_blocked_read_is_the_unblocked_sum(self, k, mesh, window, read, monkeypatch):
+        # a lattice longer than SAMPLE_CHUNK is read a block of cells at a
+        # time, bitwise the whole-lattice sum of one block
+        lat = lattice(*read)
+        assert lat[2] > splines.SAMPLE_CHUNK
+        sp = make_space(k, mesh, window)
+        coef = np.random.default_rng(k).standard_normal(sp.basis_count)
+        approx = SplineApproximation(sp, coef)
+        blocked = approx.on_lattice(*lat)
+        monkeypatch.setattr(splines, "SAMPLE_CHUNK", 2**62)
+        assert same_bits(blocked, approx.on_lattice(*lat))
+        if mesh < 1.0:
+            assert same_bits(blocked, approx(lattice_points(*lat)))
+
     def test_zero_coefficients_read_zero(self):
         sp = make_space(3, 0.25, self.WINDOW)
         approx = SplineApproximation(sp, np.zeros(sp.basis_count))
