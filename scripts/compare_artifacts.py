@@ -16,8 +16,9 @@ error and its exit code are compared byte for byte, and each is printed as
 identical or differing.  A differing text artifact is followed by its
 unified diff, capped at DIFF_LINES lines, so the moved digits can be quoted;
 a differing JSON artifact also by how many of the numeric fields both sides
-share moved (numbers, and strings that read as numbers) and by the largest
-relative change among them.
+share moved (numbers, and strings that read as numbers), by the largest
+absolute and relative changes among them and by the arrays whose length
+changed, which are not compared index by index.
 
 Usage: python3 scripts/compare_artifacts.py BASE_SRC
            [--study "kernel --family shannon --j 0..6 --out kernel.json" ...]
@@ -63,6 +64,8 @@ REJECTIONS = (
     "sobolev --family haar --sweep-s 15.0..17.0:1.0",
     "family --family daubechies:11",
     "family --family mystery:3",
+    "family --family haar:3",  # a parameter the source takes none of
+    "family --family shannon:7",
     # a sup-norm window that holds a jump
     "rate --family haar --function oscillating_indicator --j 3..9 --window -0.5,0.5",
     "spline --function step --order 1 --mesh-exponents 2..6",
@@ -153,15 +156,17 @@ def text_diff(name: str, base: bytes, head: bytes) -> list[str]:
     return lines
 
 
-def numeric_fields(doc, path=()):
+def numeric_fields(doc, arrays, path=()):
     """(path, value) of every number in a parsed JSON document, strings that
-    read as numbers included."""
+    read as numbers included; each array's length goes into `arrays` under
+    its path."""
     if isinstance(doc, dict):
         for key, value in doc.items():
-            yield from numeric_fields(value, path + (key,))
+            yield from numeric_fields(value, arrays, path + (key,))
     elif isinstance(doc, list):
+        arrays[path] = len(doc)
         for i, value in enumerate(doc):
-            yield from numeric_fields(value, path + (i,))
+            yield from numeric_fields(value, arrays, path + (i,))
     elif isinstance(doc, (int, float, str)) and not isinstance(doc, bool):
         try:
             yield path, float(doc)
@@ -169,23 +174,29 @@ def numeric_fields(doc, path=()):
             pass
 
 
-def numeric_moves(base: bytes, head: bytes) -> str | None:
-    """How many shared numeric fields of two JSON artifacts moved, and the
-    largest relative change among them; None if either is not JSON."""
+def numeric_moves(base: bytes, head: bytes) -> list[str] | None:
+    """How many shared numeric fields of two JSON artifacts moved, with the
+    largest absolute and relative changes among them, and each array whose
+    length changed, whose fields are left out; None if either is not JSON."""
+    a_arrays, b_arrays = {}, {}
     try:
-        a = dict(numeric_fields(json.loads(base)))
-        b = dict(numeric_fields(json.loads(head)))
+        a = dict(numeric_fields(json.loads(base), a_arrays))
+        b = dict(numeric_fields(json.loads(head), b_arrays))
     except ValueError:
         return None
-    shared = a.keys() & b.keys()
-    moved = [path for path in shared if a[path] != b[path]]
-    largest = max(
+    resized = [p for p in a_arrays.keys() & b_arrays.keys() if a_arrays[p] != b_arrays[p]]
+    shared = [p for p in a.keys() & b.keys() if not any(p[: len(r)] == r for r in resized)]
+    moved = [p for p in shared if a[p] != b[p]]
+    absolute = max((abs(a[p] - b[p]) for p in moved), default=0.0)
+    relative = max(
         (abs(a[p] - b[p]) / max(abs(a[p]), abs(b[p])) for p in moved), default=0.0
     )
-    return (
-        f"{len(moved)} of {len(shared)} shared numeric fields moved, "
-        f"largest relative change {largest:.3g}"
-    )
+    return [
+        f"{len(moved)} of {len(shared)} shared numeric fields moved, largest absolute "
+        f"change {absolute:.3g}, largest relative change {relative:.3g}",
+        *(f"array {'.'.join(map(str, r))}: length {a_arrays[r]} -> {b_arrays[r]}"
+          for r in sorted(resized, key=str)),
+    ]
 
 
 def compare(label: str, base: dict[str, bytes], head: dict[str, bytes]) -> int:
@@ -202,9 +213,7 @@ def compare(label: str, base: dict[str, bytes], head: dict[str, bytes]) -> int:
         print(f"  {name}: {verdict}")
         if verdict == "differing":
             moves = name.endswith(".json") and numeric_moves(base[name], head[name])
-            if moves:
-                print(f"    {moves}")
-            for line in text_diff(name, base[name], head[name]):
+            for line in (moves or []) + text_diff(name, base[name], head[name]):
                 print(f"    {line}")
     return differing
 

@@ -6,8 +6,9 @@ which checks its own parameter:
     with midpoint samples at the jumps, grid extended one cell past [0,1]
     so trapezoid quadrature is exact.
   * subdivision (`_subdivision`: daubechies:N, N >= 2): phi on the integers
-    from the eigenvector of the two-scale matrix, then exact dyadic
-    subdivision to FAMILY_LEVEL; the wavelet from the mirror filter.
+    of its support [0, 2N - 1] from the eigenvector of the two-scale matrix,
+    then exact dyadic subdivision to FAMILY_LEVEL; the wavelet from the
+    mirror filter.  Both tables end at the support, where they are 0.
   * the spline series (`_spline_series`: battle_lemarie:k, k >= 2): an exact
     spline series on integer knots, phi = sum_n c_n M_k(x - n + k//2) and
     psi = sum_p d_p M_k(2x - p + k//2), with c and d the Fourier coefficients
@@ -55,11 +56,10 @@ FAMILY_LEVEL = 10
 BATTLE_LEMARIE_MAX_ORDER = 4
 SHANNON_RADIUS = 64.0
 
-# supports and tail classes; Daubechies tables run a level-FAMILY_LEVEL cell past
-# [0, len(h) - 1]: their ends stay zero, the support's keep full trapezoid weight
+# supports and tail classes; the box's tables run a unit past [0, 1] for the
+# midpoint values at its jumps, Daubechies tables end at [0, len(h) - 1]
 _COMPACT = DecayHint("compact")
 _HAAR_SUPPORT = (-1.0, 2.0)
-_DAUBECHIES_PAD = 2.0**-FAMILY_LEVEL
 _SHANNON_SUPPORT = (-SHANNON_RADIUS, SHANNON_RADIUS)
 _SHANNON_DECAY = DecayHint("algebraic", N=1.05, truncation=1.0 / (np.pi * SHANNON_RADIUS))
 
@@ -69,8 +69,8 @@ class MRAFamily(Record):
 
     - ``symbol``: omega -> (|m0(omega)|^2, |m0(omega + pi)|^2), vectorized;
     - ``tabulate``: (gen, level) -> generator gen ("phi" or "psi") tabulated
-      at exactly that level, or ConfigError: Daubechies tables start at
-      FAMILY_LEVEL (their support pad), a spline psi at level 1, the rest at 0;
+      at exactly that level, or ConfigError: a spline psi starts at level 1,
+      the rest at 0;
     - ``geometry``: () -> (support, decay), read without building a table;
     - ``invariants``: phi's FAMILY_LEVEL table -> the orthonormality defect
       of its integer translates, the one invariant the source decides;
@@ -167,19 +167,17 @@ def _two_scale(
 
 
 def subdivision_scaling(filter: FilterPair) -> SampledFunction:
-    """phi at FAMILY_LEVEL, exact up to roundoff, by subdivision of phi(0..M-1).
+    """phi at FAMILY_LEVEL on its support [0, M-1], exact up to roundoff, by
+    subdivision of phi(0..M-1).
 
     On the integers phi(n) = sqrt(2) sum_k h_{2n-k} phi(k) and sum phi(n) = 1
     (`_fixed_point`); Haar has many such phi, so the box is its order-1 spline.
     """
     h = filter.lowpass
-    width = len(h) - 1
     vals = _fixed_point(np.sqrt(2.0) * h)
     vals[0] = vals[-1] = 0.0  # phi vanishes at both ends of its support
-    integers = SampledFunction(DyadicGrid(0.0, float(width), 0), vals)
-    phi = refine_scaling(filter, integers, FAMILY_LEVEL)
-    grid = DyadicGrid(-_DAUBECHIES_PAD, width + _DAUBECHIES_PAD, FAMILY_LEVEL)
-    return SampledFunction(grid, np.concatenate(([0.0], phi.values, [0.0])))
+    integers = SampledFunction(DyadicGrid(0.0, float(len(h) - 1), 0), vals)
+    return refine_scaling(filter, integers, FAMILY_LEVEL)
 
 
 def _fixed_point(taps: np.ndarray) -> np.ndarray:
@@ -209,20 +207,24 @@ def autocorrelation_lags(filter: FilterPair) -> np.ndarray:
 def refine_scaling(
     filter: FilterPair, phi: SampledFunction, extra_levels: int
 ) -> SampledFunction:
-    """Subdivide phi to a finer dyadic lattice via the two-scale relation.
+    """phi on the lattice extra_levels finer than its table's, on the same ends.
 
-    For x on the level-(L+1) lattice, 2x lies on the level-L lattice, so
+    A coarser lattice (extra_levels < 0) holds every 2^-extra_levels-th node.
+    A finer one is subdivided via the two-scale relation: for x on the
+    level-(L+1) lattice, 2x lies on the level-L lattice, so
     phi(x) = sqrt(2) sum_k h_k phi(2x - k) is an exact table lookup; no
-    fixed-point iteration is needed.
+    fixed-point iteration is needed.  On phi's support [0, len(h) - 1], where
+    phi vanishes at both ends, the ends stay exact zeros: x = 0 reads only
+    phi(0), and x = len(h) - 1 only phi(len(h) - 1) or points off the table.
     """
-    vals, grid = phi.values, phi.grid
+    grid = phi.grid.refine(min(extra_levels, 0))
+    vals = phi.values[:: 2 ** max(-extra_levels, 0)]
     for _ in range(extra_levels):
         step = 2**grid.level
         # fine index i is x = left + i/(2 step), so 2x has old index i + left*step
         first = int(round(grid.left * step))
         vals = _two_scale(filter.lowpass, vals, first, 1, 2 * vals.size - 1, step)
         grid = grid.refine(1)
-    vals[0] = vals[-1] = 0.0
     return SampledFunction(grid, vals)
 
 
@@ -231,7 +233,6 @@ def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
     step = 2**phi.grid.level
     first = int(round(phi.grid.left * step))
     vals = _two_scale(filter.highpass, phi.values, first, 2, phi.grid.count, step)
-    vals[0] = vals[-1] = 0.0
     return SampledFunction(phi.grid, vals)
 
 
@@ -259,14 +260,12 @@ def _shannon_wavelet(x: np.ndarray) -> np.ndarray:
 
 
 def _subdivision_tabulator(filter: FilterPair) -> Callable:
-    """Tables of a Daubechies family: phi subdivided from its level-FAMILY_LEVEL
-    table, built on the first call and kept, psi derived from phi at the
-    level asked for."""
+    """Tables of a Daubechies family: phi read from its level-FAMILY_LEVEL
+    table, built on the first call and kept, subdivided to a finer level or
+    read on a coarser lattice; psi derived from phi at the level asked for."""
     base = functools.cache(lambda: subdivision_scaling(filter))
 
     def tabulate(gen: str, level: int) -> SampledFunction:
-        if level < FAMILY_LEVEL:
-            raise ConfigError(f"Daubechies tables start at level {FAMILY_LEVEL}, got {level}")
         phi = refine_scaling(filter, base(), level - FAMILY_LEVEL)
         return phi if gen == "phi" else derive_wavelet(filter, phi)
 
@@ -543,7 +542,7 @@ def _subdivision(param) -> MRAFamily:
     filt = daubechies_filter(param)  # checks N
     if param == 1:
         return _box()._replace(name="daubechies", param=1)
-    ends = (-_DAUBECHIES_PAD, len(filt.lowpass) - 1 + _DAUBECHIES_PAD)
+    ends = (0.0, float(len(filt.lowpass) - 1))
     return MRAFamily("daubechies", filt, param, _daubechies_symbol(param),
                      _subdivision_tabulator(filt), lambda: (ends, _COMPACT),
                      functools.partial(_lawton_defect, filt), _QUAD_REFINE, param)
@@ -597,11 +596,9 @@ def refined_tables(fam: MRAFamily, gen: str, level: int) -> SampledFunction:
 
 
 def parse_family_spec(spec: str) -> MRAFamily:
-    """Parse 'name' or 'name:param' CLI syntax; haar and shannon take no param."""
+    """Parse 'name' or 'name:param' CLI syntax; the source checks the param."""
     if ":" in spec:
         name, raw = spec.split(":", 1)
-        if name in ("haar", "shannon"):
-            raise ConfigError(f"{name} takes no parameter, got {spec!r}")
         if not (raw.isascii() and raw.isdigit()):
             raise ConfigError(f"family parameter must be decimal digits, got {spec!r}")
         try:

@@ -82,8 +82,13 @@ BAD_FAMILY_PARAMETERS = [
     # int() would read ' 2' and '+2' as 2 and relabel them daubechies:2
     *(
         (spec, f"family parameter must be decimal digits, got {spec!r}")
-        for spec in ("daubechies:2.5", "daubechies:", "daubechies: 2", "daubechies:+2")
+        for spec in ("daubechies:2.5", "daubechies:", "daubechies: 2", "daubechies:+2",
+                     "haar:", "haar:x")
     ),
+    # haar and shannon take none: their constructors reject the parsed one
+    ("haar:3", "haar takes no parameter, got 3"),
+    ("haar:03", "haar takes no parameter, got 3"),
+    ("shannon:7", "shannon takes no parameter, got 7"),
     ("daubechies:0", "daubechies moments must be in 1..10, got 0"),
     ("daubechies:11", "daubechies moments must be in 1..10, got 11"),
     ("battle_lemarie:5", "battle_lemarie order must be in 1..4"),

@@ -387,6 +387,14 @@ class TestLatticeEngine:
             got = dyadic_synthesis(coef, fam, gen, j, ks, self.xs)
             np.testing.assert_allclose(got, coef @ want_rows, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_daubechies_blocks_cover_the_support(self, n):
+        # phi and psi live on [0, 2N - 1]: 2N unit blocks, the first at 0
+        fam = make_family("daubechies", n)
+        for gen in ("phi", "psi"):
+            beta, blocks = _atom_blocks(fam, gen, 2, 12)
+            assert beta == 0 and blocks.shape == (2 * n, 2**10)
+
     def test_odd_interval_lattice_rejected(self, haar):
         # 13 intervals at level 2: the midpoint rule has no pair for the last one
         f = sample(np.sin, DyadicGrid(0.0, 3.25, 2))

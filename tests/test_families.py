@@ -621,21 +621,43 @@ class TestSplineTables:
             assert table.values.tobytes() == want.tobytes()
 
 
+class TestDaubechiesSupport:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_tables_end_at_the_support(self, n):
+        # phi and psi live on [0, 2N - 1] and vanish at its ends, so a base
+        # padded with a zero a level-FAMILY_LEVEL cell past each end
+        # subdivides to the same values on the support and to zeros in its pad
+        fam = make_family("daubechies", n)
+        assert fam.support == (0.0, 2.0 * n - 1)
+        pad = 2.0**-FAMILY_LEVEL
+        padded = SampledFunction(DyadicGrid(-pad, 2 * n - 1 + pad, FAMILY_LEVEL),
+                                 np.concatenate(([0.0], fam.phi.values, [0.0])))
+        for extra in (0, 3):
+            phi = refine_scaling(fam.filter, padded, extra)
+            cells = 2**extra
+            for gen, want in (("phi", phi), ("psi", derive_wavelet(fam.filter, phi))):
+                table = fam.tabulate(gen, FAMILY_LEVEL + extra)
+                assert table.grid == DyadicGrid(*fam.support, FAMILY_LEVEL + extra)
+                assert table.values.tobytes() == want.values[cells:-cells].tobytes()
+                assert not want.values[:cells].any() and not want.values[-cells:].any()
+                assert table.values[0] == table.values[-1] == 0.0
+
+
 class TestTabulatorLevels:
     @pytest.mark.parametrize("spec", EVERY_SPEC)
     def test_every_level_is_the_level_asked_for(self, spec):
         # below FAMILY_LEVEL a table is the held one read on the coarser
-        # lattice, or ConfigError: Daubechies tables end a level-10 cell past
-        # their support, and a spline psi's mesh of 1/2 has no whole cells at
-        # level 0, where its half-integer samples would be labelled integers
+        # lattice, or ConfigError: a negative level, and a spline psi at level
+        # 0, whose mesh of 1/2 has no whole cells there, where its half-integer
+        # samples would be labelled integers.  A Daubechies psi at level 0 is
+        # derived from phi on the integers
         fam = make_family(*spec)
-        first = FAMILY_LEVEL if spec[0] == "daubechies" and spec[1] != 1 else 0
+        spline = spec[0] in ("haar", "battle_lemarie") or spec == ("daubechies", 1)
         for gen in ("phi", "psi"):
             held = getattr(fam, gen)
             for level in range(-1, FAMILY_LEVEL + 1):
                 refusal = ("level" if level < 0
-                           else f"start at level {first}" if level < first
-                           else "whole cells" if (level, gen) == (0, "psi") and spec[0] != "shannon"
+                           else "whole cells" if (level, gen) == (0, "psi") and spline
                            else None)
                 if refusal:
                     with pytest.raises(ConfigError, match=refusal):
