@@ -17,8 +17,10 @@ identical or differing.  A differing text artifact is followed by its
 unified diff, capped at DIFF_LINES lines, so the moved digits can be quoted;
 a differing JSON artifact also by how many of the numeric fields both sides
 share moved (numbers, and strings that read as numbers), by the largest
-absolute and relative changes among them and by the arrays whose length
-changed, which are not compared index by index.
+absolute and relative changes among them, by the fields found on one side
+only and by the arrays whose length changed, which are not compared index by
+index.  A JSON artifact that differs only in one-sided fields (a schema
+change) is one line, with no diff.
 
 Usage: python3 scripts/compare_artifacts.py BASE_SRC
            [--study "kernel --family shannon --j 0..6 --out kernel.json" ...]
@@ -174,16 +176,43 @@ def numeric_fields(doc, arrays, path=()):
             pass
 
 
-def numeric_moves(base: bytes, head: bytes) -> list[str] | None:
+def field_paths(doc, path=()):
+    """The key path of every field of a parsed JSON document, array indices
+    collapsed, so the items of an array share their fields."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from field_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from field_paths(value, path)
+
+
+def without_fields(doc, paths, path=()):
+    """A parsed JSON document with the fields at `paths` (collapsed key
+    paths) left out."""
+    if isinstance(doc, dict):
+        return {key: without_fields(value, paths, path + (key,))
+                for key, value in doc.items() if path + (key,) not in paths}
+    if isinstance(doc, list):
+        return [without_fields(value, paths, path) for value in doc]
+    return doc
+
+
+def numeric_moves(base: bytes, head: bytes) -> tuple[list[str], bool] | None:
     """How many shared numeric fields of two JSON artifacts moved, with the
-    largest absolute and relative changes among them, and each array whose
-    length changed, whose fields are left out; None if either is not JSON."""
+    largest absolute and relative changes among them, the fields found on
+    one side only, and each array whose length changed, whose fields are
+    left out; and whether those lines account for the whole change (the
+    documents are equal once the one-sided fields are left out, 2 == 2.0),
+    in which case they are one line.  None if either is not JSON."""
     a_arrays, b_arrays = {}, {}
     try:
-        a = dict(numeric_fields(json.loads(base), a_arrays))
-        b = dict(numeric_fields(json.loads(head), b_arrays))
+        a_doc, b_doc = json.loads(base), json.loads(head)
     except ValueError:
         return None
+    a = dict(numeric_fields(a_doc, a_arrays))
+    b = dict(numeric_fields(b_doc, b_arrays))
     resized = [p for p in a_arrays.keys() & b_arrays.keys() if a_arrays[p] != b_arrays[p]]
     shared = [p for p in a.keys() & b.keys() if not any(p[: len(r)] == r for r in resized)]
     moved = [p for p in shared if a[p] != b[p]]
@@ -191,12 +220,23 @@ def numeric_moves(base: bytes, head: bytes) -> list[str] | None:
     relative = max(
         (abs(a[p] - b[p]) / max(abs(a[p]), abs(b[p])) for p in moved), default=0.0
     )
+    a_fields, b_fields = set(field_paths(a_doc)), set(field_paths(b_doc))
+    one_sided = [
+        f"only in {side}: " + ", ".join(".".join(p) for p in sorted(only))
+        for side, only in (("base", a_fields - b_fields), ("head", b_fields - a_fields))
+        if only
+    ]
+    summary = f"{len(moved)} of {len(shared)} shared numeric fields moved"
+    dropped = (a_fields - b_fields) | (b_fields - a_fields)
+    if one_sided and without_fields(a_doc, dropped) == without_fields(b_doc, dropped):
+        return ["; ".join([summary, *one_sided])], True
     return [
-        f"{len(moved)} of {len(shared)} shared numeric fields moved, largest absolute "
-        f"change {absolute:.3g}, largest relative change {relative:.3g}",
+        f"{summary}, largest absolute change {absolute:.3g}, largest relative change "
+        f"{relative:.3g}",
+        *one_sided,
         *(f"array {'.'.join(map(str, r))}: length {a_arrays[r]} -> {b_arrays[r]}"
           for r in sorted(resized, key=str)),
-    ]
+    ], False
 
 
 def compare(label: str, base: dict[str, bytes], head: dict[str, bytes]) -> int:
@@ -212,8 +252,9 @@ def compare(label: str, base: dict[str, bytes], head: dict[str, bytes]) -> int:
         differing += verdict != "identical"
         print(f"  {name}: {verdict}")
         if verdict == "differing":
-            moves = name.endswith(".json") and numeric_moves(base[name], head[name])
-            for line in (moves or []) + text_diff(name, base[name], head[name]):
+            json_moves = numeric_moves(base[name], head[name]) if name.endswith(".json") else None
+            moves, whole = json_moves or ([], False)
+            for line in moves + ([] if whole else text_diff(name, base[name], head[name])):
                 print(f"    {line}")
     return differing
 

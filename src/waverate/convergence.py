@@ -18,8 +18,7 @@ Conventions
   midpoint rule on the 2h lattice, values by strided synthesis or atom rows.
 * A study samples f once, with ``quadrature_sample``: on the family's
   quadrature lattice, finer than the level-L grid its errors are read on.
-* Sup norms are grid suprema at the tabulation level L; the quantization
-  error is reported as 2^{-L} times a local Lipschitz estimate.
+* Sup norms are grid suprema at the tabulation level L.
 * Rate slopes are positive decay exponents: sup_error ~ C 2^{-slope j},
   fitted by ``rate_report`` on the candidate levels above roundoff (j >= 3
   for a projection, as earlier levels are preasymptotic; every spline mesh).
@@ -287,23 +286,16 @@ class RateReport(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
-    quantization_bound: float
-    #: the meshes a spline study fitted (None for projection studies)
-    fitted_meshes: tuple | None = None
-    #: the levels a projection study fitted (None for spline studies)
-    fitted_levels: tuple | None = None
+    #: the levels the rate was fitted on (a spline study's mesh exponents m)
+    fitted_levels: tuple
 
 
-def rate_report(family: str, function: str, j_values, errors, candidates, f, truth,
-                meshes=None) -> RateReport:
+def rate_report(family: str, function: str, j_values, errors, candidates, f) -> RateReport:
     """The RateReport of a study: a log2 line through the errors at exactly
     those `candidates` (indices of levels) above the roundoff floor
     ROUNDOFF_FLOOR_EPS eps max|f|, f the study's samples; fewer than two, a
     fitted slope that is not positive, or a fitted error that does not fall
-    below the one before, raise ComputationError.  `truth` is the reference
-    on the level-L assertion grid, and the quantization bound 2^-L times its
-    grid Lipschitz estimate is its largest step.  A spline study's fitted
-    `meshes` are recorded, or else a projection study's fitted levels.
+    below the one before, raise ComputationError.
     """
     floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps * f.norm_sup()
     fitted = [i for i in candidates if errors[i] > floor]
@@ -331,41 +323,43 @@ def rate_report(family: str, function: str, j_values, errors, candidates, f, tru
         slope=-slope,
         intercept=intercept,
         r_squared=r2,
-        quantization_bound=float(np.max(np.abs(np.diff(truth)))),
-        fitted_meshes=None if meshes is None else tuple(meshes[i] for i in fitted),
-        fitted_levels=None if meshes is not None else tuple(j_values[i] for i in fitted),
+        fitted_levels=tuple(j_values[i] for i in fitted),
     )
 
 
-def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -> None:
-    """Reject a sup-norm rate study before f is tabulated.
-
-    The scales js must pass `check_analysis` on f's window, the window must
-    be dyadic at `level` and lie inside f's tabulated window, and the fit
-    needs at least four levels j >= REGRESSION_MIN_J.  The window must also
-    stay out of reach of a jump of f and, for a compactly supported family,
-    of an end of f's table: the `reach` of its coarsest atoms.  The other
-    families' tables run to +-20..+-64 units, so they keep a 2^-min(js) jump
-    margin and no edge rule.
-    """
-    j_min, j_max = check_analysis(fam, tf.window, level, js)
+def check_window(tf: TestFunction, fam: MRAFamily, window, level: int, j_min: int) -> float:
+    """The jump margin of a study window, checked before f is tabulated: the
+    window must be dyadic at `level`, inside f's tabulated window and, for a
+    compactly supported family, out of `reach` (at j_min) of f's table ends,
+    which is then the margin.  The other families' tables run to +-20..+-64
+    units, so they keep a 2^-j_min margin and no edge rule."""
     DyadicGrid(window[0], window[1], level)
     if window[0] < tf.window[0] or window[1] > tf.window[1]:
         raise ConfigError(
             f"window {tuple(window)} is not inside the tabulated window {tf.window} "
             f"of {tf.name}"
         )
-    usable = max(0, j_max + 1 - max(j_min, REGRESSION_MIN_J))
-    if usable < 4:
-        raise ConfigError(
-            f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
-        )
-    compact = fam.decay.kind == "compact"
-    margin = reach(fam, j_min) if compact else 2.0**-j_min
-    if compact and (window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]):
+    if fam.decay.kind != "compact":
+        return 2.0**-j_min
+    margin = reach(fam, j_min)
+    if window[0] - margin < tf.window[0] or window[1] + margin > tf.window[1]:
         raise ConfigError(
             f"window {window} comes within {margin:.3g} of an end of the "
             f"tabulated window {tf.window} of {tf.name}"
+        )
+    return margin
+
+
+def check_rate_study(tf: TestFunction, fam: MRAFamily, js, window, level: int) -> None:
+    """Reject a sup-norm rate study before f is tabulated: its scales by
+    `check_analysis` on f's window, its window by `check_window`, fewer than
+    four levels j >= REGRESSION_MIN_J, and a jump of f within the margin."""
+    j_min, j_max = check_analysis(fam, tf.window, level, js)
+    usable = max(0, j_max + 1 - max(j_min, REGRESSION_MIN_J))
+    margin = check_window(tf, fam, window, level, j_min)
+    if usable < 4:
+        raise ConfigError(
+            f"need at least 4 levels >= {REGRESSION_MIN_J} for a rate fit, got {usable}"
         )
     check_jumps(tf, window, margin)
 
@@ -380,9 +374,9 @@ def sup_error_rates(
     """Grid sup-norm errors of P_j f on a jump-free window, with a rate fit
     on the levels j >= REGRESSION_MIN_J that `rate_report` reads."""
     check_rate_study(tf, fam, j_range, window, level)
-    f, truth, errors = _window_errors(tf, fam, math.inf, j_range, window, level)
+    f, errors = _window_errors(tf, fam, math.inf, j_range, window, level)
     candidates = [i for i, j in enumerate(j_range) if j >= REGRESSION_MIN_J]
-    return rate_report(fam.label, tf.name, j_range, errors, candidates, f, truth)
+    return rate_report(fam.label, tf.name, j_range, errors, candidates, f)
 
 
 def lp_error_trace(
@@ -393,19 +387,20 @@ def lp_error_trace(
     window,
     level: int = STUDY_LEVEL,
 ) -> np.ndarray:
-    """(j, ||P_j f - f||_p) pairs on the window grid; jumps are allowed."""
+    """(j, ||P_j f - f||_p) pairs on a `check_window` window's grid; jumps are allowed."""
     if p not in (1, 2, math.inf):
         raise ConfigError(f"p must be 1, 2 or inf, got {p}")
     j_min, j_max = check_analysis(fam, tf.window, level, j_range)
     if j_max - j_min < 3:
         raise ConfigError("need at least 4 levels")
-    return np.column_stack((j_range, _window_errors(tf, fam, p, j_range, window, level)[2]))
+    check_window(tf, fam, window, level, j_min)
+    return np.column_stack((j_range, _window_errors(tf, fam, p, j_range, window, level)[1]))
 
 
 def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
-    """(f, truth, errors) of a study: f sampled once by ``quadrature_sample``,
-    the truth read off f's own table on the level-`level` window grid, and
-    ||P_j f - f||_p on that grid for each j in js."""
+    """(f, errors) of a study: f sampled once by ``quadrature_sample``, and
+    ||P_j f - f||_p on the level-`level` window grid for each j in js, the
+    truth read off f's own table."""
     xs = DyadicGrid(float(window[0]), float(window[1]), level)
     f = quadrature_sample(tf, fam, level)
     truth = f.on_lattice(level, xs.start, xs.count)
@@ -414,7 +409,7 @@ def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
         d = np.abs(project(f, fam, j, xs).values - truth)
         errors.append(float(np.max(d)) if p == math.inf
                       else float(np.trapezoid(d**p, dx=xs.spacing)) ** (1.0 / p))
-    return f, truth, errors
+    return f, errors
 
 
 def spline_convergence_study(tf, order: int, exponents, level: int = STUDY_LEVEL):
@@ -427,20 +422,17 @@ def spline_convergence_study(tf, order: int, exponents, level: int = STUDY_LEVEL
     and every mesh a candidate, f = tf tabulated at `level`, and fits[i] the
     best L^2 spline of f on the i-th mesh, for checks that read them."""
     check_study(tf.window, order, exponents, level)
-    hs = [2.0**-m for m in exponents]
-    shrink = order * hs[0]
+    shrink = order * 2.0**-exponents[0]
     window = (tf.window[0] + shrink, tf.window[1] - shrink)
     check_jumps(tf, window, shrink)
     f = tf.tabulate(level)
-    fits = [best_l2_spline(f, make_space(order, h, tf.window)) for h in hs]
-    lo = math.ceil(window[0] * 2**level)
-    hi = math.floor(window[1] * 2**level)
-    lattice = (level, lo, hi - lo + 1)
-    truth = f.on_lattice(*lattice)
-    errors = [float(np.max(np.abs(fit.on_lattice(*lattice) - truth))) for fit in fits]
-    js = [float(m) for m in exponents]
+    fits = [best_l2_spline(f, make_space(order, 2.0**-m, tf.window)) for m in exponents]
+    xs = DyadicGrid(window[0], window[1], level)
+    truth = f.on_lattice(level, xs.start, xs.count)
+    errors = [float(np.max(np.abs(fit.on_lattice(level, xs.start, xs.count) - truth)))
+              for fit in fits]
     report = rate_report(
-        f"spline:k={order}", tf.name, js, errors, range(len(hs)), f, truth, meshes=hs
+        f"spline:k={order}", tf.name, exponents, errors, range(len(fits)), f
     )
     return report, f, fits
 

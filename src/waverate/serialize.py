@@ -6,7 +6,7 @@ takes ``json.dumps``'s shortest repr that round-trips (0.1 stays 0.1).
 Either way ('.' decimal, comma-delimited CSV with minimal quoting, LF line
 endings) identical runs produce byte-identical files.  A record (a study's
 report, a NamedTuple) is written by ``write_record``: its JSON is its
-fields, those that are None left out.  All writes are atomic: temp file in
+fields.  All writes are atomic: temp file in
 the target directory, then rename.
 """
 
@@ -58,9 +58,8 @@ def write_json(path: str, payload) -> None:
 
 
 def write_record(path: str, record) -> None:
-    """The JSON of a record: its fields, leaving out any that is None."""
-    fields = record._asdict()
-    write_json(path, {name: value for name, value in fields.items() if value is not None})
+    """The JSON of a record: its fields."""
+    write_json(path, record._asdict())
 
 
 def dumps_json(payload) -> str:

@@ -243,10 +243,12 @@ class SplineApproximation(NamedTuple):
         g counts lattice points from the window's left end, and there basis
         cell + t takes the piece value M_k(k - 1 - t + r/m), t = -1..k-1: one
         table of the pieces serves the read, and the k+1 shifted products are
-        added in increasing basis index over zero-padded coefficients, in place
-        SAMPLE_CHUNK points (or one cell) at a time.  For a power-of-two m (a
-        dyadic mesh) the table's arguments are __call__'s exactly, so the
-        values are bitwise __call__'s.
+        added in increasing basis index over zero-padded coefficients, a block
+        of SAMPLE_CHUNK points (or one cell) at a time, each block then copied
+        into the one array of count values returned, so a held table keeps no
+        point past its lattice.  For a power-of-two m (a dyadic mesh) the
+        table's arguments are __call__'s exactly, so the values are bitwise
+        __call__'s.
         """
         k, n, coef = self.space.order, self.space.basis_count, self.coefficients
         m = math.ldexp(self.space.mesh, level)
@@ -263,13 +265,15 @@ class SplineApproximation(NamedTuple):
         i0, i1 = max(lo - 1, 0), min(lo + cells + k - 1, n)
         padded[i0 - lo + 1 : i1 - lo + 1] = coef[i0:i1]
         pieces = cardinal_bspline(k, np.arange(k + 1)[:, None] + np.arange(m) / m)
-        out = np.zeros((cells, m))
+        out = np.empty(count)
         per_block = max(1, SAMPLE_CHUNK // m)
         for c in range(0, cells, per_block):
-            block = out[c : c + per_block]
+            block = np.zeros((min(per_block, cells - c), m))
             for t in range(-1, k):
                 block += padded[c + t + 1 : c + t + 1 + len(block), None] * pieces[k - 1 - t]
-        return out.ravel()[first - lo * m : first - lo * m + count]
+            q = (lo + c) * m - first  # the lattice index of the block's first point
+            out[max(q, 0) : q + block.size] = block.ravel()[max(-q, 0) : count - q]
+        return out
 
     def __call__(self, x) -> np.ndarray:
         """self at arbitrary points: the oracle for `on_lattice`."""

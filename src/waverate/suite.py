@@ -274,13 +274,13 @@ def crit_rate_and_critical_orders():
 
 def crit_lp_convergence():
     haar = make_family("haar")
-    worst_rel = 0.0
+    worst_rel, sup_floor = 0.0, math.inf
     for j in range(2, 9):
         tf = midcell_step(j)
-        tr = lp_error_trace(tf, haar, 1, range(j, j + 4), (-2.0, 2.0))
-        worst_rel = max(worst_rel, abs(tr[0][1] / 2.0 ** -(j + 1) - 1.0))
-    sup_tr = lp_error_trace(midcell_step(4), haar, math.inf, range(2, 9), (-2.0, 2.0))
-    sup_floor = float(np.min(sup_tr[:, 1]))
+        l1, sup = (lp_error_trace(tf, haar, p, range(j, j + 4), (-1.0, 1.0))[0][1]
+                   for p in (1, math.inf))
+        worst_rel = max(worst_rel, abs(l1 / 2.0 ** -(j + 1) - 1.0))
+        sup_floor = min(sup_floor, sup)
     ok = worst_rel <= 0.10 and sup_floor >= 0.4
     return _row(
         "10",

@@ -605,14 +605,25 @@ class TestCommands:
         assert main(argv.split()) == 0
         assert len(calls) == 1
 
-    def test_spline_json_records_fitted_meshes(self, tmp_path):
+    def test_spline_json_records_fitted_levels(self, tmp_path):
         # the errors at h = 2^-5 and 2^-6 (3.2e-14, 1.7e-15) are roundoff
         out = tmp_path / "spline.json"
         argv = "spline --function sine --order 6 --mesh-exponents 2..6 --out"
         assert main(argv.split() + [str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["fitted_meshes"] == [0.25, 0.125, 0.0625]
+        assert doc["j_values"] == [2, 3, 4, 5, 6]
+        assert doc["fitted_levels"] == [2, 3, 4]
         assert abs(doc["slope"] - 6.0) <= 0.1
+
+    def test_rate_and_spline_json_share_one_schema(self, tmp_path):
+        # every RateReport field, none of them null
+        for argv in ("rate --family haar --function gaussian --j 3..9",
+                     "spline --function sine --order 2 --mesh-exponents 2..6"):
+            out = tmp_path / f"{argv.split()[0]}.json"
+            assert main(argv.split() + ["--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert sorted(doc) == sorted(RateReport._fields)
+            assert None not in doc.values()
 
 
 #: each command's line and the study of `cli` its runner calls (the suite's
@@ -1430,11 +1441,6 @@ class TestImportGraph:
         assert self.run_studies(studies, "mpmath", tmp_path) == "[0, 0] False"
 
 
-def record_keys(record_type, none_field) -> list[str]:
-    """The JSON keys of a record whose field `none_field` is None."""
-    return sorted(f for f in record_type._fields if f != none_field)
-
-
 class TestScripts:
     @staticmethod
     def run_script(name, outdir) -> dict:
@@ -1458,7 +1464,7 @@ class TestScripts:
         }
 
     def test_rate_study_script(self, tmp_path):
-        # one projection RateReport per family: its fitted levels, no meshes
+        # one RateReport per family
         docs = self.run_script("rate_study.py", tmp_path)
         assert sorted(docs) == sorted(
             f"rate_{label}.json"
@@ -1466,14 +1472,15 @@ class TestScripts:
             + tuple(f"daubechies-{n}" for n in (2, 3, 4, 6, 8, 10))
         )
         for doc in docs.values():
-            assert sorted(doc) == record_keys(RateReport, "fitted_meshes")
+            assert sorted(doc) == sorted(RateReport._fields)
 
     def test_spline_vs_projection_script(self, tmp_path):
-        # one spline RateReport per order: its fitted meshes, no levels
+        # one RateReport per order, its fitted levels the mesh exponents
         docs = self.run_script("spline_vs_projection.py", tmp_path)
         assert sorted(docs) == ["spline_k1.json", "spline_k2.json", "spline_k3.json"]
         for doc in docs.values():
-            assert sorted(doc) == record_keys(RateReport, "fitted_levels")
+            assert sorted(doc) == sorted(RateReport._fields)
+            assert set(doc["fitted_levels"]) <= set(doc["j_values"])
 
     def test_sobolev_sweep_script(self, tmp_path):
         # the script runs against the library as it is: one critical-order
@@ -1486,7 +1493,7 @@ class TestScripts:
             "critical_haar.json",
         ]
         for doc in docs.values():
-            assert sorted(doc) == record_keys(CriticalOrder, None)
+            assert sorted(doc) == sorted(CriticalOrder._fields)
             assert len(doc["local_exponents"]) == 2
 
 def counted_families(monkeypatch, module, read_first=False):

@@ -43,8 +43,7 @@ RECORDS = [
      {"cumulative_measure": None}),
     (RateReport, {"family": "haar", "function": "zero", "j_values": (3, 4),
                   "sup_errors": (0.5, 0.25), "slope": 1.0, "intercept": 0.0,
-                  "r_squared": 1.0, "quantization_bound": 0.0},
-     {"fitted_meshes": None, "fitted_levels": None}),
+                  "r_squared": 1.0, "fitted_levels": (3, 4)}, {}),
     (KernelEvaluation, {"j": 0, "xs": GRID, "ys": GRID, "values": np.zeros((9, 9))}, {}),
     (RadialBound, {"radii": np.arange(2.0), "majorant": np.ones(2)}, {}),
     (DecayFit, {"constant": 1.0, "rate": 0.5, "r2": 1.0, "flagged": False}, {}),

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from waverate import DyadicGrid, make_family, sample
-from waverate.convergence import spline_convergence_study, sup_error_rates, test_function
+from waverate.convergence import (MarkedPoint, spline_convergence_study, sup_error_rates,
+                                  test_function)
 from waverate.expansion import analyze
 from waverate.grids import DecayHint
 from waverate.serialize import (
@@ -56,22 +57,19 @@ class TestAtomicWrites:
 
 
 class TestWriteRecord:
-    def test_none_fields_are_left_out(self, tmp_path):
-        # a projection study fits levels, a spline study meshes: each record's
-        # JSON holds the one it has
+    def test_the_json_is_every_field(self, tmp_path):
+        # one schema for a projection and a spline study, and no field left
+        # out, a None one included
         projection = sup_error_rates(
             test_function("gaussian"), make_family("haar"), range(3, 8), (-1.0, 1.0)
         )
         spline = spline_convergence_study(test_function("sine"), 2, range(2, 5))[0]
-        for name, report, kept, left_out in (
-            ("projection", projection, "fitted_levels", "fitted_meshes"),
-            ("spline", spline, "fitted_meshes", "fitted_levels"),
-        ):
+        for name, record in (("projection", projection), ("spline", spline),
+                             ("point", MarkedPoint(0.0, "jump", None))):
             path = tmp_path / f"{name}.json"
-            write_record(str(path), report)
-            doc = json.loads(path.read_text())
-            assert doc[kept] == list(getattr(report, kept))
-            assert left_out not in doc
+            write_record(str(path), record)
+            assert json.loads(path.read_text()) == json.loads(json.dumps(record._asdict()))
+        assert json.loads((tmp_path / "point.json").read_text())["reference"] is None
 
 
 class TestFamilyRoundTrip:

@@ -13,6 +13,7 @@ from waverate.convergence import (
     spline_convergence_study,
 )
 from waverate.expansion import project
+from waverate.families import FAMILY_LEVEL
 from waverate.grids import ComputationError, ConfigError
 from waverate.splines import (
     MAX_ORDER,
@@ -359,6 +360,16 @@ class TestLatticeRead:
         with pytest.raises(ConfigError, match="whole cells"):
             approx.on_lattice(level, 0, 5)
 
+    @pytest.mark.parametrize("gen", ["phi", "psi"])
+    @pytest.mark.parametrize("spec", [("haar",), ("battle_lemarie", 2)])
+    def test_a_held_table_holds_only_its_values(self, spec, gen):
+        # the read owns its count doubles: no cell of the read's buffer past
+        # the lattice stays alive with the table
+        table = getattr(make_family(*spec), gen)
+        assert table.grid.level == FAMILY_LEVEL
+        assert table.values.base is None
+        assert table.values.nbytes == 8 * table.grid.count
+
     @pytest.mark.parametrize("k", [1, 4, MAX_ORDER])
     def test_one_piece_table_per_read(self, k, monkeypatch):
         calls = []
@@ -459,7 +470,6 @@ class TestSplineCorollary:
 
 class TestConvergenceStudies:
     EXPONENTS = range(2, 7)
-    MESHES = [2.0**-m for m in EXPONENTS]
 
     def test_order_two_sine_second_order(self, suite):
         rep = spline_convergence_study(suite["sine"], 2, self.EXPONENTS)[0]
@@ -471,16 +481,16 @@ class TestConvergenceStudies:
 
     def test_order_two_fits_every_mesh(self, suite):
         rep = spline_convergence_study(suite["sine"], 2, self.EXPONENTS)[0]
-        assert rep.j_values == tuple(float(m) for m in self.EXPONENTS)
-        assert rep.fitted_meshes == tuple(self.MESHES)
-        assert rep.fitted_levels is None
+        # the mesh exponents m in the role of the levels
+        assert rep.j_values == rep.fitted_levels == tuple(self.EXPONENTS)
+        assert all(type(m) is int for m in rep.j_values)
         assert rep.slope == pytest.approx(1.9997461482093464, abs=1e-12)
 
     def test_roundoff_errors_are_not_fitted(self, suite):
         rep = spline_convergence_study(suite["sine"], 6, self.EXPONENTS)[0]
         floor = ROUNDOFF_FLOOR_EPS * np.finfo(float).eps
-        fitted = [h for h, e in zip(self.MESHES, rep.sup_errors) if e > floor]
-        assert rep.fitted_meshes == tuple(fitted) == tuple(self.MESHES[:3])
+        fitted = [m for m, e in zip(self.EXPONENTS, rep.sup_errors) if e > floor]
+        assert rep.fitted_levels == tuple(fitted) == (2, 3, 4)
         assert abs(rep.slope - 6.0) <= 0.1
 
     def test_fewer_than_two_fitted_meshes_raise(self):
