@@ -3,12 +3,14 @@
 The orthogonal projection onto V_j has kernel P_j(x,y) = sum_k
 phi_jk(x) phi_jk(y).  Its size is controlled by a single rescaled profile:
 |P_j(x,y)| <= C 2^j H(2^j |x-y|) with H nonincreasing and integrable for
-well-behaved families.  This module tabulates P_j as a product of atom
-rows from the dyadic-lattice engine (`waverate.expansion.atom_rows`),
-extracts the tightest nonincreasing majorant of the rescaled data, checks
-that profiles collapse across scales onto one integrable envelope, and fits
-the exponential decay C e^{-a u / 2} to the envelope.  A profile reads only
-the rows of one period, as P_j is symmetric and invariant under 2^-j shifts.
+well-behaved families.  As P_j(x,y) = 2^j P_0(2^j x, 2^j y), that bound is
+one property of P_0 that dilation carries to every scale.  This module
+tabulates P_j as a product of atom rows from the dyadic-lattice engine
+(`waverate.expansion.atom_rows`), extracts the tightest nonincreasing
+majorant of the rescaled data, checks that the profiles at the two ends of
+a scale range collapse onto one integrable envelope, and fits the
+exponential decay C e^{-a u / 2} to the envelope.  A profile reads only the
+rows of one period, as P_j is symmetric and invariant under 2^-j shifts.
 """
 
 from __future__ import annotations
@@ -121,17 +123,12 @@ def profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
     return DyadicGrid(0.0, float(width), j + radii_level)
 
 
-def scale_profiles(fam: MRAFamily, j_set) -> list[RadialBound]:
-    """Radial profiles of P_j, j in the range j_set, from the rows x in
-    [0, 2^-j]: as P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x), they meet
-    every distance and value of the square profile grid."""
-    scale_span(j_set)
-    out = []
-    for j in j_set:
-        g = profile_grid(fam, j)
-        period = DyadicGrid(0.0, 2.0**-j, g.level)
-        out.append(radial_profile(kernel_matrix(fam, j, period, g)))
-    return out
+def period_profile(fam: MRAFamily, j: int) -> RadialBound:
+    """The radial profile of P_j from the rows x in [0, 2^-j]: as
+    P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x), they meet every
+    distance and value of the square profile grid."""
+    g = profile_grid(fam, j)
+    return radial_profile(kernel_matrix(fam, j, DyadicGrid(0.0, 2.0**-j, g.level), g))
 
 
 def _tail_estimate(fam: MRAFamily, radii, maj) -> float:
@@ -152,25 +149,24 @@ def _tail_estimate(fam: MRAFamily, radii, maj) -> float:
 
 
 def verify_convolution_bound(fam: MRAFamily, j_set) -> dict:
-    """Collapse the per-scale profiles onto one envelope and test its mass.
+    """Collapse the profiles at the ends of j_set onto one envelope and test its mass.
 
     Passes iff the envelope is a plausible L1 radial majorant: profiles
     collapse onto it and the estimated tail is under 10% of the sampled
-    mass.  This is the numerical content of the convolution bound.  Every
-    scale is read on the one RADII_LEVEL_* radii table, so P_j / 2^j on the
-    rescaled lattice is P_0 up to the rounding of 2^(j/2): the collapse
-    defect is roundoff (2.2e-16 for haar, db2 and shannon on j = 0..6, 2.6e-16
-    for bl2), and j_set moves the report only through its own entry and that
-    rounding.  Scales that are not one range, fewer than 3, a negative one, or
-    a finest profile grid whose 2^level overflows are rejected off j_set's
-    ends before any profile.
+    mass.  This is the numerical content of the convolution bound.  By
+    dilation P_j / 2^j on the rescaled lattice is P_0 at every scale, so the
+    first and last scale stand for the whole range: collapse compares those
+    two computed profiles, each read on the one RADII_LEVEL_* radii table,
+    and an atom engine that scaled either end wrongly would show in the
+    defect.  Scales that are not one range, fewer than 3 or a negative one
+    are rejected off j_set's ends, and a finest profile grid whose 2^level
+    overflows when it is built first, before any kernel is computed.
     """
     lo, hi = scale_span(j_set)
     if hi - lo < 2 or lo < 0:
         raise ConfigError(f"kernel needs at least 3 scales j >= 0, got '{lo}..{hi}'")
-    profile_grid(fam, hi)
-    profiles = scale_profiles(fam, j_set)
-    # every scale reads the same rescaled grid: one radii lattice for all
+    profiles = [period_profile(fam, j) for j in (hi, lo)]
+    # both scales read the same rescaled grid: one radii lattice
     radii = profiles[0].radii
     du = float(radii[1] - radii[0])
     stack = np.array([p.majorant for p in profiles])

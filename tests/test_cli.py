@@ -168,7 +168,7 @@ BAD_KERNEL_SCALES = [
     # the scale-j profile grid has level j + 6: 2^1024 overflows
     "kernel --family haar --j 1016..1018",
     "kernel --family haar --j -1..3",
-    # profile collapse is judged over three scales or more
+    # the kernel study takes three scales or more
     "kernel --family haar --j 0..1",
 ]
 
@@ -419,7 +419,7 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("the kernel was computed")
 
-        monkeypatch.setattr("waverate.kernels.scale_profiles", refuse)
+        monkeypatch.setattr("waverate.kernels.kernel_matrix", refuse)
         out = tmp_path / "kernel.json"
         assert main(argv.split() + ["--out", str(out)]) == 1
         assert not out.exists()

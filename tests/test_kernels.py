@@ -13,8 +13,8 @@ from waverate.kernels import (
     fit_decay,
     kernel_matrix,
     profile_grid,
+    period_profile,
     radial_profile,
-    scale_profiles,
     verify_convolution_bound,
 )
 from waverate.expansion import atom_rows
@@ -91,6 +91,19 @@ class TestKernelMatrix:
         same = np.floor(4 * x[xi, None]) == np.floor(4 * x[None, xi])
         want = np.where(same, 4.0, 0.0)
         assert np.max(np.abs(ke.values[np.ix_(xi, xi)] - want)) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["haar", "daubechies:2", "battle_lemarie:2", "shannon"])
+    def test_dilation(self, spec):
+        # P_j(x, y) = 2^j P_0(2^j x, 2^j y): on the 2^-j-scaled scale-0 profile
+        # grid P_j / 2^j is P_0, which covers every scale between the two ends
+        # that the convolution bound reads
+        fam = parse_family_spec(spec)
+        g0 = profile_grid(fam, 0)
+        p0 = kernel_matrix(fam, 0, g0, g0).values
+        for j in range(1, 7):
+            g = DyadicGrid(np.ldexp(g0.left, -j), np.ldexp(g0.right, -j), g0.level + j)
+            pj = kernel_matrix(fam, j, g, g).values / 2.0**j
+            assert np.max(np.abs(pj - p0)) <= 1e-15 * np.max(np.abs(p0))
 
     def test_symmetry(self, db2):
         g = DyadicGrid(0.0, 2.0, 6)
@@ -179,7 +192,7 @@ class TestRadialProfile:
         # period meet every distance and value of the square profile grid
         fam = make_family(name, param)
         g = profile_grid(fam, j)
-        got = scale_profiles(fam, range(j, j + 1))[0]
+        got = period_profile(fam, j)
         want = outer_difference_profile(kernel_matrix(fam, j, g, g))
         assert np.array_equal(got.radii, want.radii)
         assert np.max(np.abs(got.majorant - want.majorant)) <= 1e-15 * want.majorant[0]
@@ -194,18 +207,19 @@ class TestRadialProfile:
         assert profile_grid(make_family("shannon"), 12).level == 16
 
     def test_haar_box_profile(self, haar):
-        profile = scale_profiles(haar, range(3, 4))[0]
+        profile = period_profile(haar, 3)
         r, m = profile.radii, profile.majorant
         # 1 on [0,1) and 0 beyond, up to one-bin quantization at the edge
         assert np.max(np.abs(m[r < 1.0 - 2.0 / 64] - 1.0)) < 1e-12
         assert np.all(m[r > 1.0] == 0.0)
 
     def test_majorant_nonincreasing(self, db2):
-        for profile in scale_profiles(db2, range(0, 5)):
+        for j in range(0, 5):
+            profile = period_profile(db2, j)
             assert np.all(np.diff(profile.majorant) <= 0)
 
     def test_db2_support_bound(self, db2):
-        profile = scale_profiles(db2, range(2, 3))[0]
+        profile = period_profile(db2, 2)
         beyond = profile.majorant[profile.radii >= 5.0]
         assert np.max(beyond, initial=0.0) < 1e-10
 
@@ -227,6 +241,26 @@ class TestConvolutionBound:
         rep = verify_convolution_bound(sh, range(5))
         assert not rep["passes"]
         assert rep["tail_estimate"] > 0.1 * rep["l1_mass"]
+
+    def test_haar_exact(self, haar_report):
+        # an even span has 2^(j/2) exact at both ends: the box's majorant is
+        # 1 on the 2^-7 radii lattice up to its last bin below 1
+        assert haar_report["C"] == 1.0
+        assert haar_report["l1_mass"] == 2 - 3 * 2**-7
+        assert haar_report["collapse_defect"] == 0.0
+
+    @pytest.mark.parametrize("j_set", [range(0, 7), range(0, 14)])
+    def test_two_kernel_matrices(self, haar, j_set, monkeypatch):
+        # the first and last scale stand for the range by dilation
+        calls = []
+
+        def counted(fam, j, xs, ys):
+            calls.append(j)
+            return kernel_matrix(fam, j, xs, ys)
+
+        monkeypatch.setattr("waverate.kernels.kernel_matrix", counted)
+        verify_convolution_bound(haar, j_set)
+        assert sorted(calls) == [j_set[0], j_set[-1]]
 
     def test_needs_three_scales(self, haar):
         with pytest.raises(ConfigError):
