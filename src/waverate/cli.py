@@ -19,6 +19,12 @@ import re
 import sys
 from types import SimpleNamespace
 
+# one BLAS thread unless the caller's environment names a count, set before
+# the modules below load numpy: the products of a study are small, and a
+# thread pool costs CPU in every process and lives on across `suite --jobs` forks
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .convergence import (
     STUDY_LEVEL,
     export_rate_csv,

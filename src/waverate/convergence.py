@@ -16,8 +16,9 @@ Conventions
 * Every projection, partial sum and order-robustness term comes from the
   dyadic-lattice engine of ``waverate.expansion``: coefficients by the
   midpoint rule on the 2h lattice, values by strided synthesis or atom rows.
-* A study samples f once, with ``quadrature_sample``: on the family's
-  quadrature lattice, finer than the level-L grid its errors are read on.
+* A study samples f once, on the family's quadrature lattice, finer than
+  the level-L grid its errors are read on (``quadrature_sample``); the rate
+  and L^p studies sample only the part of f's window their atoms read.
 * Sup norms are grid suprema at the tabulation level L.
 * Rate slopes are positive decay exponents: sup_error ~ C 2^{-slope j},
   fitted by ``rate_report`` on the candidate levels above roundoff (j >= 3
@@ -42,6 +43,7 @@ from .expansion import (
     check_analysis,
     complete_schedule_check,
     project,
+    translate_range,
     validate_schedule,
 )
 from .families import MRAFamily
@@ -98,10 +100,10 @@ class TestFunction(NamedTuple):
     smoothness_class: float
     cumulative_measure: Callable | None = None
 
-    def tabulate(self, level: int = STUDY_LEVEL) -> SampledFunction:
-        """self on the level-`level` grid of its window, by `grids.sample`:
-        one table, filled SAMPLE_CHUNK points per sampler call."""
-        grid = DyadicGrid(self.window[0], self.window[1], level)
+    def tabulate(self, level: int = STUDY_LEVEL, window=None) -> SampledFunction:
+        """self on the level-`level` grid of `window` (its own by default), by
+        `grids.sample`: one table, filled SAMPLE_CHUNK points per sampler call."""
+        grid = DyadicGrid(*(window or self.window), level)
         if self.cumulative_measure is None:
             return sample(self.sampler, grid)
         # density smoothed by a width-4h box: the jump-robust product
@@ -398,11 +400,12 @@ def lp_error_trace(
 
 
 def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
-    """(f, errors) of a study: f sampled once by ``quadrature_sample``, and
-    ||P_j f - f||_p on the level-`level` window grid for each j in js, the
-    truth read off f's own table."""
+    """(f, errors) of a study: f sampled once at fam's quadrature level where
+    the study reads it (`_read_window`), and ||P_j f - f||_p on the
+    level-`level` window grid for each j in js, the truth read off f's own
+    table."""
     xs = DyadicGrid(float(window[0]), float(window[1]), level)
-    f = quadrature_sample(tf, fam, level)
+    f = tf.tabulate(level + fam.quad_refine, _read_window(tf, fam, js, xs))
     truth = f.on_lattice(level, xs.start, xs.count)
     errors = []
     for j in js:
@@ -410,6 +413,27 @@ def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
         errors.append(float(np.max(d)) if p == math.inf
                       else float(np.trapezoid(d**p, dx=xs.spacing)) ** (1.0 / p))
     return f, errors
+
+
+def _read_window(tf: TestFunction, fam: MRAFamily, js, xs: DyadicGrid) -> tuple:
+    """The part of f's window that P_j f on xs reads for j in js: the hull of
+    the supports [(k + s0) 2^-j, (k + s1) 2^-j] of every translate k that
+    `project` analyses at every j, which covers xs, cut to f's window.
+
+    A finer scale's atoms reach past a coarser one's when the support is
+    under two units wide, hence the union over every j.  Its ends move in
+    from f's by whole pairs of quadrature samples, so analysis reads the same
+    odd samples of f, which are bitwise those of f's whole table, into a
+    buffer of the same shape: every product and error is unchanged."""
+    scale = 2.0 ** (xs.level + fam.quad_refine)
+    first, last = (round(end * scale) for end in tf.window)
+    (s0, s1), lo, hi = fam.support, xs.left, xs.right
+    for j in js:
+        ks = translate_range(fam, j, (xs.left, xs.right))
+        lo, hi = min(lo, (ks.start + s0) * 2.0**-j), max(hi, (ks[-1] + s1) * 2.0**-j)
+    first += 2 * max(0, math.floor((lo * scale - first) / 2))
+    last -= 2 * max(0, math.floor((last - hi * scale) / 2))
+    return first / scale, last / scale
 
 
 def spline_convergence_study(tf, order: int, exponents, level: int = STUDY_LEVEL):

@@ -492,7 +492,8 @@ def partition_of_unity_defect(phi: SampledFunction) -> float:
 
 
 def translate_orthonormality_defect(phi: SampledFunction) -> float:
-    """max over integer k >= 0 of |<phi, phi(. - k)> - delta_k|.
+    """max over integer k >= 0 of |<phi, phi(. - k)> - delta_k|, lag by lag:
+    the reference that `gram_orthonormality_defect` is tested against.
 
     phi(x - k) on phi's own grid is the table shifted s = k 2^level places,
     so the product vanishes off the overlap and the lag sum is
@@ -508,6 +509,25 @@ def translate_orthonormality_defect(phi: SampledFunction) -> float:
         val = product_quad(v[s:], v[: n - s], phi.dx) if s < n else 0.0
         worst = max(worst, abs(val - (1.0 if k == 0 else 0.0)))
     return worst
+
+
+def gram_orthonormality_defect(phi: SampledFunction) -> float:
+    """`translate_orthonormality_defect` of a table on integer ends at level
+    >= 1, every lag sum read off one Gram product.
+
+    There v[s:] v[:n - s] has an even number of intervals, so product_quad's
+    2T(h) - T(2h) is the midpoint rule 2h sum_i v[i + s] v[i] over odd i.
+    Row r of O holds the odd samples of the unit [r, r + 1), and the shift
+    s = k 2^level is even, so lag k's sum is the k-th diagonal sum of O O^T:
+    the loop's lag sums up to the order of summation.
+    """
+    v, step = phi.values, 2**phi.grid.level
+    units = (v.size - 1) // step
+    odd = np.ascontiguousarray(v[:-1].reshape(units, step)[:, 1::2])
+    r, c = np.tril_indices(units)  # unit r meets unit c = r - k at lag k
+    lags = 2.0 * phi.dx * np.bincount(r - c, weights=(odd @ odd.T)[r, c])
+    lags[0] -= 1.0
+    return float(np.max(np.abs(lags)))
 
 
 def _require(cond: bool, fam: MRAFamily, what: str) -> None:
@@ -533,7 +553,7 @@ def _box(param=None) -> MRAFamily:
         raise ConfigError(f"haar takes no parameter, got {param!r}")
     return MRAFamily("haar", haar_filter(), 1, _daubechies_symbol(1),
                      _spline_tabulator(1, lambda gen: (_HAAR_SUPPORT, _BOX_COEFFICIENTS[gen])),
-                     lambda: (_HAAR_SUPPORT, _COMPACT), translate_orthonormality_defect, 0)
+                     lambda: (_HAAR_SUPPORT, _COMPACT), gram_orthonormality_defect, 0)
 
 
 def _subdivision(param) -> MRAFamily:
@@ -566,7 +586,7 @@ def _sinc(param=None) -> MRAFamily:
     if param is not None:
         raise ConfigError(f"shannon takes no parameter, got {param!r}")
     return MRAFamily("shannon", None, 1, _shannon_symbol, _shannon_table,
-                     lambda: (_SHANNON_SUPPORT, _SHANNON_DECAY), translate_orthonormality_defect,
+                     lambda: (_SHANNON_SUPPORT, _SHANNON_DECAY), gram_orthonormality_defect,
                      _QUAD_REFINE)
 
 

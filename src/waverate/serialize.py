@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from typing import Iterable, Sequence
 
 from .grids import DecayHint
@@ -30,9 +29,13 @@ def fmt(x) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write text to a new temp file in path's directory, then rename it over
+    path.  The temp file takes the mode open() gives a new file, 0o666 less
+    the umask (tempfile.mkstemp's would be owner-only)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

@@ -721,6 +721,19 @@ class TestThreadIndependence:
             outs.append((cwd / "f.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_shannon_gram_check_same_under_blas_threads(self, tmp_path):
+        # the sinc's lag sums come from one BLAS product; each Gram entry is
+        # one dot product, whose order the thread split leaves alone
+        outs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            argv = ["family", "--family", "shannon", "--out", "f.json"]
+            proc = run_cli(argv, cwd, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(json.loads((cwd / "f.json").read_bytes())["invariant_defects"])
+        assert outs[0] == outs[1]
+
 
 class TestSuiteCommand:
     def test_only_filter(self, tmp_path, capsys):
@@ -1439,6 +1452,56 @@ class TestImportGraph:
             "sobolev --family daubechies:6 --criterion wavelet",
         ]
         assert self.run_studies(studies, "mpmath", tmp_path) == "[0, 0] False"
+
+
+class TestBlasThreads:
+    """The CLI pins one BLAS thread before numpy loads, unless the caller's
+    environment names a count; the package itself loads numpy only on use."""
+
+    THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @classmethod
+    def run_script(cls, script: str, cwd, **env) -> str:
+        """The last line `script` prints in a fresh interpreter importing this
+        waverate, with neither thread variable set unless `env` sets it."""
+        src = os.path.dirname(os.path.dirname(waverate.__file__))
+        base = {k: v for k, v in os.environ.items() if k not in cls.THREAD_VARIABLES}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                              text=True, timeout=300, check=False,
+                              env=dict(base, PYTHONPATH=src, **env))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_import_waverate_loads_no_numpy(self, tmp_path):
+        script = "import sys, waverate\nprint('numpy' in sys.modules)\n"
+        assert self.run_script(script, tmp_path) == "False"
+
+    def test_every_exported_name_resolves(self, tmp_path):
+        # each name is its defining module's object, read in a fresh process
+        script = ("import sys, waverate\nfrom waverate import make_family\n"
+                  "print(all(getattr(sys.modules[getattr(waverate, name).__module__], name)\n"
+                  "          is getattr(waverate, name) for name in waverate.__all__))\n")
+        assert self.run_script(script, tmp_path) == "True"
+        assert len(waverate.__all__) == 14
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            waverate.missing
+
+    #: the two variables after `import waverate.cli`
+    READ_AFTER_CLI = ("import os, waverate.cli\n"
+                      f"print([os.environ.get(v) for v in {THREAD_VARIABLES}])\n")
+
+    def test_cli_sets_one_thread_when_unset(self, tmp_path):
+        assert self.run_script(self.READ_AFTER_CLI, tmp_path) == "['1', '1']"
+
+    def test_cli_keeps_a_count_the_caller_set(self, tmp_path):
+        got = self.run_script(self.READ_AFTER_CLI, tmp_path, OPENBLAS_NUM_THREADS="2",
+                              OMP_NUM_THREADS="3")
+        assert got == "['2', '3']"
+
+    def test_library_callers_are_untouched(self, tmp_path):
+        script = ("import os, waverate.families\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        assert self.run_script(script, tmp_path) == "None"
 
 
 class TestScripts:

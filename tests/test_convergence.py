@@ -30,6 +30,7 @@ from waverate.expansion import (
     level_by_level_schedule,
     partial_sum,
     project,
+    translate_range,
 )
 from waverate.grids import ComputationError, ConfigError, SampledFunction
 from waverate.serialize import write_record
@@ -306,6 +307,14 @@ SAMPLED_WINDOWS = {
 }
 
 
+def atom_hull(tf, fam, js, window):
+    """f's window cut to the hull of the supports of every atom that P_j f
+    reads on `window`, j in js, translate by translate."""
+    ends = [(k + s) * 2.0**-j for j in js for k in translate_range(fam, j, window)
+            for s in fam.support]
+    return max(min(ends), tf.window[0]), min(max(ends), tf.window[1])
+
+
 class TestOneSample:
     """A study samples f once and reads its truth off the table it projects."""
 
@@ -335,14 +344,60 @@ class TestOneSample:
         )
         for level in (10, 12):
             want = np.asarray(tf.sampler(DyadicGrid(*window, level).points()), dtype=float)
-            table = DyadicGrid(*tf.window, level + fam.quad_refine).points()
+            hull = atom_hull(tf, fam, range(3, 8), window)
+            table = DyadicGrid(*hull, level + fam.quad_refine).points()
             for study in studies:
                 calls.clear()
                 reads.clear()
                 study(level)
-                # every point of f's table is sampled, each exactly once
+                # every point of the hull's table is sampled, each exactly once
                 assert np.array_equal(np.concatenate(calls), table)
                 assert [r.tobytes() for r in reads] == [want.tobytes()]
+
+
+def outcome(study):
+    """A study's result, exact (an array's bytes, a report's repr), or the
+    type and message of what it raised."""
+    try:
+        got = study()
+    except (ConfigError, ComputationError) as exc:
+        return type(exc), str(exc)
+    return got.tobytes() if isinstance(got, np.ndarray) else repr(got)
+
+
+class TestReadWindow:
+    """f is sampled on the hull of the atoms a study reads, with its errors,
+    fits and failures bitwise those of f sampled on its whole window."""
+
+    # shannon reads all of f at every scale, so its slow j = 0 tables add nothing
+    @pytest.mark.parametrize("famspec, js", [
+        *((spec, js) for spec in [("haar",), ("daubechies", 1), ("daubechies", 2),
+                                  ("daubechies", 4), ("battle_lemarie", 2)]
+          for js in (range(3, 10), range(0, 7))),
+        (("shannon",), range(3, 10)),
+    ])
+    @pytest.mark.parametrize("fname, window", [("gaussian", (-1.0, 1.0)),
+                                               ("sine", (1.0, 2.0))])
+    def test_hull_equals_whole_window(self, suite, monkeypatch, famspec, js, fname, window):
+        fam, tf = family(*famspec), suite[fname]
+        studies = [lambda: sup_error_rates(tf, fam, js, window),
+                   *(lambda p=p: lp_error_trace(tf, fam, p, js, window) for p in (1, math.inf))]
+        hull = [outcome(study) for study in studies]
+        monkeypatch.setattr(convergence, "_read_window", lambda tf, *args: tf.window)
+        assert hull == [outcome(study) for study in studies]
+
+    @pytest.mark.parametrize("famspec", [("haar",), ("daubechies", 2), ("daubechies", 4)])
+    def test_compact_studies_sample_under_half_of_f(self, famspec):
+        # the README's gaussian rate studies on (-1, 1) read 11/32 to 15/32 of
+        # f's window (-4, 4)
+        fam, xs = family(*famspec), DyadicGrid(-1.0, 1.0, STUDY_LEVEL)
+        lo, hi = convergence._read_window(test_function("gaussian"), fam, range(3, 10), xs)
+        assert hi - lo < 4.0
+
+    def test_bl2_and_shannon_read_all_of_f(self):
+        tf, xs = test_function("gaussian"), DyadicGrid(-1.0, 1.0, STUDY_LEVEL)
+        for fam in (family("battle_lemarie", 2), family("shannon")):
+            assert convergence._read_window(tf, fam, range(3, 10), xs) == tf.window
 
 
 class TestTabulate:

@@ -31,6 +31,7 @@ from waverate.families import (
     autocorrelation_lags,
     battle_lemarie_series,
     euler_frobenius,
+    gram_orthonormality_defect,
     partition_of_unity_defect,
     refine_scaling,
     refined_tables,
@@ -442,6 +443,26 @@ class TestInvariantDefects:
             phi = refined_tables(fam, "phi", phi.grid.level + LAG_ORACLE_REFINE)
         got = translate_orthonormality_defect(phi)
         assert abs(got - shifted_copy_orthonormality_defect(phi)) <= 1e-15
+
+    @pytest.mark.parametrize("name,param", EVERY_SPEC)
+    def test_gram_lags_match_the_shifted_slices(self, name, param):
+        # the one Gram product reads the loop's lag sums on every family's
+        # held phi, up to the order of summation
+        phi = make_family(name, param).phi
+        got = gram_orthonormality_defect(phi)
+        assert abs(got - translate_orthonormality_defect(phi)) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["haar", "shannon"])
+    def test_the_box_and_sinc_decide_by_their_gram_product(self, name):
+        fam = make_family(name)
+        assert fam.invariants is gram_orthonormality_defect
+        want = translate_orthonormality_defect(fam.phi)
+        assert abs(check_family_invariants(fam)["translate_orthonormality"] - want) <= 1e-15
+
+    def test_the_box_gram_defect_is_the_loops_bit_for_bit(self):
+        # 0/1 samples on integer ends: every lag sum is exact either way
+        phi = make_family("haar").phi
+        assert gram_orthonormality_defect(phi) == translate_orthonormality_defect(phi) == 0.0
 
 
 def family_state(fam):

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -42,6 +44,21 @@ class TestAtomicWrites:
         atomic_write_text(path, "two\n")
         assert open(path).read() == "two\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_a_plain_new_files(self, tmp_path, umask):
+        # the artifact's mode is the one open() gives a new file under the
+        # umask, not the temp file's owner-only 0o600
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            write_json(str(tmp_path / "out.json"), {"a": 1})
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+        assert want == 0o666 & ~umask
+        assert stat.S_IMODE(os.stat(tmp_path / "out.json").st_mode) == want
 
     def test_csv_format(self, tmp_path):
         path = str(tmp_path / "t.csv")
