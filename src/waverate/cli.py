@@ -350,7 +350,7 @@ COMMANDS = {
         "--order": (int, REQUIRED, f"spline order k in 1..{MAX_ORDER}"),
         "--mesh-exponents": (str, REQUIRED, "m range with h = 2^-m, e.g. 2..6"),
         **_FORMAT,
-        "--check-optimality": (bool, False, "perturbing the finest fit must worsen it"),
+        "--check-optimality": (bool, False, "perturbing the finest fit must raise c'Gc - 2c'b"),
         "--seed": (int, PERTURBATION_SEED, "seed of the perturbations"),
     }, run_spline),
     "suite": ("run the acceptance battery", {

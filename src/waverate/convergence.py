@@ -16,9 +16,9 @@ Conventions
 * Every projection, partial sum and order-robustness term comes from the
   dyadic-lattice engine of ``waverate.expansion``: coefficients by the
   midpoint rule on the 2h lattice, values by strided synthesis or atom rows.
-* A study samples f once, on the family's quadrature lattice, finer than
-  the level-L grid its errors are read on (``quadrature_sample``); the rate
-  and L^p studies sample only the part of f's window their atoms read.
+* A study samples f once, on the family's quadrature lattice, finer than the
+  level-L grid its errors are read on: the rate, L^p and pointwise studies
+  where their atoms read it (``_read_sample``), the others on f's whole window.
 * Sup norms are grid suprema at the tabulation level L.
 * Rate slopes are positive decay exponents: sup_error ~ C 2^{-slope j},
   fitted by ``rate_report`` on the candidate levels above roundoff (j >= 3
@@ -115,7 +115,8 @@ class TestFunction(NamedTuple):
 
 
 def quadrature_sample(tf: TestFunction, fam: MRAFamily, level: int = STUDY_LEVEL):
-    """tf sampled where analysis on fam reads it, for errors on level-`level` grids."""
+    """tf on its whole window where analysis on fam reads it, for errors on level-`level`
+    grids: for studies of every translate meeting it (`expand`, suite criteria 2 and 6)."""
     return tf.tabulate(level + fam.quad_refine)
 
 
@@ -265,15 +266,11 @@ def pointwise_trace(tf: TestFunction, fam: MRAFamily, x: float, j_range) -> np.n
             f"point {x} too close to the window edge for level {j_min} "
             f"(needs margin {margin:.3g})"
         )
-    f = quadrature_sample(tf, fam)
     x_eval = _snap_right(x, STUDY_LEVEL)
     h = 2.0**-STUDY_LEVEL
     xs = DyadicGrid(x_eval - h, x_eval + h, STUDY_LEVEL)
-    rows = []
-    for j in j_range:
-        p = project(f, fam, j, xs)
-        rows.append((j, float(p.values[1])))
-    return np.array(rows)
+    f = _read_sample(tf, fam, j_range, xs)
+    return np.array([(j, float(project(f, fam, j, xs).values[1])) for j in j_range])
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +386,19 @@ def lp_error_trace(
     window,
     level: int = STUDY_LEVEL,
 ) -> np.ndarray:
-    """(j, ||P_j f - f||_p) pairs on a `check_window` window's grid; jumps are allowed."""
+    """(j, ||P_j f - f||_p) for j in j_range on a `check_window` window's grid; jumps allowed."""
     if p not in (1, 2, math.inf):
         raise ConfigError(f"p must be 1, 2 or inf, got {p}")
-    j_min, j_max = check_analysis(fam, tf.window, level, j_range)
-    if j_max - j_min < 3:
-        raise ConfigError("need at least 4 levels")
-    check_window(tf, fam, window, level, j_min)
+    check_window(tf, fam, window, level, check_analysis(fam, tf.window, level, j_range)[0])
     return np.column_stack((j_range, _window_errors(tf, fam, p, j_range, window, level)[1]))
 
 
 def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
-    """(f, errors) of a study: f sampled once at fam's quadrature level where
-    the study reads it (`_read_window`), and ||P_j f - f||_p on the
-    level-`level` window grid for each j in js, the truth read off f's own
-    table."""
+    """(f, errors) of a study: f from `_read_sample`, and ||P_j f - f||_p on
+    the level-`level` window grid for each j in js, the truth read off f's
+    own table."""
     xs = DyadicGrid(float(window[0]), float(window[1]), level)
-    f = tf.tabulate(level + fam.quad_refine, _read_window(tf, fam, js, xs))
+    f = _read_sample(tf, fam, js, xs)
     truth = f.on_lattice(level, xs.start, xs.count)
     errors = []
     for j in js:
@@ -413,6 +406,11 @@ def _window_errors(tf: TestFunction, fam: MRAFamily, p, js, window, level: int):
         errors.append(float(np.max(d)) if p == math.inf
                       else float(np.trapezoid(d**p, dx=xs.spacing)) ** (1.0 / p))
     return f, errors
+
+
+def _read_sample(tf: TestFunction, fam: MRAFamily, js, xs: DyadicGrid) -> SampledFunction:
+    """f at fam's quadrature level, `quad_refine` above xs's, on `_read_window`'s hull."""
+    return tf.tabulate(xs.level + fam.quad_refine, _read_window(tf, fam, js, xs))
 
 
 def _read_window(tf: TestFunction, fam: MRAFamily, js, xs: DyadicGrid) -> tuple:

@@ -481,13 +481,12 @@ def _series_defect(order: int, phi: SampledFunction) -> float:
 
 
 def partition_of_unity_defect(phi: SampledFunction) -> float:
-    """max over interior x in [0,1) of |sum_k phi(x-k) - 1|, the table's units
-    [k, k + 1) added in place in increasing k."""
-    step, values = 2**phi.grid.level, phi.values
-    total = np.zeros(step)
-    for i in range(-(phi.grid.start % step), values.size, step):  # x = k at index i
-        unit = values[max(i, 0) : i + step]
-        total[max(-i, 0) : max(-i, 0) + unit.size] += unit
+    """max over interior x in [0,1) of |sum_k phi(x-k) - 1| of a table on
+    integer ends, its units [k, k + 1) added in increasing k: the unit fold
+    of `gram_orthonormality_defect`, then the table's last sample at x = 0."""
+    v, step = phi.values, 2**phi.grid.level
+    total = v[:-1].reshape(-1, step).sum(axis=0)
+    total[0] += v[-1]
     return float(np.max(np.abs(total - 1.0)))
 
 

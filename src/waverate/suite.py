@@ -277,7 +277,7 @@ def crit_lp_convergence():
     worst_rel, sup_floor = 0.0, math.inf
     for j in range(2, 9):
         tf = midcell_step(j)
-        l1, sup = (lp_error_trace(tf, haar, p, range(j, j + 4), (-1.0, 1.0))[0][1]
+        l1, sup = (lp_error_trace(tf, haar, p, range(j, j + 1), (-1.0, 1.0))[0][1]
                    for p in (1, math.inf))
         worst_rel = max(worst_rel, abs(l1 / 2.0 ** -(j + 1) - 1.0))
         sup_floor = min(sup_floor, sup)

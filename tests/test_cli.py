@@ -734,6 +734,29 @@ class TestThreadIndependence:
             outs.append(json.loads((cwd / "f.json").read_bytes())["invariant_defects"])
         assert outs[0] == outs[1]
 
+    def test_studies_same_under_blas_threads(self, tmp_path):
+        # the approximation studies' artifacts and summaries, each thread
+        # count in its own fresh process running every study through main
+        argvs = [argv.split() for argv in (
+            "rate --family daubechies:2 --function gaussian --j 3..9 --out rate-db2.json",
+            "rate --family battle_lemarie:2 --function gaussian --j 3..9 --out rate-bl2.json",
+            "expand --family daubechies:2 --function gaussian --j 0..6 --out expand.json",
+            "kernel --family battle_lemarie:2 --j 0..6 --fit-decay exponential --out kernel.json",
+            "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality "
+            "--out spline.json --seed 3",
+        )]
+        script = f"from waverate.cli import main\nprint([main(argv) for argv in {argvs!r}])\n"
+        outs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            proc = run_python(["-c", script], cwd, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.decode().splitlines()[-1] == str([0] * len(argvs))
+            outs.append((proc.stdout, sorted((p.name, p.read_bytes()) for p in cwd.iterdir())))
+        assert len(outs[0][1]) == len(argvs)
+        assert outs[0] == outs[1]
+
 
 class TestSuiteCommand:
     def test_only_filter(self, tmp_path, capsys):

@@ -399,6 +399,29 @@ class TestReadWindow:
         for fam in (family("battle_lemarie", 2), family("shannon")):
             assert convergence._read_window(tf, fam, range(3, 10), xs) == tf.window
 
+    # db4's coarsest atoms at 0 need j >= 3 inside the oscillating indicator's (-1, 1)
+    @pytest.mark.parametrize("famspec, js", [(("haar",), range(2, 11)),
+                                             (("daubechies", 2), range(2, 11)),
+                                             (("daubechies", 4), range(3, 11))])
+    @pytest.mark.parametrize("fname", ["oscillating_indicator", "gaussian"])
+    def test_pointwise_trace_samples_the_hull(self, suite, monkeypatch, famspec, js, fname):
+        # the trace at 0 samples part of f's table, and is bitwise the trace
+        # of f sampled on its whole window
+        fam, tf = family(*famspec), suite[fname]
+        counts, tabulate = [], convergence.TestFunction.tabulate
+
+        def counting(self, *args):
+            f = tabulate(self, *args)
+            counts.append(f.grid.count)
+            return f
+
+        monkeypatch.setattr(convergence.TestFunction, "tabulate", counting)
+        hull = pointwise_trace(tf, fam, 0.0, js)
+        monkeypatch.setattr(convergence, "_read_window", lambda tf, *args: tf.window)
+        whole = pointwise_trace(tf, fam, 0.0, js)
+        assert counts[0] < counts[1] == DyadicGrid(*tf.window, STUDY_LEVEL + fam.quad_refine).count
+        assert hull.tobytes() == whole.tobytes()
+
 
 class TestTabulate:
     @pytest.mark.parametrize("level", [10, 12, 13, 15])
@@ -445,6 +468,15 @@ class TestLpErrorTrace:
             tf = midcell_step(j)
             tr = lp_error_trace(tf, haar, 1, range(j, j + 4), (-1.0, 1.0))
             assert tr[0][1] == pytest.approx(2.0 ** -(j + 1), rel=2.0 ** (j - 12) + 1e-12)
+
+    @pytest.mark.parametrize("p", [1, math.inf])
+    def test_one_level_is_the_first_row_of_four(self, haar, p):
+        # a window study's sample and analysis buffer do not depend on the
+        # other levels it analyses, so a one-level trace is bitwise row 0
+        for j in range(2, 9):
+            one = lp_error_trace(midcell_step(j), haar, p, range(j, j + 1), (-1.0, 1.0))
+            four = lp_error_trace(midcell_step(j), haar, p, range(j, j + 4), (-1.0, 1.0))
+            assert one.tobytes() == four[:1].tobytes()
 
     def test_midcell_step_sup_never_converges(self, haar):
         # the jump at the center of a level-j cell: P_j f reads 1/2 across it

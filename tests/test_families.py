@@ -434,6 +434,20 @@ class TestInvariantDefects:
         assert got == interpolated_orthonormality_defect(phi)
 
     @pytest.mark.parametrize("name,param", EVERY_SPEC)
+    def test_partition_fold_is_the_unit_loop(self, name, param):
+        # every table has integer ends, so the one fold adds the units
+        # [k, k + 1) in the loop's order, in increasing k
+        fam = make_family(name, param)
+        for level in (10, 11, 13):
+            phi = refined_tables(fam, "phi", level)
+            step, v = 2**level, phi.values
+            assert phi.grid.start % step == 0
+            total = np.zeros(step)
+            for i in range(0, v.size, step):
+                total[: v[i : i + step].size] += v[i : i + step]
+            assert partition_of_unity_defect(phi) == float(np.max(np.abs(total - 1.0)))
+
+    @pytest.mark.parametrize("name,param", EVERY_SPEC)
     def test_overlap_lags_match_shifted_copies(self, name, param):
         # on the held tables, and on the finer Daubechies tables whose lag
         # sums are the oracle of `autocorrelation_lags`

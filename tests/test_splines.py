@@ -421,6 +421,12 @@ class TestBestApproximation:
         _, f, fits = spline_convergence_study(suite["sine"], 2, range(2, 7))
         assert all(perturbation_optimality(f, fits[-1], seed=seed) for seed in range(32))
 
+    def test_cusp_order_one_is_optimal_for_every_seed(self, suite):
+        # the energy the solve minimises, not a lattice residual that reads
+        # the knots' midpoint values, decides `spline --function cusp --order 1`
+        _, f, fits = spline_convergence_study(suite["cusp"], 1, range(2, 7))
+        assert all(perturbation_optimality(f, fits[-1], seed=seed) for seed in range(200))
+
     def test_perturbation_optimality_catches_a_moved_fit(self, sine_fit):
         f, approx = sine_fit
         moved = SplineApproximation(approx.space, approx.coefficients + 1e-2)
