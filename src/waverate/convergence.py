@@ -43,7 +43,6 @@ from .expansion import (
     check_analysis,
     complete_schedule_check,
     project,
-    translate_range,
     validate_schedule,
 )
 from .families import MRAFamily
@@ -414,23 +413,23 @@ def _read_sample(tf: TestFunction, fam: MRAFamily, js, xs: DyadicGrid) -> Sample
 
 
 def _read_window(tf: TestFunction, fam: MRAFamily, js, xs: DyadicGrid) -> tuple:
-    """The part of f's window that P_j f on xs reads for j in js: the hull of
-    the supports [(k + s0) 2^-j, (k + s1) 2^-j] of every translate k that
-    `project` analyses at every j, which covers xs, cut to f's window.
+    """The part of f's window that P_j f on xs reads for j in js: xs widened
+    by (s1 - s0) 2^-j at each end for the coarsest scale j = js[0], cut to
+    f's window.
 
-    A finer scale's atoms reach past a coarser one's when the support is
-    under two units wide, hence the union over every j.  Its ends move in
-    from f's by whole pairs of quadrature samples, so analysis reads the same
-    odd samples of f, which are bitwise those of f's whole table, into a
-    buffer of the same shape: every product and error is unchanged."""
+    Every translate k that `project` analyses at scale j has its support
+    [(k + s0) 2^-j, (k + s1) 2^-j] within (s1 - s0) 2^-j of xs, by the ceil
+    and floor of `translate_range`, a reach that only grows as j falls.  The
+    hull's ends move in from f's by whole pairs of quadrature samples, so
+    analysis reads the same odd samples of f, which are bitwise those of f's
+    whole table, into a buffer of the same shape: every product and error is
+    unchanged."""
     scale = 2.0 ** (xs.level + fam.quad_refine)
     first, last = (round(end * scale) for end in tf.window)
-    (s0, s1), lo, hi = fam.support, xs.left, xs.right
-    for j in js:
-        ks = translate_range(fam, j, (xs.left, xs.right))
-        lo, hi = min(lo, (ks.start + s0) * 2.0**-j), max(hi, (ks[-1] + s1) * 2.0**-j)
-    first += 2 * max(0, math.floor((lo * scale - first) / 2))
-    last -= 2 * max(0, math.floor((last - hi * scale) / 2))
+    s0, s1 = fam.support
+    pad = (s1 - s0) * 2.0 ** -js[0]
+    first += 2 * max(0, math.floor(((xs.left - pad) * scale - first) / 2))
+    last -= 2 * max(0, math.floor((last - (xs.right + pad) * scale) / 2))
     return first / scale, last / scale
 
 

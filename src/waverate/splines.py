@@ -47,7 +47,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import (SAMPLE_CHUNK, ComputationError, ConfigError, DyadicGrid,
-                    SampledFunction, check_study_level, check_table_level, scale_span)
+                    SampledFunction, check_study_level, check_table_level, scale_span,
+                    strided_read)
 
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
@@ -247,7 +248,7 @@ class SplineApproximation(NamedTuple):
         table's arguments are __call__'s exactly, so the values are bitwise
         __call__'s.
         """
-        k, n, coef = self.space.order, self.space.basis_count, self.coefficients
+        k, coef = self.space.order, self.coefficients
         m = math.ldexp(self.space.mesh, level)
         origin = math.ldexp(self.space.window[0], level)
         if not (m >= 1 and m.is_integer() and origin.is_integer()):
@@ -257,10 +258,8 @@ class SplineApproximation(NamedTuple):
             )
         m, first = int(m), start - int(origin)
         lo, cells = first // m, (first + count - 1) // m - first // m + 1
-        # padded[t + 1 + c] = coef[lo + c + t], 0 outside 0..n-1
-        padded = np.zeros(cells + k)
-        i0, i1 = max(lo - 1, 0), min(lo + cells + k - 1, n)
-        padded[i0 - lo + 1 : i1 - lo + 1] = coef[i0:i1]
+        # padded[t + 1 + c] = coef[lo + c + t], 0 past coef's ends
+        padded = strided_read(coef, lo - 1, 1, cells + k)
         pieces = cardinal_bspline(k, np.arange(k + 1)[:, None] + np.arange(m) / m)
         out = np.empty(count)
         per_block = max(1, SAMPLE_CHUNK // m)

@@ -4,8 +4,8 @@ one contract of the toolkit and is one row of the suite's summary.csv.
 ``CRITERIA`` lists the battery's units in report order, each a runner that
 returns the tuple of its rows, and ``NAMES`` each unit's row ids and names.
 Every unit is one row but the one of criteria 7, 8 and 9, which read the
-same sup-norm studies and critical orders and so compute them once, as
-locals.  ``waverate suite`` (`cli.run_suite`) runs the units, and
+same sup-norm studies and critical orders and so compute them once, in one
+pass per family of `_BATTERY`.  ``waverate suite`` (`cli.run_suite`) runs the units, and
 tests/test_acceptance.py runs each on its own.
 """
 
@@ -199,76 +199,54 @@ def crit_summation_order():
     )
 
 
-#: the families of criteria 7, 8 and 9: label -> make_family arguments
-_BATTERY_FAMILIES = {
-    "haar": ("haar", None),
-    "db2": ("daubechies", 2),
-    "bl2": ("battle_lemarie", 2),
-}
-
-_SLOPE_TARGETS = {
-    "haar": (0.85, 1.1),
-    "db2": (1.8, 2.2),
-    "bl2": (1.8, 2.2),
-}
-
-_CRITICAL_TARGETS = {
-    "haar": (1.0, 0.1),
-    "db2": (2.0, 0.15),
-    "bl2": (2.0, 0.15),
+#: the families of criteria 7, 8 and 9: label -> (make_family arguments,
+#: row 7's window for the gaussian's sup-norm slope, row 8's (s*, tolerance))
+_BATTERY = {
+    "haar": (("haar", None), (0.85, 1.1), (1.0, 0.1)),
+    "db2": (("daubechies", 2), (1.8, 2.2), (2.0, 0.15)),
+    "bl2": (("battle_lemarie", 2), (1.8, 2.2), (2.0, 0.15)),
 }
 
 
 def crit_rate_and_critical_orders():
-    """Rows 7, 8 and 9, one claim of the paper read off one set of studies:
-    each family's sup-norm rate on the gaussian (7) and its wavelet critical
-    order s*, whose verdicts must not depend on eps (8), must agree, and so
-    must its wavelet and scaling critical orders (9)."""
+    """Rows 7, 8 and 9, one claim of the paper read off one pass per family:
+    its sup-norm rate on the gaussian (7) and its wavelet critical order s*,
+    whose verdicts must not depend on eps (8), must agree, and so must its
+    wavelet and scaling critical orders (9)."""
     gaussian = test_function("gaussian")
-    fams = {label: make_family(*spec) for label, spec in _BATTERY_FAMILIES.items()}
-    reports = {
-        label: sup_error_rates(gaussian, fam, range(3, 10), (-1.0, 1.0))
-        for label, fam in fams.items()
-    }
-    s_star = {label: critical_order(fam).s_star for label, fam in fams.items()}
-    eps_ok = True
-    for label, fam in fams.items():
-        around = (s_star[label] - 0.3, s_star[label] + 0.3)
-        by_eps = [
-            [r.diverged for r in criterion_sweep(fam, around, eps)]
-            for eps in (0.5, 1.0, 2.0)
-        ]
+    slopes, orders, gaps = [], [], []
+    slopes_ok = orders_ok = gaps_ok = eps_ok = True
+    for label, (spec, (lo, hi), (target, tol)) in _BATTERY.items():
+        fam = make_family(*spec)
+        rep = sup_error_rates(gaussian, fam, range(3, 10), (-1.0, 1.0))
+        s = critical_order(fam).s_star
+        by_eps = [[r.diverged for r in criterion_sweep(fam, (s - 0.3, s + 0.3), eps)]
+                  for eps in (0.5, 1.0, 2.0)]
         # one verdict per s across every eps
         eps_ok &= all(len(set(verdicts)) == 1 for verdicts in zip(*by_eps))
-    gaps = {
-        label: (
-            abs(reports[label].slope - s),
-            abs(s - critical_order(fams[label], criterion="scaling").s_star),
-        )
-        for label, s in s_star.items()
-    }
+        gap = abs(rep.slope - s)
+        ws = abs(s - critical_order(fam, criterion="scaling").s_star)
+        slopes_ok &= lo <= rep.slope <= hi and rep.r_squared > 0.99
+        orders_ok &= abs(s - target) <= tol
+        gaps_ok &= gap <= 0.25 and ws <= 0.15
+        slopes.append(f"{label}={rep.slope:.3f}")
+        orders.append(f"{label}={s:.3f}")
+        gaps.append(f"{label}:|slope-s*|={gap:.3f},|w-s|={ws:.3f}")
     return _row(
         "7",
         "haar in [0.85,1.1]; db2, bl2 in [1.8,2.2]; R^2 > 0.99",
-        " ".join(f"{label}={r.slope:.3f}" for label, r in reports.items()),
-        all(
-            lo <= reports[label].slope <= hi and reports[label].r_squared > 0.99
-            for label, (lo, hi) in _SLOPE_TARGETS.items()
-        ),
+        " ".join(slopes),
+        slopes_ok,
     ) + _row(
         "8",
         "haar 1.0 +- 0.1; db2, bl2 2.0 +- 0.15; eps-independent verdicts",
-        " ".join(f"{label}={s:.3f}" for label, s in s_star.items())
-        + f" eps_independent={eps_ok}",
-        eps_ok
-        and all(abs(s_star[label] - target) <= tol
-                for label, (target, tol) in _CRITICAL_TARGETS.items()),
+        " ".join(orders) + f" eps_independent={eps_ok}",
+        eps_ok and orders_ok,
     ) + _row(
         "9",
         "|slope - s*| <= 0.25; wavelet vs scaling thresholds within 0.15",
-        " ".join(f"{label}:|slope-s*|={gap:.3f},|w-s|={ws:.3f}"
-                 for label, (gap, ws) in gaps.items()),
-        all(gap <= 0.25 and ws <= 0.15 for gap, ws in gaps.values()),
+        " ".join(gaps),
+        gaps_ok,
     )
 
 

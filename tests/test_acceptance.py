@@ -13,6 +13,7 @@ import functools
 import pytest
 
 from waverate.cli import CRITERIA, NAMES, main
+from waverate.suite import _BATTERY
 
 #: (unit id, row id) of every row of summary.csv, in report order
 ROWS = [(uid, cid) for uid, _ in CRITERIA for cid in NAMES[uid]]
@@ -37,6 +38,16 @@ def test_criterion(uid, cid):
         f"criterion {row['id']} ({row['name']}) failed: "
         f"expected {row['expected']}, observed {row['observed']}"
     )
+
+
+def test_battery_targets_in_expected():
+    # each battery family's slope window and critical order, as rows 7 and 8
+    # print them, in a clause that names the family
+    clauses = {row["id"]: row["expected"].split("; ") for row in unit_rows("7")}
+    for label, (_, (lo, hi), (s_star, tol)) in _BATTERY.items():
+        for cid, target in (("7", f" in [{lo},{hi}]"), ("8", f" {s_star} +- {tol}")):
+            assert any(label in clause.removesuffix(target).replace(",", "").split()
+                       for clause in clauses[cid] if clause.endswith(target)), (label, cid)
 
 
 def test_criterion_12_full_suite_determinism(tmp_path):

@@ -735,8 +735,9 @@ class TestThreadIndependence:
         assert outs[0] == outs[1]
 
     def test_studies_same_under_blas_threads(self, tmp_path):
-        # the approximation studies' artifacts and summaries, each thread
-        # count in its own fresh process running every study through main
+        # the approximation studies', critical orders' and suite runs'
+        # artifacts and summaries, each thread count in its own fresh process
+        # running every study through main
         argvs = [argv.split() for argv in (
             "rate --family daubechies:2 --function gaussian --j 3..9 --out rate-db2.json",
             "rate --family battle_lemarie:2 --function gaussian --j 3..9 --out rate-bl2.json",
@@ -744,6 +745,12 @@ class TestThreadIndependence:
             "kernel --family battle_lemarie:2 --j 0..6 --fit-decay exponential --out kernel.json",
             "spline --function sine --order 2 --mesh-exponents 2..6 --check-optimality "
             "--out spline.json --seed 3",
+            "sobolev --family haar --sweep-s 0.1..2.0:0.1",
+            "sobolev --family daubechies:6 --criterion scaling",
+            "sobolev --family battle_lemarie:3 --criterion scaling",
+            "sobolev --family daubechies:4",
+            "suite --out rep",
+            "suite --jobs 2 --out rep2",
         )]
         script = f"from waverate.cli import main\nprint([main(argv) for argv in {argvs!r}])\n"
         outs = []
@@ -753,8 +760,10 @@ class TestThreadIndependence:
             proc = run_python(["-c", script], cwd, OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.decode().splitlines()[-1] == str([0] * len(argvs))
-            outs.append((proc.stdout, sorted((p.name, p.read_bytes()) for p in cwd.iterdir())))
-        assert len(outs[0][1]) == len(argvs)
+            outs.append((proc.stdout, sorted((p.relative_to(cwd).as_posix(), p.read_bytes())
+                                             for p in cwd.rglob("*") if p.is_file())))
+        # the sobolev studies only print; each other study writes one artifact
+        assert len(outs[0][1]) == len(argvs) - 4
         assert outs[0] == outs[1]
 
 
@@ -1648,7 +1657,7 @@ class TestTablesOnFirstRead:
         # criteria 8 and 9 read each spectrum off the family's construction;
         # their unit's rate studies read the tables
         reads = counted_families(monkeypatch, families)
-        for spec in suite._BATTERY_FAMILIES.values():
+        for spec, _, _ in suite._BATTERY.values():
             fam = families.make_family(*spec)
             for criterion in ("wavelet", "scaling"):
                 suite.critical_order(fam, criterion=criterion)

@@ -365,9 +365,30 @@ def outcome(study):
     return got.tobytes() if isinstance(got, np.ndarray) else repr(got)
 
 
+#: every family the code accepts
+EVERY_SPEC = [("haar", None), *(("daubechies", n) for n in range(1, 11)),
+              *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", None)]
+
+
 class TestReadWindow:
     """f is sampled on the hull of the atoms a study reads, with its errors,
     fits and failures bitwise those of f sampled on its whole window."""
+
+    @pytest.mark.parametrize("spec", EVERY_SPEC)
+    @given(left=st.integers(-128, 120), width=st.integers(1, 64), j0=st.integers(0, 8),
+           levels=st.integers(1, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_hull_holds_every_analysed_support(self, spec, left, width, j0, levels):
+        # the window (left, left + width) 2^-5 inside the gaussian's (-4, 4)
+        fam, tf = family(*spec), test_function("gaussian")
+        (s0, s1), js = fam.support, range(j0, j0 + levels)
+        xs = DyadicGrid(left / 32, min(left + width, 128) / 32, STUDY_LEVEL)
+        lo, hi = convergence._read_window(tf, fam, js, xs)
+        assert tf.window[0] <= lo and hi <= tf.window[1]
+        for j in js:
+            ks = translate_range(fam, j, (xs.left, xs.right))
+            assert lo <= max(tf.window[0], (ks.start + s0) * 2.0**-j)
+            assert hi >= min(tf.window[1], (ks[-1] + s1) * 2.0**-j)
 
     # shannon reads all of f at every scale, so its slow j = 0 tables add nothing
     @pytest.mark.parametrize("famspec, js", [

@@ -328,7 +328,7 @@ class TestExports:
         export_bound_report(haar_report, fit, str(tmp_path / "r.json"))
         import json
 
-        doc = json.loads(open(tmp_path / "r.json").read())
+        doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["passes"] and "fit" in doc
         # the report's own keys, the envelope aside
         assert sorted(doc) == sorted(

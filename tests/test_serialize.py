@@ -42,7 +42,7 @@ class TestAtomicWrites:
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "one\n")
         atomic_write_text(path, "two\n")
-        assert open(path).read() == "two\n"
+        assert (tmp_path / "out.txt").read_text() == "two\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
@@ -63,14 +63,14 @@ class TestAtomicWrites:
     def test_csv_format(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_csv(path, ["a", "b"], [[1, 0.5], ["x", 2.0], ["p, q", 3]])
-        assert open(path).read() == 'a,b\n1,0.5\nx,2\n"p, q",3\n'
+        assert (tmp_path / "t.csv").read_text() == 'a,b\n1,0.5\nx,2\n"p, q",3\n'
 
     def test_json_deterministic(self, tmp_path):
         payload = {"b": 1.5, "a": [np.float64(0.25)]}
         p1, p2 = str(tmp_path / "1.json"), str(tmp_path / "2.json")
         write_json(p1, payload)
         write_json(p2, {"a": [0.25], "b": 1.5})
-        assert open(p1).read() == open(p2).read()
+        assert (tmp_path / "1.json").read_text() == (tmp_path / "2.json").read_text()
 
 
 class TestWriteRecord:
