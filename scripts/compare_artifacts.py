@@ -77,8 +77,9 @@ REJECTIONS = (
     "rate --family haar --function gaussian --j 3..9 --out .",
     "family --family haar --out new/",
 )
-#: the family table of one family per source, and of every spline series
-#: order: its phi and psi values, filter and decay
+#: the family table of one family per source, and of the spline series
+#: orders 2..4 (a base tree from before orders 5..8 were accepted has no
+#: table of those): its phi and psi values, filter and decay
 FAMILY_TABLES = tuple(
     f"family --family {spec} --out family.json"
     for spec in ("haar", "daubechies:3", "daubechies:10", "battle_lemarie:2",

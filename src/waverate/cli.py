@@ -445,10 +445,12 @@ def parse_args(argv=None) -> SimpleNamespace:
 
 
 def _check_out(args) -> None:
-    """Raise ConfigError if a command's --out file names a directory (it is
-    one, or ends in a separator, ``.`` or ``..``), or if the directory --out
-    writes into lies under a file, that is, if its nearest existing ancestor
-    is not a directory."""
+    """Raise ConfigError if --out is empty, if a command's --out file names a
+    directory (it is one, or ends in a separator, ``.`` or ``..``), or if the
+    directory --out writes into lies under a file, that is, if its nearest
+    existing ancestor is not a directory."""
+    if args.out == "":
+        raise ConfigError("--out: empty path")
     out, suite = args.out or "", args.command == "suite"
     if out and not suite and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
         raise ConfigError(f"--out: {out} names a directory, not a file")

@@ -49,11 +49,10 @@ from .grids import (
     product_quad,
     sample,
 )
-from .splines import SplineApproximation, cardinal_autocorrelation, make_space
+from .splines import MAX_ORDER, SplineApproximation, cardinal_autocorrelation, make_space
 
 #: level at which every family tabulates phi and psi
 FAMILY_LEVEL = 10
-BATTLE_LEMARIE_MAX_ORDER = 4
 SHANNON_RADIUS = 64.0
 
 # supports and tail classes; the box's tables run a unit past [0, 1] for the
@@ -276,7 +275,7 @@ def _subdivision_tabulator(filter: FilterPair) -> Callable:
 # Battle-Lemarie as integer-knot spline series
 
 #: Fourier coefficients per series: both symbols are analytic, and the
-#: slowest, d_p of order 4, decays like e^{-0.31 |p|}, so aliasing is < 1e-30
+#: slowest, d_p of order 8, decays like e^{-0.155 |p|}, so aliasing is < 1e-18
 _BL_COEFFICIENTS = 512
 #: the tables stop where every coefficient beyond is below this
 _BL_TRUNCATION = 1e-12
@@ -570,8 +569,8 @@ def _subdivision(param) -> MRAFamily:
 def _spline_series(param) -> MRAFamily:
     """battle_lemarie:k: the order-k series, its translates' orthonormality
     exact from its coefficients; k = 1 is the box."""
-    if type(param) is not int or not 1 <= param <= BATTLE_LEMARIE_MAX_ORDER:
-        raise ConfigError(f"battle_lemarie order must be in 1..{BATTLE_LEMARIE_MAX_ORDER}")
+    if type(param) is not int or not 1 <= param <= MAX_ORDER:
+        raise ConfigError(f"battle_lemarie order must be in 1..{MAX_ORDER}")
     if param == 1:
         return _box()._replace(name="battle_lemarie", param=1)
     return MRAFamily("battle_lemarie", None, param, _battle_lemarie_symbol(param),

@@ -52,8 +52,8 @@ from .grids import (SAMPLE_CHUNK, ComputationError, ConfigError, DyadicGrid,
 
 #: f must be tabulated at least this many samples per mesh cell
 MIN_SAMPLES_PER_CELL = 8
-#: largest order a study accepts: the gaussian still fits order 8 at slope
-#: 8.6 (meshes 2^-2..2^-5, three of them above the roundoff floor)
+#: largest order a spline study and battle_lemarie:k accept: the gaussian
+#: still fits order 8 at slope 8.6 (meshes 2^-2..2^-5, three above roundoff)
 MAX_ORDER = 8
 #: default seed for the perturbation-optimality check
 PERTURBATION_SEED = 20260823

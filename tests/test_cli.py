@@ -91,7 +91,8 @@ BAD_FAMILY_PARAMETERS = [
     ("shannon:7", "shannon takes no parameter, got 7"),
     ("daubechies:0", "daubechies moments must be in 1..10, got 0"),
     ("daubechies:11", "daubechies moments must be in 1..10, got 11"),
-    ("battle_lemarie:5", "battle_lemarie order must be in 1..4"),
+    ("battle_lemarie:0", f"battle_lemarie order must be in 1..{MAX_ORDER}"),
+    (f"battle_lemarie:{MAX_ORDER + 1}", f"battle_lemarie order must be in 1..{MAX_ORDER}"),
 ]
 
 BAD_STUDIES = [
@@ -1059,6 +1060,22 @@ class TestOutNamingADirectory:
             assert capsys.readouterr().err == f"error: --out: {out} names a directory, not a file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
         assert list((tmp_path / "D").iterdir()) == []
+
+
+class TestEmptyOut:
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_exits_1_before_compute(self, command, tmp_path, monkeypatch, capsys):
+        # an unset $OUT in a script must not pass as a run that wrote nothing
+        # (or, for suite, as the default report directory)
+        def refuse(args):
+            raise AssertionError("computed")
+
+        monkeypatch.setitem(cli.COMMANDS, command, (*cli.COMMANDS[command][:2], refuse))
+        monkeypatch.chdir(tmp_path)
+        for out in (["--out", ""], ["--out="]):
+            assert main(OUT_COMMANDS[command].split() + out) == 1
+            assert capsys.readouterr().err == "error: --out: empty path\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

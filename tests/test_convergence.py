@@ -36,6 +36,8 @@ from waverate.grids import ComputationError, ConfigError, SampledFunction
 from waverate.serialize import write_record
 from waverate.sobolev import critical_order
 
+from conftest import ENGINE_SPECS, SERIES_ORDERS
+
 
 @functools.cache
 def family(*spec):
@@ -113,12 +115,14 @@ class TestPointwiseTrace:
 
 
 #: how many of the levels j = 3..9 each gaussian rate fit on (-1, 1) rests on:
-#: those whose sup error lies above the roundoff floor
+#: those whose sup error lies above the roundoff floor; every series order
+#: from 3 on, so a new order fails here until its count is added
 GAUSSIAN_FITTED_LEVELS = {
     ("daubechies", 1): 7, ("daubechies", 3): 7, ("daubechies", 4): 7,
     ("daubechies", 5): 6, ("daubechies", 6): 4, ("daubechies", 7): 4,
     ("daubechies", 8): 3, ("daubechies", 9): 2, ("daubechies", 10): 2,
-    ("battle_lemarie", 3): 7, ("battle_lemarie", 4): 7,
+    **dict(zip((("battle_lemarie", k) for k in SERIES_ORDERS[1:]), (7, 7, 5, 3, 2, 2),
+               strict=True)),
 }
 
 
@@ -133,17 +137,20 @@ class TestSupErrorRates:
         assert 1.8 <= r.slope <= 2.2
         assert r.fitted_levels == tuple(range(3, 10))
 
-    @pytest.mark.parametrize(
-        "famspec", [("daubechies", 3), ("daubechies", 4), ("daubechies", 5),
-                    ("battle_lemarie", 3), ("battle_lemarie", 4)]
-        + [("daubechies", n) for n in range(6, 11)] + [("daubechies", 1)]
-    )
+    @pytest.mark.parametrize("famspec", [
+        pytest.param(spec, marks=pytest.mark.xfail(strict=True, reason=(
+            "slope 8.258 from j = 3, 4 alone: the error meets the roundoff floor at j = 5, "
+            "before the local slope settles to 8 (ROADMAP item 2: a two-level fit needs "
+            "a witness)")))
+        if spec == ("battle_lemarie", 8) else spec
+        for spec in GAUSSIAN_FITTED_LEVELS
+    ])
     def test_slope_tracks_vanishing_moments(self, suite, famspec):
         # f sampled on the quadrature lattice leaves the errors no floor
         # above roundoff.  From daubechies:5 on the finest levels reach
         # roundoff (db6: 4.7e-15, 2.1e-15 at j = 8, 9), and the fit reads
-        # only the levels above the roundoff floor: for db9 and db10 that is
-        # j = 3, 4, where R^2 is 1 by construction
+        # only the levels above the roundoff floor: for db9, db10, bl7 and
+        # bl8 that is j = 3, 4, where R^2 is 1 by construction
         fam = make_family(*famspec)
         r = sup_error_rates(suite["gaussian"], fam, range(3, 10), (-1.0, 1.0))
         assert abs(r.slope - fam.vanishing_moments) <= 0.25
@@ -365,16 +372,11 @@ def outcome(study):
     return got.tobytes() if isinstance(got, np.ndarray) else repr(got)
 
 
-#: every family the code accepts
-EVERY_SPEC = [("haar", None), *(("daubechies", n) for n in range(1, 11)),
-              *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", None)]
-
-
 class TestReadWindow:
     """f is sampled on the hull of the atoms a study reads, with its errors,
     fits and failures bitwise those of f sampled on its whole window."""
 
-    @pytest.mark.parametrize("spec", EVERY_SPEC)
+    @pytest.mark.parametrize("spec", ENGINE_SPECS)
     @given(left=st.integers(-128, 120), width=st.integers(1, 64), j0=st.integers(0, 8),
            levels=st.integers(1, 7))
     @settings(max_examples=40, deadline=None)

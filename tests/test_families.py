@@ -38,7 +38,10 @@ from waverate.families import (
     translate_orthonormality_defect,
 )
 from waverate.grids import ComputationError, ConfigError, product_quad
-from waverate.splines import SplineApproximation, cardinal_bspline, make_space
+from waverate.splines import (SplineApproximation, cardinal_autocorrelation, cardinal_bspline,
+                              make_space)
+
+from conftest import ENGINE_ORDERS, ENGINE_SPECS, EVERY_SPEC, SERIES_ORDERS
 
 
 def integer_values_oracle(filt):
@@ -66,11 +69,6 @@ def haar_box(level: int) -> SampledFunction:
     phi(1) = 1/2, the midpoint values at the jumps."""
     table = SampledFunction(DyadicGrid(-1.0, 2.0, 0), np.array([0.0, 0.5, 0.5, 0.0]))
     return refine_scaling(haar_filter(), table, level)
-
-
-#: every family the code accepts
-EVERY_SPEC = [("haar", None), *(("daubechies", n) for n in range(1, 11)),
-              *(("battle_lemarie", k) for k in range(1, 5)), ("shannon", None)]
 
 
 class TestSubdivisionScaling:
@@ -433,7 +431,7 @@ class TestInvariantDefects:
         got = translate_orthonormality_defect(phi)
         assert got == interpolated_orthonormality_defect(phi)
 
-    @pytest.mark.parametrize("name,param", EVERY_SPEC)
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     def test_partition_fold_is_the_unit_loop(self, name, param):
         # every table has integer ends, so the one fold adds the units
         # [k, k + 1) in the loop's order, in increasing k
@@ -447,7 +445,7 @@ class TestInvariantDefects:
                 total[: v[i : i + step].size] += v[i : i + step]
             assert partition_of_unity_defect(phi) == float(np.max(np.abs(total - 1.0)))
 
-    @pytest.mark.parametrize("name,param", EVERY_SPEC)
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     def test_overlap_lags_match_shifted_copies(self, name, param):
         # on the held tables, and on the finer Daubechies tables whose lag
         # sums are the oracle of `autocorrelation_lags`
@@ -458,7 +456,7 @@ class TestInvariantDefects:
         got = translate_orthonormality_defect(phi)
         assert abs(got - shifted_copy_orthonormality_defect(phi)) <= 1e-15
 
-    @pytest.mark.parametrize("name,param", EVERY_SPEC)
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     def test_gram_lags_match_the_shifted_slices(self, name, param):
         # the one Gram product reads the loop's lag sums on every family's
         # held phi, up to the order of summation
@@ -605,7 +603,7 @@ class TestRefinedTables:
         table = make_family("shannon").tabulate("phi", level)
         assert table.values.tobytes() == np.sinc(table.x()).tobytes()
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", ENGINE_ORDERS)
     @pytest.mark.parametrize("level", [10, 13])
     def test_series_table_blocks_are_the_whole_sum(self, k, level):
         # accumulated a block of cells at a time, each series table is the sum
@@ -623,7 +621,7 @@ class TestRefinedTables:
 
 
 #: the families whose tables are splines: the box (order 1) and Battle-Lemarie
-SPLINE_SPECS = [("haar", None), *(("battle_lemarie", k) for k in range(1, 5))]
+SPLINE_SPECS = [spec for spec in EVERY_SPEC if spec[0] in ("haar", "battle_lemarie")]
 
 
 def spline_oracle(fam, gen):
@@ -643,17 +641,28 @@ def spline_oracle(fam, gen):
     return SplineApproximation(space, np.array(coef, dtype=float))
 
 
+#: above order 4 the per-point oracle on every node of a level-13 table takes
+#: 1.5 to 7.5 s, so the sweep reads every SPARSE_SWEEP-th node and the last;
+#: the stride is odd and below every such table's cell count (109 to 182), so
+#: the nodes read meet every phase of a cell
+SPARSE_SWEEP = 101
+
+
 class TestSplineTables:
     @pytest.mark.parametrize("spec", SPLINE_SPECS)
     @pytest.mark.parametrize("extra", [0, 3])
     def test_tables_are_the_spline_read_pointwise(self, spec, extra):
-        # each table is bitwise the spline's per-point oracle at its nodes
+        # each table is bitwise the spline's per-point oracle at its nodes:
+        # every node up to order 4, every SPARSE_SWEEP-th and the last above
         fam = make_family(*spec)
+        stride = 1 if fam.vanishing_moments <= 4 else SPARSE_SWEEP
         for gen in ("phi", "psi"):
             table = fam.tabulate(gen, FAMILY_LEVEL + extra)
             assert table.grid == DyadicGrid(*fam.support, FAMILY_LEVEL + extra)
-            want = spline_oracle(fam, gen)(table.x())
-            assert table.values.tobytes() == want.tobytes()
+            last = table.grid.count - 1
+            nodes = np.r_[0:last:stride, last]
+            want = spline_oracle(fam, gen)(table.x()[nodes])
+            assert table.values[nodes].tobytes() == want.tobytes()
 
 
 class TestDaubechiesSupport:
@@ -841,6 +850,14 @@ class TestEulerFrobenius:
         assert np.max(np.abs(euler_frobenius(xi, 3) / total - 1.0)) < 1e-12
 
 
+def lag_sums(f, g, row):
+    """sum_u f_u g_{u - m row} for every m at which f and g overlap, in
+    increasing m: the diagonal sums of one Gram product of their rows"""
+    a, b = f.reshape(-1, row), g.reshape(-1, row)
+    lags = np.subtract.outer(np.arange(len(a)), np.arange(len(b))) + len(b) - 1
+    return np.bincount(lags.ravel(), (a @ b.T).ravel())
+
+
 class TestBattleLemarieSeries:
     def test_order_one_series_is_haar(self):
         # c = delta_0 and d = (-1, 1) at p = 0, 1: the box and its Haar wavelet
@@ -858,7 +875,7 @@ class TestBattleLemarieSeries:
         c0 = mp.quad(lambda xi: ((2 + mp.cos(xi)) / 3) ** -0.5, [0, mp.pi]) / mp.pi
         assert abs(make_family("battle_lemarie", 2).phi(0.0) - float(c0)) < 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", ENGINE_ORDERS)
     def test_tables_match_pointwise_series(self, k):
         # the spline tables against the full sums over all coefficients
         fam = make_family("battle_lemarie", k)
@@ -871,26 +888,29 @@ class TestBattleLemarieSeries:
             want = cardinal_bspline(k, scale * x[:, None] - n + k // 2) @ coef
             assert np.max(np.abs(table.values[idx] - want)) < 1e-14
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, *SERIES_ORDERS])
     def test_wavelet_orthogonality_on_tables(self, k):
         # psi is orthogonal to V_0 and to the next scale, and its integer
-        # translates are orthonormal; level-10 quadrature on the tables
+        # translates are orthonormal; level-10 quadrature on the tables.  On
+        # tables with integer ends, product_quad's 2 T(h) - T(2h) is 2h times
+        # the sum over the odd samples, so every shift is one Gram product:
+        # psi(x - m) moves the odd samples m units, and psi(2x - m) at the odd
+        # nodes reads psi's samples 2, 6, 10, ... moved m half units
         fam = make_family("battle_lemarie", k)
         phi, psi = fam.phi, fam.psi
-        x, width = psi.x(), int(psi.grid.right - psi.grid.left)
-        worst = 0.0
-        for m in range(-width, width + 1):
-            worst = max(
-                worst,
-                abs(product_quad(psi.values, phi(x - m), psi.dx)),
-                abs(product_quad(psi.values, psi(x - m), psi.dx) - (m == 0)),
-            )
-        for m in range(-2 * width, 2 * width + 1):
-            across = np.sqrt(2.0) * psi(2.0 * x - m)
-            worst = max(worst, abs(product_quad(psi.values, across, psi.dx)))
+        half, odd, h = 2**psi.grid.level // 2, psi.values[1::2], psi.dx
+        assert 2 * h * (odd @ odd) == pytest.approx(product_quad(psi.values, psi.values, h),
+                                                    rel=1e-14)
+        self_lags = 2 * h * lag_sums(odd, odd, half)
+        self_lags[self_lags.size // 2] -= 1.0
+        worst = max(
+            np.max(np.abs(2 * h * lag_sums(odd, phi.values[1::2], half))),
+            np.max(np.abs(self_lags)),
+            np.max(np.abs(2 * h * np.sqrt(2.0) * lag_sums(odd, psi.values[2::4], half // 2))),
+        )
         assert worst <= 2e-5
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", SERIES_ORDERS)
     def test_first_read_builds_the_series_once(self, k, monkeypatch):
         # the tables and the exact invariant check read one c and d, and a
         # second family of the same order builds none
@@ -920,12 +940,19 @@ class TestBattleLemarieSeries:
                           for spec in (("haar", None), ("daubechies", 1), ("battle_lemarie", 1)))
         assert haar == db1 == bl1
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", SERIES_ORDERS)
     def test_exact_invariants_from_coefficients(self, k):
-        # the orthonormality from the coefficients is exact; the integrals
-        # and the partition of unity read on the tables carry the series cut
+        # the orthonormality from the coefficients is exact up to the roundoff
+        # of its double convolution: eps times that convolution's largest entry
+        # over absolute values (below 1e-15 for k <= 4, 1.6e-14 at k = 8); the
+        # integrals and the partition of unity read on the tables carry the
+        # series cut
+        c, _ = battle_lemarie_series(k)
+        b = cardinal_autocorrelation(k)
+        scale = np.convolve(np.convolve(np.abs(c), np.abs(c[::-1])), b[:0:-1] + b).max()
         defects = check_family_invariants(make_family("battle_lemarie", k))
-        assert defects.pop("translate_orthonormality") <= 1e-15
+        roundoff = max(1e-15, np.finfo(float).eps * scale)
+        assert defects.pop("translate_orthonormality") <= roundoff
         assert max(defects.values()) <= _BL_TRUNCATION
 
     def test_cubic_decay_rate(self):
@@ -933,7 +960,7 @@ class TestBattleLemarieSeries:
         a = make_family("battle_lemarie", 2).decay.a
         assert abs(a - math.log(2.0 + math.sqrt(3.0))) < 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", SERIES_ORDERS)
     def test_decay_rate_matches_coefficient_envelope(self, k):
         c, _ = battle_lemarie_series(k)
         n = np.arange(10, 31)

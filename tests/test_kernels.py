@@ -20,12 +20,7 @@ from waverate.kernels import (
 from waverate.expansion import atom_rows
 from waverate.families import _decay_rate
 
-#: every family the code accepts, shannon aside
-ACCEPTED_FAMILIES = (
-    [("haar", None)]
-    + [("daubechies", n) for n in range(1, 11)]
-    + [("battle_lemarie", k) for k in range(1, 5)]
-)
+from conftest import ENGINE_SPECS, EVERY_SPEC, SERIES_ORDERS
 
 
 def apply_kernel(ke: KernelEvaluation, f: SampledFunction) -> SampledFunction:
@@ -185,7 +180,7 @@ class TestRadialProfile:
         got, want = radial_profile(ke), outer_difference_profile(ke)
         assert np.array_equal(got.majorant, want.majorant)
 
-    @pytest.mark.parametrize("name,param", ACCEPTED_FAMILIES + [("shannon", None)])
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     @pytest.mark.parametrize("j", [0, 3, 6])
     def test_one_period_of_rows_matches_square(self, name, param, j):
         # P_j(x + 2^-j, y + 2^-j) = P_j(x, y) = P_j(y, x): the rows of one
@@ -270,7 +265,7 @@ class TestConvolutionBound:
 class TestMainTheorem:
     """P_j is bounded by a radial decreasing L1 kernel, for every family."""
 
-    @pytest.mark.parametrize("name,param", ACCEPTED_FAMILIES)
+    @pytest.mark.parametrize("name,param", [s for s in EVERY_SPEC if s[0] != "shannon"])
     def test_radial_majorant(self, name, param):
         fam = make_family(name, param)
         rep = verify_convolution_bound(fam, range(0, 7))
@@ -300,7 +295,7 @@ class TestFitDecay:
         # C e^{-a u / 2}: a = 2 ln(2 + sqrt 3) = 2.6339
         assert abs(bl2_fit.rate - 2.0 * math.log(2.0 + math.sqrt(3.0))) <= 0.01
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", SERIES_ORDERS)
     def test_battle_lemarie_decay_rate_every_order(self, k):
         # the kernel bound C e^{-a u / 2} with a = 2 (-ln |z_1|)
         env = verify_convolution_bound(make_family("battle_lemarie", k), range(7))["envelope"]

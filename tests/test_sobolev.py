@@ -27,6 +27,8 @@ from waverate.sobolev import (
 from waverate.sobolev import _assemble, _symbol_products
 from waverate.serialize import write_record
 
+from conftest import ENGINE_SPECS, EVERY_SPEC
+
 
 @pytest.fixture(scope="module")
 def haar():
@@ -254,9 +256,7 @@ class TestCriticalOrder:
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
     @pytest.mark.parametrize(
         "name,param,moments",
-        [("haar", None, 1)]
-        + [("daubechies", n, n) for n in range(1, 11)]
-        + [("battle_lemarie", k, k) for k in range(1, 5)],
+        [(name, param, param or 1) for name, param in EVERY_SPEC if name != "shannon"],
     )
     def test_every_family_vanishing_moments(self, name, param, moments, criterion, eps):
         fam = built(name, param)
@@ -431,19 +431,11 @@ def integral_oracle(name, param, criterion, eps, s):
     return _assemble(s, eps, shell_sums_oracle(name, param, criterion, eps, s), onset)
 
 
-DESIGNED = (
-    [("haar", None)]
-    + [("daubechies", n) for n in range(1, 11)]
-    + [("battle_lemarie", k) for k in range(1, 5)]
-    + [("shannon", None)]
-)
-
-
 class TestShellTable:
     """The one-table shells and products against one halving per step."""
 
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
-    @pytest.mark.parametrize("name,param", DESIGNED)
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     def test_shells_equal_per_shell_oracle(self, name, param, criterion):
         fam = built(name, param)
         for eps in (0.25, 0.5, 1.0, 2.0, math.pi):
@@ -458,7 +450,7 @@ class TestShellTable:
                 assert _SINGLE[criterion](fam, s, eps) == want
 
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
-    @pytest.mark.parametrize("name,param", DESIGNED)
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     def test_critical_order_equals_oracle(self, name, param, criterion):
         s_star, exponents, _ = onset_oracle(shell_sums_oracle(name, param, criterion, 1.0, 0.0))
         if not math.isfinite(s_star):
@@ -468,7 +460,7 @@ class TestShellTable:
             co = critical_order(built(name, param), 1.0, criterion)
             assert (co.s_star, co.local_exponents) == (s_star, exponents)
 
-    @pytest.mark.parametrize("name,param", DESIGNED)
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     def test_spectra_equal_oracle(self, name, param):
         fam = built(name, param)
         for xi in (
@@ -486,7 +478,7 @@ class TestShellTable:
             assert np.array_equal(got, products_oracle(fam.symbol, xi)[1])
 
     @pytest.mark.parametrize("criterion", ["wavelet", "scaling"])
-    @pytest.mark.parametrize("name,param", DESIGNED)
+    @pytest.mark.parametrize("name,param", ENGINE_SPECS)
     def test_one_symbol_call_per_shell_integral(self, name, param, criterion):
         fam, calls = counted_symbol(built(name, param))
         _SINGLE[criterion](fam, 1.0, 1.0)

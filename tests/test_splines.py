@@ -27,6 +27,8 @@ from waverate.splines import (
     residual_orthogonality,
 )
 
+from conftest import SERIES_ORDERS
+
 
 def tabulate(func, lo, hi, level=12):
     return sample(func, DyadicGrid(lo, hi, level))
@@ -459,7 +461,7 @@ class TestHaarConsistency:
 
 class TestSplineCorollary:
     @pytest.mark.parametrize("j", [3, 4, 5])
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", SERIES_ORDERS)
     def test_best_spline_equals_battle_lemarie_projection(self, suite, k, j):
         # order-k splines on the mesh 2^-j are V_j of battle_lemarie:k, so the
         # best L^2 spline and P_j are the same orthogonal projection; on
