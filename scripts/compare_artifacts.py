@@ -5,13 +5,14 @@ source trees and compare their outputs.
 Every `waverate` command of the README's CLI quickstart (`readme_commands`,
 the suite also with `--jobs 2`), every distinct study of the benchmark's
 workloads (read from `benchmarks/studies.py`, spline seed 3), the family
-table of each source (FAMILY_TABLES), each bad configuration of REJECTIONS,
-each failed computation of FAILURES and each `--study` runs twice in fresh
-processes, once importing `waverate` from BASE_SRC and once from this
-checkout's `src/`, each in its own temporary directory.  So does each
-experiment script (EXPERIMENT_SCRIPTS, with `--outdir`), each tree running
-its own copy: the base tree's from the `scripts/` beside BASE_SRC, skipped
-with a note when there is none.  Every file a run writes, its standard output, its standard
+table of each source (FAMILY_TABLES), each CSV table (CSV_FORMS), each bad
+configuration of REJECTIONS, each failed computation of FAILURES and each
+`--study` runs twice in fresh processes, once importing `waverate` from
+BASE_SRC and once from this checkout's `src/`, each in its own temporary
+directory.  So does each experiment script (EXPERIMENT_SCRIPTS, with
+`--outdir`), each tree running its own copy: the base tree's from the
+`scripts/` beside BASE_SRC, skipped with a note when there is none.  Every
+file a run writes, its standard output, its standard
 error and its exit code are compared byte for byte, and each is printed as
 identical or differing.  A differing text artifact is followed by its
 unified diff, capped at DIFF_LINES lines, so the moved digits can be quoted;
@@ -84,6 +85,13 @@ FAMILY_TABLES = tuple(
     f"family --family {spec} --out family.json"
     for spec in ("haar", "daubechies:3", "daubechies:10", "battle_lemarie:2",
                  "battle_lemarie:3", "battle_lemarie:4", "shannon")
+)
+#: each CSV table a study writes: a rate and a spline study's, and a sweep
+#: of the scaling criterion, whose DIVERGED cells start at s* = 2
+CSV_FORMS = (
+    "rate --family daubechies:2 --function gaussian --j 3..9 --format csv --out rate.csv",
+    "spline --function sine --order 2 --mesh-exponents 2..6 --format csv --out spline.csv",
+    "sobolev --family daubechies:2 --criterion scaling --sweep-s 0.5..3.0:0.5 --out sweep.csv",
 )
 #: one computation per kind that fails its own check: each must exit 2 with
 #: the same `error:` line under both trees
@@ -268,7 +276,7 @@ def main() -> int:
     )
     args = parser.parse_args()
     base_src, head_src = os.path.abspath(args.base_src), str(ROOT / "src")
-    extra = FAMILY_TABLES + REJECTIONS + FAILURES + tuple(args.study)
+    extra = FAMILY_TABLES + CSV_FORMS + REJECTIONS + FAILURES + tuple(args.study)
     studies = readme_commands() + benchmark_studies() + [shlex.split(s) for s in extra]
     differing = 0
     for argv in studies:

@@ -15,8 +15,8 @@ import os
 import numpy as np
 
 from waverate import make_family
-from waverate.serialize import write_record
-from waverate.sobolev import criterion_sweep, critical_order, export_sweep_csv
+from waverate.serialize import write_record, write_sweep_csv
+from waverate.sobolev import criterion_sweep, critical_order
 
 FAMILIES = (
     ("haar", None),
@@ -51,7 +51,7 @@ def main():
         )
         if args.outdir:
             tag = fam.label.replace(":", "-")
-            export_sweep_csv(results, os.path.join(args.outdir, f"sweep_{tag}.csv"))
+            write_sweep_csv(os.path.join(args.outdir, f"sweep_{tag}.csv"), results)
             write_record(os.path.join(args.outdir, f"critical_{tag}.json"), wav)
 
 

@@ -27,7 +27,6 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .convergence import (
     STUDY_LEVEL,
-    export_rate_csv,
     quadrature_sample,
     spline_convergence_study,
     sup_error_rates,
@@ -36,9 +35,10 @@ from .convergence import (
 from .expansion import analyze, check_analysis
 from .families import check_family_invariants, parse_family_spec
 from .grids import ComputationError, ConfigError
-from .kernels import export_bound_report, fit_decay, verify_convolution_bound
-from .serialize import family_to_dict, write_csv, write_json, write_record
-from .sobolev import criterion_sweep, critical_order, export_sweep_csv
+from .kernels import fit_decay, verify_convolution_bound
+from .serialize import (coefficients_to_dict, family_to_dict, write_bound_report, write_json,
+                        write_rate_csv, write_record, write_summary_csv, write_sweep_csv)
+from .sobolev import criterion_sweep, critical_order
 from .splines import MAX_ORDER, PERTURBATION_SEED, perturbation_optimality
 from .suite import CRITERIA, NAMES
 
@@ -109,9 +109,7 @@ def run_family(args) -> tuple[str, int]:
     fam = parse_family_spec(args.family)
     defects = check_family_invariants(fam)
     if args.out:
-        doc = family_to_dict(fam)
-        doc["invariant_defects"] = defects
-        write_json(args.out, doc)
+        write_json(args.out, family_to_dict(fam, defects))
     worst = max(defects.values())
     return f"family {fam.label} max_invariant_defect={worst:.3g}", 0
 
@@ -125,8 +123,6 @@ def run_expand(args) -> tuple[str, int]:
     check_analysis(fam, tf.window, args.level, jr[:-1])  # scales j0..j1 - 1
     coeffs = analyze(quadrature_sample(tf, fam, args.level), fam, jr.start, jr.stop - 1)
     if args.out:
-        from .serialize import coefficients_to_dict
-
         write_json(args.out, coefficients_to_dict(coeffs))
     n = len(coeffs.b) + len(coeffs.a)
     return f"expand {fam.label} {tf.name} j={jr.start}..{jr.stop - 1} terms={n}", 0
@@ -140,20 +136,12 @@ def run_kernel(args) -> tuple[str, int]:
     if args.fit_decay:
         fit = fit_decay(report["envelope"])
     if args.out:
-        export_bound_report(report, fit, args.out)
+        write_bound_report(args.out, report, fit)
     verdict = "pass" if report["passes"] else "FAIL"
     return (
         f"kernel {fam.label} collapse={report['collapse_defect']:.3g} "
         f"mass={report['l1_mass']:.4g} bound={verdict}"
     ), 0
-
-
-def _export_rate(report, args) -> None:
-    """Write a rate or spline study's RateReport as --format asks."""
-    if args.out and args.format == "csv":
-        export_rate_csv(report, args.out)
-    elif args.out:
-        write_record(args.out, report)
 
 
 def run_rate(args) -> tuple[str, int]:
@@ -162,7 +150,8 @@ def run_rate(args) -> tuple[str, int]:
     window = parse_window(args.window) if args.window else (-1.0, 1.0)
     fam = parse_family_spec(args.family)
     report = sup_error_rates(tf, fam, jr, window, level=args.level)
-    _export_rate(report, args)
+    if args.out:
+        (write_rate_csv if args.format == "csv" else write_record)(args.out, report)
     return f"rate {fam.label} {tf.name} slope={report.slope:.4f} r2={report.r_squared:.4f}", 0
 
 
@@ -172,7 +161,7 @@ def run_sobolev(args) -> tuple[str, int]:
     if args.sweep_s:
         results = criterion_sweep(fam, s_values, args.epsilon, args.criterion)
         if args.out:
-            export_sweep_csv(results, args.out)
+            write_sweep_csv(args.out, results)
         n_div = sum(r.diverged for r in results)
         return (
             f"sobolev {fam.label} sweep n={len(results)} diverged={n_div} "
@@ -193,7 +182,8 @@ def run_spline(args) -> tuple[str, int]:
     optimal = ""
     if args.check_optimality:
         optimal = f" optimal={perturbation_optimality(f, fits[-1], seed=args.seed)}"
-    _export_rate(report, args)
+    if args.out:
+        (write_rate_csv if args.format == "csv" else write_record)(args.out, report)
     return f"spline k={args.order} {tf.name} slope={report.slope:.4f}{optimal}", 0
 
 
@@ -290,11 +280,7 @@ def run_suite(args) -> tuple[str, int]:
         results = _forked_rows(selected, n_workers)
     rows = [row for result in results for row in result if row["id"] in chosen]
     out_dir = args.out or REPORT_DIR
-    write_csv(
-        os.path.join(out_dir, "summary.csv"),
-        ["criterion", "name", "expected", "observed", "status"],
-        [[r["id"], r["name"], r["expected"], r["observed"], r["status"]] for r in rows],
-    )
+    write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
     failed = [r["id"] for r in rows if r["status"] == "FAIL"]
     n_pass = sum(r["status"] == "PASS" for r in rows)
     summary = (

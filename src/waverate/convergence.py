@@ -48,7 +48,6 @@ from .expansion import (
 from .families import MRAFamily
 from .grids import (ComputationError, ConfigError, DyadicGrid, Record, SampledFunction, _set,
                     line_fit, sample)
-from .serialize import write_csv
 from .splines import best_l2_spline, check_study, make_space
 
 #: default tabulation level for test functions and error grids
@@ -491,16 +490,3 @@ def order_robustness(coeffs: ExpansionCoefficients, schedules, x_points) -> dict
         "final_values": finals,
         "final_agreement": float(np.max(np.ptp(finals, axis=0))) if len(finals) > 1 else 0.0,
     }
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def export_rate_csv(report: RateReport, path: str) -> None:
-    header = ["family", "function", "kind", "j", "sup_error"]
-    rows = [
-        [report.family, report.function, "sup", int(j), e]
-        for j, e in zip(report.j_values, report.sup_errors)
-    ]
-    write_csv(path, header, rows)

@@ -48,6 +48,7 @@ from .grids import (
     SampledFunction,
     product_quad,
     sample,
+    strided_read,
 )
 from .splines import MAX_ORDER, SplineApproximation, cardinal_autocorrelation, make_space
 
@@ -152,16 +153,11 @@ def _two_scale(
 
     With `step` = 2^level and first + stride*i the table index of 2x, this is
     sqrt(2) sum_k c_k f(2x - k) for the level-`level` table `vals` of f; each
-    tap reads one strided slice.
+    tap reads one strided slice through `grids.strided_read`.
     """
     out = np.zeros(count)
     for k in range(len(c)):
-        start = first - k * step
-        lo = max(0, -(start // stride))
-        hi = min(count, (vals.size - 1 - start) // stride + 1)
-        if lo < hi:
-            a = start + lo * stride
-            out[lo:hi] += c[k] * vals[a : a + (hi - lo - 1) * stride + 1 : stride]
+        out += c[k] * strided_read(vals, first - k * step, stride, count)
     return np.sqrt(2.0) * out
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from .expansion import atom_rows, translate_range
 from .families import MRAFamily
 from .grids import ComputationError, ConfigError, DyadicGrid, line_fit, scale_span
-from .serialize import write_json
 
 # rescaled-radius resolution 2^-RADII_LEVEL, shared across scales within a
 # family; compact supports need the finer lattice or boundary quantization
@@ -204,21 +203,3 @@ def fit_decay(rb: RadialBound) -> DecayFit:
     a = -2.0 * slope
     # a below 1e-9 is numerically zero: constant profile, model mismatch
     return DecayFit(float(np.exp(intercept)), a, r2, bool(a < 1e-9))
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def export_bound_report(report: dict, fit: DecayFit | None, path: str) -> None:
-    """The report of ``verify_convolution_bound`` without its envelope, and the fit."""
-    doc = {key: value for key, value in report.items() if key != "envelope"}
-    if fit is not None:
-        doc["fit"] = {
-            "model": "exponential",
-            "C": fit.constant,
-            "a": fit.rate,
-            "r2": fit.r2,
-            "flagged": fit.flagged,
-        }
-    write_json(path, doc)

@@ -54,7 +54,6 @@ import numpy as np
 
 from .families import MRAFamily
 from .grids import ComputationError, ConfigError, SampledFunction
-from .serialize import fmt, write_csv
 
 #: shells reach down to XI_FLOOR / 4, where |xi|^{-(2s+1)} <= 1e153 for
 #: s <= 16 and |psi^|^2 ~ xi^{2N} >= 1e-93 for N <= 10: far from overflow
@@ -187,9 +186,6 @@ class IntegralResult(NamedTuple):
     diverged: bool
     shells: tuple
 
-    def render_value(self) -> str:
-        return "DIVERGED" if self.diverged else fmt(self.value)
-
 
 def check_settings(epsilon: float, s_values=()) -> None:
     """Raise ConfigError unless eps lies in (0, pi], its shells stay above
@@ -317,18 +313,3 @@ def criterion_sweep(
     s_values = [float(s) for s in s_values]
     integral = _shell_integral(fam, criterion, epsilon, s_values)[0]
     return [integral(s) for s in s_values]
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def export_sweep_csv(results: list[IntegralResult], path: str) -> None:
-    n = max(len(r.shells) for r in results)
-    header = ["s", "epsilon", "value"] + [f"shell_{m}" for m in range(n)]
-    rows = []
-    for r in results:
-        row = [r.s, r.epsilon, r.render_value()]
-        row += list(r.shells) + [""] * (n - len(r.shells))
-        rows.append(row)
-    write_csv(path, header, rows)

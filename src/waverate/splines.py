@@ -386,12 +386,19 @@ def check_study(window, order: int, exponents, level: int) -> None:
     exponents.  The meshes are nested and dyadic, so the ends (`scale_span`)
     decide them all: the coarsest must tile the window and survive the
     boundary shrink of order * h_0 at each end, the finest must span
-    MIN_SAMPLES_PER_CELL points of the level grid."""
+    MIN_SAMPLES_PER_CELL points of the level grid.  Exponents outside that
+    range at a level too coarse for two of them name the least level that
+    admits two."""
     check_study_level(level)
     coarse, fine = scale_span(exponents)
     lo = math.ceil(-math.log2(window[1] - window[0]))
     hi = level - int(math.log2(MIN_SAMPLES_PER_CELL))
     if not lo <= coarse <= fine <= hi:
+        if hi <= lo:
+            raise ConfigError(
+                f"level {level} is too coarse for two mesh exponents: "
+                f"the least level that admits two is {level + lo + 1 - hi}"
+            )
         raise ConfigError(f"mesh exponents must lie in {lo}..{hi} at level {level}")
     check_table_level(level)
     if fine == coarse:

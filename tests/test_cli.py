@@ -546,6 +546,20 @@ class TestCommands:
         assert code == 0
         assert out.read_text().splitlines()[0] == "family,function,kind,j,sup_error"
 
+    def test_rate_csv_holds_the_json_levels_and_errors(self, tmp_path):
+        # one row per level, its j and sup_error those of the same study's JSON
+        argv = "rate --family daubechies:2 --function gaussian --j 3..9 --out".split()
+        assert main(argv + [str(tmp_path / "rate.json")]) == 0
+        assert main(argv + [str(tmp_path / "rate.csv"), "--format", "csv"]) == 0
+        doc = json.loads((tmp_path / "rate.json").read_text())
+        with open(tmp_path / "rate.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["j"]) for row in rows] == doc["j_values"] == list(range(3, 10))
+        assert [float(row["sup_error"]) for row in rows] == doc["sup_errors"]
+        assert {(row["family"], row["function"], row["kind"]) for row in rows} == {
+            ("daubechies:2", "gaussian", "sup")
+        }
+
     @pytest.mark.parametrize("exponents", ["2..3000000", "-3000000..4"])
     def test_long_mesh_range_rejected_by_its_ends(self, exponents, tmp_path, capsys):
         # the ends are checked before the list of meshes exists: no memory
@@ -1434,6 +1448,21 @@ class TestImportGraph:
         # the study corpus nor the spline studies
         script = "import sys, waverate.kernels\nprint('waverate.convergence' in sys.modules)\n"
         assert self.run_script(script, tmp_path) == "False"
+
+    def test_compute_modules_do_not_import_serialize(self, tmp_path):
+        # the compute modules return values and serialize alone writes files:
+        # importing each, in dependency order, leaves serialize unloaded
+        modules = ["grids", "filters", "splines", "families", "expansion", "kernels",
+                   "sobolev", "convergence"]
+        script = (
+            "import importlib, sys\n"
+            "loaded = []\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('waverate.' + name)\n"
+            "    loaded += [name] if 'waverate.serialize' in sys.modules else []\n"
+            "print(loaded)\n"
+        )
+        assert self.run_script(script, tmp_path) == "[]"
 
     def test_spline_studies_do_not_import_scipy(self, tmp_path):
         # a cold scipy import costs a few tenths of a second; the spline layer

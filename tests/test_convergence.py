@@ -13,7 +13,6 @@ from waverate.convergence import (
     STUDY_LEVEL,
     MarkedPoint,
     builtin_suite,
-    export_rate_csv,
     line_fit,
     lp_error_trace,
     midcell_step,
@@ -33,7 +32,7 @@ from waverate.expansion import (
     translate_range,
 )
 from waverate.grids import ComputationError, ConfigError, SampledFunction
-from waverate.serialize import write_record
+from waverate.serialize import write_rate_csv, write_record
 from waverate.sobolev import critical_order
 
 from conftest import ENGINE_SPECS, SERIES_ORDERS
@@ -631,7 +630,7 @@ class TestOrderRobustness:
 class TestExports:
     def test_rate_exports(self, suite, haar, tmp_path):
         r = sup_error_rates(suite["gaussian"], haar, range(3, 10), (-1.0, 1.0))
-        export_rate_csv(r, str(tmp_path / "rate.csv"))
+        write_rate_csv(str(tmp_path / "rate.csv"), r)
         write_record(str(tmp_path / "rate.json"), r)
         import json
 

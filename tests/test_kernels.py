@@ -9,7 +9,6 @@ from waverate.kernels import (
     U_CAP,
     KernelEvaluation,
     RadialBound,
-    export_bound_report,
     fit_decay,
     kernel_matrix,
     profile_grid,
@@ -18,6 +17,7 @@ from waverate.kernels import (
     verify_convolution_bound,
 )
 from waverate.expansion import atom_rows
+from waverate.serialize import write_bound_report
 from waverate.families import _decay_rate
 
 from conftest import ENGINE_SPECS, EVERY_SPEC, SERIES_ORDERS
@@ -320,7 +320,7 @@ class TestFitDecay:
 class TestExports:
     def test_bound_report_json(self, haar_report, tmp_path):
         fit = fit_decay(haar_report["envelope"])
-        export_bound_report(haar_report, fit, str(tmp_path / "r.json"))
+        write_bound_report(str(tmp_path / "r.json"), haar_report, fit)
         import json
 
         doc = json.loads((tmp_path / "r.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from waverate import DyadicGrid, make_family, sample
+from waverate import DyadicGrid, check_family_invariants, make_family, sample
 from waverate.convergence import (MarkedPoint, spline_convergence_study, sup_error_rates,
                                   test_function)
 from waverate.expansion import analyze
@@ -94,7 +94,9 @@ class TestFamilyRoundTrip:
                                       ("shannon", None)])
     def test_bit_exact(self, spec):
         fam = make_family(*spec)
-        doc = json.loads(dumps_json(family_to_dict(fam)))
+        defects = check_family_invariants(fam)
+        doc = json.loads(dumps_json(family_to_dict(fam, defects)))
+        assert doc["invariant_defects"] == defects
         assert doc["name"] == fam.name
         assert doc["vanishing_moments"] == fam.vanishing_moments
         assert np.array_equal([float(v) for v in doc["values"]], fam.phi.values)

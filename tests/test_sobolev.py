@@ -17,7 +17,6 @@ from waverate.sobolev import (
     SymbolSpectrum,
     criterion_sweep,
     critical_order,
-    export_sweep_csv,
     family_spectrum,
     fourier_transform,
     sampled_transform,
@@ -25,7 +24,7 @@ from waverate.sobolev import (
     wavelet_criterion,
 )
 from waverate.sobolev import _assemble, _symbol_products
-from waverate.serialize import write_record
+from waverate.serialize import fmt, write_record, write_sweep_csv
 
 from conftest import ENGINE_SPECS, EVERY_SPEC
 
@@ -266,7 +265,7 @@ class TestCriticalOrder:
         # the sweep reads the same onset: diverged at N, finite just below
         below, at = criterion_sweep(fam, [moments - 0.01, moments], eps, criterion)
         assert not below.diverged and np.isfinite(below.value)
-        assert at.render_value() == "DIVERGED"
+        assert at.diverged and at.value == math.inf
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_daubechies_order_equals_filter_sum_rules(self, n):
@@ -489,11 +488,13 @@ class TestExports:
     def test_sweep_csv(self, haar, tmp_path):
         results = criterion_sweep(haar, [0.5, 1.5])
         path = tmp_path / "sweep.csv"
-        export_sweep_csv(results, str(path))
+        write_sweep_csv(str(path), results)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("s,epsilon,value,shell_0")
         assert "DIVERGED" in lines[2]
         assert "DIVERGED" not in lines[1]
+        # the value cell: the total while finite, DIVERGED from the onset on
+        assert [line.split(",")[2] for line in lines[1:]] == [fmt(results[0].value), "DIVERGED"]
 
     def test_critical_json(self, haar, tmp_path):
         co = critical_order(haar)

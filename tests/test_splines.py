@@ -590,6 +590,14 @@ class TestCheckStudy:
         # the coarsest mesh 0.5 does not tile the 3.25-wide window
         (range(1, 5), 12, "not a positive multiple of mesh 0.5"),
         (range(2, 7), -1, "level -1 is negative"),
+        # a level that admits fewer than two exponents (-1..-3 at level 0,
+        # -1..-1 at level 2: 8 samples per cell take m <= level - 3) names
+        # the least that admits two
+        *[(range(2, 7), level, f"^level {level} is too coarse for two mesh exponents: "
+                               "the least level that admits two is 3$") for level in (0, 1, 2)],
+        (range(2, 7), 3, r"^mesh exponents must lie in -1\.\.0 at level 3$"),
+        # one exponent inside the one-exponent range keeps its own message
+        (range(-1, 0), 2, "^need at least two mesh exponents$"),
     ])
     def test_rejects_by_the_ends(self, exponents, level, message):
         with pytest.raises(ConfigError, match=message):
