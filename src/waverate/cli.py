@@ -432,14 +432,18 @@ def parse_args(argv=None) -> SimpleNamespace:
 
 def _check_out(args) -> None:
     """Raise ConfigError if --out is empty, if a command's --out file names a
-    directory (it is one, or ends in a separator, ``.`` or ``..``), or if the
-    directory --out writes into lies under a file, that is, if its nearest
-    existing ancestor is not a directory."""
+    directory (it is one, or ends in a separator, ``.`` or ``..``), if the file
+    written (``summary.csv`` for `suite`) exists and is not a regular file, or
+    if the directory --out writes into lies under a file, that is, if its
+    nearest existing ancestor is not a directory."""
     if args.out == "":
         raise ConfigError("--out: empty path")
     out, suite = args.out or "", args.command == "suite"
     if out and not suite and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
         raise ConfigError(f"--out: {out} names a directory, not a file")
+    target = os.path.join(out or REPORT_DIR, "summary.csv") if suite else out
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ConfigError(f"--out: {target} is not a regular file")
     path = (out or REPORT_DIR) if suite else os.path.dirname(out)
     while path and not os.path.exists(path):
         path = os.path.dirname(path)

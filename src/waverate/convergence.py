@@ -3,7 +3,7 @@
 A small corpus of test functions with certified marked points (continuity
 points, Lebesgue points of discontinuous functions, jumps) is driven through
 the projection machinery to measure pointwise traces, sup-norm rates on
-jump-free windows, L^p error decay, and independence of the summation order.
+jump-free windows and L^p error decay; `order_robustness` checks schedules.
 Best-L^2 spline studies halve the mesh, with -log2 h as the level j.
 
 Conventions
@@ -13,9 +13,9 @@ Conventions
   requested point, so a point on a dyadic cell boundary reads the value of
   the cell it opens (e.g. the Haar projection of the unit step at 0 is
   identically 1, not the midpoint value 1/2).
-* Every projection, partial sum and order-robustness term comes from the
-  dyadic-lattice engine of ``waverate.expansion``: coefficients by the
-  midpoint rule on the 2h lattice, values by strided synthesis or atom rows.
+* Every projection comes from the dyadic-lattice engine of
+  ``waverate.expansion``: coefficients by the midpoint rule on the 2h
+  lattice, values by strided synthesis.
 * A study samples f once, on the family's quadrature lattice, finer than the
   level-L grid its errors are read on: the rate, L^p and pointwise studies
   where their atoms read it (``_read_sample``), the others on f's whole window.
@@ -39,7 +39,6 @@ import numpy as np
 
 from .expansion import (
     ExpansionCoefficients,
-    atom_rows,
     check_analysis,
     complete_schedule_check,
     project,
@@ -461,32 +460,12 @@ def spline_convergence_study(tf, order: int, exponents, level: int = STUDY_LEVEL
 # summation-order robustness
 
 
-def order_robustness(coeffs: ExpansionCoefficients, schedules, x_points) -> dict:
-    """Sums of `coeffs` in different summation orders at fixed points.
-
-    Every schedule must be complete for the coefficient set and satisfy its
-    declared bounded range (ConfigError otherwise); the final values must agree, as they are the same
-    finite sum, summed in each schedule's order.  The points are snapped right
-    on the STUDY_LEVEL lattice, where the atoms are read.
-    """
+def order_robustness(coeffs: ExpansionCoefficients, schedules) -> None:
+    """Raise ConfigError unless every schedule satisfies its declared bounded
+    range and holds every coefficient of `coeffs` exactly once."""
     for sched in schedules:
         ok, report = validate_schedule(sched)
         if not ok:
             raise ConfigError(f"schedule violates its bounded range: {report}")
         if not complete_schedule_check(coeffs, sched):
             raise ConfigError("schedule is not complete for the coefficient set")
-
-    pts = np.array([_snap_right(x, STUDY_LEVEL) for x in x_points])
-    levels = coeffs.levels()
-    values = {}
-    for (j, terms), gen in zip(levels, ["phi"] + ["psi"] * (len(levels) - 1)):
-        rows = atom_rows(coeffs.family, gen, j, [t[-1] for t in terms], pts, STUDY_LEVEL)
-        values.update((term, c * row) for (term, c), row in zip(terms.items(), rows))
-
-    finals = np.array([np.sum([values[t] for t in sched.terms()], axis=0)
-                       for sched in schedules])
-    return {
-        "x_points": pts,
-        "final_values": finals,
-        "final_agreement": float(np.max(np.ptp(finals, axis=0))) if len(finals) > 1 else 0.0,
-    }

@@ -178,24 +178,22 @@ def crit_lebesgue_point():
 def crit_summation_order():
     haar = make_family("haar")
     coeffs = analyze(quadrature_sample(test_function("gaussian"), haar), haar, 0, 6)
-    schedules = [level_by_level_schedule(coeffs), interleaved_schedule(coeffs, 2)]
-    rep = order_robustness(coeffs, schedules, np.linspace(-1.0, 1.0, 50))
+    order_robustness(coeffs, [level_by_level_schedule(coeffs), interleaved_schedule(coeffs, 2)])
     groups = list(level_by_level_schedule(coeffs).groups)
     held = groups[1][0]
     groups[1] = groups[1][1:]
     groups.append((held,))
     straggler = SummationSchedule(tuple(groups), 1)
     try:
-        order_robustness(coeffs, [straggler], np.linspace(-1.0, 1.0, 10))
+        order_robustness(coeffs, [straggler])
         rejected = False
     except ConfigError:
         rejected = True
-    ok = rep["final_agreement"] < 1e-10 and rejected
     return _row(
         "6",
-        "schedules agree within 1e-10; unbounded-range schedule rejected",
-        f"agreement={rep['final_agreement']:.3g} rejected={rejected}",
-        ok,
+        "unbounded-range schedule rejected",
+        f"rejected={rejected}",
+        rejected,
     )
 
 

@@ -9,6 +9,7 @@ import re
 import resource
 import runpy
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -1074,6 +1075,35 @@ class TestOutNamingADirectory:
             assert capsys.readouterr().err == f"error: --out: {out} names a directory, not a file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
         assert list((tmp_path / "D").iterdir()) == []
+
+
+class TestOutNotARegularFile:
+    # the atomic rename would replace such a target with a regular file
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def refuse(args):
+            raise AssertionError("computed")
+
+        for command, (doc, options, _) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, command, (doc, options, refuse))
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_fifo_exits_1_before_compute(self, command, tmp_path, refused, capsys):
+        out = target = tmp_path / "F"
+        if command == "suite":  # the report's summary.csv
+            out.mkdir()
+            target = out / "summary.csv"
+        os.mkfifo(target)
+        assert main(OUT_COMMANDS[command].split() + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out: {target} is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(target).st_mode)
+
+    def test_suite_summary_directory_exits_1_before_compute(self, tmp_path, refused, capsys):
+        target = tmp_path / "rep" / "summary.csv"
+        target.mkdir(parents=True)
+        assert main(["suite", "--only", "12", "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err == f"error: --out: {target} is not a regular file\n"
+        assert list(target.iterdir()) == []
 
 
 class TestEmptyOut:

@@ -510,7 +510,7 @@ class TestStridedReads:
             assert np.array_equal(got, gather_synthesis(coef, fam, gen, j, ks, xs))
 
     # lattice points in grid order, on a grid wider than the rows on every
-    # side, and unordered and repeated, as order_robustness passes them
+    # side, and unordered and repeated
     @pytest.mark.parametrize("x,level", [
         (DyadicGrid(-1.0, 1.0, 5).points(), 5),
         (DyadicGrid(-256.0, 256.0, 3).points(), 3),
