@@ -5,7 +5,8 @@ source trees and compare their outputs.
 Every `waverate` command of the README's CLI quickstart (`readme_commands`,
 the suite also with `--jobs 2`), every distinct study of the benchmark's
 workloads (read from `benchmarks/studies.py`, spline seed 3), the family
-table of each source (FAMILY_TABLES), each CSV table (CSV_FORMS), each bad
+table of each source (FAMILY_TABLES), the kernel study of each source's
+widest table (KERNELS), each CSV table (CSV_FORMS), each bad
 configuration of REJECTIONS, each failed computation of FAILURES and each
 `--study` runs twice in fresh processes, once importing `waverate` from
 BASE_SRC and once from this checkout's `src/`, each in its own temporary
@@ -85,6 +86,13 @@ FAMILY_TABLES = tuple(
     f"family --family {spec} --out family.json"
     for spec in ("haar", "daubechies:3", "daubechies:10", "battle_lemarie:2",
                  "battle_lemarie:3", "battle_lemarie:4", "shannon")
+)
+#: the kernel study of the widest table of each source past the box: the
+#: benchmark's kernel studies read only haar, daubechies:2, battle_lemarie:2
+#: and shannon
+KERNELS = tuple(
+    f"kernel --family {spec} --j 0..6 --out kernel.json"
+    for spec in ("daubechies:10", "battle_lemarie:8", "shannon")
 )
 #: each CSV table a study writes: a rate and a spline study's, and a sweep
 #: of the scaling criterion, whose DIVERGED cells start at s* = 2
@@ -276,7 +284,7 @@ def main() -> int:
     )
     args = parser.parse_args()
     base_src, head_src = os.path.abspath(args.base_src), str(ROOT / "src")
-    extra = FAMILY_TABLES + CSV_FORMS + REJECTIONS + FAILURES + tuple(args.study)
+    extra = FAMILY_TABLES + KERNELS + CSV_FORMS + REJECTIONS + FAILURES + tuple(args.study)
     studies = readme_commands() + benchmark_studies() + [shlex.split(s) for s in extra]
     differing = 0
     for argv in studies:

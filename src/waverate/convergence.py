@@ -421,14 +421,17 @@ def _read_window(tf: TestFunction, fam: MRAFamily, js, xs: DyadicGrid) -> tuple:
     hull's ends move in from f's by whole pairs of quadrature samples, so
     analysis reads the same odd samples of f, which are bitwise those of f's
     whole table, into a buffer of the same shape: every product and error is
-    unchanged."""
-    scale = 2.0 ** (xs.level + fam.quad_refine)
-    first, last = (round(end * scale) for end in tf.window)
+    unchanged.  The hull is computed in quadrature-lattice indices."""
+    qlevel = xs.level + fam.quad_refine
+    (first, last), (lo, hi) = (
+        (g.start, g.start + g.count - 1)
+        for g in (DyadicGrid(*tf.window, qlevel), xs.refine(fam.quad_refine))
+    )
     s0, s1 = fam.support
-    pad = (s1 - s0) * 2.0 ** -js[0]
-    first += 2 * max(0, math.floor(((xs.left - pad) * scale - first) / 2))
-    last -= 2 * max(0, math.floor((last - (xs.right + pad) * scale) / 2))
-    return first / scale, last / scale
+    pad = math.ceil(s1 - s0) * 2 ** (qlevel - js[0])
+    first += 2 * max(0, (lo - pad - first) // 2)
+    last -= 2 * max(0, (last - hi - pad) // 2)
+    return math.ldexp(first, -qlevel), math.ldexp(last, -qlevel)
 
 
 def spline_convergence_study(tf, order: int, exponents, level: int = STUDY_LEVEL):

@@ -13,9 +13,10 @@ contiguously into a buffer that keeps only the parity class of block columns
 they fall on, correlated with those columns, one matrix product summed along
 block diagonals.  Synthesis is the transpose, Toeplitz coefficients times
 blocks, read on the evaluation grid as one strided slice; `atom_rows` reads
-the dense (k x points) matrix at any lattice points as one column take of a
-strided Toeplitz view of the zero-padded blocks.  The filter-bank recursion
-is a test-only cross-check.
+the dense (k x points) matrix on a grid as one contiguous copy of a strided
+Toeplitz view of the zero-padded blocks.  Every lattice index comes from a
+grid's `start` and `count`, never from a float coordinate.  The filter-bank
+recursion is a test-only cross-check.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def translate_range(fam: MRAFamily, j: int, window: tuple[float, float]):
     declared decay tail, so it plays the role of the truncation margin.
     """
     (s0, s1), (w0, w1) = fam.support, window
-    return range(int(np.ceil(w0 * 2**j - s1)), int(np.floor(w1 * 2**j - s0)) + 1)
+    return range(math.ceil(w0 * 2**j - s1), math.floor(w1 * 2**j - s0) + 1)
 
 
 def _atom_blocks(fam: MRAFamily, gen: str, j: int, level: int):
@@ -239,22 +240,21 @@ def dyadic_synthesis(coef, fam: MRAFamily, gen: str, j: int, ks, xs: DyadicGrid)
     return strided_read((toeplitz @ blocks).ravel(), first, 2 ** (level - xs.level), xs.count)
 
 
-def atom_rows(fam: MRAFamily, gen: str, j: int, ks, x: np.ndarray, level: int) -> np.ndarray:
+def atom_rows(fam: MRAFamily, gen: str, j: int, ks, xs: DyadicGrid) -> np.ndarray:
     """Rows 2^{j/2} g(2^j x - k), g fam's generator gen, k in ks (consecutive,
-    ascending), at lattice points x.
+    ascending), at the points x of xs.
 
-    Row i reads the blocks at t - i 2^(level-j), t the points' indices for
-    ks[0]: one strided Toeplitz view of the zero-padded blocks, stepping back
-    one block a row, and one take of its columns at t.
+    Row i reads the blocks from first - i 2^(level-j) at xs's stride on the
+    level-`level` lattice: one strided Toeplitz view of the zero-padded
+    blocks, stepping back one block a row, copied contiguous.
     """
-    level = max(level, j)
+    level = max(xs.level, j)
     beta, blocks = _atom_blocks(fam, gen, j, level)
-    per = blocks.shape[1]
-    t = np.rint(np.ldexp(x, level)).astype(np.int64) - (ks[0] + beta) * per
-    lo, back = int(t.min()), (len(ks) - 1) * per
-    span = int(t.max()) - lo + 1
-    padded = strided_read(blocks.ravel(), lo - back, 1, span + back)
-    return sliding_window_view(padded, span)[back::-per][:, t - lo]
+    per, stride = blocks.shape[1], 2 ** (level - xs.level)
+    first = xs.start * stride - (ks[0] + beta) * per
+    back, span = (len(ks) - 1) * per, (xs.count - 1) * stride + 1
+    padded = strided_read(blocks.ravel(), first - back, 1, span + back)
+    return np.ascontiguousarray(sliding_window_view(padded, span)[back::-per, ::stride])
 
 
 # ---------------------------------------------------------------------------

@@ -215,20 +215,17 @@ def refine_scaling(
     grid = phi.grid.refine(min(extra_levels, 0))
     vals = phi.values[:: 2 ** max(-extra_levels, 0)]
     for _ in range(extra_levels):
-        step = 2**grid.level
-        # fine index i is x = left + i/(2 step), so 2x has old index i + left*step
-        first = int(round(grid.left * step))
-        vals = _two_scale(filter.lowpass, vals, first, 1, 2 * vals.size - 1, step)
+        # fine index i is x = left + i 2^-(level+1), so 2x has old index start + i
+        vals = _two_scale(filter.lowpass, vals, grid.start, 1, 2 * vals.size - 1, 2**grid.level)
         grid = grid.refine(1)
     return SampledFunction(grid, vals)
 
 
 def derive_wavelet(filter: FilterPair, phi: SampledFunction) -> SampledFunction:
     """psi(x) = sqrt(2) sum_k g_k phi(2x - k) on phi's own grid."""
-    step = 2**phi.grid.level
-    first = int(round(phi.grid.left * step))
-    vals = _two_scale(filter.highpass, phi.values, first, 2, phi.grid.count, step)
-    return SampledFunction(phi.grid, vals)
+    grid = phi.grid
+    vals = _two_scale(filter.highpass, phi.values, grid.start, 2, grid.count, 2**grid.level)
+    return SampledFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +495,7 @@ def translate_orthonormality_defect(phi: SampledFunction) -> float:
     v, n = phi.values, phi.values.size
     step = 2**phi.grid.level
     worst = 0.0
-    for k in range(int(np.ceil(phi.grid.right - phi.grid.left)) + 1):
+    for k in range(math.ceil(phi.grid.right - phi.grid.left) + 1):
         s = k * step
         val = product_quad(v[s:], v[: n - s], phi.dx) if s < n else 0.0
         worst = max(worst, abs(val - (1.0 if k == 0 else 0.0)))

@@ -70,8 +70,7 @@ def check_table_level(level: int) -> None:
 
 
 def _is_dyadic(x: float, level: int) -> bool:
-    scaled = x * 2.0**level
-    return scaled == np.floor(scaled)
+    return float(x * 2.0**level).is_integer()
 
 
 _set = object.__setattr__
@@ -144,12 +143,12 @@ class DyadicGrid(Record):
 
     @property
     def count(self) -> int:
-        return int(round((self.right - self.left) * 2**self.level)) + 1
+        return int(math.ldexp(self.right, self.level)) - self.start + 1
 
     @property
     def start(self) -> int:
         """Lattice index of left: left = start 2^-level."""
-        return round(math.ldexp(self.left, self.level))
+        return int(math.ldexp(self.left, self.level))
 
     def points(self, first: int = 0, count: int | None = None) -> np.ndarray:
         """The `count` points from index `first` (all by default), built in place:
@@ -163,9 +162,8 @@ class DyadicGrid(Record):
 
     def index_of(self, x: float) -> int:
         """Index of a grid point, or raise if x is off-grid."""
-        idx = (x - self.left) * 2**self.level
-        i = int(round(idx))
-        if abs(idx - i) > 1e-9 or not 0 <= i < self.count:
+        i = int(x * 2.0**self.level) - self.start if _is_dyadic(x, self.level) else -1
+        if not 0 <= i < self.count:
             raise ValueError(f"{x} is not a point of {self}")
         return i
 

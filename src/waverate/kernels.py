@@ -15,6 +15,7 @@ rows of one period, as P_j is symmetric and invariant under 2^-j shifts.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +70,8 @@ def kernel_matrix(
     ks = range(max(kx.start, ky.start), min(kx.stop, ky.stop))
     if not ks:
         return KernelEvaluation(j, xs, ys, np.zeros((xs.count, ys.count)))
-    ax = atom_rows(fam, "phi", j, ks, xs.points(), xs.level)
-    ay = atom_rows(fam, "phi", j, ks, ys.points(), ys.level)
+    ax = atom_rows(fam, "phi", j, ks, xs)
+    ay = atom_rows(fam, "phi", j, ks, ys)
     return KernelEvaluation(j, xs, ys, ax.T @ ay)
 
 
@@ -100,9 +101,8 @@ def radial_profile(ke: KernelEvaluation) -> RadialBound:
     np.abs(ke.values, out=skewed)
     # diag[d + nx - 1] is the peak of |P_j| over the pairs with y-index - x-index = d
     diag = buf.reshape(nx, w).max(axis=0)
-    shift = round(np.ldexp(ys.left - xs.left, xs.level))
-    steps = np.abs(np.arange(1 - nx, ny) + shift)  # |y - x| in spacings
-    du = np.ldexp(xs.spacing, j)
+    steps = np.abs(np.arange(1 - nx, ny) + ys.start - xs.start)  # |y - x| in spacings
+    du = math.ldexp(xs.spacing, j)
     keep = steps * du <= U_CAP
     n = int(steps[keep].max()) + 1
     peak = np.zeros(n)
@@ -118,8 +118,7 @@ def profile_grid(fam: MRAFamily, j: int) -> DyadicGrid:
     tables at level RADII_LEVEL for every j."""
     radii_level = RADII_LEVEL_COMPACT if fam.decay.kind == "compact" else RADII_LEVEL_WIDE
     width_scaled = min(U_CAP, fam.support[1] - fam.support[0] + 1.0)
-    width = np.ldexp(np.ceil(width_scaled), -j)
-    return DyadicGrid(0.0, float(width), j + radii_level)
+    return DyadicGrid(0.0, math.ldexp(math.ceil(width_scaled), -j), j + radii_level)
 
 
 def period_profile(fam: MRAFamily, j: int) -> RadialBound:

@@ -84,21 +84,20 @@ def _haar_cell_average_defects(haar, tf, js) -> list[float]:
     The oracle averages the sampler at cell-interior midpoints, which never
     touch the dyadic lattice where jump values follow the midpoint
     convention; composite midpoint quadrature there is exact for the
-    piecewise-linear targets and O(h^2) otherwise.  Row c of the
-    (n_cells, per) midpoint array is cell c; one sampler call and one
-    row mean give every cell average.
+    piecewise-linear targets and O(h^2) otherwise.  The midpoints are the
+    half-offset STUDY_LEVEL lattice at every j, sampled once; row c of their
+    (n_cells, per) reshape is cell c, and one row mean gives every cell
+    average.
     """
     f = quadrature_sample(tf, haar)
     xs = DyadicGrid(tf.window[0], tf.window[1], STUDY_LEVEL)
-    h = xs.spacing
+    mids = np.asarray(tf.sampler(xs.points(0, xs.count - 1) + xs.spacing / 2), dtype=float)
     defects = []
     for j in js:
         pj = project(f, haar, j, xs)
         per = 2 ** (STUDY_LEVEL - j)
         n_cells = (xs.count - 1) // per
-        lefts = xs.left + np.arange(n_cells) * per * h
-        mids = lefts[:, None] + (np.arange(per) + 0.5) * h
-        avg = np.asarray(tf.sampler(mids), dtype=float).mean(axis=1)
+        avg = mids[: n_cells * per].reshape(n_cells, per).mean(axis=1)
         # compare on the open interior of each cell (midpoint values sit on
         # the cell boundaries)
         interior = pj.values[: n_cells * per].reshape(n_cells, per)[:, 1:]

@@ -1,7 +1,9 @@
 import functools
+import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from waverate.expansion import (
 from waverate.convergence import quadrature_sample, test_function
 from waverate.families import evaluate_dilate, refined_tables
 from waverate.grids import ConfigError, SampledFunction, product_quad
+
+from conftest import EVERY_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,30 @@ class TestTranslateRange:
     def test_scales_with_level(self, haar):
         # kmin = ceil(0 - 2) = -2, kmax = floor(8 + 1) = 9 for the [-1, 2] table
         assert len(list(translate_range(haar, 3, (0.0, 1.0)))) == 12
+
+    # a dyadic window at level <= 12 and every family's support: the scaled
+    # ends are exact in binary arithmetic, so the float ceil and floor are the
+    # exact ones
+    @pytest.mark.parametrize("spec", EVERY_SPEC, ids=lambda spec: str(spec))
+    @given(level=st.integers(0, 12), j=st.integers(-3, 12),
+           left=st.integers(-2**16, 2**16), width=st.integers(1, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_ends_are_exact_ceil_and_floor(self, spec, level, j, left, width):
+        fam = make_family(*spec)
+        w0, w1 = Fraction(left, 2**level), Fraction(left + width, 2**level)
+        s0, s1 = map(Fraction, fam.support)
+        ks = translate_range(fam, j, (float(w0), float(w1)))
+        scale = Fraction(2) ** j
+        assert ks == range(math.ceil(w0 * scale - s1), math.floor(w1 * scale - s0) + 1)
+
+    def test_index_of_is_exact(self):
+        # one ulp off a lattice point is off the lattice, on either side
+        g = DyadicGrid(-1.0, 2.0, 12)
+        assert g.index_of(0.375) == 5632
+        for x in (math.nextafter(0.375, 1.0), math.nextafter(0.375, 0.0),
+                  math.nextafter(2.0, 3.0), math.nextafter(-1.0, -2.0)):
+            with pytest.raises(ValueError, match="is not a point of"):
+                g.index_of(x)
 
 
 class TestAnalyze:
@@ -382,7 +410,7 @@ class TestLatticeEngine:
         x = self.xs.points()
         for gen, table in zip(("phi", "psi"), tables):
             want_rows = np.array([evaluate_dilate(table, j, k, x) for k in ks])
-            rows = atom_rows(fam, gen, j, ks, x, self.xs.level)
+            rows = atom_rows(fam, gen, j, ks, self.xs)
             np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-13)
             got = dyadic_synthesis(coef, fam, gen, j, ks, self.xs)
             np.testing.assert_allclose(got, coef @ want_rows, rtol=0, atol=1e-13)
@@ -459,12 +487,13 @@ def gather_synthesis(coef, fam, gen, j, ks, xs):
     return np.append(values, 0.0)[np.where(inside, idx, len(values))]
 
 
-def gather_rows(fam, gen, j, ks, x, level):
-    """atom_rows by an index gather: one index per translate and point."""
-    level = max(level, j)
+def gather_rows(fam, gen, j, ks, xs):
+    """atom_rows by an index gather at xs's rounded points: one index per
+    translate and point."""
+    level = max(xs.level, j)
     beta, blocks = _atom_blocks(fam, gen, j, level)
     values = blocks.ravel()
-    pos = np.rint(np.ldexp(x, level)).astype(np.int64)
+    pos = np.rint(np.ldexp(xs.points(), level)).astype(np.int64)
     idx = pos - (np.asarray(ks)[:, None] + beta) * blocks.shape[1]
     inside = (idx >= 0) & (idx < len(values))
     return np.append(values, 0.0)[np.where(inside, idx, len(values))]
@@ -509,23 +538,27 @@ class TestStridedReads:
             got = dyadic_synthesis(coef, fam, gen, j, ks, xs)
             assert np.array_equal(got, gather_synthesis(coef, fam, gen, j, ks, xs))
 
-    # lattice points in grid order, on a grid wider than the rows on every
-    # side, and unordered and repeated
-    @pytest.mark.parametrize("x,level", [
-        (DyadicGrid(-1.0, 1.0, 5).points(), 5),
-        (DyadicGrid(-256.0, 256.0, 3).points(), 3),
-        (np.array([0.75, -0.5, 0.0, 3.0, -40.0, 0.75, 2.0**-12]), 12),
-    ], ids=["narrow", "wide", "scattered"])
+    # the second grid is wider than the rows on every side; the third is
+    # coarser than the level-j atoms' lattice at j = 3 and 6, so the rows
+    # read the blocks at a stride of 4 and 32; the fourth starts between unit
+    # boundaries, 13 of its spacings left of 0
+    @pytest.mark.parametrize("xs", [
+        DyadicGrid(-1.0, 1.0, 5),
+        DyadicGrid(-256.0, 256.0, 3),
+        DyadicGrid(-3.0, 3.0, 1),
+        DyadicGrid(-0.8125, 1.375, 4),
+    ], ids=["narrow", "wide", "coarse", "offset"])
     @pytest.mark.parametrize("j", [0, 3, 6])
     @pytest.mark.parametrize("spec", ENGINE_FAMILIES)
-    def test_rows_equal_index_gather(self, spec, j, x, level):
+    def test_rows_equal_index_gather(self, spec, j, xs):
         fam = engine_family(spec)
         ks = translate_range(fam, j, (-1.0, 1.0))
         for gen in ("phi", "psi"):
-            got = atom_rows(fam, gen, j, ks, x, level)
-            assert np.array_equal(got, gather_rows(fam, gen, j, ks, x, level))
-            one = atom_rows(fam, gen, j, ks[3:4], x, level)
-            assert np.array_equal(one, gather_rows(fam, gen, j, ks[3:4], x, level))
+            got = atom_rows(fam, gen, j, ks, xs)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, gather_rows(fam, gen, j, ks, xs))
+            one = atom_rows(fam, gen, j, ks[3:4], xs)
+            assert np.array_equal(one, gather_rows(fam, gen, j, ks[3:4], xs))
 
     def test_analysis_allocates_below_half_of_f(self, db2):
         # f's odd samples go into g as one strided slice: no index arrays

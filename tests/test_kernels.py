@@ -132,7 +132,7 @@ class TestKernelMatrix:
             for j in (0, 1):
                 s0, s1 = fam.psi.grid.left, fam.psi.grid.right
                 ks = range(math.floor(g.left * 2**j - s1), math.ceil(g.right * 2**j - s0) + 1)
-                rows = atom_rows(fam, "psi", j, ks, g.points(), g.level)
+                rows = atom_rows(fam, "psi", j, ks, g)
                 split += rows.T @ rows
             idx = rng.integers(0, g.count, size=(100, 2))
             offdiag = idx[idx[:, 0] != idx[:, 1]]
